@@ -16,6 +16,7 @@ import math
 import os
 import re
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -39,9 +40,18 @@ class ProblemError(ValueError):
 # expression grammar
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _real_pow(a, b):
+    # a negative base with a fractional exponent gives a complex number;
+    # the grammar is real-valued, so that is a non-finite result
+    r = a ** b
+    return r if r.__class__ is float else math.nan
+
+
 _BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
            ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-           ast.Pow: lambda a, b: a ** b}
+           ast.Pow: _real_pow}
 _NAME_RE = re.compile(r"^([xu])(\d+)$")
 
 
@@ -92,29 +102,215 @@ def _compile_node(node, m: int, k: int):
     raise ProblemError(f"parse error: disallowed token '{_describe(node)}'")
 
 
-def parse_expression(src: str, m: int, k: int):
-    """Compile one grammar expression to a callable (x, u) -> float."""
+def _parse(src):
     if not isinstance(src, str):
         raise ProblemError(f"parse error: expression must be a string, got {src!r}")
     text = src.replace("^", "**")
     try:
-        tree = ast.parse(text, mode="eval")
+        return ast.parse(text, mode="eval")
     except SyntaxError as e:
         off = (e.offset or 1) - 1
         token = text[off:off + 8].split()[0] if text[off:off + 8].split() else text[off:off + 8]
         raise ProblemError(
             f"parse error in '{src}' at offset {off}: bad token '{token or e.msg}'")
-    fn = _compile_node(tree, m, k)
 
+
+def _guard(fn):
     def guarded(x, u):
-        # overflow surfaces as a non-finite value so the integrator's
-        # blow-up detection owns the diagnostic
+        # overflow and math domain errors surface as a non-finite value so
+        # the integrator's blow-up detection owns the diagnostic
         try:
             return fn(x, u)
-        except (OverflowError, ZeroDivisionError):
+        except (OverflowError, ZeroDivisionError, ValueError):
             return math.nan
 
     return guarded
+
+
+def parse_expression(src: str, m: int, k: int):
+    """Compile one grammar expression to a callable (x, u) -> float."""
+    return _guard(_compile_node(_parse(src), m, k))
+
+
+# Symbolic differentiation builds new grammar trees, folding constants so
+# that identically zero terms vanish before they are compiled.
+
+def _num(v):
+    return ast.Constant(float(v))
+
+
+def _is_num(node, v=None):
+    return isinstance(node, ast.Constant) and (v is None or node.value == v)
+
+
+def _add(a, b):
+    if _is_num(a) and _is_num(b):
+        return _num(a.value + b.value)
+    if _is_num(a, 0):
+        return b
+    if _is_num(b, 0):
+        return a
+    return ast.BinOp(a, ast.Add(), b)
+
+
+def _neg(a):
+    if _is_num(a):
+        return _num(-a.value)
+    return ast.UnaryOp(ast.USub(), a)
+
+
+def _sub(a, b):
+    if _is_num(a) and _is_num(b):
+        return _num(a.value - b.value)
+    if _is_num(b, 0):
+        return a
+    if _is_num(a, 0):
+        return _neg(b)
+    return ast.BinOp(a, ast.Sub(), b)
+
+
+def _mul(a, b):
+    if _is_num(a, 0) or _is_num(b, 0):
+        return _num(0.0)
+    if _is_num(a) and _is_num(b):
+        return _num(a.value * b.value)
+    if _is_num(a, 1):
+        return b
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+def _div(a, b):
+    if _is_num(a, 0):
+        return _num(0.0)
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Div(), b)
+
+
+def _pow(a, b):
+    if _is_num(b, 0):
+        return _num(1.0)
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Pow(), b)
+
+
+def _call(name, a):
+    return ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=[a], keywords=[])
+
+
+def _derivative(node, j):
+    """d node / d x_j for a validated tree with no state in an exponent."""
+    if isinstance(node, ast.Constant):
+        return _num(0.0)
+    if isinstance(node, ast.Name):
+        kind, idx = _NAME_RE.match(node.id).groups()
+        return _num(1.0 if kind == "x" and int(idx) == j else 0.0)
+    if isinstance(node, ast.UnaryOp):
+        da = _derivative(node.operand, j)
+        return _neg(da) if isinstance(node.op, ast.USub) else da
+    if isinstance(node, ast.Call):
+        a = node.args[0]
+        if node.func.id == "sin":
+            outer = _call("cos", a)
+        elif node.func.id == "cos":
+            outer = _neg(_call("sin", a))
+        else:
+            outer = node
+        return _mul(outer, _derivative(a, j))
+    a, b = node.left, node.right
+    da, db = _derivative(a, j), _derivative(b, j)
+    op = type(node.op)
+    if op is ast.Add:
+        return _add(da, db)
+    if op is ast.Sub:
+        return _sub(da, db)
+    if op is ast.Mult:
+        return _add(_mul(da, b), _mul(a, db))
+    if op is ast.Div:
+        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _num(2.0))))
+    # power with an exponent free of states: b a^(b-1) a'
+    return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
+
+
+def _has_state(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id.startswith("x") for n in ast.walk(node))
+
+
+def _u_degree(node) -> Optional[int]:
+    if isinstance(node, ast.Constant):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1 if node.id.startswith("u") else 0
+    if isinstance(node, ast.UnaryOp):
+        return _u_degree(node.operand)
+    if isinstance(node, ast.Call):
+        return 0 if _u_degree(node.args[0]) == 0 else None
+    da, db = _u_degree(node.left), _u_degree(node.right)
+    if da is None or db is None:
+        return None
+    op = type(node.op)
+    if op in (ast.Add, ast.Sub):
+        return max(da, db)
+    if op is ast.Mult:
+        return da + db
+    if db:
+        return None
+    if op is ast.Div or da == 0:
+        return da
+    c = node.right
+    if isinstance(c, ast.Constant) and c.value >= 0 and float(c.value).is_integer():
+        return da * int(c.value)
+    return None
+
+
+def expression_structure(src: str, m: int, k: int):
+    """Exact partial derivatives in x and the degree in u of one expression.
+
+    Returns (partials, degree).  `partials` has one entry per state x_j:
+    the value of a constant derivative, or a callable (x, u) -> float
+    compiled and guarded like `parse_expression`; it is None when a state
+    appears in an exponent.  `degree` is the polynomial degree in u, None
+    when u appears in a denominator, an exponent or a function argument.
+    """
+    body = _parse(src).body
+    _compile_node(body, m, k)
+    degree = _u_degree(body)
+    if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and _has_state(n.right)
+           for n in ast.walk(body)):
+        return None, degree
+    partials = []
+    for j in range(m):
+        d = _derivative(body, j)
+        partials.append(float(d.value) if _is_num(d)
+                        else _guard(_compile_node(d, m, k)))
+    return partials, degree
+
+
+def _derivative_callable(rows, shape):
+    """Callable (x, u) -> array of `shape` from per-expression partials.
+
+    None when some expression has no exact derivative.
+    """
+    if any(row is None for row in rows):
+        return None
+    template = np.zeros(shape)
+    live = []
+    for idx, d in zip(np.ndindex(shape), (d for row in rows for d in row)):
+        if callable(d):
+            live.append((idx, d))
+        else:
+            template[idx] = d
+
+    def derivative(x, u):
+        out = template.copy()
+        for idx, d in live:
+            out[idx] = d(x, u)
+        return out
+
+    return derivative
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +348,7 @@ def _emit_control_set(cset):
 
 
 def _build_dynamics(spec, cset):
-    """Returns (m, k, f, df_dx, normalized spec)."""
+    """Returns (m, k, f, df_dx, degree in u, normalized spec)."""
     if not isinstance(spec, dict):
         raise ProblemError("dynamics must be an object")
     if "builtin" in spec:
@@ -160,10 +356,10 @@ def _build_dynamics(spec, cset):
         if name == "double_integrator":
             return (2, 1, lambda x, u: np.array([x[1], u[0]]),
                     lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
-                    {"builtin": name})
+                    1, {"builtin": name})
         if name == "scalar_integrator":
             return (1, 1, lambda x, u: np.atleast_1d(u[0]),
-                    lambda x, u: np.zeros((1, 1)), {"builtin": name})
+                    lambda x, u: np.zeros((1, 1)), 1, {"builtin": name})
         if name == "linear_system":
             A = _as_matrix(spec.get("A"), "A")
             B = _as_matrix(spec.get("B"), "B")
@@ -171,7 +367,7 @@ def _build_dynamics(spec, cset):
                 raise ProblemError("linear_system needs square A and matching B")
             return (A.shape[0], B.shape[1],
                     lambda x, u: A @ x + B @ np.atleast_1d(u),
-                    lambda x, u: A,
+                    lambda x, u: A, 1,
                     {"builtin": name, "A": A.tolist(), "B": B.tolist()})
         raise ProblemError(f"unknown builtin '{name}'")
     if "expressions" in spec:
@@ -180,10 +376,16 @@ def _build_dynamics(spec, cset):
             raise ProblemError("dynamics.expressions must be a nonempty list")
         m, k = len(exprs), cset.dim
         fns = [parse_expression(e, m, k) for e in exprs]
+        partials, degrees = zip(*(expression_structure(e, m, k) for e in exprs))
         return (m, k,
                 lambda x, u: np.array([fn(x, u) for fn in fns]),
-                None, {"expressions": list(exprs)})
+                _derivative_callable(partials, (m, m)), _max_degree(degrees),
+                {"expressions": list(exprs)})
     raise ProblemError("dynamics needs 'builtin' or 'expressions'")
+
+
+def _max_degree(degrees):
+    return None if None in degrees else max(degrees)
 
 
 def _parse_boundary_end(spec, m, name):
@@ -248,19 +450,22 @@ class Problem:
             dyn = data["dynamics"]
         except KeyError:
             raise ProblemError("problem file needs 'dynamics'")
-        m, k, f, df, self.dyn_spec = _build_dynamics(dyn, self.control_set)
+        m, k, f, df, degree, self.dyn_spec = _build_dynamics(dyn, self.control_set)
         if k != self.control_set.dim:
             raise ProblemError("control_set dimension does not match the dynamics")
         self.cost_spec = None
-        F = None
+        F = dF = None
         cost = data.get("cost")
         if cost is not None:
             if not isinstance(cost, dict) or "expression" not in cost:
                 raise ProblemError("cost must be an object with 'expression'")
             F = parse_expression(cost["expression"], m, k)
+            partials, cost_degree = expression_structure(cost["expression"], m, k)
+            dF = _derivative_callable([partials], (m,))
+            degree = _max_degree((degree, cost_degree))
             self.cost_spec = {"expression": cost["expression"]}
         self.sys = ControlSystem(m=m, k=k, f=f, control_set=self.control_set,
-                                 F=F, df_dx=df)
+                                 F=F, df_dx=df, dF_dx=dF, u_degree=degree)
         hz = data.get("horizon", {"a": 0.0, "b": 1.0})
         if isinstance(hz, (int, float)):
             hz = {"a": 0.0, "b": float(hz)}

@@ -104,7 +104,9 @@ class ControlSystem:
 
     `df_dx` and `dF_dx` may be omitted; central finite differences stand in.
     `extended` marks a system produced by `extend` so it cannot be extended
-    twice.
+    twice.  `u_degree` declares the polynomial degree of f and F in u, None
+    when unknown; at most 2 lets the Hamiltonian maximizer trust its
+    quadratic fit without probing it.
     """
 
     m: int
@@ -115,6 +117,7 @@ class ControlSystem:
     df_dx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     dF_dx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     extended: bool = False
+    u_degree: Optional[int] = None
 
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.asarray(self.f(np.asarray(x, dtype=float), u), dtype=float).ravel()
@@ -165,7 +168,7 @@ def extend(sys: ControlSystem) -> ControlSystem:
         return J
 
     return ControlSystem(m=sys.m + 1, k=sys.k, f=f_hat, control_set=sys.control_set,
-                         F=None, df_dx=df_hat, extended=True)
+                         F=None, df_dx=df_hat, extended=True, u_degree=sys.u_degree)
 
 
 @dataclass(frozen=True)

@@ -148,8 +148,12 @@ def _pick_best(cands, H):
     return MaximizationResult(best_u, best_v)
 
 
-def _fit_quadratic(H, u0, delta, fit_tol):
-    """Exact-fit quadratic model around u0, or None if H is not quadratic."""
+def _fit_quadratic(H, u0, delta, fit_tol, verify=True):
+    """Exact-fit quadratic model around u0, or None if H is not quadratic.
+
+    verify=False skips the three probes that test the fit, for an H known
+    to be at most quadratic in u.
+    """
     k = u0.size
     f0 = H(u0)
     b = np.zeros(k)
@@ -171,6 +175,9 @@ def _fit_quadratic(H, u0, delta, fit_tol):
         ej[j] = delta[j]
         mixed = (H(u0 + e) - H(u0 + ei) - H(u0 + ej) + f0) / (delta[i] * delta[j])
         A[i, j] = A[j, i] = mixed
+
+    if not verify:
+        return f0, b, A
 
     def model(u):
         d = u - u0
@@ -239,16 +246,18 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
 
     Finite sets are enumerated (first listed wins ties).  Boxes are handled
     exactly whenever H is numerically quadratic in u (verified by an
-    exact-fit test): linear coefficients pick vertices, concave axes or a
-    concave coupled model pick stationary points, with unbounded growth along
-    an infinite side reported as an error.  Non-quadratic H on a finite box
-    falls back to deterministic grid refinement.
+    exact-fit test, unless `sys.u_degree` declares degree <= 2): linear
+    coefficients pick vertices, concave axes or a concave coupled model
+    pick stationary points, with unbounded growth along an infinite side
+    reported as an error.  Non-quadratic H on a finite box falls back to
+    deterministic grid refinement.
     """
     opts = opts or MaximizeOptions()
 
     def H(u):
         return hamiltonian(sys, p0, p, x, u)
 
+    verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     if U.kind == "finite":
         return _pick_best(U.points, H)
@@ -257,7 +266,7 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
         c, R = U.center, U.radius
         k = c.size
         delta = np.full(k, max(R, 1.0) / 4.0)
-        fit = _fit_quadratic(H, c.copy(), delta, opts.fit_tol)
+        fit = _fit_quadratic(H, c.copy(), delta, opts.fit_tol, verify)
         if fit is not None:
             _, b, A = fit
             scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(A))
@@ -286,7 +295,7 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
         else:
             u0[j], delta[j] = 0.0, 1.0
 
-    fit = _fit_quadratic(H, u0, delta, opts.fit_tol)
+    fit = _fit_quadratic(H, u0, delta, opts.fit_tol, verify)
     if fit is not None:
         _, b, A = fit
         scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))

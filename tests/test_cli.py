@@ -208,6 +208,20 @@ class TestSimulate:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr", ["(x0-2)^0.5", "sin((x0-2)^0.5) + u0",
+                                      "sin(1e308 * 10 + x0)"])
+    def test_non_real_value_is_numerical_failure(self, tmp_path, capsys, expr):
+        # a negative base with a fractional exponent, or sin of inf, has no
+        # real value
+        data = {"dynamics": {"expressions": [expr]},
+                "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+                "horizon": {"a": 0.0, "b": 1.0},
+                "control": {"switch_times": [], "values": [[0.0]]}}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+
 
 class TestShootAndCheck:
     def test_bang_result_files(self, bang_dir):
