@@ -67,7 +67,13 @@ def _compile_node(node, m: int, k: int):
         return _compile_node(node.body, m, k)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            v = float(node.value)
+            try:
+                v = float(node.value)
+            except OverflowError:
+                digits = str(node.value)
+                raise ProblemError(
+                    f"parse error: literal '{digits[:10]}...' ({len(digits)} digits)"
+                    " is too large for a float")
             return lambda x, u: v
         raise ProblemError(f"parse error: disallowed constant '{node.value!r}'")
     if isinstance(node, ast.Name):

@@ -270,11 +270,17 @@ class ExtendedTrajectory(Trajectory):
     def running_cost(self) -> np.ndarray:
         return self.states[:, 0].copy()
 
-    def project(self) -> Trajectory:
-        """Drop the cost coordinate; shares the grid and control."""
+    def project(self, system: Optional[ControlSystem] = None) -> Trajectory:
+        """Drop the cost coordinate; shares the grid and control.
+
+        `system` is the base system this one extends.  With it the result
+        is the trajectory `simulate` returns for the base system on the
+        same signal, bit for bit: the RK4 step of the extended system does
+        the same elementwise arithmetic on the state coordinates.
+        """
         return Trajectory(grid=self.grid.copy(), states=self.states[:, 1:].copy(),
                           control=self.control, velocities=self.velocities[:, 1:].copy(),
-                          system=None)
+                          system=system)
 
     def to_csv(self, path) -> None:
         m = self.states.shape[1] - 1

@@ -340,19 +340,31 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
     n = len(grid)
     sigma = np.empty((n, sys.m))
     sigma[n - 1] = p
+
+    def linearize(xx, uval):
+        # p' = a - A p at the state xx
+        return -p0 * sys.cost_grad_x(xx, uval), sys.jac_x(xx, uval).T
+
+    # the state, control and linearization at the node where the previous
+    # (later) step's last stage was evaluated
+    x_node = u_node = lin_node = None
     for i in range(n - 1, 0, -1):
         t1, t0 = float(grid[i]), float(grid[i - 1])
         h = t0 - t1
         uval = traj.control.value_at(0.5 * (t0 + t1))
-
-        def rhs(t, q):
-            xx = traj.state_at(t)
-            return -p0 * sys.cost_grad_x(xx, uval) - sys.jac_x(xx, uval).T @ q
-
-        k1 = rhs(t1, p)
-        k2 = rhs(t1 + 0.5 * h, p + 0.5 * h * k1)
-        k3 = rhs(t1 + 0.5 * h, p + 0.5 * h * k2)
-        k4 = rhs(t0, p + h * k3)
+        if x_node is None:
+            x_node = traj.state_at(t1)
+        if u_node is None or uval.tobytes() != u_node.tobytes():
+            lin_node = linearize(x_node, uval)
+        a1, A1 = lin_node
+        am, Am = linearize(traj.state_at(t1 + 0.5 * h), uval)
+        x_node, u_node = traj.state_at(t0), uval
+        lin_node = linearize(x_node, uval)
+        a0, A0 = lin_node
+        k1 = a1 - A1 @ p
+        k2 = am - Am @ (p + 0.5 * h * k1)
+        k3 = am - Am @ (p + 0.5 * h * k2)
+        k4 = a0 - A0 @ (p + h * k3)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(p)):
             raise FlowBlowUpError(t0)
@@ -532,8 +544,8 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     cfg = opts.cfg or IntegratorConfig(step=1e-2 * span)
     free = bounds.mode == "free_time"
 
-    base = simulate(sys, control, x0, cfg)
     ext_traj = simulate(extend(sys), control, np.concatenate(([0.0], x0)), cfg)
+    base = ext_traj.project(sys)
     f_b = sys.dynamics(base.endpoint, control.value_at(control.b))
     F_b = sys.cost_rate(base.endpoint, control.value_at(control.b))
     final_rows = [np.asarray(w, float) for w in (bounds.final or ())]

@@ -116,43 +116,54 @@ def _auto_jump_tol(control_set) -> float:
     return 0.05 * max(1.0, 2.0 * control_set.radius)
 
 
-def _rk4_coupled(sys, p0, x, p, u, h):
-    def fx(x_):
-        return sys.dynamics(x_, u)
+def _coupled_rhs(sys, p0, x, p, u):
+    """(x', p') of the state-costate system at a frozen control value."""
+    return sys.dynamics(x, u), -p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p
 
-    def fp(x_, p_):
-        return -p0 * sys.cost_grad_x(x_, u) - sys.jac_x(x_, u).T @ p_
 
-    k1x, k1p = fx(x), fp(x, p)
+def _rk4_coupled(sys, p0, x, p, u, h, k1):
+    """One RK4 step of length h; k1 is `_coupled_rhs` at (x, p, u)."""
+    k1x, k1p = k1
     x2, p2 = x + 0.5 * h * k1x, p + 0.5 * h * k1p
-    k2x, k2p = fx(x2), fp(x2, p2)
+    k2x, k2p = _coupled_rhs(sys, p0, x2, p2, u)
     x3, p3 = x + 0.5 * h * k2x, p + 0.5 * h * k2p
-    k3x, k3p = fx(x3), fp(x3, p3)
+    k3x, k3p = _coupled_rhs(sys, p0, x3, p3, u)
     x4, p4 = x + h * k3x, p + h * k3p
-    k4x, k4p = fx(x4), fp(x4, p4)
+    k4x, k4p = _coupled_rhs(sys, p0, x4, p4, u)
     xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
     pn = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return xn, pn
 
 
+def _finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a)) for a in arrays)
+
+
 class _Propagation:
-    def __init__(self, x_b, p_b, steps, sup_h):
+    def __init__(self, x_b, p_b, steps, sup_h, resume):
         self.x_b = x_b
         self.p_b = p_b
         self.steps = steps      # list of (t_start, u_value)
         self.sup_h = sup_h      # max_u H at the endpoint
+        # loop state (t, x, p, maximizer, switches, steps taken) where the
+        # final time first cut a step short, or at the end of the loop
+        self.resume = resume
 
 
 def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
-               step: float) -> Optional[_Propagation]:
+               step: float, base: Optional[_Propagation] = None
+               ) -> Optional[_Propagation]:
+    """Integrate the coupled (x, p) system from the start encoded in z.
+
+    `base` is an optional propagation of an unknown vector that differs
+    from z only by a smaller final time.  Up to its `resume` state every
+    step was a full `step` long, which a later final time does not change,
+    so the loop continues from there with the same result as a fresh run.
+    """
     sys = problem.sys
     m = sys.m
     d_a = len(problem.bounds.initial or ())
     free = problem.bounds.mode == "free_time"
-    p = np.array(z[:m], dtype=float)
-    x = problem.x_a.copy()
-    for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
-        x = x + ci * np.asarray(w, float)
     b = float(z[m + d_a]) if free else problem.b
     if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
         return None
@@ -164,71 +175,87 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     def jumped(u1, u2):
         return float(np.max(np.abs(u1 - u2))) > jump_tol
 
-    t = problem.a
-    try:
-        u_cur = argmax(x, p).u_star
-    except Exception:
-        return None
-    steps: List[Tuple[float, np.ndarray]] = []
-    n_sw = 0
+    steps: List[Tuple[float, np.ndarray]]
+    if base is None:
+        p = np.array(z[:m], dtype=float)
+        x = problem.x_a.copy()
+        for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
+            x = x + ci * np.asarray(w, float)
+        t = problem.a
+        try:
+            cur = argmax(x, p)   # the maximizer at (x, p)
+        except Exception:
+            return None
+        steps = []
+        n_sw = 0
+    else:
+        t, x, p, cur, n_sw, n_steps = base.resume
+        steps = base.steps[:n_steps]
+    resume = None
     while b - t > 1e-13 * (1.0 + abs(b)):
         h = min(step, b - t)
+        if resume is None and h != step:
+            resume = (t, x, p, cur, n_sw, len(steps))
+        # every trial step of this iteration starts from (x, p): its first
+        # RK4 stage is evaluated once per control value
+        stages = {}
 
-        def commit(dt, uval):
-            nonlocal t, x, p
-            xn, pn = _rk4_coupled(sys, problem.p0, x, p, uval, dt)
-            if not (np.all(np.isfinite(xn)) and np.all(np.isfinite(pn))):
-                raise FloatingPointError
-            steps.append((t, np.asarray(uval, float)))
-            t, x, p = t + dt, xn, pn
+        def advance(u, dt):
+            key = u.tobytes()
+            if key not in stages:
+                stages[key] = _coupled_rhs(sys, problem.p0, x, p, u)
+            return _rk4_coupled(sys, problem.p0, x, p, u, dt, stages[key])
 
-        def bisect(u_frozen, hi0):
-            # largest substep keeping the maximizer on the current arc
-            lo, hi = 0.0, hi0
+        def bisect(u_frozen, hi, x_hi, p_hi):
+            # largest substep keeping the maximizer on the current arc, with
+            # the state it reaches; (x_hi, p_hi) is the state at hi
+            lo = 0.0
             while hi - lo > opts.switch_time_tol:
                 mid = 0.5 * (lo + hi)
-                xm, pm = _rk4_coupled(sys, problem.p0, x, p, u_frozen, mid)
-                if not (np.all(np.isfinite(xm)) and np.all(np.isfinite(pm))):
+                xm, pm = advance(u_frozen, mid)
+                if not _finite(xm, pm):
                     raise FloatingPointError
                 if jumped(argmax(xm, pm).u_star, u_frozen):
-                    hi = mid
+                    hi, x_hi, p_hi = mid, xm, pm
                 else:
                     lo = mid
-            return hi
+            return hi, x_hi, p_hi
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                xh, ph = _rk4_coupled(sys, problem.p0, x, p, u_cur, 0.5 * h)
-                if not (np.all(np.isfinite(xh)) and np.all(np.isfinite(ph))):
+                xh, ph = advance(cur.u_star, 0.5 * h)
+                if not _finite(xh, ph):
                     return None
                 u_mid = argmax(xh, ph).u_star
-                if jumped(u_mid, u_cur):
-                    commit(bisect(u_cur, 0.5 * h), u_cur)
-                    u_cur = argmax(x, p).u_star
+                if jumped(u_mid, cur.u_star):
+                    u_step = cur.u_star
+                    dt, xn, pn = bisect(u_step, 0.5 * h, xh, ph)
+                    end = None
+                else:
+                    u_step = u_mid
+                    x1, p1 = advance(u_mid, h)
+                    if not _finite(x1, p1):
+                        return None
+                    end = argmax(x1, p1)
+                    if jumped(end.u_star, u_mid):
+                        dt, xn, pn = bisect(u_mid, h, x1, p1)
+                        end = None
+                    else:
+                        dt, xn, pn = h, x1, p1
+                steps.append((t, np.asarray(u_step, float)))
+                t, x, p = t + dt, xn, pn
+                if end is None:
+                    cur = argmax(x, p)
                     n_sw += 1
                 else:
-                    x1, p1 = _rk4_coupled(sys, problem.p0, x, p, u_mid, h)
-                    if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(p1))):
-                        return None
-                    u_end = argmax(x1, p1).u_star
-                    if jumped(u_end, u_mid):
-                        commit(bisect(u_mid, h), u_mid)
-                        u_cur = argmax(x, p).u_star
-                        n_sw += 1
-                    else:
-                        commit(h, u_mid)
-                        u_cur = u_end
-        except FloatingPointError:
-            return None
+                    cur = end
         except Exception:
             return None
         if n_sw > opts.max_switches:
             return None
-    try:
-        sup_h = argmax(x, p).value
-    except Exception:
-        return None
-    return _Propagation(x, p, steps, sup_h)
+    if resume is None:
+        resume = (t, x, p, cur, n_sw, len(steps))
+    return _Propagation(x, p, steps, cur.value, resume)
 
 
 def _final_complement(bounds: BoundarySpec, m: int) -> np.ndarray:
@@ -241,6 +268,10 @@ def _final_complement(bounds: BoundarySpec, m: int) -> np.ndarray:
     return Vt[rank:].T
 
 
+def _step(problem: ShootingProblem, opts: ShootingOptions) -> float:
+    return opts.step or 1e-3 * (problem.b - problem.a)
+
+
 def boundary_residual(problem: ShootingProblem, z,
                       opts: Optional[ShootingOptions] = None) -> Optional[np.ndarray]:
     """Residual vector of the shooting system at the unknown vector z.
@@ -250,10 +281,12 @@ def boundary_residual(problem: ShootingProblem, z,
     free-time mode.  None signals a blown-up or invalid trial.
     """
     opts = opts or ShootingOptions()
-    step = opts.step or 1e-3 * (problem.b - problem.a)
-    prop = _propagate(problem, z, opts, step)
-    if prop is None:
-        return None
+    prop = _propagate(problem, z, opts, _step(problem, opts))
+    return None if prop is None else _residual(problem, z, prop)
+
+
+def _residual(problem: ShootingProblem, z, prop: _Propagation) -> np.ndarray:
+    """`boundary_residual` assembled from the propagation of z."""
     m = problem.sys.m
     d_a = len(problem.bounds.initial or ())
     parts = []
@@ -273,54 +306,67 @@ def boundary_residual(problem: ShootingProblem, z,
     return np.concatenate([np.atleast_1d(p) for p in parts])
 
 
-def _fd_jacobian(problem, z, R0, opts, h):
+def _fd_jacobian(problem, z, R0, prop, opts):
+    """Forward differences of the residual at z, whose propagation is prop.
+
+    A final-time column that moves b up resumes prop instead of
+    propagating again from the start.
+    """
+    h = opts.fd_h
+    step = _step(problem, opts)
+    m = problem.sys.m
+    i_b = (m + len(problem.bounds.initial or ())
+           if problem.bounds.mode == "free_time" else None)
     n = len(z)
     J = np.zeros((len(R0), n))
     for j in range(n):
         zp = z.copy()
         zp[j] += h * (1.0 + abs(z[j]))
-        Rp = boundary_residual(problem, zp, opts)
-        if Rp is None:
+        base = prop if j == i_b and zp[j] > z[j] else None
+        prop_p = _propagate(problem, zp, opts, step, base)
+        if prop_p is None:
             continue
+        Rp = _residual(problem, zp, prop_p)
         J[:, j] = (Rp - R0) / (h * (1.0 + abs(z[j])))
     return J
 
 
 def _newton(problem, z0, opts):
+    """Damped Newton from z0: (z, |R|, iterations, converged, propagation of z)."""
+    step = _step(problem, opts)
     z = np.asarray(z0, dtype=float).copy()
-    R = boundary_residual(problem, z, opts)
-    if R is None:
-        return z, np.inf, 0, False
+    prop = _propagate(problem, z, opts, step)
+    if prop is None:
+        return z, np.inf, 0, False, None
+    R = _residual(problem, z, prop)
     rn = float(np.linalg.norm(R))
     for it in range(1, opts.max_iter + 1):
         if rn <= opts.tol:
-            return z, rn, it - 1, True
-        J = _fd_jacobian(problem, z, R, opts, opts.fd_h)
+            return z, rn, it - 1, True, prop
+        J = _fd_jacobian(problem, z, R, prop, opts)
         try:
             s = np.linalg.lstsq(J, -R, rcond=None)[0]
         except np.linalg.LinAlgError:
-            return z, rn, it, False
+            return z, rn, it, False, prop
         if not np.all(np.isfinite(s)):
-            return z, rn, it, False
+            return z, rn, it, False, prop
         alpha, accepted = 1.0, False
         while alpha >= 1.0 / 64.0:
             z_try = z + alpha * s
-            R_try = boundary_residual(problem, z_try, opts)
-            if R_try is not None:
+            prop_try = _propagate(problem, z_try, opts, step)
+            if prop_try is not None:
+                R_try = _residual(problem, z_try, prop_try)
                 rn_try = float(np.linalg.norm(R_try))
                 if rn_try < (1.0 - 0.25 * alpha) * rn or rn_try <= opts.tol:
-                    z, R, rn, accepted = z_try, R_try, rn_try, True
+                    z, R, rn, prop, accepted = z_try, R_try, rn_try, prop_try, True
                     break
             alpha *= 0.5
         if not accepted:
-            return z, rn, it, False
-    return z, rn, opts.max_iter, rn <= opts.tol
+            return z, rn, it, False, prop
+    return z, rn, opts.max_iter, rn <= opts.tol, prop
 
 
-def _build_extremal(problem, z, opts, step):
-    prop = _propagate(problem, z, opts, step)
-    if prop is None:
-        raise ShootingFailure("selected iterate no longer integrates")
+def _build_extremal(problem, z, prop, step):
     m = problem.sys.m
     d_a = len(problem.bounds.initial or ())
     free = problem.bounds.mode == "free_time"
@@ -336,11 +382,9 @@ def _build_extremal(problem, z, opts, step):
             switches.append(t_s)
             values.append(tuple(u_s))
     sig = ControlSignal(problem.a, b, tuple(switches), tuple(values))
-    cfg = IntegratorConfig(step=step)
     ext_traj = simulate(extend(problem.sys), sig,
-                        np.concatenate(([0.0], x0)), cfg)
-    base = simulate(problem.sys, sig, x0, cfg)
-    adj = adjoint_flow(problem.sys, base, problem.p0, prop.p_b)
+                        np.concatenate(([0.0], x0)), IntegratorConfig(step=step))
+    adj = adjoint_flow(problem.sys, ext_traj.project(problem.sys), problem.p0, prop.p_b)
     return Extremal(ext_traj, sig, adj)
 
 
@@ -358,7 +402,6 @@ def shoot(problem: ShootingProblem, guess=None,
     m = problem.sys.m
     d_a = len(problem.bounds.initial or ())
     free = problem.bounds.mode == "free_time"
-    step = opts.step or 1e-3 * (problem.b - problem.a)
 
     def pad(p_part):
         tail = [problem.b] if free else []
@@ -375,20 +418,20 @@ def shoot(problem: ShootingProblem, guess=None,
         for d in unit_directions(m, opts.n_starts, seed=opts.seed):
             starts.append(pad(s * d))
 
-    best = None  # (residual_norm, index, z, iterations, converged)
+    best = None  # (residual_norm, index, z, iterations, converged, propagation)
     for idx, z0 in enumerate(starts):
-        z, rn, iters, conv = _newton(problem, z0, opts)
+        z, rn, iters, conv, prop = _newton(problem, z0, opts)
         if conv:
-            best = (rn, idx, z, iters, True)
+            best = (rn, idx, z, iters, True, prop)
             break
         if np.isfinite(rn) and (best is None or rn < best[0]):
-            best = (rn, idx, z, iters, False)
+            best = (rn, idx, z, iters, False, prop)
     if best is None:
         raise ShootingFailure("all starts blew up")
-    rn, _, z, iters, conv = best
-    extremal = _build_extremal(problem, z, opts, step)
-    R = boundary_residual(problem, z, opts)
-    J = _fd_jacobian(problem, z, R, opts, opts.fd_h)
+    rn, _, z, iters, conv, prop = best
+    extremal = _build_extremal(problem, z, prop, _step(problem, opts))
+    R = _residual(problem, z, prop)
+    J = _fd_jacobian(problem, z, R, prop, opts)
     jrank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, float(np.max(np.abs(J))))))
     return ShootingResult(extremal=extremal, residual_norm=rn, iterations=iters,
                           converged=conv, jacobian_rank=jrank,

@@ -3,7 +3,9 @@
 Everything here is written against the mathematics directly (angle sweeps,
 cross products, textbook ODE solutions, scipy integrators) and never calls
 into the package's LP or RK4 code, so these functions can serve as
-cross-checks for the implementations.
+cross-checks for the implementations.  The one exception is
+`adjoint_flow_loop`, the plain per-stage form of `pmp.adjoint_flow` kept
+as its bit-for-bit reference.
 """
 import numpy as np
 
@@ -131,3 +133,33 @@ def variation_of_constants(A, b, t, x0):
     E = expm(M * t)
     aug = np.append(np.asarray(x0, float), 1.0)
     return (E @ aug)[:n]
+
+
+def adjoint_flow_loop(sys, traj, p0, p_b):
+    """Backward RK4 adjoint with `state_at` and the linearization per stage.
+
+    The straightforward loop that `pmp.adjoint_flow` shortens by sharing
+    evaluations at equal inputs; both must return the same sigma bit for
+    bit.
+    """
+    p = np.asarray(p_b, dtype=float).ravel()
+    grid = traj.grid
+    n = len(grid)
+    sigma = np.empty((n, sys.m))
+    sigma[n - 1] = p
+    for i in range(n - 1, 0, -1):
+        t1, t0 = float(grid[i]), float(grid[i - 1])
+        h = t0 - t1
+        uval = traj.control.value_at(0.5 * (t0 + t1))
+
+        def rhs(t, q):
+            xx = traj.state_at(t)
+            return -p0 * sys.cost_grad_x(xx, uval) - sys.jac_x(xx, uval).T @ q
+
+        k1 = rhs(t1, p)
+        k2 = rhs(t1 + 0.5 * h, p + 0.5 * h * k1)
+        k3 = rhs(t1 + 0.5 * h, p + 0.5 * h * k2)
+        k4 = rhs(t0, p + h * k3)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        sigma[i - 1] = p
+    return sigma

@@ -111,6 +111,22 @@ class TestProblemFiles:
         assert rc == 2
         assert "q0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("place", ["dynamics", "cost"])
+    def test_too_large_literal_named(self, tmp_path, capsys, place):
+        # an integer literal beyond the float range is bad input, not a crash
+        literal = "1" + "0" * 400
+        data = lqr_problem()
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        if place == "dynamics":
+            data["dynamics"] = {"expressions": [literal + " * u0"]}
+        else:
+            data["cost"] = {"expression": "x0^2 + " + literal}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'1000000000...' (401 digits)" in err and "too large" in err
+
     def test_missing_file(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--problem", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path)])

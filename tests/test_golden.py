@@ -1,4 +1,4 @@
-"""Byte-for-byte golden outputs of the CLI on builtin-dynamics problems.
+"""Byte-for-byte golden outputs of the CLI on builtin and expression problems.
 
 Each case directory under `golden/` holds `problem.json` and the files the
 listed commands write into `--out`.  The test reruns the commands and
@@ -21,6 +21,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = {
     "min_time_double_integrator": (("shoot", 0), ("check", 0)),
     "linear_system_simulate": (("simulate", 0),),
+    "lqr_expression_shoot": (("shoot", 0), ("check", 0)),
+    "pendulum_flow_sample": (("simulate", 0), ("cones", 0), ("reach", 0)),
 }
 
 

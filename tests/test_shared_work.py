@@ -1,0 +1,197 @@
+"""Evaluations shared between integration stages return the same bits.
+
+The adjoint flow, the projected extended trajectory and the resumed
+final-time column of the shooting Jacobian each reuse values computed
+from identical inputs.  Each is compared bit for bit with the plain
+computation, and the work of a fixed shooting solve is held to the call
+counts committed below.
+"""
+
+import collections
+import dataclasses
+import os
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from pmpkit import cli, pmp, shooting
+from pmpkit.control_system import (ControlSignal, ControlSystem, box, extend,
+                                   simulate)
+from pmpkit.flows import IntegratorConfig
+
+from oracles import adjoint_flow_loop
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# control values include both signed zeros and repeats, so that adjacent
+# pieces carry equal values held in different arrays
+_VALUES = (0.0, -0.0, 0.5, -0.3)
+
+
+@st.composite
+def smooth_systems(draw):
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-1.0, 1.0, (m, m))
+    B = rng.uniform(-1.0, 1.0, (m, k))
+    C = rng.uniform(-0.5, 0.5, (m, m))
+    Q = rng.uniform(0.0, 1.0, m)
+    c = float(rng.uniform(-1.0, 1.0))
+
+    def f(x, u):
+        return A @ x + B @ u + (C @ np.sin(x)) * (1.0 + u[0] ** 2)
+
+    def df(x, u):
+        return A + C * np.cos(x)[None, :] * (1.0 + u[0] ** 2)
+
+    # copysign tells -0.0 from 0.0: sharing a linearization between the two
+    # would change the result
+    def F(x, u):
+        return float(Q @ x ** 2 + u @ u + c * np.copysign(1.0, u[0]) * np.cos(x[0]))
+
+    def dF(x, u):
+        g = 2.0 * Q * x
+        g[0] -= c * np.copysign(1.0, u[0]) * np.sin(x[0])
+        return g
+
+    exact = draw(st.booleans())
+    sys = ControlSystem(m=m, k=k, f=f, control_set=box([-1.0] * k, [1.0] * k),
+                        F=F, df_dx=df if exact else None,
+                        dF_dx=dF if exact else None)
+    b = draw(st.floats(0.3, 2.0))
+    n_sw = draw(st.integers(0, 5))
+    times = sorted({round(draw(st.floats(0.05, 0.95)) * b, 6) for _ in range(n_sw)})
+    values = [tuple(draw(st.sampled_from(_VALUES)) for _ in range(k))
+              for _ in range(len(times) + 1)]
+    sig = ControlSignal(0.0, b, tuple(times), tuple(values))
+    x0 = rng.uniform(-1.0, 1.0, m)
+    p_b = rng.uniform(-2.0, 2.0, m)
+    step = draw(st.sampled_from((0.05, 0.1, 0.13)))
+    return sys, sig, x0, p_b, step
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=smooth_systems(), p0=st.sampled_from((-1.0, 0.0)),
+       source=st.sampled_from(("simulate", "project", "velocities")))
+def test_adjoint_flow_matches_stagewise_loop(case, p0, source):
+    sys, sig, x0, p_b, step = case
+    cfg = IntegratorConfig(step=step)
+    if source == "simulate":
+        traj = simulate(sys, sig, x0, cfg)
+    else:
+        ext = simulate(extend(sys), sig, np.concatenate(([0.0], x0)), cfg)
+        # "velocities" interpolates with the stored node velocities
+        traj = ext.project(sys if source == "project" else None)
+    got = pmp.adjoint_flow(sys, traj, p0, p_b).sigma
+    assert same_bits(got, adjoint_flow_loop(sys, traj, p0, p_b))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=smooth_systems())
+def test_projection_with_base_system_is_base_simulation(case):
+    sys, sig, x0, _, step = case
+    cfg = IntegratorConfig(step=step)
+    plain = simulate(sys, sig, x0, cfg)
+    proj = simulate(extend(sys), sig, np.concatenate(([0.0], x0)), cfg).project(sys)
+    assert proj.system is sys
+    for name in ("grid", "states", "velocities"):
+        assert same_bits(getattr(proj, name), getattr(plain, name)), name
+    for t in np.linspace(0.0, sig.b, 23):
+        assert same_bits(proj.state_at(t), plain.state_at(t))
+
+
+def double_integrator():
+    return ControlSystem(m=2, k=1,
+                         f=lambda x, u: np.array([x[1], u[0]]),
+                         control_set=box([-1.0], [1.0]),
+                         F=lambda x, u: 1.0,
+                         df_dx=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         dF_dx=lambda x, u: np.zeros(2))
+
+
+def same_propagation(a, b):
+    if a is None or b is None:
+        return a is b
+    return (same_bits(a.x_b, b.x_b) and same_bits(a.p_b, b.p_b)
+            and same_bits(a.sup_h, b.sup_h) and len(a.steps) == len(b.steps)
+            and all(ta == tb and same_bits(ua, ub)
+                    for (ta, ua), (tb, ub) in zip(a.steps, b.steps)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(d=st.floats(-2.0, 2.0), p=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       step=st.sampled_from((0.1, 0.05)),
+       where=st.sampled_from(("on_grid", "off_grid", "below_step")),
+       k=st.integers(1, 40), frac=st.floats(0.01, 0.99),
+       bump=st.one_of(st.just(None), st.floats(1e-9, 0.5)),
+       fd_h=st.sampled_from((1e-6, -1e-6)))
+def test_final_time_column_resumes_bit_for_bit(d, p, step, where, k, frac, bump, fd_h):
+    if where == "on_grid":
+        b = k * step
+    elif where == "off_grid":
+        b = (k + frac) * step
+    else:
+        b = frac * step
+    prob = shooting.ShootingProblem(
+        sys=double_integrator(), bounds=pmp.BoundarySpec(mode="free_time"),
+        p0=-1.0, x_a=[d, 0.0], x_b=[0.0, 0.0], a=0.0, b=4.0)
+    opts = shooting.ShootingOptions(step=step, fd_h=fd_h)
+    z = np.array([p[0], p[1], b])
+    base = shooting._propagate(prob, z, opts, step)
+    assert base is not None
+
+    # any later final time continues the base run
+    zp = z.copy()
+    zp[2] += 1e-6 * (1.0 + abs(b)) if bump is None else bump
+    resumed = shooting._propagate(prob, zp, opts, step, base)
+    assert same_propagation(resumed, shooting._propagate(prob, zp, opts, step))
+
+    # the whole Jacobian equals forward differences of fresh residuals,
+    # also when a negative fd_h moves the final time down
+    R0 = shooting.boundary_residual(prob, z, opts)
+    J = shooting._fd_jacobian(prob, z, R0, base, opts)
+    want = np.zeros_like(J)
+    for j in range(3):
+        zj = z.copy()
+        zj[j] += opts.fd_h * (1.0 + abs(z[j]))
+        Rj = shooting.boundary_residual(prob, zj, opts)
+        if Rj is not None:
+            want[:, j] = (Rj - R0) / (opts.fd_h * (1.0 + abs(z[j])))
+    assert same_bits(J, want)
+
+
+# Calls made by one shoot of the golden minimum-time double integrator
+# (d = 1.2, step 0.1); F counts the Hamiltonian evaluations of the
+# maximizer.  Before propagations and stages were shared they were
+# f 67830, df_dx 38484, F 29165, dF_dx 38484.
+WORK_BASELINE = {"f": 41980, "df_dx": 18941, "F": 22997, "dF_dx": 18941}
+
+
+def test_shoot_work_within_committed_counts():
+    problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
+                                            "problem.json"))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x, u):
+            calls[name] += 1
+            return fn(x, u)
+        return wrapper
+
+    sys = dataclasses.replace(problem.sys, **{
+        name: counted(name, getattr(problem.sys, name)) for name in WORK_BASELINE})
+    sp = shooting.ShootingProblem(sys=sys, bounds=problem.boundary, p0=problem.p0,
+                                  x_a=problem.x_a, x_b=problem.x_b,
+                                  a=problem.a, b=problem.b)
+    res = shooting.shoot(sp, opts=shooting.ShootingOptions(tol=problem.tol,
+                                                           step=problem.step))
+    assert res.converged
+    over = {k: (calls[k], v) for k, v in WORK_BASELINE.items() if calls[k] > v}
+    assert not over, f"calls above the committed counts (got, committed): {over}"
