@@ -22,7 +22,7 @@ import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
                              Trajectory, ball, box, extend, finite, simulate)
-from .cone_geometry import conic_membership, membership_margin
+from .cone_geometry import RANK_TOL, conic_membership, membership_margin, null_space
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 from .perturbations import build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
@@ -394,30 +394,46 @@ def _max_degree(degrees):
     return None if None in degrees else max(degrees)
 
 
+def _positive_finite(value, name):
+    try:
+        v = float(value)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (v > 0 and math.isfinite(v)):
+        raise ProblemError(f"{name} must be positive and finite, got {value!r}")
+    return v
+
+
+def _finite_vector(obj, m, name):
+    try:
+        x = np.asarray(obj, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise ProblemError(f"{name} must be a numeric vector")
+    if x.size != m:
+        raise ProblemError(f"{name} has wrong dimension")
+    if not np.all(np.isfinite(x)):
+        raise ProblemError(f"{name} must be finite")
+    return x
+
+
 def _parse_boundary_end(spec, m, name):
     """Returns (anchor, basis or None, normalized spec)."""
     if not isinstance(spec, dict):
         raise ProblemError(f"boundary.{name} must be an object")
     if "point" in spec:
-        x = np.asarray(spec["point"], dtype=float).ravel()
-        if x.size != m:
-            raise ProblemError(f"boundary.{name}.point has wrong dimension")
+        x = _finite_vector(spec["point"], m, f"boundary.{name}.point")
         return x, None, {"point": x.tolist()}
     if "anchor" in spec:
-        x = np.asarray(spec["anchor"], dtype=float).ravel()
-        if x.size != m:
-            raise ProblemError(f"boundary.{name}.anchor has wrong dimension")
-        normals = [np.asarray(w, dtype=float).ravel() for w in spec.get("normals", [])]
-        if any(w.size != m for w in normals):
-            raise ProblemError(f"boundary.{name} normal has wrong dimension")
-        if normals:
-            N = np.vstack(normals)
-            # manifold tangent space = annihilator of the level-set normals
-            _, s, vt = np.linalg.svd(N)
-            rank = int(np.sum(s > 1e-12 * (s[0] if len(s) else 1.0)))
-            basis = tuple(vt[rank:])
-        else:
-            basis = tuple(np.eye(m))
+        x = _finite_vector(spec["anchor"], m, f"boundary.{name}.anchor")
+        normals = []
+        for i, w in enumerate(spec.get("normals", [])):
+            where = f"boundary.{name}.normals[{i}]"
+            w = _finite_vector(w, m, where)
+            if not np.linalg.norm(w) > RANK_TOL:
+                raise ProblemError(f"{where} must be nonzero (norm > {RANK_TOL:g})")
+            normals.append(w)
+        # manifold tangent space = annihilator of the level-set normals
+        basis = tuple(null_space(normals, m).T)
         return x, basis, {"anchor": x.tolist(),
                           "normals": [w.tolist() for w in normals]}
     raise ProblemError(f"boundary.{name} needs 'point' or 'anchor'")
@@ -493,7 +509,8 @@ class Problem:
         self.p0 = float(data.get("p0", -1.0))
         self.tol = float(data.get("tol", 1e-6))
         integ = data.get("integrator", {})
-        self.step = float(integ["step"]) if "step" in integ else None
+        self.step = (_positive_finite(integ["step"], "integrator.step")
+                     if "step" in integ else None)
         self.control = None
         if data.get("control") is not None:
             self.control = _parse_signal(data["control"], self.a, self.b, k)
@@ -585,9 +602,7 @@ def _load_csv(path, expect_prefix):
 
 
 def _cfg(problem: Problem) -> IntegratorConfig:
-    if problem.step is not None:
-        return IntegratorConfig(step=problem.step)
-    return IntegratorConfig()
+    return IntegratorConfig(step=problem.step)
 
 
 # ---------------------------------------------------------------------------

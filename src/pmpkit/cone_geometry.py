@@ -39,6 +39,30 @@ class RootSearchError(RuntimeError):
         self.best_residual = best_residual
 
 
+RANK_TOL = 1e-12
+
+
+def rank_split(A):
+    """(U, r, Vt): the full SVD factors of the matrix A and its numerical rank.
+
+    Singular values above max(1e-12, 1e-12 s_max) count toward r.  The
+    columns U[:, :r] span the range of A, U[:, r:] its orthogonal
+    complement, and the rows Vt[r:] the null space of A.
+    """
+    U, s, Vt = np.linalg.svd(A)
+    rank = int(np.sum(s > max(RANK_TOL, RANK_TOL * s[0])))
+    return U, rank, Vt
+
+
+def null_space(rows, m):
+    """Orthonormal basis (as columns) of the vectors in R^m orthogonal to
+    every row; the identity when there are no rows."""
+    if not rows:
+        return np.eye(m)
+    _, rank, Vt = rank_split(np.vstack(rows))
+    return Vt[rank:].T
+
+
 @dataclass
 class GeneratedCone:
     """Finitely generated convex cone { sum lam_i g_i : lam_i >= 0 } in R^n.
@@ -81,8 +105,7 @@ class GeneratedCone:
         W = self.matrix
         if W.shape[1] == 0:
             return np.zeros((self.n, 0))
-        U, s, _ = np.linalg.svd(W, full_matrices=True)
-        rank = int(np.sum(s > max(1e-12, 1e-12 * s[0])))
+        U, rank, _ = rank_split(W)
         return U[:, :rank]
 
 
@@ -237,8 +260,7 @@ def supporting_hyperplane(cone, tol=DEFAULT_TOL):
         alpha[0] = 1.0
         return alpha
     W = cone.matrix
-    U, s, _ = np.linalg.svd(W, full_matrices=True)
-    rank = int(np.sum(s > max(1e-12, 1e-12 * s[0])))
+    U, rank, _ = rank_split(W)
     if rank < cone.n:
         return U[:, rank]
     G = W.T  # rows are generators

@@ -17,20 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flows import FlowBlowUpError, IntegratorConfig, integration_grid
-
-_FD_H = 1e-6
-
-
-def _fd_jacobian(g: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    h = _FD_H * (1.0 + float(np.linalg.norm(x)))
-    cols = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = h
-        cols.append((np.asarray(g(x + e), dtype=float) - np.asarray(g(x - e), dtype=float)) / (2.0 * h))
-    return np.column_stack(cols)
+from .flows import FlowBlowUpError, IntegratorConfig, _fd_jacobian, integration_grid, rk4_step
 
 
 @dataclass(frozen=True)
@@ -137,14 +124,7 @@ class ControlSystem:
             return np.zeros(self.m)
         if self.dF_dx is not None:
             return np.asarray(self.dF_dx(np.asarray(x, dtype=float), u), dtype=float).ravel()
-        x = np.asarray(x, dtype=float)
-        h = _FD_H * (1.0 + float(np.linalg.norm(x)))
-        g = np.zeros(self.m)
-        for j in range(self.m):
-            e = np.zeros(self.m)
-            e[j] = h
-            g[j] = (self.cost_rate(x + e, u) - self.cost_rate(x - e, u)) / (2.0 * h)
-        return g
+        return _fd_jacobian(lambda y: self.cost_rate(y, u), x).ravel()
 
 
 def extend(sys: ControlSystem) -> ControlSystem:
@@ -316,7 +296,7 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
         if not sys.control_set.contains(v):
             raise ValueError("control signal value outside the control set")
     cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step, method=cfg.method,
+    merged = IntegratorConfig(step=cfg.step,
                               event_times=tuple(cfg.event_times) + tuple(u.switch_times))
     grid = integration_grid(u.a, u.b, merged)
     n = len(grid)
@@ -331,10 +311,7 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
         uval = u.value_at(0.5 * (t0 + t1))
         k1 = sys.dynamics(x, uval)
         vels[i] = k1
-        k2 = sys.dynamics(x + 0.5 * h * k1, uval)
-        k3 = sys.dynamics(x + 0.5 * h * k2, uval)
-        k4 = sys.dynamics(x + h * k3, uval)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(lambda _, y: sys.dynamics(y, uval), t0, x, h, k1)
         if not np.all(np.isfinite(x)):
             raise FlowBlowUpError(t1)
         states[i + 1] = x

@@ -32,6 +32,22 @@ class SingularTransportError(RuntimeError):
         self.cond = cond
 
 
+_FD_H = 1e-6
+
+
+def _fd_jacobian(g, x):
+    """Central differences of g at x, step 1e-6 (1 + |x|); column j from
+    g(x + h e_j) and g(x - h e_j)."""
+    x = np.asarray(x, dtype=float)
+    h = _FD_H * (1.0 + float(np.linalg.norm(x)))
+    cols = []
+    for j in range(x.size):
+        e = np.zeros(x.size)
+        e[j] = h
+        cols.append((np.asarray(g(x + e), dtype=float) - np.asarray(g(x - e), dtype=float)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 @dataclass
 class TimeVectorField:
     """Field X(t, x) on R^dim with an optional analytic state Jacobian.
@@ -47,34 +63,23 @@ class TimeVectorField:
     def jac(self, t, x):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, x), dtype=float)
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-        J = np.empty((self.dim, self.dim))
-        for j in range(self.dim):
-            xp = np.array(x, dtype=float)
-            xm = np.array(x, dtype=float)
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (np.asarray(self.eval(t, xp)) - np.asarray(self.eval(t, xm))) / (2.0 * h)
-        return J
+        return _fd_jacobian(lambda y: self.eval(t, y), x)
 
 
 @dataclass
 class IntegratorConfig:
     """Fixed-step RK4 configuration.
 
-    step None means 1e-3 times the integration span.  event_times are hit
-    exactly by the grid.
+    step None means 1e-3 times the integration span; otherwise it must be
+    positive and finite.  event_times are hit exactly by the grid.
     """
 
     step: float | None = None
-    method: str = "rk4"
     event_times: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ValueError("only the fixed-step rk4 method is supported")
-        if self.step is not None and self.step <= 0:
-            raise ValueError("step must be positive")
+        if self.step is not None and not (self.step > 0 and math.isfinite(self.step)):
+            raise ValueError("step must be positive and finite")
         self.event_times = tuple(float(t) for t in self.event_times)
 
 
@@ -119,6 +124,18 @@ def integration_grid(s, t, cfg=None):
     return grid
 
 
+def rk4_step(f, t, y, h, k1):
+    """One classical RK4 step of y' = f(t, y) from (t, y) with step h.
+
+    k1 = f(t, y) is passed in, so callers that also need it (node
+    velocities, a stage shared by several trial steps) evaluate it once.
+    """
+    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = np.asarray(f(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_path(f, grid, x0):
     """RK4 states along a (possibly descending) grid; raises on blow-up."""
     x = np.array(x0, dtype=float)
@@ -126,12 +143,7 @@ def _rk4_path(f, grid, x0):
     out[0] = x
     for i in range(len(grid) - 1):
         t0 = grid[i]
-        h = grid[i + 1] - t0
-        k1 = np.asarray(f(t0, x))
-        k2 = np.asarray(f(t0 + 0.5 * h, x + 0.5 * h * k1))
-        k3 = np.asarray(f(t0 + 0.5 * h, x + 0.5 * h * k2))
-        k4 = np.asarray(f(t0 + h, x + h * k3))
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(f, t0, x, grid[i + 1] - t0, np.asarray(f(t0, x)))
         if not np.all(np.isfinite(x)):
             raise FlowBlowUpError(grid[i + 1])
         out[i + 1] = x
@@ -144,37 +156,26 @@ def flow(X, t, s, x0, cfg=None):
     return _rk4_path(X.eval, grid, x0)[-1]
 
 
-def _tangent_rhs(X):
+def _lifted_path(X, lift, s, t, x0, w0, cfg):
+    """RK4 path from s to t of y = (x, w) with x' = X and w' = lift(dX/dx, w)."""
     m = X.dim
 
-    def f(t, y):
-        x, v = y[:m], y[m:]
-        return np.concatenate([np.asarray(X.eval(t, x)), X.jac(t, x) @ v])
+    def f(tt, y):
+        x = y[:m]
+        return np.concatenate([np.asarray(X.eval(tt, x)), lift(X.jac(tt, x), y[m:])])
 
-    return f
-
-
-def _cotangent_rhs(X):
-    m = X.dim
-
-    def f(t, y):
-        x, p = y[:m], y[m:]
-        return np.concatenate([np.asarray(X.eval(t, x)), -X.jac(t, x).T @ p])
-
-    return f
+    return _rk4_path(f, integration_grid(s, t, cfg), np.concatenate([x0, w0]))
 
 
 def tangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, v) by the complete lift: x' = X, v' = (dX/dx) v."""
-    grid = integration_grid(s, t, cfg)
-    y = _rk4_path(_tangent_rhs(X), grid, np.concatenate([init.x, init.v]))[-1]
+    y = _lifted_path(X, lambda J, v: J @ v, s, t, init.x, init.v, cfg)[-1]
     return TangentState(y[:X.dim], y[X.dim:])
 
 
 def cotangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, p) by the cotangent lift: x' = X, p' = -(dX/dx)^T p."""
-    grid = integration_grid(s, t, cfg)
-    y = _rk4_path(_cotangent_rhs(X), grid, np.concatenate([init.x, init.p]))[-1]
+    y = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, init.p, cfg)[-1]
     return CotangentState(y[:X.dim], y[X.dim:])
 
 
@@ -184,13 +185,10 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
     a, b = interval
     m = X.dim
 
-    def f(t, y):
-        x, v, p = y[:m], y[m:2 * m], y[2 * m:]
-        J = X.jac(t, x)
-        return np.concatenate([np.asarray(X.eval(t, x)), J @ v, -J.T @ p])
+    def both(J, w):
+        return np.concatenate([J @ w[:m], -J.T @ w[m:]])
 
-    grid = integration_grid(a, b, cfg)
-    path = _rk4_path(f, grid, np.concatenate([x0, v0, p0]))
+    path = _lifted_path(X, both, a, b, x0, np.concatenate([v0, p0]), cfg)
     ref = float(np.dot(p0, v0))
     pairings = np.einsum("ij,ij->i", path[:, 2 * m:], path[:, m:2 * m])
     return float(np.max(np.abs(pairings - ref)))
@@ -200,15 +198,8 @@ def _transport_matrix(X, t, s, x, cfg=None):
     """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix,
     together with the transported base point."""
     m = X.dim
-
-    def f(tt, y):
-        xx = y[:m]
-        M = y[m:].reshape(m, m)
-        J = X.jac(tt, xx)
-        return np.concatenate([np.asarray(X.eval(tt, xx)), (J @ M).ravel()])
-
-    grid = integration_grid(s, t, cfg)
-    y = _rk4_path(f, grid, np.concatenate([np.asarray(x, float), np.eye(m).ravel()]))[-1]
+    y = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
+                     np.asarray(x, float), np.eye(m).ravel(), cfg)[-1]
     return y[:m], y[m:].reshape(m, m)
 
 

@@ -266,7 +266,7 @@ def transport_vector(sys: ControlSystem, traj: Trajectory, v: PerturbationVector
     if t == base:
         return PerturbationVector(base_time=t, vector=v.vector.copy())
     cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step, method=cfg.method,
+    merged = IntegratorConfig(step=cfg.step,
                               event_times=tuple(cfg.event_times) + tuple(traj.control.switch_times))
     X = _control_field(sys, traj.control)
     out = tangent_lift_flow(X, t, base, TangentState(traj.state_at(base), v.vector), merged)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cone_geometry import supporting_hyperplane, unit_directions
+from .cone_geometry import null_space, supporting_hyperplane, unit_directions
 from .control_system import (
     ControlSignal,
     ControlSystem,
@@ -30,7 +30,7 @@ from .control_system import (
     extend,
     simulate,
 )
-from .flows import FlowBlowUpError, IntegratorConfig
+from .flows import FlowBlowUpError, IntegratorConfig, rk4_step
 from ._simplex import linprog_dense
 
 
@@ -343,11 +343,12 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
 
     def linearize(xx, uval):
         # p' = a - A p at the state xx
-        return -p0 * sys.cost_grad_x(xx, uval), sys.jac_x(xx, uval).T
+        a, A = -p0 * sys.cost_grad_x(xx, uval), sys.jac_x(xx, uval).T
+        return lambda pp: a - A @ pp
 
     # the state, control and linearization at the node where the previous
     # (later) step's last stage was evaluated
-    x_node = u_node = lin_node = None
+    x_node = u_node = rate_node = None
     for i in range(n - 1, 0, -1):
         t1, t0 = float(grid[i]), float(grid[i - 1])
         h = t0 - t1
@@ -355,17 +356,14 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
         if x_node is None:
             x_node = traj.state_at(t1)
         if u_node is None or uval.tobytes() != u_node.tobytes():
-            lin_node = linearize(x_node, uval)
-        a1, A1 = lin_node
-        am, Am = linearize(traj.state_at(t1 + 0.5 * h), uval)
+            rate_node = linearize(x_node, uval)
+        k1 = rate_node(p)
+        rate_mid = linearize(traj.state_at(t1 + 0.5 * h), uval)
         x_node, u_node = traj.state_at(t0), uval
-        lin_node = linearize(x_node, uval)
-        a0, A0 = lin_node
-        k1 = a1 - A1 @ p
-        k2 = am - Am @ (p + 0.5 * h * k1)
-        k3 = am - Am @ (p + 0.5 * h * k2)
-        k4 = a0 - A0 @ (p + h * k3)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rate_node = linearize(x_node, uval)
+        # the later stages run at t1 + h/2 (twice) and t1 + h
+        rates = {t1 + 0.5 * h: rate_mid, t1 + h: rate_node}
+        p = rk4_step(lambda tt, pp: rates[tt](pp), t1, p, h, k1)
         if not np.all(np.isfinite(p)):
             raise FlowBlowUpError(t0)
         sigma[i - 1] = p
@@ -511,15 +509,6 @@ class ClassificationResult:
     attempts: Tuple[dict, ...]
 
 
-def _null_space(rows: Sequence[np.ndarray], m: int) -> np.ndarray:
-    if not rows:
-        return np.eye(m)
-    A = np.vstack(rows)
-    _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > max(1e-12, 1e-12 * (s[0] if len(s) else 1.0))))
-    return Vt[rank:].T
-
-
 def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSignal,
                       bounds: BoundarySpec,
                       opts: Optional[ClassifyOptions] = None) -> ClassificationResult:
@@ -566,7 +555,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     # p0 = 0: ray space is the annihilator of the final basis (and of f(b)
     # in free-time mode, since sup H = p . f must vanish at b)
     abn_rows = final_rows + ([f_b] if free else [])
-    N0 = _null_space(abn_rows, m)
+    N0 = null_space(abn_rows, m)
     abn_dim = N0.shape[1]
     abnormal_terminal = None
     abn_exhaustive = abn_dim <= 1
@@ -596,7 +585,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
 
     # p0 = -1: candidates from the annihilator, plus the affine slice
     # p . f(b) = F(b) in free-time mode
-    Nf = _null_space(final_rows, m)
+    Nf = null_space(final_rows, m)
     normal_terminal = None
     nrm_cands: List[np.ndarray] = [np.zeros(m)]
     if Nf.shape[1] >= 1:
@@ -613,7 +602,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
         if np.linalg.norm(A @ sol - np.array(rhs)) > 1e-9 * (1.0 + abs(F_b)):
             holds = False
         if holds:
-            Na = _null_space(rows, m)
+            Na = null_space(rows, m)
             nrm_dim = Na.shape[1]
             cal = [sol]
             if Na.shape[1] >= 1:

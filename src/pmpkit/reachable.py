@@ -251,5 +251,5 @@ def decomposition_reach_check(sys: ControlSystem, u_ref: ControlSignal,
     )
     base = cfg or IntegratorConfig(step=2e-2 * (t1 - u_ref.a))
     events = tuple(base.event_times) + tuple(u_ref.switch_times) + tuple(u_alt.switch_times)
-    merged = IntegratorConfig(step=base.step, method=base.method, event_times=events)
+    merged = IntegratorConfig(step=base.step, event_times=events)
     return flow_decomposition_residual(X, Y, t1, u_ref.a, x0, merged)

@@ -17,9 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cone_geometry import unit_directions
+from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, extend, simulate
-from .flows import IntegratorConfig
+from .flows import IntegratorConfig, rk4_step
 from .pmp import (
     AdjointCurve,
     BoundarySpec,
@@ -116,27 +116,16 @@ def _auto_jump_tol(control_set) -> float:
     return 0.05 * max(1.0, 2.0 * control_set.radius)
 
 
-def _coupled_rhs(sys, p0, x, p, u):
-    """(x', p') of the state-costate system at a frozen control value."""
-    return sys.dynamics(x, u), -p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p
+def _coupled_rhs(sys, p0, u):
+    """(x', p') of the stacked state-costate y = (x, p) at a frozen control."""
+    m = sys.m
 
+    def f(_, y):
+        x, p = y[:m], y[m:]
+        return np.concatenate([sys.dynamics(x, u),
+                               -p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p])
 
-def _rk4_coupled(sys, p0, x, p, u, h, k1):
-    """One RK4 step of length h; k1 is `_coupled_rhs` at (x, p, u)."""
-    k1x, k1p = k1
-    x2, p2 = x + 0.5 * h * k1x, p + 0.5 * h * k1p
-    k2x, k2p = _coupled_rhs(sys, p0, x2, p2, u)
-    x3, p3 = x + 0.5 * h * k2x, p + 0.5 * h * k2p
-    k3x, k3p = _coupled_rhs(sys, p0, x3, p3, u)
-    x4, p4 = x + h * k3x, p + h * k3p
-    k4x, k4p = _coupled_rhs(sys, p0, x4, p4, u)
-    xn = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    pn = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    return xn, pn
-
-
-def _finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a)) for a in arrays)
+    return f
 
 
 class _Propagation:
@@ -145,7 +134,7 @@ class _Propagation:
         self.p_b = p_b
         self.steps = steps      # list of (t_start, u_value)
         self.sup_h = sup_h      # max_u H at the endpoint
-        # loop state (t, x, p, maximizer, switches, steps taken) where the
+        # loop state (t, (x, p), maximizer, switches, steps taken) where the
         # final time first cut a step short, or at the end of the loop
         self.resume = resume
 
@@ -169,83 +158,86 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         return None
     jump_tol = opts.switch_jump or _auto_jump_tol(sys.control_set)
 
-    def argmax(xc, pc):
-        return maximize_hamiltonian(sys, problem.p0, pc, xc, opts.maximize)
+    def argmax(yc):
+        # the maximizer at the stacked state yc = (x, p)
+        return maximize_hamiltonian(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
 
     def jumped(u1, u2):
         return float(np.max(np.abs(u1 - u2))) > jump_tol
 
     steps: List[Tuple[float, np.ndarray]]
     if base is None:
-        p = np.array(z[:m], dtype=float)
         x = problem.x_a.copy()
         for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
             x = x + ci * np.asarray(w, float)
+        y = np.concatenate([x, np.asarray(z[:m], dtype=float)])
         t = problem.a
         try:
-            cur = argmax(x, p)   # the maximizer at (x, p)
+            cur = argmax(y)
         except Exception:
             return None
         steps = []
         n_sw = 0
     else:
-        t, x, p, cur, n_sw, n_steps = base.resume
+        t, y, cur, n_sw, n_steps = base.resume
         steps = base.steps[:n_steps]
     resume = None
     while b - t > 1e-13 * (1.0 + abs(b)):
         h = min(step, b - t)
         if resume is None and h != step:
-            resume = (t, x, p, cur, n_sw, len(steps))
-        # every trial step of this iteration starts from (x, p): its first
-        # RK4 stage is evaluated once per control value
+            resume = (t, y, cur, n_sw, len(steps))
+        # every trial step of this iteration starts from y: its first RK4
+        # stage is evaluated once per control value
         stages = {}
 
         def advance(u, dt):
             key = u.tobytes()
             if key not in stages:
-                stages[key] = _coupled_rhs(sys, problem.p0, x, p, u)
-            return _rk4_coupled(sys, problem.p0, x, p, u, dt, stages[key])
+                rhs = _coupled_rhs(sys, problem.p0, u)
+                stages[key] = (rhs, rhs(t, y))
+            rhs, k1 = stages[key]
+            return rk4_step(rhs, t, y, dt, k1)
 
-        def bisect(u_frozen, hi, x_hi, p_hi):
+        def bisect(u_frozen, hi, y_hi):
             # largest substep keeping the maximizer on the current arc, with
-            # the state it reaches; (x_hi, p_hi) is the state at hi
+            # the state it reaches; y_hi is the state at hi
             lo = 0.0
             while hi - lo > opts.switch_time_tol:
                 mid = 0.5 * (lo + hi)
-                xm, pm = advance(u_frozen, mid)
-                if not _finite(xm, pm):
+                ym = advance(u_frozen, mid)
+                if not np.all(np.isfinite(ym)):
                     raise FloatingPointError
-                if jumped(argmax(xm, pm).u_star, u_frozen):
-                    hi, x_hi, p_hi = mid, xm, pm
+                if jumped(argmax(ym).u_star, u_frozen):
+                    hi, y_hi = mid, ym
                 else:
                     lo = mid
-            return hi, x_hi, p_hi
+            return hi, y_hi
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                xh, ph = advance(cur.u_star, 0.5 * h)
-                if not _finite(xh, ph):
+                yh = advance(cur.u_star, 0.5 * h)
+                if not np.all(np.isfinite(yh)):
                     return None
-                u_mid = argmax(xh, ph).u_star
+                u_mid = argmax(yh).u_star
                 if jumped(u_mid, cur.u_star):
                     u_step = cur.u_star
-                    dt, xn, pn = bisect(u_step, 0.5 * h, xh, ph)
+                    dt, yn = bisect(u_step, 0.5 * h, yh)
                     end = None
                 else:
                     u_step = u_mid
-                    x1, p1 = advance(u_mid, h)
-                    if not _finite(x1, p1):
+                    y1 = advance(u_mid, h)
+                    if not np.all(np.isfinite(y1)):
                         return None
-                    end = argmax(x1, p1)
+                    end = argmax(y1)
                     if jumped(end.u_star, u_mid):
-                        dt, xn, pn = bisect(u_mid, h, x1, p1)
+                        dt, yn = bisect(u_mid, h, y1)
                         end = None
                     else:
-                        dt, xn, pn = h, x1, p1
+                        dt, yn = h, y1
                 steps.append((t, np.asarray(u_step, float)))
-                t, x, p = t + dt, xn, pn
+                t, y = t + dt, yn
                 if end is None:
-                    cur = argmax(x, p)
+                    cur = argmax(y)
                     n_sw += 1
                 else:
                     cur = end
@@ -254,18 +246,8 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         if n_sw > opts.max_switches:
             return None
     if resume is None:
-        resume = (t, x, p, cur, n_sw, len(steps))
-    return _Propagation(x, p, steps, cur.value, resume)
-
-
-def _final_complement(bounds: BoundarySpec, m: int) -> np.ndarray:
-    rows = [np.asarray(w, float) for w in (bounds.final or ())]
-    if not rows:
-        return np.eye(m)
-    A = np.vstack(rows)
-    _, s, Vt = np.linalg.svd(A)
-    rank = int(np.sum(s > 1e-12 * max(1.0, s[0])))
-    return Vt[rank:].T
+        resume = (t, y, cur, n_sw, len(steps))
+    return _Propagation(y[:m], y[m:], steps, cur.value, resume)
 
 
 def _step(problem: ShootingProblem, opts: ShootingOptions) -> float:
@@ -293,7 +275,7 @@ def _residual(problem: ShootingProblem, z, prop: _Propagation) -> np.ndarray:
     if problem.bounds.final is None:
         parts.append(prop.x_b - problem.x_b)
     else:
-        comp = _final_complement(problem.bounds, m)
+        comp = null_space(problem.bounds.final, m)
         parts.append(comp.T @ (prop.x_b - problem.x_b))
         parts.append(np.array([float(prop.p_b @ np.asarray(w, float))
                                for w in problem.bounds.final]))

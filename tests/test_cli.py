@@ -1,9 +1,13 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pmpkit
 from pmpkit import cli
 
 
@@ -126,6 +130,61 @@ class TestProblemFiles:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'1000000000...' (401 digits)" in err and "too large" in err
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.01, "fast"])
+    def test_bad_integrator_step_named(self, tmp_path, capsys, step):
+        # an infinite step used to run one RK4 step per segment and exit 0
+        data = lqr_problem()
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        data["integrator"] = {"step": step}
+        path = write_problem(tmp_path / "p.json", data)
+        with pytest.raises(cli.ProblemError, match=r"integrator\.step must be positive and finite"):
+            cli.load_problem(path)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "integrator.step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end, spec, item", [
+        # a zero normal used to turn the manifold end into a free end
+        ("final", {"anchor": [0.0, 0.0], "normals": [[0.0, 0.0]]},
+         "boundary.final.normals[0] must be nonzero"),
+        ("final", {"anchor": [0.0, 0.0], "normals": [[1.0, 0.0], [0.0, 1e-13]]},
+         "boundary.final.normals[1] must be nonzero"),
+        # a NaN normal used to fail the SVD with exit 3
+        ("final", {"anchor": [0.0, 0.0], "normals": [[float("nan"), 1.0]]},
+         "boundary.final.normals[0] must be finite"),
+        ("initial", {"anchor": [0.0, 0.0], "normals": [[1.0, float("-inf")]]},
+         "boundary.initial.normals[0] must be finite"),
+        # non-finite anchors and points used to be accepted
+        ("initial", {"anchor": [0.0, float("inf")], "normals": [[1.0, 0.0]]},
+         "boundary.initial.anchor must be finite"),
+        ("initial", {"point": [float("nan"), 0.0]}, "boundary.initial.point must be finite"),
+        ("final", {"point": [0.0, float("-inf")]}, "boundary.final.point must be finite"),
+        ("final", {"anchor": [0.0, 0.0], "normals": [[1.0]]},
+         "boundary.final.normals[0] has wrong dimension"),
+    ])
+    def test_bad_boundary_end_named(self, tmp_path, capsys, end, spec, item):
+        data = bang_problem()
+        data["boundary"][end] = spec
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        path = write_problem(tmp_path / "p.json", data)
+        with pytest.raises(cli.ProblemError) as info:
+            cli.load_problem(path)
+        assert item in str(info.value)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert item in capsys.readouterr().err
+
+    def test_small_nonzero_normal_kept(self):
+        # only the norm is floored; the direction of a tiny normal still counts
+        p = cli.Problem(
+            {"dynamics": {"builtin": "double_integrator"},
+             "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+             "boundary": {"mode": "fixed_time",
+                          "initial": {"point": [0.0, 0.0]},
+                          "final": {"anchor": [0.0, 0.0], "normals": [[1e-9, 0.0]]}}})
+        (w,) = p.boundary.final
+        assert abs(w[0]) < 1e-12 and abs(abs(w[1]) - 1.0) < 1e-12
 
     def test_missing_file(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--problem", str(tmp_path / "nope.json"),
@@ -363,3 +422,26 @@ class TestConesAndReach:
         y = simulate(sys_, sig, side["x0"], IntegratorConfig(step=side["step"])).endpoint
         stored = [float(v) for v in lines[1].split(",")[:2]]
         assert y[0] == stored[0] and y[1] == stored[1]
+
+
+class TestEntryPoint:
+    """The CLI is imported on demand, so `python -m pmpkit.cli` runs clean."""
+
+    @staticmethod
+    def run(*args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(pmpkit.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_package_import_leaves_cli_out(self):
+        out = self.run("-c", "import sys, pmpkit; print('pmpkit.cli' in sys.modules)")
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+    def test_module_run_has_no_runpy_warning(self):
+        out = self.run("-W", "error::RuntimeWarning", "-m", "pmpkit.cli", "--help")
+        assert out.returncode == 0, out.stderr
+        assert "RuntimeWarning" not in out.stderr
+        assert "usage: pmpkit" in out.stdout

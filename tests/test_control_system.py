@@ -16,7 +16,7 @@ from pmpkit.control_system import (
     lebesgue_times,
     simulate,
 )
-from pmpkit.flows import FlowBlowUpError, IntegratorConfig
+from pmpkit.flows import FlowBlowUpError, IntegratorConfig, TimeVectorField
 
 
 def double_integrator():
@@ -181,6 +181,41 @@ class TestSimulate:
         traj = simulate(double_integrator(), u, [0.0, 0.0])
         just_left = traj.state_at(1.0 - 1e-5)
         assert np.allclose(just_left, [0.5 * (1 - 1e-5) ** 2, 1.0 - 1e-5], atol=1e-9)
+
+
+class TestFiniteDifferences:
+    """A missing state Jacobian or cost gradient is the central difference
+    (g(x + h e_j) - g(x - h e_j)) / (2 h), h = 1e-6 (1 + |x|), bit for bit,
+    for systems and for time-dependent fields alike."""
+
+    @staticmethod
+    def loop(g, x):
+        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        cols = []
+        for j in range(x.size):
+            e = np.zeros(x.size)
+            e[j] = h
+            cols.append((np.atleast_1d(g(x + e)) - np.atleast_1d(g(x - e))) / (2.0 * h))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("x", [[0.3, -1.7, 2.0], [0.0, 5.0, -0.25], [1e3, 1e-3, 7.0]])
+    def test_missing_derivatives_match_the_loop(self, x):
+        x, u = np.array(x), np.array([0.4])
+
+        def f(y, v):
+            return np.array([np.sin(y[1]) * y[2], y[0] ** 2 + v[0],
+                             np.exp(1e-3 * y[0]) - y[1] * v[0]])
+
+        def F(y, v):
+            return float(y[0] * y[1] + np.cos(y[2]) + v[0] ** 2)
+
+        sys = ControlSystem(m=3, k=1, f=f, F=F, control_set=box([-1.0], [1.0]))
+        X = TimeVectorField(3, lambda t, y: t * f(y, u))
+        pairs = ((sys.jac_x(x, u), self.loop(lambda y: f(y, u), x)),
+                 (sys.cost_grad_x(x, u), self.loop(lambda y: F(y, u), x).ravel()),
+                 (X.jac(0.7, x), self.loop(lambda y: X.eval(0.7, y), x)))
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestCost:

@@ -90,9 +90,11 @@ class TestGrid:
         assert len(g) == 1001
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            IntegratorConfig(step=-1.0)
-        with pytest.raises(ValueError):
+        for step in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                IntegratorConfig(step=step)
+        # RK4 is the only scheme, so there is no method option to pass
+        with pytest.raises(TypeError):
             IntegratorConfig(method="euler")
 
 
