@@ -1,10 +1,15 @@
-"""Dense two-phase simplex for the small linear programs used by the cone routines.
+"""Revised two-phase simplex for the small linear programs of the cone routines.
 
-Every LP in this package is tiny (n <= ~10 dimensions, at most a few hundred
-columns), so a plain dense tableau with Bland's rule is adequate and keeps the
-package free of solver dependencies.  The public entry points are
-``solve_standard`` (equality standard form) and ``linprog_dense`` (a small
-modeling layer with inequality rows and per-variable bounds).
+Every LP in this package is small (a handful of rows, at most a few hundred
+columns), so a dense revised simplex with Bland's rule is adequate and keeps
+the package free of solver dependencies.  Each iteration inverts the basis
+matrix afresh from the original A and takes the basic solution, the row
+duals and the entering column from it, so no rounding carries over from one
+pivot to the next; the returned point and duals are solved from the final
+basis.  The public entry points are ``solve_standard``
+(equality standard form, with the row duals of the final basis) and
+``linprog_dense`` (a small modeling layer with inequality rows and
+per-variable bounds).
 """
 from __future__ import annotations
 
@@ -17,127 +22,124 @@ DEFAULT_TOL = 1e-9
 _MAX_ITER = 50000
 
 
+class SimplexError(RuntimeError):
+    """The simplex failed in a way exact arithmetic rules out."""
+
+
 @dataclass
 class LpResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     value: float | None = None
+    y: np.ndarray | None = None  # row duals at an optimum of solve_standard
 
     @property
     def ok(self) -> bool:
         return self.status == "optimal"
 
 
-def _pivot(T, basis, row, col):
-    T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and T[i, col] != 0.0:
-            T[i] -= T[i, col] * T[row]
-    basis[row] = col
+def _crash(A, b):
+    """Starting basis: for each row, the first column a e_r with b_r / a >= 0.
 
-
-def _iterate(T, basis, allowed, tol):
-    """Simplex iterations on tableau T (last row = reduced costs, last col = rhs).
-
-    `allowed` lists the columns that may enter, in increasing order (Bland's
-    rule scans them in that order).  Returns "optimal" or "unbounded".
+    Such a column holds the row's value alone and nonnegative, so these
+    columns start the simplex feasible; -1 marks a row without one.
     """
-    m = T.shape[0] - 1
+    nz = A != 0.0
+    row = nz.argmax(axis=0)
+    cand = np.flatnonzero((nz.sum(axis=0) == 1) & (A[row, np.arange(A.shape[1])] * b[row] >= 0.0))
+    rows, first = np.unique(row[cand], return_index=True)
+    basis = np.full(A.shape[0], -1)
+    basis[rows] = cand[first]
+    return basis
+
+
+def _iterate(A, b, c, basis, tol):
+    """Revised simplex iterations from the feasible `basis`, updated in place.
+
+    Each iteration inverts the basis matrix afresh from A.  Bland's rule:
+    the first column with reduced cost below -tol enters, and the smallest
+    basic index leaves among the tied ratios.  Returns "optimal" or
+    "unbounded".
+    """
     for _ in range(_MAX_ITER):
-        enter = -1
-        for j in allowed:
-            if T[-1, j] < -tol:
-                enter = j
-                break
-        if enter < 0:
+        Binv = np.linalg.inv(A[:, basis])
+        d = c - (c[basis] @ Binv) @ A
+        d[basis] = 0.0
+        enter = np.flatnonzero(d < -tol)
+        if not enter.size:
             return "optimal"
-        leave = -1
-        best = 0.0
-        for i in range(m):
-            a = T[i, enter]
-            if a > tol:
-                r = T[i, -1] / a
-                # ties resolved toward the smallest basis index (Bland)
-                if leave < 0 or r < best - 1e-12 * (1.0 + abs(best)):
-                    best = r
-                    leave = i
-                elif abs(r - best) <= 1e-12 * (1.0 + abs(best)) and basis[i] < basis[leave]:
-                    leave = i
-        if leave < 0:
+        col = Binv @ A[:, enter[0]]
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
             return "unbounded"
-        _pivot(T, basis, leave, enter)
-    raise RuntimeError("simplex iteration limit reached")
+        ratio = np.maximum(Binv[rows] @ b, 0.0) / col[rows]
+        best = ratio.min()
+        ties = rows[ratio <= best + 1e-12 * (1.0 + best)]
+        basis[ties[np.argmin(basis[ties])]] = enter[0]
+    raise SimplexError("simplex iteration limit reached")
 
 
 def solve_standard(c, A, b, tol=DEFAULT_TOL):
-    """min c.x  subject to  A x = b, x >= 0."""
+    """min c.x  subject to  A x = b, x >= 0.
+
+    At an optimum the result also carries the row duals y of the final
+    basis: A^T y <= c up to tol, and b.y equals the optimal value.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float)).astype(float)
     c = np.atleast_1d(np.asarray(c, dtype=float)).astype(float)
     m, n = A.shape if A.size else (len(b), len(c))
     if n == 0:
         if np.all(np.abs(b) <= tol):
-            return LpResult("optimal", np.zeros(0), 0.0)
+            return LpResult("optimal", np.zeros(0), 0.0, np.zeros(m))
         return LpResult("infeasible")
     if m == 0:
         if np.any(c < -tol):
             return LpResult("unbounded")
-        return LpResult("optimal", np.zeros(n), 0.0)
+        return LpResult("optimal", np.zeros(n), 0.0, np.zeros(0))
 
-    # phase 1: minimize the sum of artificial variables
-    A1 = A.copy()
-    b1 = b.copy()
-    neg = b1 < 0
-    A1[neg] *= -1.0
-    b1[neg] *= -1.0
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A1
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b1
-    T[-1, :n] = -A1.sum(axis=0)
-    T[-1, -1] = -b1.sum()
-    basis = list(range(n, n + m))
-    status = _iterate(T, basis, range(n + m), tol)
-    if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
-        raise RuntimeError("phase-1 simplex returned " + status)
-    if -T[-1, -1] > tol * (1.0 + abs(b1).max()):
-        return LpResult("infeasible")
+    basis = _crash(A, b)
+    rows = np.arange(m)
+    short = np.flatnonzero(basis < 0)
+    if short.size:
+        # phase 1: an artificial column sign(b_r) e_r for each row without a
+        # unit column; minimize their sum
+        k = short.size
+        art = np.zeros((m, k))
+        art[short, np.arange(k)] = np.where(b[short] < 0.0, -1.0, 1.0)
+        A1 = np.hstack((A, art))
+        c1 = np.concatenate((np.zeros(n), np.ones(k)))
+        basis[short] = n + np.arange(k)
+        status = _iterate(A1, b, c1, basis, tol)
+        if status != "optimal":
+            raise SimplexError("phase-1 simplex returned " + status)
+        if c1[basis] @ np.linalg.solve(A1[:, basis], b) > tol * (1.0 + np.abs(b).max()):
+            return LpResult("infeasible")
+        # move the artificials left in the basis out; a row on which no
+        # original column can replace one is redundant and is dropped
+        keep = np.ones(m, dtype=bool)
+        for i in np.flatnonzero(basis >= n):
+            row = np.linalg.inv(A1[:, basis])[i] @ A
+            row[basis[basis < n]] = 0.0
+            j = int(np.argmax(np.abs(row)))
+            if abs(row[j]) > tol:
+                basis[i] = j
+            else:
+                keep[short[basis[i] - n]] = False
+        basis = basis[basis < n]
+        rows = rows[keep]
 
-    # drive remaining artificials out of the basis; drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            piv = -1
-            for j in range(n):
-                if abs(T[i, j]) > tol:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(T, basis, i, piv)
-                keep.append(i)
-            # else: redundant constraint row, dropped below
-        else:
-            keep.append(i)
-    if len(keep) < m:
-        T = np.vstack([T[keep], T[-1:]])
-        basis = [basis[i] for i in keep]
-        m = len(keep)
-
-    # phase 2 with the real objective; artificial columns may not re-enter
-    T[-1, :] = 0.0
-    T[-1, :n] = c
-    for i in range(m):
-        if T[-1, basis[i]] != 0.0:
-            T[-1] -= T[-1, basis[i]] * T[i]
-    status = _iterate(T, basis, range(n), tol)
-    if status == "unbounded":
+    # phase 2 with the real objective on the original columns
+    A2, b2 = A[rows], b[rows]
+    if _iterate(A2, b2, c, basis, tol) == "unbounded":
         return LpResult("unbounded")
+    B = A2[:, basis]
     x = np.zeros(n)
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = T[i, -1]
-    x[x < 0] = np.where(x[x < 0] > -10 * tol, 0.0, x[x < 0])
-    return LpResult("optimal", x, float(c @ x))
+    x[basis] = np.linalg.solve(B, b2)
+    x[(x < 0.0) & (x > -10 * tol)] = 0.0
+    y = np.zeros(m)
+    y[rows] = np.linalg.solve(B.T, c[basis])
+    return LpResult("optimal", x, float(c @ x), y)
 
 
 def linprog_dense(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None, tol=DEFAULT_TOL):

@@ -22,7 +22,9 @@ import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
                              Trajectory, ball, box, extend, finite, simulate)
-from .cone_geometry import RANK_TOL, conic_membership, membership_margin, null_space
+from ._simplex import SimplexError
+from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
+                            membership_margin, null_space)
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 from .perturbations import build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
@@ -394,14 +396,28 @@ def _max_degree(degrees):
     return None if None in degrees else max(degrees)
 
 
-def _positive_finite(value, name):
+def _finite(value, name, positive=False):
     try:
         v = float(value)
     except (TypeError, ValueError):
         v = math.nan
-    if not (v > 0 and math.isfinite(v)):
-        raise ProblemError(f"{name} must be positive and finite, got {value!r}")
+    if not (math.isfinite(v) and (v > 0 or not positive)):
+        what = "positive and finite" if positive else "finite"
+        raise ProblemError(f"{name} must be {what}, got {value!r}")
     return v
+
+
+def _options(data, name, allowed):
+    """The optional `name` block of a problem file; unknown keys are rejected."""
+    block = data.get(name)
+    if block is None:
+        return None
+    if not isinstance(block, dict):
+        raise ProblemError(f"{name} must be an object")
+    bad = set(block) - allowed
+    if bad:
+        raise ProblemError(f"unknown {name} option(s): {sorted(bad)}")
+    return block
 
 
 def _finite_vector(obj, m, name):
@@ -490,8 +506,11 @@ class Problem:
                                  F=F, df_dx=df, dF_dx=dF, u_degree=degree)
         hz = data.get("horizon", {"a": 0.0, "b": 1.0})
         if isinstance(hz, (int, float)):
-            hz = {"a": 0.0, "b": float(hz)}
-        self.a, self.b = float(hz.get("a", 0.0)), float(hz["b"])
+            hz = {"a": 0.0, "b": hz}
+        if not isinstance(hz, dict) or "b" not in hz:
+            raise ProblemError("horizon must be a number or an object with 'b'")
+        self.a = _finite(hz.get("a", 0.0), "horizon.a")
+        self.b = _finite(hz["b"], "horizon.b")
         if not self.b > self.a:
             raise ProblemError("horizon needs b > a")
         bd = data.get("boundary")
@@ -509,20 +528,16 @@ class Problem:
         self.p0 = float(data.get("p0", -1.0))
         self.tol = float(data.get("tol", 1e-6))
         integ = data.get("integrator", {})
-        self.step = (_positive_finite(integ["step"], "integrator.step")
+        self.step = (_finite(integ["step"], "integrator.step", positive=True)
                      if "step" in integ else None)
         self.control = None
         if data.get("control") is not None:
             self.control = _parse_signal(data["control"], self.a, self.b, k)
         self.cones = data.get("cones")
-        self.reach = data.get("reach")
+        self.reach = _options(data, "reach", {"n_controls", "max_switches", "seed", "T"})
         self.guess = data.get("guess")
-        self.shooting = data.get("shooting")
-        if self.shooting is not None:
-            allowed = {"max_iter", "n_starts", "scales", "fd_h", "max_switches"}
-            bad = set(self.shooting) - allowed
-            if bad:
-                raise ProblemError(f"unknown shooting option(s): {sorted(bad)}")
+        self.shooting = _options(data, "shooting",
+                                 {"max_iter", "n_starts", "scales", "fd_h", "max_switches"})
 
     def to_dict(self):
         d = {"name": self.name,
@@ -752,7 +767,7 @@ def cmd_reach(args) -> int:
         max_switches=int(spec.get("max_switches", 3)),
         seed=args.seed if args.seed is not None else int(spec.get("seed", 0)),
         step=problem.step)
-    T = float(spec.get("T", problem.b - problem.a))
+    T = _finite(spec.get("T", problem.b - problem.a), "reach.T", positive=True)
     cloud = sample_reachable(problem.sys, problem.x_a, T, policy)
     cloud.to_csv(os.path.join(args.out, "cloud.csv"))
     cloud.save_provenance(os.path.join(args.out, "cloud_provenance.json"))
@@ -794,7 +809,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (ShootingFailure, FlowBlowUpError, SingularTransportError,
-            UnboundedHamiltonianError, np.linalg.LinAlgError) as e:
+            UnboundedHamiltonianError, ConeCertificateError, SimplexError,
+            np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except ValueError as e:

@@ -3,7 +3,9 @@
 A cone is represented by a finite generator list, C = { sum_i lam_i g_i :
 lam_i >= 0 }.  Membership, polar containment, supporting hyperplanes,
 separation of cone pairs and Minkowski-difference spanning are all decided by
-small dense linear programs (see _simplex).  "Interior" always means relative
+small dense linear programs (see _simplex), each posed with n or n + 1 rows.
+Hyperplanes, separation witnesses and margins are checked on the original
+generators before they are returned.  "Interior" always means relative
 interior, i.e. interior within span(C).
 
 Vectors and covectors are plain 1-D numpy arrays.
@@ -14,7 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._simplex import DEFAULT_TOL, linprog_dense, solve_standard
+from ._simplex import DEFAULT_TOL, solve_standard
+
+
+class ConeCertificateError(RuntimeError):
+    """A cone LP's answer failed its check on the original generators."""
 
 
 class BoundaryConditionError(RuntimeError):
@@ -80,16 +86,16 @@ class GeneratedCone:
             if not gens:
                 raise ValueError("dimension required for a cone with no generators")
             self.n = len(gens[0])
-        cleaned = []
+        cleaned, seen = [], set()
         for g in gens:
             if g.shape != (self.n,):
                 raise ValueError("dimension mismatch in generator list")
             if not np.all(np.isfinite(g)):
                 raise ValueError("non-finite generator")
-            if not g.any():
+            key = (g + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0: equal values, equal keys
+            if not g.any() or key in seen:
                 continue
-            if any(np.array_equal(g, h) for h in cleaned):
-                continue
+            seen.add(key)
             cleaned.append(g)
         self.generators = cleaned
 
@@ -123,6 +129,42 @@ def _check_dim(cone, v):
     return v
 
 
+def _residual_lp(W, v, tol):
+    """min sum(s+ + s-) subject to W lam + s+ - s- = v, all variables >= 0.
+
+    The value is the L1 distance from v to cone(W).  The row duals alpha
+    solve the Farkas dual, max v.alpha subject to alpha.g <= 0 for every
+    generator and |alpha_i| <= 1.
+    """
+    m, ng = W.shape
+    A = np.hstack([W, np.eye(m), -np.eye(m)])
+    c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
+    res = solve_standard(c, A, v, tol=min(tol, 1e-10))
+    if not res.ok:  # pragma: no cover - the slack formulation is always feasible
+        raise ConeCertificateError("membership LP returned " + res.status)
+    return res
+
+
+def _positive_lp(M, rhs, tol):
+    """(lam, t) maximizing t <= 1 over lam >= t >= 0 with M lam = rhs.
+
+    Posed with lam = lam' + t, so the rows are M lam' + t M 1 = rhs and
+    t + s = 1.  Returns (None, 0.0) when no lam >= 0 solves M lam = rhs.
+    """
+    n, k = M.shape
+    A = np.zeros((n + 1, k + 2))
+    A[:n, :k] = M
+    A[:n, k] = M.sum(axis=1)
+    A[n, k:] = 1.0
+    c = np.zeros(k + 2)
+    c[k] = -1.0
+    res = solve_standard(c, A, np.append(rhs, 1.0), tol=min(tol, 1e-10))
+    if not res.ok:
+        return None, 0.0
+    t = res.x[k]
+    return res.x[:k] + t, float(t)
+
+
 def cone_residual(cone, v, tol=DEFAULT_TOL):
     """L1 distance from v to the cone (0 when v is representable).
 
@@ -130,29 +172,17 @@ def cone_residual(cone, v, tol=DEFAULT_TOL):
     nonnegative variables.
     """
     v = _check_dim(cone, v)
-    W = cone.matrix
-    ng = W.shape[1]
-    m = cone.n
-    A = np.hstack([W, np.eye(m), -np.eye(m)])
-    c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
-    res = solve_standard(c, A, v, tol=min(tol, 1e-10))
-    if not res.ok:  # pragma: no cover - the slack formulation is always feasible
-        raise RuntimeError("membership LP returned " + res.status)
-    return max(res.value, 0.0)
+    return max(_residual_lp(cone.matrix, v, tol).value, 0.0)
 
 
 def conic_coefficients(cone, v, tol=DEFAULT_TOL):
     """Nonnegative lam with W lam ~= v, or None when v is outside the cone."""
     v = _check_dim(cone, v)
     W = cone.matrix
-    ng = W.shape[1]
-    m = cone.n
-    A = np.hstack([W, np.eye(m), -np.eye(m)])
-    c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
-    res = solve_standard(c, A, v, tol=min(tol, 1e-10))
-    if not res.ok or res.value > tol:
+    res = _residual_lp(W, v, tol)
+    if res.value > tol:
         return None
-    return res.x[:ng]
+    return res.x[:W.shape[1]]
 
 
 def positive_combination(cone, v, tol=DEFAULT_TOL):
@@ -165,23 +195,12 @@ def positive_combination(cone, v, tol=DEFAULT_TOL):
     """
     v = _check_dim(cone, v)
     W = cone.matrix
-    ng = W.shape[1]
-    if ng == 0:
+    if W.shape[1] == 0:
         return (np.zeros(0), 1.0) if np.all(np.abs(v) <= tol) else (None, 0.0)
-    # variables [lam, t]
-    c = np.zeros(ng + 1)
-    c[-1] = -1.0
-    A_eq = np.hstack([W, np.zeros((cone.n, 1))])
-    A_ub = np.hstack([-np.eye(ng), np.ones((ng, 1))])
-    bounds = [(0.0, None)] * ng + [(None, 1.0)]
-    res = linprog_dense(c, A_ub=A_ub, b_ub=np.zeros(ng), A_eq=A_eq, b_eq=v,
-                        bounds=bounds, tol=min(tol, 1e-10))
-    if not res.ok:
-        return None, 0.0
-    lam, t = res.x[:ng], res.x[-1]
-    if t <= tol:
-        return None, max(float(t), 0.0)
-    return lam, float(t)
+    lam, t = _positive_lp(W, v, tol)
+    if lam is None or t <= tol:
+        return None, t
+    return lam, t
 
 
 def conic_membership(cone, v, tol=DEFAULT_TOL):
@@ -208,35 +227,48 @@ def conic_membership(cone, v, tol=DEFAULT_TOL):
 
 
 def membership_margin(cone, v, tol=DEFAULT_TOL, cap=None):
-    """Largest r such that v +- r q stays in the cone for every span-basis q.
+    """Largest r <= cap such that v +- r q stays in the cone for every span-basis q.
 
-    Bisection per direction; the minimum over directions is a lower bound on
-    the distance from v to the relative boundary (cross-polytope inradius).
-    Returns 0.0 when v is not in the cone.
+    One LP per direction d = +-q: max r subject to W lam - r d = v,
+    r <= cap and lam >= 0, with the rows taken in span coordinates (v is
+    projected onto span(C); it lies within tol of the cone).  The minimum
+    over directions is a lower bound on the distance from v to the relative
+    boundary (cross-polytope inradius).  Returns 0.0 when v is not in the
+    cone.  Raises ConeCertificateError when a direction's lam fails
+    ||W lam - r d - v||_1 <= tol.
     """
     v = _check_dim(cone, v)
     if cone_residual(cone, v, tol) > tol:
         return 0.0
     Q = cone.span_basis()
-    if Q.shape[1] == 0:
+    k = Q.shape[1]
+    if k == 0:
         return np.inf
     if cap is None:
         cap = max(1.0, float(np.linalg.norm(v)))
+    W = cone.matrix
+    ng = W.shape[1]
+    # variables (lam, r, s): Q^T W lam - r Q^T d = Q^T v and r + s = cap
+    A = np.zeros((k + 1, ng + 2))
+    A[:k, :ng] = Q.T @ W
+    A[k, ng:] = 1.0
+    b = np.append(Q.T @ v, cap)
+    c = np.zeros(ng + 2)
+    c[ng] = -1.0
     out = np.inf
-    for j in range(Q.shape[1]):
+    for j in range(k):
         for sgn in (1.0, -1.0):
-            d = sgn * Q[:, j]
-            lo, hi = 0.0, cap
-            if cone_residual(cone, v + hi * d, tol) <= tol:
-                out = min(out, hi)
-                continue
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                if cone_residual(cone, v + mid * d, tol) <= tol:
-                    lo = mid
-                else:
-                    hi = mid
-            out = min(out, lo)
+            A[j, ng] = -sgn
+            res = solve_standard(c, A, b, tol=min(tol, 1e-10))
+            A[j, ng] = 0.0
+            if not res.ok:
+                return 0.0  # v lies on the relative boundary within tol
+            lam, r = res.x[:ng], res.x[ng]
+            miss = np.abs(W @ lam - r * sgn * Q[:, j] - Q @ b[:k]).sum()
+            if not miss <= tol:
+                raise ConeCertificateError(
+                    "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
+            out = min(out, r)
     return out
 
 
@@ -246,14 +278,30 @@ def polar_contains(cone, alpha, tol=DEFAULT_TOL):
     return all(float(alpha @ g) <= tol for g in cone.generators)
 
 
+def _checked_hyperplane(W, alpha, tol):
+    """alpha, after checking alpha.g <= tol |alpha| |g| for every generator."""
+    if not (np.all(np.isfinite(alpha)) and alpha.any()):
+        raise ConeCertificateError("hyperplane certificate is zero or not finite")
+    if W.shape[1]:
+        worst = float(np.max(alpha @ W / np.linalg.norm(W, axis=0))) / np.linalg.norm(alpha)
+        if not worst <= tol:
+            raise ConeCertificateError(
+                "hyperplane certificate misses a generator by %.3e (normalized)" % worst)
+    return alpha
+
+
 def supporting_hyperplane(cone, tol=DEFAULT_TOL):
     """Nonzero alpha with alpha.g <= 0 for all generators, or None.
 
     None is returned exactly when the cone is the whole space (its polar is
     {0}).  Rank-deficient cones use an orthogonal-complement direction; full
-    span cones search the polar for a certificate via 2n small LPs, one per
-    +-e_j objective.  Soundness: a nonzero polar element has a nonzero
-    pairing with some +-e_j, so all optima ~0 forces polar = {0}.
+    span cones solve the n-row L1 residual LP of +-e_j against the unit
+    generators, one per direction, and read alpha from its row duals (the
+    Farkas dual: max alpha_j subject to alpha.g <= 0, |alpha_i| <= 1).
+    Soundness: a nonzero polar element has a nonzero pairing with some
+    +-e_j, so all optima ~0 forces polar = {0}.  The returned alpha is
+    checked to satisfy alpha.g <= tol |alpha| |g| for every generator;
+    ConeCertificateError is raised otherwise.
     """
     if not cone.generators:
         alpha = np.zeros(cone.n)
@@ -262,17 +310,15 @@ def supporting_hyperplane(cone, tol=DEFAULT_TOL):
     W = cone.matrix
     U, rank, _ = rank_split(W)
     if rank < cone.n:
-        return U[:, rank]
-    G = W.T  # rows are generators
-    ng = G.shape[0]
+        return _checked_hyperplane(W, U[:, rank], tol)
+    unit = W / np.linalg.norm(W, axis=0)
     for j in range(cone.n):
         for sgn in (1.0, -1.0):
             z = np.zeros(cone.n)
             z[j] = sgn
-            res = linprog_dense(-z, A_ub=G, b_ub=np.zeros(ng),
-                                bounds=[(-1.0, 1.0)] * cone.n, tol=min(tol, 1e-10))
-            if res.ok and -res.value > max(tol, 1e-8):
-                return res.x
+            res = _residual_lp(unit, z, tol)
+            if res.value > max(tol, 1e-8):
+                return _checked_hyperplane(W, res.y, tol)
     return None
 
 
@@ -283,7 +329,9 @@ def separate(c1, c2, tol=DEFAULT_TOL):
     space; the supporting hyperplane of the difference cone is then a
     separating hyperplane with alpha(C1) <= 0 <= alpha(C2).  When not
     separated, a common relative-interior witness is returned (strictly
-    positive combinations on both sides agreeing).
+    positive combinations on both sides agreeing), checked to satisfy
+    W1 lam = W2 mu with lam, mu > 0; ConeCertificateError is raised
+    otherwise.
     """
     if c1.n != c2.n:
         raise ValueError("dimension mismatch")
@@ -293,27 +341,16 @@ def separate(c1, c2, tol=DEFAULT_TOL):
     if alpha is not None:
         return SeparationResult(True, hyperplane=alpha)
     W1, W2 = c1.matrix, c2.matrix
-    n1, n2 = W1.shape[1], W2.shape[1]
+    n1 = W1.shape[1]
     # max t with W1 lam = W2 mu, lam_i >= t, mu_j >= t, t <= 1
-    nv = n1 + n2 + 1
-    c = np.zeros(nv)
-    c[-1] = -1.0
-    A_eq = np.hstack([W1, -W2, np.zeros((n, 1))])
-    rows = []
-    for i in range(n1 + n2):
-        r = np.zeros(nv)
-        r[i] = -1.0
-        r[-1] = 1.0
-        rows.append(r)
-    bounds = [(0.0, None)] * (n1 + n2) + [(None, 1.0)]
-    res = linprog_dense(c, A_ub=np.array(rows) if rows else None,
-                        b_ub=np.zeros(len(rows)) if rows else None,
-                        A_eq=A_eq, b_eq=np.zeros(n), bounds=bounds,
-                        tol=min(tol, 1e-10))
-    if not res.ok or res.x[-1] < 0.5:
-        raise RuntimeError("separation witness LP inconsistent with hyperplane search")
-    lam = res.x[:n1]
-    witness = W1 @ lam if n1 else np.zeros(n)
+    M = np.hstack([W1, -W2])
+    coef, t = _positive_lp(M, np.zeros(n), tol)
+    if coef is None or t < 0.5:
+        raise ConeCertificateError("separation witness LP inconsistent with hyperplane search")
+    miss = float(np.max(np.abs(M @ coef)))
+    if not (miss <= tol * (1.0 + float(np.max(np.abs(M) @ coef))) and np.all(coef > 0)):
+        raise ConeCertificateError("separation witness misses W1 lam = W2 mu by %.3e" % miss)
+    witness = W1 @ coef[:n1] if n1 else np.zeros(n)
     return SeparationResult(False, witness=witness)
 
 

@@ -3,9 +3,11 @@
 Everything here is written against the mathematics directly (angle sweeps,
 cross products, textbook ODE solutions, scipy integrators) and never calls
 into the package's LP or RK4 code, so these functions can serve as
-cross-checks for the implementations.  The one exception is
-`adjoint_flow_loop`, the plain per-stage form of `pmp.adjoint_flow` kept
-as its bit-for-bit reference.
+cross-checks for the implementations.  Two exceptions keep an earlier
+form of a package routine as its reference: `adjoint_flow_loop`, the plain
+per-stage form of `pmp.adjoint_flow` (bit for bit), and
+`membership_margin_bisect`, the bisection form of
+`cone_geometry.membership_margin`.
 """
 import numpy as np
 
@@ -89,6 +91,73 @@ def membership_2d(G, v, tol=1e-9, dense=4096):
         if all(alpha @ g <= 1e-10 * scale for g in G) and alpha @ v > tol * max(1.0, np.linalg.norm(v)):
             return False
     return True
+
+
+def facet_margin(G, v, Q, cap, eps=1e-10):
+    """Largest r <= cap with v +- r q in cone(G) for every column q of Q.
+
+    For a pointed full-dimensional cone in R^2 or R^3, read off its facet
+    inequalities.  Every facet contains n - 1 independent generators, so its
+    inward normal is a perpendicular (R^2) or a pair cross product (R^3) of
+    generators that every generator pairs nonnegatively with.
+    """
+    G = np.asarray(G, float)
+    n = G.shape[1]
+    if n == 2:
+        C = np.column_stack([-G[:, 1], G[:, 0]])
+    elif n == 3:
+        i, j = np.triu_indices(len(G), k=1)
+        C = np.cross(G[i], G[j])
+    else:
+        raise ValueError("facet margin supports n = 2 and 3 only")
+    norms = np.linalg.norm(C, axis=1)
+    C = C[norms > 1e-12] / norms[norms > 1e-12, None]
+    C = np.vstack([C, -C])
+    Gu = G / np.linalg.norm(G, axis=1)[:, None]
+    N = C[np.all(C @ Gu.T >= -eps, axis=1)]
+    slack = N @ np.asarray(v, float)
+    out = cap
+    for q in np.asarray(Q, float).T:
+        for d in (q, -q):
+            rate = N @ d
+            leaving = rate < 0
+            if np.any(leaving):
+                out = min(out, float(np.min(slack[leaving] / -rate[leaving])))
+    return out
+
+
+def membership_margin_bisect(cone, v, tol=1e-9, cap=None):
+    """`membership_margin` as a 40-step bisection per +-q direction.
+
+    Accepts r when `cone_residual(v + r d) <= tol`, so it may overshoot the
+    exact margin by the distance a residual of tol allows.
+    """
+    from pmpkit.cone_geometry import cone_residual
+
+    v = np.asarray(v, float)
+    if cone_residual(cone, v, tol) > tol:
+        return 0.0
+    Q = cone.span_basis()
+    if Q.shape[1] == 0:
+        return np.inf
+    if cap is None:
+        cap = max(1.0, float(np.linalg.norm(v)))
+    out = np.inf
+    for j in range(Q.shape[1]):
+        for sgn in (1.0, -1.0):
+            d = sgn * Q[:, j]
+            lo, hi = 0.0, cap
+            if cone_residual(cone, v + hi * d, tol) <= tol:
+                out = min(out, hi)
+                continue
+            for _ in range(40):
+                mid = 0.5 * (lo + hi)
+                if cone_residual(cone, v + mid * d, tol) <= tol:
+                    lo = mid
+                else:
+                    hi = mid
+            out = min(out, lo)
+    return out
 
 
 def riccati_lqr_reference(ts):

@@ -144,6 +144,41 @@ class TestProblemFiles:
         assert rc == 2
         assert "integrator.step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("horizon, item", [
+        # an infinite end used to raise OverflowError in the grid (exit 1)
+        ({"a": 0.0, "b": float("inf")}, "horizon.b must be finite"),
+        ({"a": float("-inf"), "b": 1.0}, "horizon.a must be finite"),
+        (float("inf"), "horizon.b must be finite"),
+        ({"a": 0.0, "b": float("nan")}, "horizon.b must be finite"),
+        ({"a": "zero", "b": 1.0}, "horizon.a must be finite"),
+        ({"a": 0.0}, "horizon must be a number or an object with 'b'"),
+    ])
+    def test_bad_horizon_named(self, tmp_path, capsys, horizon, item):
+        data = lqr_problem()
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        data["horizon"] = horizon
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert item in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reach, item", [
+        # unknown keys, the README's old step/near/spread among them, used
+        # to be ignored silently
+        ({"n_controls": 3, "bogus_key": 1}, "unknown reach option(s): ['bogus_key']"),
+        ({"n_controls": 3, "step": 0.5, "near": [[0.0]], "spread": 9.0},
+         "unknown reach option(s): ['near', 'spread', 'step']"),
+        ([3], "reach must be an object"),
+        ({"n_controls": 3, "T": float("inf")}, "reach.T must be positive and finite"),
+    ])
+    def test_bad_reach_block_named(self, tmp_path, capsys, reach, item):
+        data = lqr_problem()
+        data["reach"] = reach
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["reach", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert item in capsys.readouterr().err
+
     @pytest.mark.parametrize("end, spec, item", [
         # a zero normal used to turn the manifold end into a free end
         ("final", {"anchor": [0.0, 0.0], "normals": [[0.0, 0.0]]},
@@ -393,6 +428,24 @@ class TestConesAndReach:
         assert len(gens) == 3
         mem = json.loads((out / "membership.json").read_text())
         assert [q["status"] for q in mem["queries"]] == ["interior", "interior"]
+
+    def test_failed_cone_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
+        from pmpkit import cone_geometry
+
+        solve = cone_geometry.solve_standard
+
+        def damaged(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            if res.ok:
+                res.x = res.x + 1e-3
+            return res
+
+        monkeypatch.setattr(cone_geometry, "solve_standard", damaged)
+        path = os.path.join(os.path.dirname(__file__), "golden", "pendulum_flow_sample",
+                            "problem.json")
+        assert cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: margin certificate misses" in err
 
     def test_reach_outputs_reproducible(self, tmp_path):
         data = {"dynamics": {"builtin": "double_integrator"},

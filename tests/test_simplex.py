@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
 from pmpkit._simplex import linprog_dense, solve_standard
@@ -100,3 +101,62 @@ def test_against_scipy_linprog():
         elif ref.status == 3:
             assert ours.status == "unbounded"
     assert checked_optimal >= 40
+
+
+@st.composite
+def standard_lps(draw):
+    """min c.x, A x = b, x >= 0 with small integer data, built to be
+    degenerate (b = A x0 with zeros in x0), to carry a redundant row, to be
+    infeasible or unbounded, or left random."""
+    kind = draw(st.sampled_from(("degenerate", "redundant", "infeasible", "unbounded", "random")))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    ints = st.integers(-3, 3)
+    A = np.array(draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)),
+                 dtype=float)
+    c = np.array(draw(st.lists(ints, min_size=n, max_size=n)), dtype=float)
+    if kind == "random":
+        b = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float)
+        return kind, c, A, b
+    b = A @ np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    if kind == "redundant":
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        A, b = np.vstack([A, A[i] - 2.0 * A[j]]), np.append(b, b[i] - 2.0 * b[j])
+    elif kind == "infeasible":
+        # the negated sum of the rows with a right-hand side off by one
+        A, b = np.vstack([A, -A.sum(axis=0)]), np.append(b, -b.sum() - 1.0)
+    elif kind == "unbounded":
+        # columns a and -a: x_a = x_-a grows freely and lowers the cost
+        a = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=float)
+        A, c = np.hstack([A, a[:, None], -a[:, None]]), np.append(c, [-1.0, 0.0])
+    return kind, c, A, b
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(standard_lps())
+def test_solve_standard_matches_highs(lp):
+    kind, c, A, b = lp
+    ref = scipy_linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+    assume(ref.status in (0, 2, 3))
+    want = {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+    if kind in ("infeasible", "unbounded"):
+        assert want == kind
+    ours = solve_standard(c, A, b)
+    assert ours.status == want
+    if not ours.ok:
+        return
+    assert ours.value == pytest.approx(ref.fun, abs=1e-8, rel=1e-9)
+    # the point on the original rows
+    assert np.all(ours.x >= 0.0)
+    assert np.allclose(A @ ours.x, b, rtol=0.0, atol=1e-9)
+    assert float(c @ ours.x) == ours.value
+    # the row duals: dual feasible with the same value
+    assert np.all(A.T @ ours.y <= c + 1e-9)
+    assert float(ours.y @ b) == pytest.approx(ours.value, abs=1e-9)
+
+
+def test_duals_of_a_known_lp():
+    # min x1 + 2 x2 s.t. x1 + x2 - s = 1: the dual max y s.t. y <= 1, y <= 2, -y <= 0
+    res = solve_standard([1.0, 2.0, 0.0], [[1.0, 1.0, -1.0]], [1.0])
+    assert res.ok and res.value == pytest.approx(1.0)
+    assert res.y == pytest.approx([1.0])
