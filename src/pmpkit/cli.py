@@ -407,6 +407,15 @@ def _finite(value, name, positive=False):
     return v
 
 
+def _integer(value, name, least):
+    """An integer (an integral float counts) of at least `least`."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ProblemError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _options(data, name, allowed):
     """The optional `name` block of a problem file; unknown keys are rejected."""
     block = data.get(name)
@@ -418,6 +427,12 @@ def _options(data, name, allowed):
     if bad:
         raise ProblemError(f"unknown {name} option(s): {sorted(bad)}")
     return block
+
+
+def _list(items, name):
+    if not isinstance(items, list):
+        raise ProblemError(f"{name} must be a list, got {items!r}")
+    return items
 
 
 def _finite_vector(obj, m, name):
@@ -533,7 +548,7 @@ class Problem:
         self.control = None
         if data.get("control") is not None:
             self.control = _parse_signal(data["control"], self.a, self.b, k)
-        self.cones = data.get("cones")
+        self.cones = _options(data, "cones", {"time", "times", "controls", "queries"})
         self.reach = _options(data, "reach", {"n_controls", "max_switches", "seed", "T"})
         self.guess = data.get("guess")
         self.shooting = _options(data, "shooting",
@@ -727,47 +742,56 @@ def cmd_cones(args) -> int:
     if problem.control is None:
         raise ProblemError("cones needs a 'control' entry in the problem file")
     spec = problem.cones
-    if not isinstance(spec, dict) or "time" not in spec:
+    if spec is None or "time" not in spec:
         raise ProblemError("cones needs a 'cones' object with 'time'")
+    m, k = problem.sys.m, problem.sys.k
+    t = _finite(spec["time"], "cones.time")
+    if not problem.a < t <= problem.b:
+        raise ProblemError(f"cones.time must lie in (a, b] = ({problem.a!r}, {problem.b!r}], "
+                           f"got {spec['time']!r}")
+    times = [_finite(tau, f"cones.times[{i}]")
+             for i, tau in enumerate(_list(spec.get("times", []), "cones.times"))]
+    controls = []
+    for i, c in enumerate(_list(spec.get("controls", []), "cones.controls")):
+        u = _finite_vector(c, k, f"cones.controls[{i}]")
+        if not problem.control_set.contains(u):
+            raise ProblemError(f"cones.controls[{i}] must lie in the control set, got {c!r}")
+        controls.append(u)
+    queries = [_finite_vector(q, m, f"cones.queries[{i}]")
+               for i, q in enumerate(_list(spec.get("queries", []), "cones.queries"))]
     os.makedirs(args.out, exist_ok=True)
     cfg = _cfg(problem)
     traj = simulate(problem.sys, problem.control, problem.x_a, cfg)
-    sampling = {"times": [float(t) for t in spec.get("times", [])],
-                "controls": [tuple(np.atleast_1d(np.asarray(c, dtype=float)))
-                             for c in spec.get("controls", [])]}
     try:
-        cone = build_tangent_cone(problem.sys, traj, float(spec["time"]), sampling, cfg)
+        cone = build_tangent_cone(problem.sys, traj, t,
+                                  {"times": times, "controls": controls}, cfg)
     except ValueError as e:
         raise ProblemError(f"cone sampling: {e}")
     cone.to_csv(os.path.join(args.out, "cone.csv"))
-    gens = np.array(cone.cone.generators) if cone.cone.generators else np.empty((0, problem.sys.m))
-    lines = [",".join(f"g{j}" for j in range(problem.sys.m))]
+    gens = np.array(cone.cone.generators) if cone.cone.generators else np.empty((0, m))
+    lines = [",".join(f"g{j}" for j in range(m))]
     for row in gens:
         lines.append(",".join("%.17g" % v for v in row))
     with open(os.path.join(args.out, "generators.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    queries = []
-    for q in spec.get("queries", []):
-        v = np.asarray(q, dtype=float).ravel()
-        if v.size != problem.sys.m:
-            raise ProblemError("membership query has wrong dimension")
-        queries.append({"vector": [_g17(c) for c in v],
-                        "status": conic_membership(cone.cone, v),
-                        "margin": _g17(membership_margin(cone.cone, v))})
-    _write_json(os.path.join(args.out, "membership.json"), {"queries": queries})
+    results = [{"vector": [_g17(c) for c in v],
+                "status": conic_membership(cone.cone, v),
+                "margin": _g17(membership_margin(cone.cone, v))} for v in queries]
+    _write_json(os.path.join(args.out, "membership.json"), {"queries": results})
     return 0
 
 
 def cmd_reach(args) -> int:
     problem = load_problem(args.problem)
     spec = problem.reach or {}
-    os.makedirs(args.out, exist_ok=True)
+    seed = (_integer(args.seed, "--seed", 0) if args.seed is not None
+            else _integer(spec.get("seed", 0), "reach.seed", 0))
     policy = SamplePolicy(
-        n_controls=int(spec.get("n_controls", 64)),
-        max_switches=int(spec.get("max_switches", 3)),
-        seed=args.seed if args.seed is not None else int(spec.get("seed", 0)),
-        step=problem.step)
+        n_controls=_integer(spec.get("n_controls", 64), "reach.n_controls", 1),
+        max_switches=_integer(spec.get("max_switches", 3), "reach.max_switches", 0),
+        seed=seed, step=problem.step)
     T = _finite(spec.get("T", problem.b - problem.a), "reach.T", positive=True)
+    os.makedirs(args.out, exist_ok=True)
     cloud = sample_reachable(problem.sys, problem.x_a, T, policy)
     cloud.to_csv(os.path.join(args.out, "cloud.csv"))
     cloud.save_provenance(os.path.join(args.out, "cloud_provenance.json"))

@@ -73,12 +73,14 @@ def null_space(rows, m):
 class GeneratedCone:
     """Finitely generated convex cone { sum lam_i g_i : lam_i >= 0 } in R^n.
 
-    Exact-zero and exact-duplicate generators are dropped on construction;
-    an empty generator list represents the cone {0}.
+    Exact-zero and exact-duplicate generators are dropped on construction,
+    and `kept` lists the input indices of the generators that remain; an
+    empty generator list represents the cone {0}.
     """
 
     generators: list = field(default_factory=list)
     n: int = 0
+    kept: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = [np.atleast_1d(np.asarray(g, dtype=float)) for g in self.generators]
@@ -86,8 +88,8 @@ class GeneratedCone:
             if not gens:
                 raise ValueError("dimension required for a cone with no generators")
             self.n = len(gens[0])
-        cleaned, seen = [], set()
-        for g in gens:
+        cleaned, kept, seen = [], [], set()
+        for i, g in enumerate(gens):
             if g.shape != (self.n,):
                 raise ValueError("dimension mismatch in generator list")
             if not np.all(np.isfinite(g)):
@@ -97,7 +99,9 @@ class GeneratedCone:
                 continue
             seen.add(key)
             cleaned.append(g)
+            kept.append(i)
         self.generators = cleaned
+        self.kept = tuple(kept)
 
     @property
     def matrix(self):

@@ -156,27 +156,63 @@ def flow(X, t, s, x0, cfg=None):
     return _rk4_path(X.eval, grid, x0)[-1]
 
 
-def _lifted_path(X, lift, s, t, x0, w0, cfg):
-    """RK4 path from s to t of y = (x, w) with x' = X and w' = lift(dX/dx, w)."""
-    m = X.dim
+def _lifted_path(X, lift, s, t, x0, ws, cfg):
+    """RK4 paths from s to t of x' = X and, along that one base path, of each
+    w' = lift(dX/dx, w) with w(s) in ws.  Returns the x path and one path per w.
 
-    def f(tt, y):
-        x = y[:m]
-        return np.concatenate([np.asarray(X.eval(tt, x)), lift(X.jac(tt, x), y[m:])])
+    x advances once per step by rk4_step, recording dX/dx at its four stages;
+    each nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
+    is elementwise outside its right-hand side, so every w path has the bits
+    of the RK4 path of the stacked (x, w).  A zero w stays zero.
+    """
+    grid = integration_grid(s, t, cfg)
+    x = np.array(x0, dtype=float)
+    ws = [np.array(w, dtype=float) for w in ws]
+    xs = np.empty((len(grid), x.size))
+    xs[0] = x
+    paths = [np.tile(w, (len(grid), 1)) for w in ws]
+    live = [j for j, w in enumerate(ws) if w.any()]
+    for i in range(len(grid) - 1):
+        t0 = grid[i]
+        h = grid[i + 1] - t0
+        jacs = []
 
-    return _rk4_path(f, integration_grid(s, t, cfg), np.concatenate([x0, w0]))
+        def base(tt, xx):
+            k = np.asarray(X.eval(tt, xx))
+            jacs.append(X.jac(tt, xx))
+            return k
+
+        x = rk4_step(base, t0, x, h, base(t0, x))
+        if not np.all(np.isfinite(x)):
+            raise FlowBlowUpError(grid[i + 1])
+        xs[i + 1] = x
+        for j in live:
+            stage = iter(jacs[1:])
+            w = rk4_step(lambda tt, ww: lift(next(stage), ww), t0, ws[j], h,
+                         lift(jacs[0], ws[j]))
+            if not np.all(np.isfinite(w)):
+                raise FlowBlowUpError(grid[i + 1])
+            ws[j] = paths[j][i + 1] = w
+    return xs, paths
+
+
+def tangent_lift_flows(X, t, s, x0, vs, cfg=None):
+    """Transport the tangent vectors vs at x0 by the complete lift along one
+    base path: x' = X, v' = (dX/dx) v.  Returns x(t) and the list of v(t)."""
+    xs, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
+    return xs[-1], [path[-1] for path in paths]
 
 
 def tangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, v) by the complete lift: x' = X, v' = (dX/dx) v."""
-    y = _lifted_path(X, lambda J, v: J @ v, s, t, init.x, init.v, cfg)[-1]
-    return TangentState(y[:X.dim], y[X.dim:])
+    x, (v,) = tangent_lift_flows(X, t, s, init.x, [init.v], cfg)
+    return TangentState(x, v)
 
 
 def cotangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, p) by the cotangent lift: x' = X, p' = -(dX/dx)^T p."""
-    y = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, init.p, cfg)[-1]
-    return CotangentState(y[:X.dim], y[X.dim:])
+    xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
+    return CotangentState(xs[-1], path[-1])
 
 
 def pairing_drift(X, interval, x0, v0, p0, cfg=None):
@@ -188,9 +224,9 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
     def both(J, w):
         return np.concatenate([J @ w[:m], -J.T @ w[m:]])
 
-    path = _lifted_path(X, both, a, b, x0, np.concatenate([v0, p0]), cfg)
+    _, (path,) = _lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)
     ref = float(np.dot(p0, v0))
-    pairings = np.einsum("ij,ij->i", path[:, 2 * m:], path[:, m:2 * m])
+    pairings = np.einsum("ij,ij->i", path[:, m:], path[:, :m])
     return float(np.max(np.abs(pairings - ref)))
 
 
@@ -198,9 +234,9 @@ def _transport_matrix(X, t, s, x, cfg=None):
     """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix,
     together with the transported base point."""
     m = X.dim
-    y = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
-                     np.asarray(x, float), np.eye(m).ravel(), cfg)[-1]
-    return y[:m], y[m:].reshape(m, m)
+    xs, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
+                               x, [np.eye(m).ravel()], cfg)
+    return xs[-1], path[-1].reshape(m, m)
 
 
 def pullback_field(X, Y, s, cfg=None):

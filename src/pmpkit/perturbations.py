@@ -35,7 +35,7 @@ from .control_system import (
     lebesgue_times,
     simulate,
 )
-from .flows import IntegratorConfig, TangentState, TimeVectorField, tangent_lift_flow
+from .flows import IntegratorConfig, TimeVectorField, tangent_lift_flows
 
 
 class NeedleLayoutError(ValueError):
@@ -143,21 +143,9 @@ class PerturbationCone:
 
 
 def _assemble_cone(at_time, m, k, gens, prov) -> PerturbationCone:
-    # mirror GeneratedCone's zero/duplicate dropping to keep provenance aligned
-    keep_g: List[np.ndarray] = []
-    keep_p: List[Provenance] = []
-    for g, p in zip(gens, prov):
-        g = np.asarray(g, dtype=float)
-        if not g.any():
-            continue
-        if any(np.array_equal(g, h) for h in keep_g):
-            continue
-        keep_g.append(g)
-        keep_p.append(p)
-    cone = GeneratedCone(keep_g, n=m)
-    assert len(cone.generators) == len(keep_p)
+    cone = GeneratedCone(gens, n=m)
     return PerturbationCone(at_time=float(at_time), cone=cone,
-                            provenance=tuple(keep_p), control_dim=k)
+                            provenance=tuple(prov[i] for i in cone.kept), control_dim=k)
 
 
 def _control_field(sys: ControlSystem, u: ControlSignal) -> TimeVectorField:
@@ -247,30 +235,60 @@ def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
     return out
 
 
+def _class1_vectors(sys: ControlSystem, traj: Trajectory, t1: float,
+                    needles: Sequence[NeedleData]) -> List[np.ndarray]:
+    """Class-I vectors of needles that all sit at t1, sharing gamma(t1) and
+    f(gamma(t1), u(t1))."""
+    _require_lebesgue(traj.control, t1)
+    x = traj.state_at(t1)
+    drift = sys.dynamics(x, traj.control.value_at(t1))
+    return [PerturbationVector(base_time=t1, vector=n.l1 * (sys.dynamics(x, n.u1) - drift)).vector
+            for n in needles]
+
+
 def class1_vector(sys: ControlSystem, traj: Trajectory, pi: NeedleData) -> PerturbationVector:
     """l1 (f(x, u1) - f(x, u(t1))) at x = gamma(t1)."""
-    _require_lebesgue(traj.control, pi.t1)
-    x = traj.state_at(pi.t1)
-    uref = traj.control.value_at(pi.t1)
-    vec = pi.l1 * (sys.dynamics(x, pi.u1) - sys.dynamics(x, uref))
-    return PerturbationVector(base_time=pi.t1, vector=vec)
+    return PerturbationVector(base_time=pi.t1, vector=_class1_vectors(sys, traj, pi.t1, [pi])[0])
+
+
+def _transport_group(sys: ControlSystem, traj: Trajectory, base: float, vecs,
+                     t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
+    """Push vectors based at one time forward to t by the variational flow
+    along traj, all along one base path; zero vectors need no path."""
+    t = float(t)
+    base = float(base)
+    if t < base:
+        raise ValueError("can only transport forward in time")
+    vecs = [np.array(v, dtype=float) for v in vecs]
+    if t == base or not any(v.any() for v in vecs):
+        return vecs
+    cfg = cfg or IntegratorConfig()
+    merged = IntegratorConfig(step=cfg.step,
+                              event_times=tuple(cfg.event_times) + tuple(traj.control.switch_times))
+    X = _control_field(sys, traj.control)
+    return tangent_lift_flows(X, t, base, traj.state_at(base), vecs, merged)[1]
+
+
+def _needle_vectors(sys: ControlSystem, traj: Trajectory, needles: Sequence[NeedleData],
+                    t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
+    """Class-I vectors of the needles transported to t, in input order, with
+    one base path per needle time."""
+    groups: dict = {}
+    for i, n in enumerate(needles):
+        groups.setdefault(n.t1, []).append(i)
+    out: List[np.ndarray] = [None] * len(needles)
+    for t1, idx in groups.items():
+        vecs = _class1_vectors(sys, traj, t1, [needles[i] for i in idx])
+        for i, v in zip(idx, _transport_group(sys, traj, t1, vecs, t, cfg)):
+            out[i] = v
+    return out
 
 
 def transport_vector(sys: ControlSystem, traj: Trajectory, v: PerturbationVector,
                      t: float, cfg: Optional[IntegratorConfig] = None) -> PerturbationVector:
     """Push v forward from its base time to t by the variational flow along traj."""
-    t = float(t)
-    base = float(v.base_time)
-    if t < base:
-        raise ValueError("can only transport forward in time")
-    if t == base:
-        return PerturbationVector(base_time=t, vector=v.vector.copy())
-    cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step,
-                              event_times=tuple(cfg.event_times) + tuple(traj.control.switch_times))
-    X = _control_field(sys, traj.control)
-    out = tangent_lift_flow(X, t, base, TangentState(traj.state_at(base), v.vector), merged)
-    return PerturbationVector(base_time=t, vector=out.v)
+    (out,) = _transport_group(sys, traj, v.base_time, [v.vector], t, cfg)
+    return PerturbationVector(base_time=float(t), vector=out)
 
 
 def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
@@ -285,8 +303,8 @@ def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
     if times[-1] > t:
         raise ValueError("needle times must not exceed the evaluation time")
     total = np.zeros(sys.m)
-    for n in needles:
-        total = total + transport_vector(sys, traj, class1_vector(sys, traj, n), t, cfg).vector
+    for v in _needle_vectors(sys, traj, needles, t, cfg):
+        total = total + v
     return PerturbationVector(base_time=float(t), vector=total)
 
 
@@ -301,18 +319,14 @@ def time_perturbation_vector(sys: ControlSystem, traj: Trajectory,
     return PerturbationVector(base_time=pi.tau, vector=vec)
 
 
-def _needle_generator(sys, traj, tau, u1, t, cfg):
-    base = class1_vector(sys, traj, NeedleData(t1=tau, l1=1.0, u1=u1))
-    return transport_vector(sys, traj, base, t, cfg).vector
-
-
 def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
                        cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Cone of transported unit-rate class-I vectors over a (times x controls) sampling.
 
     The closure over all Lebesgue times and all admissible values is
     approximated by the finite sampling the caller supplies; provenance makes
-    every generator reproducible.
+    every generator reproducible.  The needles at one sampled time are carried
+    to t along one shared base path.
     """
     times = list(sampling["times"])
     controls = [np.asarray(c, dtype=float).ravel() for c in sampling["controls"]]
@@ -323,10 +337,9 @@ def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
         tau = float(tau)
         if tau > t:
             raise ValueError("sampled times must not exceed the cone time")
-        for u1 in controls:
-            nd = NeedleData(t1=tau, l1=1.0, u1=u1)
-            gens.append(_needle_generator(sys, traj, tau, u1, t, cfg))
-            prov.append(Provenance(kind="needle", source_time=tau, needle=nd))
+        needles = [NeedleData(t1=tau, l1=1.0, u1=u1) for u1 in controls]
+        gens.extend(_needle_vectors(sys, traj, needles, t, cfg))
+        prov.extend(Provenance(kind="needle", source_time=tau, needle=nd) for nd in needles)
     return _assemble_cone(t, sys.m, sys.k, gens, prov)
 
 
@@ -349,16 +362,16 @@ def build_initial_cone(sys: ControlSystem, traj: Trajectory, t: float,
                        cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Time cone plus +- the transported initial-manifold tangent basis."""
     base = build_time_cone(sys, traj, t, sampling, cfg)
-    gens = list(base.cone.generators)
-    prov = list(base.provenance)
     a = traj.a
+    init = []
     for w in Sa_tangent_basis:
         w = np.asarray(w, dtype=float).ravel()
-        for sgn, kind in ((1.0, "init+"), (-1.0, "init-")):
-            moved = transport_vector(sys, traj, PerturbationVector(a, sgn * w), t, cfg)
-            gens.append(moved.vector)
-            prov.append(Provenance(kind=kind, source_time=a, initial_vector=sgn * w))
-    return _assemble_cone(t, sys.m, sys.k, gens, prov)
+        init += [Provenance(kind=kind, source_time=a,
+                            initial_vector=PerturbationVector(a, sgn * w).vector)
+                 for sgn, kind in ((1.0, "init+"), (-1.0, "init-"))]
+    moved = _transport_group(sys, traj, a, [p.initial_vector for p in init], t, cfg)
+    return _assemble_cone(t, sys.m, sys.k, list(base.cone.generators) + moved,
+                          list(base.provenance) + init)
 
 
 @dataclass
@@ -383,29 +396,39 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
     """
     if t2 < t1:
         raise ValueError("need t1 <= t2")
-    gens2, prov2 = [], []
-    for p in cone_t1.provenance:
-        if p.kind == "needle":
-            gens2.append(_needle_generator(sys, traj, p.needle.t1, p.needle.u1, t2, cfg))
-        elif p.kind in ("axis+", "axis-"):
-            drift2 = sys.dynamics(traj.state_at(t2), traj.control.value_at(t2))
-            gens2.append(p.delta_tau * drift2)
-        else:
-            gens2.append(transport_vector(
-                sys, traj, PerturbationVector(p.source_time, p.initial_vector), t2, cfg).vector)
-        prov2.append(p)
+    prov2 = cone_t1.provenance
+    drift2 = sys.dynamics(traj.state_at(t2), traj.control.value_at(t2))
+    gens2: List[np.ndarray] = [None] * len(prov2)
+    needle_ix = [i for i, p in enumerate(prov2) if p.kind == "needle"]
+    moved = _needle_vectors(sys, traj, [NeedleData(t1=prov2[i].needle.t1, l1=1.0,
+                                                   u1=prov2[i].needle.u1)
+                                        for i in needle_ix], t2, cfg)
+    for i, g in zip(needle_ix, moved):
+        gens2[i] = g
+    for i, p in enumerate(prov2):
+        if p.kind in ("axis+", "axis-"):
+            gens2[i] = p.delta_tau * drift2
+    init_groups: dict = {}
+    for i, p in enumerate(prov2):
+        if p.kind in ("init+", "init-"):
+            init_groups.setdefault(p.source_time, []).append(i)
+    for t0, idx in init_groups.items():
+        moved = _transport_group(sys, traj, t0, [prov2[i].initial_vector for i in idx], t2, cfg)
+        for i, g in zip(idx, moved):
+            gens2[i] = g
     cone2 = _assemble_cone(t2, sys.m, sys.k, gens2, prov2)
 
+    # the generators at t1 and the drift there share one base path to t2
+    drift1 = PerturbationVector(t1, sys.dynamics(traj.state_at(t1),
+                                                 traj.control.value_at(t1))).vector
+    *moved, moved_drift = _transport_group(sys, traj, t1,
+                                           list(cone_t1.cone.generators) + [drift1], t2, cfg)
     worst = 0.0
     verdicts = []
-    for g in cone_t1.cone.generators:
-        moved = transport_vector(sys, traj, PerturbationVector(t1, g), t2, cfg).vector
-        worst = max(worst, cone_residual(cone2.cone, moved))
-        verdicts.append(conic_membership(cone2.cone, moved))
+    for g in moved:
+        worst = max(worst, cone_residual(cone2.cone, g))
+        verdicts.append(conic_membership(cone2.cone, g))
 
-    drift1 = sys.dynamics(traj.state_at(t1), traj.control.value_at(t1))
-    moved_drift = transport_vector(sys, traj, PerturbationVector(t1, drift1), t2, cfg).vector
-    drift2 = sys.dynamics(traj.state_at(t2), traj.control.value_at(t2))
     axis_defect = float(np.linalg.norm(moved_drift - drift2))
     return TransportReport(max_violation=worst, axis_defect=axis_defect,
                            memberships=tuple(verdicts), cone=cone2)

@@ -5,7 +5,9 @@ cross products, textbook ODE solutions, scipy integrators) and never calls
 into the package's LP or RK4 code, so these functions can serve as
 cross-checks for the implementations.  Two exceptions keep an earlier
 form of a package routine as its reference: `adjoint_flow_loop`, the plain
-per-stage form of `pmp.adjoint_flow` (bit for bit), and
+per-stage form of `pmp.adjoint_flow` (bit for bit), `tangent_lift_stacked`
+and `needle_vector_stacked`, the per-vector lift of the stacked (x, v)
+that the shared needle lift replaced (bit for bit), and
 `membership_margin_bisect`, the bisection form of
 `cone_geometry.membership_margin`.
 """
@@ -232,3 +234,46 @@ def adjoint_flow_loop(sys, traj, p0, p_b):
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         sigma[i - 1] = p
     return sigma
+
+
+def tangent_lift_stacked(X, t, s, x0, v0, cfg=None):
+    """(x(t), v(t)) of the complete lift as one RK4 path of y = (x, v) with
+    y' = (X(x), dX/dx v), on the package's integration grid."""
+    from pmpkit.flows import integration_grid
+
+    m = X.dim
+
+    def f(tt, y):
+        x = y[:m]
+        return np.concatenate([np.asarray(X.eval(tt, x)), X.jac(tt, x) @ y[m:]])
+
+    grid = integration_grid(s, t, cfg)
+    y = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
+    for i in range(len(grid) - 1):
+        t0 = grid[i]
+        h = grid[i + 1] - t0
+        k1 = f(t0, y)
+        k2 = f(t0 + 0.5 * h, y + 0.5 * h * k1)
+        k3 = f(t0 + 0.5 * h, y + 0.5 * h * k2)
+        k4 = f(t0 + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y[:m], y[m:]
+
+
+def needle_vector_stacked(sys, traj, tau, u1, t, cfg=None):
+    """The unit-rate class-I vector of the needle (tau, u1), transported to t
+    on its own by `tangent_lift_stacked` along traj, the grid also hitting
+    the control's switch times."""
+    from pmpkit.flows import IntegratorConfig, TimeVectorField
+
+    u = traj.control
+    x = traj.state_at(tau)
+    v = 1.0 * (sys.dynamics(x, np.asarray(u1, float)) - sys.dynamics(x, u.value_at(tau)))
+    if t == tau:
+        return v
+    cfg = cfg or IntegratorConfig()
+    merged = IntegratorConfig(step=cfg.step,
+                              event_times=tuple(cfg.event_times) + tuple(u.switch_times))
+    X = TimeVectorField(sys.m, lambda tt, xx: sys.dynamics(xx, u.value_at(tt)),
+                        lambda tt, xx: sys.jac_x(xx, u.value_at(tt)))
+    return tangent_lift_stacked(X, t, tau, traj.state_at(tau), v, merged)[1]

@@ -170,14 +170,66 @@ class TestProblemFiles:
          "unknown reach option(s): ['near', 'spread', 'step']"),
         ([3], "reach must be an object"),
         ({"n_controls": 3, "T": float("inf")}, "reach.T must be positive and finite"),
+        # -3 used to write a cloud.csv with only its header; the others
+        # exited 2 with messages from int() or numpy that named no item
+        ({"n_controls": -3}, "reach.n_controls must be an integer >= 1, got -3"),
+        ({"n_controls": 0}, "reach.n_controls must be an integer >= 1, got 0"),
+        ({"n_controls": "many"}, "reach.n_controls must be an integer >= 1, got 'many'"),
+        ({"n_controls": 2.5}, "reach.n_controls must be an integer >= 1, got 2.5"),
+        ({"n_controls": 3, "max_switches": -1},
+         "reach.max_switches must be an integer >= 0, got -1"),
+        ({"n_controls": 3, "seed": -5}, "reach.seed must be an integer >= 0, got -5"),
     ])
     def test_bad_reach_block_named(self, tmp_path, capsys, reach, item):
         data = lqr_problem()
         data["reach"] = reach
         path = write_problem(tmp_path / "p.json", data)
-        rc = cli.main(["reach", "--problem", path, "--out", str(tmp_path / "o")])
+        out = tmp_path / "o"
+        rc = cli.main(["reach", "--problem", path, "--out", str(out)])
         assert rc == 2
         assert item in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_named(self, tmp_path, capsys):
+        data = lqr_problem()
+        data["reach"] = {"n_controls": 3}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["reach", "--problem", path, "--out", str(tmp_path / "o"),
+                       "--seed", "-5"])
+        assert rc == 2
+        assert "--seed must be an integer >= 0, got -5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cones, item", [
+        # Infinity used to print an OverflowError traceback (exit 1)
+        ({"time": float("inf")}, "cones.time must be finite, got inf"),
+        ({"time": float("nan")}, "cones.time must be finite, got nan"),
+        # past the horizon the cone used to be extrapolated, exit 0
+        ({"time": 5.0}, "cones.time must lie in (a, b] = (0.0, 2.0], got 5.0"),
+        ({"time": 0.0}, "cones.time must lie in (a, b] = (0.0, 2.0], got 0.0"),
+        ({"times": [0.3, float("nan")]}, "cones.times[1] must be finite, got nan"),
+        ({"times": [float("inf")]}, "cones.times[0] must be finite, got inf"),
+        ({"times": 0.3}, "cones.times must be a list, got 0.3"),
+        # controls outside the set or of the wrong dimension used to exit 0
+        ({"controls": [[0.0], [7.0]]},
+         "cones.controls[1] must lie in the control set, got [7.0]"),
+        ({"controls": [[1.0, 2.0]]}, "cones.controls[0] has wrong dimension"),
+        ({"controls": [["up"]]}, "cones.controls[0] must be a numeric vector"),
+        # a NaN query used to fail in argmin after cone.csv was written
+        ({"queries": [[1.0, 0.0], [float("nan"), 1.0]]}, "cones.queries[1] must be finite"),
+        ({"queries": [[1.0]]}, "cones.queries[0] has wrong dimension"),
+        ({"bogus": 1}, "unknown cones option(s): ['bogus']"),
+    ])
+    def test_bad_cones_block_named(self, tmp_path, capsys, cones, item):
+        with open(os.path.join(os.path.dirname(__file__), "golden",
+                               "pendulum_flow_sample", "problem.json")) as fh:
+            data = json.load(fh)
+        data["cones"].update(cones)
+        path = write_problem(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        rc = cli.main(["cones", "--problem", path, "--out", str(out)])
+        assert rc == 2
+        assert item in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("end, spec, item", [
         # a zero normal used to turn the manifold end into a free end

@@ -1,7 +1,13 @@
 import io
+import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import needle_vector_stacked
+from pmpkit import cli
 
 from pmpkit.cone_geometry import GeneratedCone, conic_membership
 from pmpkit.control_system import (
@@ -539,3 +545,58 @@ class TestConeCsv:
         assert float(needle_row[0]) == 0.25
         assert float(needle_row[1]) == 1.0
         assert float(needle_row[2]) == -1.0
+
+
+class TestProvenanceAlignment:
+    """Each kept generator stays paired with the needle that made it when
+    zero, duplicate and -0.0 needles are dropped."""
+
+    def test_cone_and_generator_rows_pair_up(self, tmp_path):
+        with open(os.path.join(os.path.dirname(__file__), "golden",
+                               "pendulum_flow_sample", "problem.json")) as fh:
+            data = json.load(fh)
+        # u = 1 before the switch at 0.9 and -1 after it: the needles equal
+        # to u(tau) are zero, a repeated time or control repeats a generator
+        times = [0.3, 0.3, 1.2, 1.7]
+        controls = [[1.0], [-1.0], [1.0], [0.0], [-0.0], [-1.0]]
+        data["cones"] = {"time": 2.0, "times": times, "controls": controls}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["cones", "--problem", str(path), "--out", str(out)]) == 0
+        rows = (out / "cone.csv").read_text().strip().split("\n")[1:]
+        gens = (out / "generators.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == len(gens) == 2 * 3
+
+        problem = cli.load_problem(str(path))
+        cfg = cli._cfg(problem)
+        traj = simulate(problem.sys, problem.control, problem.x_a, cfg)
+        for row, gen in zip(rows, gens):
+            tau, l1, u0, kind = row.split(",")
+            assert (float(l1), kind) == (1.0, "needle")
+            want = needle_vector_stacked(problem.sys, traj, float(tau), [float(u0)], 2.0, cfg)
+            assert [float(c) for c in gen.split(",")] == list(want)
+
+        cone = build_tangent_cone(problem.sys, traj, 2.0,
+                                  {"times": times, "controls": controls}, cfg)
+        sampled = [(tau, u[0]) for tau in times for u in controls]
+        assert [(p.needle.t1, p.needle.u1[0]) for p in cone.provenance] == \
+            [sampled[i] for i in cone.cone.kept]
+        # per time, the first listed -1 (or 1) and 0 needle; the repeated
+        # time 0.3 adds nothing
+        assert cone.cone.kept == (1, 3, 12, 15, 18, 21)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.lists(st.sampled_from((0.0, -0.0, 1.0, -2.5)),
+                                  min_size=2, max_size=2), max_size=12))
+    def test_kept_indices_follow_the_dropping_rule(self, rows):
+        gens = [np.array(r) for r in rows]
+        cone = GeneratedCone(gens, n=2)
+        # first occurrence of each nonzero value; -0.0 equals 0.0
+        want = []
+        for i, g in enumerate(gens):
+            if g.any() and not any(np.array_equal(g, gens[j]) for j in want):
+                want.append(i)
+        assert cone.kept == tuple(want)
+        assert all(g is gens[i] or g.tobytes() == gens[i].tobytes()
+                   for g, i in zip(cone.generators, cone.kept))

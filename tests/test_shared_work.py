@@ -1,10 +1,11 @@
 """Evaluations shared between integration stages return the same bits.
 
-The adjoint flow, the projected extended trajectory and the resumed
-final-time column of the shooting Jacobian each reuse values computed
+The adjoint flow, the projected extended trajectory, the resumed
+final-time column of the shooting Jacobian and the needle vectors carried
+along one shared base path per needle time each reuse values computed
 from identical inputs.  Each is compared bit for bit with the plain
-computation, and the work of a fixed shooting solve is held to the call
-counts committed below.
+computation, and the work of a fixed shooting solve and of a tangent cone
+is held to the call counts committed below.
 """
 
 import collections
@@ -12,14 +13,17 @@ import dataclasses
 import os
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, pmp, shooting
+from pmpkit import cli, perturbations, pmp, shooting
+from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, box, extend,
-                                   simulate)
-from pmpkit.flows import IntegratorConfig
+                                   lebesgue_times, simulate)
+from pmpkit.flows import (IntegratorConfig, TimeVectorField, integration_grid,
+                          tangent_lift_flows)
+from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
 
-from oracles import adjoint_flow_loop
+from oracles import adjoint_flow_loop, needle_vector_stacked, tangent_lift_stacked
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -195,3 +199,112 @@ def test_shoot_work_within_committed_counts():
     assert res.converged
     over = {k: (calls[k], v) for k, v in WORK_BASELINE.items() if calls[k] > v}
     assert not over, f"calls above the committed counts (got, committed): {over}"
+
+
+@st.composite
+def needle_cases(draw):
+    """A smooth system, its trajectory, a Lebesgue needle time on a grid
+    node, off one or next to a switch, a cone time and a control list with
+    repeats, signed zeros and, when drawn, the reference value u(tau)."""
+    sys, sig, x0, _, step = draw(smooth_systems())
+    cfg = IntegratorConfig(step=step)
+    traj = simulate(sys, sig, x0, cfg)
+    where = draw(st.sampled_from(("on_grid", "off_grid", "near_switch")))
+    if where == "on_grid":
+        tau = draw(st.sampled_from([float(t) for t in traj.grid[1:-1]]))
+    elif where == "off_grid":
+        i = draw(st.integers(0, len(traj.grid) - 2))
+        lo, hi = float(traj.grid[i]), float(traj.grid[i + 1])
+        tau = lo + draw(st.floats(0.1, 0.9)) * (hi - lo)
+    else:
+        switch = draw(st.sampled_from(sig.switch_times or (0.5 * sig.b,)))
+        tau = switch + draw(st.sampled_from((-1e-3, -1e-7, 1e-9, 1e-6)))
+    assume(lebesgue_times(sig, [tau]))
+    t = {"end": sig.b, "at": tau,
+         "inside": tau + draw(st.floats(0.2, 0.8)) * (sig.b - tau)}[
+        draw(st.sampled_from(("end", "inside", "end", "inside", "at")))]
+    controls = [np.array([draw(st.sampled_from(_VALUES + (1.0,))) for _ in range(sys.k)])
+                for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        controls.insert(draw(st.integers(0, len(controls))), sig.value_at(tau).copy())
+    return sys, traj, tau, t, controls, cfg
+
+
+def same_or_zero(got, want):
+    """Bit equality; a zero needle vector stays zero, whatever the sign of
+    the zeros the stacked lift would give it."""
+    if not np.any(want):
+        return not np.any(got)
+    return same_bits(got, want)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=needle_cases())
+def test_shared_needle_lift_matches_stacked_lift(case):
+    sys, traj, tau, t, controls, cfg = case
+    needles = [NeedleData(t1=tau, l1=1.0, u1=u) for u in controls]
+    want = [needle_vector_stacked(sys, traj, tau, u, t, cfg) for u in controls]
+    got = perturbations._needle_vectors(sys, traj, needles, t, cfg)
+    assert all(same_or_zero(g, w) for g, w in zip(got, want))
+
+    # the cone keeps the same generators, each with its own needle
+    cone = build_tangent_cone(sys, traj, t, {"times": [tau], "controls": controls}, cfg)
+    ref = GeneratedCone(want, n=sys.m)
+    assert len(cone.cone.generators) == len(ref.generators)
+    assert all(same_bits(g, w) for g, w in zip(cone.cone.generators, ref.generators))
+    assert [p.needle.u1.tobytes() for p in cone.provenance] == \
+        [controls[i].tobytes() for i in ref.kept]
+
+    # sums in list order
+    total = np.zeros(sys.m)
+    for w in want:
+        total = total + w
+    assert same_bits(multi_needle_vector(sys, traj, needles, t, cfg).vector, total)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=smooth_systems(), n=st.integers(1, 4), zero=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shared_lift_of_many_vectors_matches_stacked_lift(case, n, zero, seed):
+    sys, sig, x0, _, step = case
+    rng = np.random.default_rng(seed)
+    X = TimeVectorField(sys.m, lambda t, x: sys.dynamics(x, sig.value_at(t)),
+                        (lambda t, x: sys.jac_x(x, sig.value_at(t))) if n % 2 else None)
+    cfg = IntegratorConfig(step=step, event_times=sig.switch_times)
+    vs = [rng.uniform(-1.0, 1.0, sys.m) for _ in range(n)]
+    if zero:
+        vs.insert(int(rng.integers(0, n + 1)), np.zeros(sys.m))
+    x_t, got = tangent_lift_flows(X, sig.b, 0.0, x0, vs, cfg)
+    for v, g in zip(vs, got):
+        x_want, want = tangent_lift_stacked(X, sig.b, 0.0, x0, v, cfg)
+        assert same_bits(x_t, x_want)
+        assert same_or_zero(g, want)
+
+
+def test_tangent_cone_makes_one_base_path_per_time():
+    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x, u):
+            calls[name] += 1
+            return fn(x, u)
+        return wrapper
+
+    sys = dataclasses.replace(problem.sys, f=counted("f", problem.sys.f),
+                              df_dx=counted("df_dx", problem.sys.df_dx))
+    cfg = IntegratorConfig(step=problem.step)
+    traj = simulate(sys, problem.control, problem.x_a, cfg)
+    t, times, controls = (problem.cones[key] for key in ("time", "times", "controls"))
+    assert len(controls) == 3
+    calls.clear()
+    build_tangent_cone(sys, traj, t, {"times": times, "controls": controls}, cfg)
+    merged = IntegratorConfig(step=problem.step, event_times=problem.control.switch_times)
+    steps = sum(len(integration_grid(tau, t, merged)) - 1 for tau in times)
+    # one Jacobian per RK4 stage of one base path per sampled time; lifting
+    # each needle on its own took three times as many
+    assert calls["df_dx"] == 4 * steps
+    # besides the base paths: gamma(tau) for the class-I vectors and the
+    # start of the path (two node velocities each), f(gamma(tau), u(tau))
+    # and one velocity per control
+    assert calls["f"] == 4 * steps + len(times) * (2 + 2 + 1 + len(controls))
