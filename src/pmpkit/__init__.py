@@ -4,7 +4,8 @@ Subpackages cover polyhedral cone geometry, time-dependent flows and their
 tangent/cotangent lifts, control systems and piecewise-constant signals,
 needle-variation perturbation cones, maximum-principle condition checks and
 extremal classification, indirect shooting, and reachable-set sampling.
-The command-line front end, `pmpkit.cli`, is imported only on demand.
+The command-line front end, `pmpkit.cli`, and the expression grammar of its
+problem files, `pmpkit.grammar`, are imported only on demand.
 """
 
 from . import cone_geometry  # noqa: F401

@@ -10,13 +10,10 @@ check passed, 1 check failed, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import math
 import os
-import re
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -26,299 +23,15 @@ from ._simplex import SimplexError
 from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
                             membership_margin, null_space)
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
+# parse_expression and expression_structure are also the CLI's grammar API
+from .grammar import (ProblemError, compile_dynamics, compile_gradient,  # noqa: F401
+                      expression_structure, max_degree, parse_expression)
 from .perturbations import build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
                   UnboundedHamiltonianError, adjoint_flow, check_pmp)
 from .reachable import SamplePolicy, sample_reachable
 from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
                        shoot, switching_structure)
-
-
-class ProblemError(ValueError):
-    """Bad input: malformed file, unknown token, dimension mismatch."""
-
-
-# ---------------------------------------------------------------------------
-# expression grammar
-
-_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
-
-
-def _real_pow(a, b):
-    # a negative base with a fractional exponent gives a complex number;
-    # the grammar is real-valued, so that is a non-finite result
-    r = a ** b
-    return r if r.__class__ is float else math.nan
-
-
-_BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-           ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
-           ast.Pow: _real_pow}
-_NAME_RE = re.compile(r"^([xu])(\d+)$")
-
-
-def _describe(node) -> str:
-    try:
-        return ast.unparse(node)
-    except Exception:
-        return type(node).__name__
-
-
-def _compile_node(node, m: int, k: int):
-    if isinstance(node, ast.Expression):
-        return _compile_node(node.body, m, k)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)) and not isinstance(node.value, bool):
-            try:
-                v = float(node.value)
-            except OverflowError:
-                digits = str(node.value)
-                raise ProblemError(
-                    f"parse error: literal '{digits[:10]}...' ({len(digits)} digits)"
-                    " is too large for a float")
-            return lambda x, u: v
-        raise ProblemError(f"parse error: disallowed constant '{node.value!r}'")
-    if isinstance(node, ast.Name):
-        mm = _NAME_RE.match(node.id)
-        if not mm:
-            raise ProblemError(f"parse error: unknown identifier '{node.id}'")
-        kind, idx = mm.group(1), int(mm.group(2))
-        bound = m if kind == "x" else k
-        if idx >= bound:
-            raise ProblemError(
-                f"parse error: identifier '{node.id}' out of range (dim {bound})")
-        if kind == "x":
-            return lambda x, u: float(x[idx])
-        return lambda x, u: float(u[idx])
-    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-        fa = _compile_node(node.left, m, k)
-        fb = _compile_node(node.right, m, k)
-        op = _BINOPS[type(node.op)]
-        return lambda x, u: op(fa(x, u), fb(x, u))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        fa = _compile_node(node.operand, m, k)
-        if isinstance(node.op, ast.USub):
-            return lambda x, u: -fa(x, u)
-        return fa
-    if isinstance(node, ast.Call):
-        if (not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS
-                or node.keywords or len(node.args) != 1):
-            raise ProblemError(f"parse error: disallowed call '{_describe(node)}'")
-        fn = _FUNCS[node.func.id]
-        fa = _compile_node(node.args[0], m, k)
-        return lambda x, u: fn(fa(x, u))
-    raise ProblemError(f"parse error: disallowed token '{_describe(node)}'")
-
-
-def _parse(src):
-    if not isinstance(src, str):
-        raise ProblemError(f"parse error: expression must be a string, got {src!r}")
-    text = src.replace("^", "**")
-    try:
-        return ast.parse(text, mode="eval")
-    except SyntaxError as e:
-        off = (e.offset or 1) - 1
-        token = text[off:off + 8].split()[0] if text[off:off + 8].split() else text[off:off + 8]
-        raise ProblemError(
-            f"parse error in '{src}' at offset {off}: bad token '{token or e.msg}'")
-
-
-def _guard(fn):
-    def guarded(x, u):
-        # overflow and math domain errors surface as a non-finite value so
-        # the integrator's blow-up detection owns the diagnostic
-        try:
-            return fn(x, u)
-        except (OverflowError, ZeroDivisionError, ValueError):
-            return math.nan
-
-    return guarded
-
-
-def parse_expression(src: str, m: int, k: int):
-    """Compile one grammar expression to a callable (x, u) -> float."""
-    return _guard(_compile_node(_parse(src), m, k))
-
-
-# Symbolic differentiation builds new grammar trees, folding constants so
-# that identically zero terms vanish before they are compiled.
-
-def _num(v):
-    return ast.Constant(float(v))
-
-
-def _is_num(node, v=None):
-    return isinstance(node, ast.Constant) and (v is None or node.value == v)
-
-
-def _add(a, b):
-    if _is_num(a) and _is_num(b):
-        return _num(a.value + b.value)
-    if _is_num(a, 0):
-        return b
-    if _is_num(b, 0):
-        return a
-    return ast.BinOp(a, ast.Add(), b)
-
-
-def _neg(a):
-    if _is_num(a):
-        return _num(-a.value)
-    return ast.UnaryOp(ast.USub(), a)
-
-
-def _sub(a, b):
-    if _is_num(a) and _is_num(b):
-        return _num(a.value - b.value)
-    if _is_num(b, 0):
-        return a
-    if _is_num(a, 0):
-        return _neg(b)
-    return ast.BinOp(a, ast.Sub(), b)
-
-
-def _mul(a, b):
-    if _is_num(a, 0) or _is_num(b, 0):
-        return _num(0.0)
-    if _is_num(a) and _is_num(b):
-        return _num(a.value * b.value)
-    if _is_num(a, 1):
-        return b
-    if _is_num(b, 1):
-        return a
-    return ast.BinOp(a, ast.Mult(), b)
-
-
-def _div(a, b):
-    if _is_num(a, 0):
-        return _num(0.0)
-    if _is_num(b, 1):
-        return a
-    return ast.BinOp(a, ast.Div(), b)
-
-
-def _pow(a, b):
-    if _is_num(b, 0):
-        return _num(1.0)
-    if _is_num(b, 1):
-        return a
-    return ast.BinOp(a, ast.Pow(), b)
-
-
-def _call(name, a):
-    return ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=[a], keywords=[])
-
-
-def _derivative(node, j):
-    """d node / d x_j for a validated tree with no state in an exponent."""
-    if isinstance(node, ast.Constant):
-        return _num(0.0)
-    if isinstance(node, ast.Name):
-        kind, idx = _NAME_RE.match(node.id).groups()
-        return _num(1.0 if kind == "x" and int(idx) == j else 0.0)
-    if isinstance(node, ast.UnaryOp):
-        da = _derivative(node.operand, j)
-        return _neg(da) if isinstance(node.op, ast.USub) else da
-    if isinstance(node, ast.Call):
-        a = node.args[0]
-        if node.func.id == "sin":
-            outer = _call("cos", a)
-        elif node.func.id == "cos":
-            outer = _neg(_call("sin", a))
-        else:
-            outer = node
-        return _mul(outer, _derivative(a, j))
-    a, b = node.left, node.right
-    da, db = _derivative(a, j), _derivative(b, j)
-    op = type(node.op)
-    if op is ast.Add:
-        return _add(da, db)
-    if op is ast.Sub:
-        return _sub(da, db)
-    if op is ast.Mult:
-        return _add(_mul(da, b), _mul(a, db))
-    if op is ast.Div:
-        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _num(2.0))))
-    # power with an exponent free of states: b a^(b-1) a'
-    return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
-
-
-def _has_state(node) -> bool:
-    return any(isinstance(n, ast.Name) and n.id.startswith("x") for n in ast.walk(node))
-
-
-def _u_degree(node) -> Optional[int]:
-    if isinstance(node, ast.Constant):
-        return 0
-    if isinstance(node, ast.Name):
-        return 1 if node.id.startswith("u") else 0
-    if isinstance(node, ast.UnaryOp):
-        return _u_degree(node.operand)
-    if isinstance(node, ast.Call):
-        return 0 if _u_degree(node.args[0]) == 0 else None
-    da, db = _u_degree(node.left), _u_degree(node.right)
-    if da is None or db is None:
-        return None
-    op = type(node.op)
-    if op in (ast.Add, ast.Sub):
-        return max(da, db)
-    if op is ast.Mult:
-        return da + db
-    if db:
-        return None
-    if op is ast.Div or da == 0:
-        return da
-    c = node.right
-    if isinstance(c, ast.Constant) and c.value >= 0 and float(c.value).is_integer():
-        return da * int(c.value)
-    return None
-
-
-def expression_structure(src: str, m: int, k: int):
-    """Exact partial derivatives in x and the degree in u of one expression.
-
-    Returns (partials, degree).  `partials` has one entry per state x_j:
-    the value of a constant derivative, or a callable (x, u) -> float
-    compiled and guarded like `parse_expression`; it is None when a state
-    appears in an exponent.  `degree` is the polynomial degree in u, None
-    when u appears in a denominator, an exponent or a function argument.
-    """
-    body = _parse(src).body
-    _compile_node(body, m, k)
-    degree = _u_degree(body)
-    if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and _has_state(n.right)
-           for n in ast.walk(body)):
-        return None, degree
-    partials = []
-    for j in range(m):
-        d = _derivative(body, j)
-        partials.append(float(d.value) if _is_num(d)
-                        else _guard(_compile_node(d, m, k)))
-    return partials, degree
-
-
-def _derivative_callable(rows, shape):
-    """Callable (x, u) -> array of `shape` from per-expression partials.
-
-    None when some expression has no exact derivative.
-    """
-    if any(row is None for row in rows):
-        return None
-    template = np.zeros(shape)
-    live = []
-    for idx, d in zip(np.ndindex(shape), (d for row in rows for d in row)):
-        if callable(d):
-            live.append((idx, d))
-        else:
-            template[idx] = d
-
-    def derivative(x, u):
-        out = template.copy()
-        for idx, d in live:
-            out[idx] = d(x, u)
-        return out
-
-    return derivative
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +96,9 @@ def _build_dynamics(spec, cset):
         if not isinstance(exprs, list) or not exprs:
             raise ProblemError("dynamics.expressions must be a nonempty list")
         m, k = len(exprs), cset.dim
-        fns = [parse_expression(e, m, k) for e in exprs]
-        partials, degrees = zip(*(expression_structure(e, m, k) for e in exprs))
-        return (m, k,
-                lambda x, u: np.array([fn(x, u) for fn in fns]),
-                _derivative_callable(partials, (m, m)), _max_degree(degrees),
-                {"expressions": list(exprs)})
+        f, df_dx, degree = compile_dynamics(exprs, m, k)
+        return m, k, f, df_dx, degree, {"expressions": list(exprs)}
     raise ProblemError("dynamics needs 'builtin' or 'expressions'")
-
-
-def _max_degree(degrees):
-    return None if None in degrees else max(degrees)
 
 
 def _finite(value, name, positive=False):
@@ -512,10 +217,9 @@ class Problem:
         if cost is not None:
             if not isinstance(cost, dict) or "expression" not in cost:
                 raise ProblemError("cost must be an object with 'expression'")
-            F = parse_expression(cost["expression"], m, k)
-            partials, cost_degree = expression_structure(cost["expression"], m, k)
-            dF = _derivative_callable([partials], (m,))
-            degree = _max_degree((degree, cost_degree))
+            F = parse_expression(cost["expression"], m, k, "cost.expression")
+            dF, cost_degree = compile_gradient(cost["expression"], m, k)
+            degree = max_degree((degree, cost_degree))
             self.cost_spec = {"expression": cost["expression"]}
         self.sys = ControlSystem(m=m, k=k, f=f, control_set=self.control_set,
                                  F=F, df_dx=df, dF_dx=dF, u_degree=degree)

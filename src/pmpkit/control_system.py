@@ -312,7 +312,7 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
         k1 = sys.dynamics(x, uval)
         vels[i] = k1
         x = rk4_step(lambda _, y: sys.dynamics(y, uval), t0, x, h, k1)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FlowBlowUpError(t1)
         states[i + 1] = x
     vels[n - 1] = sys.dynamics(x, uval)

@@ -144,7 +144,7 @@ def _rk4_path(f, grid, x0):
     for i in range(len(grid) - 1):
         t0 = grid[i]
         x = rk4_step(f, t0, x, grid[i + 1] - t0, np.asarray(f(t0, x)))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FlowBlowUpError(grid[i + 1])
         out[i + 1] = x
     return out
@@ -183,14 +183,14 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
             return k
 
         x = rk4_step(base, t0, x, h, base(t0, x))
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise FlowBlowUpError(grid[i + 1])
         xs[i + 1] = x
         for j in live:
             stage = iter(jacs[1:])
             w = rk4_step(lambda tt, ww: lift(next(stage), ww), t0, ws[j], h,
                          lift(jacs[0], ws[j]))
-            if not np.all(np.isfinite(w)):
+            if not np.isfinite(w).all():
                 raise FlowBlowUpError(grid[i + 1])
             ws[j] = paths[j][i + 1] = w
     return xs, paths

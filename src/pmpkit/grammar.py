@@ -1,0 +1,486 @@
+"""The expression grammar of problem files, compiled to generated functions.
+
+An expression is a string over x0..x{m-1} (states), u0..u{k-1} (controls)
+and numbers, with +, -, *, /, ^ (or **), unary signs and the functions sin,
+cos and exp.  It is parsed by `ast`, validated node by node, differentiated
+symbolically in x, and read for its degree in u.
+
+Evaluation goes through generated Python functions: one per dynamics
+vector, cost, or exact Jacobian.  Each is built as an `ast` tree from the
+validated grammar tree, one assignment per grammar node in the order a tree
+walk evaluates them (left operand, right operand, operation), and passed to
+`compile`; no source text is generated and the user's text is never
+evaluated.  Numbers are bound through a tuple, so nothing is folded.  A
+state or control reads as `float(x[i])` or `float(u[i])`, a power goes
+through `_real_pow`, and each vector component and Jacobian entry has its
+own `try` that turns overflow, division by zero and math domain errors into
+NaN, so the integrators' blow-up checks own the diagnostic.  Straight-line
+code keeps `compile` shallow however deeply an expression nests.
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+import re
+from contextlib import contextmanager
+from typing import Optional
+
+import numpy as np
+
+
+class ProblemError(ValueError):
+    """Bad input: malformed file, unknown token, dimension mismatch."""
+
+
+_FUNCS = ("sin", "cos", "exp")
+_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_NAME_RE = re.compile(r"^([xu])(\d+)$")
+
+
+def _real_pow(a, b):
+    # a negative base with a fractional exponent gives a complex number;
+    # the grammar is real-valued, so that is a non-finite result
+    r = a ** b
+    return r if r.__class__ is float else math.nan
+
+
+def _too_deep(where):
+    return ProblemError(f"{where} nests too deeply")
+
+
+@contextmanager
+def _nesting(where):
+    """Report running out of recursion depth on a deep tree as bad input."""
+    try:
+        yield
+    except RecursionError:
+        raise _too_deep(where) from None
+
+
+def _describe(node) -> str:
+    try:
+        return ast.unparse(node)
+    except Exception:
+        return type(node).__name__
+
+
+def _parse(src, where):
+    if not isinstance(src, str):
+        raise ProblemError(f"parse error: expression must be a string, got {src!r}")
+    text = src.replace("^", "**")
+    try:
+        return ast.parse(text, mode="eval")
+    except SyntaxError as e:
+        if e.msg == "too many nested parentheses":
+            raise _too_deep(where) from None
+        off = (e.offset or 1) - 1
+        token = text[off:off + 8].split()[0] if text[off:off + 8].split() else text[off:off + 8]
+        raise ProblemError(
+            f"parse error in '{src}' at offset {off}: bad token '{token or e.msg}'")
+    except MemoryError:
+        # the parser's own stack overflow on deep nesting
+        raise _too_deep(where) from None
+
+
+def _check(root, m: int, k: int):
+    """Raise ProblemError at the first node, in tree order (node, then left
+    to right), outside the grammar."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
+                raise ProblemError(f"parse error: disallowed constant '{node.value!r}'")
+            try:
+                float(node.value)
+            except OverflowError:
+                digits = str(node.value)
+                raise ProblemError(
+                    f"parse error: literal '{digits[:10]}...' ({len(digits)} digits)"
+                    " is too large for a float")
+        elif isinstance(node, ast.Name):
+            mm = _NAME_RE.match(node.id)
+            if not mm:
+                raise ProblemError(f"parse error: unknown identifier '{node.id}'")
+            bound = m if mm.group(1) == "x" else k
+            if int(mm.group(2)) >= bound:
+                raise ProblemError(
+                    f"parse error: identifier '{node.id}' out of range (dim {bound})")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+            stack += [node.right, node.left]
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+            stack.append(node.operand)
+        elif isinstance(node, ast.Call):
+            if (not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS
+                    or node.keywords or len(node.args) != 1):
+                raise ProblemError(f"parse error: disallowed call '{_describe(node)}'")
+            stack.append(node.args[0])
+        else:
+            raise ProblemError(f"parse error: disallowed token '{_describe(node)}'")
+
+
+def _tree(src, m: int, k: int, where):
+    """The validated grammar tree (the body of the parsed expression)."""
+    body = _parse(src, where).body
+    _check(body, m, k)
+    return body
+
+
+# Symbolic differentiation builds new grammar trees, folding constants so
+# that identically zero terms vanish before they are compiled.
+
+def _num(v):
+    return ast.Constant(float(v))
+
+
+def _is_num(node, v=None):
+    return isinstance(node, ast.Constant) and (v is None or node.value == v)
+
+
+def _add(a, b):
+    if _is_num(a) and _is_num(b):
+        return _num(a.value + b.value)
+    if _is_num(a, 0):
+        return b
+    if _is_num(b, 0):
+        return a
+    return ast.BinOp(a, ast.Add(), b)
+
+
+def _neg(a):
+    if _is_num(a):
+        return _num(-a.value)
+    return ast.UnaryOp(ast.USub(), a)
+
+
+def _sub(a, b):
+    if _is_num(a) and _is_num(b):
+        return _num(a.value - b.value)
+    if _is_num(b, 0):
+        return a
+    if _is_num(a, 0):
+        return _neg(b)
+    return ast.BinOp(a, ast.Sub(), b)
+
+
+def _mul(a, b):
+    if _is_num(a, 0) or _is_num(b, 0):
+        return _num(0.0)
+    if _is_num(a) and _is_num(b):
+        return _num(a.value * b.value)
+    if _is_num(a, 1):
+        return b
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Mult(), b)
+
+
+def _div(a, b):
+    if _is_num(a, 0):
+        return _num(0.0)
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Div(), b)
+
+
+def _pow(a, b):
+    if _is_num(b, 0):
+        return _num(1.0)
+    if _is_num(b, 1):
+        return a
+    return ast.BinOp(a, ast.Pow(), b)
+
+
+def _call(name, a):
+    return ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=[a], keywords=[])
+
+
+def _derivative(node, j):
+    """d node / d x_j for a validated tree with no state in an exponent."""
+    if isinstance(node, ast.Constant):
+        return _num(0.0)
+    if isinstance(node, ast.Name):
+        kind, idx = _NAME_RE.match(node.id).groups()
+        return _num(1.0 if kind == "x" and int(idx) == j else 0.0)
+    if isinstance(node, ast.UnaryOp):
+        da = _derivative(node.operand, j)
+        return _neg(da) if isinstance(node.op, ast.USub) else da
+    if isinstance(node, ast.Call):
+        a = node.args[0]
+        if node.func.id == "sin":
+            outer = _call("cos", a)
+        elif node.func.id == "cos":
+            outer = _neg(_call("sin", a))
+        else:
+            outer = node
+        return _mul(outer, _derivative(a, j))
+    a, b = node.left, node.right
+    da, db = _derivative(a, j), _derivative(b, j)
+    op = type(node.op)
+    if op is ast.Add:
+        return _add(da, db)
+    if op is ast.Sub:
+        return _sub(da, db)
+    if op is ast.Mult:
+        return _add(_mul(da, b), _mul(a, db))
+    if op is ast.Div:
+        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _num(2.0))))
+    # power with an exponent free of states: b a^(b-1) a'
+    return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
+
+
+def _has_state(node) -> bool:
+    return any(isinstance(n, ast.Name) and n.id.startswith("x") for n in ast.walk(node))
+
+
+def _u_degree(node) -> Optional[int]:
+    if isinstance(node, ast.Constant):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1 if node.id.startswith("u") else 0
+    if isinstance(node, ast.UnaryOp):
+        return _u_degree(node.operand)
+    if isinstance(node, ast.Call):
+        return 0 if _u_degree(node.args[0]) == 0 else None
+    da, db = _u_degree(node.left), _u_degree(node.right)
+    if da is None or db is None:
+        return None
+    op = type(node.op)
+    if op in (ast.Add, ast.Sub):
+        return max(da, db)
+    if op is ast.Mult:
+        return da + db
+    if db:
+        return None
+    if op is ast.Div or da == 0:
+        return da
+    c = node.right
+    if isinstance(c, ast.Constant) and c.value >= 0 and float(c.value).is_integer():
+        return da * int(c.value)
+    return None
+
+
+def max_degree(degrees) -> Optional[int]:
+    """Degree in u of several expressions together; None if any is unknown."""
+    return None if None in degrees else max(degrees)
+
+
+def _exact(body) -> bool:
+    """Whether the derivative rules cover body: no state in an exponent."""
+    return not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                   and _has_state(n.right) for n in ast.walk(body))
+
+
+# ---------------------------------------------------------------------------
+# code generation
+
+_GUARDED = (OverflowError, ZeroDivisionError, ValueError)
+_GLOBALS = {"__builtins__": {}, "float": float, "_real_pow": _real_pow,
+            "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array}
+
+
+_LOAD, _STORE = ast.Load(), ast.Store()
+# compile needs a position on every node that can carry one; setting it as
+# each node is made is far cheaper than ast.fix_missing_locations
+_POS = {"lineno": 1, "col_offset": 0}
+
+
+def _name(name, ctx=_LOAD):
+    return ast.Name(name, ctx, **_POS)
+
+
+def _assign(name, value):
+    return ast.Assign([_name(name, _STORE)], value, **_POS)
+
+
+def _apply(name, *args):
+    return ast.Call(_name(name), list(args), [], **_POS)
+
+
+def _params(*names):
+    return ast.arguments(posonlyargs=[], args=[ast.arg(n, **_POS) for n in names],
+                         kwonlyargs=[], kw_defaults=[], defaults=[])
+
+
+class _Code:
+    """One generated function (x, u) -> value, built entry by entry.
+
+    An entry is a validated grammar tree.  A number is bound as a constant;
+    any other tree is evaluated in its own try, one assignment per node.
+    """
+
+    def __init__(self):
+        self.consts = []
+        self.body = []
+        self.values = []
+        self.n_temps = 0
+
+    def _const(self, v):
+        self.consts.append(float(v))
+        return _name(f"_c{len(self.consts) - 1}")
+
+    def _emit(self, root, out):
+        """Append the statements computing root to out; return its operand.
+
+        Nodes are visited in evaluation order (left operand, right operand,
+        operation) with an explicit stack, so no depth limit applies here.
+        """
+        operands = []
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if isinstance(node, ast.Constant):
+                operands.append(self._const(node.value))
+                continue
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+                stack.append((node.operand, False))
+                continue
+            if not ready and not isinstance(node, ast.Name):
+                stack.append((node, True))
+                children = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                            else [node.operand] if isinstance(node, ast.UnaryOp)
+                            else node.args)
+                stack += [(c, False) for c in reversed(children)]
+                continue
+            if isinstance(node, ast.Name):
+                kind, idx = _NAME_RE.match(node.id).groups()
+                value = _apply("float", ast.Subscript(_name(kind), ast.Constant(int(idx), **_POS),
+                                                      _LOAD, **_POS))
+            elif isinstance(node, ast.UnaryOp):
+                value = ast.UnaryOp(ast.USub(), operands.pop(), **_POS)
+            elif isinstance(node, ast.Call):
+                value = _apply("_" + node.func.id, operands.pop())
+            else:
+                b, a = operands.pop(), operands.pop()
+                value = (_apply("_real_pow", a, b) if isinstance(node.op, ast.Pow)
+                         else ast.BinOp(a, type(node.op)(), b, **_POS))
+            name = f"_t{self.n_temps}"
+            self.n_temps += 1
+            out.append(_assign(name, value))
+            operands.append(_name(name))
+        (operand,) = operands
+        return operand
+
+    def entry(self, item):
+        if isinstance(item, ast.Constant):
+            self.values.append(self._const(item.value))
+            return
+        name = f"_v{len(self.values)}"
+        steps = []
+        operand = self._emit(item, steps)
+        if steps and steps[-1].targets[0].id == operand.id:
+            steps[-1].targets[0].id = name
+        else:
+            steps.append(_assign(name, operand))
+        guard = ast.ExceptHandler(_name("_guarded"), None, [_assign(name, _name("_nan"))],
+                                  **_POS)
+        self.body.append(ast.Try(steps, [guard], [], [], **_POS))
+        self.values.append(_name(name))
+
+    def function(self, name, shape=()):
+        """Compile the entries into name(x, u): a float for shape (), else an
+        array of `shape` filled in row-major order."""
+        if shape:
+            result = _apply("_array", ast.Tuple(self.values, _LOAD, **_POS))
+            if len(shape) > 1:
+                result = ast.Call(ast.Attribute(result, "reshape", _LOAD, **_POS),
+                                  [ast.Constant(n, **_POS) for n in shape], [], **_POS)
+        else:
+            (result,) = self.values
+        fn = ast.FunctionDef(name, _params("x", "u"),
+                             self.body + [ast.Return(result, **_POS)], [], **_POS)
+        # the constants are bound once, as cells of an enclosing function
+        bind = []
+        if self.consts:
+            cells = [_name(f"_c{i}", _STORE) for i in range(len(self.consts))]
+            bind.append(ast.Assign([ast.Tuple(cells, _STORE, **_POS)], _name("_consts"),
+                                   **_POS))
+        outer = ast.FunctionDef("_bind", _params("_consts"),
+                                bind + [fn, ast.Return(_name(name), **_POS)], [], **_POS)
+        namespace = dict(_GLOBALS)
+        exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
+        return namespace["_bind"](tuple(self.consts))
+
+
+# ---------------------------------------------------------------------------
+# public entry points
+
+def parse_expression(src: str, m: int, k: int, where="expression"):
+    """Compile one grammar expression to a function (x, u) -> float.
+
+    `where` names the expression in the error raised when it nests too
+    deeply to compile.
+    """
+    with _nesting(where):
+        code = _Code()
+        code.entry(_tree(src, m, k, where))
+        return code.function("expression")
+
+
+def expression_structure(src: str, m: int, k: int):
+    """Exact partial derivatives in x and the degree in u of one expression.
+
+    Returns (partials, degree).  `partials` has one entry per state x_j:
+    the value of a constant derivative, or a function (x, u) -> float
+    compiled like `parse_expression`; it is None when a state appears in an
+    exponent.  `degree` is the polynomial degree in u, None when u appears
+    in a denominator, an exponent or a function argument.
+    """
+    # _derivative and _u_degree recurse once per level of the tree, so they
+    # are called here directly: a helper's frame would lower the depth that
+    # compiles, here and in the two functions below
+    with _nesting("expression"):
+        body = _tree(src, m, k, "expression")
+        degree = _u_degree(body)
+        if not _exact(body):
+            return None, degree
+        partials = []
+        for j in range(m):
+            d = _derivative(body, j)
+            if _is_num(d):
+                partials.append(float(d.value))
+            else:
+                code = _Code()
+                code.entry(d)
+                partials.append(code.function("partial"))
+        return partials, degree
+
+
+def compile_dynamics(srcs, m: int, k: int):
+    """Generated f(x, u) -> (n,) array and df/dx(x, u) -> (n, m) array for
+    the expressions srcs of a problem's dynamics, with their degree in u.
+
+    df/dx is None when some expression has a state in an exponent.
+    """
+    value, jacobian, degrees = _Code(), _Code(), []
+    for i, src in enumerate(srcs):
+        where = f"dynamics.expressions[{i}]"
+        with _nesting(where):
+            body = _tree(src, m, k, where)
+            value.entry(body)
+            degrees.append(_u_degree(body))
+            if not _exact(body):
+                jacobian = None
+            elif jacobian is not None:
+                for j in range(m):
+                    jacobian.entry(_derivative(body, j))
+    n = len(srcs)
+    return (value.function("dynamics", (n,)),
+            None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m)),
+            max_degree(degrees))
+
+
+def compile_gradient(src: str, m: int, k: int):
+    """Generated dF/dx(x, u) -> (m,) array of a problem's cost expression, or
+    None when a state appears in an exponent, with its degree in u."""
+    with _nesting("cost.expression"):
+        body = _tree(src, m, k, "cost.expression")
+        degree = _u_degree(body)
+        if not _exact(body):
+            return None, degree
+        code = _Code()
+        for j in range(m):
+            code.entry(_derivative(body, j))
+        return code.function("gradient", (m,)), degree

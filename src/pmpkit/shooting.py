@@ -163,7 +163,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         return maximize_hamiltonian(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
 
     def jumped(u1, u2):
-        return float(np.max(np.abs(u1 - u2))) > jump_tol
+        return float(np.abs(u1 - u2).max()) > jump_tol
 
     steps: List[Tuple[float, np.ndarray]]
     if base is None:
@@ -205,7 +205,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
             while hi - lo > opts.switch_time_tol:
                 mid = 0.5 * (lo + hi)
                 ym = advance(u_frozen, mid)
-                if not np.all(np.isfinite(ym)):
+                if not np.isfinite(ym).all():
                     raise FloatingPointError
                 if jumped(argmax(ym).u_star, u_frozen):
                     hi, y_hi = mid, ym
@@ -216,7 +216,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 yh = advance(cur.u_star, 0.5 * h)
-                if not np.all(np.isfinite(yh)):
+                if not np.isfinite(yh).all():
                     return None
                 u_mid = argmax(yh).u_star
                 if jumped(u_mid, cur.u_star):
@@ -226,7 +226,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 else:
                     u_step = u_mid
                     y1 = advance(u_mid, h)
-                    if not np.all(np.isfinite(y1)):
+                    if not np.isfinite(y1).all():
                         return None
                     end = argmax(y1)
                     if jumped(end.u_star, u_mid):

@@ -3,14 +3,21 @@
 Everything here is written against the mathematics directly (angle sweeps,
 cross products, textbook ODE solutions, scipy integrators) and never calls
 into the package's LP or RK4 code, so these functions can serve as
-cross-checks for the implementations.  Two exceptions keep an earlier
-form of a package routine as its reference: `adjoint_flow_loop`, the plain
-per-stage form of `pmp.adjoint_flow` (bit for bit), `tangent_lift_stacked`
-and `needle_vector_stacked`, the per-vector lift of the stacked (x, v)
-that the shared needle lift replaced (bit for bit), and
-`membership_margin_bisect`, the bisection form of
-`cone_geometry.membership_margin`.
+cross-checks for the implementations.  A few exceptions keep an earlier
+form of a package routine as its reference:
+- `adjoint_flow_loop`, the plain per-stage form of `pmp.adjoint_flow`
+  (bit for bit);
+- `tangent_lift_stacked` and `needle_vector_stacked`, the per-vector lift
+  of the stacked (x, v) that the shared needle lift replaced (bit for bit);
+- `membership_margin_bisect`, the bisection form of
+  `cone_geometry.membership_margin`;
+- `grammar_tree_function` and `grammar_tree_array`, the closure-tree
+  interpreter that the expression grammar's generated functions replaced
+  (bit for bit).
 """
+import ast
+import math
+
 import numpy as np
 
 
@@ -277,3 +284,108 @@ def needle_vector_stacked(sys, traj, tau, u1, t, cfg=None):
     X = TimeVectorField(sys.m, lambda tt, xx: sys.dynamics(xx, u.value_at(tt)),
                         lambda tt, xx: sys.jac_x(xx, u.value_at(tt)))
     return tangent_lift_stacked(X, t, tau, traj.state_at(tau), v, merged)[1]
+
+
+# The closure-tree interpreter of the expression grammar: one closure per
+# node, called once per node per evaluation, with one guard around a whole
+# expression.  `pmpkit.grammar` replaced it by generated functions that must
+# return the same bits.
+
+_TREE_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp}
+
+
+def _tree_pow(a, b):
+    r = a ** b
+    return r if r.__class__ is float else math.nan
+
+
+_TREE_BINOPS = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
+                ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b,
+                ast.Pow: _tree_pow}
+
+
+def _tree_node(node):
+    if isinstance(node, ast.Constant):
+        v = float(node.value)
+        return lambda x, u: v
+    if isinstance(node, ast.Name):
+        idx = int(node.id[1:])
+        if node.id[0] == "x":
+            return lambda x, u: float(x[idx])
+        return lambda x, u: float(u[idx])
+    if isinstance(node, ast.BinOp):
+        fa, fb = _tree_node(node.left), _tree_node(node.right)
+        op = _TREE_BINOPS[type(node.op)]
+        return lambda x, u: op(fa(x, u), fb(x, u))
+    if isinstance(node, ast.UnaryOp):
+        fa = _tree_node(node.operand)
+        if isinstance(node.op, ast.USub):
+            return lambda x, u: -fa(x, u)
+        return fa
+    fn = _TREE_FUNCS[node.func.id]
+    fa = _tree_node(node.args[0])
+    return lambda x, u: fn(fa(x, u))
+
+
+def grammar_tree_function(node):
+    """(x, u) -> float for a validated grammar tree, by the closure tree;
+    overflow, division by zero and domain errors give NaN."""
+    fn = _tree_node(node)
+
+    def guarded(x, u):
+        try:
+            return fn(x, u)
+        except (OverflowError, ZeroDivisionError, ValueError):
+            return math.nan
+
+    return guarded
+
+
+def grammar_tree_array(entries, shape):
+    """(x, u) -> array of `shape` from entries in row-major order, each a
+    float or an (x, u) -> float callable: a constant template, copied per
+    call, with the callable entries written in."""
+    template = np.zeros(shape)
+    live = []
+    for idx, d in zip(np.ndindex(shape), entries):
+        if callable(d):
+            live.append((idx, d))
+        else:
+            template[idx] = d
+
+    def evaluate(x, u):
+        out = template.copy()
+        for idx, d in live:
+            out[idx] = d(x, u)
+        return out
+
+    return evaluate
+
+
+def rk4_blow_up_time(f, jac, grid, x0, v0=None):
+    """First grid node at which a plain RK4 loop of the scalar x' = f(x) (and,
+    given v0, of v' = jac(x) v along it) leaves the finite floats; None if
+    it never does.  Python floats, one step at a time."""
+    x, v = float(x0), None if v0 is None else float(v0)
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h = float(t1) - float(t0)
+        s1 = x
+        k1 = f(s1)
+        s2 = x + 0.5 * h * k1
+        k2 = f(s2)
+        s3 = x + 0.5 * h * k2
+        k3 = f(s3)
+        s4 = x + h * k3
+        k4 = f(s4)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(x):
+            return float(t1)
+        if v is not None:
+            l1 = jac(s1) * v
+            l2 = jac(s2) * (v + 0.5 * h * l1)
+            l3 = jac(s3) * (v + 0.5 * h * l2)
+            l4 = jac(s4) * (v + h * l3)
+            v = v + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+            if not math.isfinite(v):
+                return float(t1)
+    return None

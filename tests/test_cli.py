@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -130,6 +131,41 @@ class TestProblemFiles:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'1000000000...' (401 digits)" in err and "too large" in err
+
+    @pytest.mark.parametrize("place, expr", [
+        ("dynamics", " + ".join(["x0"] * 1500)),    # deeper than the derivative recurses
+        ("cost", " + ".join(["x0"] * 1500)),
+        ("cost", "(" * 300 + "x0" + ")" * 300),     # more parentheses than Python parses
+        ("dynamics", "-" * 3000 + "x0"),            # the parser runs out of recursion
+        ("dynamics", "-" * 10000 + "x0"),           # the parser's own stack overflows
+    ], ids=["sum", "cost-sum", "parentheses", "signs", "more-signs"])
+    def test_too_deep_expression_named(self, tmp_path, capsys, place, expr):
+        data = lqr_problem()
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        if place == "dynamics":
+            data["dynamics"] = {"expressions": [expr]}
+            item = "dynamics.expressions[0]"
+        else:
+            data["cost"] = {"expression": expr}
+            item = "cost.expression"
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{item} nests too deeply" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_long_sum_still_simulates(self, tmp_path):
+        # a 900-term sum stays within the depth the grammar accepts
+        data = lqr_problem()
+        data["dynamics"] = {"expressions": [" + ".join(["0.001 * x0"] * 900)]}
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        path = write_problem(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--problem", path, "--out", str(out)]) == 0
+        last = (out / "trajectory.csv").read_text().strip().splitlines()[-1]
+        x1 = float(last.split(",")[1])
+        assert abs(x1 - math.exp(0.9)) < 1e-6
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -0.01, "fast"])
     def test_bad_integrator_step_named(self, tmp_path, capsys, step):
@@ -544,6 +580,15 @@ class TestEntryPoint:
         out = self.run("-c", "import sys, pmpkit; print('pmpkit.cli' in sys.modules)")
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+    def test_cli_imports_only_stdlib_and_numpy(self):
+        # modules the interpreter's start-up loaded (site hooks) do not count
+        code = ("import sys; before = set(sys.modules); import pmpkit.cli; "
+                "print(sorted({n.split('.')[0] for n in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names) - {'numpy', 'pmpkit'}))")
+        out = self.run("-c", code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
     def test_module_run_has_no_runpy_warning(self):
         out = self.run("-W", "error::RuntimeWarning", "-m", "pmpkit.cli", "--help")

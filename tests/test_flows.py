@@ -17,9 +17,12 @@ from pmpkit.flows import (
     pairing_drift,
     pullback_field,
     tangent_lift_flow,
+    tangent_lift_flows,
 )
+from pmpkit.control_system import ControlSignal, ControlSystem, box, simulate
+from pmpkit.reachable import SamplePolicy, sample_reachable
 
-from oracles import variation_of_constants
+from oracles import rk4_blow_up_time, variation_of_constants
 
 ZERO2 = TimeVectorField(2, lambda t, x: np.zeros(2), lambda t, x: np.zeros((2, 2)))
 NILP = TimeVectorField(2, lambda t, x: np.array([x[1], 0.0]),
@@ -63,6 +66,59 @@ class TestFlow:
         X = TimeVectorField(1, lambda t, x: x * x)
         with pytest.raises(FlowBlowUpError):
             flow(X, 2.0, 0.0, np.array([1.0]), IntegratorConfig(step=0.05))
+
+
+def _square_first(x):
+    return np.array([x[0] * x[0], 0.0])
+
+
+def _square_first_jacobian(x):
+    return np.array([[2.0 * x[0], 0.0], [0.0, 0.0]])
+
+
+class TestBlowUpLocation:
+    """x0' = x0^2 from x0 = 1 leaves the floats soon after t = 1; a tangent
+    vector of 1e308 carried along it leaves them well before.  The second
+    coordinate stays put and finite, so one non-finite entry must be
+    enough.  Each integrator raises FlowBlowUpError at the grid node where
+    a plain RK4 loop first sees a non-finite state or tangent vector."""
+
+    STEP = 0.05
+    SQUARE = TimeVectorField(2, lambda t, x: _square_first(x),
+                             lambda t, x: _square_first_jacobian(x))
+    SYSTEM = ControlSystem(m=2, k=1, f=lambda x, u: _square_first(x),
+                           control_set=box([-1.0], [1.0]),
+                           df_dx=lambda x, u: _square_first_jacobian(x))
+
+    def expected(self, v0=None):
+        grid = integration_grid(0.0, 2.0, IntegratorConfig(step=self.STEP))
+        t = rk4_blow_up_time(lambda x: x * x, lambda x: 2.0 * x, grid, 1.0, v0)
+        assert t is not None
+        return t
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    @pytest.mark.parametrize("integrator", ["simulate", "flow", "tangent_lift_flows"])
+    def test_raises_at_plain_loop_node(self, integrator):
+        cfg = IntegratorConfig(step=self.STEP)
+        x0 = np.array([1.0, 0.5])
+        with pytest.raises(FlowBlowUpError) as info:
+            if integrator == "simulate":
+                simulate(self.SYSTEM, ControlSignal(0.0, 2.0, (), ((0.0,),)), x0, cfg)
+            elif integrator == "flow":
+                flow(self.SQUARE, 2.0, 0.0, x0, cfg)
+            else:
+                tangent_lift_flows(self.SQUARE, 2.0, 0.0, x0,
+                                   [np.array([1.0, 1.0]), np.array([1e308, 1.0])], cfg)
+        if integrator == "tangent_lift_flows":
+            assert info.value.t == self.expected(1e308) < self.expected()
+        else:
+            assert info.value.t == self.expected() > 1.0
+
+    def test_reach_sample_records_the_node(self):
+        cloud = sample_reachable(self.SYSTEM, [1.0, 0.5], 2.0,
+                                 SamplePolicy(n_controls=3, max_switches=0, step=self.STEP))
+        assert len(cloud.points) == 0
+        assert [rec["reason"] for rec in cloud.skipped] == [f"blow-up at t={self.expected()}"] * 3
 
 
 class TestGrid:

@@ -1,0 +1,104 @@
+"""Generated grammar functions against the closure-tree interpreter.
+
+Every value, partial derivative, dynamics vector, Jacobian and cost
+gradient that `pmpkit.grammar` generates must carry the bits of the tree
+interpreter in `oracles.py`, so arrays are compared through `.tobytes()`
+with NaN equal to NaN.  Expressions are the random trees of the grammar property
+tests; the points mix ordinary values with ones that divide by zero,
+overflow `exp`, raise a negative base to a fractional power and take
+`sin(inf)`.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from oracles import grammar_tree_array, grammar_tree_function
+from pmpkit import grammar
+from test_grammar_properties import K, M, render, trees
+
+SPECIAL = (0.0, -0.0, 800.0, -800.0, -2.0, math.inf, -math.inf, math.nan)
+coordinates = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))
+points = st.lists(coordinates, min_size=M + K, max_size=M + K)
+
+
+def bits(v):
+    """The bytes of v with each NaN replaced by the one canonical NaN.
+
+    The sign of a NaN that an operation makes from two NaNs depends on
+    whether CPython has specialized that bytecode instruction yet (it does
+    after a few runs), so it differs between two runs of one function.
+    Every other bit, the sign of zero included, is compared.
+    """
+    a = np.array(v, dtype=float)
+    a[np.isnan(a)] = np.nan
+    return a.tobytes()
+
+
+def oracle_partials(body):
+    """The tree interpreter's partials of one validated tree (a float when
+    constant), or None when a state is in an exponent."""
+    if not grammar._exact(body):
+        return None
+    partials = [grammar._derivative(body, j) for j in range(M)]
+    return [float(d.value) if grammar._is_num(d) else grammar_tree_function(d)
+            for d in partials]
+
+
+def check_against_oracle(srcs, x, u):
+    bodies = [grammar._tree(src, M, K, "expression") for src in srcs]
+    trees_ = [grammar_tree_function(b) for b in bodies]
+    rows = [oracle_partials(b) for b in bodies]
+
+    for src, tree, row in zip(srcs, trees_, rows):
+        assert bits(grammar.parse_expression(src, M, K)(x, u)) == bits(tree(x, u)), src
+        partials, _ = grammar.expression_structure(src, M, K)
+        assert (partials is None) == (row is None), src
+        for d, want in zip(partials or (), row or ()):
+            got = d(x, u) if callable(d) else d
+            assert bits(got) == bits(want(x, u) if callable(want) else want), src
+        gradient, _ = grammar.compile_gradient(src, M, K)
+        assert (gradient is None) == (row is None), src
+        if row is not None:
+            assert bits(gradient(x, u)) == bits(grammar_tree_array(row, (M,))(x, u)), src
+
+    f, df_dx, _ = grammar.compile_dynamics(srcs, M, K)
+    value = f(x, u)
+    assert value.shape == (M,)
+    assert bits(value) == bits(np.array([tree(x, u) for tree in trees_])), srcs
+    if any(row is None for row in rows):
+        assert df_dx is None
+    else:
+        J = df_dx(x, u)
+        assert J.shape == (M, M)
+        want = grammar_tree_array([d for row in rows for d in row], (M, M))(x, u)
+        assert bits(J) == bits(want), srcs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(trees(), min_size=M, max_size=M), points)
+def test_generated_functions_match_tree_interpreter(ts, pt):
+    check_against_oracle([render(t) for t in ts], np.array(pt[:M]), np.array(pt[M:]))
+
+
+@pytest.mark.parametrize("srcs, x", [
+    (["x0 / x1", "u0 - x0 / (x1 * u1)"], [1.0, 0.0]),          # division by zero
+    (["exp(x0) + x1", "x1 * exp(x0 * x0)"], [800.0, 1.0]),     # exp overflow
+    (["x0^0.5 + u0", "(x0 - x1)^1.5 * u1"], [-2.0, 1.0]),      # no real power
+    (["sin(x0) * u0", "cos(x1 + x0) - x0"], [math.inf, 0.5]),  # sin(inf)
+    (["2^x0 + u0", "x1^x0"], [1.5, -0.5]),                     # state in an exponent
+])
+def test_non_finite_cases_match_tree_interpreter(srcs, x):
+    u = np.array([0.5, -1.0])
+    f, _, _ = grammar.compile_dynamics(srcs, M, K)
+    assert np.isnan(f(np.array(x), u)).any()
+    check_against_oracle(srcs, np.array(x), u)
+
+
+def test_constant_jacobian_entries_keep_their_sign():
+    # d(-x1)/dx0 folds to -0.0, which the generated Jacobian must return
+    _, df_dx, _ = grammar.compile_dynamics(["-x1", "0.1 + 0.2 * x0"], M, K)
+    J = df_dx(np.array([1.0, 2.0]), np.zeros(K))
+    assert bits(J) == bits([[-0.0, -1.0], [0.2, 0.0]])
