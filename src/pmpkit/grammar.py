@@ -8,10 +8,11 @@ symbolically in x, and read for its degree in u.
 Evaluation goes through generated Python functions: one per dynamics
 vector, cost, or exact Jacobian.  Each is built as an `ast` tree from the
 validated grammar tree, one assignment per grammar node in the order a tree
-walk evaluates them (left operand, right operand, operation), and passed to
-`compile`; no source text is generated and the user's text is never
-evaluated.  Numbers are bound through a tuple, so nothing is folded.  A
-state or control reads as `float(x[i])` or `float(u[i])`, a power goes
+walk evaluates them (left operand, right operand, operation; a subtree that
+a derivative shares is assigned once per entry), and passed to `compile`;
+no source text is generated and the user's text is never evaluated.
+Numbers are bound through a tuple, so nothing is folded.  A state or
+control reads as `float(x[i])` or `float(u[i])`, a power goes
 through `_real_pow`, and each vector component and Jacobian entry has its
 own `try` that turns overflow, division by zero and math domain errors into
 NaN, so the integrators' blow-up checks own the diagnostic.  Straight-line
@@ -326,8 +327,14 @@ class _Code:
 
         Nodes are visited in evaluation order (left operand, right operand,
         operation) with an explicit stack, so no depth limit applies here.
+        `_derivative` shares subtrees (d(ab) = da b + a db): a node met again
+        reads the temporary of its first evaluation, so the code grows with
+        the number of distinct nodes, not with the size of the tree.  All of
+        root's statements run in one try, so the first evaluation has run
+        whenever a later read does.
         """
         operands = []
+        done = {}
         stack = [(root, False)]
         while stack:
             node, ready = stack.pop()
@@ -336,6 +343,9 @@ class _Code:
                 continue
             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
                 stack.append((node.operand, False))
+                continue
+            if id(node) in done:
+                operands.append(_name(done[id(node)]))
                 continue
             if not ready and not isinstance(node, ast.Name):
                 stack.append((node, True))
@@ -360,6 +370,7 @@ class _Code:
             self.n_temps += 1
             out.append(_assign(name, value))
             operands.append(_name(name))
+            done[id(node)] = name
         (operand,) = operands
         return operand
 

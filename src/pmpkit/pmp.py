@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -148,70 +149,171 @@ def _pick_best(cands, H):
     return MaximizationResult(best_u, best_v)
 
 
-def _fit_quadratic(H, u0, delta, fit_tol, verify=True):
-    """Exact-fit quadratic model around u0, or None if H is not quadratic.
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
-    verify=False skips the three probes that test the fit, for an H known
-    to be at most quadratic in u.
+
+class _Probes:
+    """Where the quadratic fit evaluates H; fixed by the control set.
+
+    u0 is the centre and delta the step of each axis.  The probes are the
+    arrays u0 + e and u0 - e, and that arithmetic sets the sign of a zero
+    where u0 holds -0.0 (-0.0 + 0.0 is +0.0); they are kept read-only.
+    Per-axis values are numpy float64 scalars: a square that overflows or a
+    division by an underflowed step gives inf or nan, where Python floats
+    would raise.
     """
-    k = u0.size
-    f0 = H(u0)
-    b = np.zeros(k)
-    A = np.zeros((k, k))
-    live = [j for j in range(k) if delta[j] > 0]
-    for j in live:
-        e = np.zeros(k)
-        e[j] = delta[j]
-        fp, fm = H(u0 + e), H(u0 - e)
+
+    def __init__(self, u0, delta):
+        k = u0.size
+        self.k = k
+        self.u0 = _read_only(u0)
+        self.u0_axes = tuple(u0)
+        self.delta = tuple(delta)
+        self.live = tuple(j for j in range(k) if delta[j] > 0)
+
+        def step(*axes):
+            e = np.zeros(k)
+            for j in axes:
+                e[j] = delta[j]
+            return e
+
+        self.axis = {j: (_read_only(u0 + step(j)), _read_only(u0 - step(j)))
+                     for j in self.live}
+        self.pairs = tuple((i, j, _read_only(u0 + step(i, j)))
+                           for i, j in itertools.combinations(self.live, 2))
+        # the points that test the fit, each with its offset from u0
+        self.checks = []
+        for coeffs in ((0.37,) * k, (-0.61,) * k,
+                       tuple(0.5 if j % 2 == 0 else -0.5 for j in range(k))):
+            probe = u0 + np.array(coeffs) * delta
+            self.checks.append((_read_only(probe), _read_only(probe - u0)))
+
+
+def _probes(U) -> _Probes:
+    """The fit's probes of the box or ball U, made on first use and kept on U."""
+    probes = U.__dict__.get("_probes")
+    if probes is not None:
+        return probes
+    if U.kind == "ball":
+        k = U.center.size
+        probes = _Probes(U.center.copy(), np.full(k, max(U.radius, 1.0) / 4.0))
+    else:
+        lo, hi = U.lo, U.hi
+        k = lo.size
+        u0 = np.empty(k)
+        delta = np.empty(k)
+        for j in range(k):
+            if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+                u0[j] = 0.5 * (lo[j] + hi[j])
+                delta[j] = (hi[j] - lo[j]) / 4.0
+            elif np.isfinite(lo[j]):
+                u0[j], delta[j] = lo[j] + 1.0, 1.0
+            elif np.isfinite(hi[j]):
+                u0[j], delta[j] = hi[j] - 1.0, 1.0
+            else:
+                u0[j], delta[j] = 0.0, 1.0
+        probes = _Probes(u0, delta)
+        probes.lo, probes.hi = tuple(lo), tuple(hi)
+    # ControlSet is frozen; the probes are derived data, not a field
+    U.__dict__["_probes"] = probes
+    return probes
+
+
+def _absmax(*groups) -> float:
+    """float(np.max(np.abs(.))) over the scalars of groups: NaN wherever a
+    NaN stands, and an error when there are none."""
+    top = None
+    for group in groups:
+        for v in group:
+            v = abs(v)
+            if v != v:
+                return math.nan
+            if top is None or v > top:
+                top = v
+    if top is None:
+        raise ValueError("zero-size array to reduction operation maximum")
+    return float(top)
+
+
+def _matrix(a, mixed):
+    A = np.diag(a)
+    for (i, j), v in mixed.items():
+        A[i, j] = A[j, i] = v
+    return A
+
+
+def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
+    """Exact-fit quadratic model at the probes, or None if H is not quadratic.
+
+    Returns (b, a, mixed): the gradient and the Hessian diagonal per axis
+    (0.0 on an axis of zero width) and the Hessian entries of the live axis
+    pairs by (i, j), at u0.  verify=False skips the three probes that
+    test the fit, for an H known to be at most quadratic in u.
+    """
+    k = probes.k
+    delta = probes.delta
+    f0 = H(probes.u0)
+    b = [0.0] * k
+    a = [0.0] * k
+    up = {}
+    for j in probes.live:
+        plus, minus = probes.axis[j]
+        fp, fm = H(plus), H(minus)
         b[j] = (fp - fm) / (2.0 * delta[j])
-        A[j, j] = (fp - 2.0 * f0 + fm) / delta[j] ** 2
-    for i, j in itertools.combinations(live, 2):
-        e = np.zeros(k)
-        e[i] = delta[i]
-        e[j] = delta[j]
-        ei = np.zeros(k)
-        ei[i] = delta[i]
-        ej = np.zeros(k)
-        ej[j] = delta[j]
-        mixed = (H(u0 + e) - H(u0 + ei) - H(u0 + ej) + f0) / (delta[i] * delta[j])
-        A[i, j] = A[j, i] = mixed
-
+        a[j] = (fp - 2.0 * f0 + fm) / delta[j] ** 2
+        up[j] = fp
+    mixed = {(i, j): (H(u) - up[i] - up[j] + f0) / (delta[i] * delta[j])
+             for i, j, u in probes.pairs}
     if not verify:
-        return f0, b, A
+        return b, a, mixed
 
-    def model(u):
-        d = u - u0
-        return f0 + b @ d + 0.5 * d @ A @ d
+    if k == 1:
+        def model(d):
+            return f0 + b[0] * d[0] + 0.5 * d[0] * a[0] * d[0]
+    else:
+        # numpy's dot may fuse a multiply and an add, so the model is
+        # evaluated by the same dot products it was fitted for
+        bv, A = np.array(b), _matrix(a, mixed)
 
-    scale = 1.0 + abs(f0) + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))
-    for coeffs in ((0.37,) * k, (-0.61,) * k,
-                   tuple(0.5 if j % 2 == 0 else -0.5 for j in range(k))):
-        probe = u0 + np.array(coeffs) * delta
-        if abs(H(probe) - model(probe)) > fit_tol * scale:
+        def model(d):
+            return f0 + bv @ d + 0.5 * d @ A @ d
+
+    scale = 1.0 + abs(f0) + _absmax(b) + _absmax(a, mixed.values())
+    for probe, d in probes.checks:
+        if abs(H(probe) - model(d)) > fit_tol * scale:
             return None
-    return f0, b, A
+    return b, a, mixed
+
+
+def _clip(v, lo, hi):
+    """np.clip of one value: a NaN anywhere passes through, and a value equal
+    to a bound is kept with its own sign of zero."""
+    v = v if v >= lo or v != v else lo
+    return v if v <= hi or v != v else hi
 
 
 def _axis_max(b, a, lo, hi, u0j, tol):
     """Maximize b t + a t^2 / 2 for u0j + t in [lo, hi]; returns the u value."""
     if abs(a) <= tol:
         if b > tol:
-            if np.isinf(hi):
+            if math.isinf(hi):
                 raise UnboundedHamiltonianError("linear growth toward +inf")
             return hi
         if b < -tol:
-            if np.isinf(lo):
+            if math.isinf(lo):
                 raise UnboundedHamiltonianError("linear growth toward -inf")
             return lo
-        if np.isfinite(lo):
+        if math.isfinite(lo):
             return lo
-        if np.isfinite(hi):
+        if math.isfinite(hi):
             return hi
         return u0j
     if a < 0:
-        return float(np.clip(u0j - b / a, lo, hi))
+        return float(_clip(u0j - b / a, lo, hi))
     # convex axis: maximum at an endpoint
-    if np.isinf(lo) or np.isinf(hi):
+    if math.isinf(lo) or math.isinf(hi):
         raise UnboundedHamiltonianError("convex growth on an unbounded axis")
     tl, th = lo - u0j, hi - u0j
     return lo if b * tl + 0.5 * a * tl * tl >= b * th + 0.5 * a * th * th else hi
@@ -233,7 +335,9 @@ def _grid_refine(H, lo, hi, opts):
                 best_u, best_v = u, v
         best = MaximizationResult(best_u, best_v)
         cell = (cur_hi - cur_lo) / (g - 1)
-        if np.max(cell) <= opts.resolution:
+        # with no H above -inf on the grid there is nothing to refine
+        # around: u_star is None, as `_pick_best` returns it
+        if np.max(cell) <= opts.resolution or best_u is None:
             return best
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)
@@ -250,67 +354,66 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     coefficients pick vertices, concave axes or a concave coupled model
     pick stationary points, with unbounded growth along an infinite side
     reported as an error.  Non-quadratic H on a finite box falls back to
-    deterministic grid refinement.
+    deterministic grid refinement.  When H is NaN or -inf at every
+    candidate, u_star is None and value is -inf.
+
+    p and x are checked once and H is bound to them, computed as
+    `hamiltonian` computes it; the fit's probe points come from the
+    control set (`_probes`).
     """
     opts = opts or MaximizeOptions()
+    p = np.asarray(p, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    if p.size != sys.m or x.size != sys.m:
+        raise ValueError("dimension mismatch")
+    p0f = float(p0)
 
     def H(u):
-        return hamiltonian(sys, p0, p, x, u)
+        return p0f * sys.cost_rate(x, u) + float(p @ sys.dynamics(x, u))
 
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     if U.kind == "finite":
         return _pick_best(U.points, H)
 
+    probes = _probes(U)
+    fit = _fit_quadratic(H, probes, opts.fit_tol, verify)
     if U.kind == "ball":
         c, R = U.center, U.radius
-        k = c.size
-        delta = np.full(k, max(R, 1.0) / 4.0)
-        fit = _fit_quadratic(H, c.copy(), delta, opts.fit_tol, verify)
         if fit is not None:
-            _, b, A = fit
-            scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(A))
-            if np.max(np.abs(A)) <= opts.fit_tol * scale:
+            b, a, mixed = fit
+            curvature = _absmax(a, mixed.values())
+            scale = 1.0 + _absmax(b) + curvature
+            if curvature <= opts.fit_tol * scale:
                 nb = np.linalg.norm(b)
-                u = c + R * b / nb if nb > opts.fit_tol * scale else c.copy()
+                u = c + R * np.array(b) / nb if nb > opts.fit_tol * scale else c.copy()
                 return MaximizationResult(u, H(u))
         cands = [c.copy()]
         for r in np.linspace(R / 8.0, R, 8):
-            for d in unit_directions(k, 32, seed=0):
+            for d in unit_directions(c.size, 32, seed=0):
                 cands.append(c + r * d)
         return _pick_best(cands, H)
 
     lo, hi = U.lo, U.hi
-    k = lo.size
-    u0 = np.empty(k)
-    delta = np.empty(k)
-    for j in range(k):
-        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-            u0[j] = 0.5 * (lo[j] + hi[j])
-            delta[j] = (hi[j] - lo[j]) / 4.0
-        elif np.isfinite(lo[j]):
-            u0[j], delta[j] = lo[j] + 1.0, 1.0
-        elif np.isfinite(hi[j]):
-            u0[j], delta[j] = hi[j] - 1.0, 1.0
-        else:
-            u0[j], delta[j] = 0.0, 1.0
-
-    fit = _fit_quadratic(H, u0, delta, opts.fit_tol, verify)
+    k = probes.k
     if fit is not None:
-        _, b, A = fit
-        scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))
+        b, a, mixed = fit
+        scale = 1.0 + _absmax(b) + _absmax(a, mixed.values())
         ztol = opts.fit_tol * scale
-        off_diag = np.max(np.abs(A - np.diag(np.diag(A)))) if k > 1 else 0.0
+        # the off-diagonal part A - diag(diag(A)): inf - inf is nan on the
+        # diagonal, as in the matrix
+        off_diag = _absmax([v - v for v in a], mixed.values()) if k > 1 else 0.0
         if off_diag <= ztol:
             u = np.array([
-                _axis_max(b[j], A[j, j], lo[j], hi[j], u0[j], ztol)
-                if delta[j] > 0 else lo[j]
+                _axis_max(b[j], a[j], probes.lo[j], probes.hi[j], probes.u0_axes[j], ztol)
+                if probes.delta[j] > 0 else probes.lo[j]
                 for j in range(k)
             ])
             return MaximizationResult(u, H(u))
+        A = _matrix(a, mixed)
         eigs = np.linalg.eigvalsh(A)
         if eigs.max() < -ztol:
-            u_star = u0 + np.linalg.solve(A, -b)
+            u_star = probes.u0 + np.linalg.solve(A, -np.array(b))
             if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
                 u_star = np.clip(u_star, lo, hi)
                 return MaximizationResult(u_star, H(u_star))

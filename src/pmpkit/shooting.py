@@ -100,6 +100,14 @@ class ShootingFailure(RuntimeError):
     """Every trial blew up or produced no finite residual."""
 
 
+# the failures that end one propagation: floating point (overflow, a
+# Hamiltonian NaN at every control), blow-up and unbounded H (both
+# RuntimeError, as is a maximization the maximizer does not support) and
+# singular linear algebra; any other error, such as one raised by a user's
+# dynamics, propagates as itself
+_TRIAL_FAILURES = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
+
+
 def _auto_jump_tol(control_set) -> float:
     if control_set.kind == "finite":
         pts = [np.asarray(p, float) for p in control_set.points]
@@ -159,8 +167,12 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     jump_tol = opts.switch_jump or _auto_jump_tol(sys.control_set)
 
     def argmax(yc):
-        # the maximizer at the stacked state yc = (x, p)
-        return maximize_hamiltonian(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
+        # the maximizer at the stacked state yc = (x, p); H that is NaN or
+        # -inf at every control ends the trial like a blow-up
+        best = maximize_hamiltonian(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
+        if best.u_star is None:
+            raise FloatingPointError("no control gives a Hamiltonian above -inf")
+        return best
 
     def jumped(u1, u2):
         return float(np.abs(u1 - u2).max()) > jump_tol
@@ -174,7 +186,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         t = problem.a
         try:
             cur = argmax(y)
-        except Exception:
+        except _TRIAL_FAILURES:
             return None
         steps = []
         n_sw = 0
@@ -241,7 +253,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                     n_sw += 1
                 else:
                     cur = end
-        except Exception:
+        except _TRIAL_FAILURES:
             return None
         if n_sw > opts.max_switches:
             return None

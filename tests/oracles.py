@@ -13,12 +13,21 @@ form of a package routine as its reference:
   `cone_geometry.membership_margin`;
 - `grammar_tree_function` and `grammar_tree_array`, the closure-tree
   interpreter that the expression grammar's generated functions replaced
-  (bit for bit).
+  (bit for bit);
+- `maximize_hamiltonian_arrays`, the Hamiltonian maximizer on numpy arrays
+  that `pmp.maximize_hamiltonian` replaced (bit for bit).
 """
 import ast
+import itertools
 import math
+from typing import Optional
 
 import numpy as np
+
+from pmpkit.cone_geometry import unit_directions
+from pmpkit.control_system import ControlSystem
+from pmpkit.pmp import (MaximizationResult, MaximizeOptions,
+                        UnboundedHamiltonianError, hamiltonian)
 
 
 def _angles(vectors):
@@ -389,3 +398,196 @@ def rk4_blow_up_time(f, jac, grid, x0, v0=None):
             if not math.isfinite(v):
                 return float(t1)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The Hamiltonian maximizer on numpy arrays, verbatim as it stood before
+# `pmp.maximize_hamiltonian` bound H once per call and fitted its model on
+# per-axis scalars; both must return the same u_star and value bits and
+# raise the same exception types.
+
+def _arrays_pick_best(cands, H):
+    best_u, best_v = None, -np.inf
+    for u in cands:
+        v = H(u)
+        if v > best_v:
+            best_u, best_v = np.asarray(u, dtype=float), v
+    return MaximizationResult(best_u, best_v)
+
+
+def _arrays_fit_quadratic(H, u0, delta, fit_tol, verify=True):
+    """Exact-fit quadratic model around u0, or None if H is not quadratic.
+
+    verify=False skips the three probes that test the fit, for an H known
+    to be at most quadratic in u.
+    """
+    k = u0.size
+    f0 = H(u0)
+    b = np.zeros(k)
+    A = np.zeros((k, k))
+    live = [j for j in range(k) if delta[j] > 0]
+    for j in live:
+        e = np.zeros(k)
+        e[j] = delta[j]
+        fp, fm = H(u0 + e), H(u0 - e)
+        b[j] = (fp - fm) / (2.0 * delta[j])
+        A[j, j] = (fp - 2.0 * f0 + fm) / delta[j] ** 2
+    for i, j in itertools.combinations(live, 2):
+        e = np.zeros(k)
+        e[i] = delta[i]
+        e[j] = delta[j]
+        ei = np.zeros(k)
+        ei[i] = delta[i]
+        ej = np.zeros(k)
+        ej[j] = delta[j]
+        mixed = (H(u0 + e) - H(u0 + ei) - H(u0 + ej) + f0) / (delta[i] * delta[j])
+        A[i, j] = A[j, i] = mixed
+
+    if not verify:
+        return f0, b, A
+
+    def model(u):
+        d = u - u0
+        return f0 + b @ d + 0.5 * d @ A @ d
+
+    scale = 1.0 + abs(f0) + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))
+    for coeffs in ((0.37,) * k, (-0.61,) * k,
+                   tuple(0.5 if j % 2 == 0 else -0.5 for j in range(k))):
+        probe = u0 + np.array(coeffs) * delta
+        if abs(H(probe) - model(probe)) > fit_tol * scale:
+            return None
+    return f0, b, A
+
+
+def _arrays_axis_max(b, a, lo, hi, u0j, tol):
+    """Maximize b t + a t^2 / 2 for u0j + t in [lo, hi]; returns the u value."""
+    if abs(a) <= tol:
+        if b > tol:
+            if np.isinf(hi):
+                raise UnboundedHamiltonianError("linear growth toward +inf")
+            return hi
+        if b < -tol:
+            if np.isinf(lo):
+                raise UnboundedHamiltonianError("linear growth toward -inf")
+            return lo
+        if np.isfinite(lo):
+            return lo
+        if np.isfinite(hi):
+            return hi
+        return u0j
+    if a < 0:
+        return float(np.clip(u0j - b / a, lo, hi))
+    # convex axis: maximum at an endpoint
+    if np.isinf(lo) or np.isinf(hi):
+        raise UnboundedHamiltonianError("convex growth on an unbounded axis")
+    tl, th = lo - u0j, hi - u0j
+    return lo if b * tl + 0.5 * a * tl * tl >= b * th + 0.5 * a * th * th else hi
+
+
+def _arrays_grid_refine(H, lo, hi, opts):
+    if lo.size > 3:
+        raise ValueError("grid refinement supports at most 3 control dimensions")
+    cur_lo, cur_hi = lo.copy(), hi.copy()
+    g = opts.grid_points
+    best = None
+    for _ in range(60):
+        axes = [np.linspace(cur_lo[j], cur_hi[j], g) for j in range(lo.size)]
+        best_u, best_v = None, -np.inf
+        for combo in itertools.product(*axes):
+            u = np.array(combo)
+            v = H(u)
+            if v > best_v:
+                best_u, best_v = u, v
+        best = MaximizationResult(best_u, best_v)
+        cell = (cur_hi - cur_lo) / (g - 1)
+        if np.max(cell) <= opts.resolution:
+            return best
+        cur_lo = np.maximum(lo, best_u - cell)
+        cur_hi = np.minimum(hi, best_u + cell)
+    return best
+
+
+def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
+                                opts: Optional[MaximizeOptions] = None) -> MaximizationResult:
+    """Pointwise supremum of H over the control set.
+
+    Finite sets are enumerated (first listed wins ties).  Boxes are handled
+    exactly whenever H is numerically quadratic in u (verified by an
+    exact-fit test, unless `sys.u_degree` declares degree <= 2): linear
+    coefficients pick vertices, concave axes or a concave coupled model
+    pick stationary points, with unbounded growth along an infinite side
+    reported as an error.  Non-quadratic H on a finite box falls back to
+    deterministic grid refinement.
+    """
+    opts = opts or MaximizeOptions()
+
+    def H(u):
+        return hamiltonian(sys, p0, p, x, u)
+
+    verify = sys.u_degree is None or sys.u_degree > 2
+    U = sys.control_set
+    if U.kind == "finite":
+        return _arrays_pick_best(U.points, H)
+
+    if U.kind == "ball":
+        c, R = U.center, U.radius
+        k = c.size
+        delta = np.full(k, max(R, 1.0) / 4.0)
+        fit = _arrays_fit_quadratic(H, c.copy(), delta, opts.fit_tol, verify)
+        if fit is not None:
+            _, b, A = fit
+            scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(A))
+            if np.max(np.abs(A)) <= opts.fit_tol * scale:
+                nb = np.linalg.norm(b)
+                u = c + R * b / nb if nb > opts.fit_tol * scale else c.copy()
+                return MaximizationResult(u, H(u))
+        cands = [c.copy()]
+        for r in np.linspace(R / 8.0, R, 8):
+            for d in unit_directions(k, 32, seed=0):
+                cands.append(c + r * d)
+        return _arrays_pick_best(cands, H)
+
+    lo, hi = U.lo, U.hi
+    k = lo.size
+    u0 = np.empty(k)
+    delta = np.empty(k)
+    for j in range(k):
+        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+            u0[j] = 0.5 * (lo[j] + hi[j])
+            delta[j] = (hi[j] - lo[j]) / 4.0
+        elif np.isfinite(lo[j]):
+            u0[j], delta[j] = lo[j] + 1.0, 1.0
+        elif np.isfinite(hi[j]):
+            u0[j], delta[j] = hi[j] - 1.0, 1.0
+        else:
+            u0[j], delta[j] = 0.0, 1.0
+
+    fit = _arrays_fit_quadratic(H, u0, delta, opts.fit_tol, verify)
+    if fit is not None:
+        _, b, A = fit
+        scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))
+        ztol = opts.fit_tol * scale
+        off_diag = np.max(np.abs(A - np.diag(np.diag(A)))) if k > 1 else 0.0
+        if off_diag <= ztol:
+            u = np.array([
+                _arrays_axis_max(b[j], A[j, j], lo[j], hi[j], u0[j], ztol)
+                if delta[j] > 0 else lo[j]
+                for j in range(k)
+            ])
+            return MaximizationResult(u, H(u))
+        eigs = np.linalg.eigvalsh(A)
+        if eigs.max() < -ztol:
+            u_star = u0 + np.linalg.solve(A, -b)
+            if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
+                u_star = np.clip(u_star, lo, hi)
+                return MaximizationResult(u_star, H(u_star))
+            if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+                return _arrays_grid_refine(H, lo, hi, opts)
+            raise RuntimeError("coupled concave maximization with mixed "
+                               "infinite bounds is not supported")
+        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+            return _arrays_grid_refine(H, lo, hi, opts)
+        raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
+    if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
+        return _arrays_grid_refine(H, lo, hi, opts)
+    raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")

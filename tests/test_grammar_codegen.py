@@ -102,3 +102,25 @@ def test_constant_jacobian_entries_keep_their_sign():
     _, df_dx, _ = grammar.compile_dynamics(["-x1", "0.1 + 0.2 * x0"], M, K)
     J = df_dx(np.array([1.0, 2.0]), np.zeros(K))
     assert bits(J) == bits([[-0.0, -1.0], [0.2, 0.0]])
+
+
+def generated_statements(src):
+    """The number of statements generated for d/dx0 of one expression."""
+    code = grammar._Code()
+    code.entry(grammar._derivative(grammar._tree(src, M, K, "expression"), 0))
+    return sum(len(stmt.body) for stmt in code.body)
+
+
+def test_shared_derivative_subtrees_are_emitted_once():
+    # d(a x0) = da x0 + a reuses the product a of the earlier factors, so
+    # emitting each occurrence grew with the square of the chain length
+    chains = {n: "*".join(["x0"] * n) for n in (25, 50, 100)}
+    counts = {n: generated_statements(src) for n, src in chains.items()}
+    assert counts[100] - counts[50] == 2 * (counts[50] - counts[25])
+    for src in chains.values():
+        body = grammar._tree(src, M, K, "expression")
+        want = grammar_tree_function(grammar._derivative(body, 0))
+        gradient, _ = grammar.compile_gradient(src, M, K)
+        for x0 in (1.0, 1.01, -1.3, 0.0, -0.0, 1e10, math.inf, math.nan):
+            x, u = np.array([x0, 0.5]), np.zeros(K)
+            assert bits(gradient(x, u)[0]) == bits(want(x, u)), (src, x0)

@@ -137,13 +137,9 @@ def test_degree_at_most_two_passes_the_fit_probes(dyn, cost, cset, xp, p0):
     def H(u):
         return pmp.hamiltonian(sys, p0, p, x, u)
 
-    U = sys.control_set
-    if U.kind == "ball":
-        u0, delta = U.center.copy(), np.full(K, max(U.radius, 1.0) / 4.0)
-    else:
-        u0, delta = 0.5 * (U.lo + U.hi), (U.hi - U.lo) / 4.0
-    assume(np.isfinite(H(u0)))
-    assert pmp._fit_quadratic(H, u0, delta, pmp.MaximizeOptions().fit_tol) is not None
+    probes = pmp._probes(sys.control_set)
+    assume(np.isfinite(H(probes.u0)))
+    assert pmp._fit_quadratic(H, probes, pmp.MaximizeOptions().fit_tol) is not None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

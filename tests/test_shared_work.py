@@ -5,7 +5,8 @@ final-time column of the shooting Jacobian and the needle vectors carried
 along one shared base path per needle time each reuse values computed
 from identical inputs.  Each is compared bit for bit with the plain
 computation, and the work of a fixed shooting solve and of a tangent cone
-is held to the call counts committed below.
+is held to the call counts committed below, as is the number of Hamiltonian
+evaluations of one maximization.
 """
 
 import collections
@@ -13,11 +14,12 @@ import dataclasses
 import os
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from pmpkit import cli, perturbations, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
-from pmpkit.control_system import (ControlSignal, ControlSystem, box, extend,
+from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, simulate)
 from pmpkit.flows import (IntegratorConfig, TimeVectorField, integration_grid,
                           tangent_lift_flows)
@@ -199,6 +201,27 @@ def test_shoot_work_within_committed_counts():
     assert res.converged
     over = {k: (calls[k], v) for k, v in WORK_BASELINE.items() if calls[k] > v}
     assert not over, f"calls above the committed counts (got, committed): {over}"
+
+
+@pytest.mark.parametrize("kind", ("box", "ball"))
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_declared_degree_maximization_evaluates_each_probe_once(kind, k):
+    # H(u0), H(u0 +- e_j delta_j) per axis, H(u0 + e_i delta_i + e_j delta_j)
+    # per pair of axes (the single-axis values are reused) and H(u_star);
+    # F is called once per H evaluation
+    calls = collections.Counter()
+    g = np.linspace(1.0, -2.0, k)
+
+    def F(x, u):
+        calls["F"] += 1
+        return float(0.5 * np.sum(u))
+
+    U = box([-1.0] * k, [2.0] * k) if kind == "box" else ball([0.5] * k, 2.0)
+    sys = ControlSystem(m=1, k=k, f=lambda x, u: np.array([g @ u]), control_set=U,
+                        F=F, u_degree=1)
+    res = pmp.maximize_hamiltonian(sys, -1.0, [1.0], [0.0])
+    assert U.contains(res.u_star)
+    assert calls["F"] == 2 + 2 * k + k * (k - 1) // 2
 
 
 @st.composite

@@ -223,3 +223,43 @@ class TestDiagnostics:
         assert res2.residual_norm == res.residual_norm
         assert res2.extremal.control.b == res.extremal.control.b
         assert np.array_equal(res2.extremal.adjoint.sigma, res.extremal.adjoint.sigma)
+
+
+class TestTrialFailures:
+    """A numerical failure ends one propagation; an error raised by the
+    user's callables propagates as itself instead of reading as a blow-up."""
+
+    @staticmethod
+    def problem(f, x_a=(1.0, 0.0)):
+        sys = ControlSystem(m=2, k=1, f=f, control_set=box([-1.0], [1.0]),
+                            F=lambda x, u: 1.0)
+        return shooting.ShootingProblem(
+            sys=sys, bounds=pmp.BoundarySpec(mode="free_time"),
+            p0=-1.0, x_a=x_a, x_b=[0.0, 0.0], a=0.0, b=3.0)
+
+    def test_type_error_in_dynamics_surfaces(self):
+        def f(x, u):
+            raise TypeError("bad dynamics")
+
+        with pytest.raises(TypeError, match="bad dynamics"):
+            shooting.shoot(self.problem(f), opts=shooting.ShootingOptions(step=0.1))
+
+    def test_wrong_shape_dynamics_surfaces(self):
+        prob = self.problem(lambda x, u: np.array([x[1], u[0], 0.0]))
+        with pytest.raises(ValueError):
+            shooting.shoot(prob, opts=shooting.ShootingOptions(step=0.1))
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    @pytest.mark.parametrize("value", (np.nan, -np.inf))
+    def test_hamiltonian_nowhere_above_minus_inf_ends_the_trial(self, value):
+        # H is NaN (or -inf) at every control where x0 < 0.5, the start
+        # included: the finite box has no grid point to refine around, and
+        # the trial fails
+        def f(x, u):
+            return np.array([x[1], u[0] if x[0] > 0.5 else value])
+
+        prob = self.problem(f, x_a=(0.2, 0.0))
+        opts = shooting.ShootingOptions(step=0.1)
+        assert shooting._propagate(prob, np.array([1.0, 1.0, 2.0]), opts, 0.1) is None
+        with pytest.raises(shooting.ShootingFailure):
+            shooting.shoot(prob, opts=opts)
