@@ -28,7 +28,8 @@ from .grammar import (ProblemError, compile_dynamics, compile_gradient,  # noqa:
                       expression_structure, max_degree, parse_expression)
 from .perturbations import build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
-                  UnboundedHamiltonianError, adjoint_flow, check_pmp)
+                  UnboundedHamiltonianError, UnsupportedMaximizationError,
+                  adjoint_flow, check_pmp)
 from .reachable import SamplePolicy, sample_reachable
 from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
                        shoot, switching_structure)
@@ -541,7 +542,7 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
+    except (ValueError, UnsupportedMaximizationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

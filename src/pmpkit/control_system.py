@@ -20,6 +20,14 @@ import numpy as np
 from .flows import FlowBlowUpError, IntegratorConfig, _fd_jacobian, integration_grid, rk4_step
 
 
+def _frozen_array(values) -> np.ndarray:
+    """A read-only float copy of values, flattened: what the maximizer
+    derives from a control set (its fit probes) cannot go stale."""
+    a = np.array(values, dtype=float).ravel()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ControlSet:
     """Admissible control values: a box, a finite list, or a closed ball."""
@@ -33,8 +41,8 @@ class ControlSet:
 
     def __post_init__(self):
         if self.kind == "box":
-            lo = np.asarray(self.lo, dtype=float).ravel()
-            hi = np.asarray(self.hi, dtype=float).ravel()
+            lo = _frozen_array(self.lo)
+            hi = _frozen_array(self.hi)
             if lo.shape != hi.shape or np.any(lo > hi):
                 raise ValueError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
@@ -47,7 +55,7 @@ class ControlSet:
                 raise ValueError("finite control points must share a dimension")
             object.__setattr__(self, "points", pts)
         elif self.kind == "ball":
-            c = np.asarray(self.center, dtype=float).ravel()
+            c = _frozen_array(self.center)
             if self.radius is None or self.radius < 0:
                 raise ValueError("ball needs a nonnegative radius")
             object.__setattr__(self, "center", c)

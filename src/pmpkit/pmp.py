@@ -39,6 +39,14 @@ class UnboundedHamiltonianError(RuntimeError):
     """The Hamiltonian grows without bound along a ray of the control set."""
 
 
+class UnsupportedMaximizationError(RuntimeError):
+    """The maximizer has no method for this Hamiltonian on this control set.
+
+    Whether it is raised depends on p and x (a coupled quadratic model that
+    is concave at one costate and not at another), so shooting treats it as
+    the failure of one propagation."""
+
+
 @dataclass
 class AdjointCurve:
     """Adjoint covector per grid node, with the constant cost multiplier."""
@@ -269,16 +277,12 @@ def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
     if not verify:
         return b, a, mixed
 
-    if k == 1:
-        def model(d):
-            return f0 + b[0] * d[0] + 0.5 * d[0] * a[0] * d[0]
-    else:
-        # numpy's dot may fuse a multiply and an add, so the model is
-        # evaluated by the same dot products it was fitted for
-        bv, A = np.array(b), _matrix(a, mixed)
+    # numpy's dot may fuse a multiply and an add, so the model is
+    # evaluated by the same dot products it was fitted for
+    bv, A = np.array(b), _matrix(a, mixed)
 
-        def model(d):
-            return f0 + bv @ d + 0.5 * d @ A @ d
+    def model(d):
+        return f0 + bv @ d + 0.5 * d @ A @ d
 
     scale = 1.0 + abs(f0) + _absmax(b) + _absmax(a, mixed.values())
     for probe, d in probes.checks:
@@ -321,7 +325,8 @@ def _axis_max(b, a, lo, hi, u0j, tol):
 
 def _grid_refine(H, lo, hi, opts):
     if lo.size > 3:
-        raise ValueError("grid refinement supports at most 3 control dimensions")
+        raise UnsupportedMaximizationError(
+            "grid refinement supports at most 3 control dimensions")
     cur_lo, cur_hi = lo.copy(), hi.copy()
     g = opts.grid_points
     best = None
@@ -419,8 +424,9 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
                 return MaximizationResult(u_star, H(u_star))
             if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
                 return _grid_refine(H, lo, hi, opts)
-            raise RuntimeError("coupled concave maximization with mixed "
-                               "infinite bounds is not supported")
+            raise UnsupportedMaximizationError(
+                "coupled concave maximization with mixed infinite bounds "
+                "is not supported")
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             return _grid_refine(H, lo, hi, opts)
         raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")

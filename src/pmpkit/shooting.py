@@ -101,10 +101,10 @@ class ShootingFailure(RuntimeError):
 
 
 # the failures that end one propagation: floating point (overflow, a
-# Hamiltonian NaN at every control), blow-up and unbounded H (both
-# RuntimeError, as is a maximization the maximizer does not support) and
-# singular linear algebra; any other error, such as one raised by a user's
-# dynamics, propagates as itself
+# Hamiltonian NaN at every control), blow-up, unbounded H and a maximization
+# the maximizer does not support at this costate (all three RuntimeError)
+# and singular linear algebra; any other error, such as one raised by a
+# user's dynamics, propagates as itself
 _TRIAL_FAILURES = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 
 

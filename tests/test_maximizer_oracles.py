@@ -113,16 +113,26 @@ def cases(draw):
     return sys, p0, p, [0.0], opts
 
 
-@settings(max_examples=600, deadline=None, derandomize=True)
-@given(cases())
-def test_scalar_maximizer_matches_array_maximizer_bit_for_bit(case):
-    sys, p0, p, x, opts = case
+def expected(sys, p0, p, x, opts):
+    """The array maximizer's outcome, with its two deliberate changes."""
     want = outcome(maximize_hamiltonian_arrays, sys, p0, p, x, opts)
     if want is TypeError:
         # the array grid refinement subtracted a step from u_star None when
         # no grid point had H above -inf; the rewrite returns that level's
         # result, as the finite set and the ball always did
-        want = None, bits(-INF)
+        return None, bits(-INF)
+    if want is RuntimeError:
+        # a coupled concave model with mixed infinite bounds: the same
+        # refusal, now under its own RuntimeError subclass
+        return pmp.UnsupportedMaximizationError
+    return want
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(cases())
+def test_scalar_maximizer_matches_array_maximizer_bit_for_bit(case):
+    sys, p0, p, x, opts = case
+    want = expected(sys, p0, p, x, opts)
     assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
     # a second call reads the probes kept on the control set
     assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
@@ -156,7 +166,7 @@ def test_trap_cases_match_array_maximizer(name, degree):
     sys = ControlSystem(m=1, k=U.dim, f=_concave_plus_signs, control_set=U,
                         F=lambda x, u: float(u @ u), u_degree=degree)
     for p0 in (-1.0, 0.0):
-        want = outcome(maximize_hamiltonian_arrays, sys, p0, [1.0], [0.0], None)
+        want = expected(sys, p0, [1.0], [0.0], None)
         assert outcome(pmp.maximize_hamiltonian, sys, p0, [1.0], [0.0], None) == want
 
 
@@ -170,6 +180,28 @@ def test_probes_are_read_only_and_rebuild_signed_zeros():
     plus, minus = probes.axis[1]
     assert bits(plus) == bits([0.0, 0.5]) and bits(minus) == bits([-0.0, -0.5])
     assert all(not u.flags.writeable for u in (probes.u0, *probes.axis[1]))
+
+
+def test_control_set_arrays_are_read_only_copies():
+    # the probes kept on a control set cannot go stale: its bounds and
+    # centre can be changed neither in place nor through the caller's array
+    lo, hi, c = np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([0.5])
+    U, B = box(lo, hi), ball(c, 1.0)
+    lo[0] = c[0] = 9.0
+    assert U.lo[0] == -1.0 and B.center[0] == 0.5
+    for a in (U.lo, U.hi, B.center):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_more_than_three_controls_refuse_grid_refinement_as_runtime_error():
+    # k = 4 on a finite box with a coupled convex H has no exact branch;
+    # the refusal is a RuntimeError, which ends one shooting propagation only
+    Q = np.eye(4) + 0.3 * np.ones((4, 4))
+    sys = ControlSystem(m=1, k=4, f=lambda x, u: np.array([u @ Q @ u]),
+                        control_set=box([-1.0] * 4, [1.0] * 4), u_degree=2)
+    with pytest.raises(pmp.UnsupportedMaximizationError, match="at most 3"):
+        pmp.maximize_hamiltonian(sys, 0.0, [1.0], [0.0])
 
 
 # --- brute force --------------------------------------------------------

@@ -249,6 +249,26 @@ class TestTrialFailures:
         with pytest.raises(ValueError):
             shooting.shoot(prob, opts=shooting.ShootingOptions(step=0.1))
 
+    def test_unsupported_maximization_ends_only_its_trial(self):
+        # x' = u in R^4 with cost u.Q.u / 2 and a coupled Q: H is a concave
+        # quadratic whose maximizer Q^-1 p leaves the box [-1, 1]^4 for the
+        # guess, which needs grid refinement over 4 controls; the zero
+        # covector starts next and converges to the interior control x_b
+        Q = np.eye(4) + 0.3 * (np.ones((4, 4)) - np.eye(4))
+        sys = ControlSystem(m=4, k=4, f=lambda x, u: u, control_set=box([-1.0] * 4, [1.0] * 4),
+                            F=lambda x, u: 0.5 * float(u @ Q @ u), u_degree=2)
+        x_b = np.array([0.2, -0.1, 0.3, 0.1])
+        prob = shooting.ShootingProblem(sys=sys, bounds=pmp.BoundarySpec(mode="fixed_time"),
+                                        p0=-1.0, x_a=np.zeros(4), x_b=x_b, a=0.0, b=1.0)
+        opts = shooting.ShootingOptions(step=0.25)
+        guess = np.full(4, 10.0)
+        with pytest.raises(pmp.UnsupportedMaximizationError):
+            pmp.maximize_hamiltonian(sys, -1.0, guess, np.zeros(4))
+        assert shooting._propagate(prob, guess, opts, 0.25) is None
+        res = shooting.shoot(prob, guess=guess, opts=opts)
+        assert res.converged
+        np.testing.assert_allclose(res.extremal.control.value_at(0.5), x_b, atol=1e-6)
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("value", (np.nan, -np.inf))
     def test_hamiltonian_nowhere_above_minus_inf_ends_the_trial(self, value):
