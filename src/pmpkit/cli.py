@@ -53,12 +53,31 @@ def _parse_control_set(spec):
         raise ProblemError("control_set must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "box":
-        return box(spec["lo"], spec["hi"])
+        return box(_bound(spec, "lo"), _bound(spec, "hi"))
     if kind == "finite":
         return finite([tuple(np.atleast_1d(p)) for p in spec["points"]])
     if kind == "ball":
-        return ball(spec["center"], float(spec["radius"]))
+        try:
+            radius = float(spec["radius"])
+        except (TypeError, ValueError):
+            radius = math.nan
+        if not radius >= 0:
+            raise ProblemError("control_set.radius must be a nonnegative number, "
+                               f"got {spec['radius']!r}")
+        return ball(spec["center"], radius)
     raise ProblemError(f"unknown control_set kind '{kind}'")
+
+
+def _bound(spec, key):
+    """A box bound: numeric, infinite sides allowed, no NaN."""
+    name = f"control_set.{key}"
+    try:
+        v = np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError):
+        raise ProblemError(f"{name} must be a numeric vector")
+    if np.isnan(v).any():
+        raise ProblemError(f"{name} must not be NaN")
+    return v
 
 
 def _emit_control_set(cset):

@@ -17,7 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flows import FlowBlowUpError, IntegratorConfig, _fd_jacobian, integration_grid, rk4_step
+from .flows import (FlowBlowUpError, IntegratorConfig, _all_finite, _fd_jacobian,
+                    integration_grid, rk4_step)
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -43,7 +44,8 @@ class ControlSet:
         if self.kind == "box":
             lo = _frozen_array(self.lo)
             hi = _frozen_array(self.hi)
-            if lo.shape != hi.shape or np.any(lo > hi):
+            # a NaN bound fails lo <= hi
+            if lo.shape != hi.shape or not np.all(lo <= hi):
                 raise ValueError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
@@ -56,7 +58,7 @@ class ControlSet:
             object.__setattr__(self, "points", pts)
         elif self.kind == "ball":
             c = _frozen_array(self.center)
-            if self.radius is None or self.radius < 0:
+            if self.radius is None or not self.radius >= 0:
                 raise ValueError("ball needs a nonnegative radius")
             object.__setattr__(self, "center", c)
         else:
@@ -307,23 +309,21 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
     merged = IntegratorConfig(step=cfg.step,
                               event_times=tuple(cfg.event_times) + tuple(u.switch_times))
     grid = integration_grid(u.a, u.b, merged)
-    n = len(grid)
-    states = np.empty((n, sys.m))
-    vels = np.empty((n, sys.m))
-    states[0] = x0
-    x = x0
+    ts = grid.tolist()
+    x = x0.tolist()
+    states = [x]
+    vels = []
     uval = u.values[0]
-    for i in range(n - 1):
-        t0, t1 = float(grid[i]), float(grid[i + 1])
-        h = t1 - t0
+    for t0, t1 in zip(ts, ts[1:]):
         uval = u.value_at(0.5 * (t0 + t1))
-        k1 = sys.dynamics(x, uval)
-        vels[i] = k1
-        x = rk4_step(lambda _, y: sys.dynamics(y, uval), t0, x, h, k1)
-        if not np.isfinite(x).all():
+        k1 = sys.dynamics(x, uval).tolist()
+        vels.append(k1)
+        x = rk4_step(lambda _, y: sys.dynamics(y, uval).tolist(), t0, x, t1 - t0, k1)
+        if not _all_finite(x):
             raise FlowBlowUpError(t1)
-        states[i + 1] = x
-    vels[n - 1] = sys.dynamics(x, uval)
+        states.append(x)
+    vels.append(sys.dynamics(x, uval).tolist())
+    states, vels = np.array(states), np.array(vels)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=states, control=u, velocities=vels, system=sys)
 

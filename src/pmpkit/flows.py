@@ -108,17 +108,15 @@ def integration_grid(s, t, cfg=None):
     span = hi - lo
     step = cfg.step if cfg.step is not None else 1e-3 * span
     n = max(1, math.ceil(span / step - 1e-12))
-    base = list(np.linspace(lo, hi, n + 1))
-    events = sorted(e for e in cfg.event_times if lo < e < hi)
+    grid = np.linspace(lo, hi, n + 1)
+    events = [e for e in cfg.event_times if lo < e < hi]
     if events:
-        merged = [lo]
-        for b in base[1:-1]:
-            if all(abs(b - e) > 1e-9 * span for e in events):
-                merged.append(b)
-        merged.extend(events)
-        merged.append(hi)
-        base = sorted(merged)
-    grid = np.array(base)
+        inner = grid[1:-1]
+        keep = np.ones(inner.size, dtype=bool)
+        for e in events:
+            keep &= np.abs(inner - e) > 1e-9 * span
+        # a stable sort keeps equal nodes (0.0 and -0.0) in this order
+        grid = np.sort(np.concatenate(([lo], inner[keep], events, [hi])), kind="stable")
     if t < s:
         grid = grid[::-1]
     return grid
@@ -127,33 +125,40 @@ def integration_grid(s, t, cfg=None):
 def rk4_step(f, t, y, h, k1):
     """One classical RK4 step of y' = f(t, y) from (t, y) with step h.
 
-    k1 = f(t, y) is passed in, so callers that also need it (node
-    velocities, a stage shared by several trial steps) evaluate it once.
+    y, k1 = f(t, y) and the returned state are lists of floats; f takes a
+    float64 array and returns a list of floats.  The stage arithmetic runs
+    on Python floats in the order of the array form y + (h/2) k and
+    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so it gives the same bits
+    without numpy's fixed cost per call on short vectors.  k1 is passed
+    in, so callers that also need it (node velocities, a stage shared by
+    several trial steps) evaluate it once.
     """
-    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1))
-    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2))
-    k4 = np.asarray(f(t + h, y + h * k3))
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    a = 0.5 * h
+    k2 = f(t + a, np.array([yi + a * ki for yi, ki in zip(y, k1)]))
+    k3 = f(t + a, np.array([yi + a * ki for yi, ki in zip(y, k2)]))
+    k4 = f(t + h, np.array([yi + h * ki for yi, ki in zip(y, k3)]))
+    c = h / 6.0
+    return [yi + c * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+            for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4, strict=True)]
 
 
-def _rk4_path(f, grid, x0):
-    """RK4 states along a (possibly descending) grid; raises on blow-up."""
-    x = np.array(x0, dtype=float)
-    out = np.empty((len(grid), len(x)))
-    out[0] = x
-    for i in range(len(grid) - 1):
-        t0 = grid[i]
-        x = rk4_step(f, t0, x, grid[i + 1] - t0, np.asarray(f(t0, x)))
-        if not np.isfinite(x).all():
-            raise FlowBlowUpError(grid[i + 1])
-        out[i + 1] = x
-    return out
+def _all_finite(v):
+    return all(map(math.isfinite, v))
 
 
 def flow(X, t, s, x0, cfg=None):
     """Endpoint of the evolution operator from (s, x0) to time t."""
-    grid = integration_grid(s, t, cfg)
-    return _rk4_path(X.eval, grid, x0)[-1]
+    ts = integration_grid(s, t, cfg).tolist()
+    x = np.array(x0, dtype=float).tolist()
+
+    def rhs(tt, y):
+        return np.asarray(X.eval(tt, y)).tolist()
+
+    for t0, t1 in zip(ts, ts[1:]):
+        x = rk4_step(rhs, t0, x, t1 - t0, rhs(t0, np.array(x)))
+        if not _all_finite(x):
+            raise FlowBlowUpError(t1)
+    return np.array(x)
 
 
 def _lifted_path(X, lift, s, t, x0, ws, cfg):
@@ -165,35 +170,34 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     is elementwise outside its right-hand side, so every w path has the bits
     of the RK4 path of the stacked (x, w).  A zero w stays zero.
     """
-    grid = integration_grid(s, t, cfg)
-    x = np.array(x0, dtype=float)
-    ws = [np.array(w, dtype=float) for w in ws]
-    xs = np.empty((len(grid), x.size))
-    xs[0] = x
-    paths = [np.tile(w, (len(grid), 1)) for w in ws]
-    live = [j for j, w in enumerate(ws) if w.any()]
-    for i in range(len(grid) - 1):
-        t0 = grid[i]
-        h = grid[i + 1] - t0
+    ts = integration_grid(s, t, cfg).tolist()
+    x = np.array(x0, dtype=float).tolist()
+    ws = [np.array(w, dtype=float).tolist() for w in ws]
+    live = [j for j, w in enumerate(ws) if any(w)]
+    xs = [x]
+    rows = [[w] if j in live else [w] * len(ts) for j, w in enumerate(ws)]
+    for t0, t1 in zip(ts, ts[1:]):
+        h = t1 - t0
         jacs = []
 
         def base(tt, xx):
-            k = np.asarray(X.eval(tt, xx))
+            k = np.asarray(X.eval(tt, xx)).tolist()
             jacs.append(X.jac(tt, xx))
             return k
 
-        x = rk4_step(base, t0, x, h, base(t0, x))
-        if not np.isfinite(x).all():
-            raise FlowBlowUpError(grid[i + 1])
-        xs[i + 1] = x
+        x = rk4_step(base, t0, x, h, base(t0, np.array(x)))
+        if not _all_finite(x):
+            raise FlowBlowUpError(t1)
+        xs.append(x)
         for j in live:
             stage = iter(jacs[1:])
-            w = rk4_step(lambda tt, ww: lift(next(stage), ww), t0, ws[j], h,
-                         lift(jacs[0], ws[j]))
-            if not np.isfinite(w).all():
-                raise FlowBlowUpError(grid[i + 1])
-            ws[j] = paths[j][i + 1] = w
-    return xs, paths
+            w = rows[j][-1]
+            w = rk4_step(lambda tt, ww: lift(next(stage), ww).tolist(), t0, w, h,
+                         lift(jacs[0], np.array(w)).tolist())
+            if not _all_finite(w):
+                raise FlowBlowUpError(t1)
+            rows[j].append(w)
+    return np.array(xs), [np.array(r) for r in rows]
 
 
 def tangent_lift_flows(X, t, s, x0, vs, cfg=None):

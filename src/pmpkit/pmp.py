@@ -31,7 +31,7 @@ from .control_system import (
     extend,
     simulate,
 )
-from .flows import FlowBlowUpError, IntegratorConfig, rk4_step
+from .flows import FlowBlowUpError, IntegratorConfig, _all_finite, rk4_step
 from ._simplex import linprog_dense
 
 
@@ -446,20 +446,20 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
     if p.size != sys.m:
         raise ValueError("terminal covector has the wrong dimension")
     grid = traj.grid
-    n = len(grid)
-    sigma = np.empty((n, sys.m))
-    sigma[n - 1] = p
+    ts = grid.tolist()
+    p = p.tolist()
+    sigma = [p]
 
     def linearize(xx, uval):
         # p' = a - A p at the state xx
         a, A = -p0 * sys.cost_grad_x(xx, uval), sys.jac_x(xx, uval).T
-        return lambda pp: a - A @ pp
+        return lambda pp: (a - A @ pp).tolist()
 
     # the state, control and linearization at the node where the previous
     # (later) step's last stage was evaluated
     x_node = u_node = rate_node = None
-    for i in range(n - 1, 0, -1):
-        t1, t0 = float(grid[i]), float(grid[i - 1])
+    for i in range(len(ts) - 1, 0, -1):
+        t1, t0 = ts[i], ts[i - 1]
         h = t0 - t1
         uval = traj.control.value_at(0.5 * (t0 + t1))
         if x_node is None:
@@ -473,10 +473,11 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
         # the later stages run at t1 + h/2 (twice) and t1 + h
         rates = {t1 + 0.5 * h: rate_mid, t1 + h: rate_node}
         p = rk4_step(lambda tt, pp: rates[tt](pp), t1, p, h, k1)
-        if not np.all(np.isfinite(p)):
+        if not _all_finite(p):
             raise FlowBlowUpError(t0)
-        sigma[i - 1] = p
-    return AdjointCurve(grid=grid.copy(), sigma0=float(p0), sigma=sigma)
+        sigma.append(p)
+    sigma.reverse()
+    return AdjointCurve(grid=grid.copy(), sigma0=float(p0), sigma=np.array(sigma))
 
 
 @dataclass

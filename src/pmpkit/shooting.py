@@ -130,8 +130,8 @@ def _coupled_rhs(sys, p0, u):
 
     def f(_, y):
         x, p = y[:m], y[m:]
-        return np.concatenate([sys.dynamics(x, u),
-                               -p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p])
+        return (sys.dynamics(x, u).tolist()
+                + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist())
 
     return f
 
@@ -201,6 +201,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         # every trial step of this iteration starts from y: its first RK4
         # stage is evaluated once per control value
         stages = {}
+        y_start = y.tolist()
 
         def advance(u, dt):
             key = u.tobytes()
@@ -208,7 +209,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 rhs = _coupled_rhs(sys, problem.p0, u)
                 stages[key] = (rhs, rhs(t, y))
             rhs, k1 = stages[key]
-            return rk4_step(rhs, t, y, dt, k1)
+            return np.array(rk4_step(rhs, t, y_start, dt, k1))
 
         def bisect(u_frozen, hi, y_hi):
             # largest substep keeping the maximizer on the current arc, with

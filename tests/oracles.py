@@ -15,7 +15,11 @@ form of a package routine as its reference:
   interpreter that the expression grammar's generated functions replaced
   (bit for bit);
 - `maximize_hamiltonian_arrays`, the Hamiltonian maximizer on numpy arrays
-  that `pmp.maximize_hamiltonian` replaced (bit for bit).
+  that `pmp.maximize_hamiltonian` replaced (bit for bit);
+- `rk4_step_arrays`, the RK4 step on numpy arrays that `flows.rk4_step`
+  replaced by the same arithmetic on Python floats (bit for bit);
+- `integration_grid_loop`, the per-node loop that `flows.integration_grid`
+  replaced by one mask per event (bit for bit).
 """
 import ast
 import itertools
@@ -591,3 +595,52 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
     if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
         return _arrays_grid_refine(H, lo, hi, opts)
     raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
+
+
+# ---------------------------------------------------------------------------
+# The RK4 step and the integration grid on numpy arrays, verbatim as they
+# stood before `flows.rk4_step` moved its stage arithmetic to Python floats
+# and `flows.integration_grid` dropped its loop over nodes and events; both
+# must give the same bits.
+
+def rk4_step_arrays(f, t, y, h, k1):
+    """One classical RK4 step of y' = f(t, y) from (t, y) with step h.
+
+    k1 = f(t, y) is passed in, so callers that also need it (node
+    velocities, a stage shared by several trial steps) evaluate it once.
+    """
+    k2 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = np.asarray(f(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = np.asarray(f(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def integration_grid_loop(s, t, cfg=None):
+    """Monotone grid from s to t, uniform at the base step but hitting every
+    event time exactly.  Base nodes closer than 1e-9 of the span to an event
+    are replaced by the event node."""
+    from pmpkit.flows import IntegratorConfig
+
+    cfg = cfg or IntegratorConfig()
+    s = float(s)
+    t = float(t)
+    if t == s:
+        return np.array([s])
+    lo, hi = (s, t) if t > s else (t, s)
+    span = hi - lo
+    step = cfg.step if cfg.step is not None else 1e-3 * span
+    n = max(1, math.ceil(span / step - 1e-12))
+    base = list(np.linspace(lo, hi, n + 1))
+    events = sorted(e for e in cfg.event_times if lo < e < hi)
+    if events:
+        merged = [lo]
+        for b in base[1:-1]:
+            if all(abs(b - e) > 1e-9 * span for e in events):
+                merged.append(b)
+        merged.extend(events)
+        merged.append(hi)
+        base = sorted(merged)
+    grid = np.array(base)
+    if t < s:
+        grid = grid[::-1]
+    return grid

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pmpkit
-from pmpkit import cli
+from pmpkit import cli, shooting
 
 
 def write_problem(path, data):
@@ -266,6 +266,35 @@ class TestProblemFiles:
         assert rc == 2
         assert item in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("control_set, item", [
+        # NaN fails no "lo > hi" or "radius < 0" test, so shoot used to run
+        # its whole multistart on such a set and then exit 2 with "control
+        # signal value outside the control set"
+        ({"kind": "box", "lo": [float("nan")], "hi": [1.0]}, "control_set.lo must not be NaN"),
+        ({"kind": "box", "lo": [-1.0], "hi": [float("nan")]}, "control_set.hi must not be NaN"),
+        ({"kind": "box", "lo": ["low"], "hi": [1.0]}, "control_set.lo must be a numeric vector"),
+        ({"kind": "ball", "center": [0.0], "radius": float("nan")},
+         "control_set.radius must be a nonnegative number, got nan"),
+        ({"kind": "ball", "center": [0.0], "radius": -1.0},
+         "control_set.radius must be a nonnegative number, got -1.0"),
+    ])
+    def test_bad_control_set_named_before_integration(self, tmp_path, capsys, monkeypatch,
+                                                      control_set, item):
+        data = bang_problem()
+        data["control_set"] = control_set
+        path = write_problem(tmp_path / "p.json", data)
+        with pytest.raises(cli.ProblemError) as info:
+            cli.load_problem(path)
+        assert item in str(info.value)
+
+        def no_integration(*args):
+            raise AssertionError("integrated before the problem was checked")
+
+        monkeypatch.setattr(shooting, "rk4_step", no_integration)
+        rc = cli.main(["shoot", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert item in capsys.readouterr().err
 
     @pytest.mark.parametrize("end, spec, item", [
         # a zero normal used to turn the manifold end into a free end

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,23 @@ class TestControlSet:
     def test_box_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             box([1.0], [0.0])
+
+    @pytest.mark.parametrize("lo, hi", [([math.nan], [1.0]), ([-1.0], [math.nan]),
+                                        ([0.0, math.nan], [1.0, 2.0])])
+    def test_box_rejects_nan_bounds(self, lo, hi):
+        # lo > hi is False at a NaN, which let such a box through
+        with pytest.raises(ValueError):
+            box(lo, hi)
+
+    def test_box_keeps_infinite_and_degenerate_bounds(self):
+        U = box([-math.inf, 0.5], [1.0, 0.5])
+        assert U.contains([-1e300, 0.5])
+
+    def test_ball_rejects_nan_radius(self):
+        with pytest.raises(ValueError):
+            ball([0.0, 0.0], math.nan)
+        with pytest.raises(ValueError):
+            ball([0.0], -1.0)
 
     def test_finite_contains(self):
         U = finite([[-1.0], [1.0]])

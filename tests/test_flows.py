@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmpkit.flows import (
     CotangentState,
@@ -22,7 +23,7 @@ from pmpkit.flows import (
 from pmpkit.control_system import ControlSignal, ControlSystem, box, simulate
 from pmpkit.reachable import SamplePolicy, sample_reachable
 
-from oracles import rk4_blow_up_time, variation_of_constants
+from oracles import integration_grid_loop, rk4_blow_up_time, variation_of_constants
 
 ZERO2 = TimeVectorField(2, lambda t, x: np.zeros(2), lambda t, x: np.zeros((2, 2)))
 NILP = TimeVectorField(2, lambda t, x: np.array([x[1], 0.0]),
@@ -114,6 +115,24 @@ class TestBlowUpLocation:
         else:
             assert info.value.t == self.expected() > 1.0
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    @pytest.mark.parametrize("integrator", ["simulate", "flow", "tangent_lift_flows"])
+    def test_reports_a_python_float(self, integrator):
+        # flow and tangent_lift_flows used to report the node as a numpy
+        # scalar, printed "t=np.float64(1.1500000000000001)"
+        X = TimeVectorField(1, lambda t, x: x * x, lambda t, x: 2.0 * x.reshape(1, 1))
+        cfg = IntegratorConfig(step=self.STEP)
+        with pytest.raises(FlowBlowUpError) as info:
+            if integrator == "simulate":
+                sys = ControlSystem(m=1, k=1, f=lambda x, u: x * x, control_set=box([0.0], [1.0]))
+                simulate(sys, ControlSignal(0.0, 2.0, (), ((0.0,),)), [1.0], cfg)
+            elif integrator == "flow":
+                flow(X, 2.0, 0.0, np.array([1.0]), cfg)
+            else:
+                tangent_lift_flows(X, 2.0, 0.0, np.array([1.0]), [np.array([1.0])], cfg)
+        assert type(info.value.t) is float
+        assert str(info.value) == "non-finite state at t=1.1500000000000001 (blow-up)"
+
     def test_reach_sample_records_the_node(self):
         cloud = sample_reachable(self.SYSTEM, [1.0, 0.5], 2.0,
                                  SamplePolicy(n_controls=3, max_switches=0, step=self.STEP))
@@ -152,6 +171,52 @@ class TestGrid:
         # RK4 is the only scheme, so there is no method option to pass
         with pytest.raises(TypeError):
             IntegratorConfig(method="euler")
+
+
+@st.composite
+def grid_cases(draw):
+    """(s, t, cfg): spans from 1e-300 up, base steps of 1 to 400 nodes, and
+    events inside, outside, on and within 1e-9 of the span of a base node,
+    repeated, signed zeros, inf and NaN."""
+    s = draw(st.sampled_from((0.0, -0.0, 1.0, -3.5, 1e-300, 123.456)))
+    span = draw(st.sampled_from((1e-300, 1e-8, 0.37, 1.0, 2.0, 1e6)))
+    t = s + span if draw(st.booleans()) else s - span
+    lo, hi = min(s, t), max(s, t)
+    n = draw(st.integers(1, 400))
+    width = hi - lo
+    default = width == 0.0 or draw(st.integers(0, 9)) == 0
+    step = None if default else width / (n + draw(st.floats(-0.4, 0.4)))
+    nodes = np.linspace(lo, hi, n + 1).tolist()
+    near = st.tuples(st.sampled_from(nodes), st.sampled_from((-1.0, 1.0, 0.5, 2.0)))
+    pick = st.one_of(
+        st.floats(lo - 0.5 * width, hi + 0.5 * width),
+        st.sampled_from(nodes),
+        near.map(lambda bf: bf[0] + bf[1] * 1e-9 * width),
+        st.sampled_from((lo, hi, 0.0, -0.0, math.inf, -math.inf, math.nan)))
+    events = draw(st.lists(pick, max_size=5))
+    events += draw(st.sampled_from(([], events[:1])))
+    return s, t, IntegratorConfig(step=step, event_times=tuple(events))
+
+
+def _grid_case(s, t, step, *events):
+    return s, t, IntegratorConfig(step=step, event_times=events)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(grid_cases())
+# equal events keep their order: 0.0 and -0.0 are told apart by the bits
+@example(_grid_case(-1.0, 1.0, 0.5, 0.0, -0.0))
+@example(_grid_case(-1.0, 1.0, 0.01, -0.0, 0.0, -0.0))
+@example(_grid_case(1.0, -1.0, 0.25, -0.0, 0.0))
+# an event exactly 1e-9 of the span from the base node 0.0 replaces it,
+# one ulp further away it does not
+@example(_grid_case(-1.0, 1.0, 1.0, 2e-9))
+@example(_grid_case(-1.0, 1.0, 1.0, math.nextafter(2e-9, 1.0)))
+@example(_grid_case(-1.0, 1.0, 1.0, -2e-9, 0.5))
+def test_grid_matches_node_loop_bit_for_bit(case):
+    s, t, cfg = case
+    want, got = integration_grid_loop(s, t, cfg), integration_grid(s, t, cfg)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTangentLift:

@@ -43,15 +43,14 @@ def outcome(maximize, sys, p0, p, x, opts):
 
 
 # one side of a box: finite, half-infinite, infinite, degenerate (signed
-# zeros included), widths whose square overflows or whose square
-# underflows to zero, and a NaN bound, which the box accepts
+# zeros included), and widths whose square overflows or whose square
+# underflows to zero (a NaN bound is rejected by the box itself)
 sides = st.one_of(
     st.tuples(st.floats(-3.0, 3.0), st.sampled_from((0.5, 2.0, 1e200, 1e-170)))
     .map(lambda t: (t[0], t[0] + t[1])),
     st.sampled_from(((-1.0, INF), (-INF, 2.0), (-0.0, INF), (-INF, INF),
                      (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (1.5, 1.5),
-                     (-1e308, 1e308), (-1e200, 1e200), (-1e-170, 1e-170),
-                     (NAN, 1.0), (-1.0, NAN))))
+                     (-1e308, 1e308), (-1e200, 1e200), (-1e-170, 1e-170))))
 values = st.sampled_from((0.0, -0.0, 1.5, -2.0, 0.25))
 
 
@@ -148,8 +147,6 @@ def _concave_plus_signs(x, u):
 TRAPS = {
     # the probes along u1 must read the degenerate u0 = -0.0 as u0 + e does
     "signed_zero_probe": box([-0.0, -1.0], [-0.0, 1.0]),
-    # a NaN bound passes through np.clip, not through min and max
-    "nan_bound_clip": box([NAN], [1.0]),
     # a step that squares to zero makes the Hessian diagonal -inf, so the
     # off-diagonal part of the matrix is NaN
     "underflowed_step": box([-1e-170, -1.0], [1e-170, 1.0]),

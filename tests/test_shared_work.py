@@ -331,3 +331,25 @@ def test_tangent_cone_makes_one_base_path_per_time():
     # start of the path (two node velocities each), f(gamma(tau), u(tau))
     # and one velocity per control
     assert calls["f"] == 4 * steps + len(times) * (2 + 2 + 1 + len(controls))
+
+
+@pytest.mark.parametrize("extended", [False, True])
+def test_simulate_makes_four_dynamics_calls_per_step_and_one(extended):
+    # k1 doubles as the node velocity and the last node's velocity is the
+    # one extra call: moving the state between lists and arrays must not
+    # evaluate any right-hand side twice
+    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    calls = collections.Counter()
+    f = problem.sys.f
+
+    def counted(x, u):
+        calls["f"] += 1
+        return f(x, u)
+
+    sys = dataclasses.replace(problem.sys, f=counted)
+    x0 = problem.x_a
+    if extended:
+        sys, x0 = extend(sys), np.concatenate(([0.0], x0))
+    traj = simulate(sys, problem.control, x0, IntegratorConfig(step=problem.step))
+    assert len(traj.grid) > 100
+    assert calls["f"] == 4 * (len(traj.grid) - 1) + 1
