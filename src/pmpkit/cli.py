@@ -55,24 +55,36 @@ def _parse_control_set(spec):
     if kind == "box":
         return box(_bound(spec, "lo"), _bound(spec, "hi"))
     if kind == "finite":
-        return finite([tuple(np.atleast_1d(p)) for p in spec["points"]])
+        return finite([tuple(np.atleast_1d(p)) for p in _item(spec, "points")])
     if kind == "ball":
+        given = _item(spec, "radius")
         try:
-            radius = float(spec["radius"])
+            radius = float(given)
         except (TypeError, ValueError):
             radius = math.nan
         if not radius >= 0:
             raise ProblemError("control_set.radius must be a nonnegative number, "
-                               f"got {spec['radius']!r}")
-        return ball(spec["center"], radius)
+                               f"got {given!r}")
+        center = _bound(spec, "center")
+        if not np.isfinite(center).all():
+            raise ProblemError("control_set.center must be finite")
+        return ball(center, radius)
     raise ProblemError(f"unknown control_set kind '{kind}'")
 
 
-def _bound(spec, key):
-    """A box bound: numeric, infinite sides allowed, no NaN."""
-    name = f"control_set.{key}"
+def _item(spec, key):
     try:
-        v = np.asarray(spec[key], dtype=float)
+        return spec[key]
+    except KeyError:
+        raise ProblemError(f"problem file needs 'control_set.{key}'")
+
+
+def _bound(spec, key):
+    """A numeric vector of the control set, infinite entries allowed, no NaN."""
+    name = f"control_set.{key}"
+    given = _item(spec, key)
+    try:
+        v = np.asarray(given, dtype=float)
     except (TypeError, ValueError):
         raise ProblemError(f"{name} must be a numeric vector")
     if np.isnan(v).any():
@@ -220,10 +232,9 @@ class Problem:
         if not isinstance(data, dict):
             raise ProblemError("problem file must hold a JSON object")
         self.name = str(data.get("name", "problem"))
-        try:
-            self.control_set = _parse_control_set(data["control_set"])
-        except KeyError:
+        if "control_set" not in data:
             raise ProblemError("problem file needs 'control_set'")
+        self.control_set = _parse_control_set(data["control_set"])
         try:
             dyn = data["dynamics"]
         except KeyError:

@@ -17,8 +17,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .flows import (FlowBlowUpError, IntegratorConfig, _all_finite, _fd_jacobian,
-                    integration_grid, rk4_step)
+from .flows import (IntegratorConfig, PiecewiseField, TimeVectorField, _fd_jacobian,
+                    _lifted_path)
 
 
 def _frozen_array(values) -> np.ndarray:
@@ -58,6 +58,8 @@ class ControlSet:
             object.__setattr__(self, "points", pts)
         elif self.kind == "ball":
             c = _frozen_array(self.center)
+            if not np.all(np.isfinite(c)):
+                raise ValueError("ball center must be finite")
             if self.radius is None or not self.radius >= 0:
                 raise ValueError("ball needs a nonnegative radius")
             object.__setattr__(self, "center", c)
@@ -291,38 +293,29 @@ def _write_csv(path, header: str, grid: np.ndarray, data: np.ndarray) -> None:
             fh.write(text)
 
 
+def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
+    """The field x' = f(x, u(t)), holding on each grid segment the value of
+    u at its midpoint: the grid hits u's switches, so a step that ends on
+    one keeps its own arc's control at every stage."""
+    pieces = {id(v): TimeVectorField(sys.m, lambda _, x, v=v: sys.dynamics(x, v),
+                                     lambda _, x, v=v: sys.jac_x(x, v)) for v in u.values}
+    return PiecewiseField(sys.m, lambda t0, t1: pieces[id(u.value_at(0.5 * (t0 + t1)))],
+                          u.switch_times)
+
+
 def simulate(sys: ControlSystem, u: ControlSignal, x0,
              cfg: Optional[IntegratorConfig] = None) -> Trajectory:
-    """Integrate x' = f(x, u(t)) on [a, b] with the grid hitting every switch.
-
-    Fixed-step RK4 per grid segment with the segment's constant control value;
-    since the control is constant on each segment, no control discontinuity
-    falls inside a step.
-    """
+    """Integrate x' = f(x, u(t)), the field `signal_field(sys, u)`, on [a, b]
+    by fixed-step RK4 on a grid hitting every switch."""
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != sys.m or not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite with the system dimension")
     for v in u.values:
         if not sys.control_set.contains(v):
             raise ValueError("control signal value outside the control set")
-    cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step,
-                              event_times=tuple(cfg.event_times) + tuple(u.switch_times))
-    grid = integration_grid(u.a, u.b, merged)
-    ts = grid.tolist()
-    x = x0.tolist()
-    states = [x]
-    vels = []
-    uval = u.values[0]
-    for t0, t1 in zip(ts, ts[1:]):
-        uval = u.value_at(0.5 * (t0 + t1))
-        k1 = sys.dynamics(x, uval).tolist()
-        vels.append(k1)
-        x = rk4_step(lambda _, y: sys.dynamics(y, uval).tolist(), t0, x, t1 - t0, k1)
-        if not _all_finite(x):
-            raise FlowBlowUpError(t1)
-        states.append(x)
-    vels.append(sys.dynamics(x, uval).tolist())
+    X = signal_field(sys, u)
+    grid, states, vels, _ = _lifted_path(X, None, u.a, u.b, x0, (), cfg)
+    vels.append(X.on(*grid[-2:].tolist()).eval(u.b, states[-1]).tolist())
     states, vels = np.array(states), np.array(vels)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=states, control=u, velocities=vels, system=sys)

@@ -53,17 +53,47 @@ class TimeVectorField:
     """Field X(t, x) on R^dim with an optional analytic state Jacobian.
 
     When `jacobian` is None, central finite differences with step
-    1e-6 (1 + |x|) are used.
+    1e-6 (1 + |x|) are used.  The grid hits the `switch_times` where a
+    field may jump, and `on` gives the smooth field of one grid segment.
     """
 
     dim: int
     eval: Callable
     jacobian: Callable | None = None
+    switch_times = ()
 
     def jac(self, t, x):
         if self.jacobian is not None:
             return np.asarray(self.jacobian(t, x), dtype=float)
         return _fd_jacobian(lambda y: self.eval(t, y), x)
+
+    def on(self, t0, t1):
+        """The field at every RK4 stage of the step over [t0, t1]."""
+        return self
+
+
+class PiecewiseField(TimeVectorField):
+    """A field jumping at switch_times (each kept once, so no grid node is
+    doubled), segment(t0, t1) on a grid segment and segment(t, t) at a
+    single time t."""
+
+    def __init__(self, dim, segment, switch_times):
+        super().__init__(dim, lambda t, x: segment(t, t).eval(t, x),
+                         lambda t, x: segment(t, t).jac(t, x))
+        self.on = segment
+        self.switch_times = tuple(dict.fromkeys(switch_times))
+
+
+def combined_field(X, Y, op=np.add):
+    """The field op(X, Y), op being np.add or np.subtract, of the segment
+    fields of X and Y on each grid segment."""
+
+    def segment(t0, t1):
+        A, B = X.on(t0, t1), Y.on(t0, t1)
+        return TimeVectorField(X.dim, lambda t, x: op(np.asarray(A.eval(t, x)),
+                                                      np.asarray(B.eval(t, x))))
+
+    return PiecewiseField(X.dim, segment, X.switch_times + Y.switch_times)
 
 
 @dataclass
@@ -148,44 +178,47 @@ def _all_finite(v):
 
 def flow(X, t, s, x0, cfg=None):
     """Endpoint of the evolution operator from (s, x0) to time t."""
-    ts = integration_grid(s, t, cfg).tolist()
-    x = np.array(x0, dtype=float).tolist()
-
-    def rhs(tt, y):
-        return np.asarray(X.eval(tt, y)).tolist()
-
-    for t0, t1 in zip(ts, ts[1:]):
-        x = rk4_step(rhs, t0, x, t1 - t0, rhs(t0, np.array(x)))
-        if not _all_finite(x):
-            raise FlowBlowUpError(t1)
-    return np.array(x)
+    return np.array(_lifted_path(X, None, s, t, x0, (), cfg)[1][-1])
 
 
 def _lifted_path(X, lift, s, t, x0, ws, cfg):
     """RK4 paths from s to t of x' = X and, along that one base path, of each
-    w' = lift(dX/dx, w) with w(s) in ws.  Returns the x path and one path per w.
+    w' = lift(dX/dx, w) with w(s) in ws: the package's one forward path loop.
+    Returns the grid, then as lists the x path, each step's k1 and the w paths.
 
-    x advances once per step by rk4_step, recording dX/dx at its four stages;
-    each nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
-    is elementwise outside its right-hand side, so every w path has the bits
-    of the RK4 path of the stacked (x, w).  A zero w stays zero.
+    The grid hits cfg's event times, then X's switch times, and each step
+    runs on X.on(t0, t1).  x advances once per step by rk4_step, recording
+    dX/dx at its four stages if some w is nonzero; each nonzero w then
+    advances by rk4_step on the recorded Jacobians.  RK4 is elementwise
+    outside its right-hand side, so every w path has the bits of the RK4
+    path of the stacked (x, w).  A zero w stays zero.
     """
-    ts = integration_grid(s, t, cfg).tolist()
+    cfg = cfg or IntegratorConfig()
+    grid = integration_grid(s, t, IntegratorConfig(cfg.step, cfg.event_times + X.switch_times))
+    ts = grid.tolist()
     x = np.array(x0, dtype=float).tolist()
     ws = [np.array(w, dtype=float).tolist() for w in ws]
     live = [j for j, w in enumerate(ws) if any(w)]
-    xs = [x]
+    xs, ks = [x], []
     rows = [[w] if j in live else [w] * len(ts) for j, w in enumerate(ws)]
+    jacs = []
+
+    def rhs(tt, xx):
+        return np.asarray(F.eval(tt, xx)).tolist()
+
+    def rhs_recording(tt, xx):
+        k = rhs(tt, xx)
+        jacs.append(F.jac(tt, xx))
+        return k
+
+    base = rhs_recording if live else rhs
     for t0, t1 in zip(ts, ts[1:]):
         h = t1 - t0
-        jacs = []
-
-        def base(tt, xx):
-            k = np.asarray(X.eval(tt, xx)).tolist()
-            jacs.append(X.jac(tt, xx))
-            return k
-
-        x = rk4_step(base, t0, x, h, base(t0, np.array(x)))
+        F = X.on(t0, t1)
+        jacs.clear()
+        k1 = base(t0, np.array(x))
+        ks.append(k1)
+        x = rk4_step(base, t0, x, h, k1)
         if not _all_finite(x):
             raise FlowBlowUpError(t1)
         xs.append(x)
@@ -197,14 +230,14 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
             if not _all_finite(w):
                 raise FlowBlowUpError(t1)
             rows[j].append(w)
-    return np.array(xs), [np.array(r) for r in rows]
+    return grid, xs, ks, rows
 
 
 def tangent_lift_flows(X, t, s, x0, vs, cfg=None):
     """Transport the tangent vectors vs at x0 by the complete lift along one
     base path: x' = X, v' = (dX/dx) v.  Returns x(t) and the list of v(t)."""
-    xs, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
-    return xs[-1], [path[-1] for path in paths]
+    _, xs, _, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
+    return np.array(xs[-1]), [np.array(path[-1]) for path in paths]
 
 
 def tangent_lift_flow(X, t, s, init, cfg=None):
@@ -215,8 +248,8 @@ def tangent_lift_flow(X, t, s, init, cfg=None):
 
 def cotangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, p) by the cotangent lift: x' = X, p' = -(dX/dx)^T p."""
-    xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
-    return CotangentState(xs[-1], path[-1])
+    _, xs, _, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
+    return CotangentState(np.array(xs[-1]), np.array(path[-1]))
 
 
 def pairing_drift(X, interval, x0, v0, p0, cfg=None):
@@ -228,7 +261,7 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
     def both(J, w):
         return np.concatenate([J @ w[:m], -J.T @ w[m:]])
 
-    _, (path,) = _lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)
+    path = np.array(_lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)[3][0])
     ref = float(np.dot(p0, v0))
     pairings = np.einsum("ij,ij->i", path[:, m:], path[:, :m])
     return float(np.max(np.abs(pairings - ref)))
@@ -238,9 +271,9 @@ def _transport_matrix(X, t, s, x, cfg=None):
     """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix,
     together with the transported base point."""
     m = X.dim
-    xs, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
-                               x, [np.eye(m).ravel()], cfg)
-    return xs[-1], path[-1].reshape(m, m)
+    _, xs, _, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
+                                     x, [np.eye(m).ravel()], cfg)
+    return np.array(xs[-1]), np.array(path[-1]).reshape(m, m)
 
 
 def pullback_field(X, Y, s, cfg=None):
@@ -252,26 +285,25 @@ def pullback_field(X, Y, s, cfg=None):
     if X.dim != Y.dim:
         raise ValueError("dimension mismatch")
 
-    def zeval(t, x):
-        base, M = _transport_matrix(X, t, s, x, cfg)
-        cond = np.linalg.cond(M)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise SingularTransportError(cond)
-        return np.linalg.solve(M, np.asarray(Y.eval(t, base), dtype=float))
+    def segment(t0, t1):
+        Yseg = Y.on(t0, t1)
 
-    return TimeVectorField(dim=X.dim, eval=zeval)
+        def zeval(t, x):
+            base, M = _transport_matrix(X, t, s, x, cfg)
+            cond = np.linalg.cond(M)
+            if not np.isfinite(cond) or cond > 1e12:
+                raise SingularTransportError(cond)
+            return np.linalg.solve(M, np.asarray(Yseg.eval(t, base), dtype=float))
+
+        return TimeVectorField(dim=X.dim, eval=zeval)
+
+    return PiecewiseField(X.dim, segment, X.switch_times + Y.switch_times)
 
 
 def flow_decomposition_residual(X, Y, t, s, x0, cfg=None):
     """Norm of Phi^{X+Y}(t,s,x0) - Phi^X(t,s, Phi^Z(t,s,x0)) with Z the
     pulled-back difference field."""
-    XY = TimeVectorField(
-        dim=X.dim,
-        eval=lambda tt, xx: np.asarray(X.eval(tt, xx)) + np.asarray(Y.eval(tt, xx)),
-        jacobian=(None if (X.jacobian is None or Y.jacobian is None)
-                  else lambda tt, xx: np.asarray(X.jacobian(tt, xx)) + np.asarray(Y.jacobian(tt, xx))),
-    )
-    direct = flow(XY, t, s, x0, cfg)
+    direct = flow(combined_field(X, Y), t, s, x0, cfg)
     Z = pullback_field(X, Y, s, cfg)
     composed = flow(X, t, s, flow(Z, t, s, x0, cfg), cfg)
     return float(np.linalg.norm(direct - composed))

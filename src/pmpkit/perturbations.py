@@ -33,9 +33,10 @@ from .control_system import (
     ControlSystem,
     Trajectory,
     lebesgue_times,
+    signal_field,
     simulate,
 )
-from .flows import IntegratorConfig, TimeVectorField, tangent_lift_flows
+from .flows import IntegratorConfig, tangent_lift_flows
 
 
 class NeedleLayoutError(ValueError):
@@ -148,14 +149,6 @@ def _assemble_cone(at_time, m, k, gens, prov) -> PerturbationCone:
                             provenance=tuple(prov[i] for i in cone.kept), control_dim=k)
 
 
-def _control_field(sys: ControlSystem, u: ControlSignal) -> TimeVectorField:
-    return TimeVectorField(
-        sys.m,
-        lambda t, x: sys.dynamics(x, u.value_at(t)),
-        lambda t, x: sys.jac_x(x, u.value_at(t)),
-    )
-
-
 def _require_lebesgue(u: ControlSignal, t: float) -> None:
     if not lebesgue_times(u, [t]):
         raise ValueError(f"t={t!r} is not an interior Lebesgue time (switch or endpoint)")
@@ -262,11 +255,8 @@ def _transport_group(sys: ControlSystem, traj: Trajectory, base: float, vecs,
     vecs = [np.array(v, dtype=float) for v in vecs]
     if t == base or not any(v.any() for v in vecs):
         return vecs
-    cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step,
-                              event_times=tuple(cfg.event_times) + tuple(traj.control.switch_times))
-    X = _control_field(sys, traj.control)
-    return tangent_lift_flows(X, t, base, traj.state_at(base), vecs, merged)[1]
+    return tangent_lift_flows(signal_field(sys, traj.control), t, base, traj.state_at(base),
+                              vecs, cfg)[1]
 
 
 def _needle_vectors(sys: ControlSystem, traj: Trajectory, needles: Sequence[NeedleData],
@@ -447,7 +437,6 @@ class RealizationOptions:
     s0: float = 1e-2
     max_attempts: int = 8
     cfg: Optional[IntegratorConfig] = None
-    boundary_samples: Optional[int] = None
     root_max_iter: int = 60
 
 
@@ -532,10 +521,6 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
     ref_end = simulate(sys, _clip_signal(traj.control, float(t)), x0, cfg).endpoint
     vv = float(v @ v)
     nq = Q.shape[1]
-    if opts.boundary_samples is not None:
-        bnd = opts.boundary_samples
-    else:
-        bnd = {0: 2, 1: 2, 2: 16}.get(nq, 8 * nq)
 
     def build(lam, s):
         needles = [NeedleData(t1=cone.provenance[i].needle.t1,
@@ -575,7 +560,7 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
                 # of 0.3 tol keeps the final check satisfiable
                 rho = covered_point_root(G, np.zeros(nq), delta2, np.zeros(nq),
                                          tol=0.3 * opts.tol,
-                                         boundary_samples=bnd,
+                                         boundary_samples={0: 2, 1: 2, 2: 16}.get(nq, 8 * nq),
                                          max_iter=opts.root_max_iter)
             lam = lam_star + Mmap @ rho if nq else lam_star
             end, sig, eval_time = endpoint(lam, s)

@@ -17,8 +17,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cone_geometry import cone_residual
-from .control_system import ControlSignal, ControlSystem, Trajectory, simulate
-from .flows import FlowBlowUpError, IntegratorConfig, TimeVectorField, flow_decomposition_residual
+from .control_system import ControlSignal, ControlSystem, Trajectory, signal_field, simulate
+from .flows import (FlowBlowUpError, IntegratorConfig, combined_field,
+                    flow_decomposition_residual)
 
 
 @dataclass
@@ -239,17 +240,7 @@ def decomposition_reach_check(sys: ControlSystem, u_ref: ControlSignal,
     if t1 > u_ref.b or t1 > u_alt.b:
         raise ValueError("t1 beyond a signal horizon")
     x0 = np.asarray(x0, dtype=float).ravel()
-    X = TimeVectorField(
-        sys.m,
-        lambda t, x: sys.dynamics(x, u_ref.value_at(t)),
-        lambda t, x: sys.jac_x(x, u_ref.value_at(t)),
-    )
-    Y = TimeVectorField(
-        sys.m,
-        lambda t, x: sys.dynamics(x, u_alt.value_at(t)) - sys.dynamics(x, u_ref.value_at(t)),
-        lambda t, x: sys.jac_x(x, u_alt.value_at(t)) - sys.jac_x(x, u_ref.value_at(t)),
-    )
-    base = cfg or IntegratorConfig(step=2e-2 * (t1 - u_ref.a))
-    events = tuple(base.event_times) + tuple(u_ref.switch_times) + tuple(u_alt.switch_times)
-    merged = IntegratorConfig(step=base.step, event_times=events)
-    return flow_decomposition_residual(X, Y, t1, u_ref.a, x0, merged)
+    X = signal_field(sys, u_ref)
+    Y = combined_field(signal_field(sys, u_alt), X, np.subtract)
+    cfg = cfg or IntegratorConfig(step=2e-2 * (t1 - u_ref.a))
+    return flow_decomposition_residual(X, Y, t1, u_ref.a, x0, cfg)

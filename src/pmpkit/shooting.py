@@ -84,8 +84,6 @@ class ShootingOptions:
     scales: Tuple[float, ...] = (0.1, 1.0, 10.0)
     seed: int = 0
     fd_h: float = 1e-6
-    switch_jump: Optional[float] = None
-    switch_time_tol: float = 1e-10
     max_switches: int = 200
     maximize: Optional[MaximizeOptions] = None
 
@@ -164,7 +162,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     b = float(z[m + d_a]) if free else problem.b
     if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
         return None
-    jump_tol = opts.switch_jump or _auto_jump_tol(sys.control_set)
+    jump_tol = _auto_jump_tol(sys.control_set)
 
     def argmax(yc):
         # the maximizer at the stacked state yc = (x, p); H that is NaN or
@@ -215,7 +213,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
             # largest substep keeping the maximizer on the current arc, with
             # the state it reaches; y_hi is the state at hi
             lo = 0.0
-            while hi - lo > opts.switch_time_tol:
+            while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
                 ym = advance(u_frozen, mid)
                 if not np.isfinite(ym).all():

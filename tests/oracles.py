@@ -8,7 +8,8 @@ form of a package routine as its reference:
 - `adjoint_flow_loop`, the plain per-stage form of `pmp.adjoint_flow`
   (bit for bit);
 - `tangent_lift_stacked` and `needle_vector_stacked`, the per-vector lift
-  of the stacked (x, v) that the shared needle lift replaced (bit for bit);
+  of the stacked (x, v) that the shared needle lift replaced (bit for bit),
+  holding the control of each grid segment at its midpoint value;
 - `membership_margin_bisect`, the bisection form of
   `cone_geometry.membership_margin`;
 - `grammar_tree_function` and `grammar_tree_array`, the closure-tree
@@ -256,22 +257,28 @@ def adjoint_flow_loop(sys, traj, p0, p_b):
     return sigma
 
 
-def tangent_lift_stacked(X, t, s, x0, v0, cfg=None):
-    """(x(t), v(t)) of the complete lift as one RK4 path of y = (x, v) with
-    y' = (X(x), dX/dx v), on the package's integration grid."""
-    from pmpkit.flows import integration_grid
+def tangent_lift_stacked(sys, u, t, s, x0, v0, cfg=None):
+    """(x(t), v(t)) of the complete lift of x' = f(x, u(t)) as one RK4 path
+    of y = (x, v) with y' = (f(x, c), df/dx(x, c) v), on the package's
+    integration grid hitting u's switch times.  c is the value of u at the
+    midpoint of each grid segment, so a step that ends on a switch keeps
+    its arc's control at every stage."""
+    from pmpkit.flows import IntegratorConfig, integration_grid
 
-    m = X.dim
-
-    def f(tt, y):
-        x = y[:m]
-        return np.concatenate([np.asarray(X.eval(tt, x)), X.jac(tt, x) @ y[m:]])
-
-    grid = integration_grid(s, t, cfg)
+    m = sys.m
+    cfg = cfg or IntegratorConfig()
+    grid = integration_grid(s, t, IntegratorConfig(
+        step=cfg.step, event_times=tuple(cfg.event_times) + tuple(u.switch_times)))
     y = np.concatenate([np.asarray(x0, float), np.asarray(v0, float)])
     for i in range(len(grid) - 1):
         t0 = grid[i]
         h = grid[i + 1] - t0
+        c = u.value_at(0.5 * (t0 + grid[i + 1]))
+
+        def f(tt, y):
+            x = y[:m]
+            return np.concatenate([sys.dynamics(x, c), sys.jac_x(x, c) @ y[m:]])
+
         k1 = f(t0, y)
         k2 = f(t0 + 0.5 * h, y + 0.5 * h * k1)
         k3 = f(t0 + 0.5 * h, y + 0.5 * h * k2)
@@ -282,21 +289,13 @@ def tangent_lift_stacked(X, t, s, x0, v0, cfg=None):
 
 def needle_vector_stacked(sys, traj, tau, u1, t, cfg=None):
     """The unit-rate class-I vector of the needle (tau, u1), transported to t
-    on its own by `tangent_lift_stacked` along traj, the grid also hitting
-    the control's switch times."""
-    from pmpkit.flows import IntegratorConfig, TimeVectorField
-
+    on its own by `tangent_lift_stacked` along traj."""
     u = traj.control
     x = traj.state_at(tau)
     v = 1.0 * (sys.dynamics(x, np.asarray(u1, float)) - sys.dynamics(x, u.value_at(tau)))
     if t == tau:
         return v
-    cfg = cfg or IntegratorConfig()
-    merged = IntegratorConfig(step=cfg.step,
-                              event_times=tuple(cfg.event_times) + tuple(u.switch_times))
-    X = TimeVectorField(sys.m, lambda tt, xx: sys.dynamics(xx, u.value_at(tt)),
-                        lambda tt, xx: sys.jac_x(xx, u.value_at(tt)))
-    return tangent_lift_stacked(X, t, tau, traj.state_at(tau), v, merged)[1]
+    return tangent_lift_stacked(sys, u, t, tau, x, v, cfg)[1]
 
 
 # The closure-tree interpreter of the expression grammar: one closure per

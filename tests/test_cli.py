@@ -278,6 +278,16 @@ class TestProblemFiles:
          "control_set.radius must be a nonnegative number, got nan"),
         ({"kind": "ball", "center": [0.0], "radius": -1.0},
          "control_set.radius must be a nonnegative number, got -1.0"),
+        # a missing key used to be reported as a missing control_set
+        ({"kind": "box", "lo": [-1.0]}, "problem file needs 'control_set.hi'"),
+        ({"kind": "ball", "center": [0.0]}, "problem file needs 'control_set.radius'"),
+        ({"kind": "ball", "radius": 1.0}, "problem file needs 'control_set.center'"),
+        ({"kind": "finite"}, "problem file needs 'control_set.points'"),
+        # a non-finite centre used to be accepted
+        ({"kind": "ball", "center": [float("nan")], "radius": 1.0},
+         "control_set.center must not be NaN"),
+        ({"kind": "ball", "center": [float("inf")], "radius": 1.0},
+         "control_set.center must be finite"),
     ])
     def test_bad_control_set_named_before_integration(self, tmp_path, capsys, monkeypatch,
                                                       control_set, item):

@@ -15,6 +15,7 @@ from pmpkit.control_system import (
     extend,
     finite,
     lebesgue_times,
+    signal_field,
     simulate,
 )
 from pmpkit.flows import FlowBlowUpError, IntegratorConfig, TimeVectorField
@@ -67,6 +68,13 @@ class TestControlSet:
             ball([0.0, 0.0], math.nan)
         with pytest.raises(ValueError):
             ball([0.0], -1.0)
+
+    @pytest.mark.parametrize("center", [[math.nan], [math.inf], [0.0, -math.inf]])
+    def test_ball_rejects_non_finite_center(self, center):
+        # such a ball used to be accepted, and simulate then rejected every
+        # control signal as outside the control set
+        with pytest.raises(ValueError):
+            ball(center, 1.0)
 
     def test_finite_contains(self):
         U = finite([[-1.0], [1.0]])
@@ -127,6 +135,24 @@ class TestExtend:
         ext = extend(scalar_with_cost())
         J = ext.jac_x(np.array([0.3, 1.2]), np.array([0.7]))
         assert np.allclose(J[:, 0], 0.0)
+
+
+class TestSignalField:
+    def test_segment_holds_the_midpoint_value(self):
+        # every stage of a step that ends on the switch at 1 runs on the
+        # value before it; at a single time the field reads u(t)
+        sys = double_integrator()
+        u = ControlSignal(a=0.0, b=2.0, switch_times=(1.0,),
+                          values=(np.array([1.0]), np.array([-1.0])))
+        X = signal_field(sys, u)
+        x = np.array([0.3, -0.2])
+        assert X.switch_times == (1.0,)
+        assert list(X.on(0.9, 1.0).eval(1.0, x)) == [-0.2, 1.0]
+        assert list(X.on(1.0, 1.1).eval(1.0, x)) == [-0.2, -1.0]
+        assert list(X.on(1.1, 1.0).eval(1.0, x)) == [-0.2, -1.0]
+        assert list(X.eval(1.0, x)) == [-0.2, -1.0]
+        assert list(X.eval(0.5, x)) == [-0.2, 1.0]
+        assert np.array_equal(X.on(0.9, 1.0).jac(1.0, x), sys.jac_x(x, [1.0]))
 
 
 class TestSimulate:

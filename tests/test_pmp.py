@@ -11,11 +11,12 @@ from pmpkit.control_system import (
     constant_signal,
     extend,
     finite,
+    signal_field,
     simulate,
 )
 from pmpkit.flows import CotangentState, IntegratorConfig, cotangent_lift_flow
 from pmpkit.cone_geometry import GeneratedCone
-from pmpkit.perturbations import NeedleData, _control_field, class1_vector, transport_vector
+from pmpkit.perturbations import NeedleData, class1_vector, transport_vector
 from pmpkit import pmp
 
 
@@ -309,8 +310,8 @@ class TestInvariants:
         # integrating the cotangent lift of the extended field moves
         # (p0, p) together; the cost component never drifts
         sys, u, ext_traj, adj = bang_extremal(step=0.01)
-        X = _control_field(extend(sys), u)
-        cfg = IntegratorConfig(step=0.01, event_times=u.switch_times)
+        X = signal_field(extend(sys), u)
+        cfg = IntegratorConfig(step=0.01)
         x_b = ext_traj.states[-1]
         p_b = np.concatenate(([adj.sigma0], adj.sigma[-1]))
         for t in (1.5, 1.0, 0.5, 0.0):

@@ -188,6 +188,13 @@ def rotation_system():
                             df_dx=lambda x, u: A)
 
 
+def pendulum_system():
+    return ControlSystem(m=2, k=1,
+                         f=lambda x, u: np.array([x[1], -np.sin(x[0]) + u[0]]),
+                         control_set=box([-1.0], [1.0]),
+                         df_dx=lambda x, u: np.array([[0.0, 1.0], [-np.cos(x[0]), 0.0]]))
+
+
 class TestDecomposition:
     def test_identical_signals_vanish(self):
         sys = scalar_system()
@@ -219,16 +226,22 @@ class TestDecomposition:
         assert r < 1e-9
 
     def test_fourth_order_step_decay(self):
-        A, sys = rotation_system()
-        u0 = ControlSignal(0.0, 1.0, (), ((0.0,),))
-        u1 = ControlSignal(0.0, 1.0, (), ((0.7,),))
-        x0 = np.array([0.3, -0.4])
-        coarse = decomposition_reach_check(sys, u0, u1, 1.0, x0,
-                                           IntegratorConfig(step=0.05))
-        fine = decomposition_reach_check(sys, u0, u1, 1.0, x0,
-                                         IntegratorConfig(step=0.025))
-        assert coarse > 1e-12
-        assert fine <= coarse / 8.0
+        # the switching pendulum: a step ending on a switch must keep its
+        # arc's control at every stage; reading u(t) per stage made the
+        # residual fall only 2x per halving
+        cases = [
+            (rotation_system()[1], ControlSignal(0.0, 1.0, (), ((0.0,),)),
+             ControlSignal(0.0, 1.0, (), ((0.7,),)), np.array([0.3, -0.4])),
+            (pendulum_system(), ControlSignal(0.0, 1.0, (0.35,), ((1.0,), (-1.0,))),
+             ControlSignal(0.0, 1.0, (0.6,), ((0.5,), (-0.5,))), np.array([0.4, -0.2])),
+        ]
+        for sys, u0, u1, x0 in cases:
+            coarse = decomposition_reach_check(sys, u0, u1, 1.0, x0,
+                                               IntegratorConfig(step=0.05))
+            fine = decomposition_reach_check(sys, u0, u1, 1.0, x0,
+                                             IntegratorConfig(step=0.025))
+            assert coarse > 1e-12
+            assert fine <= coarse / 8.0
 
     def test_singular_transport_propagates(self):
         D = np.array([[20.0, 0.0], [0.0, -20.0]])

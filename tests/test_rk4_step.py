@@ -5,7 +5,8 @@ It runs the stage arithmetic on Python floats; `rk4_step_arrays` in
 right-hand side the same stages and return the same bits (NaN compared as
 NaN), also at signed zeros, subnormal and huge steps of either sign, and
 infinite or NaN states.  A scan of the package's source holds the README's
-promise that no second RK4 step exists beside it.
+promise that no second RK4 step exists beside it, and that only three
+loops call it.
 """
 
 import ast
@@ -139,3 +140,20 @@ def test_package_has_one_rk4_step():
         with open(path) as fh:
             found += [(os.path.basename(path), func) for func in rk4_combinations(fh.read())]
     assert found == [("flows.py", "rk4_step")]
+
+
+def test_rk4_step_runs_only_in_the_three_path_loops():
+    # flows._lifted_path is the one forward path loop (simulate, flow and
+    # the lifts); the backward adjoint and the shooting propagation, which
+    # picks its controls step by step, keep their own
+    found = set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.Name) and node.id == "rk4_step")
+                        or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
+                    found.add((os.path.basename(path), getattr(top, "name", None)))
+    assert found == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flow"),
+                     ("shooting.py", "_propagate")}

@@ -20,9 +20,8 @@ from hypothesis import assume, given, settings, strategies as st
 from pmpkit import cli, perturbations, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
-                                   lebesgue_times, simulate)
-from pmpkit.flows import (IntegratorConfig, TimeVectorField, integration_grid,
-                          tangent_lift_flows)
+                                   lebesgue_times, signal_field, simulate)
+from pmpkit.flows import IntegratorConfig, integration_grid, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
 
 from oracles import adjoint_flow_loop, needle_vector_stacked, tangent_lift_stacked
@@ -291,15 +290,13 @@ def test_shared_needle_lift_matches_stacked_lift(case):
 def test_shared_lift_of_many_vectors_matches_stacked_lift(case, n, zero, seed):
     sys, sig, x0, _, step = case
     rng = np.random.default_rng(seed)
-    X = TimeVectorField(sys.m, lambda t, x: sys.dynamics(x, sig.value_at(t)),
-                        (lambda t, x: sys.jac_x(x, sig.value_at(t))) if n % 2 else None)
-    cfg = IntegratorConfig(step=step, event_times=sig.switch_times)
+    cfg = IntegratorConfig(step=step)
     vs = [rng.uniform(-1.0, 1.0, sys.m) for _ in range(n)]
     if zero:
         vs.insert(int(rng.integers(0, n + 1)), np.zeros(sys.m))
-    x_t, got = tangent_lift_flows(X, sig.b, 0.0, x0, vs, cfg)
+    x_t, got = tangent_lift_flows(signal_field(sys, sig), sig.b, 0.0, x0, vs, cfg)
     for v, g in zip(vs, got):
-        x_want, want = tangent_lift_stacked(X, sig.b, 0.0, x0, v, cfg)
+        x_want, want = tangent_lift_stacked(sys, sig, sig.b, 0.0, x0, v, cfg)
         assert same_bits(x_t, x_want)
         assert same_or_zero(g, want)
 
