@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
-                             Trajectory, ball, box, extend, finite, simulate)
+                             Trajectory, _write_csv, ball, box, extend, finite, simulate)
 from ._simplex import SimplexError
 from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
                             membership_margin, null_space)
@@ -339,14 +339,9 @@ def _write_json(path, obj):
 
 
 def _adjoint_to_csv(adj: AdjointCurve, path):
-    m = adj.sigma.shape[1]
-    header = "t,sigma0," + ",".join(f"sigma{j + 1}" for j in range(m))
-    lines = [header]
-    for t, row in zip(adj.grid, adj.sigma):
-        vals = np.concatenate(([t, adj.sigma0], row))
-        lines.append(",".join("%.17g" % v for v in vals))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    header = "t,sigma0," + ",".join(f"sigma{j + 1}" for j in range(adj.sigma.shape[1]))
+    _write_csv(path, header, np.column_stack([adj.grid, np.full(len(adj.grid), adj.sigma0),
+                                              adj.sigma]))
 
 
 def _load_csv(path, expect_prefix):
@@ -503,12 +498,8 @@ def cmd_cones(args) -> int:
     except ValueError as e:
         raise ProblemError(f"cone sampling: {e}")
     cone.to_csv(os.path.join(args.out, "cone.csv"))
-    gens = np.array(cone.cone.generators) if cone.cone.generators else np.empty((0, m))
-    lines = [",".join(f"g{j}" for j in range(m))]
-    for row in gens:
-        lines.append(",".join("%.17g" % v for v in row))
-    with open(os.path.join(args.out, "generators.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(args.out, "generators.csv"), ",".join(f"g{j}" for j in range(m)),
+               cone.cone.generators)
     results = [{"vector": [_g17(c) for c in v],
                 "status": conic_membership(cone.cone, v),
                 "margin": _g17(membership_margin(cone.cone, v))} for v in queries]

@@ -105,7 +105,8 @@ class ControlSystem:
     `extended` marks a system produced by `extend` so it cannot be extended
     twice.  `u_degree` declares the polynomial degree of f and F in u, None
     when unknown; at most 2 lets the Hamiltonian maximizer trust its
-    quadratic fit without probing it.
+    quadratic fit without probing it.  The callables get x as a float64
+    array, but an `f` marked `on_lists` runs on lists of floats.
     """
 
     m: int
@@ -118,8 +119,14 @@ class ControlSystem:
     extended: bool = False
     u_degree: Optional[int] = None
 
+    def __post_init__(self):
+        # f(x, u) as a list of floats for x a list of floats or an array
+        f = self.f
+        self._rate = f if getattr(f, "on_lists", False) else (
+            lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist())
+
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(np.asarray(x, dtype=float), u), dtype=float).ravel()
+        return np.array(self._rate(x, u))
 
     def cost_rate(self, x: np.ndarray, u: np.ndarray) -> float:
         if self.F is None:
@@ -150,7 +157,7 @@ def extend(sys: ControlSystem) -> ControlSystem:
 
     def f_hat(xh, u):
         x = xh[1:]
-        return np.concatenate(([sys.cost_rate(x, u)], sys.dynamics(x, u)))
+        return [sys.cost_rate(x, u)] + sys._rate(x, u)
 
     def df_hat(xh, u):
         x = xh[1:]
@@ -159,6 +166,7 @@ def extend(sys: ControlSystem) -> ControlSystem:
         J[1:, 1:] = sys.jac_x(x, u)
         return J
 
+    f_hat.on_lists = True
     return ControlSystem(m=sys.m + 1, k=sys.k, f=f_hat, control_set=sys.control_set,
                          F=None, df_dx=df_hat, extended=True, u_degree=sys.u_degree)
 
@@ -249,9 +257,8 @@ class Trajectory:
         return h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
 
     def to_csv(self, path) -> None:
-        m = self.states.shape[1]
-        header = "t," + ",".join(f"x{j}" for j in range(m))
-        _write_csv(path, header, self.grid, self.states)
+        header = "t," + ",".join(f"x{j}" for j in range(self.states.shape[1]))
+        _write_csv(path, header, np.column_stack([self.grid, self.states]))
 
 
 @dataclass
@@ -275,16 +282,16 @@ class ExtendedTrajectory(Trajectory):
                           system=system)
 
     def to_csv(self, path) -> None:
-        m = self.states.shape[1] - 1
-        header = "t," + ",".join(f"x{j}" for j in range(m)) + ",xcost"
-        data = np.column_stack([self.states[:, 1:], self.states[:, 0]])
-        _write_csv(path, header, self.grid, data)
+        header = "t," + ",".join(f"x{j}" for j in range(self.states.shape[1] - 1)) + ",xcost"
+        _write_csv(path, header, np.column_stack([self.grid, self.states[:, 1:],
+                                                  self.states[:, 0]]))
 
 
-def _write_csv(path, header: str, grid: np.ndarray, data: np.ndarray) -> None:
-    lines = [header]
-    for t, row in zip(grid, data):
-        lines.append(",".join(f"{v:.17g}" for v in np.concatenate(([t], row))))
+def _write_csv(path, header: str, rows) -> None:
+    """The one CSV writer: header and rows to path or a file object, numbers
+    as %.17g (they read back exactly), strings as they are."""
+    lines = [header] + [",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
+                        for row in rows]
     text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
         path.write(text)
@@ -297,8 +304,11 @@ def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
     """The field x' = f(x, u(t)), holding on each grid segment the value of
     u at its midpoint: the grid hits u's switches, so a step that ends on
     one keeps its own arc's control at every stage."""
-    pieces = {id(v): TimeVectorField(sys.m, lambda _, x, v=v: sys.dynamics(x, v),
-                                     lambda _, x, v=v: sys.jac_x(x, v)) for v in u.values}
+    rate, pieces = sys._rate, {}
+    for v in u.values:
+        pieces[id(v)] = X = TimeVectorField(sys.m, lambda _, x, v=v: rate(x, v),
+                                            lambda _, x, v=v: sys.jac_x(x, v))
+        X.eval.on_lists = True
     return PiecewiseField(sys.m, lambda t0, t1: pieces[id(u.value_at(0.5 * (t0 + t1)))],
                           u.switch_times)
 
@@ -315,7 +325,7 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
             raise ValueError("control signal value outside the control set")
     X = signal_field(sys, u)
     grid, states, vels, _ = _lifted_path(X, None, u.a, u.b, x0, (), cfg)
-    vels.append(X.on(*grid[-2:].tolist()).eval(u.b, states[-1]).tolist())
+    vels.append(X.on(*grid[-2:].tolist()).eval(u.b, states[-1]))
     states, vels = np.array(states), np.array(vels)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=states, control=u, velocities=vels, system=sys)

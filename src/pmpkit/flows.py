@@ -52,9 +52,11 @@ def _fd_jacobian(g, x):
 class TimeVectorField:
     """Field X(t, x) on R^dim with an optional analytic state Jacobian.
 
-    When `jacobian` is None, central finite differences with step
-    1e-6 (1 + |x|) are used.  The grid hits the `switch_times` where a
-    field may jump, and `on` gives the smooth field of one grid segment.
+    `eval` and `jacobian` get x as a float64 array, but an `eval` marked
+    `on_lists` runs on lists of floats.  When `jacobian` is None, central
+    finite differences with step 1e-6 (1 + |x|) are used.  The grid hits the
+    `switch_times` where a field may jump, and `on` gives the smooth field
+    of one grid segment.
     """
 
     dim: int
@@ -64,7 +66,7 @@ class TimeVectorField:
 
     def jac(self, t, x):
         if self.jacobian is not None:
-            return np.asarray(self.jacobian(t, x), dtype=float)
+            return np.asarray(self.jacobian(t, np.asarray(x, dtype=float)), dtype=float)
         return _fd_jacobian(lambda y: self.eval(t, y), x)
 
     def on(self, t0, t1):
@@ -73,15 +75,14 @@ class TimeVectorField:
 
 
 class PiecewiseField(TimeVectorField):
-    """A field jumping at switch_times (each kept once, so no grid node is
-    doubled), segment(t0, t1) on a grid segment and segment(t, t) at a
-    single time t."""
+    """A field jumping at switch_times, segment(t0, t1) on a grid segment
+    and segment(t, t) at a single time t."""
 
     def __init__(self, dim, segment, switch_times):
         super().__init__(dim, lambda t, x: segment(t, t).eval(t, x),
                          lambda t, x: segment(t, t).jac(t, x))
         self.on = segment
-        self.switch_times = tuple(dict.fromkeys(switch_times))
+        self.switch_times = tuple(switch_times)
 
 
 def combined_field(X, Y, op=np.add):
@@ -128,7 +129,8 @@ class CotangentState:
 def integration_grid(s, t, cfg=None):
     """Monotone grid from s to t, uniform at the base step but hitting every
     event time exactly.  Base nodes closer than 1e-9 of the span to an event
-    are replaced by the event node."""
+    are replaced by the event node, and an event time given again (0.0 and
+    -0.0 being equal) is dropped, so no step has length zero."""
     cfg = cfg or IntegratorConfig()
     s = float(s)
     t = float(t)
@@ -139,7 +141,7 @@ def integration_grid(s, t, cfg=None):
     step = cfg.step if cfg.step is not None else 1e-3 * span
     n = max(1, math.ceil(span / step - 1e-12))
     grid = np.linspace(lo, hi, n + 1)
-    events = [e for e in cfg.event_times if lo < e < hi]
+    events = list(dict.fromkeys(e for e in cfg.event_times if lo < e < hi))
     if events:
         inner = grid[1:-1]
         keep = np.ones(inner.size, dtype=bool)
@@ -155,18 +157,17 @@ def integration_grid(s, t, cfg=None):
 def rk4_step(f, t, y, h, k1):
     """One classical RK4 step of y' = f(t, y) from (t, y) with step h.
 
-    y, k1 = f(t, y) and the returned state are lists of floats; f takes a
-    float64 array and returns a list of floats.  The stage arithmetic runs
-    on Python floats in the order of the array form y + (h/2) k and
-    y + (h/6) (((k1 + 2 k2) + 2 k3) + k4), so it gives the same bits
-    without numpy's fixed cost per call on short vectors.  k1 is passed
-    in, so callers that also need it (node velocities, a stage shared by
-    several trial steps) evaluate it once.
+    y, k1 = f(t, y), the stages f gets and f's values are lists of floats,
+    as is the returned state.  The stage arithmetic runs on Python floats
+    in the order of the array form y + (h/2) k and y + (h/6) (((k1 + 2 k2)
+    + 2 k3) + k4), so it gives the same bits without numpy's fixed cost per
+    call on short vectors.  k1 is passed in, so callers that also need it
+    (node velocities, a stage shared by several trial steps) evaluate it once.
     """
     a = 0.5 * h
-    k2 = f(t + a, np.array([yi + a * ki for yi, ki in zip(y, k1)]))
-    k3 = f(t + a, np.array([yi + a * ki for yi, ki in zip(y, k2)]))
-    k4 = f(t + h, np.array([yi + h * ki for yi, ki in zip(y, k3)]))
+    k2 = f(t + a, [yi + a * ki for yi, ki in zip(y, k1)])
+    k3 = f(t + a, [yi + a * ki for yi, ki in zip(y, k2)])
+    k4 = f(t + h, [yi + h * ki for yi, ki in zip(y, k3)])
     c = h / 6.0
     return [yi + c * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
             for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4, strict=True)]
@@ -187,11 +188,12 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     Returns the grid, then as lists the x path, each step's k1 and the w paths.
 
     The grid hits cfg's event times, then X's switch times, and each step
-    runs on X.on(t0, t1).  x advances once per step by rk4_step, recording
-    dX/dx at its four stages if some w is nonzero; each nonzero w then
-    advances by rk4_step on the recorded Jacobians.  RK4 is elementwise
-    outside its right-hand side, so every w path has the bits of the RK4
-    path of the stacked (x, w).  A zero w stays zero.
+    runs on X.on(t0, t1), whose eval gets each stage as an array unless it
+    is marked `on_lists`; lift gets w as an array.  x advances once a step
+    by rk4_step, recording dX/dx at its four stages if some w is nonzero;
+    each nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
+    is elementwise outside its right-hand side, so every w path has the bits
+    of the RK4 path of the stacked (x, w).  A zero w stays zero.
     """
     cfg = cfg or IntegratorConfig()
     grid = integration_grid(s, t, IntegratorConfig(cfg.step, cfg.event_times + X.switch_times))
@@ -203,20 +205,21 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     rows = [[w] if j in live else [w] * len(ts) for j, w in enumerate(ws)]
     jacs = []
 
-    def rhs(tt, xx):
-        return np.asarray(F.eval(tt, xx)).tolist()
+    def array_rate(tt, xx):
+        return np.asarray(F.eval(tt, np.array(xx))).tolist()
 
     def rhs_recording(tt, xx):
-        k = rhs(tt, xx)
+        k = rate(tt, xx)
         jacs.append(F.jac(tt, xx))
         return k
 
-    base = rhs_recording if live else rhs
     for t0, t1 in zip(ts, ts[1:]):
         h = t1 - t0
         F = X.on(t0, t1)
+        rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
+        base = rhs_recording if live else rate
         jacs.clear()
-        k1 = base(t0, np.array(x))
+        k1 = base(t0, x)
         ks.append(k1)
         x = rk4_step(base, t0, x, h, k1)
         if not _all_finite(x):
@@ -225,7 +228,7 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
         for j in live:
             stage = iter(jacs[1:])
             w = rows[j][-1]
-            w = rk4_step(lambda tt, ww: lift(next(stage), ww).tolist(), t0, w, h,
+            w = rk4_step(lambda tt, ww: lift(next(stage), np.array(ww)).tolist(), t0, w, h,
                          lift(jacs[0], np.array(w)).tolist())
             if not _all_finite(w):
                 raise FlowBlowUpError(t1)

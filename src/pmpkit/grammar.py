@@ -12,11 +12,12 @@ walk evaluates them (left operand, right operand, operation; a subtree that
 a derivative shares is assigned once per entry), and passed to `compile`;
 no source text is generated and the user's text is never evaluated.
 Numbers are bound through a tuple, so nothing is folded.  A state or
-control reads as `float(x[i])` or `float(u[i])`, a power goes
-through `_real_pow`, and each vector component and Jacobian entry has its
-own `try` that turns overflow, division by zero and math domain errors into
-NaN, so the integrators' blow-up checks own the diagnostic.  Straight-line
-code keeps `compile` shallow however deeply an expression nests.
+control reads as `float(x[i])` or `float(u[i])`, from a list or an array,
+a vector is a list of floats (`on_lists`), a power goes through
+`_real_pow`, and each vector component and Jacobian entry has its own `try`
+that turns overflow, division by zero and math domain errors into NaN, so
+the integrators' blow-up checks own the diagnostic.  Straight-line code
+keeps `compile` shallow however deeply an expression nests.
 """
 
 from __future__ import annotations
@@ -391,13 +392,14 @@ class _Code:
         self.values.append(_name(name))
 
     def function(self, name, shape=()):
-        """Compile the entries into name(x, u): a float for shape (), else an
-        array of `shape` filled in row-major order."""
-        if shape:
-            result = _apply("_array", ast.Tuple(self.values, _LOAD, **_POS))
-            if len(shape) > 1:
-                result = ast.Call(ast.Attribute(result, "reshape", _LOAD, **_POS),
-                                  [ast.Constant(n, **_POS) for n in shape], [], **_POS)
+        """Compile the entries into name(x, u): a float for shape (), a list
+        for (n,), else an array of `shape` filled in row-major order."""
+        if len(shape) == 1:
+            result = ast.List(self.values, _LOAD, **_POS)
+        elif shape:
+            result = ast.Call(ast.Attribute(_apply("_array", ast.Tuple(self.values, _LOAD, **_POS)),
+                                            "reshape", _LOAD, **_POS),
+                              [ast.Constant(n, **_POS) for n in shape], [], **_POS)
         else:
             (result,) = self.values
         fn = ast.FunctionDef(name, _params("x", "u"),
@@ -412,7 +414,9 @@ class _Code:
                                 bind + [fn, ast.Return(_name(name), **_POS)], [], **_POS)
         namespace = dict(_GLOBALS)
         exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
-        return namespace["_bind"](tuple(self.consts))
+        fn = namespace["_bind"](tuple(self.consts))
+        fn.on_lists = len(shape) == 1
+        return fn
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +464,7 @@ def expression_structure(src: str, m: int, k: int):
 
 
 def compile_dynamics(srcs, m: int, k: int):
-    """Generated f(x, u) -> (n,) array and df/dx(x, u) -> (n, m) array for
+    """Generated f(x, u) -> list of n floats and df/dx(x, u) -> (n, m) array for
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.
@@ -484,7 +488,7 @@ def compile_dynamics(srcs, m: int, k: int):
 
 
 def compile_gradient(src: str, m: int, k: int):
-    """Generated dF/dx(x, u) -> (m,) array of a problem's cost expression, or
+    """Generated dF/dx(x, u) -> list of m floats of a problem's cost expression, or
     None when a state appears in an exponent, with its degree in u."""
     with _nesting("cost.expression"):
         body = _tree(src, m, k, "cost.expression")

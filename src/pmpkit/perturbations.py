@@ -32,6 +32,7 @@ from .control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _write_csv,
     lebesgue_times,
     signal_field,
     simulate,
@@ -127,20 +128,14 @@ class PerturbationCone:
     def to_csv(self, path) -> None:
         k = self.control_dim
         header = "tau,l," + ",".join(f"u{j}" for j in range(k)) + ",kind"
-        lines = [header]
+        rows = []
         for p in self.provenance:
             if p.kind == "needle":
                 tau, l, u = p.needle.t1, p.needle.l1, p.needle.u1
             else:
                 tau, l, u = p.source_time, 0.0, np.zeros(k)
-            cols = [f"{tau:.17g}", f"{l:.17g}"] + [f"{x:.17g}" for x in u] + [p.kind]
-            lines.append(",".join(cols))
-        text = "\n".join(lines) + "\n"
-        if hasattr(path, "write"):
-            path.write(text)
-        else:
-            with open(path, "w") as fh:
-                fh.write(text)
+            rows.append([tau, l, *u, p.kind])
+        _write_csv(path, header, rows)
 
 
 def _assemble_cone(at_time, m, k, gens, prov) -> PerturbationCone:

@@ -371,10 +371,10 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     x = np.asarray(x, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    p0f = float(p0)
+    p0f, rate = float(p0), sys._rate
 
     def H(u):
-        return p0f * sys.cost_rate(x, u) + float(p @ sys.dynamics(x, u))
+        return p0f * sys.cost_rate(x, u) + float(p @ rate(x, u))
 
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set

@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cone_geometry import cone_residual
-from .control_system import ControlSignal, ControlSystem, Trajectory, signal_field, simulate
+from .control_system import (ControlSignal, ControlSystem, Trajectory, _write_csv,
+                             signal_field, simulate)
 from .flows import (FlowBlowUpError, IntegratorConfig, combined_field,
                     flow_decomposition_residual)
 
@@ -58,13 +59,8 @@ class ReachCloud:
                              tuple(tuple(v) for v in rec["values"]))
 
     def to_csv(self, path) -> None:
-        m = self.points.shape[1]
-        header = ",".join(f"x{j}" for j in range(m)) + ",provenance_id"
-        rows = [header]
-        for i, y in enumerate(self.points):
-            rows.append(",".join("%.17g" % c for c in y) + ",%d" % i)
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        header = ",".join(f"x{j}" for j in range(self.points.shape[1])) + ",provenance_id"
+        _write_csv(path, header, [[*y, i] for i, y in enumerate(self.points)])
 
     def provenance_json(self) -> str:
         return json.dumps({

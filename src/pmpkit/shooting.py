@@ -123,13 +123,14 @@ def _auto_jump_tol(control_set) -> float:
 
 
 def _coupled_rhs(sys, p0, u):
-    """(x', p') of the stacked state-costate y = (x, p) at a frozen control."""
-    m = sys.m
+    """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
+    as a list of floats; y is a list of floats or an array."""
+    m, rate = sys.m, sys._rate
 
     def f(_, y):
+        y = np.asarray(y, dtype=float)
         x, p = y[:m], y[m:]
-        return (sys.dynamics(x, u).tolist()
-                + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist())
+        return rate(x, u) + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist()
 
     return f
 

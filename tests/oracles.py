@@ -617,7 +617,8 @@ def rk4_step_arrays(f, t, y, h, k1):
 def integration_grid_loop(s, t, cfg=None):
     """Monotone grid from s to t, uniform at the base step but hitting every
     event time exactly.  Base nodes closer than 1e-9 of the span to an event
-    are replaced by the event node."""
+    are replaced by the event node.  An event equal to an earlier one (0.0
+    and -0.0 included) is left out."""
     from pmpkit.flows import IntegratorConfig
 
     cfg = cfg or IntegratorConfig()
@@ -630,7 +631,11 @@ def integration_grid_loop(s, t, cfg=None):
     step = cfg.step if cfg.step is not None else 1e-3 * span
     n = max(1, math.ceil(span / step - 1e-12))
     base = list(np.linspace(lo, hi, n + 1))
-    events = sorted(e for e in cfg.event_times if lo < e < hi)
+    events = []
+    for e in cfg.event_times:
+        if lo < e < hi and e not in events:
+            events.append(e)
+    events.sort()
     if events:
         merged = [lo]
         for b in base[1:-1]:

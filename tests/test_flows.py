@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from pmpkit.flows import (
     tangent_lift_flow,
     tangent_lift_flows,
 )
+from pmpkit.cli import load_problem
 from pmpkit.control_system import ControlSignal, ControlSystem, box, simulate
 from pmpkit.reachable import SamplePolicy, sample_reachable
 
 from oracles import integration_grid_loop, rk4_blow_up_time, variation_of_constants
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 ZERO2 = TimeVectorField(2, lambda t, x: np.zeros(2), lambda t, x: np.zeros((2, 2)))
 NILP = TimeVectorField(2, lambda t, x: np.array([x[1], 0.0]),
@@ -204,7 +208,7 @@ def _grid_case(s, t, step, *events):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(grid_cases())
-# equal events keep their order: 0.0 and -0.0 are told apart by the bits
+# of equal events the first stays: 0.0 and -0.0 are told apart by the bits
 @example(_grid_case(-1.0, 1.0, 0.5, 0.0, -0.0))
 @example(_grid_case(-1.0, 1.0, 0.01, -0.0, 0.0, -0.0))
 @example(_grid_case(1.0, -1.0, 0.25, -0.0, 0.0))
@@ -217,6 +221,17 @@ def test_grid_matches_node_loop_bit_for_bit(case):
     s, t, cfg = case
     want, got = integration_grid_loop(s, t, cfg), integration_grid(s, t, cfg)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_event_given_twice_makes_no_zero_length_step():
+    # a time that is both an event and a control switch, or an event given
+    # twice, was a doubled node: a zero-length RK4 step
+    problem = load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    assert problem.control.switch_times == (0.9,)
+    traj = simulate(problem.sys, problem.control, problem.x_a, IntegratorConfig(0.01, (0.9,)))
+    assert len(traj.grid) == 201 and np.all(np.diff(traj.grid) > 0)
+    grid = integration_grid(0.0, 1.0, IntegratorConfig(0.01, (0.9, 0.9)))
+    assert len(grid) == 101 and np.all(np.diff(grid) > 0)
 
 
 class TestTangentLift:

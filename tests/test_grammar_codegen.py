@@ -65,9 +65,12 @@ def check_against_oracle(srcs, x, u):
             assert bits(gradient(x, u)) == bits(grammar_tree_array(row, (M,))(x, u)), src
 
     f, df_dx, _ = grammar.compile_dynamics(srcs, M, K)
+    # the dynamics vector is a list of Python floats, the same bits as the
+    # array the interpreter's values make
     value = f(x, u)
-    assert value.shape == (M,)
-    assert bits(value) == bits(np.array([tree(x, u) for tree in trees_])), srcs
+    assert type(value) is list and len(value) == M
+    assert all(type(v) is float for v in value), srcs
+    assert bits(np.array(value)) == bits(np.array([tree(x, u) for tree in trees_])), srcs
     if any(row is None for row in rows):
         assert df_dx is None
     else:

@@ -1,12 +1,13 @@
 """`flows.rk4_step`, the package's only RK4 step.
 
-It runs the stage arithmetic on Python floats; `rk4_step_arrays` in
-`oracles.py` is the same step on numpy arrays, and both must feed the
-right-hand side the same stages and return the same bits (NaN compared as
-NaN), also at signed zeros, subnormal and huge steps of either sign, and
-infinite or NaN states.  A scan of the package's source holds the README's
-promise that no second RK4 step exists beside it, and that only three
-loops call it.
+It runs the stage arithmetic on Python floats and hands the right-hand
+side its stages as lists; `rk4_step_arrays` in `oracles.py` is the same
+step on numpy arrays, and both must feed the right-hand side the same
+stages and return the same bits (NaN compared as NaN), also at signed
+zeros, subnormal and huge steps of either sign, and infinite or NaN
+states.  A scan of the package's source holds the README's promise that no
+second RK4 step exists beside it, that only three loops call it, and that
+it makes no numpy call.
 """
 
 import ast
@@ -21,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import rk4_step_arrays
+from pmpkit import flows
 from pmpkit.flows import rk4_step
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "pmpkit")
@@ -72,10 +74,15 @@ def test_float_step_matches_array_step_bit_for_bit(case):
     seen = {"arrays": [], "floats": []}
 
     def recorded(side):
+        # the oracle hands its stages to f as float64 arrays, rk4_step as
+        # lists of Python floats
         def rhs(tt, x):
-            assert type(x) is np.ndarray and x.dtype == np.float64
+            if side == "arrays":
+                assert type(x) is np.ndarray and x.dtype == np.float64
+            else:
+                assert type(x) is list and all(type(v) is float for v in x)
             seen[side].append((tt, bits(x)))
-            k = f(tt, x)
+            k = f(tt, np.array(x))
             return k if side == "arrays" else k.tolist()
         return rhs
 
@@ -140,6 +147,21 @@ def test_package_has_one_rk4_step():
         with open(path) as fh:
             found += [(os.path.basename(path), func) for func in rk4_combinations(fh.read())]
     assert found == [("flows.py", "rk4_step")]
+
+
+def test_rk4_step_makes_no_numpy_call():
+    # its stages stay lists of floats: a right-hand side that needs an
+    # array makes it itself
+    with open(os.path.join(SRC, "flows.py")) as fh:
+        tree = ast.parse(fh.read())
+    (step,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "rk4_step"]
+    # what each name in its body means in the module: not numpy, nor
+    # anything numpy defines
+    used = [getattr(flows, node.id, None) for node in ast.walk(step)
+            if isinstance(node, ast.Name)]
+    assert not [obj for obj in used
+                if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
 
 
 def test_rk4_step_runs_only_in_the_three_path_loops():
