@@ -26,7 +26,7 @@ from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 # parse_expression and expression_structure are also the CLI's grammar API
 from .grammar import (ProblemError, compile_dynamics, compile_gradient,  # noqa: F401
                       expression_structure, max_degree, parse_expression)
-from .perturbations import build_tangent_cone
+from .perturbations import NeedleOverflowError, build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
                   UnboundedHamiltonianError, UnsupportedMaximizationError,
                   adjoint_flow, check_pmp)
@@ -100,6 +100,16 @@ def _emit_control_set(cset):
     return {"kind": "ball", "center": list(cset.center), "radius": float(cset.radius)}
 
 
+def _builtin(f, jacobian):
+    """A builtin's dynamics f, which returns a list of floats, marked
+    `on_lists`, and df/dx(x, u) giving its constant Jacobian, built once and
+    read-only."""
+    f.on_lists = True
+    J = np.array(jacobian)
+    J.flags.writeable = False
+    return f, lambda x, u: J
+
+
 def _build_dynamics(spec, cset):
     """Returns (m, k, f, df_dx, degree in u, normalized spec)."""
     if not isinstance(spec, dict):
@@ -107,12 +117,10 @@ def _build_dynamics(spec, cset):
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "double_integrator":
-            return (2, 1, lambda x, u: np.array([x[1], u[0]]),
-                    lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
-                    1, {"builtin": name})
+            return (2, 1, *_builtin(lambda x, u: [float(x[1]), float(u[0])],
+                                    [[0.0, 1.0], [0.0, 0.0]]), 1, {"builtin": name})
         if name == "scalar_integrator":
-            return (1, 1, lambda x, u: np.atleast_1d(u[0]),
-                    lambda x, u: np.zeros((1, 1)), 1, {"builtin": name})
+            return (1, 1, *_builtin(lambda x, u: [float(u[0])], [[0.0]]), 1, {"builtin": name})
         if name == "linear_system":
             A = _as_matrix(spec.get("A"), "A")
             B = _as_matrix(spec.get("B"), "B")
@@ -560,7 +568,7 @@ def main(argv=None) -> int:
         return 2
     except (ShootingFailure, FlowBlowUpError, SingularTransportError,
             UnboundedHamiltonianError, ConeCertificateError, SimplexError,
-            np.linalg.LinAlgError) as e:
+            NeedleOverflowError, np.linalg.LinAlgError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (ValueError, UnsupportedMaximizationError) as e:

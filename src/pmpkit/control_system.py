@@ -106,7 +106,7 @@ class ControlSystem:
     twice.  `u_degree` declares the polynomial degree of f and F in u, None
     when unknown; at most 2 lets the Hamiltonian maximizer trust its
     quadratic fit without probing it.  The callables get x as a float64
-    array, but an `f` marked `on_lists` runs on lists of floats.
+    array, but an `f` or `dF_dx` marked `on_lists` runs on lists of floats.
     """
 
     m: int
@@ -120,10 +120,14 @@ class ControlSystem:
     u_degree: Optional[int] = None
 
     def __post_init__(self):
-        # f(x, u) as a list of floats for x a list of floats or an array
-        f = self.f
+        # f(x, u) and dF/dx(x, u) as lists of floats for x a list of floats
+        # or an array
+        f, dF, m = self.f, self.dF_dx, self.m
         self._rate = f if getattr(f, "on_lists", False) else (
             lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist())
+        self._grad = ((lambda x, u: [0.0] * m) if self.F is None
+                      else dF if getattr(dF, "on_lists", False)
+                      else lambda x, u: self.cost_grad_x(x, u).tolist())
 
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.array(self._rate(x, u))

@@ -44,6 +44,11 @@ class NeedleLayoutError(ValueError):
     """Needle interval escapes the horizon or overlaps another needle."""
 
 
+class NeedleOverflowError(RuntimeError):
+    """A needle's class-I vector is not finite: the dynamics overflow at the
+    needle's control, a numerical failure rather than bad input."""
+
+
 class RealizationError(RuntimeError):
     """Direction realization exhausted its budget; carries the best residual."""
 
@@ -230,8 +235,11 @@ def _class1_vectors(sys: ControlSystem, traj: Trajectory, t1: float,
     _require_lebesgue(traj.control, t1)
     x = traj.state_at(t1)
     drift = sys.dynamics(x, traj.control.value_at(t1))
-    return [PerturbationVector(base_time=t1, vector=n.l1 * (sys.dynamics(x, n.u1) - drift)).vector
-            for n in needles]
+    vecs = [n.l1 * (sys.dynamics(x, n.u1) - drift) for n in needles]
+    for n, v in zip(needles, vecs):
+        if not np.isfinite(v).all():
+            raise NeedleOverflowError(f"non-finite needle vector at t={t1!r}, u={n.u1.tolist()!r}")
+    return vecs
 
 
 def class1_vector(sys: ControlSystem, traj: Trajectory, pi: NeedleData) -> PerturbationVector:

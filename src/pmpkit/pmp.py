@@ -371,10 +371,11 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     x = np.asarray(x, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    p0f, rate = float(p0), sys._rate
+    p0f, rate, F, xl = float(p0), sys._rate, sys.F, x.tolist()
 
     def H(u):
-        return p0f * sys.cost_rate(x, u) + float(p @ rate(x, u))
+        # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian` does
+        return p0f * (0.0 if F is None else float(F(x, u))) + float(p @ rate(xl, u))
 
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, extend, simulate
-from .flows import IntegratorConfig, rk4_step
+from .flows import IntegratorConfig, _all_finite, rk4_step
 from .pmp import (
     AdjointCurve,
     BoundarySpec,
@@ -124,21 +124,22 @@ def _auto_jump_tol(control_set) -> float:
 
 def _coupled_rhs(sys, p0, u):
     """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
-    as a list of floats; y is a list of floats or an array."""
-    m, rate = sys.m, sys._rate
+    as a list of floats; y is a list of floats.  J^T p stays a numpy
+    reduction and the rest is the array form's elementwise arithmetic."""
+    m, rate, grad, c = sys.m, sys._rate, sys._grad, -p0
 
     def f(_, y):
-        y = np.asarray(y, dtype=float)
         x, p = y[:m], y[m:]
-        return rate(x, u) + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist()
+        return rate(x, u) + [c * g - q for g, q in
+                             zip(grad(x, u), (sys.jac_x(x, u).T @ np.array(p)).tolist())]
 
     return f
 
 
 class _Propagation:
     def __init__(self, x_b, p_b, steps, sup_h, resume):
-        self.x_b = x_b
-        self.p_b = p_b
+        self.x_b = np.array(x_b)
+        self.p_b = np.array(p_b)
         self.steps = steps      # list of (t_start, u_value)
         self.sup_h = sup_h      # max_u H at the endpoint
         # loop state (t, (x, p), maximizer, switches, steps taken) where the
@@ -181,7 +182,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         x = problem.x_a.copy()
         for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
             x = x + ci * np.asarray(w, float)
-        y = np.concatenate([x, np.asarray(z[:m], dtype=float)])
+        y = np.concatenate([x, np.asarray(z[:m], dtype=float)]).tolist()
         t = problem.a
         try:
             cur = argmax(y)
@@ -200,7 +201,6 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         # every trial step of this iteration starts from y: its first RK4
         # stage is evaluated once per control value
         stages = {}
-        y_start = y.tolist()
 
         def advance(u, dt):
             key = u.tobytes()
@@ -208,51 +208,49 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 rhs = _coupled_rhs(sys, problem.p0, u)
                 stages[key] = (rhs, rhs(t, y))
             rhs, k1 = stages[key]
-            return np.array(rk4_step(rhs, t, y_start, dt, k1))
+            return rk4_step(rhs, t, y, dt, k1)
 
-        def bisect(u_frozen, hi, y_hi):
+        def bisect(u_frozen, lo, hi, y_hi, best_hi):
             # largest substep keeping the maximizer on the current arc, with
-            # the state it reaches; y_hi is the state at hi
-            lo = 0.0
+            # the state it reaches and the maximizer there; the arc holds at
+            # lo, y_hi is the state at hi and best_hi the maximizer at y_hi
             while hi - lo > 1e-10:
                 mid = 0.5 * (lo + hi)
                 ym = advance(u_frozen, mid)
-                if not np.isfinite(ym).all():
+                if not _all_finite(ym):
                     raise FloatingPointError
-                if jumped(argmax(ym).u_star, u_frozen):
-                    hi, y_hi = mid, ym
+                best = argmax(ym)
+                if jumped(best.u_star, u_frozen):
+                    hi, y_hi, best_hi = mid, ym, best
                 else:
                     lo = mid
-            return hi, y_hi
+            return hi, y_hi, best_hi
 
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 yh = advance(cur.u_star, 0.5 * h)
-                if not np.isfinite(yh).all():
+                if not _all_finite(yh):
                     return None
-                u_mid = argmax(yh).u_star
-                if jumped(u_mid, cur.u_star):
+                end = argmax(yh)
+                if jumped(end.u_star, cur.u_star):
                     u_step = cur.u_star
-                    dt, yn = bisect(u_step, 0.5 * h, yh)
-                    end = None
+                    dt, yn, end = bisect(u_step, 0.0, 0.5 * h, yh, end)
+                    n_sw += 1
                 else:
-                    u_step = u_mid
-                    y1 = advance(u_mid, h)
-                    if not np.isfinite(y1).all():
+                    u_step = end.u_star
+                    y1 = advance(u_step, h)
+                    if not _all_finite(y1):
                         return None
                     end = argmax(y1)
-                    if jumped(end.u_star, u_mid):
-                        dt, yn = bisect(u_mid, h, y1)
-                        end = None
+                    if jumped(end.u_star, u_step):
+                        # on cur's control the arc holds at yh, the first midpoint
+                        lo = 0.5 * h if u_step.tobytes() == cur.u_star.tobytes() else 0.0
+                        dt, yn, end = bisect(u_step, lo, h, y1, end)
+                        n_sw += 1
                     else:
                         dt, yn = h, y1
                 steps.append((t, np.asarray(u_step, float)))
-                t, y = t + dt, yn
-                if end is None:
-                    cur = argmax(y)
-                    n_sw += 1
-                else:
-                    cur = end
+                t, y, cur = t + dt, yn, end
         except _TRIAL_FAILURES:
             return None
         if n_sw > opts.max_switches:

@@ -20,7 +20,12 @@ form of a package routine as its reference:
 - `rk4_step_arrays`, the RK4 step on numpy arrays that `flows.rk4_step`
   replaced by the same arithmetic on Python floats (bit for bit);
 - `integration_grid_loop`, the per-node loop that `flows.integration_grid`
-  replaced by one mask per event (bit for bit).
+  replaced by one mask per event (bit for bit);
+- `coupled_rhs_arrays` and `propagate_arrays`, shooting's coupled (x, p)
+  step and propagation on numpy arrays, which `shooting._coupled_rhs` and
+  `shooting._propagate` replaced by lists of Python floats (bit for bit);
+- `BUILTINS_ARRAYS`, the CLI's builtin dynamics and Jacobians as array
+  functions, which the builtins on lists replaced (bit for bit).
 """
 import ast
 import itertools
@@ -648,3 +653,128 @@ def integration_grid_loop(s, t, cfg=None):
     if t < s:
         grid = grid[::-1]
     return grid
+
+
+# ---------------------------------------------------------------------------
+# Shooting's coupled (x, p) step and propagation on numpy arrays, verbatim as
+# they stood before the propagation state became a list of Python floats,
+# with the array RK4 step and the array maximizer above; the loop here
+# maximizes again at the state a bisection returns and propagates from the
+# start only.  Both must give the same bits.
+
+def coupled_rhs_arrays(sys, p0, u):
+    """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
+    as a list of floats; y is a list of floats or an array."""
+    m, rate = sys.m, sys._rate
+
+    def f(_, y):
+        y = np.asarray(y, dtype=float)
+        x, p = y[:m], y[m:]
+        return rate(x, u) + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist()
+
+    return f
+
+
+def propagate_arrays(problem, z, opts, step):
+    """The coupled (x, p) system integrated from the start encoded in z:
+    (steps, x_b, p_b, sup_h) as `shooting._propagate` gives them, or None
+    for a failed trial."""
+    from pmpkit.shooting import _TRIAL_FAILURES, _auto_jump_tol
+
+    sys = problem.sys
+    m = sys.m
+    d_a = len(problem.bounds.initial or ())
+    free = problem.bounds.mode == "free_time"
+    b = float(z[m + d_a]) if free else problem.b
+    if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
+        return None
+    jump_tol = _auto_jump_tol(sys.control_set)
+
+    def argmax(yc):
+        best = maximize_hamiltonian_arrays(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
+        if best.u_star is None:
+            raise FloatingPointError("no control gives a Hamiltonian above -inf")
+        return best
+
+    def jumped(u1, u2):
+        return float(np.abs(u1 - u2).max()) > jump_tol
+
+    x = problem.x_a.copy()
+    for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
+        x = x + ci * np.asarray(w, float)
+    y = np.concatenate([x, np.asarray(z[:m], dtype=float)])
+    t = problem.a
+    try:
+        cur = argmax(y)
+    except _TRIAL_FAILURES:
+        return None
+    steps = []
+    n_sw = 0
+    while b - t > 1e-13 * (1.0 + abs(b)):
+        h = min(step, b - t)
+        stages = {}
+
+        def advance(u, dt):
+            key = u.tobytes()
+            if key not in stages:
+                rhs = coupled_rhs_arrays(sys, problem.p0, u)
+                stages[key] = (rhs, np.array(rhs(t, y)))
+            rhs, k1 = stages[key]
+            return rk4_step_arrays(rhs, t, y, dt, k1)
+
+        def bisect(u_frozen, hi, y_hi):
+            lo = 0.0
+            while hi - lo > 1e-10:
+                mid = 0.5 * (lo + hi)
+                ym = advance(u_frozen, mid)
+                if not np.isfinite(ym).all():
+                    raise FloatingPointError
+                if jumped(argmax(ym).u_star, u_frozen):
+                    hi, y_hi = mid, ym
+                else:
+                    lo = mid
+            return hi, y_hi
+
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                yh = advance(cur.u_star, 0.5 * h)
+                if not np.isfinite(yh).all():
+                    return None
+                u_mid = argmax(yh).u_star
+                if jumped(u_mid, cur.u_star):
+                    u_step = cur.u_star
+                    dt, yn = bisect(u_step, 0.5 * h, yh)
+                    end = None
+                else:
+                    u_step = u_mid
+                    y1 = advance(u_mid, h)
+                    if not np.isfinite(y1).all():
+                        return None
+                    end = argmax(y1)
+                    if jumped(end.u_star, u_mid):
+                        dt, yn = bisect(u_mid, h, y1)
+                        end = None
+                    else:
+                        dt, yn = h, y1
+                steps.append((t, np.asarray(u_step, float)))
+                t, y = t + dt, yn
+                if end is None:
+                    cur = argmax(y)
+                    n_sw += 1
+                else:
+                    cur = end
+        except _TRIAL_FAILURES:
+            return None
+        if n_sw > opts.max_switches:
+            return None
+    return steps, y[:m], y[m:], cur.value
+
+
+# The CLI's builtin dynamics and state Jacobians as they stood, returning
+# fresh arrays: name -> (f, df_dx).
+BUILTINS_ARRAYS = {
+    "double_integrator": (lambda x, u: np.array([x[1], u[0]]),
+                          lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]])),
+    "scalar_integrator": (lambda x, u: np.atleast_1d(u[0]),
+                          lambda x, u: np.zeros((1, 1))),
+}

@@ -574,6 +574,24 @@ class TestConesAndReach:
         err = capsys.readouterr().err
         assert "numerical failure: margin certificate misses" in err
 
+    def test_overflowing_needle_exits_3(self, tmp_path, capsys):
+        # the needle to u = 1 overflows exp(800 u0): a numerical failure that
+        # used to exit 2 as "cone sampling: non-finite perturbation vector"
+        data = {"dynamics": {"expressions": ["x1", "exp(800*u0)"]},
+                "control_set": {"kind": "box", "lo": [0.0], "hi": [1.0]},
+                "horizon": {"a": 0.0, "b": 1.0},
+                "control": {"switch_times": [], "values": [[0.0]]},
+                "integrator": {"step": 0.01},
+                "cones": {"time": 1.0, "times": [0.5], "controls": [[1.0]]}}
+        path = write_problem(tmp_path / "p.json", data)
+        assert cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite needle vector at t=0.5, u=[1.0]" in err
+        # bad sampling input still exits 2
+        data["cones"]["times"] = [1.5]
+        path = write_problem(tmp_path / "p.json", data)
+        assert cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")]) == 2
+
     def test_reach_outputs_reproducible(self, tmp_path):
         data = {"dynamics": {"builtin": "double_integrator"},
                 "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},

@@ -175,8 +175,10 @@ def test_final_time_column_resumes_bit_for_bit(d, p, step, where, k, frac, bump,
 # Calls made by one shoot of the golden minimum-time double integrator
 # (d = 1.2, step 0.1); F counts the Hamiltonian evaluations of the
 # maximizer.  Before propagations and stages were shared they were
-# f 67830, df_dx 38484, F 29165, dF_dx 38484.
-WORK_BASELINE = {"f": 41980, "df_dx": 18941, "F": 22997, "dF_dx": 18941}
+# f 67830, df_dx 38484, F 29165, dF_dx 38484; before a propagation reused
+# the maximizer at the state a bisection returns, f 41980, df_dx 18941,
+# F 22997, dF_dx 18941.
+WORK_BASELINE = {"f": 41677, "df_dx": 18878, "F": 22757, "dF_dx": 18878}
 
 
 def test_shoot_work_within_committed_counts():
@@ -200,6 +202,32 @@ def test_shoot_work_within_committed_counts():
     assert res.converged
     over = {k: (calls[k], v) for k, v in WORK_BASELINE.items() if calls[k] > v}
     assert not over, f"calls above the committed counts (got, committed): {over}"
+
+
+def test_propagation_maximizes_each_state_once(monkeypatch):
+    # a bisection returns its state with the maximizer there, and the first
+    # midpoint of a bisection over a whole step on the step's starting
+    # control is the half-step state already maximized
+    problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
+                                            "problem.json"))
+    sp = shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary, p0=problem.p0,
+                                  x_a=problem.x_a, x_b=problem.x_b,
+                                  a=problem.a, b=problem.b)
+    opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
+    maximize, seen = pmp.maximize_hamiltonian, collections.Counter()
+
+    def counted(sys, p0, p, x, opts=None):
+        seen[np.concatenate([x, p]).tobytes()] += 1
+        return maximize(sys, p0, p, x, opts)
+
+    monkeypatch.setattr(shooting, "maximize_hamiltonian", counted)
+    switching = 0
+    for z in ([0.9, 1.0, 2.19], [-1.0, -0.5, 2.0], [0.2, 0.3, 3.0], [1.0, 0.0, 1.5]):
+        seen.clear()
+        prop = shooting._propagate(sp, np.array(z), opts, problem.step)
+        switching += len({u.tobytes() for _, u in prop.steps}) > 1
+        assert max(seen.values()) == 1, z
+    assert switching == 3
 
 
 @pytest.mark.parametrize("kind", ("box", "ball"))
