@@ -101,13 +101,16 @@ def _emit_control_set(cset):
 
 
 def _builtin(f, jacobian):
-    """A builtin's dynamics f, which returns a list of floats, marked
-    `on_lists`, and df/dx(x, u) giving its constant Jacobian, built once and
-    read-only."""
-    f.on_lists = True
+    """A builtin's dynamics f, returning a list of floats, and df/dx(x, u)
+    giving its constant read-only Jacobian, both marked `on_lists`."""
     J = np.array(jacobian)
     J.flags.writeable = False
-    return f, lambda x, u: J
+
+    def df_dx(x, u):
+        return J
+
+    f.on_lists = df_dx.on_lists = True
+    return f, df_dx
 
 
 def _build_dynamics(spec, cset):

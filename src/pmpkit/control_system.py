@@ -106,7 +106,8 @@ class ControlSystem:
     twice.  `u_degree` declares the polynomial degree of f and F in u, None
     when unknown; at most 2 lets the Hamiltonian maximizer trust its
     quadratic fit without probing it.  The callables get x as a float64
-    array, but an `f` or `dF_dx` marked `on_lists` runs on lists of floats.
+    array, but `f`, `df_dx` or `dF_dx` marked `on_lists` take a list of floats;
+    `_rate`, `_jac` and `_grad` call them so and normalise all the others.
     """
 
     m: int
@@ -120,11 +121,12 @@ class ControlSystem:
     u_degree: Optional[int] = None
 
     def __post_init__(self):
-        # f(x, u) and dF/dx(x, u) as lists of floats for x a list of floats
-        # or an array
-        f, dF, m = self.f, self.dF_dx, self.m
+        # f(x, u) and dF/dx(x, u) as lists of floats, df/dx(x, u) as an
+        # array, for x a list of floats or an array
+        f, df, dF, m = self.f, self.df_dx, self.dF_dx, self.m
         self._rate = f if getattr(f, "on_lists", False) else (
             lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist())
+        self._jac = df if getattr(df, "on_lists", False) else self.jac_x
         self._grad = ((lambda x, u: [0.0] * m) if self.F is None
                       else dF if getattr(dF, "on_lists", False)
                       else lambda x, u: self.cost_grad_x(x, u).tolist())

@@ -13,7 +13,8 @@ a derivative shares is assigned once per entry), and passed to `compile`;
 no source text is generated and the user's text is never evaluated.
 Numbers are bound through a tuple, so nothing is folded.  A state or
 control reads as `float(x[i])` or `float(u[i])`, from a list or an array,
-a vector is a list of floats (`on_lists`), a power goes through
+a vector is a list of floats, a vector or Jacobian function is marked
+`on_lists` (it takes x as a list of floats), a power goes through
 `_real_pow`, and each vector component and Jacobian entry has its own `try`
 that turns overflow, division by zero and math domain errors into NaN, so
 the integrators' blow-up checks own the diagnostic.  Straight-line code
@@ -415,7 +416,7 @@ class _Code:
         namespace = dict(_GLOBALS)
         exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
         fn = namespace["_bind"](tuple(self.consts))
-        fn.on_lists = len(shape) == 1
+        fn.on_lists = bool(shape)
         return fn
 
 

@@ -154,7 +154,7 @@ def _pick_best(cands, H):
         v = H(u)
         if v > best_v:
             best_u, best_v = np.asarray(u, dtype=float), v
-    return MaximizationResult(best_u, best_v)
+    return best_u, best_v
 
 
 def _read_only(a):
@@ -338,7 +338,7 @@ def _grid_refine(H, lo, hi, opts):
             v = H(u)
             if v > best_v:
                 best_u, best_v = u, v
-        best = MaximizationResult(best_u, best_v)
+        best = best_u, best_v
         cell = (cur_hi - cur_lo) / (g - 1)
         # with no H above -inf on the grid there is nothing to refine
         # around: u_star is None, as `_pick_best` returns it
@@ -347,6 +347,89 @@ def _grid_refine(H, lo, hi, opts):
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)
     return best
+
+
+def _maximizer(sys: ControlSystem, p0: float, opts: Optional[MaximizeOptions] = None):
+    """The one Hamiltonian maximizer, bound to sys, p0 and opts: maximize(p, x)
+    of p and x lists of floats, unchecked, is (u_star, H, value), with H bound
+    to p and x as `hamiltonian` computes it and value H(u_star) if the search
+    evaluated it, else None."""
+    opts = opts or MaximizeOptions()
+    p0f, rate, F, fit_tol = float(p0), sys._rate, sys.F, opts.fit_tol
+    verify = sys.u_degree is None or sys.u_degree > 2
+    U = sys.control_set
+    probes = None if U.kind == "finite" else _probes(U)
+    if U.kind == "finite":
+        def search(H):
+            return _pick_best(U.points, H)
+
+    elif U.kind == "ball":
+        c, R = U.center, U.radius
+
+        def search(H):
+            fit = _fit_quadratic(H, probes, fit_tol, verify)
+            if fit is not None:
+                b, a, mixed = fit
+                curvature = _absmax(a, mixed.values())
+                scale = 1.0 + _absmax(b) + curvature
+                if curvature <= fit_tol * scale:
+                    nb = np.linalg.norm(b)
+                    return (c + R * np.array(b) / nb if nb > fit_tol * scale else c.copy()), None
+            cands = [c.copy()]
+            for r in np.linspace(R / 8.0, R, 8):
+                for d in unit_directions(c.size, 32, seed=0):
+                    cands.append(c + r * d)
+            return _pick_best(cands, H)
+
+    else:
+        lo, hi, k = U.lo, U.hi, probes.k
+        bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+
+        def search(H):
+            fit = _fit_quadratic(H, probes, fit_tol, verify)
+            if fit is not None:
+                b, a, mixed = fit
+                scale = 1.0 + _absmax(b) + _absmax(a, mixed.values())
+                ztol = fit_tol * scale
+                # the off-diagonal part A - diag(diag(A)): inf - inf is nan
+                # on the diagonal, as in the matrix
+                off_diag = _absmax([v - v for v in a], mixed.values()) if k > 1 else 0.0
+                if off_diag <= ztol:
+                    return np.array([_axis_max(b[j], a[j], probes.lo[j], probes.hi[j],
+                                               probes.u0_axes[j], ztol)
+                                     if probes.delta[j] > 0 else probes.lo[j]
+                                     for j in range(k)]), None
+                A = _matrix(a, mixed)
+                eigs = np.linalg.eigvalsh(A)
+                if eigs.max() < -ztol:
+                    u_star = probes.u0 + np.linalg.solve(A, -np.array(b))
+                    if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
+                        return np.clip(u_star, lo, hi), None
+                    if bounded:
+                        return _grid_refine(H, lo, hi, opts)
+                    raise UnsupportedMaximizationError(
+                        "coupled concave maximization with mixed infinite bounds "
+                        "is not supported")
+                if bounded:
+                    return _grid_refine(H, lo, hi, opts)
+                raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
+            if bounded:
+                return _grid_refine(H, lo, hi, opts)
+            raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
+
+    def maximize(p, x):
+        # p @ an array: the bits of p @ a list, in less time; F gets x as an array
+        p, xa = np.array(p), np.array(x)
+
+        def H(u):
+            # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian` does
+            return (p0f * (0.0 if F is None else float(F(xa, u)))
+                    + float(p @ np.array(rate(x, u))))
+
+        u_star, value = search(H)
+        return u_star, H, value
+
+    return maximize
 
 
 def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
@@ -362,78 +445,15 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     deterministic grid refinement.  When H is NaN or -inf at every
     candidate, u_star is None and value is -inf.
 
-    p and x are checked once and H is bound to them, computed as
-    `hamiltonian` computes it; the fit's probe points come from the
-    control set (`_probes`).
+    p and x are checked and handed to `_maximizer`, which binds H to them;
+    the fit's probe points come from the control set (`_probes`).
     """
-    opts = opts or MaximizeOptions()
     p = np.asarray(p, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    p0f, rate, F, xl = float(p0), sys._rate, sys.F, x.tolist()
-
-    def H(u):
-        # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian` does
-        return p0f * (0.0 if F is None else float(F(x, u))) + float(p @ rate(xl, u))
-
-    verify = sys.u_degree is None or sys.u_degree > 2
-    U = sys.control_set
-    if U.kind == "finite":
-        return _pick_best(U.points, H)
-
-    probes = _probes(U)
-    fit = _fit_quadratic(H, probes, opts.fit_tol, verify)
-    if U.kind == "ball":
-        c, R = U.center, U.radius
-        if fit is not None:
-            b, a, mixed = fit
-            curvature = _absmax(a, mixed.values())
-            scale = 1.0 + _absmax(b) + curvature
-            if curvature <= opts.fit_tol * scale:
-                nb = np.linalg.norm(b)
-                u = c + R * np.array(b) / nb if nb > opts.fit_tol * scale else c.copy()
-                return MaximizationResult(u, H(u))
-        cands = [c.copy()]
-        for r in np.linspace(R / 8.0, R, 8):
-            for d in unit_directions(c.size, 32, seed=0):
-                cands.append(c + r * d)
-        return _pick_best(cands, H)
-
-    lo, hi = U.lo, U.hi
-    k = probes.k
-    if fit is not None:
-        b, a, mixed = fit
-        scale = 1.0 + _absmax(b) + _absmax(a, mixed.values())
-        ztol = opts.fit_tol * scale
-        # the off-diagonal part A - diag(diag(A)): inf - inf is nan on the
-        # diagonal, as in the matrix
-        off_diag = _absmax([v - v for v in a], mixed.values()) if k > 1 else 0.0
-        if off_diag <= ztol:
-            u = np.array([
-                _axis_max(b[j], a[j], probes.lo[j], probes.hi[j], probes.u0_axes[j], ztol)
-                if probes.delta[j] > 0 else probes.lo[j]
-                for j in range(k)
-            ])
-            return MaximizationResult(u, H(u))
-        A = _matrix(a, mixed)
-        eigs = np.linalg.eigvalsh(A)
-        if eigs.max() < -ztol:
-            u_star = probes.u0 + np.linalg.solve(A, -np.array(b))
-            if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
-                u_star = np.clip(u_star, lo, hi)
-                return MaximizationResult(u_star, H(u_star))
-            if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-                return _grid_refine(H, lo, hi, opts)
-            raise UnsupportedMaximizationError(
-                "coupled concave maximization with mixed infinite bounds "
-                "is not supported")
-        if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            return _grid_refine(H, lo, hi, opts)
-        raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
-    if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-        return _grid_refine(H, lo, hi, opts)
-    raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
+    u, H, value = _maximizer(sys, p0, opts)(p.tolist(), x.tolist())
+    return MaximizationResult(u, H(u) if value is None else value)
 
 
 def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> AdjointCurve:
@@ -513,6 +533,7 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
         raise ValueError("state dimension mismatch")
     p0 = adj.sigma0
 
+    maximize = _maximizer(sys, p0, opts.maximize)
     switch = set(u.switch_times)
     gaps: List[float] = []
     sups: List[float] = []
@@ -524,10 +545,11 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
             min_norm = min(min_norm, mn)
         if any(abs(t - s) <= 1e-12 * (1.0 + abs(s)) for s in switch):
             continue
-        mx = maximize_hamiltonian(sys, p0, adj.sigma[i], states[i], opts.maximize)
+        u_star, H, sup = maximize(adj.sigma[i].tolist(), states[i].tolist())
+        sup = H(u_star) if sup is None else sup
         href = hamiltonian(sys, p0, adj.sigma[i], states[i], u.value_at(float(t)))
-        gaps.append(max(mx.value - href, 0.0))
-        sups.append(mx.value)
+        gaps.append(max(sup - href, 0.0))
+        sups.append(sup)
     sups_arr = np.array(sups)
     res_3a = float(np.max(gaps))
     if bounds.mode == "free_time":

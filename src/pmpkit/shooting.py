@@ -25,8 +25,9 @@ from .pmp import (
     BoundarySpec,
     Extremal,
     MaximizeOptions,
+    _absmax,
+    _maximizer,
     adjoint_flow,
-    maximize_hamiltonian,
 )
 
 
@@ -126,14 +127,19 @@ def _coupled_rhs(sys, p0, u):
     """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
     as a list of floats; y is a list of floats.  J^T p stays a numpy
     reduction and the rest is the array form's elementwise arithmetic."""
-    m, rate, grad, c = sys.m, sys._rate, sys._grad, -p0
+    m, rate, grad, jac, c = sys.m, sys._rate, sys._grad, sys._jac, -p0
 
     def f(_, y):
         x, p = y[:m], y[m:]
         return rate(x, u) + [c * g - q for g, q in
-                             zip(grad(x, u), (sys.jac_x(x, u).T @ np.array(p)).tolist())]
+                             zip(grad(x, u), (jac(x, u).T @ np.array(p)).tolist())]
 
     return f
+
+
+def _jumped(u1, u2, tol) -> bool:
+    """float(np.abs(u1 - u2).max()) > tol, NaN included, on Python floats."""
+    return _absmax([v - w for v, w in zip(u1.tolist(), u2.tolist())]) > tol
 
 
 class _Propagation:
@@ -165,17 +171,41 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
         return None
     jump_tol = _auto_jump_tol(sys.control_set)
+    maximize = _maximizer(sys, problem.p0, opts.maximize)
 
     def argmax(yc):
-        # the maximizer at the stacked state yc = (x, p); H that is NaN or
-        # -inf at every control ends the trial like a blow-up
-        best = maximize_hamiltonian(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
-        if best.u_star is None:
+        # the maximizer at the stacked state yc = (x, p) with H bound there;
+        # H that is NaN or -inf at every control ends the trial like a blow-up
+        u, H, _ = maximize(yc[m:], yc[:m])
+        if u is None:
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
-        return best
+        return u, H
 
-    def jumped(u1, u2):
-        return float(np.abs(u1 - u2).max()) > jump_tol
+    def advance(u, dt):
+        # every trial step of one loop iteration starts from y: its first
+        # RK4 stage is evaluated once per control value
+        key = u.tobytes()
+        if key not in stages:
+            rhs = _coupled_rhs(sys, problem.p0, u)
+            stages[key] = (rhs, rhs(t, y))
+        rhs, k1 = stages[key]
+        return rk4_step(rhs, t, y, dt, k1)
+
+    def bisect(u_frozen, lo, hi, y_hi, best_hi):
+        # largest substep keeping the maximizer on the current arc, with
+        # the state it reaches and the maximizer there; the arc holds at
+        # lo, y_hi is the state at hi and best_hi the maximizer at y_hi
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            ym = advance(u_frozen, mid)
+            if not _all_finite(ym):
+                raise FloatingPointError
+            best = argmax(ym)
+            if _jumped(best[0], u_frozen, jump_tol):
+                hi, y_hi, best_hi = mid, ym, best
+            else:
+                lo = mid
+        return hi, y_hi, best_hi
 
     steps: List[Tuple[float, np.ndarray]]
     if base is None:
@@ -183,81 +213,53 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
             x = x + ci * np.asarray(w, float)
         y = np.concatenate([x, np.asarray(z[:m], dtype=float)]).tolist()
-        t = problem.a
-        try:
-            cur = argmax(y)
-        except _TRIAL_FAILURES:
-            return None
-        steps = []
-        n_sw = 0
+        t, steps, n_sw = problem.a, [], 0
     else:
         t, y, cur, n_sw, n_steps = base.resume
         steps = base.steps[:n_steps]
     resume = None
-    while b - t > 1e-13 * (1.0 + abs(b)):
-        h = min(step, b - t)
-        if resume is None and h != step:
-            resume = (t, y, cur, n_sw, len(steps))
-        # every trial step of this iteration starts from y: its first RK4
-        # stage is evaluated once per control value
-        stages = {}
-
-        def advance(u, dt):
-            key = u.tobytes()
-            if key not in stages:
-                rhs = _coupled_rhs(sys, problem.p0, u)
-                stages[key] = (rhs, rhs(t, y))
-            rhs, k1 = stages[key]
-            return rk4_step(rhs, t, y, dt, k1)
-
-        def bisect(u_frozen, lo, hi, y_hi, best_hi):
-            # largest substep keeping the maximizer on the current arc, with
-            # the state it reaches and the maximizer there; the arc holds at
-            # lo, y_hi is the state at hi and best_hi the maximizer at y_hi
-            while hi - lo > 1e-10:
-                mid = 0.5 * (lo + hi)
-                ym = advance(u_frozen, mid)
-                if not _all_finite(ym):
-                    raise FloatingPointError
-                best = argmax(ym)
-                if jumped(best.u_star, u_frozen):
-                    hi, y_hi, best_hi = mid, ym, best
-                else:
-                    lo = mid
-            return hi, y_hi, best_hi
-
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                yh = advance(cur.u_star, 0.5 * h)
+    try:
+        # numpy stays quiet on overflow and invalid values, from the first
+        # maximization to H at the end: the loop checks its states are finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            if base is None:
+                cur = argmax(y)
+            while b - t > 1e-13 * (1.0 + abs(b)):
+                h = min(step, b - t)
+                if resume is None and h != step:
+                    resume = (t, y, cur, n_sw, len(steps))
+                stages = {}
+                yh = advance(cur[0], 0.5 * h)
                 if not _all_finite(yh):
                     return None
                 end = argmax(yh)
-                if jumped(end.u_star, cur.u_star):
-                    u_step = cur.u_star
+                if _jumped(end[0], cur[0], jump_tol):
+                    u_step = cur[0]
                     dt, yn, end = bisect(u_step, 0.0, 0.5 * h, yh, end)
                     n_sw += 1
                 else:
-                    u_step = end.u_star
+                    u_step = end[0]
                     y1 = advance(u_step, h)
                     if not _all_finite(y1):
                         return None
                     end = argmax(y1)
-                    if jumped(end.u_star, u_step):
+                    if _jumped(end[0], u_step, jump_tol):
                         # on cur's control the arc holds at yh, the first midpoint
-                        lo = 0.5 * h if u_step.tobytes() == cur.u_star.tobytes() else 0.0
+                        lo = 0.5 * h if u_step.tobytes() == cur[0].tobytes() else 0.0
                         dt, yn, end = bisect(u_step, lo, h, y1, end)
                         n_sw += 1
                     else:
                         dt, yn = h, y1
                 steps.append((t, np.asarray(u_step, float)))
                 t, y, cur = t + dt, yn, end
-        except _TRIAL_FAILURES:
-            return None
-        if n_sw > opts.max_switches:
-            return None
-    if resume is None:
-        resume = (t, y, cur, n_sw, len(steps))
-    return _Propagation(y[:m], y[m:], steps, cur.value, resume)
+                if n_sw > opts.max_switches:
+                    return None
+            if resume is None:
+                resume = (t, y, cur, n_sw, len(steps))
+            # sup_h, the one H(u_star) that a propagation reads
+            return _Propagation(y[:m], y[m:], steps, cur[1](cur[0]), resume)
+    except _TRIAL_FAILURES:
+        return None
 
 
 def _step(problem: ShootingProblem, opts: ShootingOptions) -> float:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import maximize_hamiltonian_arrays
-from pmpkit import pmp
+from pmpkit import pmp, shooting
 from pmpkit.control_system import ControlSystem, ball, box, finite
 
 INF, NAN = math.inf, math.nan
@@ -135,6 +135,61 @@ def test_scalar_maximizer_matches_array_maximizer_bit_for_bit(case):
     assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
     # a second call reads the probes kept on the control set
     assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
+
+
+def bound_outcome(sys, p0, p, x, opts):
+    """u_star and H(u_star) of the bound maximizer at lists p and x, as
+    `outcome` gives them; a value its search returns must be H(u_star)."""
+    with np.errstate(all="ignore"):
+        try:
+            u, H, value = pmp._maximizer(sys, p0, opts)([float(v) for v in p],
+                                                        [float(v) for v in x])
+        except Exception as exc:
+            return type(exc)
+        if u is None:
+            return None, bits(value)
+        if value is not None:
+            assert bits(value) == bits(H(u))
+        return bits(u), bits(H(u))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(cases())
+def test_bound_maximizer_matches_public_maximizer_bit_for_bit(case):
+    # boxes of k = 1..3 with finite, half-infinite and signed-zero sides,
+    # balls and finite sets, u_degree declared or not
+    sys, p0, p, x, opts = case
+    assert bound_outcome(sys, p0, p, x, opts) == outcome(pmp.maximize_hamiltonian,
+                                                         sys, p0, p, x, opts)
+
+
+@pytest.mark.parametrize("U", (box([-1.0], [2.0]), box([-1.0, -0.0], [1.0, 0.0]),
+                               box([-1.0, 0.0], [1.0, 3.0]), ball([0.5, -0.0], 2.0),
+                               finite([[1.0], [-0.0]])), ids=repr)
+@pytest.mark.parametrize("degree", (None, 1))
+def test_bound_maximizer_of_nan_hamiltonian_has_no_u_star(U, degree):
+    sys = ControlSystem(m=1, k=U.dim, f=lambda x, u: np.array([np.nan]), control_set=U,
+                        F=lambda x, u: 1.0, u_degree=degree)
+    want = outcome(pmp.maximize_hamiltonian, sys, -1.0, [1.0], [0.0], None)
+    assert want == (None, bits(-INF))
+    assert bound_outcome(sys, -1.0, [1.0], [0.0], None) == want
+
+
+jump_values = st.one_of(st.floats(-3.0, 3.0),
+                        st.sampled_from((0.0, -0.0, INF, -INF, NAN, 1e308, -1e308)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(st.lists(jump_values, min_size=k,
+                                                              max_size=k),
+                                                     st.lists(jump_values, min_size=k,
+                                                              max_size=k))),
+       st.sampled_from((0.0, 0.05, 1.0)))
+def test_jump_test_on_floats_matches_numpy(pair, tol):
+    u1, u2 = (np.array(v) for v in pair)
+    with np.errstate(all="ignore"):
+        want = float(np.abs(u1 - u2).max()) > tol
+    assert shooting._jumped(u1, u2, tol) is want
 
 
 def _concave_plus_signs(x, u):

@@ -7,7 +7,8 @@ stages and return the same bits (NaN compared as NaN), also at signed
 zeros, subnormal and huge steps of either sign, and infinite or NaN
 states.  A scan of the package's source holds the README's promise that no
 second RK4 step exists beside it, that only three loops call it, and that
-it makes no numpy call.
+it makes no numpy call; another holds that the Hamiltonian maximizer has
+one implementation, which shooting and `check_pmp` bind once.
 """
 
 import ast
@@ -179,3 +180,28 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
                     found.add((os.path.basename(path), getattr(top, "name", None)))
     assert found == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flow"),
                      ("shooting.py", "_propagate")}
+
+
+def test_package_has_one_hamiltonian_maximizer():
+    # the quadratic fit, the axis maximum, the grid refinement and the pick
+    # of the best candidate run only in the bound maximizer, and shooting
+    # and check_pmp bind it rather than calling the public wrapper per state
+    helpers = {"_fit_quadratic", "_axis_max", "_grid_refine", "_pick_best"}
+    helper_calls, public_calls = set(), set()
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            where = (os.path.basename(path), getattr(top, "name", None))
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in helpers:
+                    helper_calls.add(where + (name,))
+                elif name == "maximize_hamiltonian":
+                    public_calls.add(where)
+    assert {call[:2] for call in helper_calls} == {("pmp.py", "_maximizer")}
+    assert {call[2] for call in helper_calls} == helpers
+    assert not [where for where in public_calls
+                if where[0] == "shooting.py" or where == ("pmp.py", "check_pmp")]

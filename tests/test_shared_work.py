@@ -177,8 +177,9 @@ def test_final_time_column_resumes_bit_for_bit(d, p, step, where, k, frac, bump,
 # maximizer.  Before propagations and stages were shared they were
 # f 67830, df_dx 38484, F 29165, dF_dx 38484; before a propagation reused
 # the maximizer at the state a bisection returns, f 41980, df_dx 18941,
-# F 22997, dF_dx 18941.
-WORK_BASELINE = {"f": 41677, "df_dx": 18878, "F": 22757, "dF_dx": 18878}
+# F 22997, dF_dx 18941; before H(u_star) was evaluated only where it is
+# read (once per propagation), f 41677 and F 22757.
+WORK_BASELINE = {"f": 36165, "df_dx": 18878, "F": 17245, "dF_dx": 18878}
 
 
 def test_shoot_work_within_committed_counts():
@@ -214,19 +215,27 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
                                   x_a=problem.x_a, x_b=problem.x_b,
                                   a=problem.a, b=problem.b)
     opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
-    maximize, seen = pmp.maximize_hamiltonian, collections.Counter()
+    bind, seen = pmp._maximizer, collections.Counter()
 
-    def counted(sys, p0, p, x, opts=None):
-        seen[np.concatenate([x, p]).tobytes()] += 1
-        return maximize(sys, p0, p, x, opts)
+    def counted(sys, p0, opts=None):
+        # the maximizer is bound once per propagation; count what it maximizes
+        seen["binds"] += 1
+        maximize = bind(sys, p0, opts)
 
-    monkeypatch.setattr(shooting, "maximize_hamiltonian", counted)
+        def wrapper(p, x):
+            seen[np.array(x + p).tobytes()] += 1
+            return maximize(p, x)
+
+        return wrapper
+
+    monkeypatch.setattr(shooting, "_maximizer", counted)
     switching = 0
     for z in ([0.9, 1.0, 2.19], [-1.0, -0.5, 2.0], [0.2, 0.3, 3.0], [1.0, 0.0, 1.5]):
         seen.clear()
         prop = shooting._propagate(sp, np.array(z), opts, problem.step)
         switching += len({u.tobytes() for _, u in prop.steps}) > 1
-        assert max(seen.values()) == 1, z
+        assert seen.pop("binds") == 1
+        assert len(seen) > 1 and max(seen.values()) == 1, z
     assert switching == 3
 
 

@@ -1,8 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from pmpkit.control_system import ControlSystem, box
-from pmpkit import pmp, shooting
+from pmpkit import cli, pmp, shooting
 
 from oracles import double_integrator_time_optimal, riccati_lqr_reference
 
@@ -268,6 +270,21 @@ class TestTrialFailures:
         res = shooting.shoot(prob, guess=guess, opts=opts)
         assert res.converged
         np.testing.assert_allclose(res.extremal.control.value_at(0.5), x_b, atol=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", ([np.inf, 1.0, 2.0], [1.0, np.inf, 2.0]))
+    def test_first_maximization_ignores_invalid_values_as_every_step_does(self, z):
+        # an infinite initial costate makes p . f NaN at the first
+        # maximization: numpy stays as quiet there as at every later state,
+        # and the trial fails
+        problem = cli.load_problem(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                                "golden", "min_time_double_integrator",
+                                                "problem.json"))
+        prob = shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary,
+                                        p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
+                                        a=problem.a, b=problem.b)
+        opts = shooting.ShootingOptions(step=problem.step)
+        assert shooting._propagate(prob, np.array(z), opts, problem.step) is None
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("value", (np.nan, -np.inf))
