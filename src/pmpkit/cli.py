@@ -400,7 +400,6 @@ def cmd_simulate(args) -> int:
 
 def _load_extremal(problem: Problem, out_dir):
     """Rebuild an Extremal from the three files shoot (or simulate) wrote."""
-    esys = extend(problem.sys)
     m = problem.sys.m
     tdata = _load_csv(os.path.join(out_dir, "trajectory.csv"), "t,")
     header_cols = tdata.shape[1] - 1
@@ -414,10 +413,7 @@ def _load_extremal(problem: Problem, out_dir):
         states = np.column_stack([np.zeros(len(grid)), tdata[:, 1:m + 1]])
     else:
         raise ProblemError("trajectory.csv column count does not match the problem")
-    vel = np.array([esys.dynamics(states[i], sig.value_at(min(grid[i], sig.b - 1e-15)))
-                    for i in range(len(grid))])
-    traj = ExtendedTrajectory(grid=grid, states=states, control=sig,
-                              velocities=vel, system=esys)
+    traj = ExtendedTrajectory(grid=grid, states=states, control=sig, system=extend(problem.sys))
     adata = _load_csv(os.path.join(out_dir, "adjoint.csv"), "t,sigma0")
     if adata.shape[1] != m + 2:
         raise ProblemError("adjoint.csv column count does not match the problem")

@@ -213,13 +213,12 @@ def constant_signal(a: float, b: float, value) -> ControlSignal:
 
 @dataclass
 class Trajectory:
-    """States on a dense time grid, with node velocities for interpolation."""
+    """States of `system` under `control` on a dense time grid."""
 
     grid: np.ndarray
     states: np.ndarray
     control: ControlSignal
-    velocities: np.ndarray
-    system: ControlSystem = field(repr=False, default=None)
+    system: ControlSystem = field(repr=False)
 
     @property
     def a(self) -> float:
@@ -253,8 +252,8 @@ class Trajectory:
         h = t1 - t0
         uval = self.control.value_at(0.5 * (t0 + t1))
         x0, x1 = self.states[i], self.states[i + 1]
-        v0 = self.system.dynamics(x0, uval) if self.system is not None else self.velocities[i]
-        v1 = self.system.dynamics(x1, uval) if self.system is not None else self.velocities[i + 1]
+        v0 = self.system.dynamics(x0, uval)
+        v1 = self.system.dynamics(x1, uval)
         s = (t - t0) / h
         h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
         h10 = s * (1.0 - s) ** 2
@@ -275,17 +274,16 @@ class ExtendedTrajectory(Trajectory):
     def running_cost(self) -> np.ndarray:
         return self.states[:, 0].copy()
 
-    def project(self, system: Optional[ControlSystem] = None) -> Trajectory:
+    def project(self, system: ControlSystem) -> Trajectory:
         """Drop the cost coordinate; shares the grid and control.
 
-        `system` is the base system this one extends.  With it the result
-        is the trajectory `simulate` returns for the base system on the
-        same signal, bit for bit: the RK4 step of the extended system does
-        the same elementwise arithmetic on the state coordinates.
+        `system` is the base system this one extends.  The result is the
+        trajectory `simulate` returns for it on the same signal, bit for
+        bit: the RK4 step of the extended system does the same elementwise
+        arithmetic on the state coordinates.
         """
         return Trajectory(grid=self.grid.copy(), states=self.states[:, 1:].copy(),
-                          control=self.control, velocities=self.velocities[:, 1:].copy(),
-                          system=system)
+                          control=self.control, system=system)
 
     def to_csv(self, path) -> None:
         header = "t," + ",".join(f"x{j}" for j in range(self.states.shape[1] - 1)) + ",xcost"
@@ -329,12 +327,9 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
     for v in u.values:
         if not sys.control_set.contains(v):
             raise ValueError("control signal value outside the control set")
-    X = signal_field(sys, u)
-    grid, states, vels, _ = _lifted_path(X, None, u.a, u.b, x0, (), cfg)
-    vels.append(X.on(*grid[-2:].tolist()).eval(u.b, states[-1]))
-    states, vels = np.array(states), np.array(vels)
+    grid, states, _ = _lifted_path(signal_field(sys, u), None, u.a, u.b, x0, (), cfg)
     cls = ExtendedTrajectory if sys.extended else Trajectory
-    return cls(grid=grid, states=states, control=u, velocities=vels, system=sys)
+    return cls(grid=grid, states=np.array(states), control=u, system=sys)
 
 
 def cost(ext_traj: ExtendedTrajectory) -> float:

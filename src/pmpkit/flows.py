@@ -161,8 +161,8 @@ def rk4_step(f, t, y, h, k1):
     as is the returned state.  The stage arithmetic runs on Python floats
     in the order of the array form y + (h/2) k and y + (h/6) (((k1 + 2 k2)
     + 2 k3) + k4), so it gives the same bits without numpy's fixed cost per
-    call on short vectors.  k1 is passed in, so callers that also need it
-    (node velocities, a stage shared by several trial steps) evaluate it once.
+    call on short vectors.  k1 is passed in, so a caller that also needs it
+    (a stage shared by several trial steps) evaluates it once.
     """
     a = 0.5 * h
     k2 = f(t + a, [yi + a * ki for yi, ki in zip(y, k1)])
@@ -171,6 +171,20 @@ def rk4_step(f, t, y, h, k1):
     c = h / 6.0
     return [yi + c * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
             for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4, strict=True)]
+
+
+def _recorded_step(rate, linearize, t, y, h):
+    """rk4_step of y' = rate(t, y) from (t, y) with step h, and the list of
+    linearize(t, y) at its four stages: the one place where RK4 stages are
+    linearized, for the lifts of `_lifted_path` and for `pmp.adjoint_flow`."""
+    lins = []
+
+    def recording(tt, yy):
+        k = rate(tt, yy)
+        lins.append(linearize(tt, yy))
+        return k
+
+    return rk4_step(recording, t, y, h, recording(t, y)), lins
 
 
 def _all_finite(v):
@@ -185,7 +199,7 @@ def flow(X, t, s, x0, cfg=None):
 def _lifted_path(X, lift, s, t, x0, ws, cfg):
     """RK4 paths from s to t of x' = X and, along that one base path, of each
     w' = lift(dX/dx, w) with w(s) in ws: the package's one forward path loop.
-    Returns the grid, then as lists the x path, each step's k1 and the w paths.
+    Returns the grid, then as lists the x path and the w paths.
 
     The grid hits cfg's event times, then X's switch times, and each step
     runs on X.on(t0, t1), whose eval gets each stage as an array unless it
@@ -201,27 +215,20 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     x = np.array(x0, dtype=float).tolist()
     ws = [np.array(w, dtype=float).tolist() for w in ws]
     live = [j for j, w in enumerate(ws) if any(w)]
-    xs, ks = [x], []
+    xs = [x]
     rows = [[w] if j in live else [w] * len(ts) for j, w in enumerate(ws)]
-    jacs = []
 
     def array_rate(tt, xx):
         return np.asarray(F.eval(tt, np.array(xx))).tolist()
-
-    def rhs_recording(tt, xx):
-        k = rate(tt, xx)
-        jacs.append(F.jac(tt, xx))
-        return k
 
     for t0, t1 in zip(ts, ts[1:]):
         h = t1 - t0
         F = X.on(t0, t1)
         rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
-        base = rhs_recording if live else rate
-        jacs.clear()
-        k1 = base(t0, x)
-        ks.append(k1)
-        x = rk4_step(base, t0, x, h, k1)
+        if live:
+            x, jacs = _recorded_step(rate, F.jac, t0, x, h)
+        else:
+            x = rk4_step(rate, t0, x, h, rate(t0, x))
         if not _all_finite(x):
             raise FlowBlowUpError(t1)
         xs.append(x)
@@ -233,13 +240,13 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
             if not _all_finite(w):
                 raise FlowBlowUpError(t1)
             rows[j].append(w)
-    return grid, xs, ks, rows
+    return grid, xs, rows
 
 
 def tangent_lift_flows(X, t, s, x0, vs, cfg=None):
     """Transport the tangent vectors vs at x0 by the complete lift along one
     base path: x' = X, v' = (dX/dx) v.  Returns x(t) and the list of v(t)."""
-    _, xs, _, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
+    _, xs, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
     return np.array(xs[-1]), [np.array(path[-1]) for path in paths]
 
 
@@ -251,7 +258,7 @@ def tangent_lift_flow(X, t, s, init, cfg=None):
 
 def cotangent_lift_flow(X, t, s, init, cfg=None):
     """Transport (x, p) by the cotangent lift: x' = X, p' = -(dX/dx)^T p."""
-    _, xs, _, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
+    _, xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
     return CotangentState(np.array(xs[-1]), np.array(path[-1]))
 
 
@@ -264,7 +271,7 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
     def both(J, w):
         return np.concatenate([J @ w[:m], -J.T @ w[m:]])
 
-    path = np.array(_lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)[3][0])
+    path = np.array(_lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)[2][0])
     ref = float(np.dot(p0, v0))
     pairings = np.einsum("ij,ij->i", path[:, m:], path[:, :m])
     return float(np.max(np.abs(pairings - ref)))
@@ -274,7 +281,7 @@ def _transport_matrix(X, t, s, x, cfg=None):
     """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix,
     together with the transported base point."""
     m = X.dim
-    _, xs, _, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
+    _, xs, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
                                      x, [np.eye(m).ravel()], cfg)
     return np.array(xs[-1]), np.array(path[-1]).reshape(m, m)
 

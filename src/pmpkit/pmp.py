@@ -31,7 +31,7 @@ from .control_system import (
     extend,
     simulate,
 )
-from .flows import FlowBlowUpError, IntegratorConfig, _all_finite, rk4_step
+from .flows import FlowBlowUpError, IntegratorConfig, _all_finite, _recorded_step, rk4_step
 from ._simplex import linprog_dense
 
 
@@ -400,8 +400,9 @@ def _maximizer(sys: ControlSystem, p0: float, opts: Optional[MaximizeOptions] = 
                                      if probes.delta[j] > 0 else probes.lo[j]
                                      for j in range(k)]), None
                 A = _matrix(a, mixed)
-                eigs = np.linalg.eigvalsh(A)
-                if eigs.max() < -ztol:
+                # a model that is not finite makes ztol inf or nan, so it is
+                # no concave one, and eigvalsh may not converge on it
+                if math.isfinite(ztol) and np.linalg.eigvalsh(A).max() < -ztol:
                     u_star = probes.u0 + np.linalg.solve(A, -np.array(b))
                     if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
                         return np.clip(u_star, lo, hi), None
@@ -459,46 +460,43 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
 def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> AdjointCurve:
     """Integrate p' = -p0 grad_x F - (df/dx)^T p backward along the trajectory.
 
-    Runs on the trajectory's own grid (shared-grid invariant for extremals);
-    p0 is constant because the extended dynamics never depend on the cost
-    coordinate.
+    The discrete adjoint of RK4 (Hager, Numer. Math. 87, 2000; Sandu, ICCS
+    2006): each step of traj is retraced from its stored node state and
+    linearized at its four stages, and p steps back by one rk4_step with
+    step -h on those linearizations in reverse stage order.  That is
+    p_n = M_n^T p_(n+1), M_n the step matrix of the tangent lift of the
+    extended system, so (p0, p) pairs with the vectors that lift carries to
+    rounding and the maximum condition at a node is the needle-cone
+    separation at b.  Runs on the trajectory's own grid; p0 is constant
+    because the extended dynamics never depend on the cost coordinate.
     """
     p = np.asarray(p_b, dtype=float).ravel()
     if p.size != sys.m:
         raise ValueError("terminal covector has the wrong dimension")
-    grid = traj.grid
-    ts = grid.tolist()
+    ts = traj.grid.tolist()
+    states = traj.states.tolist()
     p = p.tolist()
     sigma = [p]
-
-    def linearize(xx, uval):
-        # p' = a - A p at the state xx
-        a, A = -p0 * sys.cost_grad_x(xx, uval), sys.jac_x(xx, uval).T
-        return lambda pp: (a - A @ pp).tolist()
-
-    # the state, control and linearization at the node where the previous
-    # (later) step's last stage was evaluated
-    x_node = u_node = rate_node = None
-    for i in range(len(ts) - 1, 0, -1):
-        t1, t0 = ts[i], ts[i - 1]
-        h = t0 - t1
+    rate, jac, grad, c = sys._rate, sys._jac, sys._grad, -p0
+    for i in range(len(ts) - 2, -1, -1):
+        t0, t1 = ts[i], ts[i + 1]
         uval = traj.control.value_at(0.5 * (t0 + t1))
-        if x_node is None:
-            x_node = traj.state_at(t1)
-        if u_node is None or uval.tobytes() != u_node.tobytes():
-            rate_node = linearize(x_node, uval)
-        k1 = rate_node(p)
-        rate_mid = linearize(traj.state_at(t1 + 0.5 * h), uval)
-        x_node, u_node = traj.state_at(t0), uval
-        rate_node = linearize(x_node, uval)
-        # the later stages run at t1 + h/2 (twice) and t1 + h
-        rates = {t1 + 0.5 * h: rate_mid, t1 + h: rate_node}
-        p = rk4_step(lambda tt, pp: rates[tt](pp), t1, p, h, k1)
+
+        def linearize(_, x):
+            # p' = c grad_x F - (df/dx)^T p at the stage state x, as the
+            # coupled shooting step computes it
+            g, JT = grad(x, uval), jac(x, uval).T
+            return lambda pp: [c * gi - qi for gi, qi in zip(g, (JT @ np.array(pp)).tolist())]
+
+        _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i], t1 - t0)
+        # stage 4 gives k1, then stages 3, 2 and 1
+        stages = iter(rates[::-1])
+        p = rk4_step(lambda _, pp: next(stages)(pp), t1, p, t0 - t1, next(stages)(p))
         if not _all_finite(p):
             raise FlowBlowUpError(t0)
         sigma.append(p)
     sigma.reverse()
-    return AdjointCurve(grid=grid.copy(), sigma0=float(p0), sigma=np.array(sigma))
+    return AdjointCurve(grid=traj.grid.copy(), sigma0=float(p0), sigma=np.array(sigma))
 
 
 @dataclass

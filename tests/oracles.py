@@ -5,8 +5,9 @@ cross products, textbook ODE solutions, scipy integrators) and never calls
 into the package's LP or RK4 code, so these functions can serve as
 cross-checks for the implementations.  A few exceptions keep an earlier
 form of a package routine as its reference:
-- `adjoint_flow_loop`, the plain per-stage form of `pmp.adjoint_flow`
-  (bit for bit);
+- `adjoint_flow_loop`, the backward RK4 over Hermite-interpolated states
+  that `pmp.adjoint_flow` replaced by the discrete adjoint (agreement to
+  fourth order);
 - `tangent_lift_stacked` and `needle_vector_stacked`, the per-vector lift
   of the stacked (x, v) that the shared needle lift replaced (bit for bit),
   holding the control of each grid segment at its midpoint value;
@@ -16,7 +17,9 @@ form of a package routine as its reference:
   interpreter that the expression grammar's generated functions replaced
   (bit for bit);
 - `maximize_hamiltonian_arrays`, the Hamiltonian maximizer on numpy arrays
-  that `pmp.maximize_hamiltonian` replaced (bit for bit);
+  that `pmp.maximize_hamiltonian` replaced (bit for bit), with one later
+  fix that both carry: a coupled box model that is not finite skips
+  `eigvalsh`;
 - `rk4_step_arrays`, the RK4 step on numpy arrays that `flows.rk4_step`
   replaced by the same arithmetic on Python floats (bit for bit);
 - `integration_grid_loop`, the per-node loop that `flows.integration_grid`
@@ -235,9 +238,9 @@ def variation_of_constants(A, b, t, x0):
 def adjoint_flow_loop(sys, traj, p0, p_b):
     """Backward RK4 adjoint with `state_at` and the linearization per stage.
 
-    The straightforward loop that `pmp.adjoint_flow` shortens by sharing
-    evaluations at equal inputs; both must return the same sigma bit for
-    bit.
+    An RK4 of its own on the adjoint equation, linearized at cubic-Hermite
+    states, where `pmp.adjoint_flow` transposes the forward step; the two
+    differ by this scheme's O(h^4) error.
     """
     p = np.asarray(p_b, dtype=float).ravel()
     grid = traj.grid
@@ -583,8 +586,10 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
                 for j in range(k)
             ])
             return MaximizationResult(u, H(u))
-        eigs = np.linalg.eigvalsh(A)
-        if eigs.max() < -ztol:
+        # changed since the rewrite, as in the maximizer: a model that is not
+        # finite skips eigvalsh, which need not converge on it (it raised
+        # for k = 3), and goes where k = 1 and 2 went
+        if np.isfinite(ztol) and np.linalg.eigvalsh(A).max() < -ztol:
             u_star = u0 + np.linalg.solve(A, -b)
             if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
                 u_star = np.clip(u_star, lo, hi)

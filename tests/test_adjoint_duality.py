@@ -1,0 +1,73 @@
+"""The adjoint flow is the exact transpose of the forward RK4 step.
+
+`pmp.adjoint_flow` steps back by p_n = M_n^T p_(n+1), where M_n is the step
+matrix of the tangent lift of the extended system over the same grid step.
+So the pairing of (p0, p) with a tangent vector carried by that lift holds
+across every step to rounding, and p(tau) . (f(x(tau), v) - f(x(tau), u(tau)))
+equals (p0, p(b)) paired with the needle vector of (tau, v) carried to b:
+the maximum condition at tau is the needle-cone separation at b.  A backward
+scheme of its own keeps both only to its O(h^4) error.
+"""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pmpkit import cli, pmp
+from pmpkit.control_system import extend, signal_field, simulate
+from pmpkit.flows import IntegratorConfig, tangent_lift_flows
+from pmpkit.perturbations import NeedleData, multi_needle_vector
+
+from test_shared_work import smooth_systems
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=smooth_systems(), p0=st.sampled_from((-1.0, 0.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_adjoint_step_is_the_transpose_of_the_tangent_step(case, p0, seed):
+    sys, sig, x0, p_b, step = case
+    esys = extend(sys)
+    ext = simulate(esys, sig, np.concatenate(([0.0], x0)), IntegratorConfig(step=step))
+    adj = pmp.adjoint_flow(sys, ext.project(sys), p0, p_b)
+    X = signal_field(esys, sig)
+    rng = np.random.default_rng(seed)
+    ts = ext.grid.tolist()
+    for n, (t0, t1) in enumerate(zip(ts, ts[1:])):
+        # M_n v by the tangent lift over the one grid step [t0, t1]
+        v = rng.uniform(-1.0, 1.0, esys.m)
+        _, (Mv,) = tangent_lift_flows(X, t1, t0, ext.states[n], [v], IntegratorConfig(step=t1 - t0))
+        before = np.concatenate(([p0], adj.sigma[n]))
+        after = np.concatenate(([p0], adj.sigma[n + 1]))
+        defect = abs(float(before @ v) - float(after @ Mv))
+        assert defect <= 1e-14 * np.linalg.norm(before) * np.linalg.norm(v), (n, defect)
+
+
+@pytest.mark.parametrize("p0", (0.0, -1.0))
+@pytest.mark.parametrize("step", (0.04, 0.02))
+def test_maximum_condition_gap_is_the_needle_pairing_at_b(step, p0):
+    # the pendulum golden (a switch at 0.9) with a running cost, needles to
+    # u = 0 at the grid nodes nearest 0.4, 0.8, 1.2 and 1.6
+    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    sys = dataclasses.replace(problem.sys, F=lambda x, u: 0.5 * float(x[0] ** 2 + u[0] ** 2),
+                              dF_dx=lambda x, u: np.array([x[0], 0.0]))
+    esys, u = extend(sys), problem.control
+    cfg = IntegratorConfig(step=step)
+    ext = simulate(esys, u, np.concatenate(([0.0], problem.x_a)), cfg)
+    p_b = np.array([0.7, -1.3])
+    adj = pmp.adjoint_flow(sys, ext.project(sys), p0, p_b)
+    sigma_b = np.concatenate(([p0], p_b))
+    v = np.array([0.0])
+    for target in (0.4, 0.8, 1.2, 1.6):
+        i = int(np.argmin(np.abs(ext.grid - target)))
+        tau = float(ext.grid[i])
+        x = ext.states[i]
+        jump = esys.dynamics(x, v) - esys.dynamics(x, u.value_at(tau))
+        at_tau = float(np.concatenate(([p0], adj.sigma[i])) @ jump)
+        needle = multi_needle_vector(esys, ext, [NeedleData(t1=tau, l1=1.0, u1=v)], u.b, cfg).vector
+        at_b = float(sigma_b @ needle)
+        assert abs(at_tau - at_b) <= 1e-10 * np.linalg.norm(sigma_b) * np.linalg.norm(needle), tau

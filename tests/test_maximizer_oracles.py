@@ -165,9 +165,12 @@ def test_bound_maximizer_matches_public_maximizer_bit_for_bit(case):
 
 @pytest.mark.parametrize("U", (box([-1.0], [2.0]), box([-1.0, -0.0], [1.0, 0.0]),
                                box([-1.0, 0.0], [1.0, 3.0]), ball([0.5, -0.0], 2.0),
-                               finite([[1.0], [-0.0]])), ids=repr)
-@pytest.mark.parametrize("degree", (None, 1))
+                               finite([[1.0], [-0.0]]), box([-1.0] * 2, [1.0] * 2),
+                               box([-1.0] * 3, [1.0] * 3)), ids=repr)
+@pytest.mark.parametrize("degree", (None, 1, 2))
 def test_bound_maximizer_of_nan_hamiltonian_has_no_u_star(U, degree):
+    # a coupled model that is not finite goes to grid refinement, as it
+    # does for k = 2, and eigvalsh never sees it (it need not converge)
     sys = ControlSystem(m=1, k=U.dim, f=lambda x, u: np.array([np.nan]), control_set=U,
                         F=lambda x, u: 1.0, u_degree=degree)
     want = outcome(pmp.maximize_hamiltonian, sys, -1.0, [1.0], [0.0], None)

@@ -6,8 +6,9 @@ step on numpy arrays, and both must feed the right-hand side the same
 stages and return the same bits (NaN compared as NaN), also at signed
 zeros, subnormal and huge steps of either sign, and infinite or NaN
 states.  A scan of the package's source holds the README's promise that no
-second RK4 step exists beside it, that only three loops call it, and that
-it makes no numpy call; another holds that the Hamiltonian maximizer has
+second RK4 step exists beside it, that only three loops and the one step
+that linearizes its stages call it, and that it makes no numpy call; that
+the adjoint interpolates no state; and that the Hamiltonian maximizer has
 one implementation, which shooting and `check_pmp` bind once.
 """
 
@@ -165,21 +166,64 @@ def test_rk4_step_makes_no_numpy_call():
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
 
 
-def test_rk4_step_runs_only_in_the_three_path_loops():
-    # flows._lifted_path is the one forward path loop (simulate, flow and
-    # the lifts); the backward adjoint and the shooting propagation, which
-    # picks its controls step by step, keep their own
-    found = set()
+def _top_functions():
+    """(file name, top-level node) of every top-level statement of the package."""
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
-            for node in ast.walk(top):
-                if ((isinstance(node, ast.Name) and node.id == "rk4_step")
-                        or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
-                    found.add((os.path.basename(path), getattr(top, "name", None)))
-    assert found == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flow"),
-                     ("shooting.py", "_propagate")}
+            yield os.path.basename(path), top
+
+
+def _calls(node, name):
+    return any(isinstance(n, ast.Call)
+               and getattr(n.func, "id", getattr(n.func, "attr", None)) == name
+               for n in ast.walk(node))
+
+
+def test_rk4_step_runs_only_in_the_three_path_loops():
+    # flows._recorded_step is the one step that linearizes its stages;
+    # flows._lifted_path is the one forward path loop (simulate, flow and
+    # the lifts) and steps each lifted vector on the stages it recorded;
+    # pmp.adjoint_flow steps the covector back on the stages of the forward
+    # steps it retraces; shooting._propagate picks its controls step by
+    # step, so it keeps its own loop
+    found = set()
+    for name, top in _top_functions():
+        for node in ast.walk(top):
+            if ((isinstance(node, ast.Name) and node.id == "rk4_step")
+                    or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
+                found.add((name, getattr(top, "name", None)))
+    assert found == {("flows.py", "_recorded_step"), ("flows.py", "_lifted_path"),
+                     ("pmp.py", "adjoint_flow"), ("shooting.py", "_propagate")}
+
+
+def test_rk4_stages_are_linearized_in_one_function():
+    # a right-hand side that records something at each stage it is called
+    # with (it appends) is written once, in flows._recorded_step; the lifts
+    # and the adjoint both get their stage linearizations from it, so the
+    # adjoint sees the stage states of the forward step
+    recording, callers = set(), set()
+    for name, top in _top_functions():
+        if not isinstance(top, ast.FunctionDef):
+            continue
+        nested = [node for node in ast.walk(top) if node is not top
+                  and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+        if _calls(top, "rk4_step") and any(_calls(node, "append") for node in nested):
+            recording.add((name, top.name))
+        if _calls(top, "_recorded_step"):
+            callers.add((name, top.name))
+    assert recording == {("flows.py", "_recorded_step")}
+    assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flow")}
+
+
+def test_pmp_interpolates_no_state():
+    # the adjoint retraces the stored steps and check_pmp reads node states:
+    # nothing in pmp.py reads a state between grid nodes
+    with open(os.path.join(SRC, "pmp.py")) as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "state_at"]
 
 
 def test_package_has_one_hamiltonian_maximizer():
