@@ -18,14 +18,13 @@ import sys
 import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
-                             Trajectory, _write_csv, ball, box, extend, finite, simulate)
+                             Trajectory, _write_csv, ball, box, cost, extend, finite, simulate)
 from ._simplex import SimplexError
 from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
                             membership_margin, null_space)
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
-# parse_expression and expression_structure are also the CLI's grammar API
-from .grammar import (ProblemError, compile_dynamics, compile_gradient,  # noqa: F401
-                      expression_structure, max_degree, parse_expression)
+from .grammar import (ProblemError, compile_dynamics, compile_gradient, max_degree,
+                      parse_expression)
 from .perturbations import NeedleOverflowError, build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
                   UnboundedHamiltonianError, UnsupportedMaximizationError,
@@ -387,13 +386,13 @@ def cmd_simulate(args) -> int:
     if problem.sys.F is not None:
         traj = simulate(extend(problem.sys), problem.control,
                         np.concatenate(([0.0], problem.x_a)), _cfg(problem))
-        cost = float(traj.endpoint[0])
+        total = cost(traj)
     else:
         traj = simulate(problem.sys, problem.control, problem.x_a, _cfg(problem))
-        cost = 0.0
+        total = 0.0
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
     _write_json(os.path.join(args.out, "cost.json"),
-                {"name": problem.name, "cost": _g17(cost)})
+                {"name": problem.name, "cost": _g17(total)})
     _write_json(os.path.join(args.out, "control.json"), _emit_signal(problem.control))
     return 0
 
@@ -462,7 +461,7 @@ def cmd_shoot(args) -> int:
         "jacobian_rank": int(result.jacobian_rank),
         "n_unknowns": int(result.n_unknowns),
         "final_time": _g17(result.extremal.ext_traj.b),
-        "cost": _g17(result.extremal.ext_traj.endpoint[0]),
+        "cost": _g17(cost(result.extremal.ext_traj)),
         "switch_times": [_g17(t) for t in struct.switch_times],
         "arc_labels": list(struct.arc_labels),
     }

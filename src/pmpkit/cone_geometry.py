@@ -1,12 +1,12 @@
 """Polyhedral convex-cone operations.
 
 A cone is represented by a finite generator list, C = { sum_i lam_i g_i :
-lam_i >= 0 }.  Membership, polar containment, supporting hyperplanes,
-separation of cone pairs and Minkowski-difference spanning are all decided by
-small dense linear programs (see _simplex), each posed with n or n + 1 rows.
-Hyperplanes, separation witnesses and margins are checked on the original
-generators before they are returned.  "Interior" always means relative
-interior, i.e. interior within span(C).
+lam_i >= 0 }.  Membership, supporting hyperplanes, separation of cone pairs
+and Minkowski-difference spanning are all decided by small dense linear
+programs (see _simplex), each posed with n or n + 1 rows.  Hyperplanes,
+positive combinations, separation witnesses and margins are checked on the
+original generators before they are returned.  "Interior" always means
+relative interior, i.e. interior within span(C).
 
 Vectors and covectors are plain 1-D numpy arrays.
 """
@@ -179,23 +179,14 @@ def cone_residual(cone, v, tol=DEFAULT_TOL):
     return max(_residual_lp(cone.matrix, v, tol).value, 0.0)
 
 
-def conic_coefficients(cone, v, tol=DEFAULT_TOL):
-    """Nonnegative lam with W lam ~= v, or None when v is outside the cone."""
-    v = _check_dim(cone, v)
-    W = cone.matrix
-    res = _residual_lp(W, v, tol)
-    if res.value > tol:
-        return None
-    return res.x[:W.shape[1]]
-
-
 def positive_combination(cone, v, tol=DEFAULT_TOL):
     """Strictly positive conic coefficients for a relative-interior v.
 
     Solves max t s.t. W lam = v, lam_i >= t, t <= 1 and returns (lam, t*).
     t* > 0 exactly characterizes the relative interior of a finitely
     generated cone.  Returns (None, 0.0) when no positive representation
-    exists.
+    exists.  The returned lam is checked to satisfy W lam = v with lam > 0;
+    ConeCertificateError is raised otherwise.
     """
     v = _check_dim(cone, v)
     W = cone.matrix
@@ -204,7 +195,7 @@ def positive_combination(cone, v, tol=DEFAULT_TOL):
     lam, t = _positive_lp(W, v, tol)
     if lam is None or t <= tol:
         return None, t
-    return lam, t
+    return _checked_combination(W, lam, v, tol, "positive combination misses W lam = v"), t
 
 
 def conic_membership(cone, v, tol=DEFAULT_TOL):
@@ -276,10 +267,13 @@ def membership_margin(cone, v, tol=DEFAULT_TOL, cap=None):
     return out
 
 
-def polar_contains(cone, alpha, tol=DEFAULT_TOL):
-    """True iff alpha pairs nonpositively with every generator."""
-    alpha = _check_dim(cone, alpha)
-    return all(float(alpha @ g) <= tol for g in cone.generators)
+def _checked_combination(M, coef, rhs, tol, what):
+    """coef, after checking max |M coef - rhs| <= tol (1 + max |M| coef) and
+    coef > 0."""
+    miss = float(np.max(np.abs(M @ coef - rhs)))
+    if not (miss <= tol * (1.0 + float(np.max(np.abs(M) @ coef))) and np.all(coef > 0)):
+        raise ConeCertificateError("%s by %.3e" % (what, miss))
+    return coef
 
 
 def _checked_hyperplane(W, alpha, tol):
@@ -351,9 +345,7 @@ def separate(c1, c2, tol=DEFAULT_TOL):
     coef, t = _positive_lp(M, np.zeros(n), tol)
     if coef is None or t < 0.5:
         raise ConeCertificateError("separation witness LP inconsistent with hyperplane search")
-    miss = float(np.max(np.abs(M @ coef)))
-    if not (miss <= tol * (1.0 + float(np.max(np.abs(M) @ coef))) and np.all(coef > 0)):
-        raise ConeCertificateError("separation witness misses W1 lam = W2 mu by %.3e" % miss)
+    _checked_combination(M, coef, 0.0, tol, "separation witness misses W1 lam = W2 mu")
     witness = W1 @ coef[:n1] if n1 else np.zeros(n)
     return SeparationResult(False, witness=witness)
 

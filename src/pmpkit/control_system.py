@@ -270,10 +270,6 @@ class Trajectory:
 class ExtendedTrajectory(Trajectory):
     """Trajectory of the extended system; states[:, 0] is the running cost."""
 
-    @property
-    def running_cost(self) -> np.ndarray:
-        return self.states[:, 0].copy()
-
     def project(self, system: ControlSystem) -> Trajectory:
         """Drop the cost coordinate; shares the grid and control.
 

@@ -114,18 +114,6 @@ class IntegratorConfig:
         self.event_times = tuple(float(t) for t in self.event_times)
 
 
-@dataclass
-class TangentState:
-    x: np.ndarray
-    v: np.ndarray
-
-
-@dataclass
-class CotangentState:
-    x: np.ndarray
-    p: np.ndarray
-
-
 def integration_grid(s, t, cfg=None):
     """Monotone grid from s to t, uniform at the base step but hitting every
     event time exactly.  Base nodes closer than 1e-9 of the span to an event
@@ -250,16 +238,18 @@ def tangent_lift_flows(X, t, s, x0, vs, cfg=None):
     return np.array(xs[-1]), [np.array(path[-1]) for path in paths]
 
 
-def tangent_lift_flow(X, t, s, init, cfg=None):
-    """Transport (x, v) by the complete lift: x' = X, v' = (dX/dx) v."""
-    x, (v,) = tangent_lift_flows(X, t, s, init.x, [init.v], cfg)
-    return TangentState(x, v)
+def tangent_lift_flow(X, t, s, x0, v0, cfg=None):
+    """Transport v0 at x0 by the complete lift: x' = X, v' = (dX/dx) v.
+    Returns (x(t), v(t))."""
+    x, (v,) = tangent_lift_flows(X, t, s, x0, [v0], cfg)
+    return x, v
 
 
-def cotangent_lift_flow(X, t, s, init, cfg=None):
-    """Transport (x, p) by the cotangent lift: x' = X, p' = -(dX/dx)^T p."""
-    _, xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, init.x, [init.p], cfg)
-    return CotangentState(np.array(xs[-1]), np.array(path[-1]))
+def cotangent_lift_flow(X, t, s, x0, p0, cfg=None):
+    """Transport p0 at x0 by the cotangent lift: x' = X, p' = -(dX/dx)^T p.
+    Returns (x(t), p(t))."""
+    _, xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, x0, [p0], cfg)
+    return np.array(xs[-1]), np.array(path[-1])
 
 
 def pairing_drift(X, interval, x0, v0, p0, cfg=None):

@@ -435,41 +435,15 @@ def parse_expression(src: str, m: int, k: int, where="expression"):
         return code.function("expression")
 
 
-def expression_structure(src: str, m: int, k: int):
-    """Exact partial derivatives in x and the degree in u of one expression.
-
-    Returns (partials, degree).  `partials` has one entry per state x_j:
-    the value of a constant derivative, or a function (x, u) -> float
-    compiled like `parse_expression`; it is None when a state appears in an
-    exponent.  `degree` is the polynomial degree in u, None when u appears
-    in a denominator, an exponent or a function argument.
-    """
-    # _derivative and _u_degree recurse once per level of the tree, so they
-    # are called here directly: a helper's frame would lower the depth that
-    # compiles, here and in the two functions below
-    with _nesting("expression"):
-        body = _tree(src, m, k, "expression")
-        degree = _u_degree(body)
-        if not _exact(body):
-            return None, degree
-        partials = []
-        for j in range(m):
-            d = _derivative(body, j)
-            if _is_num(d):
-                partials.append(float(d.value))
-            else:
-                code = _Code()
-                code.entry(d)
-                partials.append(code.function("partial"))
-        return partials, degree
-
-
 def compile_dynamics(srcs, m: int, k: int):
     """Generated f(x, u) -> list of n floats and df/dx(x, u) -> (n, m) array for
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.
     """
+    # _derivative and _u_degree recurse once per level of the tree, so they
+    # are called here directly: a helper's frame would lower the depth that
+    # compiles, here and in compile_gradient below
     value, jacobian, degrees = _Code(), _Code(), []
     for i, src in enumerate(srcs):
         where = f"dynamics.expressions[{i}]"

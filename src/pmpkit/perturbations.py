@@ -143,12 +143,6 @@ class PerturbationCone:
         _write_csv(path, header, rows)
 
 
-def _assemble_cone(at_time, m, k, gens, prov) -> PerturbationCone:
-    cone = GeneratedCone(gens, n=m)
-    return PerturbationCone(at_time=float(at_time), cone=cone,
-                            provenance=tuple(prov[i] for i in cone.kept), control_dim=k)
-
-
 def _require_lebesgue(u: ControlSignal, t: float) -> None:
     if not lebesgue_times(u, [t]):
         raise ValueError(f"t={t!r} is not an interior Lebesgue time (switch or endpoint)")
@@ -169,20 +163,6 @@ def _override(u: ControlSignal, lo: float, hi: float, val: np.ndarray) -> Contro
         switches.append(p)
         merged.append(v)
     return ControlSignal(a=u.a, b=u.b, switch_times=tuple(switches), values=tuple(merged))
-
-
-def apply_needle(u: ControlSignal, pi: NeedleData, s: float) -> ControlSignal:
-    """Insert the needle value on [t1 - l1 s, t1]; zero length is a no-op."""
-    if s <= 0:
-        raise ValueError("needle scale s must be positive")
-    if pi.l1 == 0.0:
-        return u
-    lo = pi.t1 - pi.l1 * s
-    hi = pi.t1
-    if not (u.a < lo and hi <= u.b):
-        raise NeedleLayoutError(
-            f"needle interval [{lo!r}, {hi!r}] escapes ({u.a!r}, {u.b!r}]")
-    return _override(u, lo, hi, pi.u1)
 
 
 def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
@@ -277,13 +257,6 @@ def _needle_vectors(sys: ControlSystem, traj: Trajectory, needles: Sequence[Need
     return out
 
 
-def transport_vector(sys: ControlSystem, traj: Trajectory, v: PerturbationVector,
-                     t: float, cfg: Optional[IntegratorConfig] = None) -> PerturbationVector:
-    """Push v forward from its base time to t by the variational flow along traj."""
-    (out,) = _transport_group(sys, traj, v.base_time, [v.vector], t, cfg)
-    return PerturbationVector(base_time=float(t), vector=out)
-
-
 def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
                         needles: Sequence[NeedleData], t: float,
                         cfg: Optional[IntegratorConfig] = None) -> PerturbationVector:
@@ -312,6 +285,63 @@ def time_perturbation_vector(sys: ControlSystem, traj: Trajectory,
     return PerturbationVector(base_time=pi.tau, vector=vec)
 
 
+def _generators(sys: ControlSystem, traj: Trajectory, prov: Sequence[Provenance],
+                t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
+    """The generator at t of each provenance record, in order: the one rule
+    every perturbation cone is built by.
+
+    A needle gives its class-I vector carried to t (one base path per needle
+    time), an axis delta_tau f(gamma(t), u(t)), and an initial-manifold
+    vector its initial_vector carried from its source time.
+    """
+    gens: List[np.ndarray] = [None] * len(prov)
+    needle_ix = [i for i, p in enumerate(prov) if p.kind == "needle"]
+    for i, g in zip(needle_ix, _needle_vectors(sys, traj, [prov[i].needle for i in needle_ix],
+                                               t, cfg)):
+        gens[i] = g
+    axis_ix = [i for i, p in enumerate(prov) if p.kind in ("axis+", "axis-")]
+    if axis_ix:
+        drift = sys.dynamics(traj.state_at(t), traj.control.value_at(t))
+        for i in axis_ix:
+            gens[i] = prov[i].delta_tau * drift
+    init_groups: dict = {}
+    for i, p in enumerate(prov):
+        if p.kind in ("init+", "init-"):
+            init_groups.setdefault(p.source_time, []).append(i)
+    for t0, idx in init_groups.items():
+        moved = _transport_group(sys, traj, t0, [prov[i].initial_vector for i in idx], t, cfg)
+        for i, g in zip(idx, moved):
+            gens[i] = g
+    return gens
+
+
+def _assemble_cone(sys: ControlSystem, traj: Trajectory, t: float, prov: Sequence[Provenance],
+                   cfg: Optional[IntegratorConfig]) -> PerturbationCone:
+    """The cone at t of the provenance's generators; each kept generator
+    keeps its record."""
+    cone = GeneratedCone(_generators(sys, traj, prov, t, cfg), n=sys.m)
+    return PerturbationCone(at_time=float(t), cone=cone,
+                            provenance=tuple(prov[i] for i in cone.kept), control_dim=sys.k)
+
+
+def _needle_provenance(t: float, sampling) -> List[Provenance]:
+    """One unit-rate needle per (time, control) of the sampling, time-major."""
+    times = [float(tau) for tau in sampling["times"]]
+    controls = [np.asarray(c, dtype=float).ravel() for c in sampling["controls"]]
+    if not times or not controls:
+        raise ValueError("sampling must list at least one time and one control")
+    if any(tau > t for tau in times):
+        raise ValueError("sampled times must not exceed the cone time")
+    return [Provenance(kind="needle", source_time=tau, needle=NeedleData(t1=tau, l1=1.0, u1=u1))
+            for tau in times for u1 in controls]
+
+
+def _axis_provenance(traj: Trajectory, t: float) -> List[Provenance]:
+    _require_lebesgue(traj.control, t)
+    return [Provenance(kind="axis+", source_time=float(t), delta_tau=1.0),
+            Provenance(kind="axis-", source_time=float(t), delta_tau=-1.0)]
+
+
 def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
                        cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Cone of transported unit-rate class-I vectors over a (times x controls) sampling.
@@ -321,50 +351,29 @@ def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
     every generator reproducible.  The needles at one sampled time are carried
     to t along one shared base path.
     """
-    times = list(sampling["times"])
-    controls = [np.asarray(c, dtype=float).ravel() for c in sampling["controls"]]
-    if not times or not controls:
-        raise ValueError("sampling must list at least one time and one control")
-    gens, prov = [], []
-    for tau in times:
-        tau = float(tau)
-        if tau > t:
-            raise ValueError("sampled times must not exceed the cone time")
-        needles = [NeedleData(t1=tau, l1=1.0, u1=u1) for u1 in controls]
-        gens.extend(_needle_vectors(sys, traj, needles, t, cfg))
-        prov.extend(Provenance(kind="needle", source_time=tau, needle=nd) for nd in needles)
-    return _assemble_cone(t, sys.m, sys.k, gens, prov)
+    return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling), cfg)
 
 
 def build_time_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
                     cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Tangent cone plus the +-f(gamma(t), u(t)) final-time axis."""
-    _require_lebesgue(traj.control, t)
-    base = build_tangent_cone(sys, traj, t, sampling, cfg)
-    drift = sys.dynamics(traj.state_at(t), traj.control.value_at(t))
-    gens = list(base.cone.generators) + [drift, -drift]
-    prov = list(base.provenance) + [
-        Provenance(kind="axis+", source_time=float(t), delta_tau=1.0),
-        Provenance(kind="axis-", source_time=float(t), delta_tau=-1.0),
-    ]
-    return _assemble_cone(t, sys.m, sys.k, gens, prov)
+    axis = _axis_provenance(traj, t)
+    return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling) + axis, cfg)
 
 
 def build_initial_cone(sys: ControlSystem, traj: Trajectory, t: float,
                        Sa_tangent_basis: Sequence[np.ndarray], sampling,
                        cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Time cone plus +- the transported initial-manifold tangent basis."""
-    base = build_time_cone(sys, traj, t, sampling, cfg)
-    a = traj.a
+    axis = _axis_provenance(traj, t)
     init = []
     for w in Sa_tangent_basis:
         w = np.asarray(w, dtype=float).ravel()
-        init += [Provenance(kind=kind, source_time=a,
-                            initial_vector=PerturbationVector(a, sgn * w).vector)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite initial-manifold tangent vector")
+        init += [Provenance(kind=kind, source_time=traj.a, initial_vector=sgn * w)
                  for sgn, kind in ((1.0, "init+"), (-1.0, "init-"))]
-    moved = _transport_group(sys, traj, a, [p.initial_vector for p in init], t, cfg)
-    return _assemble_cone(t, sys.m, sys.k, list(base.cone.generators) + moved,
-                          list(base.provenance) + init)
+    return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling) + axis + init, cfg)
 
 
 @dataclass
@@ -389,27 +398,8 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
     """
     if t2 < t1:
         raise ValueError("need t1 <= t2")
-    prov2 = cone_t1.provenance
+    cone2 = _assemble_cone(sys, traj, t2, cone_t1.provenance, cfg)
     drift2 = sys.dynamics(traj.state_at(t2), traj.control.value_at(t2))
-    gens2: List[np.ndarray] = [None] * len(prov2)
-    needle_ix = [i for i, p in enumerate(prov2) if p.kind == "needle"]
-    moved = _needle_vectors(sys, traj, [NeedleData(t1=prov2[i].needle.t1, l1=1.0,
-                                                   u1=prov2[i].needle.u1)
-                                        for i in needle_ix], t2, cfg)
-    for i, g in zip(needle_ix, moved):
-        gens2[i] = g
-    for i, p in enumerate(prov2):
-        if p.kind in ("axis+", "axis-"):
-            gens2[i] = p.delta_tau * drift2
-    init_groups: dict = {}
-    for i, p in enumerate(prov2):
-        if p.kind in ("init+", "init-"):
-            init_groups.setdefault(p.source_time, []).append(i)
-    for t0, idx in init_groups.items():
-        moved = _transport_group(sys, traj, t0, [prov2[i].initial_vector for i in idx], t2, cfg)
-        for i, g in zip(idx, moved):
-            gens2[i] = g
-    cone2 = _assemble_cone(t2, sys.m, sys.k, gens2, prov2)
 
     # the generators at t1 and the drift there share one base path to t2
     drift1 = PerturbationVector(t1, sys.dynamics(traj.state_at(t1),

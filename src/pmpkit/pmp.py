@@ -55,17 +55,6 @@ class AdjointCurve:
     sigma0: float
     sigma: np.ndarray
 
-    def sigma_at(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t <= self.grid[0]:
-            return self.sigma[0].copy()
-        if t >= self.grid[-1]:
-            return self.sigma[-1].copy()
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        t0, t1 = self.grid[i], self.grid[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self.sigma[i] + w * self.sigma[i + 1]
-
 
 @dataclass
 class Extremal:

@@ -3,15 +3,15 @@ import pytest
 
 from pmpkit.cone_geometry import (
     BoundaryConditionError,
+    ConeCertificateError,
     GeneratedCone,
     RootSearchError,
+    _checked_hyperplane,
     conic_membership,
-    conic_coefficients,
     cone_residual,
     covered_point_root,
     difference_spans,
     membership_margin,
-    polar_contains,
     positive_combination,
     separate,
     supporting_hyperplane,
@@ -58,15 +58,23 @@ class TestMembership:
         assert len(c.generators) == 1
 
 
+def in_polar(c, alpha, tol=1e-9):
+    """Whether `_checked_hyperplane`, the package's polar test, accepts alpha."""
+    try:
+        return _checked_hyperplane(c.matrix, alpha, tol) is alpha
+    except ConeCertificateError:
+        return False
+
+
 class TestPolar:
     def test_contained(self):
-        assert polar_contains(QUAD, np.array([-1.0, -1.0]))
+        assert in_polar(QUAD, np.array([-1.0, -1.0]))
 
     def test_not_contained(self):
-        assert not polar_contains(QUAD, np.array([1.0, 0.0]))
+        assert not in_polar(QUAD, np.array([1.0, 0.0]))
 
     def test_empty_cone_vacuous(self):
-        assert polar_contains(GeneratedCone([], 3), np.array([5.0, -2.0, 1.0]))
+        assert in_polar(GeneratedCone([], 3), np.array([5.0, -2.0, 1.0]))
 
     def test_polar_duality_enumeration(self):
         rng = np.random.default_rng(3)
@@ -75,7 +83,9 @@ class TestPolar:
             gens = [rng.standard_normal(n) for _ in range(rng.integers(1, 6))]
             c = GeneratedCone(gens, n)
             alpha = rng.standard_normal(n)
-            assert polar_contains(c, alpha) == all(alpha @ g <= 1e-9 for g in c.generators)
+            assert in_polar(c, alpha) == all(
+                alpha @ g <= 1e-9 * np.linalg.norm(alpha) * np.linalg.norm(g)
+                for g in c.generators)
 
 
 class TestSupportingHyperplane:
@@ -218,12 +228,6 @@ class TestSweepOracleAgreement:
 
 
 class TestCombinations:
-    def test_conic_coefficients_reproduce(self):
-        lam = conic_coefficients(QUAD, np.array([2.0, 3.0]))
-        assert lam is not None and np.all(lam >= -1e-12)
-        assert np.allclose(QUAD.matrix @ lam, [2.0, 3.0], atol=1e-9)
-        assert conic_coefficients(QUAD, np.array([-1.0, 0.0])) is None
-
     def test_positive_combination_interior(self):
         lam, t = positive_combination(QUAD, np.array([1.0, 1.0]))
         assert lam is not None and t > 0

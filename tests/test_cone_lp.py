@@ -3,8 +3,8 @@
 Benchmark instances that the dense-tableau simplex got wrong or crashed on
 are frozen in `data/cone_lp_regressions.json`.  `membership_margin` is
 checked against the bisection it replaced and against facet enumeration;
-the hyperplane, witness and margin certificates must reject a damaged LP
-answer instead of returning it.
+the hyperplane, positive-combination, witness and margin certificates must
+reject a damaged LP answer instead of returning it.
 """
 
 import json
@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from pmpkit import cone_geometry
 from pmpkit.cone_geometry import (ConeCertificateError, GeneratedCone, cone_residual,
-                                  membership_margin, separate, supporting_hyperplane)
+                                  membership_margin, positive_combination, separate,
+                                  supporting_hyperplane)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "cone_lp_regressions.json")
@@ -136,6 +137,22 @@ def test_damaged_hyperplane_rejected(monkeypatch):
     monkeypatch.setattr(cone_geometry, "solve_standard", damaged("y", 1e-3))
     with pytest.raises(ConeCertificateError, match="hyperplane"):
         supporting_hyperplane(QUAD)
+
+
+def test_damaged_positive_combination_rejected(monkeypatch):
+    v = np.array([1.0, 1.0])
+    lam, t = positive_combination(QUAD, v)
+    assert t > 0 and np.array_equal(QUAD.matrix @ lam, v)
+    with monkeypatch.context() as patch:
+        patch.setattr(cone_geometry, "solve_standard", damaged("x", 1e-3))
+        with pytest.raises(ConeCertificateError, match="positive combination"):
+            positive_combination(QUAD, v)
+    # W lam = v holds exactly, but lam is not strictly positive
+    tri = GeneratedCone([np.array([1.0, 0.0]), np.array([0.0, 1.0]), v], 2)
+    monkeypatch.setattr(cone_geometry, "_positive_lp",
+                        lambda M, rhs, tol: (np.array([1.0, 1.0, 0.0]), 0.25))
+    with pytest.raises(ConeCertificateError, match="positive combination"):
+        positive_combination(tri, v)
 
 
 def test_damaged_witness_rejected(monkeypatch):

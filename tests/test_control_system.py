@@ -291,8 +291,8 @@ class TestCost:
     def test_nondecreasing_for_nonnegative_rate(self):
         ext = extend(scalar_with_cost())
         traj = simulate(ext, constant_signal(0.0, 1.0, [1.5]), [0.0, 0.0])
-        assert traj.running_cost[0] == 0.0
-        assert np.all(np.diff(traj.running_cost) >= -1e-15)
+        assert traj.states[0, 0] == 0.0
+        assert np.all(np.diff(traj.states[:, 0]) >= -1e-15)
 
 
 class TestExtendedConsistency:

@@ -54,11 +54,6 @@ def check_against_oracle(srcs, x, u):
 
     for src, tree, row in zip(srcs, trees_, rows):
         assert bits(grammar.parse_expression(src, M, K)(x, u)) == bits(tree(x, u)), src
-        partials, _ = grammar.expression_structure(src, M, K)
-        assert (partials is None) == (row is None), src
-        for d, want in zip(partials or (), row or ()):
-            got = d(x, u) if callable(d) else d
-            assert bits(got) == bits(want(x, u) if callable(want) else want), src
         gradient, _ = grammar.compile_gradient(src, M, K)
         assert (gradient is None) == (row is None), src
         if row is not None:

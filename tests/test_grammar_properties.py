@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, pmp
+from pmpkit import cli, grammar, pmp
 from pmpkit.control_system import _fd_jacobian
 
 M, K = 2, 2
@@ -83,8 +83,8 @@ def test_exact_partials_match_finite_differences(t, pt):
     fn = cli.parse_expression(src, M, K)
     value = fn(x, u)
     assume(np.isfinite(value) and abs(value) <= 1e4 and well_conditioned(t, x, u))
-    partials, _ = cli.expression_structure(src, M, K)
-    exact = np.array([d(x, u) if callable(d) else d for d in partials])
+    gradient, _ = grammar.compile_gradient(src, M, K)
+    exact = np.array(gradient(x, u))
     fd = _fd_jacobian(lambda y: np.array([fn(y, u)]), x).ravel()
     assert np.all(np.isfinite(exact)), src
     assert np.all(np.abs(exact - fd) <= 1e-6 * np.maximum(1.0, np.abs(exact))), \
@@ -96,12 +96,12 @@ def test_exact_partials_match_finite_differences(t, pt):
     ("u0^2 * x0^3", 2), ("u0^3", 3), ("(1 + x0) / u0", None), ("u0^0.5", None),
     ("2^u0", None), ("u0^x0", None), ("sin(u0)", None)])
 def test_degree_in_u(src, degree):
-    assert cli.expression_structure(src, M, K)[1] == degree
+    assert grammar.compile_gradient(src, M, K)[1] == degree
 
 
 def test_state_in_exponent_keeps_finite_differences():
-    partials, degree = cli.expression_structure("x0^x1 + u0", M, K)
-    assert partials is None and degree == 1
+    gradient, degree = grammar.compile_gradient("x0^x1 + u0", M, K)
+    assert gradient is None and degree == 1
     problem = cli.Problem({
         "dynamics": {"expressions": ["x1", "2^x0 + u0"]},
         "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},

@@ -16,19 +16,19 @@ from pmpkit.control_system import (
     ControlSystem,
     box,
     constant_signal,
+    signal_field,
     simulate,
 )
-from pmpkit.flows import IntegratorConfig
+from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import (
     NeedleData,
     NeedleLayoutError,
     PerturbationCone,
-    PerturbationVector,
     Provenance,
     RealizationError,
     RealizationOptions,
     TimePerturbationData,
-    apply_needle,
+    _transport_group,
     apply_needle_suite,
     build_initial_cone,
     build_tangent_cone,
@@ -38,7 +38,6 @@ from pmpkit.perturbations import (
     multi_needle_vector,
     realize_direction,
     time_perturbation_vector,
-    transport_vector,
 )
 
 
@@ -67,11 +66,11 @@ def rest_trajectory(b=1.0):
 class TestApplyNeedle:
     def test_zero_length_noop(self):
         u = constant_signal(0.0, 2.0, [0.0])
-        assert apply_needle(u, NeedleData(1.0, 0.0, [1.0]), 0.1) is u
+        assert apply_needle_suite(u, [NeedleData(1.0, 0.0, [1.0])], 0.1) is u
 
     def test_single_needle_window(self):
         u = constant_signal(0.0, 2.0, [0.0])
-        out = apply_needle(u, NeedleData(1.0, 1.0, [1.0]), 0.1)
+        out = apply_needle_suite(u, [NeedleData(1.0, 1.0, [1.0])], 0.1)
         assert out.value_at(0.85)[0] == 0.0
         assert out.value_at(0.95)[0] == 1.0
         assert out.value_at(1.05)[0] == 0.0
@@ -102,11 +101,11 @@ class TestApplyNeedle:
     def test_escape_rejected(self):
         u = constant_signal(0.0, 2.0, [0.0])
         with pytest.raises(NeedleLayoutError):
-            apply_needle(u, NeedleData(0.05, 1.0, [1.0]), 0.1)
+            apply_needle_suite(u, [NeedleData(0.05, 1.0, [1.0])], 0.1)
 
     def test_needle_equal_to_reference_is_invisible(self):
         u = constant_signal(0.0, 2.0, [0.0])
-        out = apply_needle(u, NeedleData(1.0, 1.0, [0.0]), 0.1)
+        out = apply_needle_suite(u, [NeedleData(1.0, 1.0, [0.0])], 0.1)
         assert out.switch_times == ()
 
 
@@ -137,30 +136,31 @@ class TestClass1Vector:
             class1_vector(sys, traj, NeedleData(0.5, 1.0, [1.0]))
 
 
+def transport(sys, traj, base, v, t):
+    (out,) = _transport_group(sys, traj, base, [v], t, None)
+    return out
+
+
 class TestTransport:
     def test_identity_at_base_time(self):
         traj = rest_trajectory()
-        v = PerturbationVector(0.5, np.array([1.0, 2.0]))
-        out = transport_vector(double_integrator(), traj, v, 0.5)
-        assert np.array_equal(out.vector, [1.0, 2.0])
+        out = transport(double_integrator(), traj, 0.5, np.array([1.0, 2.0]), 0.5)
+        assert np.array_equal(out, [1.0, 2.0])
 
     def test_nilpotent_closed_form(self):
         traj = rest_trajectory()
-        out = transport_vector(double_integrator(), traj,
-                               PerturbationVector(0.25, np.array([0.0, 1.0])), 1.0)
-        assert np.allclose(out.vector, [0.75, 1.0], atol=1e-9)
+        out = transport(double_integrator(), traj, 0.25, np.array([0.0, 1.0]), 1.0)
+        assert np.allclose(out, [0.75, 1.0], atol=1e-9)
 
     def test_zero_stays_zero(self):
         traj = rest_trajectory()
-        out = transport_vector(double_integrator(), traj,
-                               PerturbationVector(0.25, np.zeros(2)), 1.0)
-        assert np.array_equal(out.vector, [0.0, 0.0])
+        out = transport(double_integrator(), traj, 0.25, np.zeros(2), 1.0)
+        assert np.array_equal(out, [0.0, 0.0])
 
     def test_backward_rejected(self):
         traj = rest_trajectory()
         with pytest.raises(ValueError):
-            transport_vector(double_integrator(), traj,
-                             PerturbationVector(0.5, np.ones(2)), 0.25)
+            transport(double_integrator(), traj, 0.5, np.ones(2), 0.25)
 
 
 class TestMultiNeedle:
@@ -169,15 +169,15 @@ class TestMultiNeedle:
         traj = rest_trajectory()
         pi = NeedleData(0.3, 1.0, [1.0])
         lhs = multi_needle_vector(sys, traj, [pi], 1.0)
-        rhs = transport_vector(sys, traj, class1_vector(sys, traj, pi), 1.0)
-        assert np.allclose(lhs.vector, rhs.vector, atol=1e-12)
+        rhs = transport(sys, traj, pi.t1, class1_vector(sys, traj, pi).vector, 1.0)
+        assert np.allclose(lhs.vector, rhs, atol=1e-12)
 
     def test_same_time_additivity(self):
         sys = double_integrator()
         traj = rest_trajectory()
         pis = [NeedleData(0.3, 1.0, [1.0]), NeedleData(0.3, 0.5, [-1.0])]
         total = multi_needle_vector(sys, traj, pis, 1.0)
-        parts = [transport_vector(sys, traj, class1_vector(sys, traj, p), 1.0).vector
+        parts = [transport(sys, traj, p.t1, class1_vector(sys, traj, p).vector, 1.0)
                  for p in pis]
         assert np.allclose(total.vector, parts[0] + parts[1], atol=1e-12)
 
@@ -417,6 +417,83 @@ class TestConeTransportCheck:
         assert rep.axis_defect < 1e-6
 
 
+def switched_double_integrator():
+    """The double integrator under u = 1 then -1 from 0.7, with needles on
+    both arcs, so the early needles are carried across the switch."""
+    sys = double_integrator()
+    u = ControlSignal(a=0.0, b=2.0, switch_times=(0.7,),
+                      values=(np.array([1.0]), np.array([-1.0])))
+    cfg = IntegratorConfig(step=0.01)
+    sampling = {"times": [0.2, 0.5, 1.1, 1.4], "controls": [[-1.0], [0.0], [1.0]]}
+    return sys, simulate(sys, u, [0.3, -0.1], cfg), sampling, cfg, 1.6, 1.9
+
+
+def pendulum():
+    problem = cli.load_problem(os.path.join(os.path.dirname(__file__), "golden",
+                                            "pendulum_flow_sample", "problem.json"))
+    cfg = cli._cfg(problem)
+    traj = simulate(problem.sys, problem.control, problem.x_a, cfg)
+    return problem.sys, traj, problem.cones, cfg, 1.8, 1.95
+
+
+def record(p):
+    """A provenance record as comparable bits."""
+    needle = (p.needle.t1, p.needle.l1, p.needle.u1.tobytes()) if p.needle else None
+    init = p.initial_vector.tobytes() if p.initial_vector is not None else None
+    return p.kind, p.source_time, needle, p.delta_tau, init
+
+
+def assert_same_cone(got, gens, prov):
+    """got is the cone of gens after dropping zeros and duplicates, each kept
+    generator paired with its record, bit for bit."""
+    want = GeneratedCone(gens, n=got.cone.n)
+    assert [g.tobytes() for g in got.cone.generators] == [g.tobytes() for g in want.generators]
+    assert [record(p) for p in got.provenance] == [record(prov[i]) for i in want.kept]
+
+
+@pytest.mark.parametrize("case", [switched_double_integrator, pendulum])
+class TestProvenanceRule:
+    """Every cone is built from its provenance by one rule: a needle's
+    transported class-I vector, an axis's delta_tau f(gamma(t), u(t)), and an
+    initial-manifold vector carried by the tangent lift."""
+
+    def test_time_cone_is_tangent_cone_plus_axis(self, case):
+        sys, traj, sampling, cfg, t, _ = case()
+        kc = build_tangent_cone(sys, traj, t, sampling, cfg)
+        tc = build_time_cone(sys, traj, t, sampling, cfg)
+        f = sys.dynamics(traj.state_at(t), traj.control.value_at(t))
+        axis = [Provenance(kind="axis+", source_time=t, delta_tau=1.0),
+                Provenance(kind="axis-", source_time=t, delta_tau=-1.0)]
+        assert len(kc.cone.generators) >= 8
+        assert_same_cone(tc, list(kc.cone.generators) + [f, -f], list(kc.provenance) + axis)
+
+    def test_transport_check_rebuilds_the_time_cone(self, case):
+        # the rebuilt cone keeps the records of the cone at t1
+        sys, traj, sampling, cfg, t1, t2 = case()
+        cone = build_time_cone(sys, traj, t1, sampling, cfg)
+        rep = cone_transport_check(sys, traj, t1, t2, cone, cfg)
+        want = build_time_cone(sys, traj, t2, sampling, cfg)
+        assert_same_cone(rep.cone, list(want.cone.generators), list(cone.provenance))
+        assert rep.cone.at_time == want.at_time == t2
+
+    def test_initial_cone_is_time_cone_plus_lifted_basis(self, case):
+        sys, traj, sampling, cfg, t, _ = case()
+        basis = [np.array([1.0, 0.0]), np.array([0.6, -0.8])]
+        ic = build_initial_cone(sys, traj, t, basis, sampling, cfg)
+        tc = build_time_cone(sys, traj, t, sampling, cfg)
+        ws = [sgn * w for w in basis for sgn in (1.0, -1.0)]
+        _, moved = tangent_lift_flows(signal_field(sys, traj.control), t, traj.a,
+                                      traj.state_at(traj.a), ws, cfg)
+        init = [Provenance(kind=kind, source_time=traj.a, initial_vector=w)
+                for w, kind in zip(ws, ["init+", "init-"] * len(basis))]
+        assert_same_cone(ic, list(tc.cone.generators) + moved, list(tc.provenance) + init)
+
+    def test_initial_cone_rejects_a_non_finite_basis_vector(self, case):
+        sys, traj, sampling, cfg, t, _ = case()
+        with pytest.raises(ValueError):
+            build_initial_cone(sys, traj, t, [np.array([1.0, np.nan])], sampling, cfg)
+
+
 class TestSlopeInvariants:
     def needle_deviation(self, sys, traj, needles, s, t_eval):
         from pmpkit.perturbations import _clip_signal
@@ -499,7 +576,7 @@ class TestRealizeDirection:
         # the single needle alone realizes the direction in the limit
         errs = []
         for s in (1e-2, 1e-3):
-            pert = apply_needle(traj.control, NeedleData(0.25, 1.0, [1.0]), s)
+            pert = apply_needle_suite(traj.control, [NeedleData(0.25, 1.0, [1.0])], s)
             end = simulate(sys, pert, [0.0, 0.0]).endpoint
             errs.append(np.linalg.norm(end / s - v))
         assert errs[1] < errs[0]

@@ -62,7 +62,7 @@ class TestTrivial:
         assert res.converged
         assert res.residual_norm <= 1e-12
         assert res.iterations == 0
-        assert res.extremal.ext_traj.running_cost[-1] == pytest.approx(0.0, abs=1e-12)
+        assert res.extremal.ext_traj.states[-1, 0] == pytest.approx(0.0, abs=1e-12)
         assert np.max(np.abs(res.extremal.adjoint.sigma)) < 1e-12
 
     def test_problem_validation(self):
@@ -183,7 +183,7 @@ class TestManifoldStart:
         assert res.converged
         base = res.extremal.ext_traj.states[:, 1]
         assert base[0] == pytest.approx(1.0, abs=1e-6)
-        assert res.extremal.ext_traj.running_cost[-1] < 1e-9
+        assert res.extremal.ext_traj.states[-1, 0] < 1e-9
 
 
 class TestDiagnostics:
