@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
-                             Trajectory, _write_csv, ball, box, cost, extend, finite, simulate)
+                             _write_csv, ball, box, cost, extend, finite, simulate)
 from ._simplex import SimplexError
 from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
                             membership_margin, null_space)
@@ -27,8 +27,7 @@ from .grammar import (ProblemError, compile_dynamics, compile_gradient, max_degr
                       parse_expression)
 from .perturbations import NeedleOverflowError, build_tangent_cone
 from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
-                  UnboundedHamiltonianError, UnsupportedMaximizationError,
-                  adjoint_flow, check_pmp)
+                  UnboundedHamiltonianError, UnsupportedMaximizationError, check_pmp)
 from .reachable import SamplePolicy, sample_reachable
 from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
                        shoot, switching_structure)
@@ -497,7 +496,9 @@ def cmd_cones(args) -> int:
                for i, q in enumerate(_list(spec.get("queries", []), "cones.queries"))]
     os.makedirs(args.out, exist_ok=True)
     cfg = _cfg(problem)
-    traj = simulate(problem.sys, problem.control, problem.x_a, cfg)
+    # with the sampled times and t on its grid the cone sweeps this path
+    traj = simulate(problem.sys, problem.control, problem.x_a,
+                    IntegratorConfig(cfg.step, (*times, t)))
     try:
         cone = build_tangent_cone(problem.sys, traj, t,
                                   {"times": times, "controls": controls}, cfg)

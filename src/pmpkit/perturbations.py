@@ -38,6 +38,7 @@ from .control_system import (
     simulate,
 )
 from .flows import IntegratorConfig, tangent_lift_flows
+from .pmp import adjoint_flows
 
 
 class NeedleLayoutError(ValueError):
@@ -208,13 +209,11 @@ def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
     return out
 
 
-def _class1_vectors(sys: ControlSystem, traj: Trajectory, t1: float,
+def _class1_vectors(sys: ControlSystem, u: ControlSignal, t1: float, x,
                     needles: Sequence[NeedleData]) -> List[np.ndarray]:
-    """Class-I vectors of needles that all sit at t1, sharing gamma(t1) and
-    f(gamma(t1), u(t1))."""
-    _require_lebesgue(traj.control, t1)
-    x = traj.state_at(t1)
-    drift = sys.dynamics(x, traj.control.value_at(t1))
+    """Class-I vectors of needles that all sit at the Lebesgue time t1, at
+    the state x there, sharing f(x, u(t1))."""
+    drift = sys.dynamics(x, u.value_at(t1))
     vecs = [n.l1 * (sys.dynamics(x, n.u1) - drift) for n in needles]
     for n, v in zip(needles, vecs):
         if not np.isfinite(v).all():
@@ -224,37 +223,9 @@ def _class1_vectors(sys: ControlSystem, traj: Trajectory, t1: float,
 
 def class1_vector(sys: ControlSystem, traj: Trajectory, pi: NeedleData) -> PerturbationVector:
     """l1 (f(x, u1) - f(x, u(t1))) at x = gamma(t1)."""
-    return PerturbationVector(base_time=pi.t1, vector=_class1_vectors(sys, traj, pi.t1, [pi])[0])
-
-
-def _transport_group(sys: ControlSystem, traj: Trajectory, base: float, vecs,
-                     t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
-    """Push vectors based at one time forward to t by the variational flow
-    along traj, all along one base path; zero vectors need no path."""
-    t = float(t)
-    base = float(base)
-    if t < base:
-        raise ValueError("can only transport forward in time")
-    vecs = [np.array(v, dtype=float) for v in vecs]
-    if t == base or not any(v.any() for v in vecs):
-        return vecs
-    return tangent_lift_flows(signal_field(sys, traj.control), t, base, traj.state_at(base),
-                              vecs, cfg)[1]
-
-
-def _needle_vectors(sys: ControlSystem, traj: Trajectory, needles: Sequence[NeedleData],
-                    t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
-    """Class-I vectors of the needles transported to t, in input order, with
-    one base path per needle time."""
-    groups: dict = {}
-    for i, n in enumerate(needles):
-        groups.setdefault(n.t1, []).append(i)
-    out: List[np.ndarray] = [None] * len(needles)
-    for t1, idx in groups.items():
-        vecs = _class1_vectors(sys, traj, t1, [needles[i] for i in idx])
-        for i, v in zip(idx, _transport_group(sys, traj, t1, vecs, t, cfg)):
-            out[i] = v
-    return out
+    _require_lebesgue(traj.control, pi.t1)
+    vecs = _class1_vectors(sys, traj.control, pi.t1, traj.state_at(pi.t1), [pi])
+    return PerturbationVector(base_time=pi.t1, vector=vecs[0])
 
 
 def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
@@ -268,9 +239,8 @@ def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
         raise ValueError("needles must be ordered by time")
     if times[-1] > t:
         raise ValueError("needle times must not exceed the evaluation time")
-    total = np.zeros(sys.m)
-    for v in _needle_vectors(sys, traj, needles, t, cfg):
-        total = total + v
+    prov = [Provenance(kind="needle", source_time=n.t1, needle=n) for n in needles]
+    total = sum(_generators(sys, traj, prov, t, cfg), np.zeros(sys.m))
     return PerturbationVector(base_time=float(t), vector=total)
 
 
@@ -285,33 +255,52 @@ def time_perturbation_vector(sys: ControlSystem, traj: Trajectory,
     return PerturbationVector(base_time=pi.tau, vector=vec)
 
 
+def _event_path(sys: ControlSystem, traj: Trajectory, times: Sequence[float],
+                cfg: Optional[IntegratorConfig]):
+    """traj on [a, max(times)] with each of times a grid node, and the node
+    index of each time: traj's own nodes if its grid holds them all, else
+    those of `simulate` from its start on cfg's grid with times as events."""
+    node = {s: i for i, s in enumerate(traj.grid.tolist())}
+    if not all(s in node for s in times):
+        cfg = cfg or IntegratorConfig()
+        traj = simulate(sys, traj.control, traj.states[0],
+                        IntegratorConfig(cfg.step, cfg.event_times + tuple(times)))
+        node = {s: i for i, s in enumerate(traj.grid.tolist())}
+    if not all(s in node for s in times):
+        raise ValueError(f"times {times!r} must lie in the horizon ({traj.a!r}, {traj.b!r}]")
+    end = max(node[s] for s in times) + 1
+    return Trajectory(traj.grid[:end], traj.states[:end], traj.control, sys), node
+
+
 def _generators(sys: ControlSystem, traj: Trajectory, prov: Sequence[Provenance],
                 t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
     """The generator at t of each provenance record, in order: the one rule
     every perturbation cone is built by.
 
-    A needle gives its class-I vector carried to t (one base path per needle
-    time), an axis delta_tau f(gamma(t), u(t)), and an initial-manifold
-    vector its initial_vector carried from its source time.
+    All are read on one path with t and every source time as grid nodes
+    (`_event_path`).  An axis gives delta_tau f(x_t, u(t)), u(b-) at t = b.
+    A needle's class-I vector or an initial-manifold vector v at the node of
+    time s arrives at t as (p_i(s) . v)_i, p_i the adjoint of e_i from t: one
+    sweep of m covectors back from t carries them all.
     """
-    gens: List[np.ndarray] = [None] * len(prov)
-    needle_ix = [i for i, p in enumerate(prov) if p.kind == "needle"]
-    for i, g in zip(needle_ix, _needle_vectors(sys, traj, [prov[i].needle for i in needle_ix],
-                                               t, cfg)):
-        gens[i] = g
-    axis_ix = [i for i, p in enumerate(prov) if p.kind in ("axis+", "axis-")]
-    if axis_ix:
-        drift = sys.dynamics(traj.state_at(t), traj.control.value_at(t))
-        for i in axis_ix:
-            gens[i] = prov[i].delta_tau * drift
-    init_groups: dict = {}
+    u = traj.control
+    needles: dict = {}
     for i, p in enumerate(prov):
-        if p.kind in ("init+", "init-"):
-            init_groups.setdefault(p.source_time, []).append(i)
-    for t0, idx in init_groups.items():
-        moved = _transport_group(sys, traj, t0, [prov[i].initial_vector for i in idx], t, cfg)
-        for i, g in zip(idx, moved):
-            gens[i] = g
+        if p.kind == "needle":
+            _require_lebesgue(u, p.source_time)
+            needles.setdefault(p.source_time, []).append(i)
+    path, node = _event_path(sys, traj, [p.source_time for p in prov] + [t], cfg)
+    sweep = adjoint_flows(sys, path, np.eye(sys.m))
+    gens: List[np.ndarray] = [None] * len(prov)
+    for s, idx in needles.items():
+        vecs = _class1_vectors(sys, u, s, path.states[node[s]], [prov[i].needle for i in idx])
+        for i, v in zip(idx, vecs):
+            gens[i] = sweep[node[s]].T @ v
+    for i, p in enumerate(prov):
+        if p.kind in ("axis+", "axis-"):
+            gens[i] = p.delta_tau * sys.dynamics(path.states[node[t]], u.value_at(t))
+        elif p.kind in ("init+", "init-"):
+            gens[i] = sweep[node[p.source_time]].T @ p.initial_vector
     return gens
 
 
@@ -337,7 +326,9 @@ def _needle_provenance(t: float, sampling) -> List[Provenance]:
 
 
 def _axis_provenance(traj: Trajectory, t: float) -> List[Provenance]:
-    _require_lebesgue(traj.control, t)
+    # at b the axis takes the last arc's control, u(b-)
+    if t != traj.control.b:
+        _require_lebesgue(traj.control, t)
     return [Provenance(kind="axis+", source_time=float(t), delta_tau=1.0),
             Provenance(kind="axis-", source_time=float(t), delta_tau=-1.0)]
 
@@ -348,15 +339,16 @@ def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
 
     The closure over all Lebesgue times and all admissible values is
     approximated by the finite sampling the caller supplies; provenance makes
-    every generator reproducible.  The needles at one sampled time are carried
-    to t along one shared base path.
+    every generator reproducible.  One adjoint sweep back from t carries
+    every needle (`_generators`).
     """
     return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling), cfg)
 
 
 def build_time_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
                     cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
-    """Tangent cone plus the +-f(gamma(t), u(t)) final-time axis."""
+    """Tangent cone plus the +-f(gamma(t), u(t)) final-time axis, with u(b-)
+    at t = b."""
     axis = _axis_provenance(traj, t)
     return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling) + axis, cfg)
 
@@ -404,8 +396,9 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
     # the generators at t1 and the drift there share one base path to t2
     drift1 = PerturbationVector(t1, sys.dynamics(traj.state_at(t1),
                                                  traj.control.value_at(t1))).vector
-    *moved, moved_drift = _transport_group(sys, traj, t1,
-                                           list(cone_t1.cone.generators) + [drift1], t2, cfg)
+    _, (*moved, moved_drift) = tangent_lift_flows(
+        signal_field(sys, traj.control), t2, t1, traj.state_at(t1),
+        list(cone_t1.cone.generators) + [drift1], cfg)
     worst = 0.0
     verdicts = []
     for g in moved:

@@ -446,36 +446,44 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     return MaximizationResult(u, H(u) if value is None else value)
 
 
-def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> AdjointCurve:
-    """Integrate p' = -p0 grad_x F - (df/dx)^T p backward along the trajectory.
+def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarray:
+    """Integrate p' = -p0 grad_x F - (df/dx)^T p backward along the trajectory
+    for each column of the m x r block P_b, p0 a scalar or one per column;
+    returns the blocks at the grid nodes, shape (nodes, m, r).
 
     The discrete adjoint of RK4 (Hager, Numer. Math. 87, 2000; Sandu, ICCS
-    2006): each step of traj is retraced from its stored node state and
-    linearized at its four stages, and p steps back by one rk4_step with
-    step -h on those linearizations in reverse stage order.  That is
-    p_n = M_n^T p_(n+1), M_n the step matrix of the tangent lift of the
-    extended system, so (p0, p) pairs with the vectors that lift carries to
-    rounding and the maximum condition at a node is the needle-cone
-    separation at b.  Runs on the trajectory's own grid; p0 is constant
-    because the extended dynamics never depend on the cost coordinate.
+    2006): each step of traj is retraced once from its node state and
+    linearized at its four stages, and the block steps back by one rk4_step
+    with step -h on those in reverse stage order.  So P_n = M_n^T P_(n+1),
+    M_n the step matrix of the tangent lift of the extended system: with P_b
+    the identity, P_n^T v is v carried from node n to the end, and the
+    maximum condition at a node is the needle-cone separation at b.  p0 is
+    constant: the extended dynamics never depend on the cost coordinate.
     """
-    p = np.asarray(p_b, dtype=float).ravel()
-    if p.size != sys.m:
-        raise ValueError("terminal covector has the wrong dimension")
+    P = np.array(P_b, dtype=float)
+    if P.ndim != 2 or P.shape[0] != sys.m:
+        raise ValueError("terminal covectors have the wrong dimension")
+    m, r = P.shape
+    # c = -p0 at entry i r + j of the block laid out row by row; a single
+    # column steps as a plain vector, as fast as the one-covector sweep was
+    cs = (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist() * m
+    block = np.array if r == 1 else (lambda pp: np.array(pp).reshape(m, r))
     ts = traj.grid.tolist()
     states = traj.states.tolist()
-    p = p.tolist()
+    p = P.ravel().tolist()
     sigma = [p]
-    rate, jac, grad, c = sys._rate, sys._jac, sys._grad, -p0
+    rate, jac, grad = sys._rate, sys._jac, sys._grad
     for i in range(len(ts) - 2, -1, -1):
         t0, t1 = ts[i], ts[i + 1]
         uval = traj.control.value_at(0.5 * (t0 + t1))
 
         def linearize(_, x):
-            # p' = c grad_x F - (df/dx)^T p at the stage state x, as the
-            # coupled shooting step computes it
+            # P' = grad_x F c^T - (df/dx)^T P at the stage state x, c = -p0,
+            # as the coupled shooting step computes it
             g, JT = grad(x, uval), jac(x, uval).T
-            return lambda pp: [c * gi - qi for gi, qi in zip(g, (JT @ np.array(pp)).tolist())]
+            g = g if r == 1 else [gi for gi in g for _ in range(r)]
+            return lambda pp: [gi * ci - q for gi, ci, q in
+                               zip(g, cs, (JT @ block(pp)).ravel().tolist())]
 
         _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i], t1 - t0)
         # stage 4 gives k1, then stages 3, 2 and 1
@@ -485,7 +493,14 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
             raise FlowBlowUpError(t0)
         sigma.append(p)
     sigma.reverse()
-    return AdjointCurve(grid=traj.grid.copy(), sigma0=float(p0), sigma=np.array(sigma))
+    return np.array(sigma).reshape(len(ts), m, r)
+
+
+def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> AdjointCurve:
+    """The adjoint curve of one terminal covector: `adjoint_flows` of one column."""
+    p = np.asarray(p_b, dtype=float).ravel()
+    sigma = adjoint_flows(sys, traj, p[:, None], p0).reshape(-1, p.size)
+    return AdjointCurve(grid=traj.grid.copy(), sigma0=float(p0), sigma=sigma)
 
 
 @dataclass
@@ -526,10 +541,7 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
     sups: List[float] = []
     for i, t in enumerate(traj.grid):
         mn = np.sqrt(p0 * p0 + float(adj.sigma[i] @ adj.sigma[i]))
-        if i == 0:
-            min_norm = mn
-        else:
-            min_norm = min(min_norm, mn)
+        min_norm = mn if i == 0 else min(min_norm, mn)
         if any(abs(t - s) <= 1e-12 * (1.0 + abs(s)) for s in switch):
             continue
         u_star, H, sup = maximize(adj.sigma[i].tolist(), states[i].tolist())
@@ -661,16 +673,27 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
 
     check_opts = PMPCheckOptions(tol=opts.tol, maximize=opts.maximize)
     attempts: List[dict] = []
+    # the adjoint is linear in (p0, p_b): one sweep of the unit covectors
+    # with p0 = 0 and of p_b = 0 with p0 = -1 gives every candidate's
+    basis = adjoint_flows(sys, base, np.hstack((np.eye(m), np.zeros((m, 1)))),
+                          [0.0] * m + [-1.0])
 
     def residuals(p0, p_b):
         """(max residual, min covector norm, reason) for one candidate lift."""
+        sigma = basis[:, :, :m] @ np.asarray(p_b, dtype=float) - p0 * basis[:, :, m]
+        adj = AdjointCurve(grid=base.grid.copy(), sigma0=float(p0), sigma=sigma)
         try:
-            adj = adjoint_flow(sys, base, p0, p_b)
             rep = check_pmp(sys, Extremal(ext_traj, control, adj), bounds, check_opts)
         except UnboundedHamiltonianError as e:
             return np.inf, 0.0, f"unbounded Hamiltonian: {e}"
         worst = max(rep.res_3a, rep.res_3b, rep.res_3e[0], rep.res_3e[1])
         return worst, rep.res_3c, ""
+
+    def directions(N):
+        """Unit directions in the column space of N: both of a line's."""
+        k = N.shape[1]
+        return ([] if k == 0 else [N[:, 0], -N[:, 0]] if k == 1
+                else [N @ d for d in unit_directions(k, opts.n_dirs)])
 
     # p0 = 0: ray space is the annihilator of the final basis (and of f(b)
     # in free-time mode, since sup H = p . f must vanish at b)
@@ -682,55 +705,39 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     abn_reasons: List[str] = []
     if abn_dim == 0:
         abn_reasons.append("annihilator is trivial, only the zero covector remains")
-    else:
-        if abn_dim == 1:
-            rays = [N0[:, 0], -N0[:, 0]]
-        else:
-            rays = [N0 @ d for d in unit_directions(abn_dim, opts.n_dirs)]
-        for ray in rays:
-            worst, min_norm, reason = residuals(0.0, ray)
-            # the p0 = 0 problem is homogeneous, so judge the ray by the
-            # scale-invariant ratio residual / covector norm
-            rel = worst / min_norm if min_norm > 0 else np.inf
-            feasible = rel <= opts.tol
-            attempts.append({"p0": 0.0, "p_b": ray.tolist(),
-                             "feasible": bool(feasible),
-                             "reason": reason or f"relative residual {rel:.3e}"})
-            if feasible and abnormal_terminal is None:
-                abnormal_terminal = ray
-            elif not feasible:
-                abn_reasons.append(
-                    reason or f"ray {np.round(ray, 6).tolist()}: "
-                              f"relative residual {rel:.3e} above tolerance")
+    for ray in directions(N0):
+        worst, min_norm, reason = residuals(0.0, ray)
+        # the p0 = 0 problem is homogeneous, so judge the ray by the
+        # scale-invariant ratio residual / covector norm
+        rel = worst / min_norm if min_norm > 0 else np.inf
+        feasible = rel <= opts.tol
+        attempts.append({"p0": 0.0, "p_b": ray.tolist(),
+                         "feasible": bool(feasible),
+                         "reason": reason or f"relative residual {rel:.3e}"})
+        if feasible and abnormal_terminal is None:
+            abnormal_terminal = ray
+        elif not feasible:
+            abn_reasons.append(
+                reason or f"ray {np.round(ray, 6).tolist()}: "
+                          f"relative residual {rel:.3e} above tolerance")
 
     # p0 = -1: candidates from the annihilator, plus the affine slice
     # p . f(b) = F(b) in free-time mode
     Nf = null_space(final_rows, m)
     normal_terminal = None
-    nrm_cands: List[np.ndarray] = [np.zeros(m)]
-    if Nf.shape[1] >= 1:
-        dirs = ([Nf[:, 0], -Nf[:, 0]] if Nf.shape[1] == 1
-                else [Nf @ d for d in unit_directions(Nf.shape[1], opts.n_dirs)])
-        for s in opts.scales:
-            nrm_cands.extend(s * d for d in dirs)
+    dirs = directions(Nf)
+    nrm_cands: List[np.ndarray] = [np.zeros(m)] + [s * d for s in opts.scales for d in dirs]
     nrm_dim = Nf.shape[1]
     if free:
         rows = final_rows + [f_b]
-        rhs = [0.0] * len(final_rows) + [F_b]
+        rhs = np.array([0.0] * len(final_rows) + [F_b])
         A = np.vstack(rows)
-        sol, holds = np.linalg.lstsq(A, np.array(rhs), rcond=None)[0], True
-        if np.linalg.norm(A @ sol - np.array(rhs)) > 1e-9 * (1.0 + abs(F_b)):
-            holds = False
-        if holds:
+        sol = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        if np.linalg.norm(A @ sol - rhs) <= 1e-9 * (1.0 + abs(F_b)):
             Na = null_space(rows, m)
             nrm_dim = Na.shape[1]
-            cal = [sol]
-            if Na.shape[1] >= 1:
-                cdirs = ([Na[:, 0], -Na[:, 0]] if Na.shape[1] == 1
-                         else [Na @ d for d in unit_directions(Na.shape[1], opts.n_dirs)])
-                for s in opts.scales:
-                    cal.extend(sol + s * d for d in cdirs)
-            nrm_cands = cal + nrm_cands
+            dirs = directions(Na)
+            nrm_cands = [sol] + [sol + s * d for s in opts.scales for d in dirs] + nrm_cands
         else:
             nrm_dim = -1  # no admissible normal covector satisfies H(b) = 0
             nrm_cands = []

@@ -21,7 +21,6 @@ from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
 from .pmp import (
-    AdjointCurve,
     BoundarySpec,
     Extremal,
     MaximizeOptions,

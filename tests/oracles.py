@@ -8,9 +8,12 @@ form of a package routine as its reference:
 - `adjoint_flow_loop`, the backward RK4 over Hermite-interpolated states
   that `pmp.adjoint_flow` replaced by the discrete adjoint (agreement to
   fourth order);
-- `tangent_lift_stacked` and `needle_vector_stacked`, the per-vector lift
-  of the stacked (x, v) that the shared needle lift replaced (bit for bit),
-  holding the control of each grid segment at its midpoint value;
+- `tangent_lift_stacked`, the per-vector lift of the stacked (x, v) that
+  the shared lift of many vectors replaced (bit for bit), holding the
+  control of each grid segment at its midpoint value, and
+  `carried_on_grid` and `needle_vector_on_grid`, that lift one grid step
+  at a time, against which the adjoint sweep of the cones holds to
+  rounding;
 - `membership_margin_bisect`, the bisection form of
   `cone_geometry.membership_margin`;
 - `grammar_tree_function` and `grammar_tree_array`, the closure-tree
@@ -295,15 +298,28 @@ def tangent_lift_stacked(sys, u, t, s, x0, v0, cfg=None):
     return y[:m], y[m:]
 
 
-def needle_vector_stacked(sys, traj, tau, u1, t, cfg=None):
-    """The unit-rate class-I vector of the needle (tau, u1), transported to t
-    on its own by `tangent_lift_stacked` along traj."""
-    u = traj.control
-    x = traj.state_at(tau)
-    v = 1.0 * (sys.dynamics(x, np.asarray(u1, float)) - sys.dynamics(x, u.value_at(tau)))
-    if t == tau:
-        return v
-    return tangent_lift_stacked(sys, u, t, tau, x, v, cfg)[1]
+def carried_on_grid(sys, path, s, v, t):
+    """The vector v at the node of path at time s carried to t by
+    `tangent_lift_stacked` one step of path's grid at a time: the forward
+    lift on the grid the adjoint sweep of a cone runs on.  s and t must be
+    nodes of path's grid."""
+    from pmpkit.flows import IntegratorConfig
+
+    grid = path.grid.tolist()
+    v = np.asarray(v, float)
+    for n in range(grid.index(s), grid.index(t)):
+        h = grid[n + 1] - grid[n]
+        v = tangent_lift_stacked(sys, path.control, grid[n + 1], grid[n], path.states[n], v,
+                                 IntegratorConfig(step=h))[1]
+    return v
+
+
+def needle_vector_on_grid(sys, path, tau, u1, t):
+    """The unit-rate class-I vector of the needle (tau, u1) at the node
+    state of path at tau, carried to t by `carried_on_grid`."""
+    x = path.states[path.grid.tolist().index(tau)]
+    v = 1.0 * (sys.dynamics(x, np.asarray(u1, float)) - sys.dynamics(x, path.control.value_at(tau)))
+    return carried_on_grid(sys, path, tau, v, t)
 
 
 # The closure-tree interpreter of the expression grammar: one closure per

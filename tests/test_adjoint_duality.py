@@ -6,7 +6,9 @@ So the pairing of (p0, p) with a tangent vector carried by that lift holds
 across every step to rounding, and p(tau) . (f(x(tau), v) - f(x(tau), u(tau)))
 equals (p0, p(b)) paired with the needle vector of (tau, v) carried to b:
 the maximum condition at tau is the needle-cone separation at b.  A backward
-scheme of its own keeps both only to its O(h^4) error.
+scheme of its own keeps both only to its O(h^4) error.  `pmp.adjoint_flows`
+steps a block of covectors back through one retrace per step, and each of
+its columns is the adjoint_flow of that column.
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ from hypothesis import given, settings, strategies as st
 from pmpkit import cli, pmp
 from pmpkit.control_system import extend, signal_field, simulate
 from pmpkit.flows import IntegratorConfig, tangent_lift_flows
-from pmpkit.perturbations import NeedleData, multi_needle_vector
 
 from test_shared_work import smooth_systems
 
@@ -47,6 +48,35 @@ def test_adjoint_step_is_the_transpose_of_the_tangent_step(case, p0, seed):
         assert defect <= 1e-14 * np.linalg.norm(before) * np.linalg.norm(v), (n, defect)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=smooth_systems(), r=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_columns_are_single_adjoints_and_transposed_steps(case, r, seed):
+    # one retrace per step carries an m x r block of covectors, each column
+    # with its own p0: every column has the bits of its own adjoint_flow and
+    # pairs with the tangent lift over each step
+    sys, sig, x0, _, step = case
+    esys = extend(sys)
+    ext = simulate(esys, sig, np.concatenate(([0.0], x0)), IntegratorConfig(step=step))
+    traj = ext.project(sys)
+    rng = np.random.default_rng(seed)
+    P_b = rng.uniform(-2.0, 2.0, (sys.m, r))
+    p0 = rng.choice((-1.0, 0.0), r)
+    block = pmp.adjoint_flows(sys, traj, P_b, p0)
+    assert block.shape == (len(traj.grid), sys.m, r)
+    for j in range(r):
+        single = pmp.adjoint_flow(sys, traj, p0[j], P_b[:, j]).sigma
+        assert block[:, :, j].tobytes() == np.ascontiguousarray(single).tobytes(), j
+    X = signal_field(esys, sig)
+    ts = ext.grid.tolist()
+    for n, (t0, t1) in enumerate(zip(ts, ts[1:])):
+        v = rng.uniform(-1.0, 1.0, esys.m)
+        _, (Mv,) = tangent_lift_flows(X, t1, t0, ext.states[n], [v], IntegratorConfig(step=t1 - t0))
+        before = np.vstack((p0, block[n]))
+        after = np.vstack((p0, block[n + 1]))
+        defect = np.abs(v @ before - Mv @ after)
+        assert np.all(defect <= 1e-14 * np.linalg.norm(before, axis=0) * np.linalg.norm(v)), n
+
+
 @pytest.mark.parametrize("p0", (0.0, -1.0))
 @pytest.mark.parametrize("step", (0.04, 0.02))
 def test_maximum_condition_gap_is_the_needle_pairing_at_b(step, p0):
@@ -68,6 +98,6 @@ def test_maximum_condition_gap_is_the_needle_pairing_at_b(step, p0):
         x = ext.states[i]
         jump = esys.dynamics(x, v) - esys.dynamics(x, u.value_at(tau))
         at_tau = float(np.concatenate(([p0], adj.sigma[i])) @ jump)
-        needle = multi_needle_vector(esys, ext, [NeedleData(t1=tau, l1=1.0, u1=v)], u.b, cfg).vector
+        _, (needle,) = tangent_lift_flows(signal_field(esys, u), u.b, tau, x, [jump], cfg)
         at_b = float(sigma_b @ needle)
         assert abs(at_tau - at_b) <= 1e-10 * np.linalg.norm(sigma_b) * np.linalg.norm(needle), tau

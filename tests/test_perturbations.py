@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import needle_vector_stacked
+from oracles import carried_on_grid, needle_vector_on_grid
 from pmpkit import cli
 
 from pmpkit.cone_geometry import GeneratedCone, conic_membership
@@ -28,7 +28,6 @@ from pmpkit.perturbations import (
     RealizationError,
     RealizationOptions,
     TimePerturbationData,
-    _transport_group,
     apply_needle_suite,
     build_initial_cone,
     build_tangent_cone,
@@ -137,7 +136,9 @@ class TestClass1Vector:
 
 
 def transport(sys, traj, base, v, t):
-    (out,) = _transport_group(sys, traj, base, [v], t, None)
+    """v at gamma(base) carried to t by the tangent lift along traj."""
+    _, (out,) = tangent_lift_flows(signal_field(sys, traj.control), t, base,
+                                   traj.state_at(base), [v])
     return out
 
 
@@ -156,11 +157,6 @@ class TestTransport:
         traj = rest_trajectory()
         out = transport(double_integrator(), traj, 0.25, np.zeros(2), 1.0)
         assert np.array_equal(out, [0.0, 0.0])
-
-    def test_backward_rejected(self):
-        traj = rest_trajectory()
-        with pytest.raises(ValueError):
-            transport(double_integrator(), traj, 0.5, np.ones(2), 0.25)
 
 
 class TestMultiNeedle:
@@ -454,8 +450,8 @@ def assert_same_cone(got, gens, prov):
 @pytest.mark.parametrize("case", [switched_double_integrator, pendulum])
 class TestProvenanceRule:
     """Every cone is built from its provenance by one rule: a needle's
-    transported class-I vector, an axis's delta_tau f(gamma(t), u(t)), and an
-    initial-manifold vector carried by the tangent lift."""
+    carried class-I vector, an axis's delta_tau f(gamma(t), u(t)), and an
+    initial-manifold vector carried from the start."""
 
     def test_time_cone_is_tangent_cone_plus_axis(self, case):
         sys, traj, sampling, cfg, t, _ = case()
@@ -466,6 +462,25 @@ class TestProvenanceRule:
                 Provenance(kind="axis-", source_time=t, delta_tau=-1.0)]
         assert len(kc.cone.generators) >= 8
         assert_same_cone(tc, list(kc.cone.generators) + [f, -f], list(kc.provenance) + axis)
+
+    def test_cones_at_the_horizon_end_take_the_last_arc(self, case):
+        # at b the axis is +-f(x_b, u(b-)), at the node state of the path the
+        # needles are read on; the time and initial cones once raised there
+        sys, traj, sampling, cfg, _, _ = case()
+        b = traj.b
+        kc = build_tangent_cone(sys, traj, b, sampling, cfg)
+        tc = build_time_cone(sys, traj, b, sampling, cfg)
+        path = simulate(sys, traj.control, traj.states[0],
+                        IntegratorConfig(cfg.step, (*sampling["times"], b)))
+        f = sys.dynamics(path.states[-1], traj.control.values[-1])
+        axis = [Provenance(kind="axis+", source_time=b, delta_tau=1.0),
+                Provenance(kind="axis-", source_time=b, delta_tau=-1.0)]
+        assert len(kc.cone.generators) >= 8
+        assert_same_cone(tc, list(kc.cone.generators) + [f, -f], list(kc.provenance) + axis)
+        ic = build_initial_cone(sys, traj, b, [np.array([1.0, 0.0])], sampling, cfg)
+        assert [p.kind for p in ic.provenance[len(tc.provenance):]] == ["init+", "init-"]
+        with pytest.raises(ValueError):
+            build_time_cone(sys, traj, traj.control.switch_times[0], sampling, cfg)
 
     def test_transport_check_rebuilds_the_time_cone(self, case):
         # the rebuilt cone keeps the records of the cone at t1
@@ -482,11 +497,18 @@ class TestProvenanceRule:
         ic = build_initial_cone(sys, traj, t, basis, sampling, cfg)
         tc = build_time_cone(sys, traj, t, sampling, cfg)
         ws = [sgn * w for w in basis for sgn in (1.0, -1.0)]
-        _, moved = tangent_lift_flows(signal_field(sys, traj.control), t, traj.a,
-                                      traj.state_at(traj.a), ws, cfg)
         init = [Provenance(kind=kind, source_time=traj.a, initial_vector=w)
                 for w, kind in zip(ws, ["init+", "init-"] * len(basis))]
-        assert_same_cone(ic, list(tc.cone.generators) + moved, list(tc.provenance) + init)
+        assert [record(p) for p in ic.provenance] == \
+            [record(p) for p in list(tc.provenance) + init]
+        n = len(tc.provenance)
+        assert_same_cone(tc, ic.cone.generators[:n], tc.provenance)
+        # the sweep carries the basis as the forward lift does on its grid
+        path = simulate(sys, traj.control, traj.states[0],
+                        IntegratorConfig(cfg.step, (*sampling["times"], t)))
+        for g, w in zip(ic.cone.generators[n:], ws):
+            want = carried_on_grid(sys, path, traj.a, w, t)
+            assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_initial_cone_rejects_a_non_finite_basis_vector(self, case):
         sys, traj, sampling, cfg, t, _ = case()
@@ -699,11 +721,14 @@ class TestProvenanceAlignment:
         problem = cli.load_problem(str(path))
         cfg = cli._cfg(problem)
         traj = simulate(problem.sys, problem.control, problem.x_a, cfg)
+        path = simulate(problem.sys, problem.control, problem.x_a,
+                        IntegratorConfig(cfg.step, (*times, 2.0)))
         for row, gen in zip(rows, gens):
             tau, l1, u0, kind = row.split(",")
             assert (float(l1), kind) == (1.0, "needle")
-            want = needle_vector_stacked(problem.sys, traj, float(tau), [float(u0)], 2.0, cfg)
-            assert [float(c) for c in gen.split(",")] == list(want)
+            want = needle_vector_on_grid(problem.sys, path, float(tau), [float(u0)], 2.0)
+            got = np.array([float(c) for c in gen.split(",")])
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
         cone = build_tangent_cone(problem.sys, traj, 2.0,
                                   {"times": times, "controls": controls}, cfg)

@@ -14,9 +14,9 @@ from pmpkit.control_system import (
     signal_field,
     simulate,
 )
-from pmpkit.flows import IntegratorConfig, cotangent_lift_flow
+from pmpkit.flows import IntegratorConfig, cotangent_lift_flow, tangent_lift_flows
 from pmpkit.cone_geometry import GeneratedCone
-from pmpkit.perturbations import NeedleData, _transport_group, class1_vector
+from pmpkit.perturbations import NeedleData, class1_vector
 from pmpkit import pmp
 
 
@@ -331,8 +331,9 @@ class TestInvariants:
             sig_hat = np.concatenate(([adj.sigma0], adj.sigma[i1]))
             ref = float(sig_hat @ v.vector)
             for t in (t1 + 0.2, 1.7, 2.0):
-                (moved,) = _transport_group(ext, base_traj, t1, [v.vector], t,
-                                            IntegratorConfig(step=0.01))
+                _, (moved,) = tangent_lift_flows(signal_field(ext, u), t, t1,
+                                                 base_traj.state_at(t1), [v.vector],
+                                                 IntegratorConfig(step=0.01))
                 j = int(np.argmin(np.abs(adj.grid - t)))
                 sig_t = np.concatenate(([adj.sigma0], adj.sigma[j]))
                 assert abs(float(sig_t @ moved) - ref) < 1e-6

@@ -49,3 +49,32 @@ def test_every_public_name_is_used_or_documented():
              if name not in referenced and name not in documented]
     assert not loose, "public names that nothing in src/ uses and README.md never names: " + \
         ", ".join(loose)
+
+
+def unused_imports(source):
+    """Names a module imports and never reads; `from __future__` imports
+    are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_check_is_not_vacuous():
+    source = "from __future__ import annotations\nimport os, numpy.linalg\nfrom a import b as c, d\nd()\n"
+    assert unused_imports(source) == ["os", "numpy", "c"]
+
+
+def test_no_unused_imports():
+    # __init__.py re-exports the package's modules, so it is exempt
+    loose = []
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(SRC, fname)) as fh:
+                loose += ["%s: %s" % (fname, name) for name in unused_imports(fh.read())]
+    assert not loose, "unused imports: " + ", ".join(loose)

@@ -185,9 +185,10 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
     # flows._recorded_step is the one step that linearizes its stages;
     # flows._lifted_path is the one forward path loop (simulate, flow and
     # the lifts) and steps each lifted vector on the stages it recorded;
-    # pmp.adjoint_flow steps the covector back on the stages of the forward
-    # steps it retraces; shooting._propagate picks its controls step by
-    # step, so it keeps its own loop
+    # pmp.adjoint_flows steps a block of covectors back on the stages of the
+    # forward steps it retraces (pmp.adjoint_flow is its one-column case);
+    # shooting._propagate picks its controls step by step, so it keeps its
+    # own loop
     found = set()
     for name, top in _top_functions():
         for node in ast.walk(top):
@@ -195,7 +196,7 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
                     or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
                 found.add((name, getattr(top, "name", None)))
     assert found == {("flows.py", "_recorded_step"), ("flows.py", "_lifted_path"),
-                     ("pmp.py", "adjoint_flow"), ("shooting.py", "_propagate")}
+                     ("pmp.py", "adjoint_flows"), ("shooting.py", "_propagate")}
 
 
 def test_rk4_stages_are_linearized_in_one_function():
@@ -214,7 +215,7 @@ def test_rk4_stages_are_linearized_in_one_function():
         if _calls(top, "_recorded_step"):
             callers.add((name, top.name))
     assert recording == {("flows.py", "_recorded_step")}
-    assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flow")}
+    assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flows")}
 
 
 def test_pmp_interpolates_no_state():

@@ -1,13 +1,14 @@
 """Evaluations shared between integration stages return the same bits.
 
 The projected extended trajectory, the resumed final-time column of the
-shooting Jacobian and the needle vectors carried along one shared base path
-per needle time each reuse values computed from identical inputs.  Each is
-compared bit for bit with the plain computation, and the work of a fixed
-shooting solve and of a tangent cone is held to the call counts committed
+shooting Jacobian and the vectors carried along one shared base path each
+reuse values computed from identical inputs.  Each is compared bit for bit
+with the plain computation, and the work of a fixed shooting solve, of a
+tangent cone and of a classification is held to the call counts committed
 below, as is the number of Hamiltonian evaluations of one maximization.
 The adjoint flow, which retraces the forward steps, is held to fourth-order
-agreement with the backward scheme it replaced.
+agreement with the backward scheme it replaced, and the one adjoint sweep
+of a needle cone to rounding of the forward lift over the same steps.
 """
 
 import collections
@@ -19,14 +20,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, perturbations, pmp, shooting
+from pmpkit import cli, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, signal_field, simulate)
-from pmpkit.flows import IntegratorConfig, integration_grid, tangent_lift_flows
+from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
 
-from oracles import adjoint_flow_loop, needle_vector_stacked, tangent_lift_stacked
+from oracles import adjoint_flow_loop, needle_vector_on_grid, tangent_lift_stacked
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -203,16 +204,7 @@ WORK_BASELINE = {"f": 36166, "df_dx": 18922, "F": 17245, "dF_dx": 18922}
 def test_shoot_work_within_committed_counts():
     problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
                                             "problem.json"))
-    calls = collections.Counter()
-
-    def counted(name, fn):
-        def wrapper(x, u):
-            calls[name] += 1
-            return fn(x, u)
-        return wrapper
-
-    sys = dataclasses.replace(problem.sys, **{
-        name: counted(name, getattr(problem.sys, name)) for name in WORK_BASELINE})
+    sys, calls = counted_system(problem.sys, WORK_BASELINE)
     sp = shooting.ShootingProblem(sys=sys, bounds=problem.boundary, p0=problem.p0,
                                   x_a=problem.x_a, x_b=problem.x_b,
                                   a=problem.a, b=problem.b)
@@ -317,26 +309,24 @@ def same_or_zero(got, want):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=needle_cases())
-def test_shared_needle_lift_matches_stacked_lift(case):
+def test_cone_needles_match_forward_lift_on_the_event_grid(case):
+    # the adjoint sweep of the cone runs on the path with tau and t as grid
+    # nodes; the forward lift over the same steps carries the same vectors
+    # up to the order of its sums
     sys, traj, tau, t, controls, cfg = case
-    needles = [NeedleData(t1=tau, l1=1.0, u1=u) for u in controls]
-    want = [needle_vector_stacked(sys, traj, tau, u, t, cfg) for u in controls]
-    got = perturbations._needle_vectors(sys, traj, needles, t, cfg)
-    assert all(same_or_zero(g, w) for g, w in zip(got, want))
-
-    # the cone keeps the same generators, each with its own needle
+    path = simulate(sys, traj.control, traj.states[0], IntegratorConfig(cfg.step, (tau, t)))
+    want = [needle_vector_on_grid(sys, path, tau, u, t) for u in controls]
     cone = build_tangent_cone(sys, traj, t, {"times": [tau], "controls": controls}, cfg)
     ref = GeneratedCone(want, n=sys.m)
-    assert len(cone.cone.generators) == len(ref.generators)
-    assert all(same_bits(g, w) for g, w in zip(cone.cone.generators, ref.generators))
+    assert cone.cone.kept == ref.kept
+    for g, w in zip(cone.cone.generators, ref.generators):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), (g, w)
     assert [p.needle.u1.tobytes() for p in cone.provenance] == \
         [controls[i].tobytes() for i in ref.kept]
-
-    # sums in list order
-    total = np.zeros(sys.m)
-    for w in want:
-        total = total + w
-    assert same_bits(multi_needle_vector(sys, traj, needles, t, cfg).vector, total)
+    # multi_needle_vector sums the same vectors, zeros and repeats included
+    needles = [NeedleData(t1=tau, l1=1.0, u1=u) for u in controls]
+    total = multi_needle_vector(sys, traj, needles, t, cfg).vector
+    assert np.max(np.abs(total - sum(want))) <= 1e-14 * sum(np.max(np.abs(w)) for w in want)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -356,8 +346,8 @@ def test_shared_lift_of_many_vectors_matches_stacked_lift(case, n, zero, seed):
         assert same_or_zero(g, want)
 
 
-def test_tangent_cone_makes_one_base_path_per_time():
-    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+def counted_system(sys, names):
+    """sys with each named callable counting its calls, and the counter."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -366,23 +356,45 @@ def test_tangent_cone_makes_one_base_path_per_time():
             return fn(x, u)
         return wrapper
 
-    sys = dataclasses.replace(problem.sys, f=counted("f", problem.sys.f),
-                              df_dx=counted("df_dx", problem.sys.df_dx))
+    return dataclasses.replace(sys, **{name: counted(name, getattr(sys, name))
+                                       for name in names}), calls
+
+
+def test_tangent_cone_makes_one_adjoint_sweep():
+    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    sys, calls = counted_system(problem.sys, ("f", "df_dx"))
     cfg = IntegratorConfig(step=problem.step)
     traj = simulate(sys, problem.control, problem.x_a, cfg)
     t, times, controls = (problem.cones[key] for key in ("time", "times", "controls"))
     assert len(controls) == 3
     calls.clear()
     build_tangent_cone(sys, traj, t, {"times": times, "controls": controls}, cfg)
-    merged = IntegratorConfig(step=problem.step, event_times=problem.control.switch_times)
-    steps = sum(len(integration_grid(tau, t, merged)) - 1 for tau in times)
-    # one Jacobian per RK4 stage of one base path per sampled time; lifting
-    # each needle on its own took three times as many
+    # 0.7 is no node of the trajectory's grid, so the cone simulates once
+    # with the sampled times as events and sweeps m covectors back from t
+    events = IntegratorConfig(step=problem.step, event_times=tuple(times) + (t,))
+    steps = len(simulate(problem.sys, problem.control, problem.x_a, events).grid) - 1
+    # one Jacobian per RK4 stage of the sweep; carrying each sampled time
+    # forward on a base path of its own took one per stage of every path,
+    # 4 x 410 steps here
     assert calls["df_dx"] == 4 * steps
-    # besides the base paths: gamma(tau) for the class-I vectors and the
-    # start of the path (two node velocities each), f(gamma(tau), u(tau))
-    # and one velocity per control
-    assert calls["f"] == 4 * steps + len(times) * (2 + 2 + 1 + len(controls))
+    # the simulation and the sweep's retrace of each step, then f(x_tau,
+    # u(tau)) and one velocity per control at each sampled time
+    assert calls["f"] == 4 * steps + 4 * steps + len(times) * (1 + len(controls))
+
+
+def test_classification_makes_one_adjoint_sweep():
+    # the adjoint is linear in (p0, p_b): every candidate covector is a
+    # combination of the m + 1 columns of one sweep, where each candidate
+    # took a sweep of its own (9 here)
+    sys, calls = counted_system(double_integrator(), ("df_dx", "dF_dx"))
+    u = ControlSignal(0.0, 2.0, (1.0,), ((1.0,), (-1.0,)))
+    cfg = IntegratorConfig(step=0.01)
+    traj = simulate(sys, u, np.zeros(2), cfg)
+    res = pmp.classify_extremal(sys, traj, u, pmp.BoundarySpec(mode="fixed_time"),
+                                pmp.ClassifyOptions(cfg=cfg))
+    assert res.classification == "normal" and len(res.attempts) == 9
+    steps = len(traj.grid) - 1
+    assert calls == {"df_dx": 4 * steps, "dF_dx": 4 * steps}
 
 
 @pytest.mark.parametrize("extended", [False, True])
