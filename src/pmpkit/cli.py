@@ -26,8 +26,8 @@ from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 from .grammar import (ProblemError, compile_dynamics, compile_gradient, max_degree,
                       parse_expression)
 from .perturbations import NeedleOverflowError, build_tangent_cone
-from .pmp import (AdjointCurve, BoundarySpec, Extremal, PMPCheckOptions,
-                  UnboundedHamiltonianError, UnsupportedMaximizationError, check_pmp)
+from .pmp import (AdjointCurve, BoundarySpec, Extremal, UnboundedHamiltonianError,
+                  UnsupportedMaximizationError, check_pmp)
 from .reachable import SamplePolicy, sample_reachable
 from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
                        shoot, switching_structure)
@@ -90,14 +90,6 @@ def _bound(spec, key):
     return v
 
 
-def _emit_control_set(cset):
-    if cset.kind == "box":
-        return {"kind": "box", "lo": list(cset.lo), "hi": list(cset.hi)}
-    if cset.kind == "finite":
-        return {"kind": "finite", "points": [list(np.atleast_1d(p)) for p in cset.points]}
-    return {"kind": "ball", "center": list(cset.center), "radius": float(cset.radius)}
-
-
 def _builtin(f, jacobian):
     """A builtin's dynamics f, returning a list of floats, and df/dx(x, u)
     giving its constant read-only Jacobian, both marked `on_lists`."""
@@ -112,16 +104,16 @@ def _builtin(f, jacobian):
 
 
 def _build_dynamics(spec, cset):
-    """Returns (m, k, f, df_dx, degree in u, normalized spec)."""
+    """Returns (m, k, f, df_dx, degree in u)."""
     if not isinstance(spec, dict):
         raise ProblemError("dynamics must be an object")
     if "builtin" in spec:
         name = spec["builtin"]
         if name == "double_integrator":
             return (2, 1, *_builtin(lambda x, u: [float(x[1]), float(u[0])],
-                                    [[0.0, 1.0], [0.0, 0.0]]), 1, {"builtin": name})
+                                    [[0.0, 1.0], [0.0, 0.0]]), 1)
         if name == "scalar_integrator":
-            return (1, 1, *_builtin(lambda x, u: [float(u[0])], [[0.0]]), 1, {"builtin": name})
+            return (1, 1, *_builtin(lambda x, u: [float(u[0])], [[0.0]]), 1)
         if name == "linear_system":
             A = _as_matrix(spec.get("A"), "A")
             B = _as_matrix(spec.get("B"), "B")
@@ -129,16 +121,14 @@ def _build_dynamics(spec, cset):
                 raise ProblemError("linear_system needs square A and matching B")
             return (A.shape[0], B.shape[1],
                     lambda x, u: A @ x + B @ np.atleast_1d(u),
-                    lambda x, u: A, 1,
-                    {"builtin": name, "A": A.tolist(), "B": B.tolist()})
+                    lambda x, u: A, 1)
         raise ProblemError(f"unknown builtin '{name}'")
     if "expressions" in spec:
         exprs = spec["expressions"]
         if not isinstance(exprs, list) or not exprs:
             raise ProblemError("dynamics.expressions must be a nonempty list")
         m, k = len(exprs), cset.dim
-        f, df_dx, degree = compile_dynamics(exprs, m, k)
-        return m, k, f, df_dx, degree, {"expressions": list(exprs)}
+        return (m, k, *compile_dynamics(exprs, m, k))
     raise ProblemError("dynamics needs 'builtin' or 'expressions'")
 
 
@@ -194,12 +184,11 @@ def _finite_vector(obj, m, name):
 
 
 def _parse_boundary_end(spec, m, name):
-    """Returns (anchor, basis or None, normalized spec)."""
+    """Returns (anchor, basis or None)."""
     if not isinstance(spec, dict):
         raise ProblemError(f"boundary.{name} must be an object")
     if "point" in spec:
-        x = _finite_vector(spec["point"], m, f"boundary.{name}.point")
-        return x, None, {"point": x.tolist()}
+        return _finite_vector(spec["point"], m, f"boundary.{name}.point"), None
     if "anchor" in spec:
         x = _finite_vector(spec["anchor"], m, f"boundary.{name}.anchor")
         normals = []
@@ -210,9 +199,7 @@ def _parse_boundary_end(spec, m, name):
                 raise ProblemError(f"{where} must be nonzero (norm > {RANK_TOL:g})")
             normals.append(w)
         # manifold tangent space = annihilator of the level-set normals
-        basis = tuple(null_space(normals, m).T)
-        return x, basis, {"anchor": x.tolist(),
-                          "normals": [w.tolist() for w in normals]}
+        return x, tuple(null_space(normals, m).T)
     raise ProblemError(f"boundary.{name} needs 'point' or 'anchor'")
 
 
@@ -235,7 +222,7 @@ def _emit_signal(sig):
 
 
 class Problem:
-    """Parsed problem file; `to_dict` re-emits the normalized form."""
+    """Parsed problem file."""
 
     def __init__(self, data):
         if not isinstance(data, dict):
@@ -248,10 +235,9 @@ class Problem:
             dyn = data["dynamics"]
         except KeyError:
             raise ProblemError("problem file needs 'dynamics'")
-        m, k, f, df, degree, self.dyn_spec = _build_dynamics(dyn, self.control_set)
+        m, k, f, df, degree = _build_dynamics(dyn, self.control_set)
         if k != self.control_set.dim:
             raise ProblemError("control_set dimension does not match the dynamics")
-        self.cost_spec = None
         F = dF = None
         cost = data.get("cost")
         if cost is not None:
@@ -260,7 +246,6 @@ class Problem:
             F = parse_expression(cost["expression"], m, k, "cost.expression")
             dF, cost_degree = compile_gradient(cost["expression"], m, k)
             degree = max_degree((degree, cost_degree))
-            self.cost_spec = {"expression": cost["expression"]}
         self.sys = ControlSystem(m=m, k=k, f=f, control_set=self.control_set,
                                  F=F, df_dx=df, dF_dx=dF, u_degree=degree)
         hz = data.get("horizon", {"a": 0.0, "b": 1.0})
@@ -280,10 +265,9 @@ class Problem:
         mode = bd.get("mode", "fixed_time")
         if mode not in ("fixed_time", "free_time"):
             raise ProblemError(f"unknown boundary mode '{mode}'")
-        self.x_a, ib, ispec = _parse_boundary_end(bd["initial"], m, "initial")
-        self.x_b, fb, fspec = _parse_boundary_end(bd["final"], m, "final")
+        self.x_a, ib = _parse_boundary_end(bd["initial"], m, "initial")
+        self.x_b, fb = _parse_boundary_end(bd["final"], m, "final")
         self.boundary = BoundarySpec(mode=mode, initial=ib, final=fb)
-        self.bd_spec = {"mode": mode, "initial": ispec, "final": fspec}
         self.p0 = float(data.get("p0", -1.0))
         self.tol = float(data.get("tol", 1e-6))
         integ = data.get("integrator", {})
@@ -297,29 +281,6 @@ class Problem:
         self.guess = data.get("guess")
         self.shooting = _options(data, "shooting",
                                  {"max_iter", "n_starts", "scales", "fd_h", "max_switches"})
-
-    def to_dict(self):
-        d = {"name": self.name,
-             "dynamics": self.dyn_spec,
-             "control_set": _emit_control_set(self.control_set),
-             "cost": self.cost_spec,
-             "horizon": {"a": self.a, "b": self.b},
-             "boundary": self.bd_spec,
-             "p0": self.p0,
-             "tol": self.tol}
-        if self.step is not None:
-            d["integrator"] = {"step": self.step}
-        if self.control is not None:
-            d["control"] = _emit_signal(self.control)
-        if self.cones is not None:
-            d["cones"] = self.cones
-        if self.reach is not None:
-            d["reach"] = self.reach
-        if self.guess is not None:
-            d["guess"] = self.guess
-        if self.shooting is not None:
-            d["shooting"] = self.shooting
-        return d
 
 
 def load_problem(path) -> Problem:
@@ -430,7 +391,7 @@ def cmd_check(args) -> int:
         bounds = BoundarySpec(mode=mode, initial=bounds.initial or None,
                               final=bounds.final or None)
     tol = args.tol if args.tol is not None else problem.tol
-    report = check_pmp(problem.sys, ext, bounds, PMPCheckOptions(tol=tol))
+    report = check_pmp(problem.sys, ext, bounds, tol)
     _write_json(os.path.join(args.out, "report.json"),
                 json.loads(report.to_json()))
     return 0 if report.classification in ("normal", "abnormal") else 1
@@ -533,20 +494,26 @@ def cmd_reach(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# the optional flags, each given only to the commands that read it
+_FLAGS = {"--tol": {"type": float}, "--seed": {"type": int},
+          "--mode": {"choices": ("fixed", "free")}}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="pmpkit",
         description="simulate, check, shoot, cones, reach on problem files")
     sub = p.add_subparsers(dest="command")
-    for name, fn in (("simulate", cmd_simulate), ("check", cmd_check),
-                     ("shoot", cmd_shoot), ("cones", cmd_cones),
-                     ("reach", cmd_reach)):
+    for name, fn, flags in (("simulate", cmd_simulate, ()),
+                            ("check", cmd_check, ("--tol", "--mode")),
+                            ("shoot", cmd_shoot, ("--tol", "--seed")),
+                            ("cones", cmd_cones, ()),
+                            ("reach", cmd_reach, ("--seed",))):
         sp = sub.add_parser(name)
         sp.add_argument("--problem", required=True)
         sp.add_argument("--out", default=".")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--mode", choices=("fixed", "free"), default=None)
+        for flag in flags:
+            sp.add_argument(flag, default=None, **_FLAGS[flag])
         sp.set_defaults(func=fn)
     return p
 

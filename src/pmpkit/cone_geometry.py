@@ -221,16 +221,16 @@ def conic_membership(cone, v, tol=DEFAULT_TOL):
     return "interior"
 
 
-def membership_margin(cone, v, tol=DEFAULT_TOL, cap=None):
+def membership_margin(cone, v, tol=DEFAULT_TOL):
     """Largest r <= cap such that v +- r q stays in the cone for every span-basis q.
 
-    One LP per direction d = +-q: max r subject to W lam - r d = v,
-    r <= cap and lam >= 0, with the rows taken in span coordinates (v is
-    projected onto span(C); it lies within tol of the cone).  The minimum
-    over directions is a lower bound on the distance from v to the relative
-    boundary (cross-polytope inradius).  Returns 0.0 when v is not in the
-    cone.  Raises ConeCertificateError when a direction's lam fails
-    ||W lam - r d - v||_1 <= tol.
+    cap = max(1, |v|) keeps each LP bounded.  One LP per direction d = +-q:
+    max r subject to W lam - r d = v, r <= cap and lam >= 0, with the rows
+    taken in span coordinates (v is projected onto span(C); it lies within
+    tol of the cone).  The minimum over directions is a lower bound on the
+    distance from v to the relative boundary (cross-polytope inradius).
+    Returns 0.0 when v is not in the cone.  Raises ConeCertificateError
+    when a direction's lam fails ||W lam - r d - v||_1 <= tol.
     """
     v = _check_dim(cone, v)
     if cone_residual(cone, v, tol) > tol:
@@ -239,8 +239,7 @@ def membership_margin(cone, v, tol=DEFAULT_TOL, cap=None):
     k = Q.shape[1]
     if k == 0:
         return np.inf
-    if cap is None:
-        cap = max(1.0, float(np.linalg.norm(v)))
+    cap = max(1.0, float(np.linalg.norm(v)))
     W = cone.matrix
     ng = W.shape[1]
     # variables (lam, r, s): Q^T W lam - r Q^T d = Q^T v and r + s = cap

@@ -69,11 +69,12 @@ def _describe(node) -> str:
 
 
 def _parse(src, where):
+    """(text, body): src with ^ read as ** and the parsed expression body."""
     if not isinstance(src, str):
         raise ProblemError(f"parse error: expression must be a string, got {src!r}")
     text = src.replace("^", "**")
     try:
-        return ast.parse(text, mode="eval")
+        return text, ast.parse(text, mode="eval").body
     except SyntaxError as e:
         if e.msg == "too many nested parentheses":
             raise _too_deep(where) from None
@@ -86,9 +87,10 @@ def _parse(src, where):
         raise _too_deep(where) from None
 
 
-def _check(root, m: int, k: int):
+def _check(root, m: int, k: int, text: str):
     """Raise ProblemError at the first node, in tree order (node, then left
-    to right), outside the grammar."""
+    to right), outside the grammar; text is the source the tree was parsed
+    from."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -96,12 +98,15 @@ def _check(root, m: int, k: int):
             if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
                 raise ProblemError(f"parse error: disallowed constant '{node.value!r}'")
             try:
-                float(node.value)
+                finite = math.isfinite(node.value)
             except OverflowError:
                 digits = str(node.value)
                 raise ProblemError(
                     f"parse error: literal '{digits[:10]}...' ({len(digits)} digits)"
                     " is too large for a float")
+            if not finite:
+                raise ProblemError(f"parse error: literal '{ast.get_source_segment(text, node)}'"
+                                   " is not finite as a float")
         elif isinstance(node, ast.Name):
             mm = _NAME_RE.match(node.id)
             if not mm:
@@ -125,8 +130,8 @@ def _check(root, m: int, k: int):
 
 def _tree(src, m: int, k: int, where):
     """The validated grammar tree (the body of the parsed expression)."""
-    body = _parse(src, where).body
-    _check(body, m, k)
+    text, body = _parse(src, where)
+    _check(body, m, k, text)
     return body
 
 

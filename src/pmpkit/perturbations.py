@@ -414,13 +414,12 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
 class RealizationOptions:
     """Tuning for realize_direction.
 
-    tol bounds the final ray-miss distance relative to s; s0 is the first
-    needle scale tried, halved on each geometric failure; cfg is the
-    integrator configuration used for every endpoint simulation.
+    tol bounds the final ray-miss distance relative to s; cfg is the
+    integrator configuration used for every endpoint simulation.  The first
+    needle scale tried is 1e-2, halved on each geometric failure.
     """
 
     tol: float = 0.02
-    s0: float = 1e-2
     max_attempts: int = 8
     cfg: Optional[IntegratorConfig] = None
     root_max_iter: int = 60
@@ -525,7 +524,7 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
         return simulate(sys, sig, x0, cfg).endpoint, sig, eval_time
 
     best_res = np.inf
-    s = opts.s0
+    s = 1e-2
     last_s = s
     for _ in range(opts.max_attempts):
         last_s = s

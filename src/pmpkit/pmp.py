@@ -22,7 +22,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cone_geometry import null_space, supporting_hyperplane, unit_directions
+from .cone_geometry import (
+    GeneratedCone,
+    _checked_hyperplane,
+    null_space,
+    rank_split,
+    supporting_hyperplane,
+    unit_directions,
+)
 from .control_system import (
     ControlSignal,
     ControlSystem,
@@ -83,10 +90,9 @@ class BoundarySpec:
             if basis is None:
                 continue
             vecs = tuple(np.asarray(w, dtype=float).ravel() for w in basis)
-            if vecs:
-                B = np.vstack(vecs)
-                if np.linalg.matrix_rank(B) < len(vecs):
-                    raise ValueError(f"{name} tangent basis is linearly dependent")
+            # the rank rule of null_space, which the basis feeds
+            if vecs and rank_split(np.vstack(vecs))[1] < len(vecs):
+                raise ValueError(f"{name} tangent basis is linearly dependent")
             object.__setattr__(self, name, vecs)
 
 
@@ -124,11 +130,11 @@ def hamiltonian(sys: ControlSystem, p0: float, p, x, u) -> float:
     return float(p0) * sys.cost_rate(x, u) + float(p @ sys.dynamics(x, u))
 
 
-@dataclass
-class MaximizeOptions:
-    resolution: float = 1e-6
-    fit_tol: float = 1e-9
-    grid_points: int = 9
+# the maximizer's constants: the exact-fit test's relative tolerance, and
+# the points per axis and final cell width of grid refinement
+FIT_TOL = 1e-9
+GRID_POINTS = 9
+GRID_RESOLUTION = 1e-6
 
 
 @dataclass
@@ -312,12 +318,12 @@ def _axis_max(b, a, lo, hi, u0j, tol):
     return lo if b * tl + 0.5 * a * tl * tl >= b * th + 0.5 * a * th * th else hi
 
 
-def _grid_refine(H, lo, hi, opts):
+def _grid_refine(H, lo, hi):
     if lo.size > 3:
         raise UnsupportedMaximizationError(
             "grid refinement supports at most 3 control dimensions")
     cur_lo, cur_hi = lo.copy(), hi.copy()
-    g = opts.grid_points
+    g = GRID_POINTS
     best = None
     for _ in range(60):
         axes = [np.linspace(cur_lo[j], cur_hi[j], g) for j in range(lo.size)]
@@ -331,20 +337,19 @@ def _grid_refine(H, lo, hi, opts):
         cell = (cur_hi - cur_lo) / (g - 1)
         # with no H above -inf on the grid there is nothing to refine
         # around: u_star is None, as `_pick_best` returns it
-        if np.max(cell) <= opts.resolution or best_u is None:
+        if np.max(cell) <= GRID_RESOLUTION or best_u is None:
             return best
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)
     return best
 
 
-def _maximizer(sys: ControlSystem, p0: float, opts: Optional[MaximizeOptions] = None):
-    """The one Hamiltonian maximizer, bound to sys, p0 and opts: maximize(p, x)
-    of p and x lists of floats, unchecked, is (u_star, H, value), with H bound
+def _maximizer(sys: ControlSystem, p0: float):
+    """The one Hamiltonian maximizer, bound to sys and p0: maximize(p, x) of
+    p and x lists of floats, unchecked, is (u_star, H, value), with H bound
     to p and x as `hamiltonian` computes it and value H(u_star) if the search
     evaluated it, else None."""
-    opts = opts or MaximizeOptions()
-    p0f, rate, F, fit_tol = float(p0), sys._rate, sys.F, opts.fit_tol
+    p0f, rate, F, fit_tol = float(p0), sys._rate, sys.F, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     probes = None if U.kind == "finite" else _probes(U)
@@ -396,15 +401,15 @@ def _maximizer(sys: ControlSystem, p0: float, opts: Optional[MaximizeOptions] = 
                     if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
                         return np.clip(u_star, lo, hi), None
                     if bounded:
-                        return _grid_refine(H, lo, hi, opts)
+                        return _grid_refine(H, lo, hi)
                     raise UnsupportedMaximizationError(
                         "coupled concave maximization with mixed infinite bounds "
                         "is not supported")
                 if bounded:
-                    return _grid_refine(H, lo, hi, opts)
+                    return _grid_refine(H, lo, hi)
                 raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
             if bounded:
-                return _grid_refine(H, lo, hi, opts)
+                return _grid_refine(H, lo, hi)
             raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
 
     def maximize(p, x):
@@ -422,8 +427,7 @@ def _maximizer(sys: ControlSystem, p0: float, opts: Optional[MaximizeOptions] = 
     return maximize
 
 
-def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
-                         opts: Optional[MaximizeOptions] = None) -> MaximizationResult:
+def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationResult:
     """Pointwise supremum of H over the control set.
 
     Finite sets are enumerated (first listed wins ties).  Boxes are handled
@@ -442,7 +446,7 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x,
     x = np.asarray(x, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    u, H, value = _maximizer(sys, p0, opts)(p.tolist(), x.tolist())
+    u, H, value = _maximizer(sys, p0)(p.tolist(), x.tolist())
     return MaximizationResult(u, H(u) if value is None else value)
 
 
@@ -503,14 +507,8 @@ def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> Adjoin
     return AdjointCurve(grid=traj.grid.copy(), sigma0=float(p0), sigma=sigma)
 
 
-@dataclass
-class PMPCheckOptions:
-    tol: float = 1e-6
-    maximize: Optional[MaximizeOptions] = None
-
-
 def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
-              opts: Optional[PMPCheckOptions] = None) -> PMPReport:
+              tol: float = 1e-6) -> PMPReport:
     """Evaluate all maximum-principle conditions on the shared grid.
 
     res_3a: worst gap sup_u H - H(u(t)) over non-switch nodes.
@@ -523,8 +521,6 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
     classification: normal/abnormal by the sign of p0 when every condition
     passes at the report tolerance, undetermined otherwise.
     """
-    opts = opts or PMPCheckOptions()
-    tol = opts.tol
     adj = extremal.adjoint
     traj = extremal.ext_traj
     u = extremal.control
@@ -535,7 +531,7 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
         raise ValueError("state dimension mismatch")
     p0 = adj.sigma0
 
-    maximize = _maximizer(sys, p0, opts.maximize)
+    maximize = _maximizer(sys, p0)
     switch = set(u.switch_times)
     gaps: List[float] = []
     sups: List[float] = []
@@ -583,6 +579,9 @@ def terminal_covector_from_cone(cone_b, final_tangent_basis=None,
     lifted final tangent basis.  Prefers sigma_hat_0 = -1; falls back to
     sigma_hat_0 = 0; returns None when no such covector exists, which
     certifies that the downward cost direction is interior to the cone.
+    The covector is checked to satisfy sigma_hat . g <= tol |sigma_hat| |g|
+    for every generator and both signs of every lifted basis vector;
+    ConeCertificateError is raised otherwise.
     """
     cone = cone_b.cone if hasattr(cone_b, "cone") else cone_b
     n = cone.n
@@ -606,13 +605,14 @@ def terminal_covector_from_cone(cone_b, final_tangent_basis=None,
                             b_eq=np.array(b_eq) if b_eq else None,
                             bounds=[(0.0, 1e6)] * (2 * m))
         if res.ok:
-            return np.concatenate(([-1.0], res.x[:m] - res.x[m:]))
+            lifted = [np.concatenate(([0.0], s * w)) for w in basis for s in (1.0, -1.0)]
+            return _checked_hyperplane(GeneratedCone(gens + lifted, n=n).matrix,
+                                       np.concatenate(([-1.0], res.x[:m] - res.x[m:])), tol)
     else:
         if all(g[0] >= -tol for g in gens):
             return np.array([-1.0])
 
     # stage 2: sigma_hat = (0, p), p nonzero supporting the projected cone
-    from .cone_geometry import GeneratedCone
     proj = [g[1:] for g in gens] + [w for w in basis] + [-w for w in basis]
     proj_cone = GeneratedCone(proj, n=m) if m > 0 else None
     if proj_cone is None:
@@ -623,13 +623,11 @@ def terminal_covector_from_cone(cone_b, final_tangent_basis=None,
     return np.concatenate(([0.0], alpha))
 
 
-@dataclass
-class ClassifyOptions:
-    tol: float = 1e-6
-    n_dirs: int = 8
-    scales: Tuple[float, ...] = (0.1, 1.0, 10.0)
-    cfg: Optional[IntegratorConfig] = None
-    maximize: Optional[MaximizeOptions] = None
+# classify_extremal's constants: the residual tolerance of a lift, and the
+# number of sampled directions and the scales of its terminal covectors
+CLASSIFY_TOL = 1e-6
+CLASSIFY_DIRS = 8
+CLASSIFY_SCALES = (0.1, 1.0, 10.0)
 
 
 @dataclass
@@ -643,7 +641,7 @@ class ClassificationResult:
 
 def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSignal,
                       bounds: BoundarySpec,
-                      opts: Optional[ClassifyOptions] = None) -> ClassificationResult:
+                      cfg: Optional[IntegratorConfig] = None) -> ClassificationResult:
     """Search for admissible adjoint lifts with p0 = -1 and p0 = 0.
 
     Terminal covectors are drawn from the annihilator of the final tangent
@@ -654,7 +652,6 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     has dimension <= 1 (both rays enumerable) or dimension 0; the analogous
     rule covers p0 = -1 when its affine candidate space is a single point.
     """
-    opts = opts or ClassifyOptions()
     if sys.extended:
         raise ValueError("classify_extremal expects the base control system")
     m = sys.m
@@ -662,7 +659,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     if x0.size != m:
         raise ValueError("trajectory state dimension does not match the system")
     span = control.b - control.a
-    cfg = opts.cfg or IntegratorConfig(step=1e-2 * span)
+    cfg = cfg or IntegratorConfig(step=1e-2 * span)
     free = bounds.mode == "free_time"
 
     ext_traj = simulate(extend(sys), control, np.concatenate(([0.0], x0)), cfg)
@@ -671,7 +668,6 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     F_b = sys.cost_rate(base.endpoint, control.value_at(control.b))
     final_rows = [np.asarray(w, float) for w in (bounds.final or ())]
 
-    check_opts = PMPCheckOptions(tol=opts.tol, maximize=opts.maximize)
     attempts: List[dict] = []
     # the adjoint is linear in (p0, p_b): one sweep of the unit covectors
     # with p0 = 0 and of p_b = 0 with p0 = -1 gives every candidate's
@@ -683,7 +679,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
         sigma = basis[:, :, :m] @ np.asarray(p_b, dtype=float) - p0 * basis[:, :, m]
         adj = AdjointCurve(grid=base.grid.copy(), sigma0=float(p0), sigma=sigma)
         try:
-            rep = check_pmp(sys, Extremal(ext_traj, control, adj), bounds, check_opts)
+            rep = check_pmp(sys, Extremal(ext_traj, control, adj), bounds, CLASSIFY_TOL)
         except UnboundedHamiltonianError as e:
             return np.inf, 0.0, f"unbounded Hamiltonian: {e}"
         worst = max(rep.res_3a, rep.res_3b, rep.res_3e[0], rep.res_3e[1])
@@ -693,7 +689,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
         """Unit directions in the column space of N: both of a line's."""
         k = N.shape[1]
         return ([] if k == 0 else [N[:, 0], -N[:, 0]] if k == 1
-                else [N @ d for d in unit_directions(k, opts.n_dirs)])
+                else [N @ d for d in unit_directions(k, CLASSIFY_DIRS)])
 
     # p0 = 0: ray space is the annihilator of the final basis (and of f(b)
     # in free-time mode, since sup H = p . f must vanish at b)
@@ -710,7 +706,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
         # the p0 = 0 problem is homogeneous, so judge the ray by the
         # scale-invariant ratio residual / covector norm
         rel = worst / min_norm if min_norm > 0 else np.inf
-        feasible = rel <= opts.tol
+        feasible = rel <= CLASSIFY_TOL
         attempts.append({"p0": 0.0, "p_b": ray.tolist(),
                          "feasible": bool(feasible),
                          "reason": reason or f"relative residual {rel:.3e}"})
@@ -726,7 +722,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     Nf = null_space(final_rows, m)
     normal_terminal = None
     dirs = directions(Nf)
-    nrm_cands: List[np.ndarray] = [np.zeros(m)] + [s * d for s in opts.scales for d in dirs]
+    nrm_cands: List[np.ndarray] = [np.zeros(m)] + [s * d for s in CLASSIFY_SCALES for d in dirs]
     nrm_dim = Nf.shape[1]
     if free:
         rows = final_rows + [f_b]
@@ -737,14 +733,14 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
             Na = null_space(rows, m)
             nrm_dim = Na.shape[1]
             dirs = directions(Na)
-            nrm_cands = [sol] + [sol + s * d for s in opts.scales for d in dirs] + nrm_cands
+            nrm_cands = [sol] + [sol + s * d for s in CLASSIFY_SCALES for d in dirs] + nrm_cands
         else:
             nrm_dim = -1  # no admissible normal covector satisfies H(b) = 0
             nrm_cands = []
     nrm_reasons: List[str] = []
     for cand in nrm_cands:
         worst, min_norm, reason = residuals(-1.0, cand)
-        feasible = worst <= opts.tol and min_norm > opts.tol
+        feasible = worst <= CLASSIFY_TOL and min_norm > CLASSIFY_TOL
         attempts.append({"p0": -1.0, "p_b": np.asarray(cand).tolist(),
                          "feasible": bool(feasible),
                          "reason": reason or f"worst {worst:.3e}"})

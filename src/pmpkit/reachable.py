@@ -188,16 +188,14 @@ class ConeApproxStats:
 
 
 def cone_approximation_check(sys: ControlSystem, traj: Trajectory, t: float,
-                             cone, cloud: ReachCloud, s_scale: float,
-                             tol_coeff: float = 1.0,
-                             tol_power: float = 1.5) -> ConeApproxStats:
+                             cone, cloud: ReachCloud, s_scale: float) -> ConeApproxStats:
     """Fraction of near-reference endpoints explained by the cone.
 
     Slices the cloud to ||y - gamma(t)|| <= s_scale, measures the distance
     of each offset to the cone and counts it inside when the distance is at
-    most tol_coeff * s_scale**tol_power.  With tol_power > 1 the tolerance
-    is o(s_scale), so the fraction must climb as s_scale shrinks whenever
-    the cone really is a first-order model of the reachable set.
+    most s_scale**1.5.  That tolerance is o(s_scale), so the fraction must
+    climb as s_scale shrinks whenever the cone really is a first-order model
+    of the reachable set.
     """
     if abs(cloud.horizon - float(t)) > 1e-9 * (1.0 + abs(t)):
         raise ValueError("cloud horizon does not match the slice time")
@@ -208,7 +206,7 @@ def cone_approximation_check(sys: ControlSystem, traj: Trajectory, t: float,
     idx = np.nonzero(norms <= s_scale)[0]
     if idx.size == 0:
         raise ValueError("empty slice: no cloud point within s_scale of the reference")
-    tolerance = tol_coeff * float(s_scale) ** tol_power
+    tolerance = float(s_scale) ** 1.5
     dists = np.array([cone_residual(geom, offsets[i]) for i in idx])
     inside = int(np.sum(dists <= tolerance))
     return ConeApproxStats(s_scale=float(s_scale), tolerance=tolerance,

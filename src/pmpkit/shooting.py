@@ -20,14 +20,7 @@ import numpy as np
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
-from .pmp import (
-    BoundarySpec,
-    Extremal,
-    MaximizeOptions,
-    _absmax,
-    _maximizer,
-    adjoint_flow,
-)
+from .pmp import BoundarySpec, Extremal, _absmax, _maximizer, adjoint_flow
 
 
 @dataclass
@@ -85,7 +78,6 @@ class ShootingOptions:
     seed: int = 0
     fd_h: float = 1e-6
     max_switches: int = 200
-    maximize: Optional[MaximizeOptions] = None
 
 
 @dataclass
@@ -170,7 +162,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
         return None
     jump_tol = _auto_jump_tol(sys.control_set)
-    maximize = _maximizer(sys, problem.p0, opts.maximize)
+    maximize = _maximizer(sys, problem.p0)
 
     def argmax(yc):
         # the maximizer at the stacked state yc = (x, p) with H bound there;
@@ -436,20 +428,17 @@ def _format_value(u) -> str:
     return "u=" + (comps[0] if len(comps) == 1 else "(" + ", ".join(comps) + ")")
 
 
-def switching_structure(extremal: Extremal,
-                        jump_tol: Optional[float] = None) -> SwitchingStructure:
+def switching_structure(extremal: Extremal) -> SwitchingStructure:
     """Control discontinuities of an extremal with the arc value labels.
 
-    Step-to-step drift below the jump tolerance (a smoothly varying
-    maximizer sampled per step) is not a switch; only genuine jumps are
-    reported.  Labels carry the value at the start of each arc.
+    Step-to-step drift below the jump tolerance of the control set, the one
+    shooting locates switches with (a smoothly varying maximizer sampled per
+    step), is not a switch; only genuine jumps are reported.  Labels carry
+    the value at the start of each arc.
     """
     sig = extremal.control
     vals = [np.asarray(v, dtype=float) for v in sig.values]
-    if jump_tol is None:
-        system = getattr(extremal.ext_traj, "system", None)
-        jump_tol = (_auto_jump_tol(system.control_set)
-                    if system is not None else 0.05)
+    jump_tol = _auto_jump_tol(extremal.ext_traj.system.control_set)
     times: List[float] = []
     labels: List[str] = [_format_value(vals[0])]
     for i, sw in enumerate(sig.switch_times):

@@ -36,14 +36,12 @@ form of a package routine as its reference:
 import ast
 import itertools
 import math
-from typing import Optional
 
 import numpy as np
 
 from pmpkit.cone_geometry import unit_directions
 from pmpkit.control_system import ControlSystem
-from pmpkit.pmp import (MaximizationResult, MaximizeOptions,
-                        UnboundedHamiltonianError, hamiltonian)
+from pmpkit.pmp import MaximizationResult, UnboundedHamiltonianError, hamiltonian
 
 
 def _angles(vectors):
@@ -511,11 +509,11 @@ def _arrays_axis_max(b, a, lo, hi, u0j, tol):
     return lo if b * tl + 0.5 * a * tl * tl >= b * th + 0.5 * a * th * th else hi
 
 
-def _arrays_grid_refine(H, lo, hi, opts):
+def _arrays_grid_refine(H, lo, hi, resolution, grid_points):
     if lo.size > 3:
         raise ValueError("grid refinement supports at most 3 control dimensions")
     cur_lo, cur_hi = lo.copy(), hi.copy()
-    g = opts.grid_points
+    g = grid_points
     best = None
     for _ in range(60):
         axes = [np.linspace(cur_lo[j], cur_hi[j], g) for j in range(lo.size)]
@@ -527,7 +525,7 @@ def _arrays_grid_refine(H, lo, hi, opts):
                 best_u, best_v = u, v
         best = MaximizationResult(best_u, best_v)
         cell = (cur_hi - cur_lo) / (g - 1)
-        if np.max(cell) <= opts.resolution:
+        if np.max(cell) <= resolution:
             return best
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)
@@ -535,7 +533,7 @@ def _arrays_grid_refine(H, lo, hi, opts):
 
 
 def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
-                                opts: Optional[MaximizeOptions] = None) -> MaximizationResult:
+                                resolution=1e-6, grid_points=9) -> MaximizationResult:
     """Pointwise supremum of H over the control set.
 
     Finite sets are enumerated (first listed wins ties).  Boxes are handled
@@ -546,7 +544,7 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
     reported as an error.  Non-quadratic H on a finite box falls back to
     deterministic grid refinement.
     """
-    opts = opts or MaximizeOptions()
+    fit_tol = 1e-9
 
     def H(u):
         return hamiltonian(sys, p0, p, x, u)
@@ -560,13 +558,13 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
         c, R = U.center, U.radius
         k = c.size
         delta = np.full(k, max(R, 1.0) / 4.0)
-        fit = _arrays_fit_quadratic(H, c.copy(), delta, opts.fit_tol, verify)
+        fit = _arrays_fit_quadratic(H, c.copy(), delta, fit_tol, verify)
         if fit is not None:
             _, b, A = fit
             scale = 1.0 + np.max(np.abs(b)) + np.max(np.abs(A))
-            if np.max(np.abs(A)) <= opts.fit_tol * scale:
+            if np.max(np.abs(A)) <= fit_tol * scale:
                 nb = np.linalg.norm(b)
-                u = c + R * b / nb if nb > opts.fit_tol * scale else c.copy()
+                u = c + R * b / nb if nb > fit_tol * scale else c.copy()
                 return MaximizationResult(u, H(u))
         cands = [c.copy()]
         for r in np.linspace(R / 8.0, R, 8):
@@ -589,11 +587,11 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
         else:
             u0[j], delta[j] = 0.0, 1.0
 
-    fit = _arrays_fit_quadratic(H, u0, delta, opts.fit_tol, verify)
+    fit = _arrays_fit_quadratic(H, u0, delta, fit_tol, verify)
     if fit is not None:
         _, b, A = fit
         scale = 1.0 + float(np.max(np.abs(b))) + float(np.max(np.abs(A)))
-        ztol = opts.fit_tol * scale
+        ztol = fit_tol * scale
         off_diag = np.max(np.abs(A - np.diag(np.diag(A)))) if k > 1 else 0.0
         if off_diag <= ztol:
             u = np.array([
@@ -611,14 +609,14 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
                 u_star = np.clip(u_star, lo, hi)
                 return MaximizationResult(u_star, H(u_star))
             if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-                return _arrays_grid_refine(H, lo, hi, opts)
+                return _arrays_grid_refine(H, lo, hi, resolution, grid_points)
             raise RuntimeError("coupled concave maximization with mixed "
                                "infinite bounds is not supported")
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-            return _arrays_grid_refine(H, lo, hi, opts)
+            return _arrays_grid_refine(H, lo, hi, resolution, grid_points)
         raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
     if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
-        return _arrays_grid_refine(H, lo, hi, opts)
+        return _arrays_grid_refine(H, lo, hi, resolution, grid_points)
     raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
 
 
@@ -712,7 +710,7 @@ def propagate_arrays(problem, z, opts, step):
     jump_tol = _auto_jump_tol(sys.control_set)
 
     def argmax(yc):
-        best = maximize_hamiltonian_arrays(sys, problem.p0, yc[m:], yc[:m], opts.maximize)
+        best = maximize_hamiltonian_arrays(sys, problem.p0, yc[m:], yc[:m])
         if best.u_star is None:
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
         return best

@@ -236,7 +236,7 @@ def test_criterion_7_direction_realization(capsys):
     cone = build_tangent_cone(
         sys, traj, 1.0,
         {"times": [0.2, 0.4, 0.6, 0.8], "controls": [[-1.0], [1.0]]})
-    opts = RealizationOptions(tol=0.05, s0=1e-2, cfg=IntegratorConfig(step=2e-3))
+    opts = RealizationOptions(tol=0.05, cfg=IntegratorConfig(step=2e-3))
     rng = np.random.default_rng(13)
     worst, checked, ok = 0.0, 0, True
     while checked < 10:

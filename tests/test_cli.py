@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import math
 import os
@@ -69,24 +71,6 @@ def lqr_dir(tmp_path_factory):
 
 
 class TestProblemFiles:
-    def test_round_trip_is_identical(self, tmp_path):
-        data = {
-            "name": "rt",
-            "dynamics": {"expressions": ["x1", "sin(x0) + u0"]},
-            "control_set": {"kind": "box", "lo": [-2.0], "hi": [2.0]},
-            "cost": {"expression": "u0^2"},
-            "horizon": {"a": 0.0, "b": 2.0},
-            "boundary": {"mode": "fixed_time",
-                         "initial": {"point": [0.1, 0.2]},
-                         "final": {"anchor": [0.0, 0.0], "normals": [[1.0, 0.0]]}},
-            "control": {"switch_times": [0.5], "values": [[1.0], [-1.0]]},
-            "integrator": {"step": 0.05},
-        }
-        path = write_problem(tmp_path / "p.json", data)
-        first = cli.load_problem(path).to_dict()
-        again = cli.Problem(first).to_dict()
-        assert first == again
-
     def test_normals_define_tangent_basis(self):
         p = cli.Problem(
             {"dynamics": {"builtin": "double_integrator"},
@@ -131,6 +115,20 @@ class TestProblemFiles:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'1000000000...' (401 digits)" in err and "too large" in err
+
+    @pytest.mark.parametrize("place", ["dynamics", "cost"])
+    def test_non_finite_literal_named(self, tmp_path, capsys, place):
+        # 1e309 reads as inf; simulating with it was a numerical failure
+        data = lqr_problem()
+        data["control"] = {"switch_times": [], "values": [[0.0]]}
+        if place == "dynamics":
+            data["dynamics"] = {"expressions": ["1e309 * u0 + 1"]}
+        else:
+            data["cost"] = {"expression": "x0^2 + 1e309"}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "literal '1e309' is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("place, expr", [
         ("dynamics", " + ".join(["x0"] * 1500)),    # deeper than the derivative recurses
@@ -375,6 +373,19 @@ class TestProblemFiles:
 
     def test_bad_flag_value(self):
         assert cli.main(["check", "--problem", "x.json", "--mode", "banana"]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "shoot", "cones", "reach"])
+    def test_each_command_takes_only_the_flags_it_reads(self, command):
+        fn = ast.parse(inspect.getsource(getattr(cli, "cmd_" + command)))
+        reads = {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        args = cli._build_parser().parse_args([command, "--problem", "p"])
+        assert set(vars(args)) == reads | {"command", "func"}
+
+    @pytest.mark.parametrize("argv", [["shoot", "--mode", "free"], ["simulate", "--tol", "1"]])
+    def test_unread_flag_is_refused(self, argv, capsys):
+        assert cli.main([*argv, "--problem", "x.json"]) == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
     def test_no_command(self):
         assert cli.main([]) == 2

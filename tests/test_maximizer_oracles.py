@@ -9,6 +9,8 @@ themselves on concave, linear, convex and non-quadratic H.
 """
 
 import math
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,10 +35,10 @@ def bits(v):
     return a.shape, a.tobytes()
 
 
-def outcome(maximize, sys, p0, p, x, opts):
+def outcome(maximize, sys, p0, p, x, *grid):
     with np.errstate(all="ignore"):
         try:
-            res = maximize(sys, p0, p, x, opts)
+            res = maximize(sys, p0, p, x, *grid)
         except Exception as exc:  # the exception type is part of the outcome
             return type(exc)
     return bits(res.u_star), bits(res.value)
@@ -108,14 +110,22 @@ def cases(draw):
                         u_degree=draw(st.sampled_from((None, 1, 2))))
     p0 = draw(st.sampled_from((-1.0, 0.0)))
     p = [draw(st.sampled_from((1.0, -0.5, 2.0)))]
-    opts = pmp.MaximizeOptions(resolution=draw(st.sampled_from((1e-6, 1e-3))),
-                               grid_points=draw(st.sampled_from((3, 5))))
-    return sys, p0, p, [0.0], opts
+    # coarse grids keep grid refinement cheap; (resolution, points per axis)
+    grid = (draw(st.sampled_from((1e-6, 1e-3))), draw(st.sampled_from((3, 5))))
+    return sys, p0, p, [0.0], grid
 
 
-def expected(sys, p0, p, x, opts):
+@contextmanager
+def refining_on(resolution, points):
+    """pmp's grid refinement with this final cell width and points per axis."""
+    with mock.patch.object(pmp, "GRID_RESOLUTION", resolution), \
+            mock.patch.object(pmp, "GRID_POINTS", points):
+        yield
+
+
+def expected(sys, p0, p, x, grid=()):
     """The array maximizer's outcome, with its two deliberate changes."""
-    want = outcome(maximize_hamiltonian_arrays, sys, p0, p, x, opts)
+    want = outcome(maximize_hamiltonian_arrays, sys, p0, p, x, *grid)
     if want is TypeError:
         # the array grid refinement subtracted a step from u_star None when
         # no grid point had H above -inf; the rewrite returns that level's
@@ -131,20 +141,21 @@ def expected(sys, p0, p, x, opts):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(cases())
 def test_scalar_maximizer_matches_array_maximizer_bit_for_bit(case):
-    sys, p0, p, x, opts = case
-    want = expected(sys, p0, p, x, opts)
-    assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
-    # a second call reads the probes kept on the control set
-    assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x, opts) == want
+    sys, p0, p, x, grid = case
+    want = expected(sys, p0, p, x, grid)
+    with refining_on(*grid):
+        assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x) == want
+        # a second call reads the probes kept on the control set
+        assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x) == want
 
 
-def bound_outcome(sys, p0, p, x, opts):
+def bound_outcome(sys, p0, p, x):
     """u_star and H(u_star) of the bound maximizer at lists p and x, as
     `outcome` gives them; a value its search returns must be H(u_star)."""
     with np.errstate(all="ignore"):
         try:
-            u, H, value = pmp._maximizer(sys, p0, opts)([float(v) for v in p],
-                                                        [float(v) for v in x])
+            u, H, value = pmp._maximizer(sys, p0)([float(v) for v in p],
+                                                  [float(v) for v in x])
         except Exception as exc:
             return type(exc)
         if u is None:
@@ -159,9 +170,10 @@ def bound_outcome(sys, p0, p, x, opts):
 def test_bound_maximizer_matches_public_maximizer_bit_for_bit(case):
     # boxes of k = 1..3 with finite, half-infinite and signed-zero sides,
     # balls and finite sets, u_degree declared or not
-    sys, p0, p, x, opts = case
-    assert bound_outcome(sys, p0, p, x, opts) == outcome(pmp.maximize_hamiltonian,
-                                                         sys, p0, p, x, opts)
+    sys, p0, p, x, grid = case
+    with refining_on(*grid):
+        assert bound_outcome(sys, p0, p, x) == outcome(pmp.maximize_hamiltonian,
+                                                       sys, p0, p, x)
 
 
 @pytest.mark.parametrize("U", (box([-1.0], [2.0]), box([-1.0, -0.0], [1.0, 0.0]),
@@ -174,9 +186,9 @@ def test_bound_maximizer_of_nan_hamiltonian_has_no_u_star(U, degree):
     # does for k = 2, and eigvalsh never sees it (it need not converge)
     sys = ControlSystem(m=1, k=U.dim, f=lambda x, u: np.array([np.nan]), control_set=U,
                         F=lambda x, u: 1.0, u_degree=degree)
-    want = outcome(pmp.maximize_hamiltonian, sys, -1.0, [1.0], [0.0], None)
+    want = outcome(pmp.maximize_hamiltonian, sys, -1.0, [1.0], [0.0])
     assert want == (None, bits(-INF))
-    assert bound_outcome(sys, -1.0, [1.0], [0.0], None) == want
+    assert bound_outcome(sys, -1.0, [1.0], [0.0]) == want
 
 
 jump_values = st.one_of(st.floats(-3.0, 3.0),
@@ -222,8 +234,8 @@ def test_trap_cases_match_array_maximizer(name, degree):
     sys = ControlSystem(m=1, k=U.dim, f=_concave_plus_signs, control_set=U,
                         F=lambda x, u: float(u @ u), u_degree=degree)
     for p0 in (-1.0, 0.0):
-        want = expected(sys, p0, [1.0], [0.0], None)
-        assert outcome(pmp.maximize_hamiltonian, sys, p0, [1.0], [0.0], None) == want
+        want = expected(sys, p0, [1.0], [0.0])
+        assert outcome(pmp.maximize_hamiltonian, sys, p0, [1.0], [0.0]) == want
 
 
 def test_probes_are_read_only_and_rebuild_signed_zeros():

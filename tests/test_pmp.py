@@ -15,7 +15,7 @@ from pmpkit.control_system import (
     simulate,
 )
 from pmpkit.flows import IntegratorConfig, cotangent_lift_flow, tangent_lift_flows
-from pmpkit.cone_geometry import GeneratedCone
+from pmpkit.cone_geometry import ConeCertificateError, GeneratedCone, null_space
 from pmpkit.perturbations import NeedleData, class1_vector
 from pmpkit import pmp
 
@@ -303,6 +303,14 @@ class TestCheckPmp:
             pmp.BoundarySpec(mode="fixed_time",
                              final=((1.0, 0.0), (2.0, 0.0)))
 
+    def test_basis_independence_takes_the_null_space_rank_rule(self):
+        # the two vectors differ below null_space's 1e-12 relative rank
+        # rule, which leaves them a line of annihilating covectors, not 0
+        basis = ((1.0, 0.0), (1.0, 1e-13))
+        assert null_space([np.array(w) for w in basis], 2).shape[1] == 1
+        with pytest.raises(ValueError, match="linearly dependent"):
+            pmp.BoundarySpec(mode="fixed_time", final=basis)
+
 
 class TestInvariants:
     def test_cost_multiplier_constant_under_extended_lift(self):
@@ -394,6 +402,22 @@ class TestTerminalCovector:
         basis = [np.array([0.0, 1.0])]
         sh = pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
         assert abs(sh[2]) <= 1e-9
+
+    # the LP's optimum p = 0 moved by one on the entry that makes it
+    # positive on the generator, or not annihilate the basis vector
+    @pytest.mark.parametrize("basis, entry", [(None, 0), ([np.array([0.0, 1.0])], 3)])
+    def test_damaged_stage_one_optimum_is_refused(self, monkeypatch, basis, entry):
+        solve = pmp.linprog_dense
+
+        def damaged(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            res.x[entry] += 1.0
+            return res
+
+        monkeypatch.setattr(pmp, "linprog_dense", damaged)
+        g = np.array([0.0, 2.0, 1.0])
+        with pytest.raises(ConeCertificateError, match="misses a generator"):
+            pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
 
 
 class TestClassify:

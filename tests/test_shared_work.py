@@ -227,10 +227,10 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
     opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
     bind, seen = pmp._maximizer, collections.Counter()
 
-    def counted(sys, p0, opts=None):
+    def counted(sys, p0):
         # the maximizer is bound once per propagation; count what it maximizes
         seen["binds"] += 1
-        maximize = bind(sys, p0, opts)
+        maximize = bind(sys, p0)
 
         def wrapper(p, x):
             seen[np.array(x + p).tobytes()] += 1
@@ -390,8 +390,7 @@ def test_classification_makes_one_adjoint_sweep():
     u = ControlSignal(0.0, 2.0, (1.0,), ((1.0,), (-1.0,)))
     cfg = IntegratorConfig(step=0.01)
     traj = simulate(sys, u, np.zeros(2), cfg)
-    res = pmp.classify_extremal(sys, traj, u, pmp.BoundarySpec(mode="fixed_time"),
-                                pmp.ClassifyOptions(cfg=cfg))
+    res = pmp.classify_extremal(sys, traj, u, pmp.BoundarySpec(mode="fixed_time"), cfg)
     assert res.classification == "normal" and len(res.attempts) == 9
     steps = len(traj.grid) - 1
     assert calls == {"df_dx": 4 * steps, "dF_dx": 4 * steps}
