@@ -268,8 +268,8 @@ class Problem:
         self.x_a, ib = _parse_boundary_end(bd["initial"], m, "initial")
         self.x_b, fb = _parse_boundary_end(bd["final"], m, "final")
         self.boundary = BoundarySpec(mode=mode, initial=ib, final=fb)
-        self.p0 = float(data.get("p0", -1.0))
-        self.tol = float(data.get("tol", 1e-6))
+        self.p0 = _finite(data.get("p0", -1.0), "p0")
+        self.tol = _finite(data.get("tol", 1e-6), "tol", positive=True)
         integ = data.get("integrator", {})
         self.step = (_finite(integ["step"], "integrator.step", positive=True)
                      if "step" in integ else None)
@@ -384,13 +384,13 @@ def _load_extremal(problem: Problem, out_dir):
 
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
+    tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
     ext = _load_extremal(problem, args.out)
     bounds = problem.boundary
     if args.mode is not None:
         mode = "free_time" if args.mode == "free" else "fixed_time"
         bounds = BoundarySpec(mode=mode, initial=bounds.initial or None,
                               final=bounds.final or None)
-    tol = args.tol if args.tol is not None else problem.tol
     report = check_pmp(problem.sys, ext, bounds, tol)
     _write_json(os.path.join(args.out, "report.json"),
                 json.loads(report.to_json()))
@@ -399,6 +399,7 @@ def cmd_check(args) -> int:
 
 def cmd_shoot(args) -> int:
     problem = load_problem(args.problem)
+    tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
     os.makedirs(args.out, exist_ok=True)
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
@@ -406,7 +407,7 @@ def cmd_shoot(args) -> int:
     extra = dict(problem.shooting or {})
     if "scales" in extra:
         extra["scales"] = tuple(float(s) for s in extra["scales"])
-    opts = ShootingOptions(tol=args.tol if args.tol is not None else problem.tol,
+    opts = ShootingOptions(tol=tol,
                            step=problem.step,
                            seed=args.seed if args.seed is not None else 0,
                            **extra)

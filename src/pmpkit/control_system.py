@@ -303,11 +303,16 @@ def _write_csv(path, header: str, rows) -> None:
 def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
     """The field x' = f(x, u(t)), holding on each grid segment the value of
     u at its midpoint: the grid hits u's switches, so a step that ends on
-    one keeps its own arc's control at every stage."""
+    one keeps its own arc's control at every stage.  When f is the
+    grammar's generated dynamics, each piece carries its generated RK4
+    step with the piece's control bound."""
     rate, pieces = sys._rate, {}
+    step_function = getattr(sys.f, "step_function", None)
+    step = step_function and step_function()
     for v in u.values:
-        pieces[id(v)] = X = TimeVectorField(sys.m, lambda _, x, v=v: rate(x, v),
-                                            lambda _, x, v=v: sys.jac_x(x, v))
+        pieces[id(v)] = X = TimeVectorField(
+            sys.m, lambda _, x, v=v: rate(x, v), lambda _, x, v=v: sys.jac_x(x, v),
+            step and (lambda x, h, v=v.tolist(): step(x, v, h)))
         X.eval.on_lists = True
     return PiecewiseField(sys.m, lambda t0, t1: pieces[id(u.value_at(0.5 * (t0 + t1)))],
                           u.switch_times)

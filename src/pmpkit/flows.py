@@ -56,12 +56,14 @@ class TimeVectorField:
     `on_lists` runs on lists of floats.  When `jacobian` is None, central
     finite differences with step 1e-6 (1 + |x|) are used.  The grid hits the
     `switch_times` where a field may jump, and `on` gives the smooth field
-    of one grid segment.
+    of one grid segment.  An autonomous field may carry `step(x, h)`, the
+    list `rk4_step(eval, t, x, h, eval(t, x))` returns, bit for bit.
     """
 
     dim: int
     eval: Callable
     jacobian: Callable | None = None
+    step: Callable | None = None
     switch_times = ()
 
     def jac(self, t, x):
@@ -192,8 +194,9 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     The grid hits cfg's event times, then X's switch times, and each step
     runs on X.on(t0, t1), whose eval gets each stage as an array unless it
     is marked `on_lists`; lift gets w as an array.  x advances once a step
-    by rk4_step, recording dX/dx at its four stages if some w is nonzero;
-    each nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
+    by rk4_step, recording dX/dx at its four stages if some w is nonzero,
+    or else by the segment field's own step when it carries one; each
+    nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
     is elementwise outside its right-hand side, so every w path has the bits
     of the RK4 path of the stacked (x, w).  A zero w stays zero.
     """
@@ -212,11 +215,14 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     for t0, t1 in zip(ts, ts[1:]):
         h = t1 - t0
         F = X.on(t0, t1)
-        rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
-        if live:
-            x, jacs = _recorded_step(rate, F.jac, t0, x, h)
+        if not live and F.step is not None:
+            x = F.step(x, h)
         else:
-            x = rk4_step(rate, t0, x, h, rate(t0, x))
+            rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
+            if live:
+                x, jacs = _recorded_step(rate, F.jac, t0, x, h)
+            else:
+                x = rk4_step(rate, t0, x, h, rate(t0, x))
         if not _all_finite(x):
             raise FlowBlowUpError(t1)
         xs.append(x)

@@ -6,30 +6,36 @@ cos and exp.  It is parsed by `ast`, validated node by node, differentiated
 symbolically in x, and read for its degree in u.
 
 Evaluation goes through generated Python functions: one per dynamics
-vector, cost, or exact Jacobian.  Each is built as an `ast` tree from the
-validated grammar tree, one assignment per grammar node in the order a tree
-walk evaluates them (left operand, right operand, operation; a subtree that
-a derivative shares is assigned once per entry), and passed to `compile`;
-no source text is generated and the user's text is never evaluated.
-Numbers are bound through a tuple, so nothing is folded.  A state or
-control reads as `float(x[i])` or `float(u[i])`, from a list or an array,
-a vector is a list of floats, a vector or Jacobian function is marked
-`on_lists` (it takes x as a list of floats), a power goes through
-`_real_pow`, and each vector component and Jacobian entry has its own `try`
-that turns overflow, division by zero and math domain errors into NaN, so
-the integrators' blow-up checks own the diagnostic.  Straight-line code
-keeps `compile` shallow however deeply an expression nests.
+vector, cost, or exact Jacobian, and one RK4 step of the dynamics, whose
+stage and combination arithmetic `flows.rk4_step` writes by running on
+symbolic operands.  Each is built as an `ast` tree from the validated
+grammar tree, one assignment per grammar node in the order a tree walk
+evaluates them (left operand, right operand, operation; a subtree that a
+derivative shares is assigned once per entry), and passed to `compile`; no
+source text is generated and the user's text is never evaluated.  Numbers
+are bound through a tuple, so nothing is folded (rk4_step's own numbers
+are literals, each met with a variable).  A state or control reads as
+`float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
+list of floats, a vector or Jacobian function is marked `on_lists` (it
+takes x as a list of floats), a power goes through `_real_pow`, and each
+vector component and Jacobian entry has its own `try` that turns
+overflow, division by zero and math domain errors into NaN, so the
+integrators' blow-up checks own the diagnostic.  Straight-line code keeps
+`compile` shallow however deeply an expression nests.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
+
+from .flows import rk4_step
 
 
 class ProblemError(ValueError):
@@ -316,7 +322,8 @@ class _Code:
     """One generated function (x, u) -> value, built entry by entry.
 
     An entry is a validated grammar tree.  A number is bound as a constant;
-    any other tree is evaluated in its own try, one assignment per node.
+    any other tree is evaluated in its own try, one assignment per node.  A
+    state or control named in `inputs` reads that local instead of x or u.
     """
 
     def __init__(self):
@@ -324,6 +331,14 @@ class _Code:
         self.body = []
         self.values = []
         self.n_temps = 0
+        self.inputs = {}
+
+    def local(self, value):
+        """Assign value to a new temporary in the body; return its name."""
+        name = f"_t{self.n_temps}"
+        self.n_temps += 1
+        self.body.append(_assign(name, value))
+        return name
 
     def _const(self, v):
         self.consts.append(float(v))
@@ -350,6 +365,9 @@ class _Code:
                 continue
             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
                 stack.append((node.operand, False))
+                continue
+            if isinstance(node, ast.Name) and node.id in self.inputs:
+                operands.append(_name(self.inputs[node.id]))
                 continue
             if id(node) in done:
                 operands.append(_name(done[id(node)]))
@@ -408,8 +426,19 @@ class _Code:
                               [ast.Constant(n, **_POS) for n in shape], [], **_POS)
         else:
             (result,) = self.values
-        fn = ast.FunctionDef(name, _params("x", "u"),
-                             self.body + [ast.Return(result, **_POS)], [], **_POS)
+        fn = self.compile(self.define(name, ("x", "u"), result))
+        fn.on_lists = bool(shape)
+        return fn
+
+    def define(self, name, params, result):
+        """The definition of name(*params), which runs the body, then returns
+        the expression result."""
+        return ast.FunctionDef(name, _params(*params),
+                               self.body + [ast.Return(result, **_POS)], [], **_POS)
+
+    def compile(self, fn):
+        """The function the definition fn defines, with the constants bound."""
+        name = fn.name
         # the constants are bound once, as cells of an enclosing function
         bind = []
         if self.consts:
@@ -420,9 +449,81 @@ class _Code:
                                 bind + [fn, ast.Return(_name(name), **_POS)], [], **_POS)
         namespace = dict(_GLOBALS)
         exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
-        fn = namespace["_bind"](tuple(self.consts))
-        fn.on_lists = bool(shape)
-        return fn
+        return namespace["_bind"](tuple(self.consts))
+
+
+class _Operand:
+    """A value in the generated RK4 step: a local of the step, or an
+    operation on operands and numbers.  Its `+`, `*` and `/` record the
+    operation instead of doing it, so `flows.rk4_step` run on operands
+    writes the step's stage and combination arithmetic in its own order."""
+
+    def __init__(self, code, name=None, op=None, args=()):
+        self.code, self.name, self.op, self.args = code, name, op, args
+        self.reads = 0
+        for a in args:
+            if isinstance(a, _Operand):
+                a.reads += 1
+
+    def _recorded(op, reflected=False):
+        def method(self, other):
+            return _Operand(self.code, None, op, (other, self) if reflected else (self, other))
+        return method
+
+    __add__, __radd__ = _recorded(ast.Add), _recorded(ast.Add, True)
+    __mul__, __rmul__ = _recorded(ast.Mult), _recorded(ast.Mult, True)
+    __truediv__, __rtruediv__ = _recorded(ast.Div), _recorded(ast.Div, True)
+    del _recorded
+
+    def expr(self):
+        """The expression of the operand.  An operation read by more than
+        one other is assigned to a temporary where it is first needed, so it
+        runs once, as in rk4_step."""
+        if self.name is None:
+            left, right = (a.expr() if isinstance(a, _Operand) else ast.Constant(a, **_POS)
+                           for a in self.args)
+            node = ast.BinOp(left, self.op(), right, **_POS)
+            if self.reads < 2:
+                return node
+            self.name = self.code.local(node)
+        return _name(self.name)
+
+    def local(self):
+        """The name of a local holding the operand."""
+        if self.name is None:
+            self.name = self.code.local(self.expr())
+        return self.name
+
+
+def _rk4_step_code(bodies, m, k):
+    """(code, definition) of step(x, u, h) -> list: `flows.rk4_step` of
+    x' = f(x, u) from x with step h and u held, for the m validated trees
+    `bodies` of f.
+
+    rk4_step runs once on `_Operand`s, so the stage and combination
+    arithmetic is its own, in its order; each of the four stages evaluates
+    the entries as `dynamics` does, each in its own try, on the stage's
+    state held in locals.  x and u are read once, through float.
+    """
+    code = _Code()
+    read = {n.id for body in bodies for n in ast.walk(body) if isinstance(n, ast.Name)}
+    for j in range(k):
+        if f"u{j}" in read:
+            code.inputs[f"u{j}"] = code.local(_apply("float", ast.Subscript(
+                _name("u"), ast.Constant(j, **_POS), _LOAD, **_POS)))
+    x = [_Operand(code, code.local(_apply("float", ast.Subscript(
+        _name("x"), ast.Constant(i, **_POS), _LOAD, **_POS)))) for i in range(m)]
+
+    def stage(t, y):
+        code.inputs.update((f"x{i}", yi.local()) for i, yi in enumerate(y))
+        start = len(code.values)
+        for body in bodies:
+            code.entry(body)
+        return [_Operand(code, v.id) for v in code.values[start:]]
+
+    step = rk4_step(stage, 0.0, x, _Operand(code, "h"), stage(0.0, x))
+    return code, code.define("dynamics_step", ("x", "u", "h"),
+                             ast.List([y.expr() for y in step], _LOAD, **_POS))
 
 
 # ---------------------------------------------------------------------------
@@ -444,16 +545,21 @@ def compile_dynamics(srcs, m: int, k: int):
     """Generated f(x, u) -> list of n floats and df/dx(x, u) -> (n, m) array for
     the expressions srcs of a problem's dynamics, with their degree in u.
 
-    df/dx is None when some expression has a state in an exponent.
+    df/dx is None when some expression has a state in an exponent.  f carries
+    `f.step_function()`, which returns step(x, u, h), one RK4 step of
+    x' = f(x, u) with u held (n = m): the list `flows.rk4_step(lambda t, y:
+    f(y, u), t, x, h, f(x, u))` returns, bit for bit, as straight-line code.
+    It is compiled on the first call, since only the paths of simulate run it.
     """
     # _derivative and _u_degree recurse once per level of the tree, so they
     # are called here directly: a helper's frame would lower the depth that
     # compiles, here and in compile_gradient below
-    value, jacobian, degrees = _Code(), _Code(), []
+    value, jacobian, degrees, bodies = _Code(), _Code(), [], []
     for i, src in enumerate(srcs):
         where = f"dynamics.expressions[{i}]"
         with _nesting(where):
             body = _tree(src, m, k, where)
+            bodies.append(body)
             value.entry(body)
             degrees.append(_u_degree(body))
             if not _exact(body):
@@ -461,8 +567,15 @@ def compile_dynamics(srcs, m: int, k: int):
             elif jacobian is not None:
                 for j in range(m):
                     jacobian.entry(_derivative(body, j))
+
+    def step_function():
+        code, step = _rk4_step_code(bodies, m, k)
+        return code.compile(step)
+
     n = len(srcs)
-    return (value.function("dynamics", (n,)),
+    dynamics = value.function("dynamics", (n,))
+    dynamics.step_function = functools.cache(step_function)
+    return (dynamics,
             None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m)),
             max_degree(degrees))
 

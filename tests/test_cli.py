@@ -14,10 +14,20 @@ import pmpkit
 from pmpkit import cli, shooting
 
 
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
 def write_problem(path, data):
     with open(path, "w") as fh:
         json.dump(data, fh)
     return str(path)
+
+
+def golden_variant(tmp_path, **items):
+    """The min-time double integrator golden's problem file with items set."""
+    with open(os.path.join(GOLDEN, "min_time_double_integrator", "problem.json")) as fh:
+        data = json.load(fh)
+    return write_problem(tmp_path / "p.json", {**data, **items})
 
 
 def bang_problem():
@@ -389,6 +399,37 @@ class TestProblemFiles:
 
     def test_no_command(self):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize("command", ["shoot", "check"])
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+    def test_bad_tol_flag_named(self, tmp_path, capsys, command, tol):
+        # shoot --tol inf used to exit 0 with converged: true on the
+        # unsolved start (residual 4.57)
+        out = tmp_path / "o"
+        rc = cli.main([command, "--problem", os.path.join(GOLDEN, "min_time_double_integrator",
+                                                          "problem.json"),
+                       "--out", str(out), "--tol", tol])
+        assert rc == 2
+        assert f"--tol must be positive and finite, got {float(tol)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["shoot", "check"])
+    def test_negative_tol_in_file_named(self, tmp_path, capsys, command):
+        # it used to make shoot exit 3 and check exit 1
+        path = golden_variant(tmp_path, tol=-1)
+        assert cli.main([command, "--problem", path, "--out", str(tmp_path / "o")]) == 2
+        assert "tol must be positive and finite, got -1" in capsys.readouterr().err
+
+    def test_non_numeric_tol_in_file_named(self, tmp_path, capsys):
+        # it used to exit 2 with float()'s message, which names no item
+        path = golden_variant(tmp_path, tol="abc")
+        assert cli.main(["shoot", "--problem", path, "--out", str(tmp_path / "o")]) == 2
+        assert "tol must be positive and finite, got 'abc'" in capsys.readouterr().err
+
+    def test_non_numeric_p0_in_file_named(self, tmp_path, capsys):
+        path = golden_variant(tmp_path, p0="abc")
+        assert cli.main(["shoot", "--problem", path, "--out", str(tmp_path / "o")]) == 2
+        assert "p0 must be finite, got 'abc'" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -6,9 +6,12 @@ interpreter in `oracles.py`, so arrays are compared through `.tobytes()`
 with NaN equal to NaN.  Expressions are the random trees of the grammar property
 tests; the points mix ordinary values with ones that divide by zero,
 overflow `exp`, raise a negative base to a fractional power and take
-`sin(inf)`.
+`sin(inf)`.  The generated RK4 step of a dynamics must carry the bits of
+`flows.rk4_step` on the generated dynamics, and the source scan of
+`test_rk4_step.py` must see in it RK4's combination and no numpy call.
 """
 
+import ast
 import math
 
 import numpy as np
@@ -17,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import grammar_tree_array, grammar_tree_function
 from pmpkit import grammar
+from pmpkit.flows import rk4_step
 from test_grammar_properties import K, M, render, trees
+from test_rk4_step import rk4_combinations
 
 SPECIAL = (0.0, -0.0, 800.0, -800.0, -2.0, math.inf, -math.inf, math.nan)
 coordinates = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))
@@ -122,3 +127,50 @@ def test_shared_derivative_subtrees_are_emitted_once():
         for x0 in (1.0, 1.01, -1.3, 0.0, -0.0, 1e10, math.inf, math.nan):
             x, u = np.array([x0, 0.5]), np.zeros(K)
             assert bits(gradient(x, u)[0]) == bits(want(x, u)), (src, x0)
+
+
+states = st.one_of(coordinates, st.sampled_from((1e300, -1e300)))
+steps = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from((0.01, -0.01, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     1e300, -1e300)))
+
+
+@st.composite
+def step_cases(draw):
+    """(srcs, m, k, x, u, h): a dynamics of m = 1..3 random trees in k = 1..2
+    controls, a state with signed zeros, infinities, NaN and huge entries,
+    a control and a step of either sign, subnormal or huge."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    srcs = [render(draw(trees(m, k))) for _ in range(m)]
+    x = draw(st.lists(states, min_size=m, max_size=m))
+    u = draw(st.lists(coordinates, min_size=k, max_size=k))
+    return srcs, m, k, x, u, draw(steps)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(step_cases())
+def test_generated_step_matches_rk4_step_bit_for_bit(case):
+    srcs, m, k, x, u, h = case
+    f, _, _ = grammar.compile_dynamics(srcs, m, k)
+    # signal_field hands the dynamics a piece's control as an array and the
+    # step the same control as a list
+    u_array = np.array(u)
+    want = rk4_step(lambda t, y: f(y, u_array), 0.0, x, h, f(x, u_array))
+    got = f.step_function()(x, u, h)
+    assert type(got) is list and all(type(v) is float for v in got)
+    assert bits(got) == bits(want), (srcs, x, u, h)
+
+
+@pytest.mark.parametrize("srcs", [["-x0 + u0"], ["x1", "-sin(x0) + u0"],
+                                  ["x1 * x2", "2 * x0 - u0", "x0^2 / (1 + x2)"]])
+def test_generated_step_is_one_rk4_step_without_numpy(srcs):
+    m = len(srcs)
+    bodies = [grammar._tree(src, m, 1, "expression") for src in srcs]
+    _, step = grammar._rk4_step_code(bodies, m, 1)
+    # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per state component
+    assert rk4_combinations(ast.unparse(step)) == ["dynamics_step"] * m
+    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
+            if isinstance(node, ast.Name)]
+    assert not [obj for obj in used
+                if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]

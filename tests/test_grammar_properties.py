@@ -19,11 +19,6 @@ M, K = 2, 2
 EXPONENTS = (0, 1, 2, 3, -1, 0.5, 1.5)
 
 
-_LEAVES = st.one_of(
-    st.tuples(st.just("c"), st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))),
-    st.tuples(st.just("n"), st.sampled_from(("x0", "x1", "u0", "u1"))))
-
-
 def _extend(children):
     return st.one_of(
         st.tuples(st.sampled_from("+-*/"), children, children),
@@ -31,8 +26,12 @@ def _extend(children):
         st.tuples(st.sampled_from(("neg", "sin", "cos", "exp")), children))
 
 
-def trees():
-    return st.recursive(_LEAVES, _extend, max_leaves=8)
+def trees(m=M, k=K):
+    """Expression trees over x0..x{m-1} and u0..u{k-1}."""
+    names = [f"x{j}" for j in range(m)] + [f"u{j}" for j in range(k)]
+    leaves = st.one_of(st.tuples(st.just("c"), st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))),
+                       st.tuples(st.just("n"), st.sampled_from(names)))
+    return st.recursive(leaves, _extend, max_leaves=8)
 
 
 def render(t):

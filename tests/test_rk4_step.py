@@ -188,7 +188,8 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
     # pmp.adjoint_flows steps a block of covectors back on the stages of the
     # forward steps it retraces (pmp.adjoint_flow is its one-column case);
     # shooting._propagate picks its controls step by step, so it keeps its
-    # own loop
+    # own loop; grammar._rk4_step_code runs it on no path but once, on
+    # symbolic operands, to write the generated step of expression dynamics
     found = set()
     for name, top in _top_functions():
         for node in ast.walk(top):
@@ -196,7 +197,8 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
                     or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
                 found.add((name, getattr(top, "name", None)))
     assert found == {("flows.py", "_recorded_step"), ("flows.py", "_lifted_path"),
-                     ("pmp.py", "adjoint_flows"), ("shooting.py", "_propagate")}
+                     ("pmp.py", "adjoint_flows"), ("shooting.py", "_propagate"),
+                     ("grammar.py", "_rk4_step_code")}
 
 
 def test_rk4_stages_are_linearized_in_one_function():

@@ -5,7 +5,8 @@ shooting Jacobian and the vectors carried along one shared base path each
 reuse values computed from identical inputs.  Each is compared bit for bit
 with the plain computation, and the work of a fixed shooting solve, of a
 tangent cone and of a classification is held to the call counts committed
-below, as is the number of Hamiltonian evaluations of one maximization.
+below, as are the number of Hamiltonian evaluations of one maximization and
+the generated RK4 steps of a path of expression dynamics.
 The adjoint flow, which retraces the forward steps, is held to fourth-order
 agreement with the backward scheme it replaced, and the one adjoint sweep
 of a needle cone to rounding of the forward lift over the same steps.
@@ -26,6 +27,7 @@ from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, exte
                                    lebesgue_times, signal_field, simulate)
 from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
+from pmpkit.reachable import SamplePolicy, sample_reachable
 
 from oracles import adjoint_flow_loop, needle_vector_on_grid, tangent_lift_stacked
 
@@ -415,3 +417,34 @@ def test_simulate_makes_four_dynamics_calls_per_step(extended):
     traj = simulate(sys, problem.control, x0, IntegratorConfig(step=problem.step))
     assert len(traj.grid) > 100
     assert calls["f"] == 4 * (len(traj.grid) - 1)
+
+
+def test_paths_of_expression_dynamics_make_one_generated_step_per_grid_step():
+    # the grammar's dynamics carries its generated RK4 step, so simulate
+    # and reach call it once a step and the dynamics themselves not at all
+    problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
+    f, step, calls = problem.sys.f, problem.sys.f.step_function(), collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    counted_f = counted("dynamics", f)
+    counted_f.on_lists = True
+    counted_f.step_function = lambda: counted("step", step)
+    sys = dataclasses.replace(problem.sys, f=counted_f)
+    cfg = IntegratorConfig(step=problem.step)
+    traj = simulate(sys, problem.control, problem.x_a, cfg)
+    assert calls == {"step": len(traj.grid) - 1}
+    assert same_bits(traj.states, simulate(problem.sys, problem.control, problem.x_a, cfg).states)
+    calls.clear()
+    spec = problem.reach
+    policy = SamplePolicy(n_controls=spec["n_controls"], max_switches=spec["max_switches"],
+                          seed=spec["seed"], step=problem.step)
+    cloud = sample_reachable(sys, problem.x_a, problem.b - problem.a, policy)
+    assert len(cloud.controls) == spec["n_controls"]
+    grids = [simulate(problem.sys, cloud.signal(i), problem.x_a, cfg).grid
+             for i in range(len(cloud.controls))]
+    assert calls == {"step": sum(len(grid) - 1 for grid in grids)}
