@@ -38,16 +38,11 @@ from .control_system import (
     simulate,
 )
 from .flows import IntegratorConfig, tangent_lift_flows
-from .pmp import adjoint_flows
+from .pmp import NeedleOverflowError, _carried, adjoint_flows
 
 
 class NeedleLayoutError(ValueError):
     """Needle interval escapes the horizon or overlaps another needle."""
-
-
-class NeedleOverflowError(RuntimeError):
-    """A needle's class-I vector is not finite: the dynamics overflow at the
-    needle's control, a numerical failure rather than bad input."""
 
 
 class RealizationError(RuntimeError):
@@ -281,7 +276,7 @@ def _generators(sys: ControlSystem, traj: Trajectory, prov: Sequence[Provenance]
     (`_event_path`).  An axis gives delta_tau f(x_t, u(t)), u(b-) at t = b.
     A needle's class-I vector or an initial-manifold vector v at the node of
     time s arrives at t as (p_i(s) . v)_i, p_i the adjoint of e_i from t: one
-    sweep of m covectors back from t carries them all.
+    sweep of m covectors back from t carries them all, each checked finite.
     """
     u = traj.control
     needles: dict = {}
@@ -295,12 +290,14 @@ def _generators(sys: ControlSystem, traj: Trajectory, prov: Sequence[Provenance]
     for s, idx in needles.items():
         vecs = _class1_vectors(sys, u, s, path.states[node[s]], [prov[i].needle for i in idx])
         for i, v in zip(idx, vecs):
-            gens[i] = sweep[node[s]].T @ v
+            what = f"needle vector at t={s!r}, u={prov[i].needle.u1.tolist()!r}"
+            gens[i] = _carried(sweep[node[s]], v, what)
     for i, p in enumerate(prov):
         if p.kind in ("axis+", "axis-"):
             gens[i] = p.delta_tau * sys.dynamics(path.states[node[t]], u.value_at(t))
         elif p.kind in ("init+", "init-"):
-            gens[i] = sweep[node[p.source_time]].T @ p.initial_vector
+            gens[i] = _carried(sweep[node[p.source_time]], p.initial_vector,
+                               "initial-manifold vector")
     return gens
 
 

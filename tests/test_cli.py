@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -643,6 +644,25 @@ class TestConesAndReach:
         data["cones"]["times"] = [1.5]
         path = write_problem(tmp_path / "p.json", data)
         assert cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")]) == 2
+
+    def test_overflowing_transported_needle_exits_3(self, tmp_path, capsys):
+        # the class-I vector 6e307 is finite, but carried from 0.5 to 2 on
+        # x' = x it grows by e^1.5 and overflows: a numerical failure that
+        # used to warn and exit 2 as "cone sampling: non-finite generator"
+        data = {"dynamics": {"expressions": ["6e307 * u0 + x0"]},
+                "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+                "horizon": {"a": 0.0, "b": 2.0},
+                "control": {"switch_times": [], "values": [[0.0]]},
+                "integrator": {"step": 0.01},
+                "cones": {"time": 2.0, "times": [0.5], "controls": [[1.0]],
+                          "queries": [[1.0]]}}
+        path = write_problem(tmp_path / "p.json", data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite transported needle vector at t=0.5, u=[1.0]" in err
 
     def test_reach_outputs_reproducible(self, tmp_path):
         data = {"dynamics": {"builtin": "double_integrator"},

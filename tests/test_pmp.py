@@ -403,18 +403,19 @@ class TestTerminalCovector:
         sh = pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
         assert abs(sh[2]) <= 1e-9
 
-    # the LP's optimum p = 0 moved by one on the entry that makes it
-    # positive on the generator, or not annihilate the basis vector
+    # the LP's row duals y = (y+, y-), p = y+ - y- = 0, moved by one on the
+    # entry that makes p positive on the generator, or not annihilate the
+    # basis vector
     @pytest.mark.parametrize("basis, entry", [(None, 0), ([np.array([0.0, 1.0])], 3)])
     def test_damaged_stage_one_optimum_is_refused(self, monkeypatch, basis, entry):
-        solve = pmp.linprog_dense
+        solve = pmp.solve_standard
 
         def damaged(*args, **kwargs):
             res = solve(*args, **kwargs)
-            res.x[entry] += 1.0
+            res.y[entry] += 1.0
             return res
 
-        monkeypatch.setattr(pmp, "linprog_dense", damaged)
+        monkeypatch.setattr(pmp, "solve_standard", damaged)
         g = np.array([0.0, 2.0, 1.0])
         with pytest.raises(ConeCertificateError, match="misses a generator"):
             pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
@@ -430,7 +431,8 @@ class TestClassify:
         assert res.classification == "strict_normal_certificate"
         assert res.normal_terminal == pytest.approx([0.0])
         assert res.abnormal_terminal is None
-        assert "unbounded" in res.certificate
+        # the probe controls' needles span R^1 with a margin
+        assert "span R^1 with margin" in res.certificate
 
     def test_frozen_dynamics_abnormal(self):
         sys = ControlSystem(m=1, k=1, f=lambda x, u: np.zeros(1),
@@ -458,6 +460,24 @@ class TestClassify:
         # the search recovers the analytic terminal covector (1, -1)
         assert res.normal_terminal == pytest.approx([1.0, -1.0], abs=1e-9)
 
+    @pytest.mark.parametrize("switch", [0.7, 0.37])
+    def test_abnormal_lift_at_any_switch(self, switch):
+        # u = +1 then -1 on [0, 2] in fixed time: with p0 = 0 the switching
+        # function p2(t) = p1 (2 - t) + p2 vanishes at the switch for p_b
+        # proportional to (1, -(2 - switch)), at any switch time
+        sys = double_integrator()
+        u = ControlSignal(0.0, 2.0, (switch,), ((1.0,), (-1.0,)))
+        cfg = IntegratorConfig(step=0.01)
+        traj = simulate(sys, u, np.zeros(2), cfg)
+        bounds = pmp.BoundarySpec(mode="fixed_time")
+        res = pmp.classify_extremal(sys, traj, u, bounds, cfg)
+        p_b = res.abnormal_terminal
+        assert p_b / p_b[0] == pytest.approx([1.0, -(2.0 - switch)], abs=1e-9)
+        ext_traj = simulate(extend(sys), u, np.zeros(3), cfg)
+        adj = pmp.adjoint_flow(sys, ext_traj.project(sys), 0.0, p_b)
+        rep = pmp.check_pmp(sys, pmp.Extremal(ext_traj, u, adj), bounds, pmp.CLASSIFY_TOL)
+        assert rep.classification == "abnormal"
+
     def test_non_extremal_undetermined(self):
         # a gentle interior constant control is not a free-time extremal of
         # the minimum-time problem
@@ -476,7 +496,8 @@ class TestClassify:
         traj = simulate(sys, u, np.zeros(1), IntegratorConfig(step=0.02))
         res = pmp.classify_extremal(sys, traj, u,
                                     pmp.BoundarySpec(mode="fixed_time"))
-        assert len(res.attempts) >= 3
+        # one attempt per separation
+        assert len(res.attempts) == 2
         for att in res.attempts:
             assert set(att) == {"p0", "p_b", "feasible", "reason"}
             assert att["p0"] in (0.0, -1.0)

@@ -385,15 +385,15 @@ def test_tangent_cone_makes_one_adjoint_sweep():
 
 
 def test_classification_makes_one_adjoint_sweep():
-    # the adjoint is linear in (p0, p_b): every candidate covector is a
-    # combination of the m + 1 columns of one sweep, where each candidate
-    # took a sweep of its own (9 here)
+    # the adjoint is linear in (p0, p_b): the needle cone and both
+    # candidates, one per separation, come from the m + 1 columns of one
+    # sweep
     sys, calls = counted_system(double_integrator(), ("df_dx", "dF_dx"))
     u = ControlSignal(0.0, 2.0, (1.0,), ((1.0,), (-1.0,)))
     cfg = IntegratorConfig(step=0.01)
     traj = simulate(sys, u, np.zeros(2), cfg)
     res = pmp.classify_extremal(sys, traj, u, pmp.BoundarySpec(mode="fixed_time"), cfg)
-    assert res.classification == "normal" and len(res.attempts) == 9
+    assert res.classification == "normal" and len(res.attempts) == 2
     steps = len(traj.grid) - 1
     assert calls == {"df_dx": 4 * steps, "dF_dx": 4 * steps}
 
