@@ -90,17 +90,12 @@ def _bound(spec, key):
     return v
 
 
-def _builtin(f, jacobian):
-    """A builtin's dynamics f, returning a list of floats, and df/dx(x, u)
-    giving its constant read-only Jacobian, both marked `on_lists`."""
-    J = np.array(jacobian)
-    J.flags.writeable = False
-
-    def df_dx(x, u):
-        return J
-
-    f.on_lists = df_dx.on_lists = True
-    return f, df_dx
+def _text(src):
+    """src, checked to be a string: the grammar keeps its compiles keyed on
+    the expression texts, so they must be hashable."""
+    if not isinstance(src, str):
+        raise ProblemError(f"parse error: expression must be a string, got {src!r}")
+    return src
 
 
 def _build_dynamics(spec, cset):
@@ -109,11 +104,12 @@ def _build_dynamics(spec, cset):
         raise ProblemError("dynamics must be an object")
     if "builtin" in spec:
         name = spec["builtin"]
+        # the integrators are expressions of the grammar, and so get its
+        # generated RK4 steps
         if name == "double_integrator":
-            return (2, 1, *_builtin(lambda x, u: [float(x[1]), float(u[0])],
-                                    [[0.0, 1.0], [0.0, 0.0]]), 1)
+            return (2, 1, *compile_dynamics(("x1", "u0"), 2, 1))
         if name == "scalar_integrator":
-            return (1, 1, *_builtin(lambda x, u: [float(u[0])], [[0.0]]), 1)
+            return (1, 1, *compile_dynamics(("u0",), 1, 1))
         if name == "linear_system":
             A = _as_matrix(spec.get("A"), "A")
             B = _as_matrix(spec.get("B"), "B")
@@ -128,7 +124,7 @@ def _build_dynamics(spec, cset):
         if not isinstance(exprs, list) or not exprs:
             raise ProblemError("dynamics.expressions must be a nonempty list")
         m, k = len(exprs), cset.dim
-        return (m, k, *compile_dynamics(exprs, m, k))
+        return (m, k, *compile_dynamics(tuple(map(_text, exprs)), m, k))
     raise ProblemError("dynamics needs 'builtin' or 'expressions'")
 
 
@@ -243,8 +239,9 @@ class Problem:
         if cost is not None:
             if not isinstance(cost, dict) or "expression" not in cost:
                 raise ProblemError("cost must be an object with 'expression'")
-            F = parse_expression(cost["expression"], m, k, "cost.expression")
-            dF, cost_degree = compile_gradient(cost["expression"], m, k)
+            src = _text(cost["expression"])
+            F = parse_expression(src, m, k, "cost.expression")
+            dF, cost_degree = compile_gradient(src, m, k)
             degree = max_degree((degree, cost_degree))
         self.sys = ControlSystem(m=m, k=k, f=f, control_set=self.control_set,
                                  F=F, df_dx=df, dF_dx=dF, u_degree=degree)

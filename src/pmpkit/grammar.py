@@ -6,10 +6,14 @@ cos and exp.  It is parsed by `ast`, validated node by node, differentiated
 symbolically in x, and read for its degree in u.
 
 Evaluation goes through generated Python functions: one per dynamics
-vector, cost, or exact Jacobian, and one RK4 step of the dynamics, whose
-stage and combination arithmetic `flows.rk4_step` writes by running on
-symbolic operands.  Each is built as an `ast` tree from the validated
-grammar tree, one assignment per grammar node in the order a tree walk
+vector, cost, or exact Jacobian; one RK4 step of the dynamics; and, for
+shooting, the stage and the RK4 step of the coupled (x, p) field
+x' = f, p' = c dF/dx - (df/dx)^T p, built when every column of df/dx has at
+most one entry that is not the number 0, so that its Python sums give the
+bits of numpy's J^T p.  `flows.rk4_step`, run on symbolic operands, writes
+both steps' stage and combination arithmetic.  Each is built as an `ast`
+tree from the validated grammar tree, one assignment per grammar node in
+the order a tree walk
 evaluates them (left operand, right operand, operation; a subtree that a
 derivative shares is assigned once per entry), and passed to `compile`; no
 source text is generated and the user's text is never evaluated.  Numbers
@@ -21,7 +25,11 @@ takes x as a list of floats), a power goes through `_real_pow`, and each
 vector component and Jacobian entry has its own `try` that turns
 overflow, division by zero and math domain errors into NaN, so the
 integrators' blow-up checks own the diagnostic.  Straight-line code keeps
-`compile` shallow however deeply an expression nests.
+`compile` shallow however deeply an expression nests.  The generated code
+is pure Python; the reductions the package leaves to numpy (J^T p in
+general, p . f in the Hamiltonian) may round through fused multiply-adds,
+so their bits depend on the numpy build.  The public entry points keep
+their recent results per process, keyed on their arguments.
 """
 
 from __future__ import annotations
@@ -453,9 +461,9 @@ class _Code:
 
 
 class _Operand:
-    """A value in the generated RK4 step: a local of the step, or an
-    operation on operands and numbers.  Its `+`, `*` and `/` record the
-    operation instead of doing it, so `flows.rk4_step` run on operands
+    """A value in a generated RK4 step: a local of the step, or an
+    operation on operands and numbers.  Its `+`, `-`, `*` and `/` record
+    the operation instead of doing it, so `flows.rk4_step` run on operands
     writes the step's stage and combination arithmetic in its own order."""
 
     def __init__(self, code, name=None, op=None, args=()):
@@ -471,6 +479,7 @@ class _Operand:
         return method
 
     __add__, __radd__ = _recorded(ast.Add), _recorded(ast.Add, True)
+    __sub__ = _recorded(ast.Sub)
     __mul__, __rmul__ = _recorded(ast.Mult), _recorded(ast.Mult, True)
     __truediv__, __rtruediv__ = _recorded(ast.Div), _recorded(ast.Div, True)
     del _recorded
@@ -495,40 +504,119 @@ class _Operand:
         return self.name
 
 
-def _rk4_step_code(bodies, m, k):
-    """(code, definition) of step(x, u, h) -> list: `flows.rk4_step` of
-    x' = f(x, u) from x with step h and u held, for the m validated trees
-    `bodies` of f.
+def _read(code, vec, i):
+    """An operand holding float(vec[i]), read once into a local."""
+    return _Operand(code, code.local(_apply("float", ast.Subscript(
+        _name(vec), ast.Constant(i, **_POS), _LOAD, **_POS))))
 
-    rk4_step runs once on `_Operand`s, so the stage and combination
-    arithmetic is its own, in its order; each of the four stages evaluates
-    the entries as `dynamics` does, each in its own try, on the stage's
-    state held in locals.  x and u are read once, through float.
-    """
+
+def _field_code(trees, k, n):
+    """A code that reads once, through float, the controls the trees name
+    and the n floats of the state y, with the operands of y."""
     code = _Code()
-    read = {n.id for body in bodies for n in ast.walk(body) if isinstance(n, ast.Name)}
+    read = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for j in range(k):
         if f"u{j}" in read:
-            code.inputs[f"u{j}"] = code.local(_apply("float", ast.Subscript(
-                _name("u"), ast.Constant(j, **_POS), _LOAD, **_POS)))
-    x = [_Operand(code, code.local(_apply("float", ast.Subscript(
-        _name("x"), ast.Constant(i, **_POS), _LOAD, **_POS)))) for i in range(m)]
+            code.inputs[f"u{j}"] = _read(code, "u", j).name
+    return code, [_read(code, "y", i) for i in range(n)]
 
-    def stage(t, y):
-        code.inputs.update((f"x{i}", yi.local()) for i, yi in enumerate(y))
-        start = len(code.values)
-        for body in bodies:
-            code.entry(body)
-        return [_Operand(code, v.id) for v in code.values[start:]]
 
-    step = rk4_step(stage, 0.0, x, _Operand(code, "h"), stage(0.0, x))
-    return code, code.define("dynamics_step", ("x", "u", "h"),
-                             ast.List([y.expr() for y in step], _LOAD, **_POS))
+def _stage_values(code, entries):
+    """Operands of the entries, each evaluated as `_Code.entry` does."""
+    start = len(code.values)
+    for entry in entries:
+        code.entry(entry)
+    return [_Operand(code, v.id) for v in code.values[start:]]
+
+
+def _dynamics_stage(code, bodies):
+    """stage(x): the operands of f at the stage state x, for the m trees
+    `bodies` of f, as `dynamics` evaluates them."""
+    def stage(x):
+        code.inputs.update((f"x{i}", xi.local()) for i, xi in enumerate(x))
+        return _stage_values(code, bodies)
+    return stage
+
+
+def _coupled_stage(code, bodies, jacobian, gradient):
+    """stage(y): the operands of the coupled field at the stage state
+    y = (x, p), as `shooting._coupled_rhs` computes it: f(x, u), then
+    c g_i - q_i with c the parameter c, g the gradient entries (the number
+    0.0 each without a cost, so that c = -0.0 keeps the sign of zero) and
+    q_i = ((0.0 + J_0i p_0) + J_1i p_1) + ..., every entry of column i of
+    J = `jacobian` (row-major trees) included."""
+    m = len(bodies)
+    dynamics, c = _dynamics_stage(code, bodies), _Operand(code, "c")
+
+    def stage(y):
+        rates = dynamics(y[:m])
+        p = [_Operand(code, pi.local()) for pi in y[m:]]
+        J = _stage_values(code, jacobian)
+        g = [0.0] * m if gradient is None else _stage_values(code, gradient)
+        for i in range(m):
+            q = 0.0
+            for r in range(m):
+                q = q + J[r * m + i] * p[r]
+            # a local, as each entry of f is: the stages and the
+            # combination read it
+            rates.append(_Operand(code, (c * g[i] - q).local()))
+        return rates
+
+    return stage
+
+
+def _rk4_step_code(code, name, params, y, stage, k1):
+    """The definition of name(*params) -> list: `flows.rk4_step` from the
+    operands y, with the step in the parameter h and the first stage k1, of
+    the field whose stage(v) evaluates it at the stage operands v into code.
+
+    rk4_step runs once on `_Operand`s, so the stage and combination
+    arithmetic is its own, in its order.
+    """
+    step = rk4_step(lambda t, v: stage(v), 0.0, y, _Operand(code, "h"), k1)
+    return code.define(name, params, ast.List([v.expr() for v in step], _LOAD, **_POS))
+
+
+def _dynamics_step_code(bodies, k):
+    """(code, definition) of dynamics_step(y, u, h) -> list: one RK4 step
+    of x' = f(x, u) from y with step h and u held, for the m trees `bodies`
+    of f; each of the four stages evaluates the entries as `dynamics` does,
+    each in its own try, on the stage's state held in locals."""
+    code, x = _field_code(bodies, k, len(bodies))
+    stage = _dynamics_stage(code, bodies)
+    return code, _rk4_step_code(code, "dynamics_step", ("y", "u", "h"), x, stage, stage(x))
+
+
+def _coupled_step_code(bodies, jacobian, gradient, k, step):
+    """(code, definition) of the coupled (x, p) field of `_coupled_stage`
+    at u held: coupled_stage(y, u, c) -> list, the field at y, or, with
+    step, coupled_step(y, u, h, k1, c) -> list, one RK4 step from y with
+    step h whose first stage k1 is coupled_stage(y, u, c)."""
+    code, y = _field_code(bodies + (gradient or []), k, 2 * len(bodies))
+    stage = _coupled_stage(code, bodies, jacobian, gradient)
+    if not step:
+        return code, code.define("coupled_stage", ("y", "u", "c"),
+                                 ast.List([v.expr() for v in stage(y)], _LOAD, **_POS))
+    k1 = [_Operand(code, code.local(ast.Subscript(_name("k1"), ast.Constant(i, **_POS),
+                                                  _LOAD, **_POS)))
+          for i in range(len(y))]
+    return code, _rk4_step_code(code, "coupled_step", ("y", "u", "h", "k1", "c"), y, stage, k1)
+
+
+def _sums_like_numpy(jacobian, m):
+    """Whether every column of the m x m Jacobian trees has at most one
+    entry that is not the number 0.  numpy's J^T p rounds through fused
+    multiply-adds where the BLAS has them; a product with a zero entry is
+    exact, so on such columns the plain sum of the products from 0.0 gives
+    the same bits, signed zeros included."""
+    return all(sum(not _is_num(jacobian[r * m + i], 0) for r in range(m)) <= 1
+               for i in range(m))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
+@functools.lru_cache(maxsize=128)
 def parse_expression(src: str, m: int, k: int, where="expression"):
     """Compile one grammar expression to a function (x, u) -> float.
 
@@ -541,20 +629,37 @@ def parse_expression(src: str, m: int, k: int, where="expression"):
         return code.function("expression")
 
 
+@functools.lru_cache(maxsize=128)
 def compile_dynamics(srcs, m: int, k: int):
     """Generated f(x, u) -> list of n floats and df/dx(x, u) -> (n, m) array for
     the expressions srcs of a problem's dynamics, with their degree in u.
 
-    df/dx is None when some expression has a state in an exponent.  f carries
-    `f.step_function()`, which returns step(x, u, h), one RK4 step of
-    x' = f(x, u) with u held (n = m): the list `flows.rk4_step(lambda t, y:
-    f(y, u), t, x, h, f(x, u))` returns, bit for bit, as straight-line code.
-    It is compiled on the first call, since only the paths of simulate run it.
+    df/dx is None when some expression has a state in an exponent.  f
+    carries two generated RK4 steps with u held, each compiled on its first
+    call, since only some paths run it:
+    - `f.step_function()` returns step(x, u, h), one RK4 step of
+      x' = f(x, u) (n = m): the list `flows.rk4_step(lambda t, y: f(y, u),
+      t, x, h, f(x, u))` returns, bit for bit, as straight-line code.
+    - `f.coupled_step(df_dx, F, dF_dx)` returns (stage, step) for shooting's
+      coupled field x' = f(x, u), p' = c dF/dx - (df/dx)^T p with c = -p0,
+      for a system with Jacobian df_dx, cost F (None without a cost) and
+      cost gradient dF_dx: stage(y, u, c) is the field at y = (x, p) and
+      step(y, u, h, k1, c) one RK4 step from y whose first stage k1 is
+      stage(y, u, c), with the bits of `flows.rk4_step` on
+      `shooting._coupled_rhs`.  It returns None unless df_dx is f's own
+      generated Jacobian, the system has no cost or dF_dx is a generated
+      gradient, and every column of the Jacobian has at most one entry
+      that is not the number 0: elsewhere numpy's J^T p may round through
+      fused multiply-adds that a Python sum does not make.
+
+    srcs is a tuple: the last 128 successful compiles of each entry point
+    are kept per process, keyed on its arguments, so a problem loaded
+    again compiles nothing, while a bad expression raises at every call.
     """
     # _derivative and _u_degree recurse once per level of the tree, so they
     # are called here directly: a helper's frame would lower the depth that
     # compiles, here and in compile_gradient below
-    value, jacobian, degrees, bodies = _Code(), _Code(), [], []
+    value, jacobian, degrees, bodies, entries = _Code(), _Code(), [], [], []
     for i, src in enumerate(srcs):
         where = f"dynamics.expressions[{i}]"
         with _nesting(where):
@@ -566,29 +671,52 @@ def compile_dynamics(srcs, m: int, k: int):
                 jacobian = None
             elif jacobian is not None:
                 for j in range(m):
-                    jacobian.entry(_derivative(body, j))
+                    entries.append(_derivative(body, j))
+                    jacobian.entry(entries[-1])
 
     def step_function():
-        code, step = _rk4_step_code(bodies, m, k)
+        code, step = _dynamics_step_code(bodies, k)
         return code.compile(step)
+
+    @functools.cache
+    def coupled_functions(gradient):
+        trees = None if gradient is None else gradient.entries
+        return tuple(code.compile(fn) for code, fn in (
+            _coupled_step_code(bodies, entries, trees, k, step) for step in (False, True)))
 
     n = len(srcs)
     dynamics = value.function("dynamics", (n,))
+    df = None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m))
+    sums_like_numpy = df is not None and n == m and _sums_like_numpy(entries, m)
+
+    def coupled_step(df_dx, F, dF_dx):
+        if sums_like_numpy and df_dx is df:
+            if F is None:
+                return coupled_functions(None)
+            if hasattr(dF_dx, "entries"):
+                return coupled_functions(dF_dx)
+        return None
+
     dynamics.step_function = functools.cache(step_function)
-    return (dynamics,
-            None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m)),
-            max_degree(degrees))
+    dynamics.coupled_step = coupled_step
+    return dynamics, df, max_degree(degrees)
 
 
+@functools.lru_cache(maxsize=128)
 def compile_gradient(src: str, m: int, k: int):
     """Generated dF/dx(x, u) -> list of m floats of a problem's cost expression, or
-    None when a state appears in an exponent, with its degree in u."""
+    None when a state appears in an exponent, with its degree in u.  The
+    gradient carries its m entry trees as `entries`, from which the
+    dynamics' coupled step evaluates it."""
     with _nesting("cost.expression"):
         body = _tree(src, m, k, "cost.expression")
         degree = _u_degree(body)
         if not _exact(body):
             return None, degree
-        code = _Code()
+        code, entries = _Code(), []
         for j in range(m):
-            code.entry(_derivative(body, j))
-        return code.function("gradient", (m,)), degree
+            entries.append(_derivative(body, j))
+            code.entry(entries[-1])
+        gradient = code.function("gradient", (m,))
+        gradient.entries = entries
+        return gradient, degree

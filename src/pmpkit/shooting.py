@@ -117,7 +117,11 @@ def _auto_jump_tol(control_set) -> float:
 def _coupled_rhs(sys, p0, u):
     """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
     as a list of floats; y is a list of floats.  J^T p stays a numpy
-    reduction and the rest is the array form's elementwise arithmetic."""
+    reduction and the rest is the array form's elementwise arithmetic.
+    `_propagate` steps it for the systems the grammar's coupled step does
+    not cover: user callables, finite-difference Jacobians or cost
+    gradients, a dense `linear_system` and Jacobians with a column of two
+    entries that are not the number 0."""
     m, rate, grad, jac, c = sys.m, sys._rate, sys._grad, sys._jac, -p0
 
     def f(_, y):
@@ -149,6 +153,14 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                ) -> Optional[_Propagation]:
     """Integrate the coupled (x, p) system from the start encoded in z.
 
+    Each step is the grammar's generated coupled step where `sys.f`
+    carries one for the system's Jacobian and cost gradient (expression
+    dynamics and the integrator builtins whose Jacobian columns each have
+    at most one entry that is not the number 0, with no cost or a cost
+    whose gradient is generated; see `grammar.compile_dynamics`), and
+    `flows.rk4_step` on
+    `_coupled_rhs` for every other system; both give the same bits.
+
     `base` is an optional propagation of an unknown vector that differs
     from z only by a smaller final time.  Up to its `resume` state every
     step was a full `step` long, which a later final time does not change,
@@ -163,6 +175,23 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         return None
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
+    # the coupled field at a held control: held = hold(u), then
+    # coupled_stage(y, held, c) is the field at y and
+    # coupled_step(y, held, h, k1, c) one RK4 step from y with first stage k1
+    c = -problem.p0
+    generate = getattr(sys.f, "coupled_step", None)
+    generated = generate and generate(sys.df_dx, sys.F, sys.dF_dx)
+    if generated:
+        hold, (coupled_stage, coupled_step) = (lambda u: u.tolist()), generated
+    else:
+        def hold(u):
+            return _coupled_rhs(sys, problem.p0, u)
+
+        def coupled_stage(y, rhs, c):
+            return rhs(0.0, y)
+
+        def coupled_step(y, rhs, h, k1, c):
+            return rk4_step(rhs, 0.0, y, h, k1)
 
     def argmax(yc):
         # the maximizer at the stacked state yc = (x, p) with H bound there;
@@ -177,10 +206,10 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         # RK4 stage is evaluated once per control value
         key = u.tobytes()
         if key not in stages:
-            rhs = _coupled_rhs(sys, problem.p0, u)
-            stages[key] = (rhs, rhs(t, y))
-        rhs, k1 = stages[key]
-        return rk4_step(rhs, t, y, dt, k1)
+            held = hold(u)
+            stages[key] = (held, coupled_stage(y, held, c))
+        held, k1 = stages[key]
+        return coupled_step(y, held, dt, k1, c)
 
     def bisect(u_frozen, lo, hi, y_hi, best_hi):
         # largest substep keeping the maximizer on the current arc, with

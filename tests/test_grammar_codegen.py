@@ -7,8 +7,10 @@ with NaN equal to NaN.  Expressions are the random trees of the grammar property
 tests; the points mix ordinary values with ones that divide by zero,
 overflow `exp`, raise a negative base to a fractional power and take
 `sin(inf)`.  The generated RK4 step of a dynamics must carry the bits of
-`flows.rk4_step` on the generated dynamics, and the source scan of
-`test_rk4_step.py` must see in it RK4's combination and no numpy call.
+`flows.rk4_step` on the generated dynamics, and the generated coupled
+(x, p) stage and step those of `flows.rk4_step` on shooting's
+`_coupled_rhs` wherever that is finite; the source scan of
+`test_rk4_step.py` must see in both RK4's combination and no numpy call.
 """
 
 import ast
@@ -19,7 +21,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import grammar_tree_array, grammar_tree_function
-from pmpkit import grammar
+from pmpkit import grammar, shooting
+from pmpkit.control_system import ControlSystem, box
 from pmpkit.flows import rk4_step
 from test_grammar_properties import K, M, render, trees
 from test_rk4_step import rk4_combinations
@@ -64,7 +67,7 @@ def check_against_oracle(srcs, x, u):
         if row is not None:
             assert bits(gradient(x, u)) == bits(grammar_tree_array(row, (M,))(x, u)), src
 
-    f, df_dx, _ = grammar.compile_dynamics(srcs, M, K)
+    f, df_dx, _ = grammar.compile_dynamics(tuple(srcs), M, K)
     # the dynamics vector is a list of Python floats, the same bits as the
     # array the interpreter's values make
     value = f(x, u)
@@ -95,14 +98,14 @@ def test_generated_functions_match_tree_interpreter(ts, pt):
 ])
 def test_non_finite_cases_match_tree_interpreter(srcs, x):
     u = np.array([0.5, -1.0])
-    f, _, _ = grammar.compile_dynamics(srcs, M, K)
+    f, _, _ = grammar.compile_dynamics(tuple(srcs), M, K)
     assert np.isnan(f(np.array(x), u)).any()
     check_against_oracle(srcs, np.array(x), u)
 
 
 def test_constant_jacobian_entries_keep_their_sign():
     # d(-x1)/dx0 folds to -0.0, which the generated Jacobian must return
-    _, df_dx, _ = grammar.compile_dynamics(["-x1", "0.1 + 0.2 * x0"], M, K)
+    _, df_dx, _ = grammar.compile_dynamics(("-x1", "0.1 + 0.2 * x0"), M, K)
     J = df_dx(np.array([1.0, 2.0]), np.zeros(K))
     assert bits(J) == bits([[-0.0, -1.0], [0.2, 0.0]])
 
@@ -152,7 +155,7 @@ def step_cases(draw):
 @given(step_cases())
 def test_generated_step_matches_rk4_step_bit_for_bit(case):
     srcs, m, k, x, u, h = case
-    f, _, _ = grammar.compile_dynamics(srcs, m, k)
+    f, _, _ = grammar.compile_dynamics(tuple(srcs), m, k)
     # signal_field hands the dynamics a piece's control as an array and the
     # step the same control as a list
     u_array = np.array(u)
@@ -167,10 +170,83 @@ def test_generated_step_matches_rk4_step_bit_for_bit(case):
 def test_generated_step_is_one_rk4_step_without_numpy(srcs):
     m = len(srcs)
     bodies = [grammar._tree(src, m, 1, "expression") for src in srcs]
-    _, step = grammar._rk4_step_code(bodies, m, 1)
+    _, step = grammar._dynamics_step_code(bodies, 1)
     # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per state component
     assert rk4_combinations(ast.unparse(step)) == ["dynamics_step"] * m
     used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
             if isinstance(node, ast.Name)]
     assert not [obj for obj in used
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
+
+
+costates = st.one_of(coordinates, st.sampled_from((5e-324, -5e-324, 1e-310, 1e300, -1e300)))
+
+
+@st.composite
+def coupled_step_cases(draw):
+    """(sys, p0, y, u, h, single): a generated system with m = 1..3 whose
+    cost is absent, generated, or has a state in an exponent (so that its
+    gradient is not generated), with (x, p), u and h as for the dynamics
+    step.  When single, component i of the dynamics reads only x_s(i) of
+    the states for a permutation s, so every Jacobian column has at most
+    one entry that is not 0 and the coupled step is generated at every m;
+    else it reads any state."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    controls = [f"u{j}" for j in range(k)]
+    single = draw(st.booleans())
+    if single:
+        perm = draw(st.permutations(range(m)))
+        srcs = [render(draw(trees(names=[f"x{perm[i]}"] + controls))) for i in range(m)]
+    else:
+        srcs = [render(draw(trees(m, k))) for _ in range(m)]
+    f, df_dx, _ = grammar.compile_dynamics(tuple(srcs), m, k)
+    F = dF = None
+    cost = draw(st.sampled_from(("none", "generated", "state_exponent")))
+    if cost != "none":
+        src = render(draw(trees(m, k)))
+        if cost == "state_exponent":
+            src = f"2^x{draw(st.integers(0, m - 1))} + ({src})"
+        F = grammar.parse_expression(src, m, k)
+        dF, _ = grammar.compile_gradient(src, m, k)
+    sys = ControlSystem(m=m, k=k, f=f, control_set=box([-2.0] * k, [2.0] * k),
+                        F=F, df_dx=df_dx, dF_dx=dF)
+    y = draw(st.lists(states, min_size=m, max_size=m)) + \
+        draw(st.lists(costates, min_size=m, max_size=m))
+    u = draw(st.lists(coordinates, min_size=k, max_size=k))
+    return sys, draw(st.sampled_from((-1.0, 0.0))), y, u, draw(steps), single
+
+
+def all_finite(v):
+    return all(map(math.isfinite, v))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(coupled_step_cases())
+def test_generated_coupled_step_matches_rk4_step_on_coupled_rhs(case):
+    sys, p0, y, u, h, single = case
+    m = sys.m
+    generated = sys.f.coupled_step(sys.df_dx, sys.F, sys.dF_dx)
+    exact = sys.df_dx is not None and (sys.F is None or sys.dF_dx is not None)
+    assert generated is None if not exact else (generated is not None or not single)
+    if generated is None:
+        return
+    # a generated step sums J^T p over columns with one entry that is not 0
+    for point in ([0.3, -1.1, 0.7], [-0.6, 0.9, 1.3]):
+        J = sys.df_dx(point[:m], [0.4] * sys.k)
+        assert ((J != 0.0).sum(axis=0) <= 1).all(), J
+    stage, step = generated
+    # shooting hands _coupled_rhs the maximizer's control as an array and
+    # the generated functions the same control as a list
+    with np.errstate(all="ignore"):
+        rhs = shooting._coupled_rhs(sys, p0, np.array(u))
+        k1 = rhs(0.0, y)
+        want = rk4_step(rhs, 0.0, y, h, k1)
+    got_k1 = stage(y, u, -p0)
+    got = step(y, u, h, got_k1, -p0)
+    for g, w in ((got_k1, k1), (got, want)):
+        assert type(g) is list and len(g) == 2 * m and all(type(v) is float for v in g)
+        if all_finite(w):
+            assert bits(g) == bits(w), (p0, y, u, h)
+        else:
+            # all that shooting reads of a step that is not finite
+            assert not all_finite(g), (p0, y, u, h)

@@ -26,9 +26,9 @@ def _extend(children):
         st.tuples(st.sampled_from(("neg", "sin", "cos", "exp")), children))
 
 
-def trees(m=M, k=K):
-    """Expression trees over x0..x{m-1} and u0..u{k-1}."""
-    names = [f"x{j}" for j in range(m)] + [f"u{j}" for j in range(k)]
+def trees(m=M, k=K, names=None):
+    """Expression trees over x0..x{m-1} and u0..u{k-1}, or over `names`."""
+    names = names or [f"x{j}" for j in range(m)] + [f"u{j}" for j in range(k)]
     leaves = st.one_of(st.tuples(st.just("c"), st.sampled_from((0.5, 1.0, 1.5, 2.0, 3.0))),
                        st.tuples(st.just("n"), st.sampled_from(names)))
     return st.recursive(leaves, _extend, max_leaves=8)

@@ -5,15 +5,19 @@ shooting Jacobian and the vectors carried along one shared base path each
 reuse values computed from identical inputs.  Each is compared bit for bit
 with the plain computation, and the work of a fixed shooting solve, of a
 tangent cone and of a classification is held to the call counts committed
-below, as are the number of Hamiltonian evaluations of one maximization and
-the generated RK4 steps of a path of expression dynamics.
+below, as are the number of Hamiltonian evaluations of one maximization,
+the generated RK4 steps of a path of expression dynamics, the path
+shooting steps each system by (the generated coupled step or `rk4_step` on
+`_coupled_rhs`) and the compiles of one problem's generated code.
 The adjoint flow, which retraces the forward steps, is held to fourth-order
 agreement with the backward scheme it replaced, and the one adjoint sweep
 of a needle cone to rounding of the forward lift over the same steps.
 """
 
+import ast
 import collections
 import dataclasses
+import json
 import math
 import os
 
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, pmp, shooting
+from pmpkit import cli, grammar, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, signal_field, simulate)
@@ -29,7 +33,9 @@ from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
 from pmpkit.reachable import SamplePolicy, sample_reachable
 
-from oracles import adjoint_flow_loop, needle_vector_on_grid, tangent_lift_stacked
+from oracles import (adjoint_flow_loop, needle_vector_on_grid, propagate_arrays,
+                     tangent_lift_stacked)
+from test_rk4_step import rk4_combinations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -448,3 +454,183 @@ def test_paths_of_expression_dynamics_make_one_generated_step_per_grid_step():
     grids = [simulate(problem.sys, cloud.signal(i), problem.x_a, cfg).grid
              for i in range(len(cloud.controls))]
     assert calls == {"step": sum(len(grid) - 1 for grid in grids)}
+
+
+def counted_coupled_rhs(monkeypatch):
+    """A counter of the `_coupled_rhs` that shooting builds from now on."""
+    calls, build = collections.Counter(), shooting._coupled_rhs
+
+    def counted(*args):
+        calls["_coupled_rhs"] += 1
+        return build(*args)
+
+    monkeypatch.setattr(shooting, "_coupled_rhs", counted)
+    return calls
+
+
+def shooting_problem(problem):
+    return shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary, p0=problem.p0,
+                                    x_a=problem.x_a, x_b=problem.x_b, a=problem.a, b=problem.b)
+
+
+@pytest.mark.parametrize("name", ["min_time_double_integrator", "lqr_expression_shoot"])
+def test_expression_shoots_take_the_generated_coupled_step(monkeypatch, name):
+    # the builtin double integrator is the expressions ["x1", "u0"]: both
+    # goldens step every propagation by the grammar's coupled step
+    problem = cli.load_problem(os.path.join(GOLDEN, name, "problem.json"))
+    calls = counted_coupled_rhs(monkeypatch)
+    res = shooting.shoot(shooting_problem(problem),
+                         opts=shooting.ShootingOptions(tol=problem.tol, step=problem.step))
+    assert res.converged and calls["_coupled_rhs"] == 0
+
+
+def counted_calls(calls, name, fn):
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+    return wrapper
+
+
+# Stages and steps of the coupled (x, p) field in one shoot of the golden
+# minimum-time double integrator: k1 is evaluated once per control value
+# per loop iteration and shared by the trial steps from that state.  The
+# golden takes the generated coupled stage and step; with its callables
+# wrapped, as in test_shoot_work_within_committed_counts, it takes
+# `_coupled_rhs` (one per stage) and `rk4_step`, and does the same work.
+COUPLED_WORK_BASELINE = {"stage": 2213, "step": 5539}
+
+
+def test_coupled_stages_and_steps_within_committed_counts(monkeypatch):
+    problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
+                                            "problem.json"))
+    opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
+    generate, generated = problem.sys.f.coupled_step, collections.Counter()
+
+    def counted_generate(*args):
+        stage, step = generate(*args)
+        return (counted_calls(generated, "stage", stage),
+                counted_calls(generated, "step", step))
+
+    monkeypatch.setattr(problem.sys.f, "coupled_step", counted_generate)
+    assert shooting.shoot(shooting_problem(problem), opts=opts).converged
+    over = {k: (generated[k], v) for k, v in COUPLED_WORK_BASELINE.items()
+            if generated[k] > v}
+    assert not over, f"calls above the committed counts (got, committed): {over}"
+
+    fallback = collections.Counter()
+    monkeypatch.setattr(shooting, "_coupled_rhs",
+                        counted_calls(fallback, "stage", shooting._coupled_rhs))
+    monkeypatch.setattr(shooting, "rk4_step", counted_calls(fallback, "step", shooting.rk4_step))
+    sys, _ = counted_system(problem.sys, ("f",))
+    sp = dataclasses.replace(shooting_problem(problem), sys=sys)
+    assert shooting.shoot(sp, opts=opts).converged
+    assert fallback == generated
+
+
+def di_user_callables():
+    """The double integrator with minimum-energy cost as user callables."""
+    return ControlSystem(m=2, k=1, f=lambda x, u: np.array([x[1], u[0]]),
+                         control_set=box([-1.0], [1.0]),
+                         F=lambda x, u: float(x[0] ** 2 + u[0] ** 2),
+                         df_dx=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         dF_dx=lambda x, u: np.array([2.0 * x[0], 0.0]))
+
+
+@pytest.mark.parametrize("dynamics, cost", [
+    ({"expressions": ["x0 + x1 + u0", "x0"]}, "x0^2 + u0^2"),   # a column with two entries
+    ({"builtin": "linear_system", "A": [[0.0, 1.0], [-2.0, -0.3]], "B": [[0.0], [1.0]]},
+     "x0^2 + u0^2"),
+    (None, None),                                             # user callables
+    # a state in an exponent: the cost gradient is finite differences
+    ({"builtin": "double_integrator"}, "2^x0 + u0^2"),
+], ids=["two_entry_column", "linear_system", "user_callables", "cost_state_exponent"])
+def test_other_systems_keep_rk4_step_on_coupled_rhs(monkeypatch, dynamics, cost):
+    if dynamics is None:
+        sys = di_user_callables()
+    else:
+        sys = cli.Problem({"dynamics": dynamics, "cost": {"expression": cost},
+                           "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}}).sys
+    prob = shooting.ShootingProblem(sys=sys, bounds=pmp.BoundarySpec(mode="fixed_time"),
+                                    p0=-1.0, x_a=[1.0, 0.5], x_b=[0.0, 0.0], a=0.0, b=1.5)
+    opts = shooting.ShootingOptions(step=0.1)
+    calls = counted_coupled_rhs(monkeypatch)
+    for z in ([0.9, 1.0], [-3.0, -2.5], [0.0, 0.0]):
+        calls.clear()
+        prop = shooting._propagate(prob, np.array(z), opts, 0.1)
+        assert calls["_coupled_rhs"] > 0, z
+        steps, x_b, p_b, sup_h = propagate_arrays(prob, np.array(z), opts, 0.1)
+        assert [(t, u.tobytes()) for t, u in prop.steps] == \
+            [(t, u.tobytes()) for t, u in steps]
+        assert same_bits(prop.x_b, x_b) and same_bits(prop.p_b, p_b)
+        assert same_bits(prop.sup_h, sup_h)
+
+
+@pytest.mark.parametrize("srcs, cost", [
+    (["-x0 + u0"], None),
+    (["x1", "-sin(x0) + u0"], "x0^2 + u0^2"),
+    (["x1 * u0", "2 * x2 - u0", "x0^2 / (1 + x0)"], "x1 * x2"),
+])
+def test_generated_coupled_step_is_one_rk4_step_without_numpy(srcs, cost):
+    m = len(srcs)
+    bodies = [grammar._tree(src, m, 1, "expression") for src in srcs]
+    jacobian = [grammar._derivative(body, j) for body in bodies for j in range(m)]
+    gradient = cost and [grammar._derivative(grammar._tree(cost, m, 1, "cost"), j)
+                         for j in range(m)]
+    _, step = grammar._coupled_step_code(bodies, jacobian, gradient, 1, True)
+    # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per component of y = (x, p)
+    assert rk4_combinations(ast.unparse(step)) == ["coupled_step"] * (2 * m)
+    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
+            if isinstance(node, ast.Name)]
+    assert not [obj for obj in used
+                if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
+
+
+def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
+    # compiles are kept per process by expression texts, m and k; these
+    # texts are used by no other test, so the first loads compile them
+    data = {"dynamics": {"expressions": ["x1", "-0.8125 * sin(x0) + u0"]},
+            "cost": {"expression": "0.0625 * x0^2 + u0^2"},
+            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+            "horizon": {"a": 0.0, "b": 0.5}, "integrator": {"step": 0.05},
+            "control": {"values": [[0.25]]}, "reach": {"n_controls": 2},
+            "boundary": {"mode": "fixed_time", "initial": {"point": [0.5, 0.0]},
+                         "final": {"anchor": [0.0, 0.0], "normals": []}}}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    calls = collections.Counter()
+    monkeypatch.setattr(grammar, "_rk4_step_code",
+                        counted_calls(calls, "step", grammar._rk4_step_code))
+    monkeypatch.setattr(grammar._Code, "compile",
+                        counted_calls(calls, "compile", grammar._Code.compile))
+    for run in range(2):
+        for command in ("simulate", "shoot", "reach"):
+            assert cli.main([command, "--problem", str(path),
+                             "--out", str(tmp_path / command)]) == 0
+        if run == 0:
+            # the dynamics, its Jacobian, the cost, its gradient, the
+            # dynamics step (simulate) and the coupled stage and step (shoot)
+            first = dict(calls)
+            assert first == {"step": 2, "compile": 7}
+    assert calls == first
+
+
+@pytest.mark.parametrize("expressions, cost", [
+    (["x0 +* u0"], None),
+    # texts that are no string, which the compiles cannot be keyed on
+    ([["x0"]], None),
+    (["u0"], {"expression": ["x0"]}),
+], ids=["parse_error", "list_expression", "list_cost"])
+def test_a_bad_problem_fails_at_every_load(tmp_path, capsys, expressions, cost):
+    # a failed compile is not kept: the second load raises as the first did
+    data = {"dynamics": {"expressions": expressions},
+            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+            "control": {"values": [[0.0]]}}
+    if cost is not None:
+        data["cost"] = cost
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data))
+    errors = []
+    for _ in range(2):
+        assert cli.main(["simulate", "--problem", str(path), "--out", str(tmp_path / "o")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "parse error" in errors[0]
