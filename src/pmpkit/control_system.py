@@ -22,8 +22,9 @@ from .flows import (IntegratorConfig, PiecewiseField, TimeVectorField, _fd_jacob
 
 
 def _frozen_array(values) -> np.ndarray:
-    """A read-only float copy of values, flattened: what the maximizer
-    derives from a control set (its fit probes) cannot go stale."""
+    """A read-only float copy of values, flattened: what the maximizer and
+    shooting derive from a control set (its fit probes, its jump tolerance)
+    cannot go stale."""
     a = np.array(values, dtype=float).ravel()
     a.flags.writeable = False
     return a
@@ -52,7 +53,7 @@ class ControlSet:
         elif self.kind == "finite":
             if not self.points:
                 raise ValueError("finite control set needs at least one point")
-            pts = tuple(np.asarray(p, dtype=float).ravel() for p in self.points)
+            pts = tuple(_frozen_array(p) for p in self.points)
             if len({p.size for p in pts}) != 1:
                 raise ValueError("finite control points must share a dimension")
             object.__setattr__(self, "points", pts)

@@ -170,18 +170,22 @@ class _Probes:
     u0 is the centre and delta the step of each axis.  The probes are the
     arrays u0 + e and u0 - e, and that arithmetic sets the sign of a zero
     where u0 holds -0.0 (-0.0 + 0.0 is +0.0); they are kept read-only.
-    Per-axis values are numpy float64 scalars: a square that overflows or a
-    division by an underflowed step gives inf or nan, where Python floats
-    would raise.
+
+    The fit reads only `axes`, one (j, u0 + e_j, u0 - e_j, 2 delta_j,
+    delta_j ** 2) per live axis j, and `pairs`, one (i, j, u0 + e_i + e_j,
+    delta_i delta_j) per pair of live axes, so its pass computes no step.
+    numpy computes the divisors, so a square that overflows reads inf.  They
+    are kept as Python floats, which divide faster and round the same; a
+    divisor that underflows to zero stays numpy's 0.0, so that dividing by
+    it gives inf or nan where a Python float would raise.
     """
 
     def __init__(self, u0, delta):
         k = u0.size
         self.k = k
         self.u0 = _read_only(u0)
-        self.u0_axes = tuple(u0)
-        self.delta = tuple(delta)
-        self.live = tuple(j for j in range(k) if delta[j] > 0)
+        d = tuple(delta)
+        live = tuple(j for j in range(k) if d[j] > 0)
 
         def step(*axes):
             e = np.zeros(k)
@@ -190,9 +194,16 @@ class _Probes:
             return e
 
         self.axis = {j: (_read_only(u0 + step(j)), _read_only(u0 - step(j)))
-                     for j in self.live}
-        self.pairs = tuple((i, j, _read_only(u0 + step(i, j)))
-                           for i, j in itertools.combinations(self.live, 2))
+                     for j in live}
+
+        def divisor(v):
+            return float(v) if v else v
+
+        with np.errstate(over="ignore"):
+            self.axes = tuple((j, *self.axis[j], divisor(2.0 * d[j]), divisor(d[j] ** 2))
+                              for j in live)
+            self.pairs = tuple((i, j, _read_only(u0 + step(i, j)), divisor(d[i] * d[j]))
+                               for i, j in itertools.combinations(live, 2))
         # the points that test the fit, each with its offset from u0
         self.checks = []
         for coeffs in ((0.37,) * k, (-0.61,) * k,
@@ -225,31 +236,16 @@ def _probes(U) -> _Probes:
             else:
                 u0[j], delta[j] = 0.0, 1.0
         probes = _Probes(u0, delta)
-        probes.lo, probes.hi = tuple(lo), tuple(hi)
+        # per axis (lo, hi, u0, delta) for the axis maxima
+        probes.sides = tuple(zip(lo, hi, u0, delta))
     # ControlSet is frozen; the probes are derived data, not a field
     U.__dict__["_probes"] = probes
     return probes
 
 
-def _absmax(*groups) -> float:
-    """float(np.max(np.abs(.))) over the scalars of groups: NaN wherever a
-    NaN stands, and an error when there are none."""
-    top = None
-    for group in groups:
-        for v in group:
-            v = abs(v)
-            if v != v:
-                return math.nan
-            if top is None or v > top:
-                top = v
-    if top is None:
-        raise ValueError("zero-size array to reduction operation maximum")
-    return float(top)
-
-
 def _matrix(a, mixed):
     A = np.diag(a)
-    for (i, j), v in mixed.items():
+    for i, j, v in mixed:
         A[i, j] = A[j, i] = v
     return A
 
@@ -257,27 +253,47 @@ def _matrix(a, mixed):
 def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
     """Exact-fit quadratic model at the probes, or None if H is not quadratic.
 
-    Returns (b, a, mixed): the gradient and the Hessian diagonal per axis
-    (0.0 on an axis of zero width) and the Hessian entries of the live axis
-    pairs by (i, j), at u0.  verify=False skips the three probes that
-    test the fit, for an H known to be at most quadratic in u.
+    One pass over the probes' per-axis and per-pair tuples returns (b, a,
+    mixed, bmax, cmax, off):
+    - b and a, the gradient and the Hessian diagonal per axis (0.0 on an
+      axis of zero width), and mixed, the Hessian entries (i, j, value) of
+      the live axis pairs, all at u0;
+    - bmax and cmax, the largest |b| and the largest |entry| of the Hessian,
+      and off that of its off-diagonal part (0.0 for k = 1).  Each is
+      float(np.max(np.abs(.))) of the arrays: NaN wherever a NaN stands, and
+      off is NaN beside an infinite diagonal entry, where inf - inf stands.
+    verify=False skips the three probes that test the fit, for an H known
+    to be at most quadratic in u.
     """
     k = probes.k
-    delta = probes.delta
     f0 = H(probes.u0)
     b = [0.0] * k
     a = [0.0] * k
-    up = {}
-    for j in probes.live:
-        plus, minus = probes.axis[j]
+    up = [0.0] * k if probes.pairs else None
+    bmax = amax = 0.0
+    for j, plus, minus, two_delta, delta_sq in probes.axes:
         fp, fm = H(plus), H(minus)
-        b[j] = (fp - fm) / (2.0 * delta[j])
-        a[j] = (fp - 2.0 * f0 + fm) / delta[j] ** 2
-        up[j] = fp
-    mixed = {(i, j): (H(u) - up[i] - up[j] + f0) / (delta[i] * delta[j])
-             for i, j, u in probes.pairs}
+        bj = b[j] = (fp - fm) / two_delta
+        aj = a[j] = (fp - 2.0 * f0 + fm) / delta_sq
+        bj, aj = abs(bj), abs(aj)
+        # a running maximum that keeps the first NaN it meets
+        if bj > bmax or bj != bj:
+            bmax = bj
+        if aj > amax or aj != aj:
+            amax = aj
+        if up is not None:
+            up[j] = fp
+    mixed, mmax = [], 0.0
+    for i, j, u, delta_ij in probes.pairs:
+        v = (H(u) - up[i] - up[j] + f0) / delta_ij
+        mixed.append((i, j, v))
+        v = abs(v)
+        if v > mmax or v != v:
+            mmax = v
+    cmax = amax if amax >= mmax or amax != amax else mmax
+    off = mmax if k == 1 or math.isfinite(amax) else math.nan
     if not verify:
-        return b, a, mixed
+        return b, a, mixed, bmax, cmax, off
 
     # numpy's dot may fuse a multiply and an add, so the model is
     # evaluated by the same dot products it was fitted for
@@ -286,11 +302,11 @@ def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
     def model(d):
         return f0 + bv @ d + 0.5 * d @ A @ d
 
-    scale = 1.0 + abs(f0) + _absmax(b) + _absmax(a, mixed.values())
+    scale = 1.0 + abs(f0) + bmax + cmax
     for probe, d in probes.checks:
         if abs(H(probe) - model(d)) > fit_tol * scale:
             return None
-    return b, a, mixed
+    return b, a, mixed, bmax, cmax, off
 
 
 def _clip(v, lo, hi):
@@ -370,9 +386,8 @@ def _maximizer(sys: ControlSystem, p0: float):
         def search(H):
             fit = _fit_quadratic(H, probes, fit_tol, verify)
             if fit is not None:
-                b, a, mixed = fit
-                curvature = _absmax(a, mixed.values())
-                scale = 1.0 + _absmax(b) + curvature
+                b, _, _, bmax, curvature, _ = fit
+                scale = 1.0 + bmax + curvature
                 if curvature <= fit_tol * scale:
                     nb = np.linalg.norm(b)
                     return (c + R * np.array(b) / nb if nb > fit_tol * scale else c.copy()), None
@@ -383,23 +398,19 @@ def _maximizer(sys: ControlSystem, p0: float):
             return _pick_best(cands, H)
 
     else:
-        lo, hi, k = U.lo, U.hi, probes.k
+        lo, hi, sides = U.lo, U.hi, probes.sides
         bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
         def search(H):
             fit = _fit_quadratic(H, probes, fit_tol, verify)
             if fit is not None:
-                b, a, mixed = fit
-                scale = 1.0 + _absmax(b) + _absmax(a, mixed.values())
-                ztol = fit_tol * scale
-                # the off-diagonal part A - diag(diag(A)): inf - inf is nan
-                # on the diagonal, as in the matrix
-                off_diag = _absmax([v - v for v in a], mixed.values()) if k > 1 else 0.0
+                b, a, mixed, bmax, cmax, off_diag = fit
+                ztol = fit_tol * (1.0 + bmax + cmax)
                 if off_diag <= ztol:
-                    return np.array([_axis_max(b[j], a[j], probes.lo[j], probes.hi[j],
-                                               probes.u0_axes[j], ztol)
-                                     if probes.delta[j] > 0 else probes.lo[j]
-                                     for j in range(k)]), None
+                    return np.array([_axis_max(bj, aj, lo_j, hi_j, u0_j, ztol)
+                                     if delta_j > 0 else lo_j
+                                     for bj, aj, (lo_j, hi_j, u0_j, delta_j)
+                                     in zip(b, a, sides)]), None
                 A = _matrix(a, mixed)
                 # a model that is not finite makes ztol inf or nan, so it is
                 # no concave one, and eigvalsh may not converge on it
@@ -710,7 +721,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSign
     else:
         pr = _probes(U)
         tests = ([pr.u0] + [u for pair in pr.axis.values() for u in pair]
-                 + [u for _, _, u in pr.pairs] + [u for u, _ in pr.checks])
+                 + [u for _, _, u, _ in pr.pairs] + [u for u, _ in pr.checks])
     gens: List[np.ndarray] = []
     for n, (t, xh) in enumerate(zip(base.grid.tolist(), ext_traj.states)):
         # the extended dynamics give (F, f); a switch has two references

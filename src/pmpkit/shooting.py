@@ -20,7 +20,7 @@ import numpy as np
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
-from .pmp import BoundarySpec, Extremal, _absmax, _maximizer, adjoint_flow
+from .pmp import BoundarySpec, Extremal, _maximizer, adjoint_flow
 
 
 @dataclass
@@ -99,19 +99,26 @@ _TRIAL_FAILURES = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 
 
 def _auto_jump_tol(control_set) -> float:
+    """The jump tolerance of control_set: a maximizer that moves by more
+    is a switch.  It is made on first use and kept on the set, as
+    `pmp._probes` keeps the fit's probes."""
+    tol = control_set.__dict__.get("_jump_tol")
+    if tol is not None:
+        return tol
     if control_set.kind == "finite":
         pts = [np.asarray(p, float) for p in control_set.points]
-        if len(pts) < 2:
-            return 1e-9
-        dmin = min(np.linalg.norm(p - q)
-                   for i, p in enumerate(pts) for q in pts[i + 1:])
-        return 0.5 * dmin
-    if control_set.kind == "box":
+        tol = 1e-9 if len(pts) < 2 else 0.5 * min(
+            np.linalg.norm(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
+    elif control_set.kind == "box":
         span = control_set.hi - control_set.lo
         finite = span[np.isfinite(span)]
         diam = float(np.max(finite)) if finite.size else 1.0
-        return 0.05 * max(1.0, diam)
-    return 0.05 * max(1.0, 2.0 * control_set.radius)
+        tol = 0.05 * max(1.0, diam)
+    else:
+        tol = 0.05 * max(1.0, 2.0 * control_set.radius)
+    # ControlSet is frozen; the tolerance is derived data, not a field
+    control_set.__dict__["_jump_tol"] = tol
+    return tol
 
 
 def _coupled_rhs(sys, p0, u):
@@ -133,8 +140,17 @@ def _coupled_rhs(sys, p0, u):
 
 
 def _jumped(u1, u2, tol) -> bool:
-    """float(np.abs(u1 - u2).max()) > tol, NaN included, on Python floats."""
-    return _absmax([v - w for v, w in zip(u1.tolist(), u2.tolist())]) > tol
+    """float(np.abs(u1 - u2).max()) > tol, on the components of two controls
+    as Python floats (whose overflow and inf - inf warn of nothing): a NaN
+    difference gives False, as it makes numpy's max NaN."""
+    jump = False
+    for v, w in zip(u1, u2):
+        d = abs(float(v) - float(w))
+        if d != d:
+            return False
+        if d > tol:
+            jump = True
+    return jump
 
 
 class _Propagation:
@@ -194,12 +210,13 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
             return rk4_step(rhs, 0.0, y, h, k1)
 
     def argmax(yc):
-        # the maximizer at the stacked state yc = (x, p) with H bound there;
-        # H that is NaN or -inf at every control ends the trial like a blow-up
+        # the maximizer at the stacked state yc = (x, p): u, H bound there
+        # and u's components as floats for the jump test; H that is NaN or
+        # -inf at every control ends the trial like a blow-up
         u, H, _ = maximize(yc[m:], yc[:m])
         if u is None:
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
-        return u, H
+        return u, H, u.tolist()
 
     def advance(u, dt):
         # every trial step of one loop iteration starts from y: its first
@@ -211,17 +228,19 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         held, k1 = stages[key]
         return coupled_step(y, held, dt, k1, c)
 
-    def bisect(u_frozen, lo, hi, y_hi, best_hi):
+    def bisect(arc, lo, hi, y_hi, best_hi):
         # largest substep keeping the maximizer on the current arc, with
-        # the state it reaches and the maximizer there; the arc holds at
-        # lo, y_hi is the state at hi and best_hi the maximizer at y_hi
+        # the state it reaches and the maximizer there; arc is the
+        # maximizer the arc holds, as argmax gives it, and it holds at lo;
+        # y_hi is the state at hi and best_hi the maximizer at y_hi
+        u_frozen, frozen = arc[0], arc[2]
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             ym = advance(u_frozen, mid)
             if not _all_finite(ym):
                 raise FloatingPointError
             best = argmax(ym)
-            if _jumped(best[0], u_frozen, jump_tol):
+            if _jumped(best[2], frozen, jump_tol):
                 hi, y_hi, best_hi = mid, ym, best
             else:
                 lo = mid
@@ -253,24 +272,24 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 if not _all_finite(yh):
                     return None
                 end = argmax(yh)
-                if _jumped(end[0], cur[0], jump_tol):
-                    u_step = cur[0]
-                    dt, yn, end = bisect(u_step, 0.0, 0.5 * h, yh, end)
+                if _jumped(end[2], cur[2], jump_tol):
+                    arc = cur
+                    dt, yn, end = bisect(arc, 0.0, 0.5 * h, yh, end)
                     n_sw += 1
                 else:
-                    u_step = end[0]
-                    y1 = advance(u_step, h)
+                    arc = end
+                    y1 = advance(arc[0], h)
                     if not _all_finite(y1):
                         return None
                     end = argmax(y1)
-                    if _jumped(end[0], u_step, jump_tol):
+                    if _jumped(end[2], arc[2], jump_tol):
                         # on cur's control the arc holds at yh, the first midpoint
-                        lo = 0.5 * h if u_step.tobytes() == cur[0].tobytes() else 0.0
-                        dt, yn, end = bisect(u_step, lo, h, y1, end)
+                        lo = 0.5 * h if arc[0].tobytes() == cur[0].tobytes() else 0.0
+                        dt, yn, end = bisect(arc, lo, h, y1, end)
                         n_sw += 1
                     else:
                         dt, yn = h, y1
-                steps.append((t, np.asarray(u_step, float)))
+                steps.append((t, np.asarray(arc[0], float)))
                 t, y, cur = t + dt, yn, end
                 if n_sw > opts.max_switches:
                     return None
@@ -471,7 +490,7 @@ def switching_structure(extremal: Extremal) -> SwitchingStructure:
     times: List[float] = []
     labels: List[str] = [_format_value(vals[0])]
     for i, sw in enumerate(sig.switch_times):
-        if float(np.max(np.abs(vals[i + 1] - vals[i]))) > jump_tol:
+        if _jumped(vals[i + 1], vals[i], jump_tol):
             times.append(float(sw))
             labels.append(_format_value(vals[i + 1]))
     return SwitchingStructure(tuple(times), tuple(labels))

@@ -191,6 +191,48 @@ def test_bound_maximizer_of_nan_hamiltonian_has_no_u_star(U, degree):
     assert bound_outcome(sys, -1.0, [1.0], [0.0]) == want
 
 
+@st.composite
+def dense_cases(draw):
+    """Dynamics with m = 2 or 3 states, each component quadratic in every
+    control: every H value is then p . f over m products, whose rounding
+    depends on how the products are summed (at m = 1 a single product is
+    exact, so `cases` cannot tell)."""
+    m, k = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    entries = st.floats(-2.0, 2.0)
+
+    def array(*shape):
+        return np.array([draw(entries) for _ in range(math.prod(shape))]).reshape(shape)
+
+    c, G, Q, w = array(m), array(m, k), array(m, k, k), array(k)
+    Q = Q + Q.transpose(0, 2, 1) if draw(st.booleans()) else Q * np.eye(k)
+
+    def f(x, u):
+        return np.array([c[i] + G[i] @ u + 0.5 * u @ Q[i] @ u for i in range(m)]) + x
+
+    def F(x, u):
+        return float(w @ u + 0.5 * u @ u)
+
+    sys = ControlSystem(m=m, k=k, f=f, control_set=draw(control_sets(k)),
+                        F=draw(st.sampled_from((None, F))),
+                        u_degree=draw(st.sampled_from((None, 2))))
+    p0 = draw(st.sampled_from((-1.0, 0.0)))
+    p = [draw(entries) for _ in range(m)]
+    x = [draw(entries) for _ in range(m)]
+    return sys, p0, p, x, (1e-3, 3)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(dense_cases())
+def test_bound_maximizer_matches_array_maximizer_at_dense_dynamics(case):
+    # each H is one numpy dot of p with the rate at one probe, as
+    # `pmp.hamiltonian` computes it; a batched R @ p or a sum in Python
+    # rounds some of them differently, which moves u_star or H(u_star)
+    sys, p0, p, x, grid = case
+    want = expected(sys, p0, p, x, grid)
+    with refining_on(*grid):
+        assert bound_outcome(sys, p0, p, x) == want
+
+
 jump_values = st.one_of(st.floats(-3.0, 3.0),
                         st.sampled_from((0.0, -0.0, INF, -INF, NAN, 1e308, -1e308)))
 

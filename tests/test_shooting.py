@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from pmpkit.control_system import ControlSystem, box
+from pmpkit.control_system import ControlSystem, ball, box, finite
 from pmpkit import cli, pmp, shooting
 
 from oracles import double_integrator_time_optimal, riccati_lqr_reference
@@ -300,3 +300,24 @@ class TestTrialFailures:
         assert shooting._propagate(prob, np.array([1.0, 1.0, 2.0]), opts, 0.1) is None
         with pytest.raises(shooting.ShootingFailure):
             shooting.shoot(prob, opts=opts)
+
+
+@pytest.mark.parametrize("U, tol", ((box([-1.0, 0.0], [1.0, np.inf]), 0.1),
+                                    (ball([0.0, 1.0], 2.0), 0.2),
+                                    (finite([[0.5]]), 1e-9)), ids=repr)
+def test_jump_tolerance_is_kept_with_the_control_set(U, tol):
+    assert shooting._auto_jump_tol(U) == tol
+    assert U.__dict__["_jump_tol"] == tol
+
+
+def test_finite_set_keeps_its_jump_tolerance_from_read_only_copies():
+    # rows of a caller's array made the points: the set copies them, so the
+    # tolerance kept with it cannot go stale
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
+    U = finite(pts)
+    assert shooting._auto_jump_tol(U) == 0.5
+    pts[1] = 0.0
+    assert shooting._auto_jump_tol(U) == 0.5
+    assert all(not p.flags.writeable for p in U.points)
+    with pytest.raises(ValueError):
+        U.points[0][0] = 1.0
