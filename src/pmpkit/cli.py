@@ -25,9 +25,9 @@ from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 from .grammar import (ProblemError, compile_dynamics, compile_gradient, max_degree,
                       parse_expression)
-from .perturbations import build_tangent_cone
-from .pmp import (AdjointCurve, BoundarySpec, Extremal, NeedleOverflowError,
-                  UnboundedHamiltonianError, UnsupportedMaximizationError, check_pmp)
+from .perturbations import NeedleOverflowError, build_tangent_cone
+from .pmp import (AdjointCurve, BoundarySpec, Extremal, UnboundedHamiltonianError,
+                  UnsupportedMaximizationError, check_pmp)
 from .reachable import SamplePolicy, sample_reachable
 from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
                        shoot, switching_structure)

@@ -8,41 +8,59 @@ combinations produces the perturbation cones.  `realize_direction` is the
 effective converse: given an interior direction of a cone, it assembles an
 actual composite needle perturbation whose endpoint lands on the ray through
 that direction, by solving a small fixed-point problem in the hyperplane
-transverse to the direction.
+transverse to the direction.  `classify_extremal` separates the extended
+needle cone at the endpoint, as the principle's proof does, by two small
+LPs: one for a lift with p0 = -1 and one for p0 = 0.  When one LP has no
+solution, that proves that no lift of its kind exists, and the result
+carries a strict certificate.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._simplex import DEFAULT_TOL, solve_standard
 from .cone_geometry import (
     BoundaryConditionError,
+    ConeCertificateError,
     GeneratedCone,
     RootSearchError,
+    _checked_hyperplane,
+    _residual_lp,
     cone_residual,
     conic_membership,
     covered_point_root,
     membership_margin,
     positive_combination,
+    supporting_hyperplane,
 )
 from .control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
     _write_csv,
+    extend,
     lebesgue_times,
     signal_field,
     simulate,
 )
 from .flows import IntegratorConfig, tangent_lift_flows
-from .pmp import NeedleOverflowError, _carried, adjoint_flows
+from .pmp import (AdjointCurve, BoundarySpec, Extremal, UnboundedHamiltonianError, _probes,
+                  adjoint_flows, check_pmp)
 
 
 class NeedleLayoutError(ValueError):
     """Needle interval escapes the horizon or overlaps another needle."""
+
+
+class NeedleOverflowError(RuntimeError):
+    """A cone generator is not finite, at its time or carried on: a
+    numerical failure of the dynamics at its control, not bad input."""
 
 
 class RealizationError(RuntimeError):
@@ -108,6 +126,9 @@ class Provenance:
     kind is one of "needle", "axis+", "axis-", "init+", "init-".  Needle
     generators carry their NeedleData, axis generators a final-time rate of
     +-1, initial-manifold generators the signed tangent vector at the start.
+    A needle's reference control is u(t1) at a Lebesgue time t1 when
+    `reference` is None; a record that names its reference may sit at an
+    endpoint, or at a switch with either one-sided value.
     """
 
     kind: str
@@ -115,6 +136,7 @@ class Provenance:
     needle: Optional[NeedleData] = None
     delta_tau: float = 0.0
     initial_vector: Optional[np.ndarray] = None
+    reference: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -204,22 +226,27 @@ def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
     return out
 
 
-def _class1_vectors(sys: ControlSystem, u: ControlSignal, t1: float, x,
+def _finite(v, what):
+    """v, or NeedleOverflowError naming `what` if it is not finite."""
+    if not np.all(np.isfinite(v)):
+        raise NeedleOverflowError(f"non-finite {what}")
+    return v
+
+
+def _class1_vectors(sys: ControlSystem, ref: np.ndarray, t1: float, x,
                     needles: Sequence[NeedleData]) -> List[np.ndarray]:
-    """Class-I vectors of needles that all sit at the Lebesgue time t1, at
-    the state x there, sharing f(x, u(t1))."""
-    drift = sys.dynamics(x, u.value_at(t1))
-    vecs = [n.l1 * (sys.dynamics(x, n.u1) - drift) for n in needles]
-    for n, v in zip(needles, vecs):
-        if not np.isfinite(v).all():
-            raise NeedleOverflowError(f"non-finite needle vector at t={t1!r}, u={n.u1.tolist()!r}")
-    return vecs
+    """Class-I vectors of needles that all sit at time t1 against the
+    reference control ref, at the state x there, sharing f(x, ref)."""
+    drift = sys.dynamics(x, ref)
+    return [_finite(n.l1 * (sys.dynamics(x, n.u1) - drift),
+                    f"needle vector at t={t1!r}, u={n.u1.tolist()!r}") for n in needles]
 
 
 def class1_vector(sys: ControlSystem, traj: Trajectory, pi: NeedleData) -> PerturbationVector:
     """l1 (f(x, u1) - f(x, u(t1))) at x = gamma(t1)."""
     _require_lebesgue(traj.control, pi.t1)
-    vecs = _class1_vectors(sys, traj.control, pi.t1, traj.state_at(pi.t1), [pi])
+    vecs = _class1_vectors(sys, traj.control.value_at(pi.t1), pi.t1, traj.state_at(pi.t1),
+                           [pi])
     return PerturbationVector(base_time=pi.t1, vector=vecs[0])
 
 
@@ -235,7 +262,7 @@ def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
     if times[-1] > t:
         raise ValueError("needle times must not exceed the evaluation time")
     prov = [Provenance(kind="needle", source_time=n.t1, needle=n) for n in needles]
-    total = sum(_generators(sys, traj, prov, t, cfg), np.zeros(sys.m))
+    total = sum(_generators(sys, traj, prov, t, cfg)[0], np.zeros(sys.m))
     return PerturbationVector(base_time=float(t), vector=total)
 
 
@@ -267,45 +294,63 @@ def _event_path(sys: ControlSystem, traj: Trajectory, times: Sequence[float],
     return Trajectory(traj.grid[:end], traj.states[:end], traj.control, sys), node
 
 
+def _carried(B, v, what):
+    """B^T v: the vector v at a node carried to the end of the sweep whose
+    block there is B, checked finite (`_finite`)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(B.T @ v, "transported " + what)
+
+
 def _generators(sys: ControlSystem, traj: Trajectory, prov: Sequence[Provenance],
-                t: float, cfg: Optional[IntegratorConfig]) -> List[np.ndarray]:
-    """The generator at t of each provenance record, in order: the one rule
-    every perturbation cone is built by.
+                t: float, cfg: Optional[IntegratorConfig]
+                ) -> Tuple[List[np.ndarray], np.ndarray]:
+    """The generator at t of each provenance record, in order, and the sweep
+    that carried them: the one rule every perturbation cone is built by.
 
     All are read on one path with t and every source time as grid nodes
     (`_event_path`).  An axis gives delta_tau f(x_t, u(t)), u(b-) at t = b.
-    A needle's class-I vector or an initial-manifold vector v at the node of
-    time s arrives at t as (p_i(s) . v)_i, p_i the adjoint of e_i from t: one
-    sweep of m covectors back from t carries them all, each checked finite.
+    A needle's class-I vector against its reference control, or an
+    initial-manifold vector, v at the node of time s arrives at t as
+    (p_i(s) . v)_i, p_i the adjoint of e_i from t: one sweep of m covectors
+    back from t carries them all, and its blocks at the path's nodes are
+    returned (`adjoint_flows`).  Each generator is checked finite
+    (NeedleOverflowError).
     """
     u = traj.control
     needles: dict = {}
     for i, p in enumerate(prov):
         if p.kind == "needle":
-            _require_lebesgue(u, p.source_time)
-            needles.setdefault(p.source_time, []).append(i)
+            ref = p.reference
+            if ref is None:
+                _require_lebesgue(u, p.source_time)
+            # needles that share a time and a reference share f(x, reference)
+            key = (p.source_time, None if ref is None else ref.tobytes())
+            needles.setdefault(key, []).append(i)
     path, node = _event_path(sys, traj, [p.source_time for p in prov] + [t], cfg)
     sweep = adjoint_flows(sys, path, np.eye(sys.m))
     gens: List[np.ndarray] = [None] * len(prov)
-    for s, idx in needles.items():
-        vecs = _class1_vectors(sys, u, s, path.states[node[s]], [prov[i].needle for i in idx])
+    for (s, _), idx in needles.items():
+        ref = prov[idx[0]].reference
+        vecs = _class1_vectors(sys, u.value_at(s) if ref is None else ref, s,
+                               path.states[node[s]], [prov[i].needle for i in idx])
         for i, v in zip(idx, vecs):
             what = f"needle vector at t={s!r}, u={prov[i].needle.u1.tolist()!r}"
             gens[i] = _carried(sweep[node[s]], v, what)
     for i, p in enumerate(prov):
         if p.kind in ("axis+", "axis-"):
-            gens[i] = p.delta_tau * sys.dynamics(path.states[node[t]], u.value_at(t))
+            gens[i] = _finite(p.delta_tau * sys.dynamics(path.states[node[t]], u.value_at(t)),
+                              f"final-time axis at t={t!r}")
         elif p.kind in ("init+", "init-"):
             gens[i] = _carried(sweep[node[p.source_time]], p.initial_vector,
                                "initial-manifold vector")
-    return gens
+    return gens, sweep
 
 
 def _assemble_cone(sys: ControlSystem, traj: Trajectory, t: float, prov: Sequence[Provenance],
                    cfg: Optional[IntegratorConfig]) -> PerturbationCone:
     """The cone at t of the provenance's generators; each kept generator
     keeps its record."""
-    cone = GeneratedCone(_generators(sys, traj, prov, t, cfg), n=sys.m)
+    cone = GeneratedCone(_generators(sys, traj, prov, t, cfg)[0], n=sys.m)
     return PerturbationCone(at_time=float(t), cone=cone,
                             provenance=tuple(prov[i] for i in cone.kept), control_dim=sys.k)
 
@@ -328,6 +373,12 @@ def _axis_provenance(traj: Trajectory, t: float) -> List[Provenance]:
         _require_lebesgue(traj.control, t)
     return [Provenance(kind="axis+", source_time=float(t), delta_tau=1.0),
             Provenance(kind="axis-", source_time=float(t), delta_tau=-1.0)]
+
+
+def _initial_provenance(a: float, basis) -> List[Provenance]:
+    """+- each initial-manifold tangent vector of basis, carried from a."""
+    return [Provenance(kind=kind, source_time=a, initial_vector=sgn * w)
+            for w in basis for sgn, kind in ((1.0, "init+"), (-1.0, "init-"))]
 
 
 def build_tangent_cone(sys: ControlSystem, traj: Trajectory, t: float, sampling,
@@ -355,14 +406,192 @@ def build_initial_cone(sys: ControlSystem, traj: Trajectory, t: float,
                        cfg: Optional[IntegratorConfig] = None) -> PerturbationCone:
     """Time cone plus +- the transported initial-manifold tangent basis."""
     axis = _axis_provenance(traj, t)
-    init = []
-    for w in Sa_tangent_basis:
-        w = np.asarray(w, dtype=float).ravel()
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite initial-manifold tangent vector")
-        init += [Provenance(kind=kind, source_time=traj.a, initial_vector=sgn * w)
-                 for sgn, kind in ((1.0, "init+"), (-1.0, "init-"))]
+    basis = [np.asarray(w, dtype=float).ravel() for w in Sa_tangent_basis]
+    if not all(np.all(np.isfinite(w)) for w in basis):
+        raise ValueError("non-finite initial-manifold tangent vector")
+    init = _initial_provenance(traj.a, basis)
     return _assemble_cone(sys, traj, t, _needle_provenance(t, sampling) + axis + init, cfg)
+
+
+def _normal_separation(W, tol):
+    """Stage 1 on the generator columns W, cost row first: (sigma_hat, None),
+    sigma_hat = (-1, p) with p the l1-smallest covector with p . g_x <= g_0
+    on every column, or (None, lam) when there is none, lam >= 0 a Farkas
+    ray with W lam = -e_0.  The LP is the dual of min |p|_1: min g_0 . lam
+    over lam >= 0 with |G_x lam| <= 1, 2m rows for any number of columns; p
+    is its row duals y+ - y-, and it is unbounded exactly when there is no
+    p.  Both answers are checked on W (ConeCertificateError)."""
+    m, k = W.shape[0] - 1, W.shape[1]
+    A = np.hstack((np.vstack((W[1:], -W[1:])), np.eye(2 * m)))
+    res = solve_standard(np.concatenate((W[0], np.zeros(2 * m))), A, np.ones(2 * m))
+    if res.ok:
+        return _checked_hyperplane(W, np.concatenate(([-1.0], res.y[:m] - res.y[m:])), tol), None
+    down = -np.eye(m + 1)[0]
+    lam = _residual_lp(W, down, tol).x[:k]
+    miss = float(np.abs(W @ lam - down).sum())
+    if not miss <= tol * (1.0 + float(np.abs(W).sum(axis=0) @ lam)):
+        raise ConeCertificateError("Farkas ray misses W lam = -e_0 by %.3e" % miss)
+    return None, lam
+
+
+def _lifted(basis):
+    """+- each final basis vector with a zero cost entry in front."""
+    return [np.concatenate(([0.0], s * np.asarray(w, dtype=float).ravel()))
+            for s in (1.0, -1.0) for w in basis or ()]
+
+
+def terminal_covector_from_cone(cone_b, final_tangent_basis=None,
+                                tol: float = 1e-9) -> Optional[np.ndarray]:
+    """Nonzero sigma_hat (cost component first), sigma_hat_0 <= 0, with
+    sigma_hat . g <= 0 on every generator and on +- the lifted final tangent
+    basis: stage 1 (`_normal_separation`) with sigma_hat_0 = -1, else stage 2
+    with sigma_hat_0 = 0, a supporting hyperplane of the state parts.  None
+    certifies that the downward cost direction is interior to the cone.  The
+    answer is checked to tol |sigma_hat| |g| (ConeCertificateError)."""
+    cone = cone_b.cone if hasattr(cone_b, "cone") else cone_b
+    W = GeneratedCone(cone.generators + _lifted(final_tangent_basis), n=cone.n).matrix
+    sigma_hat, _ = _normal_separation(W, tol)
+    if sigma_hat is not None or cone.n == 1:
+        return sigma_hat
+    alpha = supporting_hyperplane(GeneratedCone(list(W[1:].T), n=cone.n - 1), tol)
+    return None if alpha is None else np.concatenate(([0.0], alpha))
+
+
+def _spanning_margin(cone) -> float:
+    """r with alpha . g >= r |alpha| |g| on some generator g for every
+    alpha != 0, or 0.0 when the cone does not span R^n.  Each +-e_j is a
+    combination of the unit generators of least weight sum L_j, so the
+    ball of radius r = 1 / (sqrt(n) max L_j) about 0 lies in their hull.
+    Each combination is checked; ConeCertificateError is raised otherwise."""
+    unit = cone.matrix / np.linalg.norm(cone.matrix, axis=0)
+    most = 0.0
+    for z in np.vstack((np.eye(cone.n), -np.eye(cone.n))):
+        res = solve_standard(np.ones(unit.shape[1]), unit, z)
+        if not res.ok:
+            return 0.0
+        miss = float(np.abs(unit @ res.x - z).sum())
+        if not miss <= DEFAULT_TOL * (1.0 + res.value):
+            raise ConeCertificateError("spanning combination misses e_j by %.3e" % miss)
+        most = max(most, res.value)
+    return 1.0 / (math.sqrt(cone.n) * most)
+
+
+# classify_extremal's residual tolerance of a lift
+CLASSIFY_TOL = 1e-6
+
+
+@dataclass
+class ClassificationResult:
+    classification: str
+    certificate: Optional[str]
+    normal_terminal: Optional[np.ndarray]
+    abnormal_terminal: Optional[np.ndarray]
+    attempts: Tuple[dict, ...]
+
+
+def classify_extremal(sys: ControlSystem, traj: Trajectory,
+                      bounds: BoundarySpec) -> ClassificationResult:
+    """Find lifts with p0 = -1 and p0 = 0 by separating the extended needle
+    cone at b, as the multiplier (p0, p_b) does in the principle's proof
+    (Agrachev & Sachkov, Control Theory from the Geometric Viewpoint, ch. 12).
+
+    The cone is built by the rule of every perturbation cone (`_generators`)
+    for extend(sys), along traj under its control on traj's own grid.  At
+    each node a needle goes to each test control v against u(t), or at a
+    switch against either one-sided value.  The controls v are a bounded
+    box's vertices, a finite set's points, or else the maximizer's probe
+    points (`_probes`).  Free time adds the final-time axis with u(b-), and
+    an initial manifold +- each tangent vector carried from a.  The adjoint
+    is linear in (p0, p_b), so the rule's one sweep of the m + 1 unit
+    covectors also gives each candidate's adjoint.  Stage 1 of
+    `terminal_covector_from_cone` gives the normal candidate and stage 2
+    the abnormal one; `check_pmp` verifies each at CLASSIFY_TOL, and
+    `attempts` holds one entry per stage.  A stage without a covector
+    proves that no lift of its kind exists, certified by a Farkas ray or
+    for p0 = 0 by the cone's `_spanning_margin` above CLASSIFY_TOL.
+    """
+    if sys.extended:
+        raise ValueError("classify_extremal expects the base control system")
+    m, u = sys.m, traj.control
+    x0 = np.asarray(traj.states[0], dtype=float).ravel()
+    if x0.size != m:
+        raise ValueError("trajectory state dimension does not match the system")
+    xsys = extend(sys)
+    # a base step of the whole horizon leaves traj's nodes as the grid
+    ext_traj = simulate(xsys, u, np.concatenate(([0.0], x0)),
+                        IntegratorConfig(step=traj.b - traj.a, event_times=tuple(traj.grid)))
+
+    U = sys.control_set
+    if U.kind == "finite":
+        tests = list(U.points)
+    elif U.kind == "box" and np.all(np.isfinite(U.lo)) and np.all(np.isfinite(U.hi)):
+        tests = [np.array(v) for v in itertools.product(*zip(U.lo, U.hi))]
+    else:
+        pr = _probes(U)
+        tests = ([pr.u0] + [v for pair in pr.axis.values() for v in pair]
+                 + [v for _, _, v, _ in pr.pairs] + [v for v, _ in pr.checks])
+    prov: List[Provenance] = []
+    for t in ext_traj.grid.tolist():
+        sw = [j for j, s in enumerate(u.switch_times) if abs(t - s) <= 1e-12 * (1.0 + abs(s))]
+        refs = u.values[sw[0]:sw[0] + 2] if sw else [u.value_at(t)]
+        prov += [Provenance(kind="needle", source_time=t, needle=NeedleData(t, 1.0, v),
+                            reference=ref) for ref in refs for v in tests]
+    if bounds.mode == "free_time":
+        prov += _axis_provenance(ext_traj, ext_traj.b)
+    prov += _initial_provenance(ext_traj.a, [np.concatenate(([0.0], w))
+                                             for w in bounds.initial or ()])
+    gens, sweep = _generators(xsys, ext_traj, prov, ext_traj.b, None)
+    W = GeneratedCone(gens + _lifted(bounds.final), n=m + 1).matrix
+
+    def lift(p0, p_b):
+        """(feasible, reason): check_pmp's verdict on the lift (p0, p_b)."""
+        # the state part of the sweep of (p0, p_b), summed as p_b's part
+        # first and p0's second
+        sigma = sweep[:, 1:, 1:] @ p_b + p0 * sweep[:, 1:, 0]
+        adj = AdjointCurve(grid=ext_traj.grid.copy(), sigma0=p0, sigma=sigma)
+        try:
+            rep = check_pmp(sys, Extremal(ext_traj, u, adj), bounds, CLASSIFY_TOL)
+        except UnboundedHamiltonianError as e:
+            return False, f"unbounded Hamiltonian: {e}"
+        worst = max(rep.res_3a, rep.res_3b, *rep.res_3e)
+        # the p0 = 0 problem is homogeneous, so its lift is judged by the
+        # scale-invariant ratio residual / covector norm
+        scale, least = (1.0, CLASSIFY_TOL) if p0 else (rep.res_3c, 0.0)
+        return (worst <= CLASSIFY_TOL * scale and rep.res_3c > least,
+                f"worst residual {worst:.3e}, least |(p0, p)| {rep.res_3c:.3e}")
+
+    sigma_hat, ray = _normal_separation(W, DEFAULT_TOL)
+    proj = GeneratedCone(list(W[1:].T), n=m)
+    alpha = supporting_hyperplane(proj)
+    margin = 0.0 if alpha is not None else _spanning_margin(proj)
+    no_normal = (f"a Farkas ray on {np.count_nonzero(ray)} of the {W.shape[1]} generators "
+                 "gives W lam = -e_0" if sigma_hat is None else "")
+    no_abnormal = (f"the state parts of the {len(proj.generators)} generators and +- the "
+                   f"final basis span R^{m} with margin {margin:.3e}")
+    attempts, found = [], []
+    for p0, p_b, why in ((-1.0, None if no_normal else sigma_hat[1:], no_normal),
+                         (0.0, alpha, no_abnormal)):
+        feasible, reason = (False, why) if p_b is None else lift(p0, p_b)
+        attempts.append({"p0": p0, "p_b": None if p_b is None else p_b.tolist(),
+                         "feasible": feasible, "reason": reason})
+        found.append(p_b if feasible else None)
+    normal_terminal, abnormal_terminal = found
+
+    certificate = None
+    if normal_terminal is not None:
+        classification = "normal"
+        if margin > CLASSIFY_TOL:
+            classification = "strict_normal_certificate"
+            certificate = "no abnormal lift exists: " + no_abnormal
+    elif abnormal_terminal is not None:
+        classification = "abnormal"
+        if no_normal:
+            classification = "strict_abnormal_certificate"
+            certificate = "no normal lift exists: " + no_normal
+    else:
+        classification = "undetermined"
+    return ClassificationResult(classification, certificate, normal_terminal,
+                                abnormal_terminal, tuple(attempts))
 
 
 @dataclass

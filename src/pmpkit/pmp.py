@@ -1,4 +1,4 @@
-"""Hamiltonian maximization, adjoint flow, condition checks, classification.
+"""Hamiltonian maximization, adjoint flow and condition checks.
 
 The Hamiltonian of a control system with cost rate F is
 H(p0, p, x, u) = p0 F(x, u) + p . f(x, u) with a constant p0 <= 0.  A
@@ -6,11 +6,7 @@ candidate trajectory is an extremal when an adjoint curve exists making the
 reference control a pointwise maximizer of H, keeping H constant in time
 (zero, when the final time is free), with (p0, p) never vanishing and p
 annihilating the tangent spaces of the boundary manifolds.  `check_pmp`
-measures all of these as residuals on the integration grid;
-`classify_extremal` separates the extended needle cone at the endpoint, as
-the principle's proof does, by two small LPs: one for a lift with p0 = -1
-and one for p0 = 0.  When one LP has no solution, that proves that no lift
-of its kind exists, and the result carries a strict certificate.
+measures all of these as residuals on the integration grid.
 """
 
 from __future__ import annotations
@@ -23,34 +19,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .cone_geometry import (
-    ConeCertificateError,
-    GeneratedCone,
-    _checked_hyperplane,
-    _residual_lp,
-    rank_split,
-    supporting_hyperplane,
-    unit_directions,
-)
-from .control_system import (
-    ControlSignal,
-    ControlSystem,
-    ExtendedTrajectory,
-    Trajectory,
-    extend,
-    simulate,
-)
-from .flows import FlowBlowUpError, IntegratorConfig, _all_finite, _recorded_step, rk4_step
-from ._simplex import DEFAULT_TOL, solve_standard
+from .cone_geometry import rank_split, unit_directions
+from .control_system import ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory
+from .flows import FlowBlowUpError, _all_finite, _recorded_step, rk4_step
 
 
 class UnboundedHamiltonianError(RuntimeError):
     """The Hamiltonian grows without bound along a ray of the control set."""
-
-
-class NeedleOverflowError(RuntimeError):
-    """A needle's vector is not finite, at its time or carried on: a
-    numerical failure of the dynamics at its control, not bad input."""
 
 
 class UnsupportedMaximizationError(RuntimeError):
@@ -347,24 +322,17 @@ def _grid_refine(H, lo, hi):
             "grid refinement supports at most 3 control dimensions")
     cur_lo, cur_hi = lo.copy(), hi.copy()
     g = GRID_POINTS
-    best = None
     for _ in range(60):
         axes = [np.linspace(cur_lo[j], cur_hi[j], g) for j in range(lo.size)]
-        best_u, best_v = None, -np.inf
-        for combo in itertools.product(*axes):
-            u = np.array(combo)
-            v = H(u)
-            if v > best_v:
-                best_u, best_v = u, v
-        best = best_u, best_v
+        best_u, best_v = _pick_best(map(np.array, itertools.product(*axes)), H)
         cell = (cur_hi - cur_lo) / (g - 1)
         # with no H above -inf on the grid there is nothing to refine
         # around: u_star is None, as `_pick_best` returns it
         if np.max(cell) <= GRID_RESOLUTION or best_u is None:
-            return best
+            break
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)
-    return best
+    return best_u, best_v
 
 
 def _maximizer(sys: ControlSystem, p0: float):
@@ -586,204 +554,3 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
         cls = "abnormal"
     return PMPReport(res_3a=res_3a, res_3b=res_3b, res_3c=res_3c, res_3d=res_3d,
                      res_3e=res_3e, classification=cls, tol=tol)
-
-
-def _carried(B, v, what):
-    """B^T v: the vector v at a node carried to the end of the sweep whose
-    block there is B.  NeedleOverflowError names `what` if it is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = B.T @ v
-    if not np.all(np.isfinite(g)):
-        raise NeedleOverflowError(f"non-finite transported {what}")
-    return g
-
-
-def _normal_separation(W, tol):
-    """Stage 1 on the generator columns W, cost row first: (sigma_hat, None),
-    sigma_hat = (-1, p) with p the l1-smallest covector with p . g_x <= g_0
-    on every column, or (None, lam) when there is none, lam >= 0 a Farkas
-    ray with W lam = -e_0.  The LP is the dual of min |p|_1: min g_0 . lam
-    over lam >= 0 with |G_x lam| <= 1, 2m rows for any number of columns; p
-    is its row duals y+ - y-, and it is unbounded exactly when there is no
-    p.  Both answers are checked on W (ConeCertificateError)."""
-    m, k = W.shape[0] - 1, W.shape[1]
-    A = np.hstack((np.vstack((W[1:], -W[1:])), np.eye(2 * m)))
-    res = solve_standard(np.concatenate((W[0], np.zeros(2 * m))), A, np.ones(2 * m))
-    if res.ok:
-        return _checked_hyperplane(W, np.concatenate(([-1.0], res.y[:m] - res.y[m:])), tol), None
-    down = -np.eye(m + 1)[0]
-    lam = _residual_lp(W, down, tol).x[:k]
-    miss = float(np.abs(W @ lam - down).sum())
-    if not miss <= tol * (1.0 + float(np.abs(W).sum(axis=0) @ lam)):
-        raise ConeCertificateError("Farkas ray misses W lam = -e_0 by %.3e" % miss)
-    return None, lam
-
-
-def _lifted(basis):
-    """+- each final basis vector with a zero cost entry in front."""
-    return [np.concatenate(([0.0], s * np.asarray(w, dtype=float).ravel()))
-            for s in (1.0, -1.0) for w in basis or ()]
-
-
-def terminal_covector_from_cone(cone_b, final_tangent_basis=None,
-                                tol: float = 1e-9) -> Optional[np.ndarray]:
-    """Nonzero sigma_hat (cost component first), sigma_hat_0 <= 0, with
-    sigma_hat . g <= 0 on every generator and on +- the lifted final tangent
-    basis: stage 1 (`_normal_separation`) with sigma_hat_0 = -1, else stage 2
-    with sigma_hat_0 = 0, a supporting hyperplane of the state parts.  None
-    certifies that the downward cost direction is interior to the cone.  The
-    answer is checked to tol |sigma_hat| |g| (ConeCertificateError)."""
-    cone = cone_b.cone if hasattr(cone_b, "cone") else cone_b
-    W = GeneratedCone(cone.generators + _lifted(final_tangent_basis), n=cone.n).matrix
-    sigma_hat, _ = _normal_separation(W, tol)
-    if sigma_hat is not None or cone.n == 1:
-        return sigma_hat
-    alpha = supporting_hyperplane(GeneratedCone(list(W[1:].T), n=cone.n - 1), tol)
-    return None if alpha is None else np.concatenate(([0.0], alpha))
-
-
-def _spanning_margin(cone) -> float:
-    """r with alpha . g >= r |alpha| |g| on some generator g for every
-    alpha != 0, or 0.0 when the cone does not span R^n.  Each +-e_j is a
-    combination of the unit generators of least weight sum L_j, so the
-    ball of radius r = 1 / (sqrt(n) max L_j) about 0 lies in their hull.
-    Each combination is checked; ConeCertificateError is raised otherwise."""
-    unit = cone.matrix / np.linalg.norm(cone.matrix, axis=0)
-    most = 0.0
-    for z in np.vstack((np.eye(cone.n), -np.eye(cone.n))):
-        res = solve_standard(np.ones(unit.shape[1]), unit, z)
-        if not res.ok:
-            return 0.0
-        miss = float(np.abs(unit @ res.x - z).sum())
-        if not miss <= DEFAULT_TOL * (1.0 + res.value):
-            raise ConeCertificateError("spanning combination misses e_j by %.3e" % miss)
-        most = max(most, res.value)
-    return 1.0 / (math.sqrt(cone.n) * most)
-
-
-# classify_extremal's residual tolerance of a lift
-CLASSIFY_TOL = 1e-6
-
-
-@dataclass
-class ClassificationResult:
-    classification: str
-    certificate: Optional[str]
-    normal_terminal: Optional[np.ndarray]
-    abnormal_terminal: Optional[np.ndarray]
-    attempts: Tuple[dict, ...]
-
-
-def classify_extremal(sys: ControlSystem, traj: Trajectory, control: ControlSignal,
-                      bounds: BoundarySpec,
-                      cfg: Optional[IntegratorConfig] = None) -> ClassificationResult:
-    """Find lifts with p0 = -1 and p0 = 0 by separating the extended needle
-    cone at b, as the multiplier (p0, p_b) does in the principle's proof
-    (Agrachev & Sachkov, Control Theory from the Geometric Viewpoint, ch. 12).
-
-    With B_n and c_n the blocks at node n of one adjoint sweep of the unit
-    covectors and of p0 = -1, a needle at node n to the control v gives
-    (dF - c_n . df, B_n^T df), d the change of (F, f) from the reference
-    control: u(t), or at a switch either one-sided value.  The controls v
-    are a bounded box's vertices, a finite set's points, or else the
-    maximizer's probe points (`_probes`).  Free time adds +-(F_b, f_b) with
-    u(b-), and an initial manifold +- each tangent vector carried from a.
-    Stage 1 of `terminal_covector_from_cone` gives the normal candidate and
-    stage 2 the abnormal one; `check_pmp` verifies each at CLASSIFY_TOL,
-    and `attempts` holds one entry per stage.  A stage without a covector
-    proves that no lift of its kind exists, certified by a Farkas ray or
-    for p0 = 0 by the cone's `_spanning_margin` above CLASSIFY_TOL.
-    """
-    if sys.extended:
-        raise ValueError("classify_extremal expects the base control system")
-    m = sys.m
-    x0 = np.asarray(traj.states[0], dtype=float).ravel()
-    if x0.size != m:
-        raise ValueError("trajectory state dimension does not match the system")
-    cfg = cfg or IntegratorConfig(step=1e-2 * (control.b - control.a))
-
-    xsys = extend(sys)
-    ext_traj = simulate(xsys, control, np.concatenate(([0.0], x0)), cfg)
-    base = ext_traj.project(sys)
-    # the adjoint is linear in (p0, p_b): one sweep of the unit covectors
-    # with p0 = 0 and of p_b = 0 with p0 = -1 gives every candidate's
-    sweep = adjoint_flows(sys, base, np.hstack((np.eye(m), np.zeros((m, 1)))),
-                          [0.0] * m + [-1.0])
-    # the transpose of [[1, 0], [-c_n, B_n]] carries (dF, df) at node n to b
-    blocks = np.zeros((len(base.grid), m + 1, m + 1))
-    blocks[:, 0, 0], blocks[:, 1:, 0], blocks[:, 1:, 1:] = 1.0, -sweep[:, :, m], sweep[:, :, :m]
-
-    U = sys.control_set
-    if U.kind == "finite":
-        tests = list(U.points)
-    elif U.kind == "box" and np.all(np.isfinite(U.lo)) and np.all(np.isfinite(U.hi)):
-        tests = [np.array(v) for v in itertools.product(*zip(U.lo, U.hi))]
-    else:
-        pr = _probes(U)
-        tests = ([pr.u0] + [u for pair in pr.axis.values() for u in pair]
-                 + [u for _, _, u, _ in pr.pairs] + [u for u, _ in pr.checks])
-    gens: List[np.ndarray] = []
-    for n, (t, xh) in enumerate(zip(base.grid.tolist(), ext_traj.states)):
-        # the extended dynamics give (F, f); a switch has two references
-        sw = [j for j, s in enumerate(control.switch_times) if abs(t - s) <= 1e-12 * (1.0 + abs(s))]
-        refs = control.values[sw[0]:sw[0] + 2] if sw else [control.value_at(t)]
-        rates = [xsys.dynamics(xh, v) for v in tests]
-        for ref in refs:
-            d0 = xsys.dynamics(xh, ref)
-            gens += [_carried(blocks[n], r - d0, f"needle vector at t={t!r}, u={v.tolist()!r}")
-                     for v, r in zip(tests, rates)]
-    if bounds.mode == "free_time":
-        axis = xsys.dynamics(ext_traj.states[-1], control.value_at(control.b))
-        gens += [axis, -axis]
-    for w in bounds.initial or ():
-        g = _carried(blocks[0], np.concatenate(([0.0], w)), "initial-manifold vector")
-        gens += [g, -g]
-    W = GeneratedCone(gens + _lifted(bounds.final), n=m + 1).matrix
-
-    def lift(p0, p_b):
-        """(feasible, reason): check_pmp's verdict on the lift (p0, p_b)."""
-        sigma = sweep[:, :, :m] @ p_b - p0 * sweep[:, :, m]
-        adj = AdjointCurve(grid=base.grid.copy(), sigma0=p0, sigma=sigma)
-        try:
-            rep = check_pmp(sys, Extremal(ext_traj, control, adj), bounds, CLASSIFY_TOL)
-        except UnboundedHamiltonianError as e:
-            return False, f"unbounded Hamiltonian: {e}"
-        worst = max(rep.res_3a, rep.res_3b, *rep.res_3e)
-        # the p0 = 0 problem is homogeneous, so its lift is judged by the
-        # scale-invariant ratio residual / covector norm
-        scale, least = (1.0, CLASSIFY_TOL) if p0 else (rep.res_3c, 0.0)
-        return (worst <= CLASSIFY_TOL * scale and rep.res_3c > least,
-                f"worst residual {worst:.3e}, least |(p0, p)| {rep.res_3c:.3e}")
-
-    sigma_hat, ray = _normal_separation(W, DEFAULT_TOL)
-    proj = GeneratedCone(list(W[1:].T), n=m)
-    alpha = supporting_hyperplane(proj)
-    margin = 0.0 if alpha is not None else _spanning_margin(proj)
-    no_normal = (f"a Farkas ray on {np.count_nonzero(ray)} of the {W.shape[1]} generators "
-                 "gives W lam = -e_0" if sigma_hat is None else "")
-    no_abnormal = (f"the state parts of the {len(proj.generators)} generators and +- the "
-                   f"final basis span R^{m} with margin {margin:.3e}")
-    attempts, found = [], []
-    for p0, p_b, why in ((-1.0, None if no_normal else sigma_hat[1:], no_normal),
-                         (0.0, alpha, no_abnormal)):
-        feasible, reason = (False, why) if p_b is None else lift(p0, p_b)
-        attempts.append({"p0": p0, "p_b": None if p_b is None else p_b.tolist(),
-                         "feasible": feasible, "reason": reason})
-        found.append(p_b if feasible else None)
-    normal_terminal, abnormal_terminal = found
-
-    certificate = None
-    if normal_terminal is not None:
-        classification = "normal"
-        if margin > CLASSIFY_TOL:
-            classification = "strict_normal_certificate"
-            certificate = "no abnormal lift exists: " + no_abnormal
-    elif abnormal_terminal is not None:
-        classification = "abnormal"
-        if no_normal:
-            classification = "strict_abnormal_certificate"
-            certificate = "no normal lift exists: " + no_normal
-    else:
-        classification = "undetermined"
-    return ClassificationResult(classification, certificate, normal_terminal,
-                                abnormal_terminal, tuple(attempts))

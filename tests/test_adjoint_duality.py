@@ -8,7 +8,10 @@ equals (p0, p(b)) paired with the needle vector of (tau, v) carried to b:
 the maximum condition at tau is the needle-cone separation at b.  A backward
 scheme of its own keeps both only to its O(h^4) error.  `pmp.adjoint_flows`
 steps a block of covectors back through one retrace per step, and each of
-its columns is the adjoint_flow of that column.
+its columns is the adjoint_flow of that column.  The extended system's
+sweep of the m + 1 unit covectors equals, to rounding, the blocks
+[[1, 0], [-c_n, B_n]] of the base sweep of the m unit covectors and of
+p0 = -1.
 """
 
 import dataclasses
@@ -19,8 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmpkit import cli, pmp
-from pmpkit.control_system import extend, signal_field, simulate
+from pmpkit.control_system import ControlSignal, ControlSystem, box, extend, signal_field, simulate
 from pmpkit.flows import IntegratorConfig, tangent_lift_flows
+from pmpkit.perturbations import NeedleData, Provenance, _generators
 
 from test_shared_work import smooth_systems
 
@@ -101,3 +105,49 @@ def test_maximum_condition_gap_is_the_needle_pairing_at_b(step, p0):
         _, (needle,) = tangent_lift_flows(signal_field(esys, u), u.b, tau, x, [jump], cfg)
         at_b = float(sigma_b @ needle)
         assert abs(at_tau - at_b) <= 1e-10 * np.linalg.norm(sigma_b) * np.linalg.norm(needle), tau
+
+
+def dense_switched():
+    """A user-callable system with a dense Jacobian and a state-dependent
+    cost, and a control with one switch."""
+    sys = ControlSystem(
+        m=2, k=1,
+        f=lambda x, u: np.array([np.sin(x[1]) + 0.5 * x[0] + u[0],
+                                 -x[0] + 0.3 * x[0] * x[1] + u[0] ** 2]),
+        df_dx=lambda x, u: np.array([[0.5, np.cos(x[1])], [-1.0 + 0.3 * x[1], 0.3 * x[0]]]),
+        control_set=box([-1.0], [1.0]),
+        F=lambda x, u: float(x[0] ** 2 + x[0] * x[1] + u[0] ** 2),
+        dF_dx=lambda x, u: np.array([2.0 * x[0] + x[1], x[0]]))
+    u = ControlSignal(0.0, 1.5, (0.7,), ((1.0,), (-0.5,)))
+    return sys, u, IntegratorConfig(step=0.01)
+
+
+def test_extended_sweep_matches_the_base_sweep_blocks():
+    # the base sweep of the m unit covectors with p0 = 0 and of p_b = 0
+    # with p0 = -1 gives B_n and c_n; the transpose of [[1, 0], [-c_n, B_n]]
+    # carries (dF, df) at node n to b, as the extended system's sweep does
+    sys, u, cfg = dense_switched()
+    m = sys.m
+    ext = simulate(extend(sys), u, [0.0, 0.4, -0.3], cfg)
+    sweep = pmp.adjoint_flows(sys, ext.project(sys), np.hstack((np.eye(m), np.zeros((m, 1)))),
+                              [0.0] * m + [-1.0])
+    blocks = np.zeros((len(ext.grid), m + 1, m + 1))
+    blocks[:, 0, 0], blocks[:, 1:, 0], blocks[:, 1:, 1:] = 1.0, -sweep[:, :, m], sweep[:, :, :m]
+    got = pmp.adjoint_flows(extend(sys), ext, np.eye(m + 1))
+    assert np.max(np.abs(got - blocks)) <= 1e-14 * np.max(np.abs(blocks))
+
+
+def test_needle_naming_its_lebesgue_reference_keeps_the_bits():
+    # reference u(t1) named at a Lebesgue time is the rule's default, on
+    # either arc, at a grid node (0.25) or not (1.13)
+    sys, u, cfg = dense_switched()
+    traj = simulate(sys, u, [0.4, -0.3], cfg)
+
+    def records(named):
+        return [Provenance(kind="needle", source_time=t, needle=NeedleData(t, 1.0, [v]),
+                           reference=u.value_at(t) if named else None)
+                for t in (0.25, 0.5, 1.13) for v in (-1.0, 0.3, 1.0)]
+
+    plain, _ = _generators(sys, traj, records(False), 1.4, cfg)
+    named, _ = _generators(sys, traj, records(True), 1.4, cfg)
+    assert [g.tobytes() for g in named] == [g.tobytes() for g in plain]

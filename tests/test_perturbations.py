@@ -23,6 +23,7 @@ from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import (
     NeedleData,
     NeedleLayoutError,
+    NeedleOverflowError,
     PerturbationCone,
     Provenance,
     RealizationError,
@@ -62,7 +63,90 @@ def rest_trajectory(b=1.0):
     return simulate(double_integrator(), constant_signal(0.0, b, [0.0]), [0.0, 0.0])
 
 
+# times, lengths and values of the needle-layout properties are multiples
+# of 1/16 on the horizon [0, 4], so every interval end is exact
+UNIT = 1.0 / 16.0
+
+
+@st.composite
+def needle_signals(draw):
+    """A piecewise-constant u on [0, 4] and a needle scale s."""
+    cuts = sorted(draw(st.lists(st.integers(1, 63), unique=True, max_size=4)))
+    values = draw(st.lists(st.integers(-2, 2), min_size=len(cuts) + 1,
+                           max_size=len(cuts) + 1))
+    u = ControlSignal(0.0, 4.0, tuple(c * UNIT for c in cuts), tuple((v,) for v in values))
+    return u, draw(st.sampled_from((0.5, 1.0)))
+
+
+def needles_in(draw, s, t1, room):
+    """One to three needles at t1 whose stacked intervals take at most
+    room units at scale s; zero lengths included."""
+    needles = []
+    for _ in range(draw(st.integers(1, 3))):
+        units = draw(st.integers(0, room))
+        room -= units
+        needles.append(NeedleData(t1 * UNIT, units * UNIT / s, [draw(st.integers(-2, 2))]))
+    return needles
+
+
+@st.composite
+def valid_layouts(draw):
+    """Needle groups at distinct times whose intervals lie in (0, 4] and
+    meet at most at an end, listed in a drawn order of the groups."""
+    u, s = draw(needle_signals())
+    ends = sorted(draw(st.lists(st.integers(1, 64), unique=True, min_size=1, max_size=4)))
+    groups = [needles_in(draw, s, t1, t1 - prev - (prev == 0))
+              for prev, t1 in zip([0] + ends, ends)]
+    return u, s, [n for g in draw(st.permutations(groups)) for n in g]
+
+
+@st.composite
+def invalid_layouts(draw):
+    """A layout with two overlapping needle groups, or one whose interval
+    reaches the start or whose time passes the end."""
+    u, s = draw(needle_signals())
+    kind = draw(st.sampled_from(("overlap", "start", "end")))
+    if kind == "overlap":
+        t1 = draw(st.integers(2, 63))
+        t2 = draw(st.integers(t1 + 1, 64))
+        units = [draw(st.integers(1, t1 - 1)), draw(st.integers(t2 - t1 + 1, t2 - 1))]
+        times = [t1, t2]
+    elif kind == "start":
+        times = [draw(st.integers(1, 64))]
+        units = [draw(st.integers(times[0], 80))]
+    else:
+        times, units = [draw(st.integers(65, 80))], [1]
+    needles = [NeedleData(t * UNIT, n * UNIT / s, [1.0]) for t, n in zip(times, units)]
+    return u, s, draw(st.permutations(needles))
+
+
 class TestApplyNeedle:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(valid_layouts())
+    def test_valid_layout_overrides_exactly_the_needle_intervals(self, case):
+        u, s, needles = case
+        out = apply_needle_suite(u, needles, s)
+        # later-listed needles at a time sit innermost, ending at t1
+        spans, ends = [], {}
+        for n in reversed(needles):
+            hi = ends.get(n.t1, n.t1)
+            ends[n.t1] = hi - n.l1 * s
+            spans.append((hi - n.l1 * s, hi, n.u1))
+        cuts = sorted({u.a, u.b, *u.switch_times, *(e for lo, hi, _ in spans for e in (lo, hi))})
+        for lo, hi in zip(cuts, cuts[1:]):
+            mid = 0.5 * (lo + hi)
+            want = next((v for a, b, v in spans if a <= mid < b), u.value_at(mid))
+            assert np.array_equal(out.value_at(mid), want)
+        assert (out.a, out.b) == (u.a, u.b)
+        assert all(u.a < t < u.b for t in out.switch_times)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(invalid_layouts())
+    def test_overlapping_or_escaping_layout_is_refused(self, case):
+        u, s, needles = case
+        with pytest.raises(NeedleLayoutError):
+            apply_needle_suite(u, needles, s)
+
     def test_zero_length_noop(self):
         u = constant_signal(0.0, 2.0, [0.0])
         assert apply_needle_suite(u, [NeedleData(1.0, 0.0, [1.0])], 0.1) is u
@@ -350,6 +434,28 @@ class TestTimeCone:
                 assert np.allclose(g, [0.5, 1.0], atol=1e-9)
             if p.kind == "axis-":
                 assert np.allclose(g, [-0.5, -1.0], atol=1e-9)
+
+    def test_overflowing_axis_is_a_numerical_failure(self):
+        # f overflows at x(b) alone, which no RK4 stage of the path visits,
+        # so the final-time axis f(x(b), u(b-)) is the one generator that
+        # meets it: a numerical failure, not GeneratedCone's bad-input
+        # ValueError for a non-finite generator
+        trap = []
+
+        def f(x, u):
+            rate = float(u[0]) - float(x[0])
+            return np.array([rate * 1e308 * 10.0 if x.tolist() == trap else rate])
+
+        sys = ControlSystem(m=1, k=1, f=f, df_dx=lambda x, u: -np.ones((1, 1)),
+                            control_set=box([-1.0], [1.0]))
+        u = constant_signal(0.0, 1.0, [1.0])
+        cfg = IntegratorConfig(step=0.25)
+        traj = simulate(sys, u, [0.0], cfg)
+        trap.extend(traj.endpoint.tolist())
+        # simulated again with the trap set, the path keeps its bits
+        assert np.array_equal(simulate(sys, u, [0.0], cfg).states, traj.states)
+        with pytest.raises(NeedleOverflowError, match="final-time axis at t=1.0"):
+            build_time_cone(sys, traj, 1.0, {"times": [0.5], "controls": [[-1.0]]}, cfg)
 
     def test_switch_time_rejected(self):
         sys = double_integrator()

@@ -17,7 +17,7 @@ from pmpkit.control_system import (
 from pmpkit.flows import IntegratorConfig, cotangent_lift_flow, tangent_lift_flows
 from pmpkit.cone_geometry import ConeCertificateError, GeneratedCone, null_space
 from pmpkit.perturbations import NeedleData, class1_vector
-from pmpkit import pmp
+from pmpkit import perturbations, pmp
 
 
 def double_integrator():
@@ -363,16 +363,16 @@ class TestInvariants:
 
 class TestTerminalCovector:
     def test_trivial_cone(self):
-        sh = pmp.terminal_covector_from_cone(GeneratedCone([], n=3))
+        sh = perturbations.terminal_covector_from_cone(GeneratedCone([], n=3))
         assert sh == pytest.approx([-1.0, 0.0, 0.0])
 
     def test_full_cone_has_no_covector(self):
         gens = [v for i in range(3) for v in (np.eye(3)[i], -np.eye(3)[i])]
-        assert pmp.terminal_covector_from_cone(GeneratedCone(gens, n=3)) is None
+        assert perturbations.terminal_covector_from_cone(GeneratedCone(gens, n=3)) is None
 
     def test_single_state_generator(self):
         g = np.array([0.0, 2.0, 1.0])
-        sh = pmp.terminal_covector_from_cone(GeneratedCone([g], n=3))
+        sh = perturbations.terminal_covector_from_cone(GeneratedCone([g], n=3))
         assert sh[0] == -1.0
         assert float(sh @ g) <= 1e-9
 
@@ -381,7 +381,7 @@ class TestTerminalCovector:
         # state covector
         gens = [np.array([-0.3, 0.0, -1.0])]
         basis = [np.array([1.0, 0.0])]
-        sh = pmp.terminal_covector_from_cone(GeneratedCone(gens, n=3), basis)
+        sh = perturbations.terminal_covector_from_cone(GeneratedCone(gens, n=3), basis)
         assert sh[0] == -1.0
         assert abs(sh[1]) <= 1e-9
         assert float(sh @ gens[0]) <= 1e-9
@@ -390,7 +390,7 @@ class TestTerminalCovector:
     def test_degenerate_multiplier_fallback(self):
         # generators force sigma0 = 0; the state part still separates
         gens = [np.array([-1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])]
-        sh = pmp.terminal_covector_from_cone(GeneratedCone(gens, n=3))
+        sh = perturbations.terminal_covector_from_cone(GeneratedCone(gens, n=3))
         assert sh is not None
         assert sh[0] == 0.0
         assert np.linalg.norm(sh[1:]) > 1e-9
@@ -400,7 +400,7 @@ class TestTerminalCovector:
     def test_annihilates_final_basis(self):
         g = np.array([0.0, 2.0, 1.0])
         basis = [np.array([0.0, 1.0])]
-        sh = pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
+        sh = perturbations.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
         assert abs(sh[2]) <= 1e-9
 
     # the LP's row duals y = (y+, y-), p = y+ - y- = 0, moved by one on the
@@ -408,17 +408,17 @@ class TestTerminalCovector:
     # basis vector
     @pytest.mark.parametrize("basis, entry", [(None, 0), ([np.array([0.0, 1.0])], 3)])
     def test_damaged_stage_one_optimum_is_refused(self, monkeypatch, basis, entry):
-        solve = pmp.solve_standard
+        solve = perturbations.solve_standard
 
         def damaged(*args, **kwargs):
             res = solve(*args, **kwargs)
             res.y[entry] += 1.0
             return res
 
-        monkeypatch.setattr(pmp, "solve_standard", damaged)
+        monkeypatch.setattr(perturbations, "solve_standard", damaged)
         g = np.array([0.0, 2.0, 1.0])
         with pytest.raises(ConeCertificateError, match="misses a generator"):
-            pmp.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
+            perturbations.terminal_covector_from_cone(GeneratedCone([g], n=3), basis)
 
 
 class TestClassify:
@@ -426,8 +426,8 @@ class TestClassify:
         sys = scalar_energy()
         u = constant_signal(0.0, 1.0, (0.0,))
         traj = simulate(sys, u, np.zeros(1), IntegratorConfig(step=0.01))
-        res = pmp.classify_extremal(sys, traj, u,
-                                    pmp.BoundarySpec(mode="fixed_time"))
+        res = perturbations.classify_extremal(sys, traj,
+                                              pmp.BoundarySpec(mode="fixed_time"))
         assert res.classification == "strict_normal_certificate"
         assert res.normal_terminal == pytest.approx([0.0])
         assert res.abnormal_terminal is None
@@ -442,8 +442,8 @@ class TestClassify:
                             dF_dx=lambda x, u: np.zeros(1))
         u = constant_signal(0.0, 1.0, (0.0,))
         traj = simulate(sys, u, np.zeros(1), IntegratorConfig(step=0.01))
-        res = pmp.classify_extremal(sys, traj, u,
-                                    pmp.BoundarySpec(mode="free_time"))
+        res = perturbations.classify_extremal(sys, traj,
+                                              pmp.BoundarySpec(mode="free_time"))
         assert res.classification in ("abnormal", "strict_abnormal_certificate")
         assert res.abnormal_terminal is not None
         assert np.linalg.norm(res.abnormal_terminal) > 1e-9
@@ -453,11 +453,11 @@ class TestClassify:
         sys = double_integrator()
         u = ControlSignal(0.0, 2.0, (1.0,), ((1.0,), (-1.0,)))
         traj = simulate(sys, u, np.zeros(2), IntegratorConfig(step=0.005))
-        res = pmp.classify_extremal(sys, traj, u,
-                                    pmp.BoundarySpec(mode="free_time"))
+        res = perturbations.classify_extremal(sys, traj,
+                                              pmp.BoundarySpec(mode="free_time"))
         assert res.classification in ("normal", "strict_normal_certificate")
         assert res.normal_terminal is not None
-        # the search recovers the analytic terminal covector (1, -1)
+        # the separation recovers the analytic terminal covector (1, -1)
         assert res.normal_terminal == pytest.approx([1.0, -1.0], abs=1e-9)
 
     @pytest.mark.parametrize("switch", [0.7, 0.37])
@@ -470,12 +470,12 @@ class TestClassify:
         cfg = IntegratorConfig(step=0.01)
         traj = simulate(sys, u, np.zeros(2), cfg)
         bounds = pmp.BoundarySpec(mode="fixed_time")
-        res = pmp.classify_extremal(sys, traj, u, bounds, cfg)
+        res = perturbations.classify_extremal(sys, traj, bounds)
         p_b = res.abnormal_terminal
         assert p_b / p_b[0] == pytest.approx([1.0, -(2.0 - switch)], abs=1e-9)
         ext_traj = simulate(extend(sys), u, np.zeros(3), cfg)
         adj = pmp.adjoint_flow(sys, ext_traj.project(sys), 0.0, p_b)
-        rep = pmp.check_pmp(sys, pmp.Extremal(ext_traj, u, adj), bounds, pmp.CLASSIFY_TOL)
+        rep = pmp.check_pmp(sys, pmp.Extremal(ext_traj, u, adj), bounds, perturbations.CLASSIFY_TOL)
         assert rep.classification == "abnormal"
 
     def test_non_extremal_undetermined(self):
@@ -484,8 +484,8 @@ class TestClassify:
         sys = double_integrator()
         u = constant_signal(0.0, 2.0, (0.3,))
         traj = simulate(sys, u, np.zeros(2), IntegratorConfig(step=0.01))
-        res = pmp.classify_extremal(sys, traj, u,
-                                    pmp.BoundarySpec(mode="free_time"))
+        res = perturbations.classify_extremal(sys, traj,
+                                              pmp.BoundarySpec(mode="free_time"))
         assert res.classification == "undetermined"
         assert res.normal_terminal is None
         assert res.abnormal_terminal is None
@@ -494,8 +494,8 @@ class TestClassify:
         sys = scalar_energy()
         u = constant_signal(0.0, 1.0, (0.0,))
         traj = simulate(sys, u, np.zeros(1), IntegratorConfig(step=0.02))
-        res = pmp.classify_extremal(sys, traj, u,
-                                    pmp.BoundarySpec(mode="fixed_time"))
+        res = perturbations.classify_extremal(sys, traj,
+                                              pmp.BoundarySpec(mode="fixed_time"))
         # one attempt per separation
         assert len(res.attempts) == 2
         for att in res.attempts:
@@ -507,5 +507,5 @@ class TestClassify:
         u = constant_signal(0.0, 1.0, (0.0,))
         traj = simulate(sys, u, np.zeros(2), IntegratorConfig(step=0.05))
         with pytest.raises(ValueError):
-            pmp.classify_extremal(extend(sys), traj, u,
-                                  pmp.BoundarySpec(mode="fixed_time"))
+            perturbations.classify_extremal(extend(sys), traj,
+                                            pmp.BoundarySpec(mode="fixed_time"))

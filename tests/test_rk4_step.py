@@ -231,8 +231,9 @@ def test_pmp_interpolates_no_state():
 
 def test_package_has_one_hamiltonian_maximizer():
     # the quadratic fit, the axis maximum, the grid refinement and the pick
-    # of the best candidate run only in the bound maximizer, and shooting
-    # and check_pmp bind it rather than calling the public wrapper per state
+    # of the best candidate run only in the bound maximizer (grid refinement
+    # picks the best of each grid by `_pick_best`), and shooting and
+    # check_pmp bind it rather than calling the public wrapper per state
     helpers = {"_fit_quadratic", "_axis_max", "_grid_refine", "_pick_best"}
     helper_calls, public_calls = set(), set()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
@@ -248,7 +249,8 @@ def test_package_has_one_hamiltonian_maximizer():
                     helper_calls.add(where + (name,))
                 elif name == "maximize_hamiltonian":
                     public_calls.add(where)
-    assert {call[:2] for call in helper_calls} == {("pmp.py", "_maximizer")}
+    assert {call[:2] for call in helper_calls} == {("pmp.py", "_maximizer"),
+                                                   ("pmp.py", "_grid_refine")}
     assert {call[2] for call in helper_calls} == helpers
     assert not [where for where in public_calls
                 if where[0] == "shooting.py" or where == ("pmp.py", "check_pmp")]

@@ -1,6 +1,6 @@
 """Independent oracles for the separation of the extended needle cone at b.
 
-The stage-1 LP of `pmp.terminal_covector_from_cone` is checked against
+The stage-1 LP of `perturbations.terminal_covector_from_cone` is checked against
 scipy's HiGHS on random cones, and the multipliers that `shoot` finds on
 two golden problems are checked to separate the extended needle cone that
 `perturbations` builds for the extended system.
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog as scipy_linprog
 
-from pmpkit import cli, pmp
+from pmpkit import cli, perturbations
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import extend
 from pmpkit.flows import IntegratorConfig
@@ -52,8 +52,8 @@ def cones(draw):
 def test_stage_one_matches_highs(case):
     n, gens, basis = case
     m = n - 1
-    W = GeneratedCone(gens + pmp._lifted(basis), n=n).matrix
-    sigma_hat, ray = pmp._normal_separation(W, 1e-9)
+    W = GeneratedCone(gens + perturbations._lifted(basis), n=n).matrix
+    sigma_hat, ray = perturbations._normal_separation(W, 1e-9)
     # the primal, posed apart: min |p|_1 over p = p+ - p- with
     # p . g_x <= g_0 for every generator and p . w = 0 for every basis vector
     A_ub = [np.concatenate((g[1:], -g[1:])) for g in gens]
@@ -112,3 +112,4 @@ def test_shot_multiplier_separates_the_needle_cone(case, flip):
     assert worst_pairing(problem, extremal, sigma_hat) <= problem.tol
     flipped = sigma_hat * np.concatenate(([flip[0]], np.full(problem.sys.m, flip[1])))
     assert worst_pairing(problem, extremal, flipped) > problem.tol
+

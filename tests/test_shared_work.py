@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, grammar, pmp, shooting
+from pmpkit import cli, grammar, perturbations, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, signal_field, simulate)
@@ -393,12 +393,12 @@ def test_tangent_cone_makes_one_adjoint_sweep():
 def test_classification_makes_one_adjoint_sweep():
     # the adjoint is linear in (p0, p_b): the needle cone and both
     # candidates, one per separation, come from the m + 1 columns of one
-    # sweep
+    # sweep, along the trajectory on its own grid (step 0.005), so a grid
+    # of the classifier's own choosing would show in the counts
     sys, calls = counted_system(double_integrator(), ("df_dx", "dF_dx"))
     u = ControlSignal(0.0, 2.0, (1.0,), ((1.0,), (-1.0,)))
-    cfg = IntegratorConfig(step=0.01)
-    traj = simulate(sys, u, np.zeros(2), cfg)
-    res = pmp.classify_extremal(sys, traj, u, pmp.BoundarySpec(mode="fixed_time"), cfg)
+    traj = simulate(sys, u, np.zeros(2), IntegratorConfig(step=0.005))
+    res = perturbations.classify_extremal(sys, traj, pmp.BoundarySpec(mode="fixed_time"))
     assert res.classification == "normal" and len(res.attempts) == 2
     steps = len(traj.grid) - 1
     assert calls == {"df_dx": 4 * steps, "dF_dx": 4 * steps}
