@@ -305,15 +305,15 @@ def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
     """The field x' = f(x, u(t)), holding on each grid segment the value of
     u at its midpoint: the grid hits u's switches, so a step that ends on
     one keeps its own arc's control at every stage.  When f is the
-    grammar's generated dynamics, each piece carries its generated RK4
-    step with the piece's control bound."""
+    grammar's generated dynamics, each piece carries its generated runner
+    with the piece's control bound, as a list of floats."""
     rate, pieces = sys._rate, {}
-    step_function = getattr(sys.f, "step_function", None)
-    step = step_function and step_function()
+    runner = getattr(sys.f, "runner", None)
+    run = runner and runner()
     for v in u.values:
         pieces[id(v)] = X = TimeVectorField(
             sys.m, lambda _, x, v=v: rate(x, v), lambda _, x, v=v: sys.jac_x(x, v),
-            step and (lambda x, h, v=v.tolist(): step(x, v, h)))
+            run and (lambda y, ts, i0, i1, xs, v=v.tolist(): run(y, v, ts, i0, i1, xs)))
         X.eval.on_lists = True
     return PiecewiseField(sys.m, lambda t0, t1: pieces[id(u.value_at(0.5 * (t0 + t1)))],
                           u.switch_times)
@@ -351,7 +351,19 @@ def lebesgue_times(u: ControlSignal, candidates: Sequence[float]) -> List[float]
         t = float(t)
         if not (u.a < t < u.b):
             continue
-        if any(abs(t - s) <= 1e-12 * (1.0 + abs(s)) for s in u.switch_times):
+        if _switches_at(u.switch_times, t):
             continue
         out.append(t)
     return out
+
+
+def _switches_at(switch_times, t: float) -> List[int]:
+    """Indices j, in order, of the sorted switch_times s_j that the finite t
+    falls on: |t - s_j| <= 1e-12 (1 + |s_j|).  Such an s_j has
+    1 + |s_j| <= (1 + |t|) / (1 - 1e-12), so it lies within 2e-12 (1 + |t|)
+    of t, with room for the rounding of the window's ends; two bisections
+    find the switches in that window, and each is tested exactly."""
+    w = 2e-12 * (1.0 + abs(t))
+    return [j for j in range(bisect.bisect_left(switch_times, t - w),
+                             bisect.bisect_right(switch_times, t + w))
+            if abs(t - switch_times[j]) <= 1e-12 * (1.0 + abs(switch_times[j]))]

@@ -56,14 +56,17 @@ class TimeVectorField:
     `on_lists` runs on lists of floats.  When `jacobian` is None, central
     finite differences with step 1e-6 (1 + |x|) are used.  The grid hits the
     `switch_times` where a field may jump, and `on` gives the smooth field
-    of one grid segment.  An autonomous field may carry `step(x, h)`, the
-    list `rk4_step(eval, t, x, h, eval(t, x))` returns, bit for bit.
+    of one grid segment.  An autonomous field may carry `run(y, ts, i0, i1,
+    xs)`, which steps y from node i0 to node i1 of the grid ts and appends
+    each state to xs: the list `rk4_step(eval, t, x, h, eval(t, x))` returns
+    for h = ts[i + 1] - ts[i], bit for bit.  It returns the first node whose
+    state is not finite (that state appended too), or None.
     """
 
     dim: int
     eval: Callable
     jacobian: Callable | None = None
-    step: Callable | None = None
+    run: Callable | None = None
     switch_times = ()
 
     def jac(self, t, x):
@@ -120,7 +123,12 @@ def integration_grid(s, t, cfg=None):
     """Monotone grid from s to t, uniform at the base step but hitting every
     event time exactly.  Base nodes closer than 1e-9 of the span to an event
     are replaced by the event node, and an event time given again (0.0 and
-    -0.0 being equal) is dropped, so no step has length zero."""
+    -0.0 being equal) is dropped, so no step has length zero.
+
+    One searchsorted finds each base node's nearest events below and above.
+    The rounded |node - e| never falls as e moves away from the node, so a
+    node is within 1e-9 of the span of some event exactly when it is
+    within that of one of those two."""
     cfg = cfg or IntegratorConfig()
     s = float(s)
     t = float(t)
@@ -134,9 +142,11 @@ def integration_grid(s, t, cfg=None):
     events = list(dict.fromkeys(e for e in cfg.event_times if lo < e < hi))
     if events:
         inner = grid[1:-1]
-        keep = np.ones(inner.size, dtype=bool)
-        for e in events:
-            keep &= np.abs(inner - e) > 1e-9 * span
+        # ev[j - 1] < node <= ev[j], the infinities standing for no event
+        ev = np.array([-math.inf, *sorted(events), math.inf])
+        j = np.searchsorted(ev, inner)
+        near = np.minimum(inner - ev[j - 1], ev[j] - inner)
+        keep = near > 1e-9 * span
         # a stable sort keeps equal nodes (0.0 and -0.0) in this order
         grid = np.sort(np.concatenate(([lo], inner[keep], events, [hi])), kind="stable")
     if t < s:
@@ -186,19 +196,41 @@ def flow(X, t, s, x0, cfg=None):
     return np.array(_lifted_path(X, None, s, t, x0, (), cfg)[1][-1])
 
 
+def _runs(grid, switch_times):
+    """The steps of grid in runs, as pairs (i0, i1) of node indices in grid
+    order: a run is the steps from node i0 to node i1 whose midpoints
+    0.5 (t0 + t1) all have one index `bisect_right(sorted(switch_times),
+    midpoint)`.  A field that jumps only at switch_times and holds on each
+    step its value at the step's midpoint is one smooth field on a run.
+    The grid hits every switch, so a run is the steps between two switch
+    nodes, except that the midpoint of a step one ulp long may round onto
+    its end: such a step keeps the field its midpoint selects."""
+    n = len(grid) - 1
+    if n < 1:
+        return []
+    cuts = [0]
+    if switch_times and n > 1:
+        piece = np.searchsorted(np.sort(switch_times), 0.5 * (grid[:-1] + grid[1:]),
+                                side="right")
+        cuts += (np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist()
+    return list(zip(cuts, cuts[1:] + [n]))
+
+
 def _lifted_path(X, lift, s, t, x0, ws, cfg):
     """RK4 paths from s to t of x' = X and, along that one base path, of each
     w' = lift(dX/dx, w) with w(s) in ws: the package's one forward path loop.
     Returns the grid, then as lists the x path and the w paths.
 
-    The grid hits cfg's event times, then X's switch times, and each step
-    runs on X.on(t0, t1), whose eval gets each stage as an array unless it
-    is marked `on_lists`; lift gets w as an array.  x advances once a step
-    by rk4_step, recording dX/dx at its four stages if some w is nonzero,
-    or else by the segment field's own step when it carries one; each
-    nonzero w then advances by rk4_step on the recorded Jacobians.  RK4
-    is elementwise outside its right-hand side, so every w path has the bits
-    of the RK4 path of the stacked (x, w).  A zero w stays zero.
+    The grid hits cfg's event times, then X's switch times.  The loop walks
+    the grid's `_runs` between switches, and each run's steps run on
+    F = X.on(t0, t1) of its first step, whose eval gets each stage as an
+    array unless it is marked `on_lists`; lift gets w as an array.  When no
+    w is nonzero and F carries `run`, F.run steps x over the whole run.
+    Else x advances once a step by rk4_step, recording dX/dx at its four
+    stages if some w is nonzero, and each nonzero w then advances by
+    rk4_step on the recorded Jacobians.  Each step has h = t1 - t0.  RK4 is
+    elementwise outside its right-hand side, so every w path has the bits of
+    the RK4 path of the stacked (x, w).  A zero w stays zero.
     """
     cfg = cfg or IntegratorConfig()
     grid = integration_grid(s, t, IntegratorConfig(cfg.step, cfg.event_times + X.switch_times))
@@ -212,28 +244,32 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     def array_rate(tt, xx):
         return np.asarray(F.eval(tt, np.array(xx))).tolist()
 
-    for t0, t1 in zip(ts, ts[1:]):
-        h = t1 - t0
-        F = X.on(t0, t1)
-        if not live and F.step is not None:
-            x = F.step(x, h)
-        else:
-            rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
+    for i0, i1 in _runs(grid, X.switch_times):
+        F = X.on(ts[i0], ts[i0 + 1])
+        if not live and F.run is not None:
+            node = F.run(x, ts, i0, i1, xs)
+            if node is not None:
+                raise FlowBlowUpError(ts[node])
+            x = xs[-1]
+            continue
+        rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
+        for t0, t1 in zip(ts[i0:i1], ts[i0 + 1:i1 + 1]):
+            h = t1 - t0
             if live:
                 x, jacs = _recorded_step(rate, F.jac, t0, x, h)
             else:
                 x = rk4_step(rate, t0, x, h, rate(t0, x))
-        if not _all_finite(x):
-            raise FlowBlowUpError(t1)
-        xs.append(x)
-        for j in live:
-            stage = iter(jacs[1:])
-            w = rows[j][-1]
-            w = rk4_step(lambda tt, ww: lift(next(stage), np.array(ww)).tolist(), t0, w, h,
-                         lift(jacs[0], np.array(w)).tolist())
-            if not _all_finite(w):
+            if not _all_finite(x):
                 raise FlowBlowUpError(t1)
-            rows[j].append(w)
+            xs.append(x)
+            for j in live:
+                stage = iter(jacs[1:])
+                w = rows[j][-1]
+                w = rk4_step(lambda tt, ww: lift(next(stage), np.array(ww)).tolist(), t0, w, h,
+                             lift(jacs[0], np.array(w)).tolist())
+                if not _all_finite(w):
+                    raise FlowBlowUpError(t1)
+                rows[j].append(w)
     return grid, xs, rows
 
 

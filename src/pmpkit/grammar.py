@@ -6,8 +6,9 @@ cos and exp.  It is parsed by `ast`, validated node by node, differentiated
 symbolically in x, and read for its degree in u.
 
 Evaluation goes through generated Python functions: one per dynamics
-vector, cost, or exact Jacobian; one RK4 step of the dynamics; and, for
-shooting, the stage and the RK4 step of the coupled (x, p) field
+vector, cost, or exact Jacobian; one loop of RK4 steps of the dynamics over
+a run of grid nodes; and, for shooting, the stage and the RK4 step of the
+coupled (x, p) field
 x' = f, p' = c dF/dx - (df/dx)^T p, built when every column of df/dx has at
 most one entry that is not the number 0, so that its Python sums give the
 bits of numpy's J^T p.  `flows.rk4_step`, run on symbolic operands, writes
@@ -298,8 +299,8 @@ def _exact(body) -> bool:
 # code generation
 
 _GUARDED = (OverflowError, ZeroDivisionError, ValueError)
-_GLOBALS = {"__builtins__": {}, "float": float, "_real_pow": _real_pow,
-            "_sin": math.sin, "_cos": math.cos, "_exp": math.exp,
+_GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _real_pow,
+            "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
             "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array}
 
 
@@ -565,26 +566,52 @@ def _coupled_stage(code, bodies, jacobian, gradient):
     return stage
 
 
-def _rk4_step_code(code, name, params, y, stage, k1):
-    """The definition of name(*params) -> list: `flows.rk4_step` from the
-    operands y, with the step in the parameter h and the first stage k1, of
-    the field whose stage(v) evaluates it at the stage operands v into code.
+def _rk4_step_code(code, y, stage, k1):
+    """The expressions of the list `flows.rk4_step` returns from the
+    operands y, with the step in the local h and the first stage k1, of the
+    field whose stage(v) evaluates it at the stage operands v into code.
 
     rk4_step runs once on `_Operand`s, so the stage and combination
     arithmetic is its own, in its order.
     """
     step = rk4_step(lambda t, v: stage(v), 0.0, y, _Operand(code, "h"), k1)
-    return code.define(name, params, ast.List([v.expr() for v in step], _LOAD, **_POS))
+    return [v.expr() for v in step]
 
 
-def _dynamics_step_code(bodies, k):
-    """(code, definition) of dynamics_step(y, u, h) -> list: one RK4 step
-    of x' = f(x, u) from y with step h and u held, for the m trees `bodies`
-    of f; each of the four stages evaluates the entries as `dynamics` does,
-    each in its own try, on the stage's state held in locals."""
-    code, x = _field_code(bodies, k, len(bodies))
+def _dynamics_run_code(bodies, k):
+    """(code, definition) of dynamics_run(y, u, ts, i0, i1, xs) -> node:
+    the RK4 steps of x' = f(x, u) with u held from y at node i0 to node i1
+    of the grid ts, for the m trees `bodies` of f.  Step i has h = ts[i + 1]
+    - ts[i] and appends its state to xs as a list: the list `flows.rk4_step`
+    returns, whose stage and combination arithmetic `_rk4_step_code` writes
+    into the loop body; each of the four stages evaluates the entries as
+    `dynamics` does, each in its own try, on the stage's state held in
+    locals.  u and y are read through float once, before the loop.  The
+    function returns the first node whose state is not finite, that state
+    appended, or None."""
+    code, y = _field_code(bodies, k, len(bodies))
+    reads, code.body = code.body, []
     stage = _dynamics_stage(code, bodies)
-    return code, _rk4_step_code(code, "dynamics_step", ("y", "u", "h"), x, stage, stage(x))
+    new = [code.local(v) for v in _rk4_step_code(code, y, stage, stage(y))]
+    node = ast.BinOp(_name("i"), ast.Add(), ast.Constant(1, **_POS), **_POS)
+
+    def at(index):
+        return ast.Subscript(_name("ts"), index, _LOAD, **_POS)
+
+    finite = [_apply("_isfinite", _name(n)) for n in new]
+    loop = ([_assign("h", ast.BinOp(at(node), ast.Sub(), at(_name("i")), **_POS))]
+            + code.body
+            + [ast.Expr(ast.Call(ast.Attribute(_name("xs"), "append", _LOAD, **_POS),
+                                 [ast.List([_name(n) for n in new], _LOAD, **_POS)], [],
+                                 **_POS), **_POS),
+               ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), finite, **_POS)
+                                  if len(finite) > 1 else finite[0], **_POS),
+                      [ast.Return(node, **_POS)], [], **_POS)]
+            + [_assign(yi.name, _name(n)) for yi, n in zip(y, new)])
+    code.body = reads + [ast.For(_name("i", _STORE), _apply("range", _name("i0"), _name("i1")),
+                                 loop, [], **_POS)]
+    return code, code.define("dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"),
+                             ast.Constant(None, **_POS))
 
 
 def _coupled_step_code(bodies, jacobian, gradient, k, step):
@@ -600,7 +627,8 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
     k1 = [_Operand(code, code.local(ast.Subscript(_name("k1"), ast.Constant(i, **_POS),
                                                   _LOAD, **_POS)))
           for i in range(len(y))]
-    return code, _rk4_step_code(code, "coupled_step", ("y", "u", "h", "k1", "c"), y, stage, k1)
+    return code, code.define("coupled_step", ("y", "u", "h", "k1", "c"),
+                             ast.List(_rk4_step_code(code, y, stage, k1), _LOAD, **_POS))
 
 
 def _sums_like_numpy(jacobian, m):
@@ -635,11 +663,14 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries two generated RK4 steps with u held, each compiled on its first
+    carries two generated RK4 forms with u held, each compiled on its first
     call, since only some paths run it:
-    - `f.step_function()` returns step(x, u, h), one RK4 step of
-      x' = f(x, u) (n = m): the list `flows.rk4_step(lambda t, y: f(y, u),
-      t, x, h, f(x, u))` returns, bit for bit, as straight-line code.
+    - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
+      x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
+      one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
+      f(x, u), t, x, h, f(x, u))` returns for h = ts[i + 1] - ts[i], bit
+      for bit.  It returns the first node whose state is not finite (that
+      state appended), or None.
     - `f.coupled_step(df_dx, F, dF_dx)` returns (stage, step) for shooting's
       coupled field x' = f(x, u), p' = c dF/dx - (df/dx)^T p with c = -p0,
       for a system with Jacobian df_dx, cost F (None without a cost) and
@@ -674,9 +705,9 @@ def compile_dynamics(srcs, m: int, k: int):
                     entries.append(_derivative(body, j))
                     jacobian.entry(entries[-1])
 
-    def step_function():
-        code, step = _dynamics_step_code(bodies, k)
-        return code.compile(step)
+    def runner():
+        code, run = _dynamics_run_code(bodies, k)
+        return code.compile(run)
 
     @functools.cache
     def coupled_functions(gradient):
@@ -697,7 +728,7 @@ def compile_dynamics(srcs, m: int, k: int):
                 return coupled_functions(dF_dx)
         return None
 
-    dynamics.step_function = functools.cache(step_function)
+    dynamics.runner = functools.cache(runner)
     dynamics.coupled_step = coupled_step
     return dynamics, df, max_degree(degrees)
 

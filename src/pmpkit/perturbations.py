@@ -43,6 +43,7 @@ from .control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _switches_at,
     _write_csv,
     extend,
     lebesgue_times,
@@ -532,7 +533,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory,
                  + [v for _, _, v, _ in pr.pairs] + [v for v, _ in pr.checks])
     prov: List[Provenance] = []
     for t in ext_traj.grid.tolist():
-        sw = [j for j, s in enumerate(u.switch_times) if abs(t - s) <= 1e-12 * (1.0 + abs(s))]
+        sw = _switches_at(u.switch_times, t)
         refs = u.values[sw[0]:sw[0] + 2] if sw else [u.value_at(t)]
         prov += [Provenance(kind="needle", source_time=t, needle=NeedleData(t, 1.0, v),
                             reference=ref) for ref in refs for v in tests]

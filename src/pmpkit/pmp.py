@@ -20,8 +20,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cone_geometry import rank_split, unit_directions
-from .control_system import ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory
-from .flows import FlowBlowUpError, _all_finite, _recorded_step, rk4_step
+from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory,
+                             _switches_at)
+from .flows import FlowBlowUpError, _all_finite, _recorded_step, _runs, rk4_step
 
 
 class UnboundedHamiltonianError(RuntimeError):
@@ -463,25 +464,28 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     p = P.ravel().tolist()
     sigma = [p]
     rate, jac, grad = sys._rate, sys._jac, sys._grad
-    for i in range(len(ts) - 2, -1, -1):
-        t0, t1 = ts[i], ts[i + 1]
-        uval = traj.control.value_at(0.5 * (t0 + t1))
 
-        def linearize(_, x):
-            # P' = grad_x F c^T - (df/dx)^T P at the stage state x, c = -p0,
-            # as the coupled shooting step computes it
-            g, JT = grad(x, uval), jac(x, uval).T
-            g = g if r == 1 else [gi for gi in g for _ in range(r)]
-            return lambda pp: [gi * ci - q for gi, ci, q in
-                               zip(g, cs, (JT @ block(pp)).ravel().tolist())]
+    def linearize(_, x):
+        # P' = grad_x F c^T - (df/dx)^T P at the stage state x, c = -p0,
+        # as the coupled shooting step computes it
+        g, JT = grad(x, uval), jac(x, uval).T
+        g = g if r == 1 else [gi for gi in g for _ in range(r)]
+        return lambda pp: [gi * ci - q for gi, ci, q in
+                           zip(g, cs, (JT @ block(pp)).ravel().tolist())]
 
-        _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i], t1 - t0)
-        # stage 4 gives k1, then stages 3, 2 and 1
-        stages = iter(rates[::-1])
-        p = rk4_step(lambda _, pp: next(stages)(pp), t1, p, t0 - t1, next(stages)(p))
-        if not _all_finite(p):
-            raise FlowBlowUpError(t0)
-        sigma.append(p)
+    # the forward path's runs, last first: each holds one control value
+    for i0, i1 in reversed(_runs(traj.grid, traj.control.switch_times)):
+        uval = traj.control.value_at(0.5 * (ts[i0] + ts[i0 + 1]))
+        for i in range(i1 - 1, i0 - 1, -1):
+            t0, t1 = ts[i], ts[i + 1]
+            _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i],
+                                      t1 - t0)
+            # stage 4 gives k1, then stages 3, 2 and 1
+            stages = iter(rates[::-1])
+            p = rk4_step(lambda _, pp: next(stages)(pp), t1, p, t0 - t1, next(stages)(p))
+            if not _all_finite(p):
+                raise FlowBlowUpError(t0)
+            sigma.append(p)
     sigma.reverse()
     return np.array(sigma).reshape(len(ts), m, r)
 
@@ -518,17 +522,16 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
     p0 = adj.sigma0
 
     maximize = _maximizer(sys, p0)
-    switch = set(u.switch_times)
     gaps: List[float] = []
     sups: List[float] = []
-    for i, t in enumerate(traj.grid):
+    for i, t in enumerate(traj.grid.tolist()):
         mn = np.sqrt(p0 * p0 + float(adj.sigma[i] @ adj.sigma[i]))
         min_norm = mn if i == 0 else min(min_norm, mn)
-        if any(abs(t - s) <= 1e-12 * (1.0 + abs(s)) for s in switch):
+        if _switches_at(u.switch_times, t):
             continue
         u_star, H, sup = maximize(adj.sigma[i].tolist(), states[i].tolist())
         sup = H(u_star) if sup is None else sup
-        href = hamiltonian(sys, p0, adj.sigma[i], states[i], u.value_at(float(t)))
+        href = hamiltonian(sys, p0, adj.sigma[i], states[i], u.value_at(t))
         gaps.append(max(sup - href, 0.0))
         sups.append(sup)
     sups_arr = np.array(sups)

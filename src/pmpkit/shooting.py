@@ -191,17 +191,18 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         return None
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
-    # the coupled field at a held control: held = hold(u), then
-    # coupled_stage(y, held, c) is the field at y and
-    # coupled_step(y, held, h, k1, c) one RK4 step from y with first stage k1
+    # the coupled field at a held control: held = hold(best) for best a
+    # maximizer as argmax gives it, then coupled_stage(y, held, c) is the
+    # field at y and coupled_step(y, held, h, k1, c) one RK4 step from y with
+    # first stage k1
     c = -problem.p0
     generate = getattr(sys.f, "coupled_step", None)
     generated = generate and generate(sys.df_dx, sys.F, sys.dF_dx)
     if generated:
-        hold, (coupled_stage, coupled_step) = (lambda u: u.tolist()), generated
+        hold, (coupled_stage, coupled_step) = (lambda best: best[2]), generated
     else:
-        def hold(u):
-            return _coupled_rhs(sys, problem.p0, u)
+        def hold(best):
+            return _coupled_rhs(sys, problem.p0, best[0])
 
         def coupled_stage(y, rhs, c):
             return rhs(0.0, y)
@@ -218,12 +219,13 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
         return u, H, u.tolist()
 
-    def advance(u, dt):
+    def advance(best, dt):
         # every trial step of one loop iteration starts from y: its first
-        # RK4 stage is evaluated once per control value
-        key = u.tobytes()
+        # RK4 stage is evaluated once per control value, keyed by its bytes,
+        # which tell -0.0 from 0.0 where a tuple of floats would not
+        key = best[0].tobytes()
         if key not in stages:
-            held = hold(u)
+            held = hold(best)
             stages[key] = (held, coupled_stage(y, held, c))
         held, k1 = stages[key]
         return coupled_step(y, held, dt, k1, c)
@@ -233,10 +235,10 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         # the state it reaches and the maximizer there; arc is the
         # maximizer the arc holds, as argmax gives it, and it holds at lo;
         # y_hi is the state at hi and best_hi the maximizer at y_hi
-        u_frozen, frozen = arc[0], arc[2]
+        frozen = arc[2]
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            ym = advance(u_frozen, mid)
+            ym = advance(arc, mid)
             if not _all_finite(ym):
                 raise FloatingPointError
             best = argmax(ym)
@@ -268,7 +270,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 if resume is None and h != step:
                     resume = (t, y, cur, n_sw, len(steps))
                 stages = {}
-                yh = advance(cur[0], 0.5 * h)
+                yh = advance(cur, 0.5 * h)
                 if not _all_finite(yh):
                     return None
                 end = argmax(yh)
@@ -278,7 +280,7 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                     n_sw += 1
                 else:
                     arc = end
-                    y1 = advance(arc[0], h)
+                    y1 = advance(arc, h)
                     if not _all_finite(y1):
                         return None
                     end = argmax(y1)

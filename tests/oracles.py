@@ -25,8 +25,12 @@ form of a package routine as its reference:
   `eigvalsh`;
 - `rk4_step_arrays`, the RK4 step on numpy arrays that `flows.rk4_step`
   replaced by the same arithmetic on Python floats (bit for bit);
-- `integration_grid_loop`, the per-node loop that `flows.integration_grid`
-  replaced by one mask per event (bit for bit);
+- `integration_grid_loop`, the loop over nodes and events that
+  `flows.integration_grid` replaced by numpy passes, now one nearest-event
+  pass (bit for bit);
+- `signal_path_per_step`, the forward path loop that looked up each grid
+  step's control at its midpoint, which `flows._lifted_path` replaced by
+  one lookup per run of steps between switches (bit for bit);
 - `coupled_rhs_arrays` and `propagate_arrays`, shooting's coupled (x, p)
   step and propagation on numpy arrays, which `shooting._coupled_rhs` and
   `shooting._propagate` replaced by lists of Python floats (bit for bit);
@@ -672,6 +676,34 @@ def integration_grid_loop(s, t, cfg=None):
     if t < s:
         grid = grid[::-1]
     return grid
+
+
+def signal_path_per_step(sys, u, s, t, x0, cfg=None):
+    """(grid, states, blow_up): the RK4 path of x' = f(x, u) from (s, x0) to
+    t as the forward path loop made it before it walked control pieces: on
+    the grid hitting cfg's events and u's switches, each step holds
+    u.value_at of its own midpoint and is one `rk4_step_arrays` step of
+    `sys.dynamics` with h = t1 - t0.  blow_up is the first node time whose
+    state is not finite, the path stopping before it, or None."""
+    from pmpkit.flows import IntegratorConfig
+
+    cfg = cfg or IntegratorConfig()
+    grid = integration_grid_loop(s, t, IntegratorConfig(
+        cfg.step, tuple(cfg.event_times) + tuple(u.switch_times)))
+    x = np.array(x0, dtype=float)
+    states = [x]
+    with np.errstate(all="ignore"):
+        for t0, t1 in zip(grid.tolist(), grid[1:].tolist()):
+            c = u.value_at(0.5 * (t0 + t1))
+
+            def f(_, y):
+                return np.asarray(sys.dynamics(y, c))
+
+            x = rk4_step_arrays(f, t0, x, t1 - t0, f(t0, x))
+            if not np.all(np.isfinite(x)):
+                return grid, np.array(states), t1
+            states.append(x)
+    return grid, np.array(states), None
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pmpkit.control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _switches_at,
     ball,
     box,
     constant_signal,
@@ -331,6 +333,47 @@ class TestLebesgueTimes:
     def test_excludes_endpoints(self):
         u = constant_signal(0.0, 2.0, [0.0])
         assert lebesgue_times(u, [0.0, 1.0, 2.0]) == [1.0]
+
+
+def _tolerance(s):
+    return 1e-12 * (1.0 + abs(s))
+
+
+@st.composite
+def switch_window_cases(draw):
+    """(switch_times, t): strictly increasing switches, some closer than
+    1e-12 to each other and to t, and t on, inside or one ulp outside a
+    switch's tolerance, with signed zeros and huge, tiny and subnormal
+    magnitudes."""
+    base = draw(st.sampled_from((0.0, -0.0, 1.0, -3.7, 1e6, -1e12, 1e-300, 5e-324, 1e300)))
+    offsets = st.one_of(
+        st.sampled_from((0.0, -0.0, 1e-13, -1e-13, 5e-13, -5e-13, 1e-12, -1e-12, 2e-12, 3e-12)),
+        st.floats(-1e-11, 1e-11))
+    raw = [base + d * (1.0 + abs(base)) for d in draw(st.lists(offsets, max_size=6))]
+    raw += draw(st.lists(st.floats(-10.0, 10.0), max_size=3))
+    switches = sorted({s for s in raw if math.isfinite(s)})
+    near = st.sampled_from(switches or [base])
+    t = draw(st.one_of(
+        st.tuples(near, offsets).map(lambda sd: sd[0] + sd[1] * (1.0 + abs(sd[0]))),
+        near.map(lambda s: s + _tolerance(s)),
+        near.map(lambda s: math.nextafter(s + _tolerance(s), math.inf)),
+        near.map(lambda s: math.nextafter(s - _tolerance(s), -math.inf)),
+        st.sampled_from((0.0, -0.0)),
+        st.floats(-10.0, 10.0)))
+    return tuple(switches), t
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(switch_window_cases())
+@example(((-1e-13, 0.0, 1e-13), -0.0))
+@example(((-0.0, 1e-12), 0.0))
+@example(((1.0, 1.0 + 1e-13, 1.0 + 2e-13), 1.0 + 4e-12))
+def test_switch_window_finds_what_the_scan_finds(case):
+    # check_pmp, lebesgue_times and the classifier find the switches a
+    # time falls on by two bisections; the scan tests every switch
+    switch_times, t = case
+    assert _switches_at(switch_times, t) == [
+        j for j, s in enumerate(switch_times) if abs(t - s) <= _tolerance(s)]
 
 
 class TestCsvExport:

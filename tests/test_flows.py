@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pmpkit import grammar
 from pmpkit.flows import (
     FlowBlowUpError,
     IntegratorConfig,
     SingularTransportError,
     TimeVectorField,
+    _lifted_path,
     cotangent_lift_flow,
     flow,
     flow_decomposition_residual,
@@ -20,10 +22,11 @@ from pmpkit.flows import (
     tangent_lift_flows,
 )
 from pmpkit.cli import load_problem
-from pmpkit.control_system import ControlSignal, ControlSystem, box, simulate
+from pmpkit.control_system import ControlSignal, ControlSystem, box, signal_field, simulate
 from pmpkit.reachable import SamplePolicy, sample_reachable
 
-from oracles import integration_grid_loop, rk4_blow_up_time, variation_of_constants
+from oracles import (integration_grid_loop, rk4_blow_up_time, signal_path_per_step,
+                     tangent_lift_stacked, variation_of_constants)
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -215,6 +218,14 @@ def _grid_case(s, t, step, *events):
 @example(_grid_case(-1.0, 1.0, 1.0, 2e-9))
 @example(_grid_case(-1.0, 1.0, 1.0, math.nextafter(2e-9, 1.0)))
 @example(_grid_case(-1.0, 1.0, 1.0, -2e-9, 0.5))
+# events on both sides of a node, within the tolerance on one side only or
+# on both, and two that both swallow one node
+@example(_grid_case(-1.0, 1.0, 1.0, 3e-9, -2e-9))
+@example(_grid_case(-1.0, 1.0, 1.0, -3e-9, 2e-9))
+@example(_grid_case(-1.0, 1.0, 1.0, 2e-9, -2e-9, math.nextafter(2e-9, 1.0)))
+@example(_grid_case(1.0, -1.0, 0.5, 0.5 + 1e-9, 0.5 - 1e-9, math.nextafter(-0.5 - 2e-9, -1.0)))
+@example(_grid_case(0.0, 1e-8, 1e-10, 5e-9, 5e-9 + 1e-17, 5e-9 - 1e-17))
+@example(_grid_case(0.0, 1.0, 0.1, 0.3, 0.3, 0.7, 0.3))
 def test_grid_matches_node_loop_bit_for_bit(case):
     s, t, cfg = case
     want, got = integration_grid_loop(s, t, cfg), integration_grid(s, t, cfg)
@@ -230,6 +241,109 @@ def test_event_given_twice_makes_no_zero_length_step():
     assert len(traj.grid) == 201 and np.all(np.diff(traj.grid) > 0)
     grid = integration_grid(0.0, 1.0, IntegratorConfig(0.01, (0.9, 0.9)))
     assert len(grid) == 101 and np.all(np.diff(grid) > 0)
+
+
+PENDULUM = ("x1", "-sin(x0) + u0")
+# x0' = x0^2 + u0 leaves the floats in finite time
+RICCATI = ("x0 * x0 + u0", "x1")
+
+
+def _walk_system(srcs, generated):
+    """The field srcs as the grammar's generated dynamics (which carry a
+    runner), or as a user callable doing the same arithmetic on Python
+    floats (an overflow is inf, with no numpy warning)."""
+    if generated:
+        f, df, degree = grammar.compile_dynamics(srcs, 2, 1)
+        return ControlSystem(m=2, k=1, f=f, df_dx=df, u_degree=degree,
+                             control_set=box([-2.0], [2.0]))
+    if srcs == PENDULUM:
+        def f(x, u):
+            return [float(x[1]), -math.sin(float(x[0])) + float(u[0])]
+    else:
+        def f(x, u):
+            return [float(x[0]) * float(x[0]) + float(u[0]), float(x[1])]
+    return ControlSystem(m=2, k=1, f=f, control_set=box([-2.0], [2.0]))
+
+
+@st.composite
+def walk_cases(draw):
+    """(srcs, generated, u, s, t, x0, cfg): a control of 0-4 switches on
+    [a, b], some on or within 1e-9 of the span of base nodes or of cfg's
+    events, or at 0.0; an interval s -> t of either direction whose ends
+    may be a, b or switches; and a start that blows up in some runs."""
+    srcs = draw(st.sampled_from((PENDULUM, RICCATI)))
+    a = draw(st.sampled_from((-1.0, 0.0, 0.25)))
+    span = draw(st.sampled_from((0.37, 1.0, 2.0)))
+    b = a + span
+    n = draw(st.integers(2, 40))
+    nodes = np.linspace(a, b, n + 1).tolist()
+    shift = st.sampled_from((0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 300.0)).map(
+        lambda k: k * 1e-9 * span)
+    near = st.one_of(st.sampled_from(nodes[1:-1] or nodes), st.floats(a, b))
+    events = draw(st.lists(st.tuples(near, shift).map(sum), max_size=3))
+    picks = st.one_of(st.floats(a, b), st.sampled_from((0.0, -0.0)),
+                      st.tuples(near, shift).map(sum),
+                      st.tuples(st.sampled_from(events or [a]), shift).map(sum))
+    switches = sorted({x for x in draw(st.lists(picks, max_size=4)) if a < x < b})
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(switches) + 1,
+                           max_size=len(switches) + 1))
+    u = ControlSignal(a=a, b=b, switch_times=tuple(switches),
+                      values=tuple(np.array([v]) for v in values))
+    ends = st.one_of(st.sampled_from([a, b] + switches), st.floats(a, b))
+    s, t = draw(ends), draw(ends)
+    x0 = draw(st.sampled_from(([0.3, -0.2], [-0.5, 0.3], [3.0, 1.0], [40.0, 0.0],
+                               [1e154, 0.0])))
+    return srcs, draw(st.booleans()), u, s, t, x0, IntegratorConfig(span / n, tuple(events))
+
+
+def _walk_case(srcs, generated, switches, values, s, t, x0, step, events=()):
+    u = ControlSignal(a=0.0, b=1.0, switch_times=switches,
+                      values=tuple(np.array([v]) for v in values))
+    return srcs, generated, u, s, t, x0, IntegratorConfig(step, events)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(walk_cases())
+# four switches: one a base node, one 1e-9 of the span past one, one on a
+# cfg event, one 1e-9 of the span short of another event
+@example(_walk_case(PENDULUM, True, (0.2, 0.4 + 1e-9, 0.5, 0.7 - 1e-9),
+                    (1.0, -1.0, 0.5, -0.5, 0.25), 0.0, 1.0, [0.3, -0.2], 0.1, (0.5, 0.7)))
+# backward from a switch to another, and forward from a switch
+@example(_walk_case(PENDULUM, True, (0.25, 0.75), (1.0, -1.0, 0.5), 0.75, 0.25, [0.3, -0.2],
+                    0.05))
+@example(_walk_case(PENDULUM, False, (0.25, 0.75), (1.0, -1.0, 0.5), 0.25, 1.0, [0.3, -0.2],
+                    0.05))
+# backward from the switch 0.5 to a cfg event one ulp below it: the
+# midpoint of that step rounds to 0.5, so it holds the value after the
+# switch and the steps below it the value before
+@example(_walk_case(PENDULUM, True, (0.5,), (1.0, -1.0), 0.5, 0.0, [0.3, -0.2], 0.05,
+                    (math.nextafter(0.5, 0.0),)))
+# a blow-up in the second run
+@example(_walk_case(RICCATI, True, (0.1,), (0.0, 1.0), 0.0, 1.0, [3.0, 1.0], 0.01))
+@example(_walk_case(RICCATI, False, (0.1,), (0.0, 1.0), 0.0, 1.0, [3.0, 1.0], 0.01))
+def test_piece_walk_matches_per_step_lookup_bit_for_bit(case):
+    # the path loop looks the control up once per run of steps between
+    # switches, and generated dynamics step a whole run in one call; the
+    # oracle looks it up at every step's midpoint and steps by array RK4
+    srcs, generated, u, s, t, x0, cfg = case
+    sys = _walk_system(srcs, generated)
+    want_grid, want, blow_up = signal_path_per_step(sys, u, s, t, x0, cfg)
+    X = signal_field(sys, u)
+    assert (X.on(0.0, 0.0).run is not None) == generated
+    try:
+        grid, xs, _ = _lifted_path(X, None, s, t, x0, (), cfg)
+    except FlowBlowUpError as e:
+        assert blow_up is not None and np.float64(e.t).tobytes() == np.float64(blow_up).tobytes()
+        return
+    assert blow_up is None
+    assert grid.tobytes() == want_grid.tobytes()
+    assert np.array(xs).tobytes() == want.tobytes()
+    if srcs == PENDULUM:
+        # a live lift steps by rk4_step, one control lookup per run too
+        v0 = np.array([1.0, -0.5])
+        x, (v,) = tangent_lift_flows(X, t, s, x0, [v0], cfg)
+        x_want, v_want = tangent_lift_stacked(sys, u, t, s, x0, v0, cfg)
+        assert x.tobytes() == x_want.tobytes() and v.tobytes() == v_want.tobytes()
 
 
 class TestTangentLift:

@@ -139,30 +139,54 @@ steps = st.one_of(
                      1e300, -1e300)))
 
 
+def entries(m, k):
+    """A dynamics entry in x0..x{m-1} and u0..u{k-1}: a random tree, a
+    constant, or a tree that reads no state."""
+    controls = [f"u{j}" for j in range(k)]
+    return st.one_of(st.builds(render, trees(m, k)),
+                     st.sampled_from(("0", "1.5", "(-2.0)")),
+                     st.builds(render, trees(names=controls)) if controls else st.just("3.0"))
+
+
 @st.composite
-def step_cases(draw):
-    """(srcs, m, k, x, u, h): a dynamics of m = 1..3 random trees in k = 1..2
-    controls, a state with signed zeros, infinities, NaN and huge entries,
-    a control and a step of either sign, subnormal or huge."""
-    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    srcs = [render(draw(trees(m, k))) for _ in range(m)]
+def run_cases(draw):
+    """(srcs, m, k, x, u, ts, i0, i1): a dynamics of m = 1..3 entries in
+    k = 0..2 controls, a state with signed zeros, infinities, NaN and huge
+    entries, a control, and a grid of 1..5 uneven steps, each of either
+    sign, subnormal or huge, with a run from node i0 to node i1 > i0."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    srcs = draw(st.lists(entries(m, k), min_size=m, max_size=m))
     x = draw(st.lists(states, min_size=m, max_size=m))
     u = draw(st.lists(coordinates, min_size=k, max_size=k))
-    return srcs, m, k, x, u, draw(steps)
+    ts = [draw(st.sampled_from((0.0, -0.0, 1.0, -3.5)))]
+    for h in draw(st.lists(steps, min_size=1, max_size=5)):
+        ts.append(ts[-1] + h)
+    i0 = draw(st.integers(0, len(ts) - 2))
+    return srcs, m, k, x, u, ts, i0, draw(st.integers(i0 + 1, len(ts) - 1))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(step_cases())
+@given(run_cases())
 def test_generated_step_matches_rk4_step_bit_for_bit(case):
-    srcs, m, k, x, u, h = case
+    srcs, m, k, x, u, ts, i0, i1 = case
     f, _, _ = grammar.compile_dynamics(tuple(srcs), m, k)
     # signal_field hands the dynamics a piece's control as an array and the
-    # step the same control as a list
+    # runner the same control as a list; each step of the run is one
+    # rk4_step by ts[i + 1] - ts[i] from the state the step before it left,
+    # and the run stops at the first node whose state is not finite
     u_array = np.array(u)
-    want = rk4_step(lambda t, y: f(y, u_array), 0.0, x, h, f(x, u_array))
-    got = f.step_function()(x, u, h)
-    assert type(got) is list and all(type(v) is float for v in got)
-    assert bits(got) == bits(want), (srcs, x, u, h)
+    want, want_node, y = [], None, x
+    for i in range(i0, i1):
+        y = rk4_step(lambda t, v: f(v, u_array), ts[i], y, ts[i + 1] - ts[i], f(y, u_array))
+        want.append(y)
+        if not all(map(math.isfinite, y)):
+            want_node = i + 1
+            break
+    xs = []
+    node = f.runner()(x, u, ts, i0, i1, xs)
+    assert all(type(v) is list and all(type(c) is float for c in v) for v in xs)
+    assert len(xs) == len(want) and all(bits(g) == bits(w) for g, w in zip(xs, want)), case
+    assert node == want_node, case
 
 
 @pytest.mark.parametrize("srcs", [["-x0 + u0"], ["x1", "-sin(x0) + u0"],
@@ -170,9 +194,9 @@ def test_generated_step_matches_rk4_step_bit_for_bit(case):
 def test_generated_step_is_one_rk4_step_without_numpy(srcs):
     m = len(srcs)
     bodies = [grammar._tree(src, m, 1, "expression") for src in srcs]
-    _, step = grammar._dynamics_step_code(bodies, 1)
+    _, step = grammar._dynamics_run_code(bodies, 1)
     # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per state component
-    assert rk4_combinations(ast.unparse(step)) == ["dynamics_step"] * m
+    assert rk4_combinations(ast.unparse(step)) == ["dynamics_run"] * m
     used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
             if isinstance(node, ast.Name)]
     assert not [obj for obj in used

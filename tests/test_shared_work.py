@@ -425,35 +425,39 @@ def test_simulate_makes_four_dynamics_calls_per_step(extended):
     assert calls["f"] == 4 * (len(traj.grid) - 1)
 
 
-def test_paths_of_expression_dynamics_make_one_generated_step_per_grid_step():
-    # the grammar's dynamics carries its generated RK4 step, so simulate
-    # and reach call it once a step and the dynamics themselves not at all
+def test_paths_of_expression_dynamics_make_one_runner_call_per_control_piece():
+    # the grammar's dynamics carries its generated runner, so simulate and
+    # reach call it once for each piece of the control, which steps the
+    # piece's whole run of grid steps, and the dynamics themselves not at all
     problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
-    f, step, calls = problem.sys.f, problem.sys.f.step_function(), collections.Counter()
+    f, run, calls, runs = problem.sys.f, problem.sys.f.runner(), collections.Counter(), []
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_f(x, u):
+        calls["dynamics"] += 1
+        return f(x, u)
 
-    counted_f = counted("dynamics", f)
+    def counted_run(y, u, ts, i0, i1, xs):
+        runs.append(i1 - i0)
+        return run(y, u, ts, i0, i1, xs)
+
     counted_f.on_lists = True
-    counted_f.step_function = lambda: counted("step", step)
+    counted_f.runner = lambda: counted_run
     sys = dataclasses.replace(problem.sys, f=counted_f)
     cfg = IntegratorConfig(step=problem.step)
     traj = simulate(sys, problem.control, problem.x_a, cfg)
-    assert calls == {"step": len(traj.grid) - 1}
+    assert len(problem.control.values) == 2
+    assert not calls and len(runs) == 2 and sum(runs) == len(traj.grid) - 1
     assert same_bits(traj.states, simulate(problem.sys, problem.control, problem.x_a, cfg).states)
-    calls.clear()
+    runs.clear()
     spec = problem.reach
     policy = SamplePolicy(n_controls=spec["n_controls"], max_switches=spec["max_switches"],
                           seed=spec["seed"], step=problem.step)
     cloud = sample_reachable(sys, problem.x_a, problem.b - problem.a, policy)
     assert len(cloud.controls) == spec["n_controls"]
-    grids = [simulate(problem.sys, cloud.signal(i), problem.x_a, cfg).grid
-             for i in range(len(cloud.controls))]
-    assert calls == {"step": sum(len(grid) - 1 for grid in grids)}
+    signals = [cloud.signal(i) for i in range(len(cloud.controls))]
+    grids = [simulate(problem.sys, sig, problem.x_a, cfg).grid for sig in signals]
+    assert not calls and len(runs) == sum(len(sig.values) for sig in signals)
+    assert sum(runs) == sum(len(grid) - 1 for grid in grids)
 
 
 def counted_coupled_rhs(monkeypatch):
