@@ -86,6 +86,16 @@ class ControlSet:
         return float(np.linalg.norm(u - self.center)) <= self.radius + tol
 
 
+def _derived(U: ControlSet, name: str, make):
+    """make(U), made on first use and kept on U under name: ControlSet is
+    frozen, and what is derived from it (the maximizer's fit probes,
+    shooting's jump tolerance) is kept data, not a field."""
+    kept = U.__dict__
+    if name not in kept:
+        kept[name] = make(U)
+    return kept[name]
+
+
 def box(lo, hi) -> ControlSet:
     return ControlSet(kind="box", lo=lo, hi=hi)
 
@@ -194,10 +204,11 @@ class ControlSignal:
         if not self.b > self.a:
             raise ValueError("need b > a")
         st = tuple(float(t) for t in self.switch_times)
+        # a NaN switch fails a < t < b
+        if not all(self.a < t < self.b for t in st):
+            raise ValueError("switch times must lie strictly inside (a, b)")
         if any(t2 <= t1 for t1, t2 in zip(st, st[1:])):
             raise ValueError("switch times must be strictly increasing")
-        if st and (st[0] <= self.a or st[-1] >= self.b):
-            raise ValueError("switch times must lie strictly inside (a, b)")
         vals = tuple(np.asarray(v, dtype=float).ravel() for v in self.values)
         if len(vals) != len(st) + 1:
             raise ValueError("need exactly one value per piece")
@@ -232,35 +243,6 @@ class Trajectory:
     @property
     def endpoint(self) -> np.ndarray:
         return self.states[-1].copy()
-
-    def _segment(self, t: float) -> int:
-        i = int(np.searchsorted(self.grid, t, side="right")) - 1
-        return min(max(i, 0), len(self.grid) - 2)
-
-    def state_at(self, t: float) -> np.ndarray:
-        """Cubic Hermite interpolation on the containing grid segment.
-
-        End velocities are evaluated with the segment's own control value, so
-        interpolation stays one-sided at switch nodes.
-        """
-        t = float(t)
-        if t <= self.grid[0]:
-            return self.states[0].copy()
-        if t >= self.grid[-1]:
-            return self.states[-1].copy()
-        i = self._segment(t)
-        t0, t1 = float(self.grid[i]), float(self.grid[i + 1])
-        h = t1 - t0
-        uval = self.control.value_at(0.5 * (t0 + t1))
-        x0, x1 = self.states[i], self.states[i + 1]
-        v0 = self.system.dynamics(x0, uval)
-        v1 = self.system.dynamics(x1, uval)
-        s = (t - t0) / h
-        h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-        h10 = s * (1.0 - s) ** 2
-        h01 = s * s * (3.0 - 2.0 * s)
-        h11 = s * s * (s - 1.0)
-        return h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
 
     def to_csv(self, path) -> None:
         header = "t," + ",".join(f"x{j}" for j in range(self.states.shape[1]))
@@ -332,6 +314,26 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
     grid, states, _ = _lifted_path(signal_field(sys, u), None, u.a, u.b, x0, (), cfg)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=np.array(states), control=u, system=sys)
+
+
+def _event_path(sys: ControlSystem, traj: Trajectory, times: Sequence[float],
+                cfg: Optional[IntegratorConfig]):
+    """traj on [a, max(times)] with each of times a grid node, and the node
+    index of each time: traj's own nodes if its grid holds them all, else
+    those of `simulate` from its start on cfg's grid with times as events.
+    It is the one reader of the reference state gamma(t): the cones, the
+    needle and time-perturbation vectors, the transport and reach checks
+    read gamma only at its nodes, and no state is interpolated."""
+    node = {s: i for i, s in enumerate(traj.grid.tolist())}
+    if not all(s in node for s in times):
+        cfg = cfg or IntegratorConfig()
+        traj = simulate(sys, traj.control, traj.states[0],
+                        IntegratorConfig(cfg.step, cfg.event_times + tuple(times)))
+        node = {s: i for i, s in enumerate(traj.grid.tolist())}
+    if not all(s in node for s in times):
+        raise ValueError(f"times {times!r} must lie in the horizon ({traj.a!r}, {traj.b!r}]")
+    end = max(node[s] for s in times) + 1
+    return Trajectory(traj.grid[:end], traj.states[:end], traj.control, sys), node
 
 
 def cost(ext_traj: ExtendedTrajectory) -> float:

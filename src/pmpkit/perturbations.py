@@ -43,6 +43,7 @@ from .control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _event_path,
     _switches_at,
     _write_csv,
     extend,
@@ -244,10 +245,12 @@ def _class1_vectors(sys: ControlSystem, ref: np.ndarray, t1: float, x,
 
 
 def class1_vector(sys: ControlSystem, traj: Trajectory, pi: NeedleData) -> PerturbationVector:
-    """l1 (f(x, u1) - f(x, u(t1))) at x = gamma(t1)."""
+    """l1 (f(x, u1) - f(x, u(t1))) at x = gamma(t1), the node state at t1
+    (`_event_path`)."""
     _require_lebesgue(traj.control, pi.t1)
-    vecs = _class1_vectors(sys, traj.control.value_at(pi.t1), pi.t1, traj.state_at(pi.t1),
-                           [pi])
+    path, node = _event_path(sys, traj, [pi.t1], None)
+    vecs = _class1_vectors(sys, traj.control.value_at(pi.t1), pi.t1,
+                           path.states[node[pi.t1]], [pi])
     return PerturbationVector(base_time=pi.t1, vector=vecs[0])
 
 
@@ -269,30 +272,17 @@ def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
 
 def time_perturbation_vector(sys: ControlSystem, traj: Trajectory,
                              pi: TimePerturbationData) -> PerturbationVector:
-    """f(x, u(tau)) delta_tau + l_tau (f(x, u_tau) - f(x, u(tau))) at x = gamma(tau)."""
-    _require_lebesgue(traj.control, pi.tau)
-    x = traj.state_at(pi.tau)
-    uref = traj.control.value_at(pi.tau)
-    drift = sys.dynamics(x, uref)
-    vec = drift * pi.delta_tau + pi.l_tau * (sys.dynamics(x, pi.u_tau) - drift)
-    return PerturbationVector(base_time=pi.tau, vector=vec)
-
-
-def _event_path(sys: ControlSystem, traj: Trajectory, times: Sequence[float],
-                cfg: Optional[IntegratorConfig]):
-    """traj on [a, max(times)] with each of times a grid node, and the node
-    index of each time: traj's own nodes if its grid holds them all, else
-    those of `simulate` from its start on cfg's grid with times as events."""
-    node = {s: i for i, s in enumerate(traj.grid.tolist())}
-    if not all(s in node for s in times):
-        cfg = cfg or IntegratorConfig()
-        traj = simulate(sys, traj.control, traj.states[0],
-                        IntegratorConfig(cfg.step, cfg.event_times + tuple(times)))
-        node = {s: i for i, s in enumerate(traj.grid.tolist())}
-    if not all(s in node for s in times):
-        raise ValueError(f"times {times!r} must lie in the horizon ({traj.a!r}, {traj.b!r}]")
-    end = max(node[s] for s in times) + 1
-    return Trajectory(traj.grid[:end], traj.states[:end], traj.control, sys), node
+    """delta_tau f(x, u(tau)) + l_tau (f(x, u_tau) - f(x, u(tau))) at
+    x = gamma(tau), the node state at tau: the axis and needle generators
+    of `_generators` at tau, weighted delta_tau and l_tau."""
+    tau = pi.tau
+    _require_lebesgue(traj.control, tau)
+    path, node = _event_path(sys, traj, [tau], None)
+    x, uref = path.states[node[tau]], traj.control.value_at(tau)
+    needle, = _class1_vectors(sys, uref, tau, x, [NeedleData(tau, pi.l_tau, pi.u_tau)])
+    vec = _finite(pi.delta_tau * sys.dynamics(x, uref) + needle,
+                  f"time perturbation vector at t={tau!r}")
+    return PerturbationVector(base_time=tau, vector=vec)
 
 
 def _carried(B, v, what):
@@ -618,14 +608,15 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
     if t2 < t1:
         raise ValueError("need t1 <= t2")
     cone2 = _assemble_cone(sys, traj, t2, cone_t1.provenance, cfg)
-    drift2 = sys.dynamics(traj.state_at(t2), traj.control.value_at(t2))
-
-    # the generators at t1 and the drift there share one base path to t2
-    drift1 = PerturbationVector(t1, sys.dynamics(traj.state_at(t1),
-                                                 traj.control.value_at(t1))).vector
+    # the generators at t1 and the drift there share one base path to t2,
+    # from the node state at t1 of the path that holds t1 and t2
+    u = traj.control
+    path, node = _event_path(sys, traj, [t1, t2], cfg)
+    x1 = path.states[node[t1]]
+    drift1 = _finite(sys.dynamics(x1, u.value_at(t1)), f"drift at t={t1!r}")
+    drift2 = sys.dynamics(path.states[node[t2]], u.value_at(t2))
     _, (*moved, moved_drift) = tangent_lift_flows(
-        signal_field(sys, traj.control), t2, t1, traj.state_at(t1),
-        list(cone_t1.cone.generators) + [drift1], cfg)
+        signal_field(sys, u), t2, t1, x1, list(cone_t1.cone.generators) + [drift1], cfg)
     worst = 0.0
     verdicts = []
     for g in moved:

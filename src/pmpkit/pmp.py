@@ -21,7 +21,7 @@ import numpy as np
 
 from .cone_geometry import rank_split, unit_directions
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory,
-                             _switches_at)
+                             _derived, _switches_at)
 from .flows import FlowBlowUpError, _all_finite, _recorded_step, _runs, rk4_step
 
 
@@ -190,32 +190,30 @@ class _Probes:
 
 def _probes(U) -> _Probes:
     """The fit's probes of the box or ball U, made on first use and kept on U."""
-    probes = U.__dict__.get("_probes")
-    if probes is not None:
-        return probes
+    return _derived(U, "_probes", _make_probes)
+
+
+def _make_probes(U) -> _Probes:
     if U.kind == "ball":
         k = U.center.size
-        probes = _Probes(U.center.copy(), np.full(k, max(U.radius, 1.0) / 4.0))
-    else:
-        lo, hi = U.lo, U.hi
-        k = lo.size
-        u0 = np.empty(k)
-        delta = np.empty(k)
-        for j in range(k):
-            if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-                u0[j] = 0.5 * (lo[j] + hi[j])
-                delta[j] = (hi[j] - lo[j]) / 4.0
-            elif np.isfinite(lo[j]):
-                u0[j], delta[j] = lo[j] + 1.0, 1.0
-            elif np.isfinite(hi[j]):
-                u0[j], delta[j] = hi[j] - 1.0, 1.0
-            else:
-                u0[j], delta[j] = 0.0, 1.0
-        probes = _Probes(u0, delta)
-        # per axis (lo, hi, u0, delta) for the axis maxima
-        probes.sides = tuple(zip(lo, hi, u0, delta))
-    # ControlSet is frozen; the probes are derived data, not a field
-    U.__dict__["_probes"] = probes
+        return _Probes(U.center.copy(), np.full(k, max(U.radius, 1.0) / 4.0))
+    lo, hi = U.lo, U.hi
+    k = lo.size
+    u0 = np.empty(k)
+    delta = np.empty(k)
+    for j in range(k):
+        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+            u0[j] = 0.5 * (lo[j] + hi[j])
+            delta[j] = (hi[j] - lo[j]) / 4.0
+        elif np.isfinite(lo[j]):
+            u0[j], delta[j] = lo[j] + 1.0, 1.0
+        elif np.isfinite(hi[j]):
+            u0[j], delta[j] = hi[j] - 1.0, 1.0
+        else:
+            u0[j], delta[j] = 0.0, 1.0
+    probes = _Probes(u0, delta)
+    # per axis (lo, hi, u0, delta) for the axis maxima
+    probes.sides = tuple(zip(lo, hi, u0, delta))
     return probes
 
 

@@ -17,8 +17,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .cone_geometry import cone_residual
-from .control_system import (ControlSignal, ControlSystem, Trajectory, _write_csv,
-                             signal_field, simulate)
+from .control_system import (ControlSignal, ControlSystem, Trajectory, _event_path,
+                             _write_csv, signal_field, simulate)
 from .flows import (FlowBlowUpError, IntegratorConfig, combined_field,
                     flow_decomposition_residual)
 
@@ -199,7 +199,10 @@ def cone_approximation_check(sys: ControlSystem, traj: Trajectory, t: float,
     """
     if abs(cloud.horizon - float(t)) > 1e-9 * (1.0 + abs(t)):
         raise ValueError("cloud horizon does not match the slice time")
-    gam = traj.state_at(float(t))
+    # at or past the end of traj the slice reads its last node
+    t = min(float(t), traj.b)
+    path, node = _event_path(sys, traj, [t], None)
+    gam = path.states[node[t]]
     geom = cone.cone if hasattr(cone, "cone") else cone
     offsets = cloud.points - gam[None, :]
     norms = np.linalg.norm(offsets, axis=1)

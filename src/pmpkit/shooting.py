@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cone_geometry import null_space, unit_directions
-from .control_system import ControlSignal, ControlSystem, extend, simulate
+from .control_system import ControlSignal, ControlSystem, _derived, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
 from .pmp import BoundarySpec, Extremal, _maximizer, adjoint_flow
 
@@ -102,23 +102,20 @@ def _auto_jump_tol(control_set) -> float:
     """The jump tolerance of control_set: a maximizer that moves by more
     is a switch.  It is made on first use and kept on the set, as
     `pmp._probes` keeps the fit's probes."""
-    tol = control_set.__dict__.get("_jump_tol")
-    if tol is not None:
-        return tol
+    return _derived(control_set, "_jump_tol", _make_jump_tol)
+
+
+def _make_jump_tol(control_set) -> float:
     if control_set.kind == "finite":
         pts = [np.asarray(p, float) for p in control_set.points]
-        tol = 1e-9 if len(pts) < 2 else 0.5 * min(
+        return 1e-9 if len(pts) < 2 else 0.5 * min(
             np.linalg.norm(p - q) for i, p in enumerate(pts) for q in pts[i + 1:])
-    elif control_set.kind == "box":
+    if control_set.kind == "box":
         span = control_set.hi - control_set.lo
         finite = span[np.isfinite(span)]
         diam = float(np.max(finite)) if finite.size else 1.0
-        tol = 0.05 * max(1.0, diam)
-    else:
-        tol = 0.05 * max(1.0, 2.0 * control_set.radius)
-    # ControlSet is frozen; the tolerance is derived data, not a field
-    control_set.__dict__["_jump_tol"] = tol
-    return tol
+        return 0.05 * max(1.0, diam)
+    return 0.05 * max(1.0, 2.0 * control_set.radius)
 
 
 def _coupled_rhs(sys, p0, u):

@@ -6,7 +6,8 @@ into the package's LP or RK4 code, so these functions can serve as
 cross-checks for the implementations.  A few exceptions keep an earlier
 form of a package routine as its reference:
 - `adjoint_flow_loop`, the backward RK4 over Hermite-interpolated states
-  that `pmp.adjoint_flow` replaced by the discrete adjoint (agreement to
+  (`hermite_state`, the interpolant the package no longer has) that
+  `pmp.adjoint_flow` replaced by the discrete adjoint (agreement to
   fourth order);
 - `tangent_lift_stacked`, the per-vector lift of the stacked (x, v) that
   the shared lift of many vectors replaced (bit for bit), holding the
@@ -240,8 +241,33 @@ def variation_of_constants(A, b, t, x0):
     return (E @ aug)[:n]
 
 
+def hermite_state(traj, t):
+    """gamma(t) by cubic Hermite interpolation on traj's grid segment that
+    holds t, with the velocities f(x, c) at its ends, c the control at the
+    segment's midpoint (one-sided at a switch node); the end states
+    outside [a, b]."""
+    grid, states = traj.grid, traj.states
+    if t <= grid[0]:
+        return states[0].copy()
+    if t >= grid[-1]:
+        return states[-1].copy()
+    i = min(int(np.searchsorted(grid, t, side="right")) - 1, len(grid) - 2)
+    t0, t1 = float(grid[i]), float(grid[i + 1])
+    h = t1 - t0
+    c = traj.control.value_at(0.5 * (t0 + t1))
+    x0, x1 = states[i], states[i + 1]
+    v0, v1 = traj.system.dynamics(x0, c), traj.system.dynamics(x1, c)
+    s = (t - t0) / h
+    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
+    h10 = s * (1.0 - s) ** 2
+    h01 = s * s * (3.0 - 2.0 * s)
+    h11 = s * s * (s - 1.0)
+    return h00 * x0 + h * h10 * v0 + h01 * x1 + h * h11 * v1
+
+
 def adjoint_flow_loop(sys, traj, p0, p_b):
-    """Backward RK4 adjoint with `state_at` and the linearization per stage.
+    """Backward RK4 adjoint with `hermite_state` and the linearization per
+    stage.
 
     An RK4 of its own on the adjoint equation, linearized at cubic-Hermite
     states, where `pmp.adjoint_flow` transposes the forward step; the two
@@ -258,7 +284,7 @@ def adjoint_flow_loop(sys, traj, p0, p_b):
         uval = traj.control.value_at(0.5 * (t0 + t1))
 
         def rhs(t, q):
-            xx = traj.state_at(t)
+            xx = hermite_state(traj, t)
             return -p0 * sys.cost_grad_x(xx, uval) - sys.jac_x(xx, uval).T @ q
 
         k1 = rhs(t1, p)

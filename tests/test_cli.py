@@ -207,6 +207,19 @@ class TestProblemFiles:
         assert rc == 2
         assert item in capsys.readouterr().err
 
+    def test_nan_switch_time_named(self, tmp_path, capsys):
+        # NaN fails every "<=" test, so simulate used to exit 0 holding
+        # u = -1 on the whole horizon, while value_at(0.25) read +1
+        data = bang_problem()
+        data["control"] = {"switch_times": [float("nan")], "values": [[1.0], [-1.0]]}
+        path = write_problem(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        rc = cli.main(["simulate", "--problem", path, "--out", str(out)])
+        assert rc == 2
+        assert "bad control signal: switch times must lie strictly inside (a, b)" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("reach, item", [
         # unknown keys, the README's old step/near/spread among them, used
         # to be ignored silently

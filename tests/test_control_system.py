@@ -21,6 +21,7 @@ from pmpkit.control_system import (
     simulate,
 )
 from pmpkit.flows import FlowBlowUpError, IntegratorConfig, TimeVectorField
+from pmpkit.perturbations import _clip_signal
 
 
 def double_integrator():
@@ -113,6 +114,63 @@ class TestSignal:
     def test_rejects_value_count_mismatch(self):
         with pytest.raises(ValueError):
             ControlSignal(a=0.0, b=1.0, switch_times=(), values=(np.zeros(1), np.zeros(1)))
+
+    @pytest.mark.parametrize("switch_times", [(math.nan,), (0.5, math.nan), (math.nan, 0.5)])
+    def test_rejects_nan_switch(self, switch_times):
+        # NaN fails every "<=" test, so such a signal used to be accepted
+        # and held its last value on the whole horizon
+        with pytest.raises(ValueError, match=r"strictly inside \(a, b\)"):
+            ControlSignal(a=0.0, b=1.0, switch_times=switch_times,
+                          values=(np.zeros(1),) * (len(switch_times) + 1))
+
+
+@st.composite
+def signal_specs(draw):
+    """(a, b, switch_times, number of values): switch times inside [a, b],
+    on or one ulp inside its ends, outside it, NaN or infinite, sorted and
+    deduplicated or not, with one value per piece or one too many or few,
+    and sometimes b <= a."""
+    a = draw(st.sampled_from((0.0, -1.5, 2.0)))
+    b = a + draw(st.sampled_from((1.0, 0.25, 3.0, 3.0, 0.0, -1.0, math.nan)))
+    ends = (a, b) if b > a else (a, a + 1.0)
+    special = st.sampled_from((*ends, math.nextafter(ends[0], math.inf),
+                               math.nextafter(ends[1], -math.inf), ends[0] - 1.0,
+                               ends[1] + 1.0, math.nan, math.inf, -math.inf))
+    inside = st.floats(*ends)
+    times = draw(st.lists(st.one_of(inside, inside, special), max_size=5))
+    if draw(st.booleans()):
+        times = sorted(set(times))
+    return a, b, tuple(times), len(times) + 1 + draw(st.sampled_from((0, 0, 0, -1, 1)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(signal_specs())
+def test_signal_invariants(spec):
+    a, b, times, n = spec
+    values = tuple(np.array([float(i)]) for i in range(n))
+    ok = (b > a and all(a < t < b for t in times)
+          and all(s < t for s, t in zip(times, times[1:])) and n == len(times) + 1)
+    if not ok:
+        with pytest.raises(ValueError):
+            ControlSignal(a, b, times, values)
+        return
+    u = ControlSignal(a, b, times, values)
+    assert u.switch_times == times
+    # right-continuous: from each switch on, the next piece's value
+    nudged = [math.nextafter(t, d) for t in (a, b, *times) for d in (-math.inf, math.inf)]
+    probes = [a, b, *times, *nudged, *(0.5 * (s + t) for s, t in zip((a, *times), (*times, b)))]
+    for t in probes:
+        assert u.value_at(t)[0] == sum(s <= t for s in times)
+    for j, s in enumerate(times):
+        assert u.value_at(s)[0] == j + 1
+        assert u.value_at(math.nextafter(s, -math.inf))[0] == j
+    # a clipped or extended signal agrees with u where both are defined
+    for b_new in (*times, 0.5 * (a + b), math.nextafter(b, -math.inf), b, b + 0.5):
+        clip = _clip_signal(u, b_new)
+        assert (clip.a, clip.b) == (a, b_new)
+        for t in probes:
+            if a <= t < min(b, b_new):
+                assert clip.value_at(t)[0] == u.value_at(t)[0]
 
 
 class TestExtend:
@@ -213,19 +271,6 @@ class TestSimulate:
             k4 = sys.dynamics(x + h * k3, uval)
             step = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             assert np.allclose(step, traj.states[i + 1], atol=1e-15)
-
-    def test_interpolation_matches_closed_form(self):
-        traj = simulate(double_integrator(), constant_signal(0.0, 1.0, [1.0]), [0.0, 0.0])
-        for t in (0.1234, 0.5, 0.87654):
-            want = np.array([0.5 * t * t, t])
-            assert np.allclose(traj.state_at(t), want, atol=1e-10)
-
-    def test_interpolation_one_sided_at_switch(self):
-        u = ControlSignal(a=0.0, b=2.0, switch_times=(1.0,),
-                          values=(np.array([1.0]), np.array([-1.0])))
-        traj = simulate(double_integrator(), u, [0.0, 0.0])
-        just_left = traj.state_at(1.0 - 1e-5)
-        assert np.allclose(just_left, [0.5 * (1 - 1e-5) ** 2, 1.0 - 1e-5], atol=1e-9)
 
 
 class TestFiniteDifferences:

@@ -14,6 +14,7 @@ from pmpkit.cone_geometry import GeneratedCone, conic_membership
 from pmpkit.control_system import (
     ControlSignal,
     ControlSystem,
+    _event_path,
     box,
     constant_signal,
     signal_field,
@@ -219,10 +220,17 @@ class TestClass1Vector:
             class1_vector(sys, traj, NeedleData(0.5, 1.0, [1.0]))
 
 
+def node_state(sys, traj, t, times=(), cfg=None):
+    """gamma(t), the node state at t of the path that holds t and times,
+    as the perturbation vectors and cones read it (`_event_path`)."""
+    path, node = _event_path(sys, traj, [*times, t], cfg)
+    return path.states[node[t]]
+
+
 def transport(sys, traj, base, v, t):
     """v at gamma(base) carried to t by the tangent lift along traj."""
     _, (out,) = tangent_lift_flows(signal_field(sys, traj.control), t, base,
-                                   traj.state_at(base), [v])
+                                   node_state(sys, traj, base), [v])
     return out
 
 
@@ -297,6 +305,70 @@ class TestTimePerturbationVector:
         tp = time_perturbation_vector(sys, traj,
                                       TimePerturbationData(0.5, 1.0, 0.5, [1.0]))
         assert np.allclose(tp.vector, [0.5, 1.0], atol=1e-9)
+
+
+def swung_pendulum():
+    """x' = (x1, -sin x0 + u cos x0) from (0.3, 0), u = +1 then -1 after
+    0.9, on a grid of step 0.05."""
+    sys = ControlSystem(m=2, k=1,
+                        f=lambda x, u: np.array([x[1], -np.sin(x[0]) + u[0] * np.cos(x[0])]),
+                        control_set=box([-1.0], [1.0]))
+    u = ControlSignal(a=0.0, b=2.0, switch_times=(0.9,),
+                      values=(np.array([1.0]), np.array([-1.0])))
+    return sys, simulate(sys, u, [0.3, 0.0], IntegratorConfig(step=0.05))
+
+
+class TestOneStateRule:
+    """The needle and time-perturbation vectors read gamma where the cones
+    do, at a node of the path that holds their time, so off the grid they
+    equal the cones' generators bit for bit."""
+
+    @pytest.mark.parametrize("t1", [0.523, 1.37])
+    def test_off_grid_vectors_are_the_cone_generators(self, t1):
+        sys, traj = swung_pendulum()
+        assert t1 not in traj.grid.tolist()
+        pi = NeedleData(t1, 0.7, [-0.4])
+        assert class1_vector(sys, traj, pi).vector.tobytes() == \
+            multi_needle_vector(sys, traj, [pi], t1).vector.tobytes()
+        tp = TimePerturbationData(t1, 0.7, -0.3, [-0.4])
+        cone = build_time_cone(sys, traj, t1, {"times": [t1], "controls": [[-0.4]]})
+        gen = {p.kind: g for g, p in zip(cone.cone.generators, cone.provenance)}
+        want = tp.delta_tau * gen["axis+"] + tp.l_tau * gen["needle"]
+        assert time_perturbation_vector(sys, traj, tp).vector.tobytes() == want.tobytes()
+
+    def test_overflowing_time_perturbation_is_a_numerical_failure(self):
+        # f(x, 1) overflows while the reference u = 0 stays finite: the
+        # time-perturbation vector used to raise the bad-input ValueError
+        # of PerturbationVector where class1_vector raises NeedleOverflowError
+        sys = ControlSystem(m=2, k=1, f=lambda x, u: np.array([1.0, u[0] * 1e300 * 1e300]),
+                            control_set=box([-1.0], [1.0]))
+        traj = simulate(sys, constant_signal(0.0, 1.0, [0.0]), [0.0, 0.0],
+                        IntegratorConfig(step=0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NeedleOverflowError, match="t=0.5"):
+                class1_vector(sys, traj, NeedleData(0.5, 1.0, [1.0]))
+            with pytest.raises(NeedleOverflowError, match="t=0.5"):
+                time_perturbation_vector(sys, traj, TimePerturbationData(0.5, 1.0, 0.2, [1.0]))
+
+    def test_overflowing_transport_drift_is_a_numerical_failure(self):
+        # f overflows at x(t1) alone, the drift's base point; the cone at t1
+        # and the rebuilt cone at t2 read other nodes and stay finite
+        trap = []
+
+        def f(x, u):
+            rate = float(u[0]) - float(x[0])
+            return np.array([rate * 1e308 * 10.0 if x.tolist() == trap else rate])
+
+        sys = ControlSystem(m=1, k=1, f=f, df_dx=lambda x, u: -np.ones((1, 1)),
+                            control_set=box([-1.0], [1.0]))
+        cfg = IntegratorConfig(step=0.25)
+        traj = simulate(sys, constant_signal(0.0, 1.0, [1.0]), [0.0], cfg)
+        sampling = {"times": [0.25], "controls": [[-1.0]]}
+        cone = build_tangent_cone(sys, traj, 0.5, sampling, cfg)
+        trap.extend(traj.states[2].tolist())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NeedleOverflowError, match="drift at t=0.5"):
+                cone_transport_check(sys, traj, 0.5, 0.75, cone, cfg)
 
 
 def rk4_arcs(f, y, a, b, switches, values, step):
@@ -563,7 +635,8 @@ class TestProvenanceRule:
         sys, traj, sampling, cfg, t, _ = case()
         kc = build_tangent_cone(sys, traj, t, sampling, cfg)
         tc = build_time_cone(sys, traj, t, sampling, cfg)
-        f = sys.dynamics(traj.state_at(t), traj.control.value_at(t))
+        f = sys.dynamics(node_state(sys, traj, t, sampling["times"], cfg),
+                         traj.control.value_at(t))
         axis = [Provenance(kind="axis+", source_time=t, delta_tau=1.0),
                 Provenance(kind="axis-", source_time=t, delta_tau=-1.0)]
         assert len(kc.cone.generators) >= 8

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pmpkit.control_system import (
+    _event_path,
     ball,
     ControlSignal,
     ControlSystem,
@@ -338,9 +339,11 @@ class TestInvariants:
             i1 = int(np.argmin(np.abs(adj.grid - t1)))
             sig_hat = np.concatenate(([adj.sigma0], adj.sigma[i1]))
             ref = float(sig_hat @ v.vector)
+            # the node state at t1 that class1_vector reads
+            path, node = _event_path(ext, base_traj, [t1], None)
             for t in (t1 + 0.2, 1.7, 2.0):
                 _, (moved,) = tangent_lift_flows(signal_field(ext, u), t, t1,
-                                                 base_traj.state_at(t1), [v.vector],
+                                                 path.states[node[t1]], [v.vector],
                                                  IntegratorConfig(step=0.01))
                 j = int(np.argmin(np.abs(adj.grid - t)))
                 sig_t = np.concatenate(([adj.sigma0], adj.sigma[j]))

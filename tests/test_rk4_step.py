@@ -220,13 +220,19 @@ def test_rk4_stages_are_linearized_in_one_function():
     assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flows")}
 
 
-def test_pmp_interpolates_no_state():
-    # the adjoint retraces the stored steps and check_pmp reads node states:
-    # nothing in pmp.py reads a state between grid nodes
-    with open(os.path.join(SRC, "pmp.py")) as fh:
-        tree = ast.parse(fh.read())
-    assert not [node.lineno for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and node.attr == "state_at"]
+def test_package_interpolates_no_state():
+    # the adjoint retraces the stored steps, and check_pmp, the cones, the
+    # perturbation vectors and the transport and reach checks read node
+    # states (`control_system._event_path`): no module reads or defines a
+    # state between grid nodes
+    found = []
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        found += [(os.path.basename(path), node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "state_at"
+                  or isinstance(node, ast.FunctionDef) and node.name == "state_at"]
+    assert not found
 
 
 def test_package_has_one_hamiltonian_maximizer():

@@ -132,8 +132,6 @@ def test_projection_with_base_system_is_base_simulation(case):
     assert proj.system is sys
     for name in ("grid", "states"):
         assert same_bits(getattr(proj, name), getattr(plain, name)), name
-    for t in np.linspace(0.0, sig.b, 23):
-        assert same_bits(proj.state_at(t), plain.state_at(t))
 
 
 def double_integrator():
