@@ -108,7 +108,7 @@ def ball(center, radius) -> ControlSet:
     return ControlSet(kind="ball", center=center, radius=float(radius))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControlSystem:
     """Dynamics f(x, u), cost rate F(x, u), and the admissible control set.
 
@@ -119,6 +119,8 @@ class ControlSystem:
     quadratic fit without probing it.  The callables get x as a float64
     array, but `f`, `df_dx` or `dF_dx` marked `on_lists` take a list of floats;
     `_rate`, `_jac` and `_grad` call them so and normalise all the others.
+    The system is frozen, so those three never go stale: a changed system
+    is a new one (`dataclasses.replace`).
     """
 
     m: int
@@ -135,12 +137,12 @@ class ControlSystem:
         # f(x, u) and dF/dx(x, u) as lists of floats, df/dx(x, u) as an
         # array, for x a list of floats or an array
         f, df, dF, m = self.f, self.df_dx, self.dF_dx, self.m
-        self._rate = f if getattr(f, "on_lists", False) else (
-            lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist())
-        self._jac = df if getattr(df, "on_lists", False) else self.jac_x
-        self._grad = ((lambda x, u: [0.0] * m) if self.F is None
-                      else dF if getattr(dF, "on_lists", False)
-                      else lambda x, u: self.cost_grad_x(x, u).tolist())
+        object.__setattr__(self, "_rate", f if getattr(f, "on_lists", False) else (
+            lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist()))
+        object.__setattr__(self, "_jac", df if getattr(df, "on_lists", False) else self.jac_x)
+        object.__setattr__(self, "_grad", (lambda x, u: [0.0] * m) if self.F is None
+                           else dF if getattr(dF, "on_lists", False)
+                           else lambda x, u: self.cost_grad_x(x, u).tolist())
 
     def dynamics(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.array(self._rate(x, u))

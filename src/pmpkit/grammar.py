@@ -8,18 +8,18 @@ symbolically in x, and read for its degree in u.
 Evaluation goes through generated Python functions: one per dynamics
 vector, cost, or exact Jacobian; one loop of RK4 steps of the dynamics over
 a run of grid nodes; and, for shooting, the stage and the RK4 step of the
-coupled (x, p) field
-x' = f, p' = c dF/dx - (df/dx)^T p, built when every column of df/dx has at
-most one entry that is not the number 0, so that its Python sums give the
-bits of numpy's J^T p.  `flows.rk4_step`, run on symbolic operands, writes
+coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
+`pmp._costate` compute it, built when every column of df/dx has at most
+one entry that is not the number 0, so that its Python sums give the bits
+of numpy's J^T p.  `flows.rk4_step`, run on symbolic operands, writes
 both steps' stage and combination arithmetic.  Each is built as an `ast`
 tree from the validated grammar tree, one assignment per grammar node in
-the order a tree walk
-evaluates them (left operand, right operand, operation; a subtree that a
-derivative shares is assigned once per entry), and passed to `compile`; no
-source text is generated and the user's text is never evaluated.  Numbers
-are bound through a tuple, so nothing is folded (rk4_step's own numbers
-are literals, each met with a variable).  A state or control reads as
+the order a tree walk evaluates them (left operand, right operand,
+operation; a subtree that a derivative shares is assigned once per
+entry), and passed to `compile`; no source text is generated and the
+user's text is never evaluated.  Numbers are bound through a tuple, so
+nothing is folded (rk4_step's own numbers are literals, each met with a
+variable).  A state or control reads as
 `float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
 list of floats, a vector or Jacobian function is marked `on_lists` (it
 takes x as a list of floats), a power goes through `_real_pow`, and each
@@ -541,7 +541,7 @@ def _dynamics_stage(code, bodies):
 
 def _coupled_stage(code, bodies, jacobian, gradient):
     """stage(y): the operands of the coupled field at the stage state
-    y = (x, p), as `shooting._coupled_rhs` computes it: f(x, u), then
+    y = (x, p), as f and `pmp._costate` compute it: f(x, u), then
     c g_i - q_i with c the parameter c, g the gradient entries (the number
     0.0 each without a cost, so that c = -0.0 keeps the sign of zero) and
     q_i = ((0.0 + J_0i p_0) + J_1i p_1) + ..., every entry of column i of
@@ -676,8 +676,8 @@ def compile_dynamics(srcs, m: int, k: int):
       for a system with Jacobian df_dx, cost F (None without a cost) and
       cost gradient dF_dx: stage(y, u, c) is the field at y = (x, p) and
       step(y, u, h, k1, c) one RK4 step from y whose first stage k1 is
-      stage(y, u, c), with the bits of `flows.rk4_step` on
-      `shooting._coupled_rhs`.  It returns None unless df_dx is f's own
+      stage(y, u, c), with the bits of `flows.rk4_step` on f and
+      `pmp._costate`.  It returns None unless df_dx is f's own
       generated Jacobian, the system has no cost or dF_dx is a generated
       gradient, and every column of the Jacobian has at most one entry
       that is not the number 0: elsewhere numpy's J^T p may round through

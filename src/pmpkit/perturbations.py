@@ -266,8 +266,11 @@ def multi_needle_vector(sys: ControlSystem, traj: Trajectory,
     if times[-1] > t:
         raise ValueError("needle times must not exceed the evaluation time")
     prov = [Provenance(kind="needle", source_time=n.t1, needle=n) for n in needles]
-    total = sum(_generators(sys, traj, prov, t, cfg)[0], np.zeros(sys.m))
-    return PerturbationVector(base_time=float(t), vector=total)
+    vectors = _generators(sys, traj, prov, t, cfg)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(vectors, np.zeros(sys.m))
+    return PerturbationVector(base_time=float(t), vector=_finite(
+        total, f"sum of {len(needles)} needle vectors at t={float(t)!r}"))
 
 
 def time_perturbation_vector(sys: ControlSystem, traj: Trajectory,

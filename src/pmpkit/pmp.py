@@ -435,6 +435,27 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationRes
     return MaximizationResult(u, H(u) if value is None else value)
 
 
+def _costate(sys: ControlSystem, p0, r: int):
+    """The one -dH/dx = c grad_x F - (df/dx)^T p, c = -p0, of an m x r block
+    p, p0 a scalar or one per column: held(u)(t, x) evaluates grad_x F and
+    df/dx at x with u held and returns the rate of a block, both laid out
+    row by row as lists.  One column steps as a plain vector (a gemv)."""
+    m, jac, grad = sys.m, sys._jac, sys._grad
+    # c = -p0 at entry i r + j of the block
+    cs = (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist() * m
+    block = np.array if r == 1 else (lambda pp: np.array(pp).reshape(m, r))
+
+    def held(u):
+        def stage(_, x):
+            g, JT = grad(x, u), jac(x, u).T
+            g = g if r == 1 else [gi for gi in g for _ in range(r)]
+            return lambda pp: [gi * ci - q for gi, ci, q in
+                               zip(g, cs, (JT @ block(pp)).ravel().tolist())]
+        return stage
+
+    return held
+
+
 def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarray:
     """Integrate p' = -p0 grad_x F - (df/dx)^T p backward along the trajectory
     for each column of the m x r block P_b, p0 a scalar or one per column;
@@ -453,27 +474,16 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     if P.ndim != 2 or P.shape[0] != sys.m:
         raise ValueError("terminal covectors have the wrong dimension")
     m, r = P.shape
-    # c = -p0 at entry i r + j of the block laid out row by row; a single
-    # column steps as a plain vector, as fast as the one-covector sweep was
-    cs = (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist() * m
-    block = np.array if r == 1 else (lambda pp: np.array(pp).reshape(m, r))
+    costate, rate = _costate(sys, p0, r), sys._rate
     ts = traj.grid.tolist()
     states = traj.states.tolist()
     p = P.ravel().tolist()
     sigma = [p]
-    rate, jac, grad = sys._rate, sys._jac, sys._grad
-
-    def linearize(_, x):
-        # P' = grad_x F c^T - (df/dx)^T P at the stage state x, c = -p0,
-        # as the coupled shooting step computes it
-        g, JT = grad(x, uval), jac(x, uval).T
-        g = g if r == 1 else [gi for gi in g for _ in range(r)]
-        return lambda pp: [gi * ci - q for gi, ci, q in
-                           zip(g, cs, (JT @ block(pp)).ravel().tolist())]
 
     # the forward path's runs, last first: each holds one control value
     for i0, i1 in reversed(_runs(traj.grid, traj.control.switch_times)):
         uval = traj.control.value_at(0.5 * (ts[i0] + ts[i0 + 1]))
+        linearize = costate(uval)
         for i in range(i1 - 1, i0 - 1, -1):
             t0, t1 = ts[i], ts[i + 1]
             _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i],
@@ -529,7 +539,7 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
             continue
         u_star, H, sup = maximize(adj.sigma[i].tolist(), states[i].tolist())
         sup = H(u_star) if sup is None else sup
-        href = hamiltonian(sys, p0, adj.sigma[i], states[i], u.value_at(t))
+        href = H(u.value_at(t))
         gaps.append(max(sup - href, 0.0))
         sups.append(sup)
     sups_arr = np.array(sups)

@@ -20,7 +20,7 @@ import numpy as np
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSignal, ControlSystem, _derived, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
-from .pmp import BoundarySpec, Extremal, _maximizer, adjoint_flow
+from .pmp import BoundarySpec, Extremal, _costate, _maximizer, adjoint_flow
 
 
 @dataclass
@@ -56,6 +56,17 @@ class ShootingProblem:
     def n_unknowns(self) -> int:
         d_a = len(self.bounds.initial or ())
         return self.sys.m + d_a + (1 if self.bounds.mode == "free_time" else 0)
+
+    def decode(self, z):
+        """(x(a), b) of the unknown vector z = (p(a), c_1..c_d, b): x(a) =
+        x_a + sum c_i w_i over the initial tangent basis, b the final time in
+        free-time mode, else the horizon's b: the one decoding of the
+        entries after p(a)."""
+        m, basis = self.sys.m, self.bounds.initial or ()
+        x = self.x_a.copy()
+        for ci, w in zip(z[m:m + len(basis)], basis):
+            x = x + ci * np.asarray(w, float)
+        return x, (float(z[m + len(basis)]) if self.bounds.mode == "free_time" else self.b)
 
 
 @dataclass
@@ -118,22 +129,31 @@ def _make_jump_tol(control_set) -> float:
     return 0.05 * max(1.0, 2.0 * control_set.radius)
 
 
-def _coupled_rhs(sys, p0, u):
-    """(x', p') of the stacked state-costate y = (x, p) at a frozen control,
-    as a list of floats; y is a list of floats.  J^T p stays a numpy
-    reduction and the rest is the array form's elementwise arithmetic.
-    `_propagate` steps it for the systems the grammar's coupled step does
-    not cover: user callables, finite-difference Jacobians or cost
-    gradients, a dense `linear_system` and Jacobians with a column of two
-    entries that are not the number 0."""
-    m, rate, grad, jac, c = sys.m, sys._rate, sys._grad, sys._jac, -p0
+def _coupled_field(sys, p0):
+    """x' = f(x, u), p' = -dH/dx of y = (x, p) with u held, as (stage,
+    step): stage(y, u, c) is the field at y and step(y, u, h, k1, c) one RK4
+    step from y whose first stage is k1, for lists y and u and c = -p0.
+    It is the grammar's generated pair where `sys.f` carries one (see
+    `grammar.compile_dynamics`), else `flows.rk4_step` on f and
+    `pmp._costate` bound to p0, which get u as a float64 array (user
+    callables, finite-difference derivatives, a dense `linear_system`, a
+    Jacobian column of two entries that are not the number 0); both give
+    the same bits."""
+    generate = getattr(sys.f, "coupled_step", None)
+    generated = generate and generate(sys.df_dx, sys.F, sys.dF_dx)
+    if generated:
+        return generated
+    m, rate, costate = sys.m, sys._rate, _costate(sys, p0, 1)
 
-    def f(_, y):
-        x, p = y[:m], y[m:]
-        return rate(x, u) + [c * g - q for g, q in
-                             zip(grad(x, u), (jac(x, u).T @ np.array(p)).tolist())]
+    def field(u):
+        u = np.array(u)
+        linearize = costate(u)
+        return lambda _, y: rate(y[:m], u) + linearize(_, y[:m])(y[m:])
 
-    return f
+    def step(y, u, h, k1, c):
+        return rk4_step(field(u), 0.0, y, h, k1)
+
+    return (lambda y, u, c: field(u)(0.0, y)), step
 
 
 def _jumped(u1, u2, tol) -> bool:
@@ -164,15 +184,8 @@ class _Propagation:
 def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                step: float, base: Optional[_Propagation] = None
                ) -> Optional[_Propagation]:
-    """Integrate the coupled (x, p) system from the start encoded in z.
-
-    Each step is the grammar's generated coupled step where `sys.f`
-    carries one for the system's Jacobian and cost gradient (expression
-    dynamics and the integrator builtins whose Jacobian columns each have
-    at most one entry that is not the number 0, with no cost or a cost
-    whose gradient is generated; see `grammar.compile_dynamics`), and
-    `flows.rk4_step` on
-    `_coupled_rhs` for every other system; both give the same bits.
+    """Integrate the coupled (x, p) field `_coupled_field` from the start
+    that z encodes (`ShootingProblem.decode`).
 
     `base` is an optional propagation of an unknown vector that differs
     from z only by a smaller final time.  Up to its `resume` state every
@@ -181,31 +194,13 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     """
     sys = problem.sys
     m = sys.m
-    d_a = len(problem.bounds.initial or ())
-    free = problem.bounds.mode == "free_time"
-    b = float(z[m + d_a]) if free else problem.b
+    x, b = problem.decode(z)
     if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
         return None
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
-    # the coupled field at a held control: held = hold(best) for best a
-    # maximizer as argmax gives it, then coupled_stage(y, held, c) is the
-    # field at y and coupled_step(y, held, h, k1, c) one RK4 step from y with
-    # first stage k1
+    field_stage, field_step = _coupled_field(sys, problem.p0)
     c = -problem.p0
-    generate = getattr(sys.f, "coupled_step", None)
-    generated = generate and generate(sys.df_dx, sys.F, sys.dF_dx)
-    if generated:
-        hold, (coupled_stage, coupled_step) = (lambda best: best[2]), generated
-    else:
-        def hold(best):
-            return _coupled_rhs(sys, problem.p0, best[0])
-
-        def coupled_stage(y, rhs, c):
-            return rhs(0.0, y)
-
-        def coupled_step(y, rhs, h, k1, c):
-            return rk4_step(rhs, 0.0, y, h, k1)
 
     def argmax(yc):
         # the maximizer at the stacked state yc = (x, p): u, H bound there
@@ -222,10 +217,8 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
         # which tell -0.0 from 0.0 where a tuple of floats would not
         key = best[0].tobytes()
         if key not in stages:
-            held = hold(best)
-            stages[key] = (held, coupled_stage(y, held, c))
-        held, k1 = stages[key]
-        return coupled_step(y, held, dt, k1, c)
+            stages[key] = field_stage(y, best[2], c)
+        return field_step(y, best[2], dt, stages[key], c)
 
     def bisect(arc, lo, hi, y_hi, best_hi):
         # largest substep keeping the maximizer on the current arc, with
@@ -247,9 +240,6 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
 
     steps: List[Tuple[float, np.ndarray]]
     if base is None:
-        x = problem.x_a.copy()
-        for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
-            x = x + ci * np.asarray(w, float)
         y = np.concatenate([x, np.asarray(z[:m], dtype=float)]).tolist()
         t, steps, n_sw = problem.a, [], 0
     else:
@@ -341,20 +331,18 @@ def _residual(problem: ShootingProblem, z, prop: _Propagation) -> np.ndarray:
 def _fd_jacobian(problem, z, R0, prop, opts):
     """Forward differences of the residual at z, whose propagation is prop.
 
-    A final-time column that moves b up resumes prop instead of
-    propagating again from the start.
+    A column that moves b up (the final-time column, in free-time mode)
+    resumes prop instead of propagating again from the start.
     """
     h = opts.fd_h
     step = _step(problem, opts)
-    m = problem.sys.m
-    i_b = (m + len(problem.bounds.initial or ())
-           if problem.bounds.mode == "free_time" else None)
+    b = problem.decode(z)[1]
     n = len(z)
     J = np.zeros((len(R0), n))
     for j in range(n):
         zp = z.copy()
         zp[j] += h * (1.0 + abs(z[j]))
-        base = prop if j == i_b and zp[j] > z[j] else None
+        base = prop if problem.decode(zp)[1] > b else None
         prop_p = _propagate(problem, zp, opts, step, base)
         if prop_p is None:
             continue
@@ -399,14 +387,7 @@ def _newton(problem, z0, opts):
 
 
 def _build_extremal(problem, z, prop, step):
-    m = problem.sys.m
-    d_a = len(problem.bounds.initial or ())
-    free = problem.bounds.mode == "free_time"
-    b = float(z[m + d_a]) if free else problem.b
-    x0 = problem.x_a.copy()
-    for ci, w in zip(z[m:m + d_a], problem.bounds.initial or ()):
-        x0 = x0 + ci * np.asarray(w, float)
-
+    x0, b = problem.decode(z)
     switches: List[float] = []
     values: List[Tuple[float, ...]] = [tuple(prop.steps[0][1])]
     for (t_s, u_s) in prop.steps[1:]:

@@ -33,8 +33,9 @@ form of a package routine as its reference:
   step's control at its midpoint, which `flows._lifted_path` replaced by
   one lookup per run of steps between switches (bit for bit);
 - `coupled_rhs_arrays` and `propagate_arrays`, shooting's coupled (x, p)
-  step and propagation on numpy arrays, which `shooting._coupled_rhs` and
-  `shooting._propagate` replaced by lists of Python floats (bit for bit);
+  step and propagation on numpy arrays, which the fallback field of
+  `shooting._coupled_field` and `shooting._propagate` replaced by lists of
+  Python floats (bit for bit);
 - `BUILTINS_ARRAYS`, the CLI's builtin dynamics and Jacobians as array
   functions, which the builtins on lists replaced (bit for bit).
 """

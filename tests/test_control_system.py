@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -22,6 +23,7 @@ from pmpkit.control_system import (
 )
 from pmpkit.flows import FlowBlowUpError, IntegratorConfig, TimeVectorField
 from pmpkit.perturbations import _clip_signal
+from pmpkit.pmp import adjoint_flow
 
 
 def double_integrator():
@@ -173,10 +175,26 @@ def test_signal_invariants(spec):
                 assert clip.value_at(t)[0] == u.value_at(t)[0]
 
 
+class TestFrozen:
+    def test_assigning_a_field_raises(self):
+        # the evaluators _rate, _jac and _grad are fixed at construction: a
+        # cost assigned afterwards left _grad on no cost, so the adjoint of
+        # x' = u, u = 1, x(0) = 0.5, p(1) = 0, p0 = -1 lost grad F and read
+        # p(0) = 0.0 where F = x0^2 gives -2.0
+        sys = ControlSystem(m=1, k=1, f=lambda x, u: np.array([u[0]]),
+                            control_set=box([-1.0], [1.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.F = lambda x, u: float(x[0] ** 2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys._grad = lambda x, u: [2.0 * x[0]]
+        costly = dataclasses.replace(sys, F=lambda x, u: float(x[0] ** 2))
+        traj = simulate(costly, constant_signal(0.0, 1.0, [1.0]), [0.5])
+        assert adjoint_flow(costly, traj, -1.0, [0.0]).sigma[0, 0] == pytest.approx(-2.0)
+
+
 class TestExtend:
     def test_time_optimal_dynamics(self):
-        sys = double_integrator()
-        sys.F = lambda x, u: 1.0
+        sys = dataclasses.replace(double_integrator(), F=lambda x, u: 1.0)
         ext = extend(sys)
         out = ext.dynamics(np.array([0.0, 1.0, 2.0]), np.array([0.5]))
         assert np.allclose(out, [1.0, 2.0, 0.5])
@@ -310,8 +328,7 @@ class TestFiniteDifferences:
 
 class TestCost:
     def test_time_optimal_cost_is_duration(self):
-        sys = double_integrator()
-        sys.F = lambda x, u: 1.0
+        sys = dataclasses.replace(double_integrator(), F=lambda x, u: 1.0)
         traj = simulate(extend(sys), constant_signal(0.0, 2.0, [1.0]), [0.0, 0.0, 0.0])
         assert cost(traj) == pytest.approx(2.0, abs=1e-12)
 

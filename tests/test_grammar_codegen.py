@@ -8,9 +8,10 @@ tests; the points mix ordinary values with ones that divide by zero,
 overflow `exp`, raise a negative base to a fractional power and take
 `sin(inf)`.  The generated RK4 step of a dynamics must carry the bits of
 `flows.rk4_step` on the generated dynamics, and the generated coupled
-(x, p) stage and step those of `flows.rk4_step` on shooting's
-`_coupled_rhs` wherever that is finite; the source scan of
-`test_rk4_step.py` must see in both RK4's combination and no numpy call.
+(x, p) stage and step those of the fallback pair of shooting's
+`_coupled_field`, `flows.rk4_step` on f and `pmp._costate`, wherever that
+is finite; the source scan of `test_rk4_step.py` must see in both RK4's
+combination and no numpy call.
 """
 
 import ast
@@ -21,10 +22,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import grammar_tree_array, grammar_tree_function
-from pmpkit import grammar, shooting
+from pmpkit import grammar
 from pmpkit.control_system import ControlSystem, box
 from pmpkit.flows import rk4_step
 from test_grammar_properties import K, M, render, trees
+from test_list_rate import fallback_field
 from test_rk4_step import rk4_combinations
 
 SPECIAL = (0.0, -0.0, 800.0, -800.0, -2.0, math.inf, -math.inf, math.nan)
@@ -259,12 +261,12 @@ def test_generated_coupled_step_matches_rk4_step_on_coupled_rhs(case):
         J = sys.df_dx(point[:m], [0.4] * sys.k)
         assert ((J != 0.0).sum(axis=0) <= 1).all(), J
     stage, step = generated
-    # shooting hands _coupled_rhs the maximizer's control as an array and
-    # the generated functions the same control as a list
+    # shooting hands both pairs the maximizer's control as a list; the
+    # fallback hands its callables the float64 array of it
+    fallback_stage, fallback_step = fallback_field(sys, p0)
     with np.errstate(all="ignore"):
-        rhs = shooting._coupled_rhs(sys, p0, np.array(u))
-        k1 = rhs(0.0, y)
-        want = rk4_step(rhs, 0.0, y, h, k1)
+        k1 = fallback_stage(y, u, -p0)
+        want = fallback_step(y, u, h, k1, -p0)
     got_k1 = stage(y, u, -p0)
     got = step(y, u, h, got_k1, -p0)
     for g, w in ((got_k1, k1), (got, want)):

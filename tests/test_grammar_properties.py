@@ -4,9 +4,14 @@ Expressions are drawn as small trees over x0, x1, u0, u1 and rendered to
 grammar strings.  The oracles are central finite differences for the
 partial derivatives, the maximizer's own three-probe fit check for the
 degree analysis, and the undeclared maximizer path for the declared one.
+Random trees and token soup as a problem file's dynamics and cost, run
+through the CLI, must end in one of its exit codes with no exception.
 """
 
 import dataclasses
+import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -153,3 +158,35 @@ def test_declared_degree_maximizes_bit_for_bit(dyn, cost, cset, xp, p0):
     b = pmp.maximize_hamiltonian(undeclared, p0, p, x)
     assert np.array_equal(a.u_star, b.u_star)
     assert a.value == b.value or (np.isnan(a.value) and np.isnan(b.value))
+
+
+# the grammar's tokens, some it rejects, and literals at and past the float range
+TOKENS = ("x0", "x1", "x2", "u0", "u1", "q0", "+", "-", "*", "/", "^", "**", "(", ")",
+          "sin", "cos", "exp", "log", "0", "1", "0.5", "1e308", "1" + "0" * 400,
+          "nan", "inf", ",", ".", "lambda", "__import__")
+soup = st.tuples(st.lists(st.sampled_from(TOKENS), max_size=12),
+                 st.sampled_from(("", " "))).map(lambda t: t[1].join(t[0]))
+# two trees for one soup, so that most problems reach the solvers
+expressions = st.one_of(trees(2, 1).map(render), trees(2, 1).map(render), soup)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(("simulate", "shoot")), st.lists(expressions, min_size=2, max_size=2),
+       st.one_of(st.none(), expressions))
+def test_fuzzed_problem_exits_with_a_cli_code(command, dynamics, cost):
+    # bad input exits 2 and a numerical failure 3; no error escapes main
+    data = {"dynamics": {"expressions": dynamics},
+            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+            "horizon": {"a": 0.0, "b": 1.0}, "integrator": {"step": 0.1},
+            "control": {"switch_times": [0.5], "values": [[1.0], [-1.0]]},
+            "boundary": {"mode": "fixed_time", "initial": {"point": [0.5, 0.0]},
+                         "final": {"anchor": [0.0, 0.0], "normals": []}},
+            "shooting": {"max_iter": 1}}
+    if cost is not None:
+        data["cost"] = {"expression": cost}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "problem.json")
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        rc = cli.main([command, "--problem", path, "--out", os.path.join(d, "out")])
+    assert rc in (0, 2, 3)

@@ -5,10 +5,11 @@ returns one, so `simulate` makes no array per RK4 stage.  The same function
 wrapped as a plain callable that returns an ndarray goes the array path,
 which hands it a float64 array and converts what it returns; both must give
 the same bits (NaN compared as NaN, the sign of zero compared), also where
-a guarded entry is NaN.  Shooting's coupled (x, p) step, its propagation
-and the CLI's builtin dynamics run on lists too, with the bits of the
-array forms kept in `oracles.py`.  User callables still receive float64
-arrays through every integrator, shooting, `check_pmp` and the maximizer.
+a guarded entry is NaN.  Shooting's coupled (x, p) step (the fallback of
+`_coupled_field`), its propagation and the CLI's builtin dynamics run on
+lists too, with the bits of the array forms kept in `oracles.py`.  User
+callables still receive float64 arrays through every integrator,
+shooting, `check_pmp` and the maximizer.
 """
 
 import collections
@@ -213,12 +214,28 @@ def outcome(fn, *args):
     return bits(got)
 
 
+def fallback_field(sys, p0):
+    """Shooting's fallback coupled (stage, step) of sys: `_coupled_field`
+    of sys with f wrapped as a plain function, which carries no generated
+    coupled step."""
+    f = sys.f
+
+    def plain(x, u):
+        return f(x, u)
+
+    plain.on_lists = getattr(f, "on_lists", False)
+    return shooting._coupled_field(dataclasses.replace(sys, f=plain), p0)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(coupled_cases())
 def test_coupled_rhs_on_lists_matches_array_form(case):
+    # the fallback stage gets the maximizer's control as a list and hands
+    # the callables the float64 array of it
     sys, p0, u, y = case
     want = outcome(coupled_rhs_arrays(sys, p0, u), 0.0, np.array(y))
-    assert outcome(shooting._coupled_rhs(sys, p0, u), 0.0, y) == want
+    stage, _ = fallback_field(sys, p0)
+    assert outcome(stage, y, u.tolist(), -p0) == want
 
 
 def propagation_problems():

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -349,6 +350,20 @@ class TestOneStateRule:
                 class1_vector(sys, traj, NeedleData(0.5, 1.0, [1.0]))
             with pytest.raises(NeedleOverflowError, match="t=0.5"):
                 time_perturbation_vector(sys, traj, TimePerturbationData(0.5, 1.0, 0.2, [1.0]))
+
+    def test_overflowing_needle_sum_is_a_numerical_failure(self):
+        # each needle vector is finite, (0, 1e308), but two of them sum to
+        # inf: the sum used to raise PerturbationVector's bad-input
+        # ValueError, with numpy's overflow warning
+        sys = ControlSystem(m=2, k=1, f=lambda x, u: np.array([1.0, u[0] * 1e308]),
+                            control_set=box([-1.0], [1.0]))
+        traj = simulate(sys, constant_signal(0.0, 1.0, [0.0]), [0.0, 0.0])
+        pi = NeedleData(0.5, 1.0, [1.0])
+        assert multi_needle_vector(sys, traj, [pi], 0.5).vector.tolist() == [0.0, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NeedleOverflowError, match="sum of 2 needle vectors at t=0.5"):
+                multi_needle_vector(sys, traj, [pi, pi], 0.5)
 
     def test_overflowing_transport_drift_is_a_numerical_failure(self):
         # f overflows at x(t1) alone, the drift's base point; the cone at t1

@@ -187,9 +187,10 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
     # the lifts) and steps each lifted vector on the stages it recorded;
     # pmp.adjoint_flows steps a block of covectors back on the stages of the
     # forward steps it retraces (pmp.adjoint_flow is its one-column case);
-    # shooting._propagate picks its controls step by step, so it keeps its
-    # own loop; grammar._rk4_step_code runs it on no path but once, on
-    # symbolic operands, to write the generated step of expression dynamics
+    # shooting._propagate picks its controls step by step, and steps by the
+    # pair of shooting._coupled_field, whose fallback is rk4_step;
+    # grammar._rk4_step_code runs it on no path but once, on symbolic
+    # operands, to write the generated steps of expression dynamics
     found = set()
     for name, top in _top_functions():
         for node in ast.walk(top):
@@ -197,8 +198,21 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
                     or (isinstance(node, ast.Attribute) and node.attr == "rk4_step")):
                 found.add((name, getattr(top, "name", None)))
     assert found == {("flows.py", "_recorded_step"), ("flows.py", "_lifted_path"),
-                     ("pmp.py", "adjoint_flows"), ("shooting.py", "_propagate"),
+                     ("pmp.py", "adjoint_flows"), ("shooting.py", "_coupled_field"),
                      ("grammar.py", "_rk4_step_code")}
+
+
+def test_costate_rate_is_written_once():
+    # -dH/dx = c grad_x F - (df/dx)^T p is written once, in pmp._costate:
+    # the adjoint and shooting's fallback coupled field both call it, so no
+    # other function reads both a system's Jacobian and its cost gradient
+    found = set()
+    for name, top in _top_functions():
+        loads = {node.attr for node in ast.walk(top) if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load) and node.attr in ("_jac", "_grad")}
+        if len(loads) == 2:
+            found.add((name, getattr(top, "name", None)))
+    assert found == {("pmp.py", "_costate")}
 
 
 def test_rk4_stages_are_linearized_in_one_function():

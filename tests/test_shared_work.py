@@ -6,9 +6,10 @@ reuse values computed from identical inputs.  Each is compared bit for bit
 with the plain computation, and the work of a fixed shooting solve, of a
 tangent cone and of a classification is held to the call counts committed
 below, as are the number of Hamiltonian evaluations of one maximization,
-the generated RK4 steps of a path of expression dynamics, the path
-shooting steps each system by (the generated coupled step or `rk4_step` on
-`_coupled_rhs`) and the compiles of one problem's generated code.
+the generated RK4 steps of a path of expression dynamics, the pair
+shooting steps each system by (`_coupled_field`: the generated coupled
+step, or `rk4_step` on f and `pmp._costate`) and the compiles of one
+problem's generated code.
 The adjoint flow, which retraces the forward steps, is held to fourth-order
 agreement with the backward scheme it replaced, and the one adjoint sweep
 of a needle cone to rounding of the forward lift over the same steps.
@@ -458,15 +459,16 @@ def test_paths_of_expression_dynamics_make_one_runner_call_per_control_piece():
     assert sum(runs) == sum(len(grid) - 1 for grid in grids)
 
 
-def counted_coupled_rhs(monkeypatch):
-    """A counter of the `_coupled_rhs` that shooting builds from now on."""
-    calls, build = collections.Counter(), shooting._coupled_rhs
+def counted_costate(monkeypatch):
+    """A counter of the `pmp._costate` that shooting's fallback coupled
+    field binds from now on, once per propagation."""
+    calls, build = collections.Counter(), shooting._costate
 
     def counted(*args):
-        calls["_coupled_rhs"] += 1
+        calls["_costate"] += 1
         return build(*args)
 
-    monkeypatch.setattr(shooting, "_coupled_rhs", counted)
+    monkeypatch.setattr(shooting, "_costate", counted)
     return calls
 
 
@@ -480,10 +482,10 @@ def test_expression_shoots_take_the_generated_coupled_step(monkeypatch, name):
     # the builtin double integrator is the expressions ["x1", "u0"]: both
     # goldens step every propagation by the grammar's coupled step
     problem = cli.load_problem(os.path.join(GOLDEN, name, "problem.json"))
-    calls = counted_coupled_rhs(monkeypatch)
+    calls = counted_costate(monkeypatch)
     res = shooting.shoot(shooting_problem(problem),
                          opts=shooting.ShootingOptions(tol=problem.tol, step=problem.step))
-    assert res.converged and calls["_coupled_rhs"] == 0
+    assert res.converged and calls["_costate"] == 0
 
 
 def counted_calls(calls, name, fn):
@@ -497,8 +499,9 @@ def counted_calls(calls, name, fn):
 # minimum-time double integrator: k1 is evaluated once per control value
 # per loop iteration and shared by the trial steps from that state.  The
 # golden takes the generated coupled stage and step; with its callables
-# wrapped, as in test_shoot_work_within_committed_counts, it takes
-# `_coupled_rhs` (one per stage) and `rk4_step`, and does the same work.
+# wrapped, as in test_shoot_work_within_committed_counts, it takes the
+# fallback pair of `_coupled_field`, whose step is one `rk4_step`, and does
+# the same work.
 COUPLED_WORK_BASELINE = {"stage": 2213, "step": 5539}
 
 
@@ -519,9 +522,13 @@ def test_coupled_stages_and_steps_within_committed_counts(monkeypatch):
             if generated[k] > v}
     assert not over, f"calls above the committed counts (got, committed): {over}"
 
-    fallback = collections.Counter()
-    monkeypatch.setattr(shooting, "_coupled_rhs",
-                        counted_calls(fallback, "stage", shooting._coupled_rhs))
+    fallback, field = collections.Counter(), shooting._coupled_field
+
+    def counted_field(*args):
+        stage, step = field(*args)
+        return counted_calls(fallback, "stage", stage), step
+
+    monkeypatch.setattr(shooting, "_coupled_field", counted_field)
     monkeypatch.setattr(shooting, "rk4_step", counted_calls(fallback, "step", shooting.rk4_step))
     sys, _ = counted_system(problem.sys, ("f",))
     sp = dataclasses.replace(shooting_problem(problem), sys=sys)
@@ -555,11 +562,11 @@ def test_other_systems_keep_rk4_step_on_coupled_rhs(monkeypatch, dynamics, cost)
     prob = shooting.ShootingProblem(sys=sys, bounds=pmp.BoundarySpec(mode="fixed_time"),
                                     p0=-1.0, x_a=[1.0, 0.5], x_b=[0.0, 0.0], a=0.0, b=1.5)
     opts = shooting.ShootingOptions(step=0.1)
-    calls = counted_coupled_rhs(monkeypatch)
+    calls = counted_costate(monkeypatch)
     for z in ([0.9, 1.0], [-3.0, -2.5], [0.0, 0.0]):
         calls.clear()
         prop = shooting._propagate(prob, np.array(z), opts, 0.1)
-        assert calls["_coupled_rhs"] > 0, z
+        assert calls["_costate"] > 0, z
         steps, x_b, p_b, sup_h = propagate_arrays(prob, np.array(z), opts, 0.1)
         assert [(t, u.tobytes()) for t, u in prop.steps] == \
             [(t, u.tobytes()) for t, u in steps]
