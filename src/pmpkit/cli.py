@@ -10,6 +10,7 @@ check passed, 1 check failed, 2 input error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -497,7 +498,10 @@ _FLAGS = {"--tol": {"type": float}, "--seed": {"type": int},
           "--mode": {"choices": ("fixed", "free")}}
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: parsing leaves it
+    as it was, so every call of `main` shares it."""
     p = argparse.ArgumentParser(
         prog="pmpkit",
         description="simulate, check, shoot, cones, reach on problem files")

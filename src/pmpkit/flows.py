@@ -176,7 +176,9 @@ def rk4_step(f, t, y, h, k1):
 def _recorded_step(rate, linearize, t, y, h):
     """rk4_step of y' = rate(t, y) from (t, y) with step h, and the list of
     linearize(t, y) at its four stages: the one place where RK4 stages are
-    linearized, for the lifts of `_lifted_path` and for `pmp.adjoint_flow`."""
+    linearized, for the lifts of `_lifted_path` and for `pmp.adjoint_flow`,
+    whose generated sweep the grammar writes by running it on symbolic
+    operands."""
     lins = []
 
     def recording(tt, yy):

@@ -7,12 +7,20 @@ symbolically in x, and read for its degree in u.
 
 Evaluation goes through generated Python functions: one per dynamics
 vector, cost, or exact Jacobian; one loop of RK4 steps of the dynamics over
-a run of grid nodes; and, for shooting, the stage and the RK4 step of the
+a run of grid nodes; for shooting, the stage and the RK4 step of the
 coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
-`pmp._costate` compute it, built when every column of df/dx has at most
-one entry that is not the number 0, so that its Python sums give the bits
-of numpy's J^T p.  `flows.rk4_step`, run on symbolic operands, writes
-both steps' stage and combination arithmetic.  Each is built as an `ast`
+`pmp._costate` compute it; and for `pmp.adjoint_flows`, one loop of its
+discrete-adjoint steps of an m x r block of covectors over a run of grid
+nodes.  The last two are built when every column of df/dx has at most one
+entry that is not the number 0, so that Python arithmetic gives the bits
+of numpy's J^T P: numpy sums the products of a vector or of m = 1 (a
+gemv) from 0.0, which a Python sum repeats, and chains fused multiply-adds
+for a block (a gemm), which differs from that sum only where the one
+product that is not with the number 0 underflows, so the generated code
+keeps that product's signed zero there.  `flows.rk4_step`, run on
+symbolic operands, writes every step's stage and combination arithmetic,
+and `flows._recorded_step` the adjoint's retraced forward step.  Each is
+built as an `ast`
 tree from the validated grammar tree, one assignment per grammar node in
 the order a tree walk evaluates them (left operand, right operand,
 operation; a subtree that a derivative shares is assigned once per
@@ -39,12 +47,13 @@ import ast
 import functools
 import math
 import re
+import warnings
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from .flows import rk4_step
+from .flows import _recorded_step, rk4_step
 
 
 class ProblemError(ValueError):
@@ -83,20 +92,45 @@ def _describe(node) -> str:
         return type(node).__name__
 
 
+def _source_offset(src, off):
+    """The index in src of the character at index off of src with each ^
+    written as **."""
+    end = 0
+    for i, ch in enumerate(src):
+        end += 2 if ch == "^" else 1
+        if end > off:
+            return i
+    return len(src)
+
+
 def _parse(src, where):
-    """(text, body): src with ^ read as ** and the parsed expression body."""
+    """(text, body): src with ^ read as ** and the parsed expression body.
+
+    A syntax error names the offset and the token in src, or the end of
+    the input where Python's parser ran out of it."""
     if not isinstance(src, str):
         raise ProblemError(f"parse error: expression must be a string, got {src!r}")
+    if not src.strip():
+        raise ProblemError(f"parse error: empty expression '{src}'")
     text = src.replace("^", "**")
     try:
-        return text, ast.parse(text, mode="eval").body
+        # a literal run into a name ("1inf") draws a SyntaxWarning before
+        # its SyntaxError; the error alone is reported
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SyntaxWarning)
+            return text, ast.parse(text, mode="eval").body
     except SyntaxError as e:
         if e.msg == "too many nested parentheses":
             raise _too_deep(where) from None
-        off = (e.offset or 1) - 1
-        token = text[off:off + 8].split()[0] if text[off:off + 8].split() else text[off:off + 8]
-        raise ProblemError(
-            f"parse error in '{src}' at offset {off}: bad token '{token or e.msg}'")
+        # Python's offset counts from 1 on line lineno, 0 at the end of input
+        lines = text.splitlines(keepends=True)
+        line = (e.lineno or 1) - 1
+        off = sum(map(len, lines[:line])) + (e.offset or 0) - 1
+        if not e.offset or off >= len(text.rstrip()):
+            raise ProblemError(f"parse error in '{src}': unexpected end of input") from None
+        pos = _source_offset(src, off)
+        token = (src[pos:pos + 8].split() or [src[pos:pos + 8]])[0]
+        raise ProblemError(f"parse error in '{src}' at offset {pos}: bad token '{token}'")
     except MemoryError:
         # the parser's own stack overflow on deep nesting
         raise _too_deep(where) from None
@@ -539,34 +573,81 @@ def _dynamics_stage(code, bodies):
     return stage
 
 
+def _linearization(code, jacobian, gradient):
+    """(J, g): the operands of the m x m Jacobian trees `jacobian`
+    (row-major) and of the gradient trees, None without a cost, at the
+    state the code's inputs bind, each evaluated as `_Code.entry` does."""
+    return (_stage_values(code, jacobian),
+            None if gradient is None else _stage_values(code, gradient))
+
+
+def _compare(left, op, right):
+    return ast.Compare(left, [op], [right], **_POS)
+
+
+def _fused(code, acc, a, b):
+    """An operand of acc + a b rounded once, as a fused multiply-add gives
+    it, for acc the literal 0.0 or a sum of products with the number 0 (so
+    a signed zero or NaN).  With t = a b it is acc + t, except where t
+    underflows to a signed zero from a and b not zero and acc is no NaN:
+    there it is t, whose sign the fused sum keeps."""
+    t = _Operand(code, (a * b).local())
+    tests = [_compare(_name(t.name), ast.Eq(), ast.Constant(0.0, **_POS)),
+             _compare(_name(a.local()), ast.NotEq(), ast.Constant(0.0, **_POS)),
+             _compare(_name(b.local()), ast.NotEq(), ast.Constant(0.0, **_POS))]
+    if isinstance(acc, _Operand):
+        tests.append(_compare(_name(acc.local()), ast.Eq(), _name(acc.name)))
+    return _Operand(code, code.local(ast.IfExp(ast.BoolOp(ast.And(), tests, **_POS),
+                                               _name(t.name), (acc + t).expr(), **_POS)))
+
+
+def _costate_rate(code, linearization, c, p, zero):
+    """Operands of the rate c_j g_i - q_ij of the m x r block p (operands,
+    row-major), the numbers of `pmp._costate`: (J, g) = linearization, g
+    None without a cost (the number 0.0 then, so that c_j = -0.0 keeps the
+    sign of zero), c the r column multipliers, and q = J^T p as numpy's
+    product rounds it where zero[k m + i] marks each entry J_ki that is
+    the number 0 and each column of J has at most one other.  A vector (r
+    = 1, a gemv) or m = 1 sums the products from 0.0, q_ij = ((0.0 + J_0i
+    p_0j) + J_1i p_1j) + ...; a block (a gemm) chains fused multiply-adds
+    from 0.0 in the same order, which differs from that sum only in the
+    sign of a zero where the one product that is not with the number 0
+    underflows (`_fused`)."""
+    J, g = linearization
+    r = len(c)
+    m = len(p) // r
+    p = [_Operand(code, pi.local()) for pi in p]
+    rates = []
+    for i in range(m):
+        for j in range(r):
+            q = 0.0
+            for k in range(m):
+                a, b = J[k * m + i], p[k * r + j]
+                q = (_fused(code, q, a, b) if m > 1 and r > 1 and not zero[k * m + i]
+                     else q + a * b)
+            # a local, as each entry of f is: the stages and the
+            # combination read it
+            rates.append(_Operand(code, ((0.0 if g is None else g[i]) * c[j] - q).local()))
+    return rates
+
+
 def _coupled_stage(code, bodies, jacobian, gradient):
     """stage(y): the operands of the coupled field at the stage state
-    y = (x, p), as f and `pmp._costate` compute it: f(x, u), then
-    c g_i - q_i with c the parameter c, g the gradient entries (the number
-    0.0 each without a cost, so that c = -0.0 keeps the sign of zero) and
-    q_i = ((0.0 + J_0i p_0) + J_1i p_1) + ..., every entry of column i of
-    J = `jacobian` (row-major trees) included."""
+    y = (x, p), as f and `pmp._costate` compute it: f(x, u), then the
+    `_costate_rate` of the column p with the parameter c."""
     m = len(bodies)
-    dynamics, c = _dynamics_stage(code, bodies), _Operand(code, "c")
+    dynamics, c = _dynamics_stage(code, bodies), [_Operand(code, "c")]
+    zero = [_is_num(e, 0) for e in jacobian]
 
     def stage(y):
         rates = dynamics(y[:m])
-        p = [_Operand(code, pi.local()) for pi in y[m:]]
-        J = _stage_values(code, jacobian)
-        g = [0.0] * m if gradient is None else _stage_values(code, gradient)
-        for i in range(m):
-            q = 0.0
-            for r in range(m):
-                q = q + J[r * m + i] * p[r]
-            # a local, as each entry of f is: the stages and the
-            # combination read it
-            rates.append(_Operand(code, (c * g[i] - q).local()))
-        return rates
+        return rates + _costate_rate(code, _linearization(code, jacobian, gradient), c, y[m:],
+                                     zero)
 
     return stage
 
 
-def _rk4_step_code(code, y, stage, k1):
+def _rk4_step_code(code, y, stage, k1, h="h"):
     """The expressions of the list `flows.rk4_step` returns from the
     operands y, with the step in the local h and the first stage k1, of the
     field whose stage(v) evaluates it at the stage operands v into code.
@@ -574,8 +655,35 @@ def _rk4_step_code(code, y, stage, k1):
     rk4_step runs once on `_Operand`s, so the stage and combination
     arithmetic is its own, in its order.
     """
-    step = rk4_step(lambda t, v: stage(v), 0.0, y, _Operand(code, "h"), k1)
+    step = rk4_step(lambda t, v: stage(v), 0.0, y, _Operand(code, h), k1)
     return [v.expr() for v in step]
+
+
+def _run_function(code, name, params, reads, head, y, new, out, nodes, blown):
+    """The definition of name(*params) -> node: the statements reads, then
+    a loop over the range nodes whose body is head, code.body, out.append
+    of the list of the locals new, a return of the node blown unless every
+    one of them is finite, and the operands y set to them; None after the
+    loop."""
+    finite = [_apply("_isfinite", _name(n)) for n in new]
+    loop = (head + code.body
+            + [ast.Expr(ast.Call(ast.Attribute(_name(out), "append", _LOAD, **_POS),
+                                 [ast.List([_name(n) for n in new], _LOAD, **_POS)], [],
+                                 **_POS), **_POS),
+               ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), finite, **_POS)
+                                  if len(finite) > 1 else finite[0], **_POS),
+                      [ast.Return(blown, **_POS)], [], **_POS)]
+            + [_assign(yi.name, _name(n)) for yi, n in zip(y, new)])
+    code.body = reads + [ast.For(_name("i", _STORE), nodes, loop, [], **_POS)]
+    return code.define(name, params, ast.Constant(None, **_POS))
+
+
+def _at(vec, index):
+    return ast.Subscript(_name(vec), index, _LOAD, **_POS)
+
+
+def _next_node():
+    return ast.BinOp(_name("i"), ast.Add(), ast.Constant(1, **_POS), **_POS)
 
 
 def _dynamics_run_code(bodies, k):
@@ -593,25 +701,70 @@ def _dynamics_run_code(bodies, k):
     reads, code.body = code.body, []
     stage = _dynamics_stage(code, bodies)
     new = [code.local(v) for v in _rk4_step_code(code, y, stage, stage(y))]
-    node = ast.BinOp(_name("i"), ast.Add(), ast.Constant(1, **_POS), **_POS)
+    head = [_assign("h", ast.BinOp(_at("ts", _next_node()), ast.Sub(), _at("ts", _name("i")),
+                                   **_POS))]
+    return code, _run_function(code, "dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"),
+                               reads, head, y, new, "xs",
+                               _apply("range", _name("i0"), _name("i1")), _next_node())
 
-    def at(index):
-        return ast.Subscript(_name("ts"), index, _LOAD, **_POS)
 
-    finite = [_apply("_isfinite", _name(n)) for n in new]
-    loop = ([_assign("h", ast.BinOp(at(node), ast.Sub(), at(_name("i")), **_POS))]
-            + code.body
-            + [ast.Expr(ast.Call(ast.Attribute(_name("xs"), "append", _LOAD, **_POS),
-                                 [ast.List([_name(n) for n in new], _LOAD, **_POS)], [],
-                                 **_POS), **_POS),
-               ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), finite, **_POS)
-                                  if len(finite) > 1 else finite[0], **_POS),
-                      [ast.Return(node, **_POS)], [], **_POS)]
-            + [_assign(yi.name, _name(n)) for yi, n in zip(y, new)])
-    code.body = reads + [ast.For(_name("i", _STORE), _apply("range", _name("i0"), _name("i1")),
-                                 loop, [], **_POS)]
-    return code, code.define("dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"),
-                             ast.Constant(None, **_POS))
+def _drop_unread(body):
+    """body without the entries, each in its own try, whose value no
+    statement reads."""
+    read = {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [stmt for stmt in body
+            if not (isinstance(stmt, ast.Try) and stmt.body[-1].targets[0].id not in read)]
+
+
+def _adjoint_run_code(bodies, jacobian, gradient, k, r):
+    """(code, definition) of adjoint_run(p, u, c, ts, xs, i0, i1, out) ->
+    node: the discrete adjoint of the RK4 steps of x' = f(x, u) with u
+    held, as `pmp.adjoint_flows` takes it, stepping the m x r block p
+    (row-major) back from node i1 to node i0 of the grid ts, for the m
+    trees `bodies` of f, the Jacobian trees `jacobian` (row-major) and the
+    gradient trees, None without a cost; c holds the r column multipliers
+    c = -p0.
+
+    Step i retraces the forward step from the node state xs[i] with h =
+    ts[i + 1] - ts[i]: `flows._recorded_step` runs once on `_Operand`s and
+    linearizes at its four stage states (J and g, as `_coupled_stage`
+    evaluates them).  The block then steps back by the list `rk4_step`
+    returns with step hb = ts[i] - ts[i + 1] on the `_costate_rate` of
+    those linearizations in reverse stage order, and is appended to out as
+    a list.  The forward step's own new state, and so f at its fourth
+    stage, is never read, and is not evaluated.  u, c and p are read
+    through float once, before the loop.  The function returns the first
+    node i whose block is not finite, that block appended, or None."""
+    m = len(bodies)
+    code, _ = _field_code([*bodies, *(gradient or ())], k, 0)
+    c = [_read(code, "c", j) for j in range(r)]
+    p = [_read(code, "p", i) for i in range(m * r)]
+    reads, code.body = code.body, []
+    x = [_read(code, "x", i) for i in range(m)]
+    dynamics = _dynamics_stage(code, bodies)
+    # _recorded_step evaluates f at a stage, which binds the stage state to
+    # the inputs, before it linearizes there
+    _, lins = _recorded_step(lambda _, v: dynamics(v),
+                             lambda _, v: _linearization(code, jacobian, gradient),
+                             0.0, x, _Operand(code, "h"))
+    zero = [_is_num(e, 0) for e in jacobian]
+    stages = reversed(lins)
+
+    def stage(pp):
+        return _costate_rate(code, next(stages), c, pp, zero)
+
+    new = [code.local(v) for v in _rk4_step_code(code, p, stage, stage(p), "hb")]
+    code.body = _drop_unread(code.body)
+    i, nxt = _name("i"), _next_node()
+    head = [_assign("x", _at("xs", i)),
+            _assign("h", ast.BinOp(_at("ts", nxt), ast.Sub(), _at("ts", i), **_POS)),
+            _assign("hb", ast.BinOp(_at("ts", i), ast.Sub(), _at("ts", nxt), **_POS))]
+    nodes = _apply("range", ast.BinOp(_name("i1"), ast.Sub(), ast.Constant(1, **_POS), **_POS),
+                   ast.BinOp(_name("i0"), ast.Sub(), ast.Constant(1, **_POS), **_POS),
+                   ast.Constant(-1, **_POS))
+    return code, _run_function(code, "adjoint_run", ("p", "u", "c", "ts", "xs", "i0", "i1", "out"),
+                               reads, head, p, new, "out", nodes, _name("i"))
 
 
 def _coupled_step_code(bodies, jacobian, gradient, k, step):
@@ -619,7 +772,7 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
     at u held: coupled_stage(y, u, c) -> list, the field at y, or, with
     step, coupled_step(y, u, h, k1, c) -> list, one RK4 step from y with
     step h whose first stage k1 is coupled_stage(y, u, c)."""
-    code, y = _field_code(bodies + (gradient or []), k, 2 * len(bodies))
+    code, y = _field_code([*bodies, *(gradient or ())], k, 2 * len(bodies))
     stage = _coupled_stage(code, bodies, jacobian, gradient)
     if not step:
         return code, code.define("coupled_stage", ("y", "u", "c"),
@@ -633,10 +786,10 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
 
 def _sums_like_numpy(jacobian, m):
     """Whether every column of the m x m Jacobian trees has at most one
-    entry that is not the number 0.  numpy's J^T p rounds through fused
+    entry that is not the number 0.  numpy's J^T P rounds through fused
     multiply-adds where the BLAS has them; a product with a zero entry is
-    exact, so on such columns the plain sum of the products from 0.0 gives
-    the same bits, signed zeros included."""
+    exact, so on such columns Python arithmetic gives the same bits,
+    signed zeros included (`_costate_rate`)."""
     return all(sum(not _is_num(jacobian[r * m + i], 0) for r in range(m)) <= 1
                for i in range(m))
 
@@ -663,8 +816,8 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries two generated RK4 forms with u held, each compiled on its first
-    call, since only some paths run it:
+    carries three generated RK4 forms with u held, each compiled on its
+    first call, since only some paths run it:
     - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
       one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
@@ -677,11 +830,19 @@ def compile_dynamics(srcs, m: int, k: int):
       cost gradient dF_dx: stage(y, u, c) is the field at y = (x, p) and
       step(y, u, h, k1, c) one RK4 step from y whose first stage k1 is
       stage(y, u, c), with the bits of `flows.rk4_step` on f and
-      `pmp._costate`.  It returns None unless df_dx is f's own
-      generated Jacobian, the system has no cost or dF_dx is a generated
-      gradient, and every column of the Jacobian has at most one entry
-      that is not the number 0: elsewhere numpy's J^T p may round through
-      fused multiply-adds that a Python sum does not make.
+      `pmp._costate`.
+    - `f.adjoint_run(df_dx, F, dF_dx, r)` returns run(p, u, c, ts, xs, i0,
+      i1, out), the sweep of `pmp.adjoint_flows` over one control run for
+      an m x r block: it steps the block p (row-major) back from node i1 to
+      node i0 of the grid ts, node states xs and multipliers c = -p0 per
+      column, appending each block to out as a list, bit for bit, and
+      returns the first node whose block is not finite (that block
+      appended), or None.  It is compiled on first use per r and cost.
+    Both return None unless df_dx is f's own generated Jacobian, the
+    system has no cost or dF_dx is a generated gradient, and every column
+    of the Jacobian has at most one entry that is not the number 0:
+    elsewhere numpy's J^T P may round through fused multiply-adds that
+    Python arithmetic cannot follow.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
@@ -709,27 +870,38 @@ def compile_dynamics(srcs, m: int, k: int):
         code, run = _dynamics_run_code(bodies, k)
         return code.compile(run)
 
-    @functools.cache
-    def coupled_functions(gradient):
-        trees = None if gradient is None else gradient.entries
-        return tuple(code.compile(fn) for code, fn in (
-            _coupled_step_code(bodies, entries, trees, k, step) for step in (False, True)))
-
     n = len(srcs)
     dynamics = value.function("dynamics", (n,))
     df = None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m))
     sums_like_numpy = df is not None and n == m and _sums_like_numpy(entries, m)
 
-    def coupled_step(df_dx, F, dF_dx):
-        if sums_like_numpy and df_dx is df:
-            if F is None:
-                return coupled_functions(None)
-            if hasattr(dF_dx, "entries"):
-                return coupled_functions(dF_dx)
-        return None
+    def qualifying(build):
+        """build(gradient trees, *args), built once each, for a system whose
+        Jacobian is df, whose cost F is None or has a generated gradient
+        dF_dx and whose Jacobian columns pass `_sums_like_numpy`; None for
+        any other."""
+        build = functools.cache(build)
+
+        def built(df_dx, F, dF_dx, *args):
+            if sums_like_numpy and df_dx is df and (F is None or hasattr(dF_dx, "entries")):
+                return build(None if F is None else tuple(dF_dx.entries), *args)
+            return None
+
+        return built
+
+    @qualifying
+    def coupled_step(gradient):
+        return tuple(code.compile(fn) for code, fn in (
+            _coupled_step_code(bodies, entries, gradient, k, step) for step in (False, True)))
+
+    @qualifying
+    def adjoint_run(gradient, r):
+        code, run = _adjoint_run_code(bodies, entries, gradient, k, r)
+        return code.compile(run)
 
     dynamics.runner = functools.cache(runner)
     dynamics.coupled_step = coupled_step
+    dynamics.adjoint_run = adjoint_run
     return dynamics, df, max_degree(degrees)
 
 

@@ -435,6 +435,11 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationRes
     return MaximizationResult(u, H(u) if value is None else value)
 
 
+def _multipliers(p0, r: int) -> list:
+    """c = -p0 of each of r columns, p0 a scalar or one per column."""
+    return (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist()
+
+
 def _costate(sys: ControlSystem, p0, r: int):
     """The one -dH/dx = c grad_x F - (df/dx)^T p, c = -p0, of an m x r block
     p, p0 a scalar or one per column: held(u)(t, x) evaluates grad_x F and
@@ -442,7 +447,7 @@ def _costate(sys: ControlSystem, p0, r: int):
     row by row as lists.  One column steps as a plain vector (a gemv)."""
     m, jac, grad = sys.m, sys._jac, sys._grad
     # c = -p0 at entry i r + j of the block
-    cs = (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist() * m
+    cs = _multipliers(p0, r) * m
     block = np.array if r == 1 else (lambda pp: np.array(pp).reshape(m, r))
 
     def held(u):
@@ -469,12 +474,22 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     the identity, P_n^T v is v carried from node n to the end, and the
     maximum condition at a node is the needle-cone separation at b.  p0 is
     constant: the extended dynamics never depend on the cost coordinate.
+
+    Each column has the values of its own one-column sweep, not always its
+    bits: numpy's (df/dx)^T P of a block (m, r > 1, a gemm) chains fused
+    multiply-adds from 0.0, of one column (a gemv) it sums the products
+    from 0.0, and where a product underflows the two give zeros of
+    opposite sign.  Where the grammar's generated dynamics give the system
+    an `adjoint_run` (`grammar.compile_dynamics`), each control run steps
+    back through that one generated loop instead, bit for bit.
     """
     P = np.array(P_b, dtype=float)
     if P.ndim != 2 or P.shape[0] != sys.m:
         raise ValueError("terminal covectors have the wrong dimension")
     m, r = P.shape
     costate, rate = _costate(sys, p0, r), sys._rate
+    run, c = getattr(sys.f, "adjoint_run", None), _multipliers(p0, r)
+    run = run and run(sys.df_dx, sys.F, sys.dF_dx, r)
     ts = traj.grid.tolist()
     states = traj.states.tolist()
     p = P.ravel().tolist()
@@ -483,6 +498,12 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     # the forward path's runs, last first: each holds one control value
     for i0, i1 in reversed(_runs(traj.grid, traj.control.switch_times)):
         uval = traj.control.value_at(0.5 * (ts[i0] + ts[i0 + 1]))
+        if run is not None:
+            node = run(p, uval.tolist(), c, ts, states, i0, i1, sigma)
+            if node is not None:
+                raise FlowBlowUpError(ts[node])
+            p = sigma[-1]
+            continue
         linearize = costate(uval)
         for i in range(i1 - 1, i0 - 1, -1):
             t0, t1 = ts[i], ts[i + 1]

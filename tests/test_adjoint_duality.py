@@ -8,7 +8,10 @@ equals (p0, p(b)) paired with the needle vector of (tau, v) carried to b:
 the maximum condition at tau is the needle-cone separation at b.  A backward
 scheme of its own keeps both only to its O(h^4) error.  `pmp.adjoint_flows`
 steps a block of covectors back through one retrace per step, and each of
-its columns is the adjoint_flow of that column.  The extended system's
+its columns equals the adjoint_flow of that column as values.  Their bits
+may differ in the sign of a zero: numpy's J^T P of a block (a gemm) chains
+fused multiply-adds, that of one column (a gemv) sums the products from
+0.0, and the two round a product that underflows apart.  The extended system's
 sweep of the m + 1 unit covectors equals, to rounding, the blocks
 [[1, 0], [-c_n, B_n]] of the base sweep of the m unit covectors and of
 p0 = -1.
@@ -22,10 +25,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pmpkit import cli, pmp
-from pmpkit.control_system import ControlSignal, ControlSystem, box, extend, signal_field, simulate
+from pmpkit.control_system import (ControlSignal, ControlSystem, box, constant_signal, extend,
+                                   signal_field, simulate)
 from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, Provenance, _generators
 
+from test_list_rate import plain
 from test_shared_work import smooth_systems
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -56,8 +61,9 @@ def test_adjoint_step_is_the_transpose_of_the_tangent_step(case, p0, seed):
 @given(case=smooth_systems(), r=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1))
 def test_block_columns_are_single_adjoints_and_transposed_steps(case, r, seed):
     # one retrace per step carries an m x r block of covectors, each column
-    # with its own p0: every column has the bits of its own adjoint_flow and
-    # pairs with the tangent lift over each step
+    # with its own p0: no product underflows on these systems, so every
+    # column has the bits of its own adjoint_flow, and it pairs with the
+    # tangent lift over each step
     sys, sig, x0, _, step = case
     esys = extend(sys)
     ext = simulate(esys, sig, np.concatenate(([0.0], x0)), IntegratorConfig(step=step))
@@ -151,3 +157,25 @@ def test_needle_naming_its_lebesgue_reference_keeps_the_bits():
     plain, _ = _generators(sys, traj, records(False), 1.4, cfg)
     named, _ = _generators(sys, traj, records(True), 1.4, cfg)
     assert [g.tobytes() for g in named] == [g.tobytes() for g in plain]
+
+
+def test_block_column_equals_its_single_sweep_where_a_product_underflows():
+    # f = (1e-200 x1, x0 + u0): column 0 of the block gives q_1 = 1e-200 *
+    # -1e-200 + 0 * -0.0, whose product underflows.  The block's fused
+    # multiply-add keeps its sign and reads p1 = -0.0 at every node; the
+    # single sweep's sum from 0.0 reads +0.0 at the first four.  Both are
+    # generated, and each keeps the bits of numpy's own rule
+    problem = cli.Problem({"dynamics": {"expressions": ["1e-200 * x1", "x0 + u0"]},
+                           "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}})
+    sys = problem.sys
+    traj = simulate(sys, constant_signal(0.0, 1.0, [0.0]), [0.5, 0.5],
+                    IntegratorConfig(step=0.25))
+    P_b = np.array([[-1e-200, 3.0], [-0.0, 1.0]])
+    block = pmp.adjoint_flows(sys, traj, P_b, 0.0)
+    single = pmp.adjoint_flow(sys, traj, 0.0, P_b[:, 0]).sigma
+    assert np.all(block[:, :, 0] == single)
+    for r in (1, 2):
+        assert sys.f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, r) is not None
+    array_path = plain(sys)
+    assert block.tobytes() == pmp.adjoint_flows(array_path, traj, P_b, 0.0).tobytes()
+    assert single.tobytes() == pmp.adjoint_flow(array_path, traj, 0.0, P_b[:, 0]).sigma.tobytes()

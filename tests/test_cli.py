@@ -103,6 +103,23 @@ class TestProblemFiles:
         assert rc == 2
         assert "'*'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr, message", [
+        # the offset was read in the text with ^ written as **: offset 6, '**'
+        ("x0 ^ ^ 2", "parse error in 'x0 ^ ^ 2' at offset 5: bad token '^'"),
+        # Python's offset 0 at the end of the input read as offset 0, 'x0'
+        ("x0 ^ 2 +", "parse error in 'x0 ^ 2 +': unexpected end of input"),
+        # Python's message was named as the token
+        ("", "parse error: empty expression ''"),
+        ("  ", "parse error: empty expression '  '"),
+    ])
+    def test_parse_error_is_placed_in_the_given_text(self, tmp_path, capsys, expr, message):
+        data = lqr_problem()
+        data["dynamics"] = {"expressions": [expr]}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_unknown_identifier_named(self, tmp_path, capsys):
         data = lqr_problem()
         data["cost"] = {"expression": "q0 + 1"}
@@ -413,6 +430,32 @@ class TestProblemFiles:
 
     def test_no_command(self):
         assert cli.main([]) == 2
+
+    def test_one_parser_serves_a_run_of_commands(self, tmp_path, capsys):
+        # the parser is built once per process; no call leaves a flag or a
+        # command behind for the next
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        assert parser.parse_args(["reach", "--problem", "p", "--seed", "7"]).seed == 7
+        assert parser.parse_args(["reach", "--problem", "p"]).seed is None
+        data = {**lqr_problem(), "control": {"switch_times": [0.5], "values": [[1.0], [-1.0]]},
+                "reach": {"n_controls": 3, "max_switches": 1}}
+        path = write_problem(tmp_path / "p.json", data)
+        out = str(tmp_path / "o")
+        runs = [(["simulate", "--problem", path, "--out", out], 0),
+                (["--help"], 0),
+                (["reach", "--problem", path, "--out", out, "--seed", "3"], 0),
+                (["check", "--problem", path, "--mode", "banana"], 2),
+                (["reach", "--problem", path, "--out", out, "--tol", "1"], 2),
+                (["reach", "--problem", path, "--out", out], 0),
+                (["simulate", "--problem", path, "--out", out], 0)]
+        trajectories = []
+        for argv, rc in runs:
+            assert cli.main(argv) == rc, argv
+            if argv[0] == "simulate":
+                trajectories.append((tmp_path / "o" / "trajectory.csv").read_bytes())
+        assert trajectories[0] == trajectories[1]
+        assert "usage: pmpkit" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["shoot", "check"])
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])

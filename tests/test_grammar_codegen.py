@@ -11,22 +11,27 @@ overflow `exp`, raise a negative base to a fractional power and take
 (x, p) stage and step those of the fallback pair of shooting's
 `_coupled_field`, `flows.rk4_step` on f and `pmp._costate`, wherever that
 is finite; the source scan of `test_rk4_step.py` must see in both RK4's
-combination and no numpy call.
+combination and no numpy call.  The generated adjoint sweep must carry the
+bits of `pmp.adjoint_flows` on the same system with f wrapped as a plain
+function, numpy's `J.T @ block` included, and raise `FlowBlowUpError` at
+the same time; the benchmark's systems must get it, and the systems whose
+bits it cannot keep must not.
 """
 
 import ast
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import grammar_tree_array, grammar_tree_function
-from pmpkit import grammar
-from pmpkit.control_system import ControlSystem, box
-from pmpkit.flows import rk4_step
+from pmpkit import cli, grammar, pmp
+from pmpkit.control_system import ControlSignal, ControlSystem, Trajectory, box, extend, simulate
+from pmpkit.flows import FlowBlowUpError, _runs, rk4_step
 from test_grammar_properties import K, M, render, trees
-from test_list_rate import fallback_field
+from test_list_rate import fallback_field, plain
 from test_rk4_step import rk4_combinations
 
 SPECIAL = (0.0, -0.0, 800.0, -800.0, -2.0, math.inf, -math.inf, math.nan)
@@ -276,3 +281,146 @@ def test_generated_coupled_step_matches_rk4_step_on_coupled_rhs(case):
         else:
             # all that shooting reads of a step that is not finite
             assert not all_finite(g), (p0, y, u, h)
+
+
+# per kind of sweep case: its states and controls, steps, and block entries;
+# a rough block's products with a Jacobian entry round to a signed zero or
+# overflow, a tiny one's with a Jacobian entry +-1e-200 underflow
+smooth = st.floats(-2.0, 2.0)
+KINDS = {
+    "smooth": (smooth, smooth, (0.25, 0.1, 1e-3), smooth),
+    "rough": (states, coordinates, (0.25, 0.1, 1e-3, 3e-310, 1e300), st.one_of(
+        smooth, st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-200, 1e300, -1e300,
+                                 math.inf, math.nan)))),
+    "tiny": (smooth, coordinates, (0.25, 0.1, 1e-3), st.sampled_from((-0.0, 1e-200, -1e-200))),
+}
+
+
+@st.composite
+def sweep_cases(draw):
+    """(sys, traj, P_b, p0): a generated system of m = 1..3 entries whose
+    component i reads only x_s(i) for a permutation s, so that every
+    Jacobian column has at most one entry that is not 0, with no cost or a
+    generated one; node states and a control on a grid of 1..5 uneven
+    steps with switches at 0..2 inner nodes; an m x r block, r = 1..3, and
+    p0 per column in {0.0, -1.0}.  A smooth case is finite throughout; a
+    rough one mixes signed zeros, subnormals, huge and non-finite numbers
+    into the states, the control, the steps and the block; in a tiny one
+    the system has no cost, component i is +-1e-200 x_s(i) plus a tree of
+    the controls, the block's entries are -0.0 and +-1e-200 and p0 is
+    0.0, so that products underflow to signed zeros, where numpy's gemm
+    and gemv round apart, and their signs reach the block."""
+    m, k, r = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(sorted(KINDS)))
+    state, control, steps_, entry = KINDS[kind]
+    controls = [f"u{j}" for j in range(k)]
+    perm = draw(st.permutations(range(m)))
+    if kind == "tiny":
+        srcs = [f"{draw(st.sampled_from(('1e-200', '-1e-200')))} * x{perm[i]}"
+                f" + ({render(draw(trees(names=controls)))})" for i in range(m)]
+    else:
+        srcs = [render(draw(trees(names=[f"x{perm[i]}"] + controls))) for i in range(m)]
+    f, df_dx, _ = grammar.compile_dynamics(tuple(srcs), m, k)
+    F = dF = None
+    if kind != "tiny" and draw(st.booleans()):
+        src = render(draw(trees(m, k)))
+        F = grammar.parse_expression(src, m, k)
+        dF, _ = grammar.compile_gradient(src, m, k)
+    sys = ControlSystem(m=m, k=k, f=f, control_set=box([-2.0] * k, [2.0] * k),
+                        F=F, df_dx=df_dx, dF_dx=dF)
+    ts = [draw(st.sampled_from((0.0, 1.0, -3.5)))]
+    ts.append(ts[0] + draw(st.sampled_from((0.25, 0.7))))
+    for h in draw(st.lists(st.sampled_from(steps_), max_size=4)):
+        # a subnormal step moves no time but 0.0
+        if ts[-1] + h > ts[-1]:
+            ts.append(ts[-1] + h)
+    inner = sorted(draw(st.sets(st.sampled_from(ts[1:-1]), max_size=2))) if len(ts) > 2 else []
+    values = [tuple(draw(st.lists(control, min_size=k, max_size=k)))
+              for _ in range(len(inner) + 1)]
+    signal = ControlSignal(ts[0], ts[-1], tuple(inner), tuple(values))
+    nodes = [draw(st.lists(state, min_size=m, max_size=m)) for _ in ts]
+    traj = Trajectory(np.array(ts), np.array(nodes), signal, sys)
+    P_b = np.array(draw(st.lists(entry, min_size=m * r, max_size=m * r))).reshape(m, r)
+    # with no cost, only p0 = 0.0 lets the sign of q's zero reach the block
+    p0 = draw(st.lists(st.sampled_from((0.0,) if kind == "tiny" else (0.0, -1.0)),
+                       min_size=r, max_size=r))
+    return sys, traj, P_b, p0
+
+
+def sweep(sys, traj, P_b, p0):
+    """adjoint_flows' blocks as bytes, or the time of its FlowBlowUpError."""
+    try:
+        with np.errstate(all="ignore"):
+            return pmp.adjoint_flows(sys, traj, P_b, p0).tobytes()
+    except FlowBlowUpError as e:
+        return ("blow-up", e.t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sweep_cases())
+def test_generated_adjoint_sweep_matches_the_array_sweep_bit_for_bit(case):
+    sys, traj, P_b, p0 = case
+    m, r = P_b.shape
+    assert sys.f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, r) is not None
+    assert sweep(sys, traj, P_b, p0) == sweep(plain(sys), traj, P_b, p0), case
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+def benchmarked_systems():
+    """The pendulum of flow_sample, the double_integrator builtin of
+    bang_shoot with its cost 1, and the scalar LQR of lqr_shoot with its
+    cost q x0^2 + u0^2: (name, problem) of each golden."""
+    for name in ("pendulum_flow_sample", "min_time_double_integrator", "lqr_expression_shoot"):
+        yield name, cli.load_problem(os.path.join(GOLDEN, name, "problem.json"))
+
+
+@pytest.mark.parametrize("name, problem", list(benchmarked_systems()))
+def test_benchmarked_systems_sweep_through_generated_code(name, problem, monkeypatch):
+    # every cone, classifier and shoot sweep of these systems steps each
+    # control run of an m x r block back through one generated call, for r =
+    # 1 (adjoint_flow) and r = m (the cones)
+    sys = problem.sys
+    control = problem.control or ControlSignal(0.0, 1.0, (0.5,), ((1.0,) * sys.k,
+                                                                 (-1.0,) * sys.k))
+    traj = simulate(sys, control, np.full(sys.m, 0.3), cli._cfg(problem))
+    generated = sys.f.adjoint_run
+    for r in sorted({1, sys.m}):
+        calls = []
+
+        def spy(*args):
+            run = generated(*args)
+            assert run is not None, (name, r)
+            return lambda *a: calls.append(a[5:7]) or run(*a)
+
+        monkeypatch.setattr(sys.f, "adjoint_run", spy)
+        pmp.adjoint_flows(sys, traj, np.ones((sys.m, r)), -1.0)
+        # each run of the control, last first
+        assert calls == _runs(traj.grid, control.switch_times)[::-1], (name, r)
+
+
+def no_sweep(sys, r):
+    adjoint_run = getattr(sys.f, "adjoint_run", None)
+    return adjoint_run is None or adjoint_run(sys.df_dx, sys.F, sys.dF_dx, r) is None
+
+
+@pytest.mark.parametrize("r", (1, 2))
+def test_systems_the_sums_cannot_follow_keep_the_array_sweep(r):
+    cset = {"kind": "box", "lo": [-1.0], "hi": [1.0]}
+
+    def system(dynamics, cost=None):
+        data = {"dynamics": {"expressions": dynamics}, "control_set": cset}
+        if cost is not None:
+            data["cost"] = {"expression": cost}
+        return cli.Problem(data).sys
+
+    pendulum = system(["x1", "-sin(x0) + u0"])
+    assert not no_sweep(pendulum, r)
+    # a column with two entries that are not 0, a wrapped user callable,
+    # finite differences for df/dx or for dF/dx, and the extended system
+    assert no_sweep(system(["x0 * x1", "x0 + u0"]), r)
+    assert no_sweep(plain(pendulum), r)
+    assert no_sweep(system(["x1", "2^x0 + u0"]), r)
+    assert no_sweep(system(["x1", "-sin(x0) + u0"], "x1^x0 + u0^2"), r)
+    assert no_sweep(extend(system(["x1", "-sin(x0) + u0"], "x0^2 + u0^2")), r)

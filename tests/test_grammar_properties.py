@@ -5,7 +5,8 @@ grammar strings.  The oracles are central finite differences for the
 partial derivatives, the maximizer's own three-probe fit check for the
 degree analysis, and the undeclared maximizer path for the declared one.
 Random trees and token soup as a problem file's dynamics and cost, run
-through the CLI, must end in one of its exit codes with no exception.
+through the CLI's simulate, shoot, cones and reach, must end in one of its
+exit codes with no exception.
 """
 
 import dataclasses
@@ -171,17 +172,21 @@ expressions = st.one_of(trees(2, 1).map(render), trees(2, 1).map(render), soup)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.sampled_from(("simulate", "shoot")), st.lists(expressions, min_size=2, max_size=2),
-       st.one_of(st.none(), expressions))
+@given(st.sampled_from(("simulate", "shoot", "cones", "reach")),
+       st.lists(expressions, min_size=2, max_size=2), st.one_of(st.none(), expressions))
 def test_fuzzed_problem_exits_with_a_cli_code(command, dynamics, cost):
-    # bad input exits 2 and a numerical failure 3; no error escapes main
+    # bad input exits 2 and a numerical failure 3; no error escapes main,
+    # also where the cones sweep random dynamics back or reach samples them
     data = {"dynamics": {"expressions": dynamics},
             "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
             "horizon": {"a": 0.0, "b": 1.0}, "integrator": {"step": 0.1},
             "control": {"switch_times": [0.5], "values": [[1.0], [-1.0]]},
             "boundary": {"mode": "fixed_time", "initial": {"point": [0.5, 0.0]},
                          "final": {"anchor": [0.0, 0.0], "normals": []}},
-            "shooting": {"max_iter": 1}}
+            "shooting": {"max_iter": 1},
+            "cones": {"time": 1.0, "times": [0.3, 0.7], "controls": [[-1.0], [0.0], [1.0]],
+                      "queries": [[1.0, 0.0], [0.0, -1.0]]},
+            "reach": {"n_controls": 3, "max_switches": 2, "seed": 0}}
     if cost is not None:
         data["cost"] = {"expression": cost}
     with tempfile.TemporaryDirectory() as d:

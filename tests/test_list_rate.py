@@ -214,17 +214,23 @@ def outcome(fn, *args):
     return bits(got)
 
 
-def fallback_field(sys, p0):
-    """Shooting's fallback coupled (stage, step) of sys: `_coupled_field`
-    of sys with f wrapped as a plain function, which carries no generated
-    coupled step."""
+def plain(sys):
+    """sys with f wrapped as a plain function, which carries none of the
+    grammar's generated steps: shooting and `pmp.adjoint_flows` take their
+    fallbacks on it."""
     f = sys.f
 
-    def plain(x, u):
+    def wrapped(x, u):
         return f(x, u)
 
-    plain.on_lists = getattr(f, "on_lists", False)
-    return shooting._coupled_field(dataclasses.replace(sys, f=plain), p0)
+    wrapped.on_lists = getattr(f, "on_lists", False)
+    return dataclasses.replace(sys, f=wrapped)
+
+
+def fallback_field(sys, p0):
+    """Shooting's fallback coupled (stage, step) of sys: `_coupled_field`
+    of `plain(sys)`."""
+    return shooting._coupled_field(plain(sys), p0)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -219,7 +219,9 @@ def test_rk4_stages_are_linearized_in_one_function():
     # a right-hand side that records something at each stage it is called
     # with (it appends) is written once, in flows._recorded_step; the lifts
     # and the adjoint both get their stage linearizations from it, so the
-    # adjoint sees the stage states of the forward step
+    # adjoint sees the stage states of the forward step, and
+    # grammar._adjoint_run_code runs it once on symbolic operands to write
+    # the generated adjoint sweep
     recording, callers = set(), set()
     for name, top in _top_functions():
         if not isinstance(top, ast.FunctionDef):
@@ -231,7 +233,8 @@ def test_rk4_stages_are_linearized_in_one_function():
         if _calls(top, "_recorded_step"):
             callers.add((name, top.name))
     assert recording == {("flows.py", "_recorded_step")}
-    assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flows")}
+    assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flows"),
+                       ("grammar.py", "_adjoint_run_code")}
 
 
 def test_package_interpolates_no_state():
