@@ -360,8 +360,12 @@ def _load_extremal(problem: Problem, out_dir):
     m = problem.sys.m
     tdata = _load_csv(os.path.join(out_dir, "trajectory.csv"), "t,")
     header_cols = tdata.shape[1] - 1
-    with open(os.path.join(out_dir, "control.json")) as fh:
-        sig_spec = json.load(fh)
+    path = os.path.join(out_dir, "control.json")
+    try:
+        with open(path) as fh:
+            sig_spec = json.load(fh)
+    except FileNotFoundError:
+        raise ProblemError(f"missing file: {path}")
     grid = tdata[:, 0]
     sig = _parse_signal(sig_spec, float(grid[0]), float(grid[-1]), problem.sys.k)
     if header_cols == m + 1:

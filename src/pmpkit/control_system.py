@@ -225,6 +225,23 @@ def constant_signal(a: float, b: float, value) -> ControlSignal:
     return ControlSignal(a=a, b=b, switch_times=(), values=(np.asarray(value, dtype=float),))
 
 
+def _signal_of_pieces(a: float, b: float, pieces) -> ControlSignal:
+    """The signal on [a, b] of pieces, (start, value) pairs in time order
+    whose first starts at a: a piece whose value equals that of the piece
+    before it (np.array_equal, so 0.0 and -0.0 are equal and NaN is not)
+    continues that piece, and every other piece starts at a switch."""
+    switches: List[float] = []
+    values: List[np.ndarray] = []
+    for start, value in pieces:
+        value = np.asarray(value, dtype=float)
+        if values and np.array_equal(value, values[-1]):
+            continue
+        if values:
+            switches.append(start)
+        values.append(value)
+    return ControlSignal(a=a, b=b, switch_times=tuple(switches), values=tuple(values))
+
+
 @dataclass
 class Trajectory:
     """States of `system` under `control` on a dense time grid."""

@@ -312,12 +312,11 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
 
 
 def _transport_matrix(X, t, s, x, cfg=None):
-    """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix,
+    """Differential of the flow map at x, T_x Phi_(t,s), as an m x m matrix
+    whose column j is the unit vector e_j carried by the complete lift,
     together with the transported base point."""
-    m = X.dim
-    _, xs, (path,) = _lifted_path(X, lambda J, M: (J @ M.reshape(m, m)).ravel(), s, t,
-                                     x, [np.eye(m).ravel()], cfg)
-    return np.array(xs[-1]), np.array(path[-1]).reshape(m, m)
+    base, columns = tangent_lift_flows(X, t, s, x, np.eye(X.dim), cfg)
+    return base, np.column_stack(columns)
 
 
 def pullback_field(X, Y, s, cfg=None):

@@ -11,34 +11,31 @@ a run of grid nodes; for shooting, the stage and the RK4 step of the
 coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
 `pmp._costate` compute it; and for `pmp.adjoint_flows`, one loop of its
 discrete-adjoint steps of an m x r block of covectors over a run of grid
-nodes.  The last two are built when every column of df/dx has at most one
-entry that is not the number 0, so that Python arithmetic gives the bits
-of numpy's J^T P: numpy sums the products of a vector or of m = 1 (a
-gemv) from 0.0, which a Python sum repeats, and chains fused multiply-adds
-for a block (a gemm), which differs from that sum only where the one
-product that is not with the number 0 underflows, so the generated code
-keeps that product's signed zero there.  `flows.rk4_step`, run on
-symbolic operands, writes every step's stage and combination arithmetic,
-and `flows._recorded_step` the adjoint's retraced forward step.  Each is
-built as an `ast`
-tree from the validated grammar tree, one assignment per grammar node in
-the order a tree walk evaluates them (left operand, right operand,
-operation; a subtree that a derivative shares is assigned once per
-entry), and passed to `compile`; no source text is generated and the
+nodes.  A block column has the bits of its own sweep: each column steps as
+its own vector, whose (df/dx)^T p numpy takes as one gemv.  The last two
+are built when every column of df/dx has at most one entry that is not the
+number 0, where that gemv sums the products from 0.0, so that a Python sum
+from 0.0 gives its bits.  `flows.rk4_step`, run on symbolic operands,
+writes every step's stage and combination arithmetic, and
+`flows._recorded_step` the adjoint's retraced forward step.  Each is built
+as an `ast` tree from the validated grammar tree, one assignment per
+grammar node in the order a tree walk evaluates them (left operand, right
+operand, operation; a subtree that a derivative shares is assigned once
+per entry), and passed to `compile`; no source text is generated and the
 user's text is never evaluated.  Numbers are bound through a tuple, so
 nothing is folded (rk4_step's own numbers are literals, each met with a
-variable).  A state or control reads as
-`float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
-list of floats, a vector or Jacobian function is marked `on_lists` (it
-takes x as a list of floats), a power goes through `_real_pow`, and each
-vector component and Jacobian entry has its own `try` that turns
-overflow, division by zero and math domain errors into NaN, so the
-integrators' blow-up checks own the diagnostic.  Straight-line code keeps
-`compile` shallow however deeply an expression nests.  The generated code
-is pure Python; the reductions the package leaves to numpy (J^T p in
-general, p . f in the Hamiltonian) may round through fused multiply-adds,
-so their bits depend on the numpy build.  The public entry points keep
-their recent results per process, keyed on their arguments.
+variable).  A state or control reads as `float(x[i])` or `float(u[i])`,
+from a list or an array, a vector is a list of floats, a vector or
+Jacobian function is marked `on_lists` (it takes x as a list of floats), a
+power goes through `_real_pow`, and each vector component and Jacobian
+entry has its own `try` that turns overflow, division by zero and math
+domain errors into NaN, so the integrators' blow-up checks own the
+diagnostic.  Straight-line code keeps `compile` shallow however deeply an
+expression nests.  The generated code is pure Python; the reductions the
+package leaves to numpy (J^T p on other Jacobians, p . f in the
+Hamiltonian) may round through fused multiply-adds, so their bits depend
+on the numpy build.  The public entry points keep their recent results per
+process, keyed on their arguments.
 """
 
 from __future__ import annotations
@@ -122,13 +119,17 @@ def _parse(src, where):
     except SyntaxError as e:
         if e.msg == "too many nested parentheses":
             raise _too_deep(where) from None
-        # Python's offset counts from 1 on line lineno, 0 at the end of input
-        lines = text.splitlines(keepends=True)
+        # Python's offset counts from 1 on line lineno, 0 at the end of
+        # input; only \r\n, \r and \n end its lines
+        starts = [0] + [mm.end() for mm in re.finditer(r"\r\n?|\n", text)]
         line = (e.lineno or 1) - 1
-        off = sum(map(len, lines[:line])) + (e.offset or 0) - 1
+        off = (starts[line] if line < len(starts) else len(text)) + (e.offset or 0) - 1
         if not e.offset or off >= len(text.rstrip()):
             raise ProblemError(f"parse error in '{src}': unexpected end of input") from None
         pos = _source_offset(src, off)
+        if src[pos] in "\r\n":
+            # eval mode ends the expression at a line break
+            raise ProblemError(f"parse error in '{src}' at offset {pos}: unexpected end of line")
         token = (src[pos:pos + 8].split() or [src[pos:pos + 8]])[0]
         raise ProblemError(f"parse error in '{src}' at offset {pos}: bad token '{token}'")
     except MemoryError:
@@ -581,53 +582,24 @@ def _linearization(code, jacobian, gradient):
             None if gradient is None else _stage_values(code, gradient))
 
 
-def _compare(left, op, right):
-    return ast.Compare(left, [op], [right], **_POS)
-
-
-def _fused(code, acc, a, b):
-    """An operand of acc + a b rounded once, as a fused multiply-add gives
-    it, for acc the literal 0.0 or a sum of products with the number 0 (so
-    a signed zero or NaN).  With t = a b it is acc + t, except where t
-    underflows to a signed zero from a and b not zero and acc is no NaN:
-    there it is t, whose sign the fused sum keeps."""
-    t = _Operand(code, (a * b).local())
-    tests = [_compare(_name(t.name), ast.Eq(), ast.Constant(0.0, **_POS)),
-             _compare(_name(a.local()), ast.NotEq(), ast.Constant(0.0, **_POS)),
-             _compare(_name(b.local()), ast.NotEq(), ast.Constant(0.0, **_POS))]
-    if isinstance(acc, _Operand):
-        tests.append(_compare(_name(acc.local()), ast.Eq(), _name(acc.name)))
-    return _Operand(code, code.local(ast.IfExp(ast.BoolOp(ast.And(), tests, **_POS),
-                                               _name(t.name), (acc + t).expr(), **_POS)))
-
-
-def _costate_rate(code, linearization, c, p, zero):
+def _costate_rate(code, linearization, c, p):
     """Operands of the rate c_j g_i - q_ij of the m x r block p (operands,
-    row-major), the numbers of `pmp._costate`: (J, g) = linearization, g
-    None without a cost (the number 0.0 then, so that c_j = -0.0 keeps the
-    sign of zero), c the r column multipliers, and q = J^T p as numpy's
-    product rounds it where zero[k m + i] marks each entry J_ki that is
-    the number 0 and each column of J has at most one other.  A vector (r
-    = 1, a gemv) or m = 1 sums the products from 0.0, q_ij = ((0.0 + J_0i
-    p_0j) + J_1i p_1j) + ...; a block (a gemm) chains fused multiply-adds
-    from 0.0 in the same order, which differs from that sum only in the
-    sign of a zero where the one product that is not with the number 0
-    underflows (`_fused`)."""
+    column after column), the numbers of `pmp._costate`: (J, g) =
+    linearization, g None without a cost (the number 0.0 then, so that c_j
+    = -0.0 keeps the sign of zero), c the r column multipliers, and q_j =
+    J^T p_j of each column p_j on its own, the products summed from 0.0 in
+    order, q_ij = ((0.0 + J_0i p_0j) + J_1i p_1j) + ..., which is numpy's
+    gemv on Jacobians that pass `_sums_like_numpy`."""
     J, g = linearization
-    r = len(c)
-    m = len(p) // r
+    m = len(p) // len(c)
     p = [_Operand(code, pi.local()) for pi in p]
     rates = []
-    for i in range(m):
-        for j in range(r):
-            q = 0.0
-            for k in range(m):
-                a, b = J[k * m + i], p[k * r + j]
-                q = (_fused(code, q, a, b) if m > 1 and r > 1 and not zero[k * m + i]
-                     else q + a * b)
+    for j, cj in enumerate(c):
+        for i in range(m):
+            q = sum((J[k * m + i] * p[j * m + k] for k in range(m)), 0.0)
             # a local, as each entry of f is: the stages and the
             # combination read it
-            rates.append(_Operand(code, ((0.0 if g is None else g[i]) * c[j] - q).local()))
+            rates.append(_Operand(code, ((0.0 if g is None else g[i]) * cj - q).local()))
     return rates
 
 
@@ -637,12 +609,10 @@ def _coupled_stage(code, bodies, jacobian, gradient):
     `_costate_rate` of the column p with the parameter c."""
     m = len(bodies)
     dynamics, c = _dynamics_stage(code, bodies), [_Operand(code, "c")]
-    zero = [_is_num(e, 0) for e in jacobian]
 
     def stage(y):
         rates = dynamics(y[:m])
-        return rates + _costate_rate(code, _linearization(code, jacobian, gradient), c, y[m:],
-                                     zero)
+        return rates + _costate_rate(code, _linearization(code, jacobian, gradient), c, y[m:])
 
     return stage
 
@@ -721,10 +691,10 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     """(code, definition) of adjoint_run(p, u, c, ts, xs, i0, i1, out) ->
     node: the discrete adjoint of the RK4 steps of x' = f(x, u) with u
     held, as `pmp.adjoint_flows` takes it, stepping the m x r block p
-    (row-major) back from node i1 to node i0 of the grid ts, for the m
-    trees `bodies` of f, the Jacobian trees `jacobian` (row-major) and the
-    gradient trees, None without a cost; c holds the r column multipliers
-    c = -p0.
+    (column after column) back from node i1 to node i0 of the grid ts, for
+    the m trees `bodies` of f, the Jacobian trees `jacobian` (row-major)
+    and the gradient trees, None without a cost; c holds the r column
+    multipliers c = -p0.
 
     Step i retraces the forward step from the node state xs[i] with h =
     ts[i + 1] - ts[i]: `flows._recorded_step` runs once on `_Operand`s and
@@ -748,11 +718,10 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     _, lins = _recorded_step(lambda _, v: dynamics(v),
                              lambda _, v: _linearization(code, jacobian, gradient),
                              0.0, x, _Operand(code, "h"))
-    zero = [_is_num(e, 0) for e in jacobian]
     stages = reversed(lins)
 
     def stage(pp):
-        return _costate_rate(code, next(stages), c, pp, zero)
+        return _costate_rate(code, next(stages), c, pp)
 
     new = [code.local(v) for v in _rk4_step_code(code, p, stage, stage(p), "hb")]
     code.body = _drop_unread(code.body)
@@ -786,10 +755,11 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
 
 def _sums_like_numpy(jacobian, m):
     """Whether every column of the m x m Jacobian trees has at most one
-    entry that is not the number 0.  numpy's J^T P rounds through fused
-    multiply-adds where the BLAS has them; a product with a zero entry is
-    exact, so on such columns Python arithmetic gives the same bits,
-    signed zeros included (`_costate_rate`)."""
+    entry that is not the number 0.  numpy's gemv of one column of a block,
+    J^T p, rounds through fused multiply-adds where the BLAS has them; on
+    such columns it sums the products from 0.0, each with the number 0
+    exact, so a Python sum from 0.0 gives the same bits, signed zeros
+    included (`_costate_rate`)."""
     return all(sum(not _is_num(jacobian[r * m + i], 0) for r in range(m)) <= 1
                for i in range(m))
 
@@ -833,16 +803,18 @@ def compile_dynamics(srcs, m: int, k: int):
       `pmp._costate`.
     - `f.adjoint_run(df_dx, F, dF_dx, r)` returns run(p, u, c, ts, xs, i0,
       i1, out), the sweep of `pmp.adjoint_flows` over one control run for
-      an m x r block: it steps the block p (row-major) back from node i1 to
-      node i0 of the grid ts, node states xs and multipliers c = -p0 per
-      column, appending each block to out as a list, bit for bit, and
-      returns the first node whose block is not finite (that block
+      an m x r block: it steps the block p (column after column) back from
+      node i1 to node i0 of the grid ts, node states xs and multipliers c =
+      -p0 per column, appending each block to out as a list, bit for bit,
+      and returns the first node whose block is not finite (that block
       appended), or None.  It is compiled on first use per r and cost.
+      Each column steps as its own vector, so a block column has the bits
+      of its own sweep.
     Both return None unless df_dx is f's own generated Jacobian, the
     system has no cost or dF_dx is a generated gradient, and every column
     of the Jacobian has at most one entry that is not the number 0:
-    elsewhere numpy's J^T P may round through fused multiply-adds that
-    Python arithmetic cannot follow.
+    elsewhere numpy's gemv J^T p may round through fused multiply-adds
+    that Python arithmetic cannot follow.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded

@@ -37,6 +37,7 @@ from .cone_geometry import (
     covered_point_root,
     membership_margin,
     positive_combination,
+    rank_split,
     supporting_hyperplane,
 )
 from .control_system import (
@@ -44,6 +45,7 @@ from .control_system import (
     ControlSystem,
     Trajectory,
     _event_path,
+    _signal_of_pieces,
     _switches_at,
     _write_csv,
     extend,
@@ -170,19 +172,11 @@ def _require_lebesgue(u: ControlSignal, t: float) -> None:
 
 def _override(u: ControlSignal, lo: float, hi: float, val: np.ndarray) -> ControlSignal:
     pts = sorted({u.a, u.b, lo, hi, *u.switch_times})
-    vals = []
+    pieces = []
     for p, q in zip(pts, pts[1:]):
         mid = 0.5 * (p + q)
-        vals.append(np.asarray(val, dtype=float) if lo <= mid < hi else u.value_at(mid))
-    # merge equal neighbours
-    switches: List[float] = []
-    merged = [vals[0]]
-    for p, v in zip(pts[1:-1], vals[1:]):
-        if np.array_equal(v, merged[-1]):
-            continue
-        switches.append(p)
-        merged.append(v)
-    return ControlSignal(a=u.a, b=u.b, switch_times=tuple(switches), values=tuple(merged))
+        pieces.append((p, val if lo <= mid < hi else u.value_at(mid)))
+    return _signal_of_pieces(u.a, u.b, pieces)
 
 
 def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
@@ -701,8 +695,9 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
     W = cone.cone.matrix
     Wp = np.linalg.pinv(W)
 
-    # orthonormal basis of the hyperplane orthogonal to v
-    U, _, _ = np.linalg.svd(v.reshape(-1, 1), full_matrices=True)
+    # orthonormal basis of the hyperplane orthogonal to v: the left singular
+    # vectors after v's own
+    U, _, _ = rank_split(v.reshape(-1, 1))
     Q = U[:, 1:]
     Mmap = Wp @ Q  # coefficient response to transverse offsets
 

@@ -444,18 +444,21 @@ def _costate(sys: ControlSystem, p0, r: int):
     """The one -dH/dx = c grad_x F - (df/dx)^T p, c = -p0, of an m x r block
     p, p0 a scalar or one per column: held(u)(t, x) evaluates grad_x F and
     df/dx at x with u held and returns the rate of a block, both laid out
-    row by row as lists.  One column steps as a plain vector (a gemv)."""
+    column after column as lists.  Each column steps as its own vector:
+    numpy's matmul of the stack of the r columns runs one gemv per column,
+    as (df/dx)^T @ column does, so a block column has the bits of its own
+    sweep."""
     m, jac, grad = sys.m, sys._jac, sys._grad
-    # c = -p0 at entry i r + j of the block
-    cs = _multipliers(p0, r) * m
-    block = np.array if r == 1 else (lambda pp: np.array(pp).reshape(m, r))
+    # c = -p0 at entry j m + i of the block
+    cs = [c for c in _multipliers(p0, r) for _ in range(m)]
+    stack = np.array if r == 1 else (lambda pp: np.array(pp).reshape(r, m, 1))
 
     def held(u):
         def stage(_, x):
             g, JT = grad(x, u), jac(x, u).T
-            g = g if r == 1 else [gi for gi in g for _ in range(r)]
+            g = g if r == 1 else g * r
             return lambda pp: [gi * ci - q for gi, ci, q in
-                               zip(g, cs, (JT @ block(pp)).ravel().tolist())]
+                               zip(g, cs, (JT @ stack(pp)).ravel().tolist())]
         return stage
 
     return held
@@ -475,13 +478,12 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     maximum condition at a node is the needle-cone separation at b.  p0 is
     constant: the extended dynamics never depend on the cost coordinate.
 
-    Each column has the values of its own one-column sweep, not always its
-    bits: numpy's (df/dx)^T P of a block (m, r > 1, a gemm) chains fused
-    multiply-adds from 0.0, of one column (a gemv) it sums the products
-    from 0.0, and where a product underflows the two give zeros of
-    opposite sign.  Where the grammar's generated dynamics give the system
-    an `adjoint_run` (`grammar.compile_dynamics`), each control run steps
-    back through that one generated loop instead, bit for bit.
+    A block column has the bits of its own sweep: the block is carried
+    column after column, and each column steps as its own vector, with one
+    gemv for its (df/dx)^T p (`_costate`).  Where the grammar's generated
+    dynamics give the system an `adjoint_run` (`grammar.compile_dynamics`),
+    each control run steps back through that one generated loop instead,
+    bit for bit.
     """
     P = np.array(P_b, dtype=float)
     if P.ndim != 2 or P.shape[0] != sys.m:
@@ -492,7 +494,7 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     run = run and run(sys.df_dx, sys.F, sys.dF_dx, r)
     ts = traj.grid.tolist()
     states = traj.states.tolist()
-    p = P.ravel().tolist()
+    p = P.T.ravel().tolist()
     sigma = [p]
 
     # the forward path's runs, last first: each holds one control value
@@ -516,7 +518,7 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
                 raise FlowBlowUpError(t0)
             sigma.append(p)
     sigma.reverse()
-    return np.array(sigma).reshape(len(ts), m, r)
+    return np.array(sigma).reshape(len(ts), r, m).transpose(0, 2, 1).copy()
 
 
 def adjoint_flow(sys: ControlSystem, traj: Trajectory, p0: float, p_b) -> AdjointCurve:

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cone_geometry import null_space, unit_directions
-from .control_system import ControlSignal, ControlSystem, _derived, extend, simulate
+from .control_system import ControlSystem, _derived, _signal_of_pieces, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
 from .pmp import BoundarySpec, Extremal, _costate, _maximizer, adjoint_flow
 
@@ -388,13 +388,7 @@ def _newton(problem, z0, opts):
 
 def _build_extremal(problem, z, prop, step):
     x0, b = problem.decode(z)
-    switches: List[float] = []
-    values: List[Tuple[float, ...]] = [tuple(prop.steps[0][1])]
-    for (t_s, u_s) in prop.steps[1:]:
-        if not np.array_equal(np.asarray(u_s), np.asarray(values[-1])):
-            switches.append(t_s)
-            values.append(tuple(u_s))
-    sig = ControlSignal(problem.a, b, tuple(switches), tuple(values))
+    sig = _signal_of_pieces(problem.a, b, prop.steps)
     ext_traj = simulate(extend(problem.sys), sig,
                         np.concatenate(([0.0], x0)), IntegratorConfig(step=step))
     adj = adjoint_flow(problem.sys, ext_traj.project(problem.sys), problem.p0, prop.p_b)

@@ -8,13 +8,11 @@ equals (p0, p(b)) paired with the needle vector of (tau, v) carried to b:
 the maximum condition at tau is the needle-cone separation at b.  A backward
 scheme of its own keeps both only to its O(h^4) error.  `pmp.adjoint_flows`
 steps a block of covectors back through one retrace per step, and each of
-its columns equals the adjoint_flow of that column as values.  Their bits
-may differ in the sign of a zero: numpy's J^T P of a block (a gemm) chains
-fused multiply-adds, that of one column (a gemv) sums the products from
-0.0, and the two round a product that underflows apart.  The extended system's
-sweep of the m + 1 unit covectors equals, to rounding, the blocks
-[[1, 0], [-c_n, B_n]] of the base sweep of the m unit covectors and of
-p0 = -1.
+its columns steps as its own vector: its J^T p is one gemv on that column
+alone, so a block column has the bits of its own adjoint_flow, also where
+a product underflows to a signed zero.  The extended system's sweep of
+the m + 1 unit covectors equals, to rounding, the blocks [[1, 0], [-c_n,
+B_n]] of the base sweep of the m unit covectors and of p0 = -1.
 """
 
 import dataclasses
@@ -161,10 +159,11 @@ def test_needle_naming_its_lebesgue_reference_keeps_the_bits():
 
 def test_block_column_equals_its_single_sweep_where_a_product_underflows():
     # f = (1e-200 x1, x0 + u0): column 0 of the block gives q_1 = 1e-200 *
-    # -1e-200 + 0 * -0.0, whose product underflows.  The block's fused
-    # multiply-add keeps its sign and reads p1 = -0.0 at every node; the
-    # single sweep's sum from 0.0 reads +0.0 at the first four.  Both are
-    # generated, and each keeps the bits of numpy's own rule
+    # -1e-200 + 0 * -0.0, whose product underflows.  Summed from 0.0, as
+    # one column's gemv sums it, p1 reads +0.0 at the first four nodes; the
+    # fused multiply-add chain of a whole block's gemm would keep the
+    # product's sign and read -0.0 there.  Each column steps as its own
+    # vector, generated or not
     problem = cli.Problem({"dynamics": {"expressions": ["1e-200 * x1", "x0 + u0"]},
                            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}})
     sys = problem.sys
@@ -173,9 +172,42 @@ def test_block_column_equals_its_single_sweep_where_a_product_underflows():
     P_b = np.array([[-1e-200, 3.0], [-0.0, 1.0]])
     block = pmp.adjoint_flows(sys, traj, P_b, 0.0)
     single = pmp.adjoint_flow(sys, traj, 0.0, P_b[:, 0]).sigma
-    assert np.all(block[:, :, 0] == single)
+    assert block[:, :, 0].tobytes() == single.tobytes()
+    assert np.signbit(single[:4, 1]).tolist() == [False] * 4
     for r in (1, 2):
         assert sys.f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, r) is not None
     array_path = plain(sys)
     assert block.tobytes() == pmp.adjoint_flows(array_path, traj, P_b, 0.0).tobytes()
     assert single.tobytes() == pmp.adjoint_flow(array_path, traj, 0.0, P_b[:, 0]).sigma.tobytes()
+
+
+# block entries: finite, signed zeros, and tiny ones whose products with a
+# tiny Jacobian underflow to signed zeros
+block_entries = st.one_of(st.floats(-2.0, 2.0), st.sampled_from((0.0, -0.0, 1e-200, -1e-200)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(2, 3), r=st.integers(2, 4), scale=st.sampled_from((1.0, 1e-200)),
+       cost=st.booleans(), data=st.data())
+def test_array_block_columns_have_the_bits_of_their_own_sweeps(m, r, scale, cost, data):
+    # a user callable with a dense Jacobian sweeps through the array loop,
+    # where numpy's product of a whole block (a gemm) rounds a column apart
+    # from its own gemv, in the last bits or, on a Jacobian scaled by
+    # 1e-200, in the sign of an underflowing product; each column steps as
+    # its own vector, so each has the bits of its own adjoint_flow
+    A = scale * np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m * m,
+                                            max_size=m * m))).reshape(m, m)
+    sys = ControlSystem(
+        m=m, k=1, f=lambda x, u: A @ np.sin(x) + u[0],
+        df_dx=lambda x, u: A * np.cos(x), control_set=box([-1.0], [1.0]),
+        F=(lambda x, u: 0.5 * float(x @ x)) if cost else None,
+        dF_dx=(lambda x, u: np.array(x)) if cost else None)
+    traj = simulate(sys, ControlSignal(0.0, 1.0, (0.5,), ((1.0,), (-0.5,))),
+                    np.linspace(0.3, -0.4, m), IntegratorConfig(step=0.1))
+    P_b = np.array(data.draw(st.lists(block_entries, min_size=m * r,
+                                      max_size=m * r))).reshape(m, r)
+    p0 = data.draw(st.lists(st.sampled_from((0.0, -1.0)), min_size=r, max_size=r))
+    block = pmp.adjoint_flows(sys, traj, P_b, p0)
+    for j in range(r):
+        single = pmp.adjoint_flow(sys, traj, p0[j], P_b[:, j]).sigma
+        assert block[:, :, j].tobytes() == single.tobytes(), j

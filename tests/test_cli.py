@@ -111,6 +111,14 @@ class TestProblemFiles:
         # Python's message was named as the token
         ("", "parse error: empty expression ''"),
         ("  ", "parse error: empty expression '  '"),
+        # eval mode ends the expression at the line break: the next line's
+        # first word was named as the bad token
+        ("x0 +\n x0 x0", "parse error in 'x0 +\n x0 x0' at offset 4: unexpected end of line"),
+        ("x0 +\nx0", "parse error in 'x0 +\nx0' at offset 4: unexpected end of line"),
+        ("x0 +\r\n x0", "parse error in 'x0 +\r\n x0' at offset 4: unexpected end of line"),
+        # a form feed ends no line for Python: the error on its second line
+        # was placed at offset 9, '0)'
+        ("(x0\x0c +\n x0) x0", "parse error in '(x0\x0c +\n x0) x0' at offset 12: bad token 'x0'"),
     ])
     def test_parse_error_is_placed_in_the_given_text(self, tmp_path, capsys, expr, message):
         data = lqr_problem()
@@ -604,6 +612,16 @@ class TestShootAndCheck:
         rep = json.loads((work / "report.json").read_text())
         assert rep["res_3c"] == 0.0
         assert rep["classification"] == "undetermined"
+
+    @pytest.mark.parametrize("name", ["control.json", "adjoint.csv"])
+    def test_check_names_a_missing_output_file(self, bang_dir, tmp_path, capsys, name):
+        # a missing control.json raised FileNotFoundError out of main
+        work = tmp_path / "copy"
+        shutil.copytree(bang_dir / "out", work)
+        (work / name).unlink()
+        prob = str(bang_dir / "problem.json")
+        assert cli.main(["check", "--problem", prob, "--out", str(work)]) == 2
+        assert f"error: missing file: {work / name}\n" in capsys.readouterr().err
 
     def test_lqr_passes_fixed_fails_free(self, lqr_dir):
         prob = str(lqr_dir / "problem.json")

@@ -176,7 +176,8 @@ expressions = st.one_of(trees(2, 1).map(render), trees(2, 1).map(render), soup)
        st.lists(expressions, min_size=2, max_size=2), st.one_of(st.none(), expressions))
 def test_fuzzed_problem_exits_with_a_cli_code(command, dynamics, cost):
     # bad input exits 2 and a numerical failure 3; no error escapes main,
-    # also where the cones sweep random dynamics back or reach samples them
+    # also where the cones sweep random dynamics back or reach samples them,
+    # nor where check reads what shoot wrote (nothing, where shoot exited 2)
     data = {"dynamics": {"expressions": dynamics},
             "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
             "horizon": {"a": 0.0, "b": 1.0}, "integrator": {"step": 0.1},
@@ -193,5 +194,8 @@ def test_fuzzed_problem_exits_with_a_cli_code(command, dynamics, cost):
         path = os.path.join(d, "problem.json")
         with open(path, "w") as fh:
             json.dump(data, fh)
-        rc = cli.main([command, "--problem", path, "--out", os.path.join(d, "out")])
+        out = os.path.join(d, "out")
+        rc = cli.main([command, "--problem", path, "--out", out])
+        if command == "shoot":
+            assert cli.main(["check", "--problem", path, "--out", out]) in (0, 1, 2, 3)
     assert rc in (0, 2, 3)

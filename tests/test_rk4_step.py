@@ -8,8 +8,9 @@ zeros, subnormal and huge steps of either sign, and infinite or NaN
 states.  A scan of the package's source holds the README's promise that no
 second RK4 step exists beside it, that only three loops and the one step
 that linearizes its stages call it, and that it makes no numpy call; that
-the adjoint interpolates no state; and that the Hamiltonian maximizer has
-one implementation, which shooting and `check_pmp` bind once.
+the adjoint interpolates no state; that only the rank rule calls numpy's
+SVD; and that the Hamiltonian maximizer has one implementation, which
+shooting and `check_pmp` bind once.
 """
 
 import ast
@@ -235,6 +236,19 @@ def test_rk4_stages_are_linearized_in_one_function():
     assert recording == {("flows.py", "_recorded_step")}
     assert callers == {("flows.py", "_lifted_path"), ("pmp.py", "adjoint_flows"),
                        ("grammar.py", "_adjoint_run_code")}
+
+
+def test_svd_runs_only_in_the_rank_rule():
+    # every rank, null space and orthogonal complement the package takes
+    # comes from cone_geometry.rank_split, the one place that calls
+    # np.linalg.svd and counts singular values above its tolerance
+    found = set()
+    for name, top in _top_functions():
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "svd"):
+                found.add((name, getattr(top, "name", None), ast.unparse(node.func)))
+    assert found == {("cone_geometry.py", "rank_split", "np.linalg.svd")}
 
 
 def test_package_interpolates_no_state():
