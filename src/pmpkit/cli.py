@@ -316,7 +316,7 @@ def _load_csv(path, expect_prefix):
     try:
         with open(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise ProblemError(f"missing file: {path}")
     if not lines or not lines[0].startswith(expect_prefix):
         raise ProblemError(f"{path}: expected header starting with '{expect_prefix}'")
@@ -333,6 +333,19 @@ def _cfg(problem: Problem) -> IntegratorConfig:
     return IntegratorConfig(step=problem.step)
 
 
+def _out_dir(path, make=True):
+    """path, the --out directory, made with its parents first if make: a
+    path that names a file, or cannot be made, is bad input."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ProblemError(f"--out {path!r} is not a directory")
+    if make:
+        try:
+            os.makedirs(path, exist_ok=True)
+        except OSError as e:
+            raise ProblemError(f"--out {path!r}: {e.strerror}") from None
+    return path
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -340,7 +353,7 @@ def cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     if problem.control is None:
         raise ProblemError("simulate needs a 'control' entry in the problem file")
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     if problem.sys.F is not None:
         traj = simulate(extend(problem.sys), problem.control,
                         np.concatenate(([0.0], problem.x_a)), _cfg(problem))
@@ -364,7 +377,7 @@ def _load_extremal(problem: Problem, out_dir):
     try:
         with open(path) as fh:
             sig_spec = json.load(fh)
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         raise ProblemError(f"missing file: {path}")
     grid = tdata[:, 0]
     sig = _parse_signal(sig_spec, float(grid[0]), float(grid[-1]), problem.sys.k)
@@ -387,7 +400,7 @@ def _load_extremal(problem: Problem, out_dir):
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
     tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
-    ext = _load_extremal(problem, args.out)
+    ext = _load_extremal(problem, _out_dir(args.out, make=False))
     bounds = problem.boundary
     if args.mode is not None:
         mode = "free_time" if args.mode == "free" else "fixed_time"
@@ -402,7 +415,7 @@ def cmd_check(args) -> int:
 def cmd_shoot(args) -> int:
     problem = load_problem(args.problem)
     tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
                          a=problem.a, b=problem.b)
@@ -458,7 +471,7 @@ def cmd_cones(args) -> int:
         controls.append(u)
     queries = [_finite_vector(q, m, f"cones.queries[{i}]")
                for i, q in enumerate(_list(spec.get("queries", []), "cones.queries"))]
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     cfg = _cfg(problem)
     # with the sampled times and t on its grid the cone sweeps this path
     traj = simulate(problem.sys, problem.control, problem.x_a,
@@ -488,7 +501,7 @@ def cmd_reach(args) -> int:
         max_switches=_integer(spec.get("max_switches", 3), "reach.max_switches", 0),
         seed=seed, step=problem.step)
     T = _finite(spec.get("T", problem.b - problem.a), "reach.T", positive=True)
-    os.makedirs(args.out, exist_ok=True)
+    _out_dir(args.out)
     cloud = sample_reachable(problem.sys, problem.x_a, T, policy)
     cloud.to_csv(os.path.join(args.out, "cloud.csv"))
     cloud.save_provenance(os.path.join(args.out, "cloud_provenance.json"))

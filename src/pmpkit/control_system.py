@@ -117,10 +117,10 @@ class ControlSystem:
     twice.  `u_degree` declares the polynomial degree of f and F in u, None
     when unknown; at most 2 lets the Hamiltonian maximizer trust its
     quadratic fit without probing it.  The callables get x as a float64
-    array, but `f`, `df_dx` or `dF_dx` marked `on_lists` take a list of floats;
-    `_rate`, `_jac` and `_grad` call them so and normalise all the others.
-    The system is frozen, so those three never go stale: a changed system
-    is a new one (`dataclasses.replace`).
+    array, but `f`, `F`, `df_dx` or `dF_dx` marked `on_lists` take a list of
+    floats; `_rate`, `_cost`, `_jac` and `_grad` call them so and normalise
+    all the others.  The system is frozen, so those four never go stale: a
+    changed system is a new one (`dataclasses.replace`).
     """
 
     m: int
@@ -134,13 +134,17 @@ class ControlSystem:
     u_degree: Optional[int] = None
 
     def __post_init__(self):
-        # f(x, u) and dF/dx(x, u) as lists of floats, df/dx(x, u) as an
-        # array, for x a list of floats or an array
-        f, df, dF, m = self.f, self.df_dx, self.dF_dx, self.m
+        # f(x, u) and dF/dx(x, u) as lists of floats, F(x, u) as a float
+        # (0.0 without a cost) and df/dx(x, u) as an array, for x a list of
+        # floats or an array
+        f, F, df, dF, m = self.f, self.F, self.df_dx, self.dF_dx, self.m
         object.__setattr__(self, "_rate", f if getattr(f, "on_lists", False) else (
             lambda x, u: np.asarray(f(np.asarray(x, dtype=float), u), dtype=float).ravel().tolist()))
+        object.__setattr__(self, "_cost", (lambda x, u: 0.0) if F is None
+                           else F if getattr(F, "on_lists", False)
+                           else lambda x, u: float(F(np.asarray(x, dtype=float), u)))
         object.__setattr__(self, "_jac", df if getattr(df, "on_lists", False) else self.jac_x)
-        object.__setattr__(self, "_grad", (lambda x, u: [0.0] * m) if self.F is None
+        object.__setattr__(self, "_grad", (lambda x, u: [0.0] * m) if F is None
                            else dF if getattr(dF, "on_lists", False)
                            else lambda x, u: self.cost_grad_x(x, u).tolist())
 
@@ -148,9 +152,7 @@ class ControlSystem:
         return np.array(self._rate(x, u))
 
     def cost_rate(self, x: np.ndarray, u: np.ndarray) -> float:
-        if self.F is None:
-            return 0.0
-        return float(self.F(np.asarray(x, dtype=float), u))
+        return float(self._cost(x, u))
 
     def jac_x(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         if self.df_dx is not None:

@@ -25,17 +25,19 @@ per entry), and passed to `compile`; no source text is generated and the
 user's text is never evaluated.  Numbers are bound through a tuple, so
 nothing is folded (rk4_step's own numbers are literals, each met with a
 variable).  A state or control reads as `float(x[i])` or `float(u[i])`,
-from a list or an array, a vector is a list of floats, a vector or
-Jacobian function is marked `on_lists` (it takes x as a list of floats), a
-power goes through `_real_pow`, and each vector component and Jacobian
-entry has its own `try` that turns overflow, division by zero and math
-domain errors into NaN, so the integrators' blow-up checks own the
-diagnostic.  Straight-line code keeps `compile` shallow however deeply an
-expression nests.  The generated code is pure Python; the reductions the
-package leaves to numpy (J^T p on other Jacobians, p . f in the
-Hamiltonian) may round through fused multiply-adds, so their bits depend
-on the numpy build.  The public entry points keep their recent results per
-process, keyed on their arguments.
+from a list or an array, a vector is a list of floats, every generated
+function of (x, u), the scalar expressions of a cost included, is marked
+`on_lists` (it takes x as a list of floats), a power goes through
+`_real_pow`, and each vector component and Jacobian entry has its own
+`try` that turns overflow, division by zero and math domain errors into
+NaN, so the integrators' blow-up checks own the diagnostic.  Straight-line
+code keeps `compile` shallow however deeply an expression nests.  The
+generated code is pure Python; the reductions the package leaves to numpy
+(J^T p on other Jacobians, p . f in the Hamiltonian) may round through
+fused multiply-adds, so their bits depend on the numpy build; the
+maximizer's own Python sums of p . f decide only what their rounding
+bound certifies (`pmp._certified_vertex`).  The public entry points keep
+their recent results per process, keyed on their arguments.
 """
 
 from __future__ import annotations
@@ -104,7 +106,9 @@ def _parse(src, where):
     """(text, body): src with ^ read as ** and the parsed expression body.
 
     A syntax error names the offset and the token in src, or the end of
-    the input where Python's parser ran out of it."""
+    the input where Python's parser ran out of it; a character Python's
+    tokenizer rejects (a non-breaking space, a line separator, a null) is
+    named by its code point at its own offset."""
     if not isinstance(src, str):
         raise ProblemError(f"parse error: expression must be a string, got {src!r}")
     if not src.strip():
@@ -119,11 +123,19 @@ def _parse(src, where):
     except SyntaxError as e:
         if e.msg == "too many nested parentheses":
             raise _too_deep(where) from None
+        if "null bytes" in e.msg:
+            pos = src.index("\0")
+            raise ProblemError(f"parse error in '{src}' at offset {pos}: "
+                               "invalid character U+0000") from None
         # Python's offset counts from 1 on line lineno, 0 at the end of
         # input; only \r\n, \r and \n end its lines
         starts = [0] + [mm.end() for mm in re.finditer(r"\r\n?|\n", text)]
         line = (e.lineno or 1) - 1
         off = (starts[line] if line < len(starts) else len(text)) + (e.offset or 0) - 1
+        code = re.search(r"invalid (?:non-printable )?character.*U\+([0-9A-F]+)", e.msg)
+        if code and e.offset:
+            raise ProblemError(f"parse error in '{src}' at offset {_source_offset(src, off)}: "
+                               f"invalid character U+{code.group(1)}") from None
         if not e.offset or off >= len(text.rstrip()):
             raise ProblemError(f"parse error in '{src}': unexpected end of input") from None
         pos = _source_offset(src, off)
@@ -471,7 +483,7 @@ class _Code:
         else:
             (result,) = self.values
         fn = self.compile(self.define(name, ("x", "u"), result))
-        fn.on_lists = bool(shape)
+        fn.on_lists = True
         return fn
 
     def define(self, name, params, result):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -147,9 +148,13 @@ class _Probes:
     arrays u0 + e and u0 - e, and that arithmetic sets the sign of a zero
     where u0 holds -0.0 (-0.0 + 0.0 is +0.0); they are kept read-only.
 
-    The fit reads only `axes`, one (j, u0 + e_j, u0 - e_j, 2 delta_j,
-    delta_j ** 2) per live axis j, and `pairs`, one (i, j, u0 + e_i + e_j,
-    delta_i delta_j) per pair of live axes, so its pass computes no step.
+    The fit reads H at `points`: u0, then u0 + e_j and u0 - e_j per live
+    axis j, then u0 + e_i + e_j per pair of live axes.  Beside those values
+    it reads only `axes`, one (j, n, 2 delta_j, delta_j ** 2) per live axis,
+    n the index in `points` of u0 + e_j (n + 1 that of u0 - e_j), and
+    `pairs`, one (i, j, n, n_i, n_j, delta_i delta_j) per pair, n the index
+    of u0 + e_i + e_j and n_i, n_j those of u0 + e_i and u0 + e_j, so its
+    pass computes no step and no index.
     numpy computes the divisors, so a square that overflows reads inf.  They
     are kept as Python floats, which divide faster and round the same; a
     divisor that underflows to zero stays numpy's 0.0, so that dividing by
@@ -171,15 +176,19 @@ class _Probes:
 
         self.axis = {j: (_read_only(u0 + step(j)), _read_only(u0 - step(j)))
                      for j in live}
+        plus = {j: 1 + 2 * n for n, j in enumerate(live)}
+        corners = [_read_only(u0 + step(i, j)) for i, j in itertools.combinations(live, 2)]
+        self.points = (self.u0, *(u for j in live for u in self.axis[j]), *corners)
 
         def divisor(v):
             return float(v) if v else v
 
         with np.errstate(over="ignore"):
-            self.axes = tuple((j, *self.axis[j], divisor(2.0 * d[j]), divisor(d[j] ** 2))
+            self.axes = tuple((j, plus[j], divisor(2.0 * d[j]), divisor(d[j] ** 2))
                               for j in live)
-            self.pairs = tuple((i, j, _read_only(u0 + step(i, j)), divisor(d[i] * d[j]))
-                               for i, j in itertools.combinations(live, 2))
+            self.pairs = tuple((i, j, n, plus[i], plus[j], divisor(d[i] * d[j]))
+                               for n, (i, j) in enumerate(itertools.combinations(live, 2),
+                                                          1 + 2 * len(live)))
         # the points that test the fit, each with its offset from u0
         self.checks = []
         for coeffs in ((0.37,) * k, (-0.61,) * k,
@@ -214,6 +223,8 @@ def _make_probes(U) -> _Probes:
     probes = _Probes(u0, delta)
     # per axis (lo, hi, u0, delta) for the axis maxima
     probes.sides = tuple(zip(lo, hi, u0, delta))
+    probes.bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+    probes.certificate = _certificate(probes) if probes.bounded else None
     return probes
 
 
@@ -224,11 +235,12 @@ def _matrix(a, mixed):
     return A
 
 
-def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
-    """Exact-fit quadratic model at the probes, or None if H is not quadratic.
+def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
+    """Exact-fit quadratic model of H from values, H at `probes.points` in
+    order, or None if H is not quadratic.
 
-    One pass over the probes' per-axis and per-pair tuples returns (b, a,
-    mixed, bmax, cmax, off):
+    One pass over the probes' per-axis and per-pair tuples, reading the
+    values by index, returns (b, a, mixed, bmax, cmax, off):
     - b and a, the gradient and the Hessian diagonal per axis (0.0 on an
       axis of zero width), and mixed, the Hessian entries (i, j, value) of
       the live axis pairs, all at u0;
@@ -236,17 +248,17 @@ def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
       and off that of its off-diagonal part (0.0 for k = 1).  Each is
       float(np.max(np.abs(.))) of the arrays: NaN wherever a NaN stands, and
       off is NaN beside an infinite diagonal entry, where inf - inf stands.
-    verify=False skips the three probes that test the fit, for an H known
-    to be at most quadratic in u.
+    With H given, the fit is tested at three more probes, where H is
+    evaluated; without it the fit is trusted, for an H known to be at most
+    quadratic in u.
     """
     k = probes.k
-    f0 = H(probes.u0)
+    f0 = values[0]
     b = [0.0] * k
     a = [0.0] * k
-    up = [0.0] * k if probes.pairs else None
     bmax = amax = 0.0
-    for j, plus, minus, two_delta, delta_sq in probes.axes:
-        fp, fm = H(plus), H(minus)
+    for j, n, two_delta, delta_sq in probes.axes:
+        fp, fm = values[n], values[n + 1]
         bj = b[j] = (fp - fm) / two_delta
         aj = a[j] = (fp - 2.0 * f0 + fm) / delta_sq
         bj, aj = abs(bj), abs(aj)
@@ -255,18 +267,16 @@ def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
             bmax = bj
         if aj > amax or aj != aj:
             amax = aj
-        if up is not None:
-            up[j] = fp
     mixed, mmax = [], 0.0
-    for i, j, u, delta_ij in probes.pairs:
-        v = (H(u) - up[i] - up[j] + f0) / delta_ij
+    for i, j, n, n_i, n_j, delta_ij in probes.pairs:
+        v = (values[n] - values[n_i] - values[n_j] + f0) / delta_ij
         mixed.append((i, j, v))
         v = abs(v)
         if v > mmax or v != v:
             mmax = v
     cmax = amax if amax >= mmax or amax != amax else mmax
     off = mmax if k == 1 or math.isfinite(amax) else math.nan
-    if not verify:
+    if H is None:
         return b, a, mixed, bmax, cmax, off
 
     # numpy's dot may fuse a multiply and an add, so the model is
@@ -281,6 +291,118 @@ def _fit_quadratic(H, probes: _Probes, fit_tol, verify=True):
         if abs(H(probe) - model(d)) > fit_tol * scale:
             return None
     return b, a, mixed, bmax, cmax, off
+
+
+def _python_values(p, x, points, p0f, cost, rate):
+    """(evaluated, values, bounds) of p and x at the probe points: per
+    point u, evaluated holds (A, r), A = p0f cost(x, u) and r = rate(x, u),
+    each made once, values the value h = A + s, s the sum of the products
+    p_i r_i in Python from 0.0, and bounds a bound e on the distance of h
+    from A + float(np.array(p) @ np.array(r)), the value `hamiltonian`
+    gives.
+
+    The bound holds whatever order numpy's dot sums in, with or without
+    fused multiply-adds.  A dot product of m terms summed in any order lies
+    within gamma_m T + m lambda of the exact sum, T = sum |p_i r_i|,
+    gamma_m = m u / (1 - m u), u = 2^-53 and lambda = 2^-1075 the error of
+    an underflowing product (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., SIAM 2002, sections 2.6 and 3.1).  So numpy's dot
+    and the Python sum differ by at most m (2^-51 T' + 2^-1072), T' the
+    Python sum of the |p_i r_i|, and the two values by at most twice that
+    plus 2^-51 |h|, the rounding of the additions of A:
+    e = m 2^-50 T' + 2^-51 |h| + m 2^-1071.  Each term is twice what the
+    analysis needs or more, which covers the rounding of e itself and of
+    the comparisons that read it.  e >= 2^-51 |h|, which
+    `_certified_vertex` uses; e is NaN only beside a NaN h.
+
+    With m = 1 every bound is 0.0: 0.0 + p_0 r_0 is numpy's own value,
+    since its dot adds the one product to 0.0.
+    """
+    m = len(p)
+    dot_term, floor = m * 2.0 ** -50, m * 2.0 ** -1071
+    if m == 1:
+        dot_term = floor = 0.0
+    evaluated, values, bounds = [], [], []
+    for u in points:
+        A, r = p0f * cost(x, u), rate(x, u)
+        evaluated.append((A, r))
+        s = t = 0.0
+        for v in map(operator.mul, p, r):
+            s += v
+            t += abs(v)
+        h = A + s
+        values.append(h)
+        bounds.append(dot_term * t + 2.0 ** -51 * abs(h) + floor if floor else 0.0)
+    return evaluated, values, bounds
+
+
+# A bound of 2^970 or more certifies nothing: below it every |value| <
+# 2^1021, so 2 f0 and every value of numpy's are finite, and T' < 2^1020,
+# so no partial sum of numpy's dot overflows
+_BOUND_CAP = 2.0 ** 970
+
+
+def _certificate(probes: _Probes):
+    """What `_certified_vertex` reads of a finite box: per live axis (j, n,
+    4 / (2 delta_j)), n the index of H(u0 + e_j) in the values; K; and the
+    sides' ends.  None where a divisor of the fit is zero or inf, which
+    takes its entries out of the bounds' reach."""
+    divisors = [d for *_, two_delta, delta_sq in probes.axes for d in (two_delta, delta_sq)]
+    if not all(0.0 < d < math.inf for d in divisors + [d for *_, d in probes.pairs]):
+        return None
+    K = max([max(8.0 / two_delta, 16.0 / delta_sq) for *_, two_delta, delta_sq in probes.axes]
+            + [24.0 / delta_ij for *_, delta_ij in probes.pairs], default=0.0)
+    return ([(j, n, 4.0 / two_delta) for j, n, two_delta, _ in probes.axes], K,
+            [s[0] for s in probes.sides], [s[1] for s in probes.sides])
+
+
+def _certified_vertex(fit, bounds, certificate, fit_tol):
+    """The vertex the box branch of `_maximizer` picks from every set of
+    values H_i at the probe points with |H_i - h_i| <= bounds[i], h_i the
+    values `fit` was made from, or None where values in those ranges could
+    take it elsewhere; certificate is the box's (`_certificate`).
+
+    The branch takes ztol = fit_tol (1 + bmax + cmax) and, on a finite
+    box, picks a vertex when off <= ztol and |a_j| <= ztol on every live
+    axis: hi_j where b_j > ztol and lo_j elsewhere (b_j < -ztol and
+    |b_j| <= ztol both pick lo_j).  With each bound e_i >= 2^-51 |h_i|
+    (`_python_values`), each rounding of the fit at most u = 2^-53
+    relative and 2^-1075 where a quotient underflows, the entries made
+    from the H_i lie within
+    - 4 (e_+ + e_-) / (2 delta_j) + 2^-51 |b_j| + 2^-1072 of b_j, e_+ and
+      e_- the bounds at u0 + e_j delta_j and u0 - e_j delta_j,
+    - 4 (e_+ + 2 e_0 + e_-) / delta_j^2 + 2^-51 |a_j| + 2^-1072 of a_j,
+    - 6 (e_ij + e_+i + e_+j + e_0) / (delta_i delta_j) + 2^-51 |v| +
+      2^-1072 of a mixed entry v,
+    so every Hessian entry within C = K E + 2^-51 cmax + 2^-1072 of its
+    own, E the largest bound and K the largest factor of E above, and
+    ztol within 2 fit_tol K E + 2^-48 ztol of its own (2 fit_tol 2^-51
+    (bmax + cmax) < 2^-50 ztol).  Each is twice what the analysis needs or
+    more, which covers the rounding of the bounds and of the comparisons.
+    Every comparison is decided across both bounds: off <= ztol and each
+    |a_j| <= ztol where cmax + C <= ztol, and each b_j > ztol on its own
+    bound.  A NaN value makes bmax or cmax NaN (the fit's maxima keep it),
+    which fails every comparison.
+    """
+    E = max(bounds)
+    if not E < _BOUND_CAP:
+        return None
+    axes, K, lows, highs = certificate
+    b, _, _, bmax, cmax, _ = fit
+    ztol, KE = fit_tol * (1.0 + bmax + cmax), K * E
+    ez = 2.0 * fit_tol * KE + 2.0 ** -48 * ztol
+    low, high = ztol - ez, ztol + ez
+    if not cmax + KE + 2.0 ** -51 * cmax + 2.0 ** -1072 <= low:
+        return None
+    u = lows.copy()
+    for j, n, kb in axes:
+        bj = b[j]
+        eb = kb * (bounds[n] + bounds[n + 1]) + 2.0 ** -51 * abs(bj) + 2.0 ** -1072
+        if bj - eb > high:
+            u[j] = highs[j]
+        elif not bj + eb <= low:
+            return None
+    return np.array(u)
 
 
 def _clip(v, lo, hi):
@@ -338,11 +460,34 @@ def _maximizer(sys: ControlSystem, p0: float):
     """The one Hamiltonian maximizer, bound to sys and p0: maximize(p, x) of
     p and x lists of floats, unchecked, is (u_star, H, value), with H bound
     to p and x as `hamiltonian` computes it and value H(u_star) if the search
-    evaluated it, else None."""
-    p0f, rate, F, fit_tol = float(p0), sys._rate, sys.F, FIT_TOL
+    evaluated it, else None.
+
+    H is p0 F + p . f, F the cost `sys._cost` and f the rate `sys._rate`,
+    both of x as a list, with p . f numpy's dot of p and f as arrays; p's
+    array is made on H's first call.  A box with finite sides and a
+    declared degree of at most 2 evaluates F and f once per fit probe,
+    fits the Python sums of those, and decides in three steps:
+    - m = 1: the Python sum 0.0 + p_0 f_0 is the dot's own value, so the
+      values are H's and the box decision runs on their fit;
+    - otherwise each probe value is summed in Python, with a bound on its
+      distance from H (`_python_values`), and where every comparison of
+      the box branch holds across the bounds and every axis lands on a
+      vertex, that vertex is u_star (`_certified_vertex`);
+    - elsewhere numpy's dot of p with the same f lists gives H's values,
+      and the fit and the box decision run on them.
+    Every other search evaluates H at each point it reads.
+    """
+    p0f, rate, cost, fit_tol = float(p0), sys._rate, sys._cost, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     probes = None if U.kind == "finite" else _probes(U)
+    certificate = None
+
+    def fit_of(H):
+        # the fit of H's values at the probes, verified unless declared
+        return _fit_quadratic([H(u) for u in probes.points], probes, fit_tol,
+                              H if verify else None)
+
     if U.kind == "finite":
         def search(H):
             return _pick_best(U.points, H)
@@ -351,7 +496,7 @@ def _maximizer(sys: ControlSystem, p0: float):
         c, R = U.center, U.radius
 
         def search(H):
-            fit = _fit_quadratic(H, probes, fit_tol, verify)
+            fit = fit_of(H)
             if fit is not None:
                 b, _, _, bmax, curvature, _ = fit
                 scale = 1.0 + bmax + curvature
@@ -365,11 +510,10 @@ def _maximizer(sys: ControlSystem, p0: float):
             return _pick_best(cands, H)
 
     else:
-        lo, hi, sides = U.lo, U.hi, probes.sides
-        bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
+        lo, hi, sides, bounded = U.lo, U.hi, probes.sides, probes.bounded
+        certificate, exact = None if verify else probes.certificate, sys.m == 1
 
-        def search(H):
-            fit = _fit_quadratic(H, probes, fit_tol, verify)
+        def decide(fit, H):
             if fit is not None:
                 b, a, mixed, bmax, cmax, off_diag = fit
                 ztol = fit_tol * (1.0 + bmax + cmax)
@@ -397,16 +541,35 @@ def _maximizer(sys: ControlSystem, p0: float):
                 return _grid_refine(H, lo, hi)
             raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
 
+        def search(H):
+            return decide(fit_of(H), H)
+
     def maximize(p, x):
-        # p @ an array: the bits of p @ a list, in less time; F gets x as an array
-        p, xa = np.array(p), np.array(x)
+        pa = None
 
         def H(u):
-            # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian` does
-            return (p0f * (0.0 if F is None else float(F(xa, u)))
-                    + float(p @ np.array(rate(x, u))))
+            # numpy's p . f, as `hamiltonian` takes it, with p an array made
+            # on the first call; with no cost, p0f * 0.0 still signs a zero
+            # H as `hamiltonian` does
+            nonlocal pa
+            if pa is None:
+                pa = np.array(p)
+            return p0f * cost(x, u) + float(pa @ np.array(rate(x, u)))
 
-        u_star, value = search(H)
+        if certificate is None:
+            u_star, value = search(H)
+            return u_star, H, value
+        evaluated, values, bounds = _python_values(p, x, probes.points, p0f, cost, rate)
+        fit = _fit_quadratic(values, probes, fit_tol)
+        if not exact:
+            u_star = _certified_vertex(fit, bounds, certificate, fit_tol)
+            if u_star is not None:
+                return u_star, H, None
+            # the fallback: numpy's values of the same cost terms and rates
+            pa = np.array(p)
+            fit = _fit_quadratic([A + float(pa @ np.array(r)) for A, r in evaluated],
+                                 probes, fit_tol)
+        u_star, value = decide(fit, H)
         return u_star, H, value
 
     return maximize
@@ -425,7 +588,11 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationRes
     candidate, u_star is None and value is -inf.
 
     p and x are checked and handed to `_maximizer`, which binds H to them;
-    the fit's probe points come from the control set (`_probes`).
+    the fit's probe points come from the control set (`_probes`).  On a
+    finite box with a declared degree of at most 2, a vertex is decided
+    from probe values summed in Python wherever their rounding bound
+    cannot change it, and otherwise from numpy's H values; u_star and
+    value are those of numpy's H either way.
     """
     p = np.asarray(p, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()

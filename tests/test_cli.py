@@ -128,6 +128,26 @@ class TestProblemFiles:
         assert rc == 2
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("expr, message", [
+        # Python rejects the character; split() dropped it as white space and
+        # named the next token, '+'
+        ("x0\u2028 + (x1\n x0) x1", "at offset 2: invalid character U+2028"),
+        ("x0\xa0+ x1", "at offset 2: invalid character U+00A0"),
+        # a rejected character at the end was read as the end of the input
+        ("x0 + x1\u3000", "at offset 7: invalid character U+3000"),
+        # the offset is in the given text, with ^ written as **
+        ("x0 ^ 2 + \u20ac", "at offset 9: invalid character U+20AC"),
+        # a null byte was read as the end of the input
+        ("x0 + \x00x1", "at offset 5: invalid character U+0000"),
+    ])
+    def test_rejected_character_is_named_at_its_offset(self, tmp_path, capsys, expr, message):
+        data = lqr_problem()
+        data["dynamics"] = {"expressions": [expr]}
+        path = write_problem(tmp_path / "p.json", data)
+        rc = cli.main(["simulate", "--problem", path, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: parse error in '{expr}' {message}\n" in capsys.readouterr().err
+
     def test_unknown_identifier_named(self, tmp_path, capsys):
         data = lqr_problem()
         data["cost"] = {"expression": "q0 + 1"}
@@ -400,6 +420,24 @@ class TestProblemFiles:
                        "--out", str(tmp_path)])
         assert rc == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "shoot", "cones", "reach"])
+    def test_out_naming_a_file_is_named(self, tmp_path, capsys, command):
+        # four commands raised FileExistsError out of main, and check
+        # NotADirectoryError
+        out = tmp_path / "taken"
+        out.write_text("")
+        problem = os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json")
+        assert cli.main([command, "--problem", problem, "--out", str(out)]) == 2
+        assert f"error: --out {str(out)!r} is not a directory\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "shoot", "cones", "reach"])
+    def test_out_under_a_file_is_named(self, tmp_path, capsys, command):
+        out = tmp_path / "taken" / "sub"
+        out.parent.write_text("")
+        problem = os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json")
+        assert cli.main([command, "--problem", problem, "--out", str(out)]) == 2
+        assert str(out) in capsys.readouterr().err
 
     def test_invalid_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

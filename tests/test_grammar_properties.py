@@ -144,7 +144,7 @@ def test_degree_at_most_two_passes_the_fit_probes(dyn, cost, cset, xp, p0):
 
     probes = pmp._probes(sys.control_set)
     assume(np.isfinite(H(probes.u0)))
-    assert pmp._fit_quadratic(H, probes, pmp.FIT_TOL) is not None
+    assert pmp._fit_quadratic([H(u) for u in probes.points], probes, pmp.FIT_TOL, H) is not None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

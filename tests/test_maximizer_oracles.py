@@ -5,7 +5,10 @@ on numpy arrays; the scalar rewrite must return the same u_star and value
 bits (NaN compared as NaN) and raise the same exception types, also at
 boxes with infinite, degenerate (-0.0 included), huge and tiny sides and
 at Hamiltonians that are inf or NaN.  Dense brute force checks the answers
-themselves on concave, linear, convex and non-quadratic H.
+themselves on concave, linear, convex and non-quadratic H.  The vertex
+certified on Python sums is held to the array oracle where the switching
+function sits at the tolerance and p . f cancels, and the rounding bound
+of those sums to numpy's dot.
 """
 
 import math
@@ -382,3 +385,154 @@ def test_maximizer_reaches_brute_force_maximum(kind, k, shape, declared, seed):
     else:
         tol = 1e-9 * (1.0 + abs(best)) + 1e-5 * lip
     assert res.value >= best - tol
+
+
+# --- the Python sums and their rounding bound -------------------------------
+
+def _magnitudes(draw, exponents):
+    """A float of either sign, |v| in [0.5, 1) times 10 to one of
+    exponents, now and then a subnormal or a signed zero."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-320)))
+    return draw(st.sampled_from((1.0, -1.0))) * draw(st.floats(0.5, 1.0)) * 10.0 ** draw(
+        st.sampled_from(exponents))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.data())
+def test_python_sum_is_within_its_bound_of_numpys_dot(data):
+    # the bound of `pmp._python_values` holds for any summation order, with
+    # or without fused multiply-adds, so a BLAS that sums p @ r in another
+    # order can cost fallbacks but never bits; with one product numpy's dot
+    # is 0.0 + p_0 r_0, the Python sum's own bits, signed zeros and
+    # subnormals included.  Entries run from 1e-300 to 1e300, or, so that
+    # the products cancel and the two sums round apart, within a factor of
+    # 100 of one power of ten
+    m = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        exponents = tuple(range(-300, 301))
+    else:
+        e0 = data.draw(st.integers(-150, 150))
+        exponents = (e0 - 1, e0, e0 + 1)
+    p = [_magnitudes(data.draw, exponents) for _ in range(m)]
+    r = [_magnitudes(data.draw, exponents) for _ in range(m)]
+    A = data.draw(st.sampled_from((0.0, -0.0, 1.0, -3.5e7))) if data.draw(
+        st.booleans()) else _magnitudes(data.draw, exponents)
+    (_, (h,), (e,)) = pmp._python_values(p, None, [None], 1.0, lambda x, u: A, lambda x, u: r)
+    with np.errstate(all="ignore"):
+        want = A + float(np.array(p) @ np.array(r))
+    if m == 1:
+        assert bits(h) == bits(want) and e == 0.0
+    elif e < pmp._BOUND_CAP:
+        # a bound below the cap leaves every value finite
+        assert math.isfinite(h) and math.isfinite(want) and abs(h - want) <= e
+
+
+# --- the certified vertex -------------------------------------------------
+
+SPECIALS = (0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1e300, INF, -INF, NAN)
+
+
+def _draw_entry(draw, lo=-2.0, hi=2.0):
+    """A float in [lo, hi], now and then a signed zero, a subnormal, +-1e300,
+    inf or NaN."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(SPECIALS))
+    return draw(st.floats(lo, hi))
+
+
+def _numpy_ztol(sys, p0, p, x):
+    """ztol = FIT_TOL (1 + bmax + cmax) of the fit to H's own values."""
+    probes = pmp._probes(sys.control_set)
+    with np.errstate(all="ignore"):
+        values = [pmp.hamiltonian(sys, p0, p, x, u) for u in probes.points]
+        fit = pmp._fit_quadratic(values, probes, pmp.FIT_TOL)
+        return pmp.FIT_TOL * (1.0 + fit[3] + fit[4])
+
+
+@st.composite
+def certificate_cases(draw):
+    """m = 2..4 states and k = 1..3 controls on a finite box, f and F of
+    declared degree 1 or 2 in u, and p . f summed over terms that cancel:
+    f_0 holds L u_0 and f_1 holds -L u_0, with p_0 = p_1 (u_0 = 0 at the
+    centre, so only the probes off it along axis 0 carry them), so that
+    numpy's dot and the Python sum round apart by up to an ulp of L.
+
+    On one axis j the switching function b_j is placed from an ulp to half
+    of ztol away from +ztol or -ztol of numpy's own fit ("near"), or
+    the cost term A dwarfs it ("big_cost"), with coefficients, p and x now
+    and then signed zeros, subnormals, +-1e300, inf or NaN.  In "across",
+    k >= 2 and the rest is clean: axis 0 carries a large b_0 and a
+    cancellation small enough to keep |a_0| and the mixed entries within
+    ztol, so that ztol, which b_0 scales, differs between numpy and Python
+    by more than the bound of b_j on axis j >= 1, placed beside it."""
+    mode = draw(st.sampled_from(("near", "near", "near_neg", "big_cost", "across", "across")))
+    m = draw(st.integers(2, 4))
+    k = draw(st.integers(2, 3)) if mode == "across" else draw(st.integers(1, 3))
+    degree = draw(st.sampled_from((1, 2)))
+    q = draw(st.sampled_from((0.7, 0.1, 1.3, 3.0 ** 0.5, 2.0 / 3.0)))
+    p0 = draw(st.sampled_from((-1.0, 0.0)))
+    Qd = np.array([[draw(st.floats(-2.0, 2.0)) if degree == 2 else 0.0 for _ in range(k)]
+                   for _ in range(m)])
+    w = np.zeros(m)
+    w[0], w[1] = 1.0, -1.0
+    half = draw(st.sampled_from((0.5, 1.0, 2.0, 1e-3)))
+    sides = [(-half, half)]
+    for _ in range(k - 1):
+        lo = draw(st.floats(-2.0, 1.0))
+        sides.append((lo, lo + draw(st.sampled_from((0.5, 1.0, 3.0)))))
+    if mode == "across":
+        p = [q, q] + [draw(st.floats(0.5, 2.0)) for _ in range(m - 2)]
+        x, c, Fc, wF = [0.0] * m, np.zeros(m), 0.0, np.zeros(k)
+        G = np.zeros((m, k))
+        G[0, 0] = draw(st.sampled_from((1.0, 7.0, 300.0)))
+        # the largest bound of a probe off axis 0, about m 2^-49 q L delta_0,
+        # is one to four hundredths of ztol delta_0^2, so |a_0| and the
+        # mixed entries stay certified within ztol
+        L = draw(st.sampled_from((5e3, 1e4, 2e4))) * abs(q * G[0, 0]) * (half / 2) / (m * q)
+        Qd[:, 0] = 0.0
+    else:
+        p = [q, q] + [_draw_entry(draw) for _ in range(m - 2)]
+        x = [_draw_entry(draw) for _ in range(m)]
+        c = np.array([_draw_entry(draw) for _ in range(m)])
+        G = np.array([[_draw_entry(draw, -3.0, 3.0) for _ in range(k)] for _ in range(m)])
+        L = draw(st.sampled_from((0.0, 1e3, 1e8, 1e12, 1e16)))
+        Fc = draw(st.sampled_from((1e6, 1e12) if mode == "big_cost" else (0.0, 1.0, -0.5)))
+        wF = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(k)])
+    U = box(*zip(*sides))
+
+    def system(G):
+        def f(x, u):
+            return (c + G @ u + 0.5 * Qd @ (u * u) + L * u[0] * w) + x
+
+        def F(x, u):
+            return float(Fc + wF @ u + (0.5 * u @ u if degree == 2 else 0.0))
+
+        return ControlSystem(m=m, k=k, f=f, control_set=U, F=F, u_degree=degree)
+
+    j = draw(st.integers(1, k - 1)) if mode == "across" else draw(st.integers(0, k - 1))
+    i = draw(st.integers(0, m - 1))
+    if mode != "big_cost" and math.isfinite(p[i]) and abs(p[i]) > 1e-300:
+        # numpy's ztol with b_j left out, then b_j placed beside it
+        G[:, j] = 0.0
+        ztol = _numpy_ztol(system(G), p0, p, x)
+        if math.isfinite(ztol):
+            # across, numpy's and Python's ztol part by about 2^-40
+            lowest = (36, 50) if mode == "across" else (1, 53)
+            rho = draw(st.sampled_from((0.0, 1.0, -1.0))) * 2.0 ** -draw(st.integers(*lowest))
+            G[i, j] = (-1.0 if mode == "near_neg" else 1.0) * ztol * (1.0 + rho) / p[i]
+    return system(G), p0, p, x
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(certificate_cases())
+def test_certified_vertex_matches_array_maximizer_bit_for_bit(case):
+    # a vertex is decided on the Python sums only where no value within
+    # their rounding bounds could move it, ztol's own included; elsewhere
+    # numpy's values decide, so u_star and H(u_star) keep the array
+    # maximizer's bits
+    sys, p0, p, x = case
+    want = expected(sys, p0, p, x, (1e-3, 3))
+    with refining_on(1e-3, 3):
+        assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x) == want
+        assert bound_outcome(sys, p0, p, x) == want

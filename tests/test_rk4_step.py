@@ -9,8 +9,9 @@ states.  A scan of the package's source holds the README's promise that no
 second RK4 step exists beside it, that only three loops and the one step
 that linearizes its stages call it, and that it makes no numpy call; that
 the adjoint interpolates no state; that only the rank rule calls numpy's
-SVD; and that the Hamiltonian maximizer has one implementation, which
-shooting and `check_pmp` bind once.
+SVD; that the Hamiltonian maximizer has one implementation, which
+shooting and `check_pmp` bind once; and that its fit reads values, while
+numpy's dot of p with a rate is taken only where H's bits are needed.
 """
 
 import ast
@@ -291,3 +292,45 @@ def test_package_has_one_hamiltonian_maximizer():
     assert {call[2] for call in helper_calls} == helpers
     assert not [where for where in public_calls
                 if where[0] == "shooting.py" or where == ("pmp.py", "check_pmp")]
+
+
+def _innermost(top):
+    """(node, name of the innermost function that holds it) of each node
+    under the top-level statement top."""
+    stack = [(top, getattr(top, "name", None))]
+    while stack:
+        node, where = stack.pop()
+        yield node, where
+        stack += [(child, child.name if isinstance(child, ast.FunctionDef) else where)
+                  for child in ast.iter_child_nodes(node)]
+
+
+def test_maximizer_fits_values_and_dots_p_with_a_rate_in_three_places():
+    # the quadratic fit, the Python sums with their rounding bound and the
+    # certified vertex run only in the bound maximizer, and the fit reads
+    # values: it evaluates H only at the three probes that verify it.
+    # numpy's dot of p with a rate, whose bits H has, is taken only by
+    # `hamiltonian`, by the H the maximizer binds and by the maximizer's
+    # fallback values, which read the rates its Python sums were made of
+    calls, dots = set(), set()
+    for name, top in _top_functions():
+        for node, where in _innermost(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "_fit_quadratic", "_python_values", "_certified_vertex"):
+                calls.add((name, top.name, node.func.id))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                # p . something, or anything . a rate
+                if (isinstance(node.left, ast.Name) and node.left.id in ("p", "pa")) or any(
+                        _calls(o, rate) for o in (node.left, node.right)
+                        for rate in ("rate", "_rate", "dynamics")):
+                    dots.add((name, where, ast.unparse(node)))
+    assert calls == {("pmp.py", "_maximizer", fn)
+                     for fn in ("_fit_quadratic", "_python_values", "_certified_vertex")}
+    assert dots == {("pmp.py", "hamiltonian", "p @ sys.dynamics(x, u)"),
+                    ("pmp.py", "H", "pa @ np.array(rate(x, u))"),
+                    ("pmp.py", "maximize", "pa @ np.array(r)")}
+    fit = next(top for name, top in _top_functions()
+               if name == "pmp.py" and getattr(top, "name", None) == "_fit_quadratic")
+    evaluations = [ast.unparse(node) for node in ast.walk(fit)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "H"]
+    assert evaluations == ["H(probe)"]

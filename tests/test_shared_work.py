@@ -256,12 +256,16 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
     assert switching == 3
 
 
-@pytest.mark.parametrize("kind", ("box", "ball"))
+@pytest.mark.parametrize("kind", ("box", "ball", "box inside the bound"))
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_declared_degree_maximization_evaluates_each_probe_once(kind, k):
+def test_declared_degree_maximization_evaluates_each_probe_once(monkeypatch, kind, k):
     # H(u0), H(u0 +- e_j delta_j) per axis, H(u0 + e_i delta_i + e_j delta_j)
     # per pair of axes (the single-axis values are reused) and H(u_star);
-    # F is called once per H evaluation
+    # F and f are called once per H evaluation.  Inside the bound, p . f
+    # sums 2^30 + g u and -2^30: each sum is exact, but the rounding bound
+    # of the Python sums (`pmp._python_values`) is too wide to certify a
+    # vertex, so the fit runs a second time, on numpy's values of the same
+    # rates, and neither F nor f is evaluated again
     calls = collections.Counter()
     g = np.linspace(1.0, -2.0, k)
 
@@ -269,12 +273,28 @@ def test_declared_degree_maximization_evaluates_each_probe_once(kind, k):
         calls["F"] += 1
         return float(0.5 * np.sum(u))
 
-    U = box([-1.0] * k, [2.0] * k) if kind == "box" else ball([0.5] * k, 2.0)
-    sys = ControlSystem(m=1, k=k, f=lambda x, u: np.array([g @ u]), control_set=U,
-                        F=F, u_degree=1)
-    res = pmp.maximize_hamiltonian(sys, -1.0, [1.0], [0.0])
+    def f(x, u):
+        calls["f"] += 1
+        return np.array([2.0 ** 30 + g @ u, -2.0 ** 30] if m == 2 else [g @ u])
+
+    fit, fits = pmp._fit_quadratic, []
+
+    def counted_fit(*args):
+        fits.append(args[0])
+        return fit(*args)
+
+    monkeypatch.setattr(pmp, "_fit_quadratic", counted_fit)
+    m = 2 if kind == "box inside the bound" else 1
+    U = ball([0.5] * k, 2.0) if kind == "ball" else box([-1.0] * k, [2.0] * k)
+    sys = ControlSystem(m=m, k=k, f=f, control_set=U, F=F, u_degree=1)
+    res = pmp.maximize_hamiltonian(sys, -1.0, [1.0] * m, [0.0] * m)
     assert U.contains(res.u_star)
-    assert calls["F"] == 2 + 2 * k + k * (k - 1) // 2
+    assert calls["F"] == calls["f"] == 2 + 2 * k + k * (k - 1) // 2
+    assert len(fits) == (2 if m == 2 else 1)
+    if m == 2:
+        # the exact sums: u_star is the vertex b = g - 1/2 picks
+        assert fits[0] == fits[1]
+        assert np.array_equal(res.u_star, np.where(g - 0.5 > 0.0, 2.0, -1.0))
 
 
 @st.composite
