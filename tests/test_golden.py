@@ -2,18 +2,26 @@
 
 Each case directory under `golden/` holds `problem.json` and the files the
 listed commands write into `--out`.  The test reruns the commands and
-compares every output file byte for byte.  To regenerate after an intended
-output change, run this file as a script: `PYTHONPATH=src python
-tests/test_golden.py`.
+compares every output file byte for byte.
+
+`golden/classify/` holds, per shooting case, what `classify_extremal` finds
+for the extremal the case's `shoot` wrote: the classification, both
+candidate covectors and each stage's verdict and reason, and the
+certificate text, numbers to 17 digits.  The classifier reaches the
+maximizer through `check_pmp`, which no CLI command runs on its lifts.
+
+To regenerate after an intended output change, run this file as a script:
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
+import json
 import os
 import shutil
 import sys
 
 import pytest
 
-from pmpkit import cli
+from pmpkit import cli, perturbations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -51,7 +59,41 @@ def test_outputs_match_golden_bytes(case, tmp_path):
         assert got == want, f"{case}/{name} differs from the golden output"
 
 
+CLASSIFY = os.path.join(GOLDEN, "classify")
+CLASSIFY_CASES = ("lqr_expression_shoot", "min_time_double_integrator")
+
+
+def _g17(v):
+    return None if v is None else [float("%.17g" % x) for x in v]
+
+
+def _classification(case):
+    """The JSON text of `classify_extremal` on the case's shot extremal."""
+    problem = cli.load_problem(os.path.join(GOLDEN, case, "problem.json"))
+    extremal = cli._load_extremal(problem, os.path.join(GOLDEN, case))
+    res = perturbations.classify_extremal(problem.sys, extremal.ext_traj.project(problem.sys),
+                                          problem.boundary)
+    return json.dumps({
+        "classification": res.classification,
+        "certificate": res.certificate,
+        "normal_terminal": _g17(res.normal_terminal),
+        "abnormal_terminal": _g17(res.abnormal_terminal),
+        "attempts": [{"p0": a["p0"], "p_b": _g17(a["p_b"]), "feasible": bool(a["feasible"]),
+                      "reason": a["reason"]} for a in res.attempts],
+    }, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("case", CLASSIFY_CASES)
+def test_classification_matches_golden_text(case):
+    with open(os.path.join(CLASSIFY, case + ".json")) as fh:
+        assert _classification(case) == fh.read()
+
+
 if __name__ == "__main__":
+    for case in CLASSIFY_CASES:
+        with open(os.path.join(CLASSIFY, case + ".json"), "w") as fh:
+            fh.write(_classification(case))
+        print(f"regenerated classify/{case}", file=sys.stderr)
     for case in sorted(CASES):
         out = os.path.join(GOLDEN, case, "_out")
         _run(case, out)
