@@ -419,9 +419,16 @@ def cmd_shoot(args) -> int:
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
                          a=problem.a, b=problem.b)
-    extra = dict(problem.shooting or {})
-    if "scales" in extra:
-        extra["scales"] = tuple(float(s) for s in extra["scales"])
+    spec = problem.shooting or {}
+    # the seeded starts need at least one direction per scale
+    extra = {key: _integer(spec[key], f"shooting.{key}", least)
+             for key, least in (("max_iter", 0), ("n_starts", 1), ("max_switches", 0))
+             if key in spec}
+    if "fd_h" in spec:
+        extra["fd_h"] = _finite(spec["fd_h"], "shooting.fd_h", positive=True)
+    if "scales" in spec:
+        extra["scales"] = tuple(_finite(s, f"shooting.scales[{i}]", positive=True)
+                                for i, s in enumerate(_list(spec["scales"], "shooting.scales")))
     opts = ShootingOptions(tol=tol,
                            step=problem.step,
                            seed=args.seed if args.seed is not None else 0,

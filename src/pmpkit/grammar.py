@@ -11,11 +11,13 @@ a run of grid nodes; for shooting, the stage and the RK4 step of the
 coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
 `pmp._costate` compute it; and for `pmp.adjoint_flows`, one loop of its
 discrete-adjoint steps of an m x r block of covectors over a run of grid
-nodes.  A block column has the bits of its own sweep: each column steps as
-its own vector, whose (df/dx)^T p numpy takes as one gemv.  The last two
-are built when every column of df/dx has at most one entry that is not the
-number 0, where that gemv sums the products from 0.0, so that a Python sum
-from 0.0 gives its bits.  `flows.rk4_step`, run on symbolic operands,
+nodes; and for the box maximizer, its probe values of p0 F + p . f, their
+rounding bounds and their quadratic fit in one straight-line function.  A
+block column has the bits of its own sweep: each column steps as its own
+vector, whose (df/dx)^T p numpy takes as one gemv.  The coupled step and
+the sweep are built when every column of df/dx has at most one entry that
+is not the number 0, where that gemv sums the products from 0.0, so that a
+Python sum from 0.0 gives its bits.  `flows.rk4_step`, run on symbolic operands,
 writes every step's stage and combination arithmetic, and
 `flows._recorded_step` the adjoint's retraced forward step.  Each is built
 as an `ast` tree from the validated grammar tree, one assignment per
@@ -348,7 +350,7 @@ def _exact(body) -> bool:
 _GUARDED = (OverflowError, ZeroDivisionError, ValueError)
 _GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _real_pow,
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
-            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array}
+            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs}
 
 
 _LOAD, _STORE = ast.Load(), ast.Store()
@@ -776,20 +778,140 @@ def _sums_like_numpy(jacobian, m):
                for i in range(m))
 
 
+def _op(a, op, b):
+    return ast.BinOp(a, op(), b, **_POS)
+
+
+def _probe_fit_code(bodies, cost, points, axes, pairs):
+    """(code, definition) of probe_fit(p, x, p0f) -> (fit, bounds): the
+    values of H = p0f F + p . f at the probe points and their quadratic
+    fit, bit for bit as `pmp._python_values` and `pmp._fit_quadratic` make
+    them, for the m trees `bodies` of f and the tree `cost` of F, None
+    without a cost; None if a tree names a control the points lack.
+
+    points are the probes' controls as lists of floats, and axes and pairs
+    the fit's per-axis and per-pair tuples, laid out as `pmp._Probes` lays
+    them out; their divisors are bound as numbers.  x is read through float
+    once.  At each probe, each control the trees name is a local that holds
+    the probe's float, and each entry of F and of f runs in its own try, as
+    `_Code.entry` writes it.  Then, in `_python_values`' order: A = p0f F,
+    or p0f 0.0 without a cost, so that the zero keeps its sign; the
+    products p_i f_i summed in order from 0.0 into s, with their magnitudes
+    summed beside them into t; h = A + s; and its bound e = m 2^-50 t +
+    2^-51 |h| + m 2^-1071, which is 0.0 for m = 1.  Next, in
+    `_fit_quadratic`'s order: b_j and a_j per live axis, the mixed entry of
+    each pair, and bmax, cmax and off, the running maxima keeping the first
+    NaN they meet.  fit is `_fit_quadratic`'s (b, a, mixed, bmax, cmax,
+    off) and bounds the list of the e."""
+    m, k = len(bodies), len(points[0])
+
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    read = set().union(*map(names, bodies if cost is None else [cost, *bodies]))
+    if any(name[0] == "u" and int(name[1:]) >= k for name in read):
+        return None
+    code = _Code()
+    for i in range(m):
+        if f"x{i}" in read:
+            code.inputs[f"x{i}"] = _read(code, "x", i).name
+    p = [code.local(_at("p", ast.Constant(i, **_POS))) for i in range(m)]
+    p0f, zero = _name("p0f"), ast.Constant(0.0, **_POS)
+    # what reads no control is computed at the first probe and read again
+    # at the others, keyed by its tree or its expression; varying holds the
+    # locals that read a control
+    once, varying = {}, set()
+
+    def kept(key, varies, make):
+        if key in once:
+            return _name(once[key])
+        name = make()
+        if varies:
+            varying.add(name)
+        else:
+            once[key] = name
+        return _name(name)
+
+    def value(tree):
+        def entry():
+            code.entry(tree)
+            return code.values[-1].id
+        return kept(id(tree), any(name[0] == "u" for name in names(tree)), entry)
+
+    def local(node):
+        return kept(ast.dump(node), bool(names(node) & varying), lambda: code.local(node))
+
+    values, bounds = [], []
+    for u in points:
+        for j in range(k):
+            if f"u{j}" in read:
+                code.inputs[f"u{j}"] = code.local(code._const(u[j]))
+                varying.add(code.inputs[f"u{j}"])
+        A = local(_op(p0f, ast.Mult, zero if cost is None else value(cost)))
+        s = t = zero
+        for pi, body in zip(p, bodies):
+            v = local(_op(_name(pi), ast.Mult, value(body)))
+            s = local(_op(s, ast.Add, v))
+            if m > 1:
+                t = local(_op(t, ast.Add, _apply("_abs", v)))
+        h = local(_op(A, ast.Add, s))
+        values.append(h)
+        bounds.append(zero if m == 1 else local(_op(_op(
+            _op(ast.Constant(m * 2.0 ** -50, **_POS), ast.Mult, t), ast.Add,
+            _op(ast.Constant(2.0 ** -51, **_POS), ast.Mult, _apply("_abs", h))), ast.Add,
+            ast.Constant(m * 2.0 ** -1071, **_POS))))
+
+    def running_max(top, entry):
+        # top = |entry| where it is larger, or where it is NaN
+        w = local(_apply("_abs", entry))
+        test = ast.BoolOp(ast.Or(), [ast.Compare(w, [ast.Gt()], [_name(top)], **_POS),
+                                     ast.Compare(w, [ast.NotEq()], [w], **_POS)], **_POS)
+        code.body.append(ast.If(test, [_assign(top, w)], [], **_POS))
+
+    code.body += [_assign(top, zero) for top in ("_bmax", "_amax", "_mmax")]
+    f0, b, a, mixed = values[0], [zero] * k, [zero] * k, []
+    for j, n, two_delta, delta_sq in axes:
+        fp, fm = values[n], values[n + 1]
+        b[j] = local(_op(_op(fp, ast.Sub, fm), ast.Div, code._const(two_delta)))
+        a[j] = local(_op(_op(_op(fp, ast.Sub, _op(ast.Constant(2.0, **_POS), ast.Mult, f0)),
+                             ast.Add, fm), ast.Div, code._const(delta_sq)))
+        running_max("_bmax", b[j])
+        running_max("_amax", a[j])
+    for i, j, n, n_i, n_j, delta_ij in pairs:
+        v = local(_op(_op(_op(_op(values[n], ast.Sub, values[n_i]), ast.Sub, values[n_j]),
+                          ast.Add, f0), ast.Div, code._const(delta_ij)))
+        mixed.append(ast.Tuple([ast.Constant(i, **_POS), ast.Constant(j, **_POS), v], _LOAD,
+                               **_POS))
+        running_max("_mmax", v)
+    amax, mmax = _name("_amax"), _name("_mmax")
+    cmax = ast.IfExp(ast.BoolOp(ast.Or(), [ast.Compare(amax, [ast.GtE()], [mmax], **_POS),
+                                           ast.Compare(amax, [ast.NotEq()], [amax], **_POS)],
+                                **_POS), amax, mmax, **_POS)
+    off = mmax if k == 1 else ast.IfExp(_apply("_isfinite", amax), mmax, _name("_nan"), **_POS)
+    fit = ast.Tuple([ast.List(b, _LOAD, **_POS), ast.List(a, _LOAD, **_POS),
+                     ast.List(mixed, _LOAD, **_POS), _name("_bmax"), cmax, off], _LOAD, **_POS)
+    return code, code.define("probe_fit", ("p", "x", "p0f"),
+                             ast.Tuple([fit, ast.List(bounds, _LOAD, **_POS)], _LOAD, **_POS))
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
 @functools.lru_cache(maxsize=128)
 def parse_expression(src: str, m: int, k: int, where="expression"):
-    """Compile one grammar expression to a function (x, u) -> float.
+    """Compile one grammar expression to a function (x, u) -> float, which
+    carries its validated tree as `tree` (the generated probe fit of a
+    dynamics evaluates a cost from it).
 
     `where` names the expression in the error raised when it nests too
     deeply to compile.
     """
     with _nesting(where):
-        code = _Code()
-        code.entry(_tree(src, m, k, where))
-        return code.function("expression")
+        code, tree = _Code(), _tree(src, m, k, where)
+        code.entry(tree)
+        fn = code.function("expression")
+        fn.tree = tree
+        return fn
 
 
 @functools.lru_cache(maxsize=128)
@@ -798,8 +920,9 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries three generated RK4 forms with u held, each compiled on its
-    first call, since only some paths run it:
+    carries four generated forms, each compiled on its first call, since
+    only some paths run it: three RK4 forms with u held, and the box
+    maximizer's probe fit.
     - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
       one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
@@ -827,6 +950,17 @@ def compile_dynamics(srcs, m: int, k: int):
     of the Jacobian has at most one entry that is not the number 0:
     elsewhere numpy's gemv J^T p may round through fused multiply-adds
     that Python arithmetic cannot follow.
+    - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) ->
+      (fit, bounds), the probe values of H = p0f F + p . f at the probe
+      points, their rounding bounds and their quadratic fit, bit for bit
+      as `pmp._python_values` and `pmp._fit_quadratic` make them, with
+      axes and pairs the fit's tuples (`pmp._Probes`; see
+      `_probe_fit_code`).  It returns None unless F is None or a grammar
+      expression (`parse_expression` keeps its tree as `F.tree`) and f
+      has one entry per state.  It is compiled once per cost tree, probe
+      floats (each probe keyed by its bytes, so that -0.0 and 0.0
+      differ) and divisors, and p0f is an argument, so p0 = -1 and p0 = 0
+      share it.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
@@ -883,9 +1017,24 @@ def compile_dynamics(srcs, m: int, k: int):
         code, run = _adjoint_run_code(bodies, entries, gradient, k, r)
         return code.compile(run)
 
+    @functools.cache
+    def fit(cost, points, axes, pairs):
+        built = _probe_fit_code(bodies, cost, [np.frombuffer(u).tolist() for u in points],
+                                axes, pairs)
+        return built and built[0].compile(built[1])
+
+    def probe_fit(F, points, axes, pairs):
+        cost = getattr(F, "tree", None)
+        if n != m or (F is not None and cost is None):
+            return None
+        # each probe keyed by its bytes, which tell -0.0 from 0.0
+        return fit(cost, tuple(np.asarray(u, dtype=float).tobytes() for u in points),
+                   axes, pairs)
+
     dynamics.runner = functools.cache(runner)
     dynamics.coupled_step = coupled_step
     dynamics.adjoint_run = adjoint_run
+    dynamics.probe_fit = probe_fit
     return dynamics, df, max_degree(degrees)
 
 

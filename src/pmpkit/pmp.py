@@ -345,15 +345,16 @@ _BOUND_CAP = 2.0 ** 970
 def _certificate(probes: _Probes):
     """What `_certified_vertex` reads of a finite box: per live axis (j, n,
     4 / (2 delta_j)), n the index of H(u0 + e_j) in the values; K; and the
-    sides' ends.  None where a divisor of the fit is zero or inf, which
-    takes its entries out of the bounds' reach."""
+    sides' ends, the low ones as an array that a vertex starts as a copy
+    of, the high ones as floats.  None where a divisor of the fit is zero
+    or inf, which takes its entries out of the bounds' reach."""
     divisors = [d for *_, two_delta, delta_sq in probes.axes for d in (two_delta, delta_sq)]
     if not all(0.0 < d < math.inf for d in divisors + [d for *_, d in probes.pairs]):
         return None
     K = max([max(8.0 / two_delta, 16.0 / delta_sq) for *_, two_delta, delta_sq in probes.axes]
             + [24.0 / delta_ij for *_, delta_ij in probes.pairs], default=0.0)
     return ([(j, n, 4.0 / two_delta) for j, n, two_delta, _ in probes.axes], K,
-            [s[0] for s in probes.sides], [s[1] for s in probes.sides])
+            np.array([s[0] for s in probes.sides]), [float(s[1]) for s in probes.sides])
 
 
 def _certified_vertex(fit, bounds, certificate, fit_tol):
@@ -402,7 +403,7 @@ def _certified_vertex(fit, bounds, certificate, fit_tol):
             u[j] = highs[j]
         elif not bj + eb <= low:
             return None
-    return np.array(u)
+    return u
 
 
 def _clip(v, lo, hi):
@@ -475,13 +476,21 @@ def _maximizer(sys: ControlSystem, p0: float):
       vertex, that vertex is u_star (`_certified_vertex`);
     - elsewhere numpy's dot of p with the same f lists gives H's values,
       and the fit and the box decision run on them.
+    Where f is the grammar's generated dynamics and F is None or a
+    grammar expression, the values, their bounds and their fit come from
+    one generated function, `f.probe_fit` (`grammar.compile_dynamics`),
+    with the bits of `_python_values` and `_fit_quadratic`, compiled once
+    per cost and probes and looked up here; the fallback evaluates those
+    generated F and f again, which are pure.  User callables, `extend(sys)`
+    and every other search keep the closures: each probe evaluates a
+    user's F and f once.
     Every other search evaluates H at each point it reads.
     """
     p0f, rate, cost, fit_tol = float(p0), sys._rate, sys._cost, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     probes = None if U.kind == "finite" else _probes(U)
-    certificate = None
+    certificate = probe_fit = None
 
     def fit_of(H):
         # the fit of H's values at the probes, verified unless declared
@@ -512,6 +521,8 @@ def _maximizer(sys: ControlSystem, p0: float):
     else:
         lo, hi, sides, bounded = U.lo, U.hi, probes.sides, probes.bounded
         certificate, exact = None if verify else probes.certificate, sys.m == 1
+        generate = certificate and getattr(sys.f, "probe_fit", None)
+        probe_fit = generate and generate(sys.F, probes.points, probes.axes, probes.pairs)
 
         def decide(fit, H):
             if fit is not None:
@@ -556,18 +567,24 @@ def _maximizer(sys: ControlSystem, p0: float):
                 pa = np.array(p)
             return p0f * cost(x, u) + float(pa @ np.array(rate(x, u)))
 
-        if certificate is None:
+        if probe_fit:
+            fit, bounds = probe_fit(p, x, p0f)
+            evaluated = None
+        elif certificate is None:
             u_star, value = search(H)
             return u_star, H, value
-        evaluated, values, bounds = _python_values(p, x, probes.points, p0f, cost, rate)
-        fit = _fit_quadratic(values, probes, fit_tol)
+        else:
+            evaluated, values, bounds = _python_values(p, x, probes.points, p0f, cost, rate)
+            fit = _fit_quadratic(values, probes, fit_tol)
         if not exact:
             u_star = _certified_vertex(fit, bounds, certificate, fit_tol)
             if u_star is not None:
                 return u_star, H, None
-            # the fallback: numpy's values of the same cost terms and rates
+            # the fallback: numpy's values of the same cost terms and rates,
+            # which generated F and f, being pure, give again
             pa = np.array(p)
-            fit = _fit_quadratic([A + float(pa @ np.array(r)) for A, r in evaluated],
+            rows = evaluated or [(p0f * cost(x, u), rate(x, u)) for u in probes.points]
+            fit = _fit_quadratic([A + float(pa @ np.array(r)) for A, r in rows],
                                  probes, fit_tol)
         u_star, value = decide(fit, H)
         return u_star, H, value
@@ -592,7 +609,9 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationRes
     finite box with a declared degree of at most 2, a vertex is decided
     from probe values summed in Python wherever their rounding bound
     cannot change it, and otherwise from numpy's H values; u_star and
-    value are those of numpy's H either way.
+    value are those of numpy's H either way.  For a system of grammar
+    expressions, the probe values and their fit come from one generated
+    function that p0 = -1 and p0 = 0 share.
     """
     p = np.asarray(p, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()

@@ -836,3 +836,30 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert "RuntimeWarning" not in out.stderr
         assert "usage: pmpkit" in out.stdout
+
+
+@pytest.mark.parametrize("key, value", [
+    ("max_iter", "many"), ("max_iter", -1), ("max_iter", 2.5), ("n_starts", 0),
+    ("n_starts", True), ("max_switches", -1), ("max_switches", "3"), ("fd_h", 0.0),
+    ("fd_h", -1e-6), ("fd_h", math.inf), ("fd_h", "tiny"), ("scales", 1.0),
+    ("scales", [1.0, -1.0]), ("scales", [0.0]), ("scales", ["x"]), ("scales", [math.inf]),
+], ids=repr)
+def test_bad_shooting_option_exits_2_and_names_it(tmp_path, capsys, key, value):
+    # the block's other options keep a run short where a bad value gets
+    # through: a step of 0 or below makes finite-difference columns of
+    # NaN, or Newton trials with final times in the millions
+    block = {"max_iter": 0, "n_starts": 1, "scales": [1.0], key: value}
+    path = golden_variant(tmp_path, shooting=block)
+    assert cli.main(["shoot", "--problem", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"shooting.{key}" in capsys.readouterr().err
+
+
+def test_shooting_options_at_their_defaults_give_the_golden_result(tmp_path):
+    # integral floats count as integers, and integers as scales
+    block = {"max_iter": 40.0, "n_starts": 8, "max_switches": 200.0, "fd_h": 1e-6,
+             "scales": [0.1, 1, 10.0]}
+    path = golden_variant(tmp_path, shooting=block)
+    out = tmp_path / "out"
+    assert cli.main(["shoot", "--problem", path, "--out", str(out)]) == 0
+    with open(os.path.join(GOLDEN, "min_time_double_integrator", "result.json")) as fh:
+        assert (out / "result.json").read_text() == fh.read()

@@ -21,6 +21,7 @@ bits it cannot keep must not.
 import ast
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -424,3 +425,35 @@ def test_systems_the_sums_cannot_follow_keep_the_array_sweep(r):
     assert no_sweep(system(["x1", "2^x0 + u0"]), r)
     assert no_sweep(system(["x1", "-sin(x0) + u0"], "x1^x0 + u0^2"), r)
     assert no_sweep(extend(system(["x1", "-sin(x0) + u0"], "x0^2 + u0^2")), r)
+
+
+def test_probe_fit_is_compiled_once_and_replaces_the_python_sums(tmp_path):
+    # a shoot and a check of the min-time golden load the problem twice and
+    # compile its probe fit once, keyed on the cost's tree and the probes'
+    # floats, and p0 = -1 and p0 = 0 share it; neither shoot of the two
+    # shooting goldens enters the Python sums of the closure path
+    grammar.compile_dynamics.cache_clear()
+    grammar.parse_expression.cache_clear()
+    built = []
+    emit = grammar._probe_fit_code
+
+    def counted(*args):
+        built.append(args)
+        return emit(*args)
+
+    def python_values(*args):
+        raise AssertionError("the closure path's Python sums ran")
+
+    with mock.patch.object(grammar, "_probe_fit_code", counted), \
+            mock.patch.object(pmp, "_python_values", python_values):
+        problem = os.path.join(GOLDEN, "min_time_double_integrator", "problem.json")
+        for command in ("shoot", "check"):
+            assert cli.main([command, "--problem", problem, "--out", str(tmp_path / "di")]) == 0
+        assert len(built) == 1
+        sys = cli.load_problem(problem).sys
+        for p0 in (-1.0, 0.0):
+            pmp.maximize_hamiltonian(sys, p0, [0.5, -0.25], [1.0, 0.0])
+        assert len(built) == 1
+        problem = os.path.join(GOLDEN, "lqr_expression_shoot", "problem.json")
+        assert cli.main(["shoot", "--problem", problem, "--out", str(tmp_path / "lqr")]) == 0
+        assert len(built) == 2

@@ -11,6 +11,7 @@ function sits at the tolerance and p . f cancels, and the rounding bound
 of those sums to numpy's dot.
 """
 
+import dataclasses
 import math
 from contextlib import contextmanager
 from unittest import mock
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import maximize_hamiltonian_arrays
-from pmpkit import pmp, shooting
+from pmpkit import grammar, pmp, shooting
 from pmpkit.control_system import ControlSystem, ball, box, finite
 
 INF, NAN = math.inf, math.nan
@@ -536,3 +537,108 @@ def test_certified_vertex_matches_array_maximizer_bit_for_bit(case):
     with refining_on(1e-3, 3):
         assert outcome(pmp.maximize_hamiltonian, sys, p0, p, x) == want
         assert bound_outcome(sys, p0, p, x) == want
+
+
+# --- the generated probe fit ------------------------------------------------
+
+# factors of x: states and numbers, and now and then a zero, a huge number
+# or a tree that raises inside the guard (division by zero, overflow, a
+# math domain error) for some x or for every x
+X_ATOMS = ("x{i}", "x{i}", "0.7", "-1.3", "2.5")
+X_TRAPS = ("0", "1e300", "(x{i} - x{i})", "1/(x{i} - x{i})", "exp(1e3*x{i})", "x{i}^-1",
+           "sin(1e308*x{i}*10)", "x{i}^0.5")
+
+
+def _state_factor(draw, m, depth=2):
+    """A grammar expression over the states, with no control."""
+    if depth == 0 or draw(st.integers(0, 2)) == 0:
+        atoms = X_TRAPS if draw(st.integers(0, 7)) == 0 else X_ATOMS
+        return draw(st.sampled_from(atoms)).format(i=draw(st.integers(0, m - 1)))
+    a, b = _state_factor(draw, m, depth - 1), _state_factor(draw, m, depth - 1)
+    return draw(st.sampled_from(("({a} + {b})", "({a} - {b})", "({a} * {b})", "({a} / {b})",
+                                 "sin({a})", "cos({a})", "exp({a})", "-{a}", "{a}^2"))
+                ).format(a=a, b=b)
+
+
+def _ragged_entry(draw):
+    """A float in [-4, 4] with a random 53-bit mantissa, so that sums of
+    its products round, now and then a signed zero, a subnormal, +-1e300,
+    inf or NaN."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(SPECIALS))
+    return draw(st.integers(-2 ** 53, 2 ** 53)) * 2.0 ** -51
+
+
+@st.composite
+def probe_fit_cases(draw):
+    """A grammar system of m = 1..4 states and k = 1..3 controls, f of
+    degree at most 1 in u and no cost, a number, a cost of x alone or one
+    quadratic in u, on a finite box whose axes may have zero width (a
+    -0.0 centre included), with p and x entries that are now and then
+    signed zeros, subnormals, +-1e300, inf or NaN."""
+    m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    srcs = []
+    for _ in range(m):
+        terms = [_state_factor(draw, m)] + [
+            f"{_state_factor(draw, m)}*u{j}" for j in range(k) if draw(st.booleans())]
+        srcs.append(" + ".join(terms))
+    cost = draw(st.sampled_from((None, "2.5", "x", "u")))
+    if cost == "x":
+        cost = _state_factor(draw, m)
+    elif cost == "u":
+        cost = " + ".join([f"{_state_factor(draw, m, 1)}*u{j}" for j in range(k)]
+                          + [f"0.5*u{j}^2" for j in range(k)] + ["u0*u%d" % (k - 1)])
+    f, df, degree = grammar.compile_dynamics(tuple(srcs), m, k)
+    F = None if cost is None else grammar.parse_expression(cost, m, k)
+    if cost is not None:
+        degree = max(degree, grammar.compile_gradient(cost, m, k)[1])
+    sides = []
+    for _ in range(k):
+        lo = draw(st.sampled_from((-1.0, -0.0, 0.0, 0.3, -2.5)))
+        width = draw(st.sampled_from((0.0, 0.5, 2.0, 3.0)))
+        sides.append((lo, lo + width) if width else (lo, lo))
+    U = box(*zip(*sides))
+    sys = ControlSystem(m=m, k=k, f=f, control_set=U, F=F, df_dx=df, u_degree=degree)
+    p = [_ragged_entry(draw) for _ in range(m)]
+    x = [_ragged_entry(draw) for _ in range(m)]
+    return sys, draw(st.sampled_from((-1.0, 0.0))), p, x
+
+
+def exact_bits(v):
+    """v with every float as its bytes, so that -0.0 and 0.0 differ, and
+    every NaN as one NaN."""
+    if isinstance(v, (tuple, list)):
+        return type(v)(exact_bits(w) for w in v)
+    if isinstance(v, float):
+        return "nan" if v != v else v.hex()
+    return v
+
+
+def on_closures(sys):
+    """sys with f and F behind closures that carry no generated form, so
+    the maximizer takes the path of user callables on lists."""
+    def rate(x, u):
+        return sys.f(x, u)
+
+    def cost(x, u):
+        return sys.F(x, u)
+
+    rate.on_lists = cost.on_lists = True
+    return dataclasses.replace(sys, f=rate, F=None if sys.F is None else cost)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(probe_fit_cases())
+def test_generated_probe_fit_matches_python_values_bit_for_bit(case):
+    # the generated probe values, bounds and fit are those of
+    # `_python_values` and `_fit_quadratic`, signs of zero included, and
+    # the maximizer that reads them returns the closure path's u_star and
+    # H(u_star)
+    sys, p0, p, x = case
+    probes = pmp._probes(sys.control_set)
+    probe_fit = sys.f.probe_fit(sys.F, probes.points, probes.axes, probes.pairs)
+    assert probe_fit is not None and probes.certificate is not None
+    _, values, bounds = pmp._python_values(p, x, probes.points, p0, sys._cost, sys._rate)
+    want = pmp._fit_quadratic(values, probes, pmp.FIT_TOL), bounds
+    assert exact_bits(probe_fit(p, x, p0)) == exact_bits(want)
+    assert bound_outcome(sys, p0, p, x) == bound_outcome(on_closures(sys), p0, p, x)

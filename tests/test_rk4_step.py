@@ -10,8 +10,11 @@ second RK4 step exists beside it, that only three loops and the one step
 that linearizes its stages call it, and that it makes no numpy call; that
 the adjoint interpolates no state; that only the rank rule calls numpy's
 SVD; that the Hamiltonian maximizer has one implementation, which
-shooting and `check_pmp` bind once; and that its fit reads values, while
-numpy's dot of p with a rate is taken only where H's bits are needed.
+shooting and `check_pmp` bind once; that its fit reads values, while
+numpy's dot of p with a rate is taken only where H's bits are needed; and
+that the Python sums of its probe values and their rounding bound are
+written only in `pmp._python_values` and in the grammar's emitter of the
+generated probe fit.
 """
 
 import ast
@@ -334,3 +337,35 @@ def test_maximizer_fits_values_and_dots_p_with_a_rate_in_three_places():
     evaluations = [ast.unparse(node) for node in ast.walk(fit)
                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "H"]
     assert evaluations == ["H(probe)"]
+
+
+def _bound_factor(node):
+    """2.0 ** -50 or 2.0 ** -1071: the per-term and underflow factors of the
+    probe sum's rounding bound."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and ast.unparse(node) in ("2.0 ** (-50)", "2.0 ** (-1071)"))
+
+
+def _sums_magnitudes(node):
+    """t += |v|, the sum of the probe products' magnitudes, written in Python
+    or as the generated code's addition of `_abs`."""
+    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+        return isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "abs"
+    return isinstance(node, ast.Call) and any(
+        _calls(arg, "_apply") and "'_abs'" in ast.unparse(arg) for arg in node.args) and any(
+        ast.unparse(arg) == "ast.Add" for arg in node.args)
+
+
+def test_probe_sum_and_its_bound_are_written_twice():
+    # the Python sums of p . f with their rounding bound are written by
+    # the closure path's `_python_values` and by the grammar's emitter of
+    # the generated probe fit, and nowhere else
+    writers = {"factor": set(), "sum": set()}
+    for name, top in _top_functions():
+        for node, where in _innermost(top):
+            if _bound_factor(node):
+                writers["factor"].add((name, where))
+            if _sums_magnitudes(node):
+                writers["sum"].add((name, where))
+    both = {("pmp.py", "_python_values"), ("grammar.py", "_probe_fit_code")}
+    assert writers == {"factor": both, "sum": both}

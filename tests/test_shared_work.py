@@ -637,10 +637,11 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
                              "--out", str(tmp_path / command)]) == 0
         if run == 0:
             # the dynamics, its Jacobian, the cost, its gradient, the
-            # dynamics step (simulate), and the coupled stage and step and
-            # the adjoint sweep of the final extremal (shoot)
+            # dynamics step (simulate), and the maximizer's probe fit, the
+            # coupled stage and step and the adjoint sweep of the final
+            # extremal (shoot)
             first = dict(calls)
-            assert first == {"step": 3, "compile": 8}
+            assert first == {"step": 3, "compile": 9}
     assert calls == first
 
 
