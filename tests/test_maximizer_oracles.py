@@ -8,7 +8,9 @@ at Hamiltonians that are inf or NaN.  Dense brute force checks the answers
 themselves on concave, linear, convex and non-quadratic H.  The vertex
 certified on Python sums is held to the array oracle where the switching
 function sits at the tolerance and p . f cancels, and the rounding bound
-of those sums to numpy's dot.
+of those sums to numpy's dot.  The generated probe fit of a grammar
+system is held to the Python sums and fit of the closure path bit for
+bit, signs of zero compared.
 """
 
 import dataclasses
