@@ -8,7 +8,9 @@ compares every output file byte for byte.
 for the extremal the case's `shoot` wrote: the classification, both
 candidate covectors and each stage's verdict and reason, and the
 certificate text, numbers to 17 digits.  The classifier reaches the
-maximizer through `check_pmp`, which no CLI command runs on its lifts.
+maximizer through `check_pmp`, which no CLI command runs on its lifts.  It
+holds the same for the problems of `test_pmp.TestClassify`, among them the
+double integrator's abnormal lifts at a switch at 0.7 and at 0.37.
 
 To regenerate after an intended output change, run this file as a script:
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -19,9 +21,13 @@ import os
 import shutil
 import sys
 
+import numpy as np
 import pytest
 
 from pmpkit import cli, perturbations
+from pmpkit.control_system import ControlSignal, ControlSystem, box, constant_signal, simulate
+from pmpkit.flows import IntegratorConfig
+from pmpkit.pmp import BoundarySpec
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -60,19 +66,67 @@ def test_outputs_match_golden_bytes(case, tmp_path):
 
 
 CLASSIFY = os.path.join(GOLDEN, "classify")
-CLASSIFY_CASES = ("lqr_expression_shoot", "min_time_double_integrator")
+SHOT_CASES = ("lqr_expression_shoot", "min_time_double_integrator")
+
+
+def _double_integrator():
+    return ControlSystem(m=2, k=1, f=lambda x, u: np.array([x[1], u[0]]),
+                         control_set=box([-1.0], [1.0]), F=lambda x, u: 1.0,
+                         df_dx=lambda x, u: np.array([[0.0, 1.0], [0.0, 0.0]]),
+                         dF_dx=lambda x, u: np.zeros(2))
+
+
+def _scalar_energy():
+    # x' = u with running cost u^2 on an unbounded control axis
+    return ControlSystem(m=1, k=1, f=lambda x, u: np.array([u[0]]),
+                         control_set=box([-np.inf], [np.inf]), F=lambda x, u: float(u[0] ** 2),
+                         df_dx=lambda x, u: np.zeros((1, 1)), dF_dx=lambda x, u: np.zeros(1))
+
+
+def _frozen():
+    return ControlSystem(m=1, k=1, f=lambda x, u: np.zeros(1), control_set=box([-1.0], [1.0]),
+                         F=lambda x, u: 1.0, df_dx=lambda x, u: np.zeros((1, 1)),
+                         dF_dx=lambda x, u: np.zeros(1))
+
+
+def _bang(switch, b=2.0):
+    return ControlSignal(0.0, b, (switch,), ((1.0,), (-1.0,)))
+
+
+# problem -> (system, control, initial state, step, boundary mode)
+PROBLEMS = {
+    "energy_strictly_normal": (_scalar_energy, constant_signal(0.0, 1.0, (0.0,)), 1, 0.01,
+                               "fixed_time"),
+    "energy_coarse_grid": (_scalar_energy, constant_signal(0.0, 1.0, (0.0,)), 1, 0.02,
+                           "fixed_time"),
+    "frozen_dynamics": (_frozen, constant_signal(0.0, 1.0, (0.0,)), 1, 0.01, "free_time"),
+    "time_optimal_bang": (_double_integrator, _bang(1.0), 2, 0.005, "free_time"),
+    "abnormal_switch_0.7": (_double_integrator, _bang(0.7), 2, 0.01, "fixed_time"),
+    "abnormal_switch_0.37": (_double_integrator, _bang(0.37), 2, 0.01, "fixed_time"),
+    "non_extremal": (_double_integrator, constant_signal(0.0, 2.0, (0.3,)), 2, 0.01,
+                     "free_time"),
+}
+CLASSIFY_CASES = SHOT_CASES + tuple(sorted(PROBLEMS))
 
 
 def _g17(v):
     return None if v is None else [float("%.17g" % x) for x in v]
 
 
-def _classification(case):
-    """The JSON text of `classify_extremal` on the case's shot extremal."""
+def _classify_args(case):
+    """(system, trajectory, boundary) of a classifier case."""
+    if case in PROBLEMS:
+        make, u, m, step, mode = PROBLEMS[case]
+        sys = make()
+        return sys, simulate(sys, u, np.zeros(m), IntegratorConfig(step=step)), BoundarySpec(mode)
     problem = cli.load_problem(os.path.join(GOLDEN, case, "problem.json"))
     extremal = cli._load_extremal(problem, os.path.join(GOLDEN, case))
-    res = perturbations.classify_extremal(problem.sys, extremal.ext_traj.project(problem.sys),
-                                          problem.boundary)
+    return problem.sys, extremal.ext_traj.project(problem.sys), problem.boundary
+
+
+def _classification(case):
+    """The JSON text of `classify_extremal` on the case's trajectory."""
+    res = perturbations.classify_extremal(*_classify_args(case))
     return json.dumps({
         "classification": res.classification,
         "certificate": res.certificate,
