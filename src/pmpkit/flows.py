@@ -173,6 +173,20 @@ def rk4_step(f, t, y, h, k1):
             for yi, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4, strict=True)]
 
 
+def _dot(a, b):
+    """The pairing of two sequences of floats, their products added in order
+    to 0.0: ((0.0 + a_0 b_0) + a_1 b_1) + ...  It is the package's one rule
+    for pairing a covector with a rate, a Jacobian column or a tangent
+    vector, so no result depends on the BLAS numpy was built with; the
+    grammar runs it on symbolic operands to write the same sums into
+    generated code.  (The builtin sum and math.fsum are compensated from
+    Python 3.12 on, and math.sumprod is extended-precision.)"""
+    s = 0.0
+    for ai, bi in zip(a, b, strict=True):
+        s += ai * bi
+    return s
+
+
 def _recorded_step(rate, linearize, t, y, h):
     """rk4_step of y' = rate(t, y) from (t, y) with step h, and the list of
     linearize(t, y) at its four stages: the one place where RK4 stages are
@@ -226,8 +240,9 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     The grid hits cfg's event times, then X's switch times.  The loop walks
     the grid's `_runs` between switches, and each run's steps run on
     F = X.on(t0, t1) of its first step, whose eval gets each stage as an
-    array unless it is marked `on_lists`; lift gets w as an array.  When no
-    w is nonzero and F carries `run`, F.run steps x over the whole run.
+    array unless it is marked `on_lists`; lift gets dX/dx as a list of rows
+    and w as a list of floats, and returns a list.  When no w is nonzero
+    and F carries `run`, F.run steps x over the whole run.
     Else x advances once a step by rk4_step, recording dX/dx at its four
     stages if some w is nonzero, and each nonzero w then advances by
     rk4_step on the recorded Jacobians.  Each step has h = t1 - t0.  RK4 is
@@ -258,7 +273,7 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
         for t0, t1 in zip(ts[i0:i1], ts[i0 + 1:i1 + 1]):
             h = t1 - t0
             if live:
-                x, jacs = _recorded_step(rate, F.jac, t0, x, h)
+                x, jacs = _recorded_step(rate, lambda tt, xx: F.jac(tt, xx).tolist(), t0, x, h)
             else:
                 x = rk4_step(rate, t0, x, h, rate(t0, x))
             if not _all_finite(x):
@@ -267,18 +282,27 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
             for j in live:
                 stage = iter(jacs[1:])
                 w = rows[j][-1]
-                w = rk4_step(lambda tt, ww: lift(next(stage), np.array(ww)).tolist(), t0, w, h,
-                             lift(jacs[0], np.array(w)).tolist())
+                w = rk4_step(lambda tt, ww: lift(next(stage), ww), t0, w, h, lift(jacs[0], w))
                 if not _all_finite(w):
                     raise FlowBlowUpError(t1)
                 rows[j].append(w)
     return grid, xs, rows
 
 
+def _tangent(J, v):
+    """(dX/dx) v, J given as a list of rows."""
+    return [_dot(row, v) for row in J]
+
+
+def _cotangent(J, p):
+    """-(dX/dx)^T p, J given as a list of rows."""
+    return [-_dot(column, p) for column in zip(*J)]
+
+
 def tangent_lift_flows(X, t, s, x0, vs, cfg=None):
     """Transport the tangent vectors vs at x0 by the complete lift along one
     base path: x' = X, v' = (dX/dx) v.  Returns x(t) and the list of v(t)."""
-    _, xs, paths = _lifted_path(X, lambda J, v: J @ v, s, t, x0, vs, cfg)
+    _, xs, paths = _lifted_path(X, _tangent, s, t, x0, vs, cfg)
     return np.array(xs[-1]), [np.array(path[-1]) for path in paths]
 
 
@@ -292,7 +316,7 @@ def tangent_lift_flow(X, t, s, x0, v0, cfg=None):
 def cotangent_lift_flow(X, t, s, x0, p0, cfg=None):
     """Transport p0 at x0 by the cotangent lift: x' = X, p' = -(dX/dx)^T p.
     Returns (x(t), p(t))."""
-    _, xs, (path,) = _lifted_path(X, lambda J, p: -J.T @ p, s, t, x0, [p0], cfg)
+    _, xs, (path,) = _lifted_path(X, _cotangent, s, t, x0, [p0], cfg)
     return np.array(xs[-1]), np.array(path[-1])
 
 
@@ -303,12 +327,12 @@ def pairing_drift(X, interval, x0, v0, p0, cfg=None):
     m = X.dim
 
     def both(J, w):
-        return np.concatenate([J @ w[:m], -J.T @ w[m:]])
+        return _tangent(J, w[:m]) + _cotangent(J, w[m:])
 
-    path = np.array(_lifted_path(X, both, a, b, x0, [np.concatenate([v0, p0])], cfg)[2][0])
-    ref = float(np.dot(p0, v0))
-    pairings = np.einsum("ij,ij->i", path[:, m:], path[:, :m])
-    return float(np.max(np.abs(pairings - ref)))
+    v0, p0 = (np.asarray(w, dtype=float).ravel().tolist() for w in (v0, p0))
+    path = _lifted_path(X, both, a, b, x0, [v0 + p0], cfg)[2][0]
+    ref = _dot(p0, v0)
+    return float(np.max(np.abs(np.array([_dot(w[m:], w[:m]) for w in path]) - ref)))
 
 
 def _transport_matrix(X, t, s, x, cfg=None):

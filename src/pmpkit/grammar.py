@@ -9,37 +9,32 @@ Evaluation goes through generated Python functions: one per dynamics
 vector, cost, or exact Jacobian; one loop of RK4 steps of the dynamics over
 a run of grid nodes; for shooting, the stage and the RK4 step of the
 coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
-`pmp._costate` compute it; and for `pmp.adjoint_flows`, one loop of its
+`pmp._costate` compute it; for `pmp.adjoint_flows`, one loop of its
 discrete-adjoint steps of an m x r block of covectors over a run of grid
-nodes; and for the box maximizer, its probe values of p0 F + p . f, their
-rounding bounds and their quadratic fit in one straight-line function.  A
-block column has the bits of its own sweep: each column steps as its own
-vector, whose (df/dx)^T p numpy takes as one gemv.  The coupled step and
-the sweep are built when every column of df/dx has at most one entry that
-is not the number 0, where that gemv sums the products from 0.0, so that a
-Python sum from 0.0 gives its bits.  `flows.rk4_step`, run on symbolic operands,
-writes every step's stage and combination arithmetic, and
-`flows._recorded_step` the adjoint's retraced forward step.  Each is built
-as an `ast` tree from the validated grammar tree, one assignment per
-grammar node in the order a tree walk evaluates them (left operand, right
-operand, operation; a subtree that a derivative shares is assigned once
-per entry), and passed to `compile`; no source text is generated and the
-user's text is never evaluated.  Numbers are bound through a tuple, so
-nothing is folded (rk4_step's own numbers are literals, each met with a
-variable).  A state or control reads as `float(x[i])` or `float(u[i])`,
-from a list or an array, a vector is a list of floats, every generated
-function of (x, u), the scalar expressions of a cost included, is marked
-`on_lists` (it takes x as a list of floats), a power goes through
-`_real_pow`, and each vector component and Jacobian entry has its own
-`try` that turns overflow, division by zero and math domain errors into
-NaN, so the integrators' blow-up checks own the diagnostic.  Straight-line
-code keeps `compile` shallow however deeply an expression nests.  The
-generated code is pure Python; the reductions the package leaves to numpy
-(J^T p on other Jacobians, p . f in the Hamiltonian) may round through
-fused multiply-adds, so their bits depend on the numpy build; the
-maximizer's own Python sums of p . f decide only what their rounding
-bound certifies (`pmp._certified_vertex`).  The public entry points keep
-their recent results per process, keyed on their arguments.
+nodes; and for the box maximizer, its probe values of p0 F + p . f and
+their quadratic fit in one straight-line function.  Every pairing of a
+covector with a rate or a Jacobian column is summed in order from 0.0
+(`flows._dot`), in the generated code as in the package's own, so their
+bits depend on no BLAS.  The generated code is written by running the
+package's own arithmetic once on symbolic operands: `flows.rk4_step` for
+every step's stage and combination arithmetic, `flows._recorded_step` for
+the adjoint's retraced forward step, and `pmp._costate_rate` for
+(df/dx)^T p.  Each is built as an `ast` tree from the validated grammar
+tree, one assignment per grammar node in the order a tree walk evaluates
+them (left operand, right operand, operation; a subtree that a derivative
+shares is assigned once per entry), and passed to `compile`; no source
+text is generated and the user's text is never evaluated.  Numbers are
+bound through a tuple, so nothing is folded (the package's own numbers are
+literals, each met with a variable).  A state or control reads as
+`float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
+list of floats, every generated function of (x, u), the scalar
+expressions of a cost included, is marked `on_lists` (it takes x as a list
+of floats), a power goes through `_real_pow`, and each vector component
+and Jacobian entry has its own `try` that turns overflow, division by zero
+and math domain errors into NaN, so the integrators' blow-up checks own
+the diagnostic.  Straight-line code keeps `compile` shallow however deeply
+an expression nests.  The public entry points keep their recent results
+per process, keyed on their arguments.
 """
 
 from __future__ import annotations
@@ -54,7 +49,8 @@ from typing import Optional
 
 import numpy as np
 
-from .flows import _recorded_step, rk4_step
+from .flows import _dot, _recorded_step, rk4_step
+from .pmp import _costate_rate
 
 
 class ProblemError(ValueError):
@@ -589,44 +585,33 @@ def _dynamics_stage(code, bodies):
 
 
 def _linearization(code, jacobian, gradient):
-    """(J, g): the operands of the m x m Jacobian trees `jacobian`
-    (row-major) and of the gradient trees, None without a cost, at the
-    state the code's inputs bind, each evaluated as `_Code.entry` does."""
-    return (_stage_values(code, jacobian),
-            None if gradient is None else _stage_values(code, gradient))
+    """(J, g) as `pmp._costate_rate` reads them: the operands of the m x m
+    Jacobian trees `jacobian` (row-major) and of the gradient trees, the
+    numbers 0.0 without a cost (so that c_j = -0.0 keeps the sign of zero),
+    at the state the code's inputs bind, each evaluated as `_Code.entry`
+    does."""
+    J = _stage_values(code, jacobian)
+    return J, [0.0] * math.isqrt(len(J)) if gradient is None else _stage_values(code, gradient)
 
 
-def _costate_rate(code, linearization, c, p):
-    """Operands of the rate c_j g_i - q_ij of the m x r block p (operands,
-    column after column), the numbers of `pmp._costate`: (J, g) =
-    linearization, g None without a cost (the number 0.0 then, so that c_j
-    = -0.0 keeps the sign of zero), c the r column multipliers, and q_j =
-    J^T p_j of each column p_j on its own, the products summed from 0.0 in
-    order, q_ij = ((0.0 + J_0i p_0j) + J_1i p_1j) + ..., which is numpy's
-    gemv on Jacobians that pass `_sums_like_numpy`."""
-    J, g = linearization
-    m = len(p) // len(c)
-    p = [_Operand(code, pi.local()) for pi in p]
-    rates = []
-    for j, cj in enumerate(c):
-        for i in range(m):
-            q = sum((J[k * m + i] * p[j * m + k] for k in range(m)), 0.0)
-            # a local, as each entry of f is: the stages and the
-            # combination read it
-            rates.append(_Operand(code, ((0.0 if g is None else g[i]) * cj - q).local()))
-    return rates
+def _locals(code, operands):
+    """Operands of locals holding the operands: rates, which the stages and
+    the combination read, as each entry of f is."""
+    return [_Operand(code, v.local()) for v in operands]
 
 
 def _coupled_stage(code, bodies, jacobian, gradient):
     """stage(y): the operands of the coupled field at the stage state
-    y = (x, p), as f and `pmp._costate` compute it: f(x, u), then the
-    `_costate_rate` of the column p with the parameter c."""
+    y = (x, p), as f and `pmp._costate` compute it: f(x, u), then
+    `pmp._costate_rate` of the column p with the parameter c, run on the
+    operands."""
     m = len(bodies)
     dynamics, c = _dynamics_stage(code, bodies), [_Operand(code, "c")]
 
     def stage(y):
         rates = dynamics(y[:m])
-        return rates + _costate_rate(code, _linearization(code, jacobian, gradient), c, y[m:])
+        return rates + _locals(code, _costate_rate(*_linearization(code, jacobian, gradient),
+                                                   c, y[m:]))
 
     return stage
 
@@ -714,7 +699,7 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     ts[i + 1] - ts[i]: `flows._recorded_step` runs once on `_Operand`s and
     linearizes at its four stage states (J and g, as `_coupled_stage`
     evaluates them).  The block then steps back by the list `rk4_step`
-    returns with step hb = ts[i] - ts[i + 1] on the `_costate_rate` of
+    returns with step hb = ts[i] - ts[i + 1] on `pmp._costate_rate` of
     those linearizations in reverse stage order, and is appended to out as
     a list.  The forward step's own new state, and so f at its fourth
     stage, is never read, and is not evaluated.  u, c and p are read
@@ -735,7 +720,7 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     stages = reversed(lins)
 
     def stage(pp):
-        return _costate_rate(code, next(stages), c, pp)
+        return _locals(code, _costate_rate(*next(stages), c, pp))
 
     new = [code.local(v) for v in _rk4_step_code(code, p, stage, stage(p), "hb")]
     code.body = _drop_unread(code.body)
@@ -767,42 +752,29 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
                              ast.List(_rk4_step_code(code, y, stage, k1), _LOAD, **_POS))
 
 
-def _sums_like_numpy(jacobian, m):
-    """Whether every column of the m x m Jacobian trees has at most one
-    entry that is not the number 0.  numpy's gemv of one column of a block,
-    J^T p, rounds through fused multiply-adds where the BLAS has them; on
-    such columns it sums the products from 0.0, each with the number 0
-    exact, so a Python sum from 0.0 gives the same bits, signed zeros
-    included (`_costate_rate`)."""
-    return all(sum(not _is_num(jacobian[r * m + i], 0) for r in range(m)) <= 1
-               for i in range(m))
-
-
 def _op(a, op, b):
     return ast.BinOp(a, op(), b, **_POS)
 
 
 def _probe_fit_code(bodies, cost, points, axes, pairs):
-    """(code, definition) of probe_fit(p, x, p0f) -> (fit, bounds): the
-    values of H = p0f F + p . f at the probe points and their quadratic
-    fit, bit for bit as `pmp._python_values` and `pmp._fit_quadratic` make
-    them, for the m trees `bodies` of f and the tree `cost` of F, None
-    without a cost; None if a tree names a control the points lack.
+    """(code, definition) of probe_fit(p, x, p0f) -> fit: the values of H =
+    p0f F + p . f at the probe points and their quadratic fit, bit for bit
+    as `pmp._fit_quadratic` makes them from the values of the maximizer's
+    H, for the m trees `bodies` of f and the tree `cost` of F, None without
+    a cost; None if a tree names a control the points lack.
 
     points are the probes' controls as lists of floats, and axes and pairs
     the fit's per-axis and per-pair tuples, laid out as `pmp._Probes` lays
     them out; their divisors are bound as numbers.  x is read through float
     once.  At each probe, each control the trees name is a local that holds
     the probe's float, and each entry of F and of f runs in its own try, as
-    `_Code.entry` writes it.  Then, in `_python_values`' order: A = p0f F,
-    or p0f 0.0 without a cost, so that the zero keeps its sign; the
-    products p_i f_i summed in order from 0.0 into s, with their magnitudes
-    summed beside them into t; h = A + s; and its bound e = m 2^-50 t +
-    2^-51 |h| + m 2^-1071, which is 0.0 for m = 1.  Next, in
+    `_Code.entry` writes it.  Then, as H computes it: A = p0f F, or p0f 0.0
+    without a cost, so that the zero keeps its sign; s = p . f, `flows._dot`
+    run once on the values; and h = A + s.  Next, in
     `_fit_quadratic`'s order: b_j and a_j per live axis, the mixed entry of
     each pair, and bmax, cmax and off, the running maxima keeping the first
     NaN they meet.  fit is `_fit_quadratic`'s (b, a, mixed, bmax, cmax,
-    off) and bounds the list of the e."""
+    off)."""
     m, k = len(bodies), len(points[0])
 
     def names(node):
@@ -841,25 +813,30 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     def local(node):
         return kept(ast.dump(node), bool(names(node) & varying), lambda: code.local(node))
 
-    values, bounds = [], []
+    class Kept:
+        # a value whose + and * assign a kept local: `flows._dot` run on
+        # such values writes H's ordered sum
+        def __init__(self, node):
+            self.node = node
+
+        def __add__(self, other):
+            return Kept(local(_op(self.node, ast.Add, other.node)))
+
+        def __radd__(self, zero):
+            return Kept(local(_op(ast.Constant(zero, **_POS), ast.Add, self.node)))
+
+        def __mul__(self, other):
+            return Kept(local(_op(self.node, ast.Mult, other.node)))
+
+    values = []
     for u in points:
         for j in range(k):
             if f"u{j}" in read:
                 code.inputs[f"u{j}"] = code.local(code._const(u[j]))
                 varying.add(code.inputs[f"u{j}"])
         A = local(_op(p0f, ast.Mult, zero if cost is None else value(cost)))
-        s = t = zero
-        for pi, body in zip(p, bodies):
-            v = local(_op(_name(pi), ast.Mult, value(body)))
-            s = local(_op(s, ast.Add, v))
-            if m > 1:
-                t = local(_op(t, ast.Add, _apply("_abs", v)))
-        h = local(_op(A, ast.Add, s))
-        values.append(h)
-        bounds.append(zero if m == 1 else local(_op(_op(
-            _op(ast.Constant(m * 2.0 ** -50, **_POS), ast.Mult, t), ast.Add,
-            _op(ast.Constant(2.0 ** -51, **_POS), ast.Mult, _apply("_abs", h))), ast.Add,
-            ast.Constant(m * 2.0 ** -1071, **_POS))))
+        s = _dot([Kept(_name(pi)) for pi in p], [Kept(value(body)) for body in bodies])
+        values.append(local(_op(A, ast.Add, s.node)))
 
     def running_max(top, entry):
         # top = |entry| where it is larger, or where it is NaN
@@ -890,8 +867,7 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     off = mmax if k == 1 else ast.IfExp(_apply("_isfinite", amax), mmax, _name("_nan"), **_POS)
     fit = ast.Tuple([ast.List(b, _LOAD, **_POS), ast.List(a, _LOAD, **_POS),
                      ast.List(mixed, _LOAD, **_POS), _name("_bmax"), cmax, off], _LOAD, **_POS)
-    return code, code.define("probe_fit", ("p", "x", "p0f"),
-                             ast.Tuple([fit, ast.List(bounds, _LOAD, **_POS)], _LOAD, **_POS))
+    return code, code.define("probe_fit", ("p", "x", "p0f"), fit)
 
 
 # ---------------------------------------------------------------------------
@@ -945,22 +921,18 @@ def compile_dynamics(srcs, m: int, k: int):
       appended), or None.  It is compiled on first use per r and cost.
       Each column steps as its own vector, so a block column has the bits
       of its own sweep.
-    Both return None unless df_dx is f's own generated Jacobian, the
-    system has no cost or dF_dx is a generated gradient, and every column
-    of the Jacobian has at most one entry that is not the number 0:
-    elsewhere numpy's gemv J^T p may round through fused multiply-adds
-    that Python arithmetic cannot follow.
-    - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) ->
-      (fit, bounds), the probe values of H = p0f F + p . f at the probe
-      points, their rounding bounds and their quadratic fit, bit for bit
-      as `pmp._python_values` and `pmp._fit_quadratic` make them, with
-      axes and pairs the fit's tuples (`pmp._Probes`; see
-      `_probe_fit_code`).  It returns None unless F is None or a grammar
-      expression (`parse_expression` keeps its tree as `F.tree`) and f
-      has one entry per state.  It is compiled once per cost tree, probe
-      floats (each probe keyed by its bytes, so that -0.0 and 0.0
-      differ) and divisors, and p0f is an argument, so p0 = -1 and p0 = 0
-      share it.
+    Both return None unless df_dx is f's own generated Jacobian and the
+    system has no cost or dF_dx is a generated gradient.
+    - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) -> fit,
+      the quadratic fit of the probe values of H = p0f F + p . f at the
+      probe points, bit for bit as `pmp._fit_quadratic` makes it from the
+      maximizer's H values, with axes and pairs the fit's tuples
+      (`pmp._Probes`; see `_probe_fit_code`).  It returns None unless F is
+      None or a grammar expression (`parse_expression` keeps its tree as
+      `F.tree`) and f has one entry per state.  It is compiled once per
+      cost tree, probe floats (each probe keyed by its bytes, so that -0.0
+      and 0.0 differ) and divisors, and p0f is an argument, so p0 = -1 and
+      p0 = 0 share it.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
@@ -991,17 +963,16 @@ def compile_dynamics(srcs, m: int, k: int):
     n = len(srcs)
     dynamics = value.function("dynamics", (n,))
     df = None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m))
-    sums_like_numpy = df is not None and n == m and _sums_like_numpy(entries, m)
+    square = df is not None and n == m
 
     def qualifying(build):
         """build(gradient trees, *args), built once each, for a system whose
-        Jacobian is df, whose cost F is None or has a generated gradient
-        dF_dx and whose Jacobian columns pass `_sums_like_numpy`; None for
-        any other."""
+        Jacobian is df and whose cost F is None or has a generated gradient
+        dF_dx; None for any other."""
         build = functools.cache(build)
 
         def built(df_dx, F, dF_dx, *args):
-            if sums_like_numpy and df_dx is df and (F is None or hasattr(dF_dx, "entries")):
+            if square and df_dx is df and (F is None or hasattr(dF_dx, "entries")):
                 return build(None if F is None else tuple(dF_dx.entries), *args)
             return None
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -23,7 +22,7 @@ import numpy as np
 from .cone_geometry import rank_split, unit_directions
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory,
                              _derived, _switches_at)
-from .flows import FlowBlowUpError, _all_finite, _recorded_step, _runs, rk4_step
+from .flows import FlowBlowUpError, _all_finite, _dot, _recorded_step, _runs, rk4_step
 
 
 class UnboundedHamiltonianError(RuntimeError):
@@ -105,13 +104,14 @@ class PMPReport:
 
 
 def hamiltonian(sys: ControlSystem, p0: float, p, x, u) -> float:
-    """p0 F(x, u) + p . f(x, u); with p0 = 0 the cost plays no role."""
+    """p0 F(x, u) + p . f(x, u); with p0 = 0 the cost plays no role.  p . f
+    is `flows._dot`, the products summed in order from 0.0."""
     p = np.asarray(p, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    return float(p0) * sys.cost_rate(x, u) + float(p @ sys.dynamics(x, u))
+    return float(p0) * sys.cost_rate(x, u) + _dot(p.tolist(), sys._rate(x, u))
 
 
 # the maximizer's constants: the exact-fit test's relative tolerance, and
@@ -224,7 +224,10 @@ def _make_probes(U) -> _Probes:
     # per axis (lo, hi, u0, delta) for the axis maxima
     probes.sides = tuple(zip(lo, hi, u0, delta))
     probes.bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-    probes.certificate = _certificate(probes) if probes.bounded else None
+    # a finite box whose fit divides by positive finite floats, which
+    # generated code binds as numbers
+    divisors = [d for *_, two, sq in probes.axes for d in (two, sq)] + [d for *_, d in probes.pairs]
+    probes.plain_divisors = probes.bounded and all(0.0 < d < math.inf for d in divisors)
     return probes
 
 
@@ -293,119 +296,6 @@ def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
     return b, a, mixed, bmax, cmax, off
 
 
-def _python_values(p, x, points, p0f, cost, rate):
-    """(evaluated, values, bounds) of p and x at the probe points: per
-    point u, evaluated holds (A, r), A = p0f cost(x, u) and r = rate(x, u),
-    each made once, values the value h = A + s, s the sum of the products
-    p_i r_i in Python from 0.0, and bounds a bound e on the distance of h
-    from A + float(np.array(p) @ np.array(r)), the value `hamiltonian`
-    gives.
-
-    The bound holds whatever order numpy's dot sums in, with or without
-    fused multiply-adds.  A dot product of m terms summed in any order lies
-    within gamma_m T + m lambda of the exact sum, T = sum |p_i r_i|,
-    gamma_m = m u / (1 - m u), u = 2^-53 and lambda = 2^-1075 the error of
-    an underflowing product (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., SIAM 2002, sections 2.6 and 3.1).  So numpy's dot
-    and the Python sum differ by at most m (2^-51 T' + 2^-1072), T' the
-    Python sum of the |p_i r_i|, and the two values by at most twice that
-    plus 2^-51 |h|, the rounding of the additions of A:
-    e = m 2^-50 T' + 2^-51 |h| + m 2^-1071.  Each term is twice what the
-    analysis needs or more, which covers the rounding of e itself and of
-    the comparisons that read it.  e >= 2^-51 |h|, which
-    `_certified_vertex` uses; e is NaN only beside a NaN h.
-
-    With m = 1 every bound is 0.0: 0.0 + p_0 r_0 is numpy's own value,
-    since its dot adds the one product to 0.0.
-    """
-    m = len(p)
-    dot_term, floor = m * 2.0 ** -50, m * 2.0 ** -1071
-    if m == 1:
-        dot_term = floor = 0.0
-    evaluated, values, bounds = [], [], []
-    for u in points:
-        A, r = p0f * cost(x, u), rate(x, u)
-        evaluated.append((A, r))
-        s = t = 0.0
-        for v in map(operator.mul, p, r):
-            s += v
-            t += abs(v)
-        h = A + s
-        values.append(h)
-        bounds.append(dot_term * t + 2.0 ** -51 * abs(h) + floor if floor else 0.0)
-    return evaluated, values, bounds
-
-
-# A bound of 2^970 or more certifies nothing: below it every |value| <
-# 2^1021, so 2 f0 and every value of numpy's are finite, and T' < 2^1020,
-# so no partial sum of numpy's dot overflows
-_BOUND_CAP = 2.0 ** 970
-
-
-def _certificate(probes: _Probes):
-    """What `_certified_vertex` reads of a finite box: per live axis (j, n,
-    4 / (2 delta_j)), n the index of H(u0 + e_j) in the values; K; and the
-    sides' ends, the low ones as an array that a vertex starts as a copy
-    of, the high ones as floats.  None where a divisor of the fit is zero
-    or inf, which takes its entries out of the bounds' reach."""
-    divisors = [d for *_, two_delta, delta_sq in probes.axes for d in (two_delta, delta_sq)]
-    if not all(0.0 < d < math.inf for d in divisors + [d for *_, d in probes.pairs]):
-        return None
-    K = max([max(8.0 / two_delta, 16.0 / delta_sq) for *_, two_delta, delta_sq in probes.axes]
-            + [24.0 / delta_ij for *_, delta_ij in probes.pairs], default=0.0)
-    return ([(j, n, 4.0 / two_delta) for j, n, two_delta, _ in probes.axes], K,
-            np.array([s[0] for s in probes.sides]), [float(s[1]) for s in probes.sides])
-
-
-def _certified_vertex(fit, bounds, certificate, fit_tol):
-    """The vertex the box branch of `_maximizer` picks from every set of
-    values H_i at the probe points with |H_i - h_i| <= bounds[i], h_i the
-    values `fit` was made from, or None where values in those ranges could
-    take it elsewhere; certificate is the box's (`_certificate`).
-
-    The branch takes ztol = fit_tol (1 + bmax + cmax) and, on a finite
-    box, picks a vertex when off <= ztol and |a_j| <= ztol on every live
-    axis: hi_j where b_j > ztol and lo_j elsewhere (b_j < -ztol and
-    |b_j| <= ztol both pick lo_j).  With each bound e_i >= 2^-51 |h_i|
-    (`_python_values`), each rounding of the fit at most u = 2^-53
-    relative and 2^-1075 where a quotient underflows, the entries made
-    from the H_i lie within
-    - 4 (e_+ + e_-) / (2 delta_j) + 2^-51 |b_j| + 2^-1072 of b_j, e_+ and
-      e_- the bounds at u0 + e_j delta_j and u0 - e_j delta_j,
-    - 4 (e_+ + 2 e_0 + e_-) / delta_j^2 + 2^-51 |a_j| + 2^-1072 of a_j,
-    - 6 (e_ij + e_+i + e_+j + e_0) / (delta_i delta_j) + 2^-51 |v| +
-      2^-1072 of a mixed entry v,
-    so every Hessian entry within C = K E + 2^-51 cmax + 2^-1072 of its
-    own, E the largest bound and K the largest factor of E above, and
-    ztol within 2 fit_tol K E + 2^-48 ztol of its own (2 fit_tol 2^-51
-    (bmax + cmax) < 2^-50 ztol).  Each is twice what the analysis needs or
-    more, which covers the rounding of the bounds and of the comparisons.
-    Every comparison is decided across both bounds: off <= ztol and each
-    |a_j| <= ztol where cmax + C <= ztol, and each b_j > ztol on its own
-    bound.  A NaN value makes bmax or cmax NaN (the fit's maxima keep it),
-    which fails every comparison.
-    """
-    E = max(bounds)
-    if not E < _BOUND_CAP:
-        return None
-    axes, K, lows, highs = certificate
-    b, _, _, bmax, cmax, _ = fit
-    ztol, KE = fit_tol * (1.0 + bmax + cmax), K * E
-    ez = 2.0 * fit_tol * KE + 2.0 ** -48 * ztol
-    low, high = ztol - ez, ztol + ez
-    if not cmax + KE + 2.0 ** -51 * cmax + 2.0 ** -1072 <= low:
-        return None
-    u = lows.copy()
-    for j, n, kb in axes:
-        bj = b[j]
-        eb = kb * (bounds[n] + bounds[n + 1]) + 2.0 ** -51 * abs(bj) + 2.0 ** -1072
-        if bj - eb > high:
-            u[j] = highs[j]
-        elif not bj + eb <= low:
-            return None
-    return u
-
-
 def _clip(v, lo, hi):
     """np.clip of one value: a NaN anywhere passes through, and a value equal
     to a bound is kept with its own sign of zero."""
@@ -464,33 +354,18 @@ def _maximizer(sys: ControlSystem, p0: float):
     evaluated it, else None.
 
     H is p0 F + p . f, F the cost `sys._cost` and f the rate `sys._rate`,
-    both of x as a list, with p . f numpy's dot of p and f as arrays; p's
-    array is made on H's first call.  A box with finite sides and a
-    declared degree of at most 2 evaluates F and f once per fit probe,
-    fits the Python sums of those, and decides in three steps:
-    - m = 1: the Python sum 0.0 + p_0 f_0 is the dot's own value, so the
-      values are H's and the box decision runs on their fit;
-    - otherwise each probe value is summed in Python, with a bound on its
-      distance from H (`_python_values`), and where every comparison of
-      the box branch holds across the bounds and every axis lands on a
-      vertex, that vertex is u_star (`_certified_vertex`);
-    - elsewhere numpy's dot of p with the same f lists gives H's values,
-      and the fit and the box decision run on them.
-    Where f is the grammar's generated dynamics and F is None or a
-    grammar expression, the values, their bounds and their fit come from
-    one generated function, `f.probe_fit` (`grammar.compile_dynamics`),
-    with the bits of `_python_values` and `_fit_quadratic`, compiled once
-    per cost and probes and looked up here; the fallback evaluates those
-    generated F and f again, which are pure.  User callables, `extend(sys)`
-    and every other search keep the closures: each probe evaluates a
-    user's F and f once.
-    Every other search evaluates H at each point it reads.
+    both of x as a list, and p . f `flows._dot`.  Boxes and balls fit a
+    quadratic model to H's values at the probes (`_probes`).  On a finite
+    box with a declared degree of at most 2 and plain divisors, a grammar
+    system's F and f give that fit through one generated function,
+    `f.probe_fit` (`grammar.compile_dynamics`), bit for bit.  Every other
+    search evaluates H at each point it reads.
     """
     p0f, rate, cost, fit_tol = float(p0), sys._rate, sys._cost, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     probes = None if U.kind == "finite" else _probes(U)
-    certificate = probe_fit = None
+    probe_fit = None
 
     def fit_of(H):
         # the fit of H's values at the probes, verified unless declared
@@ -520,8 +395,7 @@ def _maximizer(sys: ControlSystem, p0: float):
 
     else:
         lo, hi, sides, bounded = U.lo, U.hi, probes.sides, probes.bounded
-        certificate, exact = None if verify else probes.certificate, sys.m == 1
-        generate = certificate and getattr(sys.f, "probe_fit", None)
+        generate = not verify and probes.plain_divisors and getattr(sys.f, "probe_fit", None)
         probe_fit = generate and generate(sys.F, probes.points, probes.axes, probes.pairs)
 
         def decide(fit, H):
@@ -556,37 +430,12 @@ def _maximizer(sys: ControlSystem, p0: float):
             return decide(fit_of(H), H)
 
     def maximize(p, x):
-        pa = None
-
         def H(u):
-            # numpy's p . f, as `hamiltonian` takes it, with p an array made
-            # on the first call; with no cost, p0f * 0.0 still signs a zero
-            # H as `hamiltonian` does
-            nonlocal pa
-            if pa is None:
-                pa = np.array(p)
-            return p0f * cost(x, u) + float(pa @ np.array(rate(x, u)))
+            # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian`
+            # does
+            return p0f * cost(x, u) + _dot(p, rate(x, u))
 
-        if probe_fit:
-            fit, bounds = probe_fit(p, x, p0f)
-            evaluated = None
-        elif certificate is None:
-            u_star, value = search(H)
-            return u_star, H, value
-        else:
-            evaluated, values, bounds = _python_values(p, x, probes.points, p0f, cost, rate)
-            fit = _fit_quadratic(values, probes, fit_tol)
-        if not exact:
-            u_star = _certified_vertex(fit, bounds, certificate, fit_tol)
-            if u_star is not None:
-                return u_star, H, None
-            # the fallback: numpy's values of the same cost terms and rates,
-            # which generated F and f, being pure, give again
-            pa = np.array(p)
-            rows = evaluated or [(p0f * cost(x, u), rate(x, u)) for u in probes.points]
-            fit = _fit_quadratic([A + float(pa @ np.array(r)) for A, r in rows],
-                                 probes, fit_tol)
-        u_star, value = decide(fit, H)
+        u_star, value = decide(probe_fit(p, x, p0f), H) if probe_fit else search(H)
         return u_star, H, value
 
     return maximize
@@ -605,12 +454,10 @@ def maximize_hamiltonian(sys: ControlSystem, p0: float, p, x) -> MaximizationRes
     candidate, u_star is None and value is -inf.
 
     p and x are checked and handed to `_maximizer`, which binds H to them;
-    the fit's probe points come from the control set (`_probes`).  On a
-    finite box with a declared degree of at most 2, a vertex is decided
-    from probe values summed in Python wherever their rounding bound
-    cannot change it, and otherwise from numpy's H values; u_star and
-    value are those of numpy's H either way.  For a system of grammar
-    expressions, the probe values and their fit come from one generated
+    the fit's probe points come from the control set (`_probes`).  H sums
+    p . f in order from 0.0 (`flows._dot`), so u_star and value have the
+    same bits with any BLAS.  For a system of grammar expressions on a
+    finite box, the probe values and their fit come from one generated
     function that p0 = -1 and p0 = 0 share.
     """
     p = np.asarray(p, dtype=float).ravel()
@@ -626,25 +473,32 @@ def _multipliers(p0, r: int) -> list:
     return (-np.broadcast_to(np.asarray(p0, dtype=float), (r,))).tolist()
 
 
+def _costate_rate(J, g, c, p):
+    """The rate c_j g_i - (J^T p_j)_i of each entry i of each column p_j of
+    an m x r block p, laid out column after column: J the m x m Jacobian
+    laid out row after row, g the cost gradient and c the r multipliers
+    c_j = -p0.  (J^T p_j)_i is `flows._dot` of column i of J with p_j, so
+    a block column has the bits of its own sweep.  `_costate` runs it on
+    floats, and the grammar on symbolic operands, to write the same
+    arithmetic into the generated coupled step and adjoint sweep."""
+    m = len(g)
+    columns = [J[i::m] for i in range(m)]
+    blocks = [p[j:j + m] for j in range(0, len(p), m)]
+    return [gi * cj - _dot(column, pj) for cj, pj in zip(c, blocks)
+            for gi, column in zip(g, columns)]
+
+
 def _costate(sys: ControlSystem, p0, r: int):
     """The one -dH/dx = c grad_x F - (df/dx)^T p, c = -p0, of an m x r block
     p, p0 a scalar or one per column: held(u)(t, x) evaluates grad_x F and
-    df/dx at x with u held and returns the rate of a block, both laid out
-    column after column as lists.  Each column steps as its own vector:
-    numpy's matmul of the stack of the r columns runs one gemv per column,
-    as (df/dx)^T @ column does, so a block column has the bits of its own
-    sweep."""
-    m, jac, grad = sys.m, sys._jac, sys._grad
-    # c = -p0 at entry j m + i of the block
-    cs = [c for c in _multipliers(p0, r) for _ in range(m)]
-    stack = np.array if r == 1 else (lambda pp: np.array(pp).reshape(r, m, 1))
+    df/dx at x with u held and returns the `_costate_rate` of a block, laid
+    out column after column as a list."""
+    jac, grad, c = sys._jac, sys._grad, _multipliers(p0, r)
 
     def held(u):
         def stage(_, x):
-            g, JT = grad(x, u), jac(x, u).T
-            g = g if r == 1 else g * r
-            return lambda pp: [gi * ci - q for gi, ci, q in
-                               zip(g, cs, (JT @ stack(pp)).ravel().tolist())]
+            g, J = grad(x, u), jac(x, u).ravel().tolist()
+            return lambda pp: _costate_rate(J, g, c, pp)
         return stage
 
     return held
@@ -665,11 +519,10 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     constant: the extended dynamics never depend on the cost coordinate.
 
     A block column has the bits of its own sweep: the block is carried
-    column after column, and each column steps as its own vector, with one
-    gemv for its (df/dx)^T p (`_costate`).  Where the grammar's generated
-    dynamics give the system an `adjoint_run` (`grammar.compile_dynamics`),
-    each control run steps back through that one generated loop instead,
-    bit for bit.
+    column after column, and each column's (df/dx)^T p is summed in order
+    from 0.0 (`_costate_rate`).  Where the grammar's generated dynamics give
+    the system an `adjoint_run` (`grammar.compile_dynamics`), each control
+    run steps back through that one generated loop instead, bit for bit.
     """
     P = np.array(P_b, dtype=float)
     if P.ndim != 2 or P.shape[0] != sys.m:
@@ -741,12 +594,13 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
     maximize = _maximizer(sys, p0)
     gaps: List[float] = []
     sups: List[float] = []
+    sigma = adj.sigma.tolist()
     for i, t in enumerate(traj.grid.tolist()):
-        mn = np.sqrt(p0 * p0 + float(adj.sigma[i] @ adj.sigma[i]))
+        mn = math.sqrt(p0 * p0 + _dot(sigma[i], sigma[i]))
         min_norm = mn if i == 0 else min(min_norm, mn)
         if _switches_at(u.switch_times, t):
             continue
-        u_star, H, sup = maximize(adj.sigma[i].tolist(), states[i].tolist())
+        u_star, H, sup = maximize(sigma[i], states[i].tolist())
         sup = H(u_star) if sup is None else sup
         href = H(u.value_at(t))
         gaps.append(max(sup - href, 0.0))
@@ -760,8 +614,8 @@ def check_pmp(sys: ControlSystem, extremal: Extremal, bounds: BoundarySpec,
     res_3c = float(min_norm)
     sign_ok = bool(p0 <= tol)
     res_3d = (0.0, sign_ok)
-    ri = max((abs(float(adj.sigma[0] @ w)) for w in (bounds.initial or ())), default=0.0)
-    rf = max((abs(float(adj.sigma[-1] @ w)) for w in (bounds.final or ())), default=0.0)
+    ri = max((abs(_dot(sigma[0], w.tolist())) for w in (bounds.initial or ())), default=0.0)
+    rf = max((abs(_dot(sigma[-1], w.tolist())) for w in (bounds.final or ())), default=0.0)
     res_3e = (ri, rf)
 
     passes = (res_3a <= tol and res_3b <= tol and res_3c > tol and sign_ok

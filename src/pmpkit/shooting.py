@@ -136,8 +136,7 @@ def _coupled_field(sys, p0):
     It is the grammar's generated pair where `sys.f` carries one (see
     `grammar.compile_dynamics`), else `flows.rk4_step` on f and
     `pmp._costate` bound to p0, which get u as a float64 array (user
-    callables, finite-difference derivatives, a dense `linear_system`, a
-    Jacobian column of two entries that are not the number 0); both give
+    callables, finite-difference derivatives, `linear_system`); both give
     the same bits."""
     generate = getattr(sys.f, "coupled_step", None)
     generated = generate and generate(sys.df_dx, sys.F, sys.dF_dx)

@@ -38,8 +38,15 @@ form of a package routine as its reference:
   Python floats (bit for bit);
 - `BUILTINS_ARRAYS`, the CLI's builtin dynamics and Jacobians as array
   functions, which the builtins on lists replaced (bit for bit).
+
+The oracles that pair a covector with a rate or a Jacobian take numpy's
+products elsewhere, but `ordered_dot`, a fold of the products into one sum
+from 0.0 in index order, where the package pairs them: the package's one
+rule for those pairings, whose bits depend on no BLAS.  `dot_bound` is the
+rounding bound that relates such a sum to numpy's dot in any order.
 """
 import ast
+import functools
 import itertools
 import math
 
@@ -48,6 +55,44 @@ import numpy as np
 from pmpkit.cone_geometry import unit_directions
 from pmpkit.control_system import ControlSystem
 from pmpkit.pmp import MaximizationResult, UnboundedHamiltonianError, hamiltonian
+
+
+def ordered_dot(a, b):
+    """((0.0 + a_0 b_0) + a_1 b_1) + ... of two vectors, on Python floats."""
+    a, b = (np.asarray(v, dtype=float).ravel().tolist() for v in (a, b))
+    assert len(a) == len(b)
+    return functools.reduce(lambda s, ab: s + ab[0] * ab[1], zip(a, b), 0.0)
+
+
+def ordered_matvec(A, v):
+    """A v with each entry an `ordered_dot` of a row of A with v."""
+    return np.array([ordered_dot(row, v) for row in np.asarray(A, dtype=float)])
+
+
+# A bound of 2^970 or more says nothing: below it every |value| < 2^1021,
+# so every sum of the products is finite
+BOUND_CAP = 2.0 ** 970
+
+
+def dot_bound(p, r, h):
+    """A bound e on |h - (A + numpy's p . r)| for h = A + `ordered_dot`(p, r).
+
+    A dot product of m terms summed in any order, with or without fused
+    multiply-adds, lies within gamma_m T + m lambda of the exact sum, T =
+    sum |p_i r_i|, gamma_m = m u / (1 - m u), u = 2^-53 and lambda =
+    2^-1075 the error of an underflowing product (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., SIAM 2002, sections 2.6
+    and 3.1).  So two such sums differ by at most m (2^-51 T' + 2^-1072),
+    T' the ordered sum of the |p_i r_i|, and the two values by at most
+    twice that plus 2^-51 |h|, the rounding of the additions of A: e = m
+    2^-50 T' + 2^-51 |h| + m 2^-1071, each term twice what the analysis
+    needs or more.  With m = 1 the bound is 0.0: numpy's one-term dot adds
+    its product to 0.0 too."""
+    m = len(p)
+    if m == 1:
+        return 0.0
+    t = ordered_dot(np.abs(p), np.abs(r))
+    return m * 2.0 ** -50 * t + 2.0 ** -51 * abs(h) + m * 2.0 ** -1071
 
 
 def _angles(vectors):
@@ -317,7 +362,7 @@ def tangent_lift_stacked(sys, u, t, s, x0, v0, cfg=None):
 
         def f(tt, y):
             x = y[:m]
-            return np.concatenate([sys.dynamics(x, c), sys.jac_x(x, c) @ y[m:]])
+            return np.concatenate([sys.dynamics(x, c), ordered_matvec(sys.jac_x(x, c), y[m:])])
 
         k1 = f(t0, y)
         k2 = f(t0 + 0.5 * h, y + 0.5 * h * k1)
@@ -748,7 +793,8 @@ def coupled_rhs_arrays(sys, p0, u):
     def f(_, y):
         y = np.asarray(y, dtype=float)
         x, p = y[:m], y[m:]
-        return rate(x, u) + (-p0 * sys.cost_grad_x(x, u) - sys.jac_x(x, u).T @ p).tolist()
+        q = ordered_matvec(sys.jac_x(x, u).T, p)
+        return rate(x, u) + (-p0 * sys.cost_grad_x(x, u) - q).tolist()
 
     return f
 

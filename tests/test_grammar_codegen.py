@@ -13,9 +13,9 @@ overflow `exp`, raise a negative base to a fractional power and take
 is finite; the source scan of `test_rk4_step.py` must see in both RK4's
 combination and no numpy call.  The generated adjoint sweep must carry the
 bits of `pmp.adjoint_flows` on the same system with f wrapped as a plain
-function, numpy's `J.T @ block` included, and raise `FlowBlowUpError` at
-the same time; the benchmark's systems must get it, and the systems whose
-bits it cannot keep must not.
+function, and raise `FlowBlowUpError` at the same time, on dense Jacobians
+too; the benchmark's systems and every system with generated derivatives
+must get it, and the others must not.
 """
 
 import ast
@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import grammar_tree_array, grammar_tree_function
 from pmpkit import cli, grammar, pmp
 from pmpkit.control_system import ControlSignal, ControlSystem, Trajectory, box, extend, simulate
-from pmpkit.flows import FlowBlowUpError, _runs, rk4_step
+from pmpkit.flows import FlowBlowUpError, IntegratorConfig, _runs, rk4_step
 from test_grammar_properties import K, M, render, trees
 from test_list_rate import fallback_field, plain
 from test_rk4_step import rk4_combinations
@@ -221,8 +221,8 @@ def coupled_step_cases(draw):
     gradient is not generated), with (x, p), u and h as for the dynamics
     step.  When single, component i of the dynamics reads only x_s(i) of
     the states for a permutation s, so every Jacobian column has at most
-    one entry that is not 0 and the coupled step is generated at every m;
-    else it reads any state."""
+    one entry that is not 0; else it reads any state, and a column may
+    have several."""
     m, k = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     controls = [f"u{j}" for j in range(k)]
     single = draw(st.booleans())
@@ -258,14 +258,11 @@ def test_generated_coupled_step_matches_rk4_step_on_coupled_rhs(case):
     sys, p0, y, u, h, single = case
     m = sys.m
     generated = sys.f.coupled_step(sys.df_dx, sys.F, sys.dF_dx)
+    # every system with generated derivatives gets the generated step
     exact = sys.df_dx is not None and (sys.F is None or sys.dF_dx is not None)
-    assert generated is None if not exact else (generated is not None or not single)
+    assert (generated is not None) == exact
     if generated is None:
         return
-    # a generated step sums J^T p over columns with one entry that is not 0
-    for point in ([0.3, -1.1, 0.7], [-0.6, 0.9, 1.3]):
-        J = sys.df_dx(point[:m], [0.4] * sys.k)
-        assert ((J != 0.0).sum(axis=0) <= 1).all(), J
     stage, step = generated
     # shooting hands both pairs the maximizer's control as a list; the
     # fallback hands its callables the float64 array of it
@@ -299,26 +296,34 @@ KINDS = {
 
 @st.composite
 def sweep_cases(draw):
-    """(sys, traj, P_b, p0): a generated system of m = 1..3 entries whose
-    component i reads only x_s(i) for a permutation s, so that every
-    Jacobian column has at most one entry that is not 0, with no cost or a
-    generated one; node states and a control on a grid of 1..5 uneven
-    steps with switches at 0..2 inner nodes; an m x r block, r = 1..3, and
-    p0 per column in {0.0, -1.0}.  A smooth case is finite throughout; a
-    rough one mixes signed zeros, subnormals, huge and non-finite numbers
-    into the states, the control, the steps and the block; in a tiny one
-    the system has no cost, component i is +-1e-200 x_s(i) plus a tree of
-    the controls, the block's entries are -0.0 and +-1e-200 and p0 is
-    0.0, so that products underflow to signed zeros, where numpy's gemm
-    and gemv round apart, and their signs reach the block."""
+    """(sys, traj, P_b, p0): a generated system of m = 1..3 entries with no
+    cost or a generated one; node states and a control on a grid of 1..5
+    uneven steps with switches at 0..2 inner nodes; an m x r block, r =
+    1..3, and p0 per column in {0.0, -1.0}.  A smooth case is finite
+    throughout; a rough one mixes signed zeros, subnormals, huge and
+    non-finite numbers into the states, the control, the steps and the
+    block; in a tiny one the system has no cost, component i is +-1e-200
+    x_s(i) plus a tree of the controls, the block's entries are -0.0 and
+    +-1e-200 and p0 is 0.0, so that products underflow to signed zeros,
+    and their signs reach the block.  Component i reads only x_s(i) for a
+    permutation s, so that every Jacobian column has at most one entry
+    that is not 0, or, when dense, any state; a linear case is x' = A x +
+    B u with a dense A, as the builtin `linear_system` is, written as
+    expressions."""
     m, k, r = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
     kind = draw(st.sampled_from(sorted(KINDS)))
     state, control, steps_, entry = KINDS[kind]
     controls = [f"u{j}" for j in range(k)]
     perm = draw(st.permutations(range(m)))
+    columns = draw(st.sampled_from(("single", "dense", "linear")))
     if kind == "tiny":
         srcs = [f"{draw(st.sampled_from(('1e-200', '-1e-200')))} * x{perm[i]}"
                 f" + ({render(draw(trees(names=controls)))})" for i in range(m)]
+    elif columns == "linear":
+        srcs = [" + ".join([f"({draw(smooth)!r})*x{j}" for j in range(m)]
+                           + [f"({draw(smooth)!r})*u{j}" for j in range(k)]) for _ in range(m)]
+    elif columns == "dense":
+        srcs = [render(draw(trees(m, k))) for _ in range(m)]
     else:
         srcs = [render(draw(trees(names=[f"x{perm[i]}"] + controls))) for i in range(m)]
     f, df_dx, _ = grammar.compile_dynamics(tuple(srcs), m, k)
@@ -407,7 +412,7 @@ def no_sweep(sys, r):
 
 
 @pytest.mark.parametrize("r", (1, 2))
-def test_systems_the_sums_cannot_follow_keep_the_array_sweep(r):
+def test_systems_with_generated_derivatives_sweep_through_generated_code(r):
     cset = {"kind": "box", "lo": [-1.0], "hi": [1.0]}
 
     def system(dynamics, cost=None):
@@ -416,22 +421,31 @@ def test_systems_the_sums_cannot_follow_keep_the_array_sweep(r):
             data["cost"] = {"expression": cost}
         return cli.Problem(data).sys
 
+    # the pendulum, and a column with two entries that are not 0, sweep
+    # through generated code, bit for bit as the array loop on the same
+    # system with f wrapped
     pendulum = system(["x1", "-sin(x0) + u0"])
-    assert not no_sweep(pendulum, r)
-    # a column with two entries that are not 0, a wrapped user callable,
-    # finite differences for df/dx or for dF/dx, and the extended system
-    assert no_sweep(system(["x0 * x1", "x0 + u0"]), r)
+    dense = system(["x0 * x1", "x0 + u0"], "x0 * x1 + u0^2")
+    control = ControlSignal(0.0, 1.0, (0.4,), ((1.0,), (-0.5,)))
+    P_b = np.arange(1.0, 2 * r + 1.0).reshape(2, r) / 3.0
+    for sys in (pendulum, dense):
+        assert not no_sweep(sys, r)
+        traj = simulate(sys, control, np.array([0.3, -0.7]), IntegratorConfig(step=0.05))
+        for p0 in (0.0, -1.0):
+            assert sweep(sys, traj, P_b, p0) == sweep(plain(sys), traj, P_b, p0)
+    # a wrapped user callable, finite differences for df/dx or for dF/dx,
+    # and the extended system keep the array loop
     assert no_sweep(plain(pendulum), r)
     assert no_sweep(system(["x1", "2^x0 + u0"]), r)
     assert no_sweep(system(["x1", "-sin(x0) + u0"], "x1^x0 + u0^2"), r)
     assert no_sweep(extend(system(["x1", "-sin(x0) + u0"], "x0^2 + u0^2")), r)
 
 
-def test_probe_fit_is_compiled_once_and_replaces_the_python_sums(tmp_path):
+def test_probe_fit_is_compiled_once_and_replaces_the_closure_fit(tmp_path):
     # a shoot and a check of the min-time golden load the problem twice and
     # compile its probe fit once, keyed on the cost's tree and the probes'
     # floats, and p0 = -1 and p0 = 0 share it; neither shoot of the two
-    # shooting goldens enters the Python sums of the closure path
+    # shooting goldens, nor the check, fits H's values on the closure path
     grammar.compile_dynamics.cache_clear()
     grammar.parse_expression.cache_clear()
     built = []
@@ -441,11 +455,11 @@ def test_probe_fit_is_compiled_once_and_replaces_the_python_sums(tmp_path):
         built.append(args)
         return emit(*args)
 
-    def python_values(*args):
-        raise AssertionError("the closure path's Python sums ran")
+    def closure_fit(*args):
+        raise AssertionError("the closure path's fit ran")
 
     with mock.patch.object(grammar, "_probe_fit_code", counted), \
-            mock.patch.object(pmp, "_python_values", python_values):
+            mock.patch.object(pmp, "_fit_quadratic", closure_fit):
         problem = os.path.join(GOLDEN, "min_time_double_integrator", "problem.json")
         for command in ("shoot", "check"):
             assert cli.main([command, "--problem", problem, "--out", str(tmp_path / "di")]) == 0

@@ -5,12 +5,12 @@ on numpy arrays; the scalar rewrite must return the same u_star and value
 bits (NaN compared as NaN) and raise the same exception types, also at
 boxes with infinite, degenerate (-0.0 included), huge and tiny sides and
 at Hamiltonians that are inf or NaN.  Dense brute force checks the answers
-themselves on concave, linear, convex and non-quadratic H.  The vertex
-certified on Python sums is held to the array oracle where the switching
-function sits at the tolerance and p . f cancels, and the rounding bound
-of those sums to numpy's dot.  The generated probe fit of a grammar
-system is held to the Python sums and fit of the closure path bit for
-bit, signs of zero compared.
+themselves on concave, linear, convex and non-quadratic H.  The vertex is
+held to the array oracle where the switching function sits at the
+tolerance and p . f cancels, and the ordered sum of p . f to numpy's dot
+within a rounding bound.  The generated probe fit of a grammar system is
+held to the fit of the maximizer's H values bit for bit, signs of zero
+compared.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import maximize_hamiltonian_arrays
+from oracles import BOUND_CAP, dot_bound, maximize_hamiltonian_arrays
 from pmpkit import grammar, pmp, shooting
 from pmpkit.control_system import ControlSystem, ball, box, finite
 
@@ -390,7 +390,7 @@ def test_maximizer_reaches_brute_force_maximum(kind, k, shape, declared, seed):
     assert res.value >= best - tol
 
 
-# --- the Python sums and their rounding bound -------------------------------
+# --- the ordered sums and their rounding bound ------------------------------
 
 def _magnitudes(draw, exponents):
     """A float of either sign, |v| in [0.5, 1) times 10 to one of
@@ -404,10 +404,11 @@ def _magnitudes(draw, exponents):
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.data())
 def test_python_sum_is_within_its_bound_of_numpys_dot(data):
-    # the bound of `pmp._python_values` holds for any summation order, with
-    # or without fused multiply-adds, so a BLAS that sums p @ r in another
-    # order can cost fallbacks but never bits; with one product numpy's dot
-    # is 0.0 + p_0 r_0, the Python sum's own bits, signed zeros and
+    # H's ordered sum of p . r (`flows._dot`) lies within `dot_bound` of
+    # numpy's dot, which holds for any summation order, with or without
+    # fused multiply-adds, so every value that moved from numpy's dot to
+    # the ordered sum moved by at most that bound; with one product numpy's
+    # dot is 0.0 + p_0 r_0, the ordered sum's own bits, signed zeros and
     # subnormals included.  Entries run from 1e-300 to 1e300, or, so that
     # the products cancel and the two sums round apart, within a factor of
     # 100 of one power of ten
@@ -421,17 +422,20 @@ def test_python_sum_is_within_its_bound_of_numpys_dot(data):
     r = [_magnitudes(data.draw, exponents) for _ in range(m)]
     A = data.draw(st.sampled_from((0.0, -0.0, 1.0, -3.5e7))) if data.draw(
         st.booleans()) else _magnitudes(data.draw, exponents)
-    (_, (h,), (e,)) = pmp._python_values(p, None, [None], 1.0, lambda x, u: A, lambda x, u: r)
+    sys = ControlSystem(m=m, k=1, f=lambda x, u: np.array(r), control_set=box([0.0], [0.0]),
+                        F=lambda x, u: A)
+    h = pmp.hamiltonian(sys, 1.0, p, [0.0] * m, [0.0])
+    e = dot_bound(p, r, h)
     with np.errstate(all="ignore"):
         want = A + float(np.array(p) @ np.array(r))
     if m == 1:
         assert bits(h) == bits(want) and e == 0.0
-    elif e < pmp._BOUND_CAP:
+    elif e < BOUND_CAP:
         # a bound below the cap leaves every value finite
         assert math.isfinite(h) and math.isfinite(want) and abs(h - want) <= e
 
 
-# --- the certified vertex -------------------------------------------------
+# --- the vertex at the tolerance ---------------------------------------------
 
 SPECIALS = (0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1e300, INF, -INF, NAN)
 
@@ -444,7 +448,7 @@ def _draw_entry(draw, lo=-2.0, hi=2.0):
     return draw(st.floats(lo, hi))
 
 
-def _numpy_ztol(sys, p0, p, x):
+def _ztol(sys, p0, p, x):
     """ztol = FIT_TOL (1 + bmax + cmax) of the fit to H's own values."""
     probes = pmp._probes(sys.control_set)
     with np.errstate(all="ignore"):
@@ -454,12 +458,12 @@ def _numpy_ztol(sys, p0, p, x):
 
 
 @st.composite
-def certificate_cases(draw):
+def tolerance_cases(draw):
     """m = 2..4 states and k = 1..3 controls on a finite box, f and F of
     declared degree 1 or 2 in u, and p . f summed over terms that cancel:
     f_0 holds L u_0 and f_1 holds -L u_0, with p_0 = p_1 (u_0 = 0 at the
     centre, so only the probes off it along axis 0 carry them), so that
-    numpy's dot and the Python sum round apart by up to an ulp of L.
+    numpy's dot and the ordered sum round apart by up to an ulp of L.
 
     On one axis j the switching function b_j is placed from an ulp to half
     of ztol away from +ztol or -ztol of numpy's own fit ("near"), or
@@ -467,8 +471,9 @@ def certificate_cases(draw):
     and then signed zeros, subnormals, +-1e300, inf or NaN.  In "across",
     k >= 2 and the rest is clean: axis 0 carries a large b_0 and a
     cancellation small enough to keep |a_0| and the mixed entries within
-    ztol, so that ztol, which b_0 scales, differs between numpy and Python
-    by more than the bound of b_j on axis j >= 1, placed beside it."""
+    ztol, so that ztol, which b_0 scales, differs between numpy and the
+    ordered sum by more than the bound of b_j on axis j >= 1, placed
+    beside it."""
     mode = draw(st.sampled_from(("near", "near", "near_neg", "big_cost", "across", "across")))
     m = draw(st.integers(2, 4))
     k = draw(st.integers(2, 3)) if mode == "across" else draw(st.integers(1, 3))
@@ -489,9 +494,9 @@ def certificate_cases(draw):
         x, c, Fc, wF = [0.0] * m, np.zeros(m), 0.0, np.zeros(k)
         G = np.zeros((m, k))
         G[0, 0] = draw(st.sampled_from((1.0, 7.0, 300.0)))
-        # the largest bound of a probe off axis 0, about m 2^-49 q L delta_0,
-        # is one to four hundredths of ztol delta_0^2, so |a_0| and the
-        # mixed entries stay certified within ztol
+        # the largest `dot_bound` of a probe off axis 0, about m 2^-49 q L
+        # delta_0, is one to four hundredths of ztol delta_0^2, so |a_0| and
+        # the mixed entries stay within ztol
         L = draw(st.sampled_from((5e3, 1e4, 2e4))) * abs(q * G[0, 0]) * (half / 2) / (m * q)
         Qd[:, 0] = 0.0
     else:
@@ -516,11 +521,11 @@ def certificate_cases(draw):
     j = draw(st.integers(1, k - 1)) if mode == "across" else draw(st.integers(0, k - 1))
     i = draw(st.integers(0, m - 1))
     if mode != "big_cost" and math.isfinite(p[i]) and abs(p[i]) > 1e-300:
-        # numpy's ztol with b_j left out, then b_j placed beside it
+        # H's ztol with b_j left out, then b_j placed beside it
         G[:, j] = 0.0
-        ztol = _numpy_ztol(system(G), p0, p, x)
+        ztol = _ztol(system(G), p0, p, x)
         if math.isfinite(ztol):
-            # across, numpy's and Python's ztol part by about 2^-40
+            # across, numpy's dot and the ordered sum part ztol by about 2^-40
             lowest = (36, 50) if mode == "across" else (1, 53)
             rho = draw(st.sampled_from((0.0, 1.0, -1.0))) * 2.0 ** -draw(st.integers(*lowest))
             G[i, j] = (-1.0 if mode == "near_neg" else 1.0) * ztol * (1.0 + rho) / p[i]
@@ -528,12 +533,12 @@ def certificate_cases(draw):
 
 
 @settings(max_examples=800, deadline=None, derandomize=True)
-@given(certificate_cases())
-def test_certified_vertex_matches_array_maximizer_bit_for_bit(case):
-    # a vertex is decided on the Python sums only where no value within
-    # their rounding bounds could move it, ztol's own included; elsewhere
-    # numpy's values decide, so u_star and H(u_star) keep the array
-    # maximizer's bits
+@given(tolerance_cases())
+def test_vertex_at_the_tolerance_matches_array_maximizer_bit_for_bit(case):
+    # the switching function b_j within ulps of +-ztol, where the last bit
+    # of a sum decides the vertex: the maximizer decides on the ordered
+    # sums of H (`pmp.hamiltonian`), as the array maximizer does, so
+    # u_star and H(u_star) keep its bits
     sys, p0, p, x = case
     want = expected(sys, p0, p, x, (1e-3, 3))
     with refining_on(1e-3, 3):
@@ -631,16 +636,15 @@ def on_closures(sys):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(probe_fit_cases())
-def test_generated_probe_fit_matches_python_values_bit_for_bit(case):
-    # the generated probe values, bounds and fit are those of
-    # `_python_values` and `_fit_quadratic`, signs of zero included, and
-    # the maximizer that reads them returns the closure path's u_star and
-    # H(u_star)
+def test_generated_probe_fit_matches_the_fit_of_h_bit_for_bit(case):
+    # the generated probe fit is `_fit_quadratic` of the values of the H
+    # the maximizer binds, signs of zero included, and the maximizer that
+    # reads it returns the closure path's u_star and H(u_star)
     sys, p0, p, x = case
     probes = pmp._probes(sys.control_set)
     probe_fit = sys.f.probe_fit(sys.F, probes.points, probes.axes, probes.pairs)
-    assert probe_fit is not None and probes.certificate is not None
-    _, values, bounds = pmp._python_values(p, x, probes.points, p0, sys._cost, sys._rate)
-    want = pmp._fit_quadratic(values, probes, pmp.FIT_TOL), bounds
+    assert probe_fit is not None and probes.plain_divisors
+    H = pmp._maximizer(on_closures(sys), p0)(p, x)[1]
+    want = pmp._fit_quadratic([H(u) for u in probes.points], probes, pmp.FIT_TOL)
     assert exact_bits(probe_fit(p, x, p0)) == exact_bits(want)
     assert bound_outcome(sys, p0, p, x) == bound_outcome(on_closures(sys), p0, p, x)

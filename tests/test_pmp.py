@@ -1,7 +1,10 @@
+import dataclasses
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmpkit.control_system import (
     _event_path,
@@ -512,3 +515,53 @@ class TestClassify:
         with pytest.raises(ValueError):
             perturbations.classify_extremal(extend(sys), traj,
                                             pmp.BoundarySpec(mode="fixed_time"))
+
+
+def abnormal_stage(sys, switch):
+    """(p_b as bytes, feasible, reason) of the p0 = 0 attempt of
+    `classify_extremal` on u = +1 then -1 from switch on [0, 2], fixed
+    time, the abnormal lifts of `TestClassify.test_abnormal_lift_at_any_switch`."""
+    u = ControlSignal(0.0, 2.0, (switch,), ((1.0,), (-1.0,)))
+    traj = simulate(sys, u, np.zeros(2), IntegratorConfig(step=0.01))
+    res = perturbations.classify_extremal(sys, traj, pmp.BoundarySpec(mode="fixed_time"))
+    (att,) = [a for a in res.attempts if a["p0"] == 0.0]
+    p_b = None if att["p_b"] is None else np.array(att["p_b"]).tobytes()
+    return p_b, bool(att["feasible"]), att["reason"]
+
+
+@functools.lru_cache(maxsize=None)
+def costless_abnormal_stage(switch):
+    sys = double_integrator()
+    return abnormal_stage(dataclasses.replace(sys, F=None, dF_dx=None), switch)
+
+
+@st.composite
+def costs(draw):
+    """(F, dF_dx) of a cost of the double integrator: none, a constant, a
+    function of the state, or one curved in u, with random coefficients;
+    dF_dx is None now and then, so central differences stand in."""
+    kind = draw(st.sampled_from(("none", "constant", "state", "curved")))
+    a, b, c = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    if kind == "none":
+        return None, None
+    if kind == "constant":
+        return (lambda x, u: a), (lambda x, u: np.zeros(2))
+    if kind == "state":
+        F, dF = (lambda x, u: float(a + b * x[0] ** 2 + c * np.sin(x[1])),
+                 lambda x, u: np.array([2.0 * b * x[0], c * np.cos(x[1])]))
+    else:
+        F, dF = (lambda x, u: float(a * u[0] + b * u[0] ** 2 + c * x[0] * u[0]),
+                 lambda x, u: np.array([c * u[0], 0.0]))
+    return F, draw(st.sampled_from((dF, None)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(switch=st.one_of(st.sampled_from((0.7, 0.37)), st.floats(0.1, 1.9)), cost=costs())
+def test_abnormal_stage_is_bit_identical_for_every_cost(switch, cost):
+    # the abnormal lifts of the double integrator at any switch time, 0.7
+    # and 0.37 among them: the abnormal stage reads only the state parts of
+    # the generators and H with p0 = 0, so its candidate, its verdict and
+    # its reason are those of the system without a cost, bit for bit
+    F, dF = cost
+    sys = dataclasses.replace(double_integrator(), F=F, dF_dx=dF)
+    assert abnormal_stage(sys, switch) == costless_abnormal_stage(switch)

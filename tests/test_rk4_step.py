@@ -10,11 +10,9 @@ second RK4 step exists beside it, that only three loops and the one step
 that linearizes its stages call it, and that it makes no numpy call; that
 the adjoint interpolates no state; that only the rank rule calls numpy's
 SVD; that the Hamiltonian maximizer has one implementation, which
-shooting and `check_pmp` bind once; that its fit reads values, while
-numpy's dot of p with a rate is taken only where H's bits are needed; and
-that the Python sums of its probe values and their rounding bound are
-written only in `pmp._python_values` and in the grammar's emitter of the
-generated probe fit.
+shooting and `check_pmp` bind once, and whose fit reads values; that no
+numpy product pairs a covector with a rate or a Jacobian; and that the
+ordered sum of those pairings is written once, in `flows._dot`.
 """
 
 import ast
@@ -308,30 +306,12 @@ def _innermost(top):
                   for child in ast.iter_child_nodes(node)]
 
 
-def test_maximizer_fits_values_and_dots_p_with_a_rate_in_three_places():
-    # the quadratic fit, the Python sums with their rounding bound and the
-    # certified vertex run only in the bound maximizer, and the fit reads
-    # values: it evaluates H only at the three probes that verify it.
-    # numpy's dot of p with a rate, whose bits H has, is taken only by
-    # `hamiltonian`, by the H the maximizer binds and by the maximizer's
-    # fallback values, which read the rates its Python sums were made of
-    calls, dots = set(), set()
-    for name, top in _top_functions():
-        for node, where in _innermost(top):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
-                    "_fit_quadratic", "_python_values", "_certified_vertex"):
-                calls.add((name, top.name, node.func.id))
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                # p . something, or anything . a rate
-                if (isinstance(node.left, ast.Name) and node.left.id in ("p", "pa")) or any(
-                        _calls(o, rate) for o in (node.left, node.right)
-                        for rate in ("rate", "_rate", "dynamics")):
-                    dots.add((name, where, ast.unparse(node)))
-    assert calls == {("pmp.py", "_maximizer", fn)
-                     for fn in ("_fit_quadratic", "_python_values", "_certified_vertex")}
-    assert dots == {("pmp.py", "hamiltonian", "p @ sys.dynamics(x, u)"),
-                    ("pmp.py", "H", "pa @ np.array(rate(x, u))"),
-                    ("pmp.py", "maximize", "pa @ np.array(r)")}
+def test_maximizer_fits_values_once():
+    # the quadratic fit runs only in the bound maximizer, and it reads
+    # values: it evaluates H only at the three probes that verify it
+    calls = {(name, top.name) for name, top in _top_functions() for node in ast.walk(top)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fit_quadratic"}
+    assert calls == {("pmp.py", "_maximizer")}
     fit = next(top for name, top in _top_functions()
                if name == "pmp.py" and getattr(top, "name", None) == "_fit_quadratic")
     evaluations = [ast.unparse(node) for node in ast.walk(fit)
@@ -339,33 +319,93 @@ def test_maximizer_fits_values_and_dots_p_with_a_rate_in_three_places():
     assert evaluations == ["H(probe)"]
 
 
-def _bound_factor(node):
-    """2.0 ** -50 or 2.0 ** -1071: the per-term and underflow factors of the
-    probe sum's rounding bound."""
-    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
-            and ast.unparse(node) in ("2.0 ** (-50)", "2.0 ** (-1071)"))
+def _products(top):
+    """(innermost function, text) of each numpy product under top: an `@`,
+    or a call of dot, einsum, vecdot, inner or matmul."""
+    for node, where in _innermost(top):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+            yield where, ast.unparse(node)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                "dot", "einsum", "vecdot", "inner", "matmul"):
+            yield where, ast.unparse(node)
 
 
-def _sums_magnitudes(node):
-    """t += |v|, the sum of the probe products' magnitudes, written in Python
-    or as the generated code's addition of `_abs`."""
-    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-        return isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "abs"
-    return isinstance(node, ast.Call) and any(
-        _calls(arg, "_apply") and "'_abs'" in ast.unparse(arg) for arg in node.args) and any(
-        ast.unparse(arg) == "ast.Add" for arg in node.args)
+def test_no_numpy_product_pairs_a_covector_with_a_rate_or_a_jacobian():
+    # the Hamiltonian, the costate rate, the lifts, shooting's coupled
+    # field and check_pmp's pairings all take `flows._dot`, so their bits
+    # depend on no BLAS.  The numpy products left in pmp, shooting and flows
+    # pair no covector with a rate or a Jacobian: the fit's verification
+    # model (its gradient and Hessian with a control offset), and
+    # shooting's residual (a state mismatch projected on a complement, and
+    # the transversality of p with the tangent vectors of a boundary)
+    found = {(name, where, text) for name, top in _top_functions()
+             if name in ("pmp.py", "shooting.py", "flows.py") for where, text in _products(top)}
+    assert found == {
+        ("pmp.py", "model", "bv @ d"), ("pmp.py", "model", "0.5 * d @ A"),
+        ("pmp.py", "model", "0.5 * d @ A @ d"),
+        ("shooting.py", "_residual", "comp.T @ (prop.x_b - problem.x_b)"),
+        ("shooting.py", "_residual", "prop.p_b @ np.asarray(w, float)"),
+        ("shooting.py", "_residual", "p_a @ np.asarray(w, float)"),
+    }
 
 
-def test_probe_sum_and_its_bound_are_written_twice():
-    # the Python sums of p . f with their rounding bound are written by
-    # the closure path's `_python_values` and by the grammar's emitter of
-    # the generated probe fit, and nowhere else
-    writers = {"factor": set(), "sum": set()}
-    for name, top in _top_functions():
-        for node, where in _innermost(top):
-            if _bound_factor(node):
-                writers["factor"].add((name, where))
-            if _sums_magnitudes(node):
-                writers["sum"].add((name, where))
-    both = {("pmp.py", "_python_values"), ("grammar.py", "_probe_fit_code")}
-    assert writers == {"factor": both, "sum": both}
+def _sums_products(node):
+    """Whether node adds up products: s += a * b into a name, or s += v for
+    v over a map of a multiplication; a sum, fsum,
+    sumprod or reduce of products, or of a sequence of them; or the
+    grammar's emission of an addition of an emitted product, or of a local
+    holding one."""
+    def product(n):
+        if isinstance(n, (ast.GeneratorExp, ast.ListComp)):
+            n = n.elt
+        return isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+
+    def emitted_product(n):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "local" and n.args:
+            n = n.args[0]
+        return (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_op"
+                and "ast.Mult" in map(ast.unparse, n.args))
+
+    def accumulates(n):
+        return (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
+                and isinstance(n.target, ast.Name))
+
+    if accumulates(node):
+        return product(node.value)
+    if isinstance(node, ast.For):
+        return any(getattr(n, "attr", getattr(n, "id", None)) == "mul"
+                   for n in ast.walk(node.iter)) and any(map(accumulates, node.body))
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    if name in ("sum", "fsum", "sumprod", "reduce"):
+        return any(map(product, node.args)) or name == "sumprod"
+    return (name == "_op" and "ast.Add" in map(ast.unparse, node.args)
+            and any(map(emitted_product, node.args)))
+
+
+def test_ordered_sum_is_written_once():
+    # every pairing of a covector with a rate, a Jacobian column or a
+    # tangent vector is `flows._dot`, run on floats or, by the grammar, on
+    # symbolic values: no other function of the package adds up products,
+    # and _dot uses no builtin sum (compensated from Python 3.12 on), fsum
+    # or sumprod (extended-precision)
+    writers = {(name, where) for name, top in _top_functions()
+               for node, where in _innermost(top) if _sums_products(node)}
+    assert writers == {("flows.py", "_dot")}
+    dot = next(top for name, top in _top_functions()
+               if name == "flows.py" and getattr(top, "name", None) == "_dot")
+    assert not [node for node in ast.walk(dot) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("sum", "fsum", "sumprod")]
+
+
+def test_guards_see_the_forms_they_forbid():
+    # the scans are not vacuous: they see a numpy pairing of p with a rate
+    # and the old Python and generated forms of the ordered sum
+    top = ast.parse("def H(u):\n    return float(pa @ np.array(rate(x, u)))\n").body[0]
+    assert list(_products(top)) == [("H", "pa @ np.array(rate(x, u))")]
+    for source in ("s = 0.0\nfor v in map(operator.mul, p, r):\n    s += v",
+                   "q = sum((J[k] * p[k] for k in range(m)), 0.0)",
+                   "s = local(_op(s, ast.Add, local(_op(_name(pi), ast.Mult, f))))"):
+        assert any(map(_sums_products, ast.walk(ast.parse(source)))), source
