@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import BUILTINS_ARRAYS, coupled_rhs_arrays, propagate_arrays
+from oracles import BUILTINS_ARRAYS, coupled_rhs_arrays, ordered_dot, propagate_arrays
 from pmpkit import cli, grammar, pmp, shooting
 from pmpkit.control_system import (ControlSignal, ControlSystem, box, extend, signal_field,
                                    simulate)
@@ -242,6 +242,27 @@ def test_coupled_rhs_on_lists_matches_array_form(case):
     want = outcome(coupled_rhs_arrays(sys, p0, u), 0.0, np.array(y))
     stage, _ = fallback_field(sys, p0)
     assert outcome(stage, y, u.tolist(), -p0) == want
+
+
+ragged = st.integers(-2 ** 53, 2 ** 53).map(lambda n: n * 2.0 ** -51)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(
+    st.lists(ragged, min_size=m * m, max_size=m * m), st.lists(ragged, min_size=m, max_size=m),
+    st.integers(1, 3).flatmap(lambda r: st.tuples(
+        st.lists(ragged, min_size=r, max_size=r),
+        st.lists(ragged, min_size=m * r, max_size=m * r))))))
+def test_costate_rate_sums_each_column_in_order(case):
+    # dense Jacobians with 53-bit mantissas, where the order of the sum
+    # shows in its last bits: c_j g_i - (J^T p_j)_i with each (J^T p_j)_i
+    # an ordered sum from 0.0, as the oracle folds it
+    J, g, (c, p) = case
+    m = len(g)
+    JT = np.array(J).reshape(m, m).T
+    want = [g[i] * c[j] - ordered_dot(JT[i], p[j * m:j * m + m])
+            for j in range(len(c)) for i in range(m)]
+    assert bits(pmp._costate_rate(J, g, c, p)) == bits(want)
 
 
 def propagation_problems():

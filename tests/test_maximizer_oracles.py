@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import BOUND_CAP, dot_bound, maximize_hamiltonian_arrays
+from oracles import BOUND_CAP, dot_bound, maximize_hamiltonian_arrays, ordered_dot
 from pmpkit import grammar, pmp, shooting
 from pmpkit.control_system import ControlSystem, ball, box, finite
 
@@ -425,6 +425,7 @@ def test_python_sum_is_within_its_bound_of_numpys_dot(data):
     sys = ControlSystem(m=m, k=1, f=lambda x, u: np.array(r), control_set=box([0.0], [0.0]),
                         F=lambda x, u: A)
     h = pmp.hamiltonian(sys, 1.0, p, [0.0] * m, [0.0])
+    assert bits(h) == bits(A + ordered_dot(p, r))
     e = dot_bound(p, r, h)
     with np.errstate(all="ignore"):
         want = A + float(np.array(p) @ np.array(r))

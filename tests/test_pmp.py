@@ -78,6 +78,10 @@ class TestHamiltonian:
         sys = double_integrator()
         with pytest.raises(ValueError):
             pmp.hamiltonian(sys, -1.0, (1.0,), (0.0, 3.0), 0.5)
+        # a rate of the wrong length is refused, not cut short by the sum
+        sys = dataclasses.replace(sys, f=lambda x, u: np.array([x[1], u[0], 1.0]))
+        with pytest.raises(ValueError):
+            pmp.hamiltonian(sys, -1.0, (1.0, 2.0), (0.0, 3.0), 0.5)
 
 
 class TestMaximize:
