@@ -174,15 +174,16 @@ def rk4_step(f, t, y, h, k1):
 
 
 def _dot(a, b):
-    """The pairing of two sequences of floats, their products added in order
-    to 0.0: ((0.0 + a_0 b_0) + a_1 b_1) + ...  It is the package's one rule
-    for pairing a covector with a rate, a Jacobian column or a tangent
-    vector, so no result depends on the BLAS numpy was built with; the
-    grammar runs it on symbolic operands to write the same sums into
-    generated code.  (The builtin sum and math.fsum are compensated from
-    Python 3.12 on, and math.sumprod is extended-precision.)"""
+    """((0.0 + a_0 b_0) + a_1 b_1) + ... on Python floats: the package's one
+    rule for pairing a covector with a rate, a Jacobian column or a tangent
+    vector, so no result depends on numpy's BLAS; the grammar runs it on
+    symbolic operands to write the same sums.  Not `sum`, `math.fsum` or
+    `math.sumprod`, which compensate or extend precision from Python 3.12.
+    Sequences of different lengths raise, as numpy's product did."""
+    if len(a) != len(b):
+        raise ValueError(f"pairing of {len(a)} with {len(b)} entries")
     s = 0.0
-    for ai, bi in zip(a, b, strict=True):
+    for ai, bi in zip(a, b):
         s += ai * bi
     return s
 

@@ -282,8 +282,8 @@ def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
     if H is None:
         return b, a, mixed, bmax, cmax, off
 
-    # numpy's dot may fuse a multiply and an add, so the model is
-    # evaluated by the same dot products it was fitted for
+    # the model's numpy products pair no covector with a rate; they keep
+    # the bits of the array form of this test
     bv, A = np.array(b), _matrix(a, mixed)
 
     def model(d):
