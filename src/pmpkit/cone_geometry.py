@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._simplex import DEFAULT_TOL, solve_standard
+from ._simplex import DEFAULT_TOL, solve_stack, solve_standard
 
 
 class ConeCertificateError(RuntimeError):
@@ -69,46 +69,65 @@ def null_space(rows, m):
     return Vt[rank:].T
 
 
+def _generator_rows(gens, n):
+    """(G, n, good): the generators as the rows of a float array G, the
+    dimension, and the count of leading generators of shape (n,), which
+    are G's rows.  A list that numpy cannot stack into rows is converted
+    one generator at a time, each as np.atleast_1d makes it."""
+    try:
+        G = np.array(gens, dtype=float) if len(gens) else np.zeros((0, n))
+    except (ValueError, TypeError):
+        G = None
+    if G is not None and G.ndim in (1, 2):
+        G = G.reshape(len(G), -1) if G.ndim == 1 else G
+        n = n or G.shape[1]
+        return G, n, len(G) if G.shape[1] == n else 0
+    rows = [np.atleast_1d(np.asarray(g, dtype=float)) for g in gens]
+    n = n or len(rows[0])
+    good = next((i for i, g in enumerate(rows) if g.shape != (n,)), len(rows))
+    return np.array(rows[:good]).reshape(good, n), n, good
+
+
 @dataclass
 class GeneratedCone:
     """Finitely generated convex cone { sum lam_i g_i : lam_i >= 0 } in R^n.
 
     Exact-zero and exact-duplicate generators are dropped on construction,
     and `kept` lists the input indices of the generators that remain; an
-    empty generator list represents the cone {0}.
+    empty generator list represents the cone {0}.  The generators are the
+    read-only rows of one array, and `matrix` holds them as columns.
     """
 
     generators: list = field(default_factory=list)
     n: int = 0
     kept: tuple = field(init=False, repr=False, compare=False)
+    _matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gens = [np.atleast_1d(np.asarray(g, dtype=float)) for g in self.generators]
-        if self.n == 0:
-            if not gens:
-                raise ValueError("dimension required for a cone with no generators")
-            self.n = len(gens[0])
-        cleaned, kept, seen = [], [], set()
-        for i, g in enumerate(gens):
-            if g.shape != (self.n,):
-                raise ValueError("dimension mismatch in generator list")
-            if not np.all(np.isfinite(g)):
-                raise ValueError("non-finite generator")
-            key = (g + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0: equal values, equal keys
-            if not g.any() or key in seen:
-                continue
-            seen.add(key)
-            cleaned.append(g)
-            kept.append(i)
-        self.generators = cleaned
-        self.kept = tuple(kept)
+        if self.n == 0 and not len(self.generators):
+            raise ValueError("dimension required for a cone with no generators")
+        G, self.n, good = _generator_rows(self.generators, self.n)
+        # the first bad generator in index order names the fault
+        if not np.isfinite(G).all():
+            raise ValueError("non-finite generator")
+        if good < len(self.generators):
+            raise ValueError("dimension mismatch in generator list")
+        kept = np.flatnonzero(G.any(axis=1))
+        if kept.size > 1:
+            # + 0.0 maps -0.0 to 0.0: equal values, equal bytes
+            key = np.ascontiguousarray(G[kept] + 0.0).view(np.dtype((np.void, 8 * self.n)))
+            kept = kept[np.sort(np.unique(key[:, 0], return_index=True)[1])]
+        rows = G[kept]
+        rows.flags.writeable = False
+        self.generators = list(rows)
+        self.kept = tuple(kept.tolist())
+        self._matrix = np.ascontiguousarray(rows.T)
+        self._matrix.flags.writeable = False
 
     @property
     def matrix(self):
-        """Generators as columns, shape (n, len(generators))."""
-        if not self.generators:
-            return np.zeros((self.n, 0))
-        return np.column_stack(self.generators)
+        """Generators as columns, shape (n, len(generators)); read-only."""
+        return self._matrix
 
     def span_basis(self):
         """Orthonormal basis of span(generators), shape (n, rank)."""
@@ -133,20 +152,41 @@ def _check_dim(cone, v):
     return v
 
 
-def _residual_lp(W, v, tol):
-    """min sum(s+ + s-) subject to W lam + s+ - s- = v, all variables >= 0.
+def _residual_fan(W, V, tol):
+    """Yield, for each row v of V in order, the optimum of
+    min sum(s+ + s-) subject to W lam + s+ - s- = v, all variables >= 0.
 
     The value is the L1 distance from v to cone(W).  The row duals alpha
     solve the Farkas dual, max v.alpha subject to alpha.g <= 0 for every
-    generator and |alpha_i| <= 1.
+    generator and |alpha_i| <= 1.  The LPs differ only in v and are solved
+    in lockstep (solve_stack).
     """
     m, ng = W.shape
     A = np.hstack([W, np.eye(m), -np.eye(m)])
     c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
-    res = solve_standard(c, A, v, tol=min(tol, 1e-10))
-    if not res.ok:  # pragma: no cover - the slack formulation is always feasible
-        raise ConeCertificateError("membership LP returned " + res.status)
-    return res
+    for res in solve_stack(c, A, V, tol=min(tol, 1e-10)):
+        if not res.ok:  # pragma: no cover - the slack formulation is always feasible
+            raise ConeCertificateError("membership LP returned " + res.status)
+        yield res
+
+
+def _residual_lp(W, v, tol):
+    """The residual LP of v against cone(W) alone (see _residual_fan)."""
+    return next(_residual_fan(W, v, tol))
+
+
+def _fan(k):
+    """Direction index and sign of each LP of a +-fan over k directions, in
+    the order +d_0, -d_0, +d_1, -d_1, ..."""
+    return np.arange(2 * k) // 2, np.tile((1.0, -1.0), k)
+
+
+def _pm_axes(n):
+    """+e_0, -e_0, +e_1, ... in R^n, as rows."""
+    j, sgn = _fan(n)
+    E = np.zeros((2 * n, n))
+    E[np.arange(2 * n), j] = sgn
+    return E
 
 
 def _positive_lp(M, rhs, tol):
@@ -214,10 +254,10 @@ def conic_membership(cone, v, tol=DEFAULT_TOL):
     if cone_residual(cone, v, tol) > tol:
         return "outside"
     Q = cone.span_basis()
-    for j in range(Q.shape[1]):
-        for sgn in (1.0, -1.0):
-            if cone_residual(cone, v + sgn * tol * Q[:, j], tol) > 0.5 * tol:
-                return "boundary"
+    j, sgn = _fan(Q.shape[1])
+    for res in _residual_fan(cone.matrix, v + sgn[:, None] * tol * Q.T[j], tol):
+        if max(res.value, 0.0) > 0.5 * tol:
+            return "boundary"
     return "interior"
 
 
@@ -243,26 +283,25 @@ def membership_margin(cone, v, tol=DEFAULT_TOL):
     W = cone.matrix
     ng = W.shape[1]
     # variables (lam, r, s): Q^T W lam - r Q^T d = Q^T v and r + s = cap
-    A = np.zeros((k + 1, ng + 2))
-    A[:k, :ng] = Q.T @ W
-    A[k, ng:] = 1.0
+    # one LP per direction, in the order +q_0, -q_0, +q_1, ...
+    j, sgn = _fan(k)
+    A = np.zeros((2 * k, k + 1, ng + 2))
+    A[:, :k, :ng] = Q.T @ W
+    A[np.arange(2 * k), j, ng] = -sgn
+    A[:, k, ng:] = 1.0
     b = np.append(Q.T @ v, cap)
     c = np.zeros(ng + 2)
     c[ng] = -1.0
     out = np.inf
-    for j in range(k):
-        for sgn in (1.0, -1.0):
-            A[j, ng] = -sgn
-            res = solve_standard(c, A, b, tol=min(tol, 1e-10))
-            A[j, ng] = 0.0
-            if not res.ok:
-                return 0.0  # v lies on the relative boundary within tol
-            lam, r = res.x[:ng], res.x[ng]
-            miss = np.abs(W @ lam - r * sgn * Q[:, j] - Q @ b[:k]).sum()
-            if not miss <= tol:
-                raise ConeCertificateError(
-                    "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
-            out = min(out, r)
+    for i, res in enumerate(solve_stack(c, A, b, tol=min(tol, 1e-10))):
+        if not res.ok:
+            return 0.0  # v lies on the relative boundary within tol
+        lam, r = res.x[:ng], res.x[ng]
+        miss = np.abs(W @ lam - r * sgn[i] * Q[:, j[i]] - Q @ b[:k]).sum()
+        if not miss <= tol:
+            raise ConeCertificateError(
+                "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
+        out = min(out, r)
     return out
 
 
@@ -309,13 +348,9 @@ def supporting_hyperplane(cone, tol=DEFAULT_TOL):
     if rank < cone.n:
         return _checked_hyperplane(W, U[:, rank], tol)
     unit = W / np.linalg.norm(W, axis=0)
-    for j in range(cone.n):
-        for sgn in (1.0, -1.0):
-            z = np.zeros(cone.n)
-            z[j] = sgn
-            res = _residual_lp(unit, z, tol)
-            if res.value > max(tol, 1e-8):
-                return _checked_hyperplane(W, res.y, tol)
+    for res in _residual_fan(unit, _pm_axes(cone.n), tol):
+        if res.value > max(tol, 1e-8):
+            return _checked_hyperplane(W, res.y, tol)
     return None
 
 
@@ -333,7 +368,7 @@ def separate(c1, c2, tol=DEFAULT_TOL):
     if c1.n != c2.n:
         raise ValueError("dimension mismatch")
     n = c1.n
-    diff = GeneratedCone(list(c1.generators) + [-g for g in c2.generators], n)
+    diff = GeneratedCone(np.vstack((c1.matrix.T, -c2.matrix.T)), n)
     alpha = supporting_hyperplane(diff, tol)
     if alpha is not None:
         return SeparationResult(True, hyperplane=alpha)
@@ -359,17 +394,8 @@ def difference_spans(c1, c2, tol=DEFAULT_TOL):
     if c1.n != c2.n:
         raise ValueError("dimension mismatch")
     n = c1.n
-    diff = GeneratedCone(list(c1.generators) + [-g for g in c2.generators], n)
-    spans = True
-    for j in range(n):
-        for sgn in (1.0, -1.0):
-            e = np.zeros(n)
-            e[j] = sgn
-            if cone_residual(diff, e, tol) > tol:
-                spans = False
-                break
-        if not spans:
-            break
+    diff = GeneratedCone(np.vstack((c1.matrix.T, -c2.matrix.T)), n)
+    spans = all(max(res.value, 0.0) <= tol for res in _residual_fan(diff.matrix, _pm_axes(n), tol))
     sep = separate(c1, c2, tol).separated
     if spans == sep:
         raise RuntimeError("difference_spans cross-check failed: spans=%s separated=%s"

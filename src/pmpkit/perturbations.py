@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._simplex import DEFAULT_TOL, solve_standard
+from ._simplex import DEFAULT_TOL, solve_stack, solve_standard
 from .cone_geometry import (
     BoundaryConditionError,
     ConeCertificateError,
@@ -452,9 +452,9 @@ def _spanning_margin(cone) -> float:
     ball of radius r = 1 / (sqrt(n) max L_j) about 0 lies in their hull.
     Each combination is checked; ConeCertificateError is raised otherwise."""
     unit = cone.matrix / np.linalg.norm(cone.matrix, axis=0)
+    Z = np.vstack((np.eye(cone.n), -np.eye(cone.n)))
     most = 0.0
-    for z in np.vstack((np.eye(cone.n), -np.eye(cone.n))):
-        res = solve_standard(np.ones(unit.shape[1]), unit, z)
+    for z, res in zip(Z, solve_stack(np.ones(unit.shape[1]), unit, Z)):
         if not res.ok:
             return 0.0
         miss = float(np.abs(unit @ res.x - z).sum())

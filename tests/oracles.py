@@ -17,6 +17,9 @@ form of a package routine as its reference:
   rounding;
 - `membership_margin_bisect`, the bisection form of
   `cone_geometry.membership_margin`;
+- `generated_cone_loop`, the loop over generators that
+  `GeneratedCone.__post_init__` replaced by one pass over a 2-D array
+  (same generators, `kept` and errors);
 - `grammar_tree_function` and `grammar_tree_array`, the closure-tree
   interpreter that the expression grammar's generated functions replaced
   (bit for bit);
@@ -207,6 +210,29 @@ def facet_margin(G, v, Q, cap, eps=1e-10):
             if np.any(leaving):
                 out = min(out, float(np.min(slack[leaving] / -rate[leaving])))
     return out
+
+
+def generated_cone_loop(generators, n=0):
+    """GeneratedCone's cleaning as it stood, one generator at a time:
+    (generators, n, kept), or raises the ValueError it raised."""
+    gens = [np.atleast_1d(np.asarray(g, dtype=float)) for g in generators]
+    if n == 0:
+        if not gens:
+            raise ValueError("dimension required for a cone with no generators")
+        n = len(gens[0])
+    cleaned, kept, seen = [], [], set()
+    for i, g in enumerate(gens):
+        if g.shape != (n,):
+            raise ValueError("dimension mismatch in generator list")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite generator")
+        key = (g + 0.0).tobytes()  # + 0.0 maps -0.0 to 0.0: equal values, equal keys
+        if not g.any() or key in seen:
+            continue
+        seen.add(key)
+        cleaned.append(g)
+        kept.append(i)
+    return cleaned, n, tuple(kept)
 
 
 def membership_margin_bisect(cone, v, tol=1e-9, cap=None):

@@ -724,15 +724,18 @@ class TestConesAndReach:
     def test_failed_cone_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
         from pmpkit import cone_geometry
 
-        solve = cone_geometry.solve_standard
+        solve, stack = cone_geometry.solve_standard, cone_geometry.solve_stack
 
-        def damaged(*args, **kwargs):
-            res = solve(*args, **kwargs)
+        def damaged(res):
             if res.ok:
                 res.x = res.x + 1e-3
             return res
 
-        monkeypatch.setattr(cone_geometry, "solve_standard", damaged)
+        # the margin LPs come from solve_stack, one fan per query
+        monkeypatch.setattr(cone_geometry, "solve_standard",
+                            lambda *a, **k: damaged(solve(*a, **k)))
+        monkeypatch.setattr(cone_geometry, "solve_stack",
+                            lambda *a, **k: map(damaged, stack(*a, **k)))
         path = os.path.join(os.path.dirname(__file__), "golden", "pendulum_flow_sample",
                             "problem.json")
         assert cli.main(["cones", "--problem", path, "--out", str(tmp_path / "o")]) == 3

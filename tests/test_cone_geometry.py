@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pmpkit.cone_geometry import (
     BoundaryConditionError,
@@ -18,7 +19,7 @@ from pmpkit.cone_geometry import (
     unit_directions,
 )
 
-from oracles import membership_2d, separated_2d, separated_3d
+from oracles import generated_cone_loop, membership_2d, separated_2d, separated_3d
 
 
 def cone(*gens, n=None):
@@ -56,6 +57,61 @@ class TestMembership:
     def test_zero_and_duplicate_generators_normalized(self):
         c = GeneratedCone([np.zeros(2), np.array([1.0, 0.0]), np.array([1.0, 0.0])], 2)
         assert len(c.generators) == 1
+
+
+@st.composite
+def generator_lists(draw):
+    """(generators, n) that exercise GeneratedCone's cleaning: zeros of
+    either sign, exact duplicates, duplicates up to the sign of a zero,
+    non-finite entries, wrong lengths, scalars and plain lists, in any
+    order; n is 0 (taken from the first generator) or the dimension."""
+    n = draw(st.integers(1, 4))
+    entry = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5, -0.5))
+    gens = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(("array", "array", "list", "zero", "copy", "flip_zero",
+                                     "nonfinite", "short", "long", "scalar")))
+        if kind in ("copy", "flip_zero") and gens:
+            g = np.array(gens[draw(st.integers(0, len(gens) - 1))], dtype=float)
+            if kind == "flip_zero":
+                g[g == 0.0] = -g[g == 0.0]
+        elif kind == "zero":
+            g = draw(st.sampled_from((1.0, -1.0))) * np.zeros(n)
+        elif kind == "nonfinite":
+            g = np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+            g[draw(st.integers(0, n - 1))] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+        elif kind in ("short", "long"):
+            g = np.array(draw(st.lists(entry, min_size=n + (1 if kind == "long" else -1),
+                                       max_size=n + (1 if kind == "long" else -1))))
+        elif kind == "scalar":
+            g = draw(entry)
+        else:
+            g = draw(st.lists(entry, min_size=n, max_size=n))
+            g = g if kind == "list" else np.array(g)
+        gens.append(g)
+    return gens, draw(st.sampled_from((0, n)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(generator_lists())
+def test_generated_cone_cleans_as_the_loop_did(case):
+    gens, n = case
+    try:
+        cleaned, dim, kept = generated_cone_loop(gens, n)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            GeneratedCone(gens, n)
+        assert str(got.value) == str(err)
+        return
+    c = GeneratedCone(gens, n)
+    assert (c.n, c.kept) == (dim, kept)
+    def rows(gens):
+        return [(g.shape, g.tobytes()) for g in gens]
+
+    assert rows(c.generators) == rows(cleaned)
+    W = np.column_stack(cleaned) if cleaned else np.zeros((dim, 0))
+    assert c.matrix.shape == W.shape and c.matrix.tobytes() == W.tobytes()
+    assert c.matrix.flags.c_contiguous and not c.matrix.flags.writeable
 
 
 def in_polar(c, alpha, tol=1e-9):

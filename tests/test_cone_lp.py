@@ -115,17 +115,18 @@ def test_margin_is_exact_on_the_quadrant():
 # ---------------------------------------------------------------------------
 # a damaged LP answer is never returned
 
-def damaged(field, delta):
-    """solve_standard with `delta` added to the result's x or y."""
-    solve = cone_geometry.solve_standard
+def damage(patch, field, delta):
+    """Add `delta` to the x or y of every optimum that cone_geometry gets
+    from solve_standard, for a single LP, or from solve_stack, for a fan."""
+    solve, stack = cone_geometry.solve_standard, cone_geometry.solve_stack
 
-    def wrapper(*args, **kwargs):
-        res = solve(*args, **kwargs)
+    def hurt(res):
         if res.ok:
             setattr(res, field, getattr(res, field) + delta)
         return res
 
-    return wrapper
+    patch.setattr(cone_geometry, "solve_standard", lambda *a, **k: hurt(solve(*a, **k)))
+    patch.setattr(cone_geometry, "solve_stack", lambda *a, **k: map(hurt, stack(*a, **k)))
 
 
 QUAD = GeneratedCone([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
@@ -134,7 +135,7 @@ QUAD = GeneratedCone([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
 def test_damaged_hyperplane_rejected(monkeypatch):
     good = supporting_hyperplane(QUAD)
     assert np.max(QUAD.matrix.T @ good) <= 1e-12
-    monkeypatch.setattr(cone_geometry, "solve_standard", damaged("y", 1e-3))
+    damage(monkeypatch, "y", 1e-3)
     with pytest.raises(ConeCertificateError, match="hyperplane"):
         supporting_hyperplane(QUAD)
 
@@ -144,7 +145,7 @@ def test_damaged_positive_combination_rejected(monkeypatch):
     lam, t = positive_combination(QUAD, v)
     assert t > 0 and np.array_equal(QUAD.matrix @ lam, v)
     with monkeypatch.context() as patch:
-        patch.setattr(cone_geometry, "solve_standard", damaged("x", 1e-3))
+        damage(patch, "x", 1e-3)
         with pytest.raises(ConeCertificateError, match="positive combination"):
             positive_combination(QUAD, v)
     # W lam = v holds exactly, but lam is not strictly positive
@@ -160,7 +161,7 @@ def test_damaged_witness_rejected(monkeypatch):
                           np.array([0.0, 1.0]), np.array([0.0, -1.0])], 2)
     ray = GeneratedCone([np.array([1.0, 1.0])], 2)
     assert not separate(full, ray).separated
-    monkeypatch.setattr(cone_geometry, "solve_standard", damaged("x", 1e-3))
+    damage(monkeypatch, "x", 1e-3)
     with pytest.raises(ConeCertificateError, match="witness"):
         separate(full, ray)
 
@@ -168,6 +169,6 @@ def test_damaged_witness_rejected(monkeypatch):
 def test_damaged_margin_rejected(monkeypatch):
     v = np.array([1.0, 1.0])
     assert membership_margin(QUAD, v) > 0
-    monkeypatch.setattr(cone_geometry, "solve_standard", damaged("x", 1e-3))
+    damage(monkeypatch, "x", 1e-3)
     with pytest.raises(ConeCertificateError, match="margin"):
         membership_margin(QUAD, v)
