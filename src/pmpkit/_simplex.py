@@ -6,11 +6,12 @@ the package free of solver dependencies.  Each iteration inverts the basis
 matrix afresh from the original A and takes the basic solution, the row
 duals and the entering column from it, so no rounding carries over from one
 pivot to the next; the returned point and duals are solved from the final
-basis.  The public entry points are ``solve_standard``
-(equality standard form, with the row duals of the final basis),
-``solve_stack`` (the same for a fan of same-shape LPs, solved in lockstep)
-and ``linprog_dense`` (a small modeling layer with inequality rows and
-per-variable bounds).
+basis.  The entry points are ``solve_standard`` (equality standard form,
+with the row duals of the final basis) and ``solve_stack`` (the same for a
+fan of same-shape LPs, solved in lockstep).  ``linprog_dense``, a small
+modeling layer with inequality rows and per-variable bounds, is called by
+nothing in the package; it stays only because perfbench's traced run
+patches it by name.
 
 In lockstep each LP keeps its own basis and its own Bland decisions; one
 round makes one pivot of every LP still active, with one batched inverse

@@ -494,10 +494,4 @@ def covered_point_root(g, center, radius, p, tol=DEFAULT_TOL, boundary_samples=N
                 lam *= 0.5
             if not accepted:
                 break
-        else:
-            continue
-        if best_res <= tol:
-            return best_x
-    if best_res <= tol:
-        return best_x
     raise RootSearchError(best_x, best_res)

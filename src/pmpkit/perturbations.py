@@ -487,13 +487,14 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory,
     for extend(sys), along traj under its control on traj's own grid.  At
     each node a needle goes to each test control v against u(t), or at a
     switch against either one-sided value.  The controls v are a bounded
-    box's vertices, a finite set's points, or else the maximizer's probe
-    points (`_probes`).  Free time adds the final-time axis with u(b-), and
-    an initial manifold +- each tangent vector carried from a.  The adjoint
-    is linear in (p0, p_b), so the rule's one sweep of the m + 1 unit
-    covectors also gives each candidate's adjoint.  Stage 1 of
-    `terminal_covector_from_cone` gives the normal candidate and stage 2
-    the abnormal one; `check_pmp` verifies each at CLASSIFY_TOL, and
+    box's vertices, a finite set's points, or else, on a ball or a box with
+    an infinite side, the maximizer's probe points and then the points that
+    check its fit (`_probes`).  Free time adds the final-time axis with
+    u(b-), and an initial manifold +- each tangent vector carried from a.
+    The adjoint is linear in (p0, p_b), so the rule's one sweep of the m + 1
+    unit covectors also gives each candidate's adjoint.  Stage 1 of
+    `terminal_covector_from_cone` gives the normal candidate and stage 2 the
+    abnormal one; `check_pmp` verifies each at CLASSIFY_TOL, and
     `attempts` holds one entry per stage.  A stage without a covector
     proves that no lift of its kind exists, certified by a Farkas ray or
     for p0 = 0 by the cone's `_spanning_margin` above CLASSIFY_TOL.
@@ -516,8 +517,7 @@ def classify_extremal(sys: ControlSystem, traj: Trajectory,
         tests = [np.array(v) for v in itertools.product(*zip(U.lo, U.hi))]
     else:
         pr = _probes(U)
-        tests = ([pr.u0] + [v for pair in pr.axis.values() for v in pair]
-                 + [v for _, _, v, _ in pr.pairs] + [v for v, _ in pr.checks])
+        tests = [*pr.points, *(v for v, _ in pr.checks)]
     prov: List[Provenance] = []
     for t in ext_traj.grid.tolist():
         sw = _switches_at(u.switch_times, t)

@@ -142,7 +142,7 @@ def _read_only(a):
 
 
 class _Probes:
-    """Where the quadratic fit evaluates H; fixed by the control set.
+    """Where the quadratic fit evaluates H on the box or ball U; fixed by U.
 
     u0 is the centre and delta the step of each axis.  The probes are the
     arrays u0 + e and u0 - e, and that arithmetic sets the sign of a zero
@@ -154,15 +154,39 @@ class _Probes:
     n the index in `points` of u0 + e_j (n + 1 that of u0 - e_j), and
     `pairs`, one (i, j, n, n_i, n_j, delta_i delta_j) per pair, n the index
     of u0 + e_i + e_j and n_i, n_j those of u0 + e_i and u0 + e_j, so its
-    pass computes no step and no index.
+    pass computes no step and no index.  Other readers take `points` and
+    the `checks` by name.
     numpy computes the divisors, so a square that overflows reads inf.  They
     are kept as Python floats, which divide faster and round the same; a
     divisor that underflows to zero stays numpy's 0.0, so that dividing by
     it gives inf or nan where a Python float would raise.
+
+    A box also keeps `sides`, (lo, hi, u0, delta) per axis for the axis
+    maxima.  `bounded` says U is a finite box, and `plain_divisors` that it
+    is one whose fit divides by positive finite floats, which generated code
+    binds as numbers.
     """
 
-    def __init__(self, u0, delta):
-        k = u0.size
+    def __init__(self, U):
+        if U.kind == "ball":
+            k = U.center.size
+            u0, delta = U.center.copy(), np.full(k, max(U.radius, 1.0) / 4.0)
+        else:
+            lo, hi = U.lo, U.hi
+            k = lo.size
+            u0, delta = np.empty(k), np.empty(k)
+            for j in range(k):
+                if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+                    u0[j] = 0.5 * (lo[j] + hi[j])
+                    delta[j] = (hi[j] - lo[j]) / 4.0
+                elif np.isfinite(lo[j]):
+                    u0[j], delta[j] = lo[j] + 1.0, 1.0
+                elif np.isfinite(hi[j]):
+                    u0[j], delta[j] = hi[j] - 1.0, 1.0
+                else:
+                    u0[j], delta[j] = 0.0, 1.0
+            self.sides = tuple(zip(lo, hi, u0, delta))
+        self.bounded = U.kind == "box" and bool(np.all(np.isfinite([U.lo, U.hi])))
         self.k = k
         self.u0 = _read_only(u0)
         d = tuple(delta)
@@ -189,6 +213,8 @@ class _Probes:
             self.pairs = tuple((i, j, n, plus[i], plus[j], divisor(d[i] * d[j]))
                                for n, (i, j) in enumerate(itertools.combinations(live, 2),
                                                           1 + 2 * len(live)))
+        divisors = [d for *_, two, sq in self.axes for d in (two, sq)] + [d for *_, d in self.pairs]
+        self.plain_divisors = self.bounded and all(0.0 < d < math.inf for d in divisors)
         # the points that test the fit, each with its offset from u0
         self.checks = []
         for coeffs in ((0.37,) * k, (-0.61,) * k,
@@ -199,36 +225,7 @@ class _Probes:
 
 def _probes(U) -> _Probes:
     """The fit's probes of the box or ball U, made on first use and kept on U."""
-    return _derived(U, "_probes", _make_probes)
-
-
-def _make_probes(U) -> _Probes:
-    if U.kind == "ball":
-        k = U.center.size
-        return _Probes(U.center.copy(), np.full(k, max(U.radius, 1.0) / 4.0))
-    lo, hi = U.lo, U.hi
-    k = lo.size
-    u0 = np.empty(k)
-    delta = np.empty(k)
-    for j in range(k):
-        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-            u0[j] = 0.5 * (lo[j] + hi[j])
-            delta[j] = (hi[j] - lo[j]) / 4.0
-        elif np.isfinite(lo[j]):
-            u0[j], delta[j] = lo[j] + 1.0, 1.0
-        elif np.isfinite(hi[j]):
-            u0[j], delta[j] = hi[j] - 1.0, 1.0
-        else:
-            u0[j], delta[j] = 0.0, 1.0
-    probes = _Probes(u0, delta)
-    # per axis (lo, hi, u0, delta) for the axis maxima
-    probes.sides = tuple(zip(lo, hi, u0, delta))
-    probes.bounded = bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
-    # a finite box whose fit divides by positive finite floats, which
-    # generated code binds as numbers
-    divisors = [d for *_, two, sq in probes.axes for d in (two, sq)] + [d for *_, d in probes.pairs]
-    probes.plain_divisors = probes.bounded and all(0.0 < d < math.inf for d in divisors)
-    return probes
+    return _derived(U, "_probes", _Probes)
 
 
 def _matrix(a, mixed):
@@ -399,7 +396,9 @@ def _maximizer(sys: ControlSystem, p0: float):
         probe_fit = generate and generate(sys.F, probes.points, probes.axes, probes.pairs)
 
         def decide(fit, H):
-            if fit is not None:
+            if fit is None:
+                error = UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
+            else:
                 b, a, mixed, bmax, cmax, off_diag = fit
                 ztol = fit_tol * (1.0 + bmax + cmax)
                 if off_diag <= ztol:
@@ -414,17 +413,14 @@ def _maximizer(sys: ControlSystem, p0: float):
                     u_star = probes.u0 + np.linalg.solve(A, -np.array(b))
                     if np.all(u_star >= lo - 1e-12) and np.all(u_star <= hi + 1e-12):
                         return np.clip(u_star, lo, hi), None
-                    if bounded:
-                        return _grid_refine(H, lo, hi)
-                    raise UnsupportedMaximizationError(
+                    error = UnsupportedMaximizationError(
                         "coupled concave maximization with mixed infinite bounds "
                         "is not supported")
-                if bounded:
-                    return _grid_refine(H, lo, hi)
-                raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
+                else:
+                    error = UnboundedHamiltonianError("non-concave quadratic on an unbounded box")
             if bounded:
                 return _grid_refine(H, lo, hi)
-            raise UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
+            raise error
 
         def search(H):
             return decide(fit_of(H), H)

@@ -20,7 +20,8 @@ import numpy as np
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSystem, _derived, _signal_of_pieces, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
-from .pmp import BoundarySpec, Extremal, _costate, _maximizer, adjoint_flow
+from .pmp import (BoundarySpec, Extremal, UnboundedHamiltonianError,
+                  UnsupportedMaximizationError, _costate, _maximizer, adjoint_flow)
 
 
 @dataclass
@@ -102,11 +103,12 @@ class ShootingFailure(RuntimeError):
 
 
 # the failures that end one propagation: floating point (overflow, a
-# Hamiltonian NaN at every control), blow-up, unbounded H and a maximization
-# the maximizer does not support at this costate (all three RuntimeError)
-# and singular linear algebra; any other error, such as one raised by a
-# user's dynamics, propagates as itself
-_TRIAL_FAILURES = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
+# Hamiltonian NaN at every control), unbounded H, a maximization the
+# maximizer does not support at this costate and singular linear algebra;
+# any other error, such as one raised by a user's dynamics (a
+# NotImplementedError or RecursionError included), propagates as itself
+_TRIAL_FAILURES = (ArithmeticError, UnboundedHamiltonianError, UnsupportedMaximizationError,
+                   np.linalg.LinAlgError)
 
 
 def _auto_jump_tol(control_set) -> float:

@@ -57,7 +57,8 @@ import numpy as np
 
 from pmpkit.cone_geometry import unit_directions
 from pmpkit.control_system import ControlSystem
-from pmpkit.pmp import MaximizationResult, UnboundedHamiltonianError, hamiltonian
+from pmpkit.pmp import (MaximizationResult, UnboundedHamiltonianError,
+                        UnsupportedMaximizationError, hamiltonian)
 
 
 def ordered_dot(a, b):
@@ -712,8 +713,8 @@ def maximize_hamiltonian_arrays(sys: ControlSystem, p0: float, p, x,
                 return MaximizationResult(u_star, H(u_star))
             if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
                 return _arrays_grid_refine(H, lo, hi, resolution, grid_points)
-            raise RuntimeError("coupled concave maximization with mixed "
-                               "infinite bounds is not supported")
+            raise UnsupportedMaximizationError("coupled concave maximization with mixed "
+                                               "infinite bounds is not supported")
         if np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)):
             return _arrays_grid_refine(H, lo, hi, resolution, grid_points)
         raise UnboundedHamiltonianError("non-concave quadratic on an unbounded box")

@@ -446,6 +446,100 @@ class TestProblemFiles:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    # a scalar integrator problem and the files `check` reads, each
+    # case changing one item: a None entry drops the item, and items None
+    # makes the problem file hold a list
+    SCALAR = {
+        "dynamics": {"builtin": "scalar_integrator"},
+        "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+        "horizon": {"a": 0.0, "b": 1.0},
+        "boundary": {"mode": "fixed_time", "initial": {"point": [0.0]},
+                     "final": {"point": [1.0]}},
+        "control": {"switch_times": [], "values": [[1.0]]},
+        "cones": {"time": 1.0, "times": [0.5], "controls": [[-1.0]]},
+    }
+    SCALAR_FILES = {
+        "trajectory.csv": "t,x0\n0,0\n0.5,0.5\n1,1\n",
+        "control.json": '{"switch_times": [], "values": [[1.0]]}',
+        "adjoint.csv": "t,sigma0,sigma1\n0,-1,1\n0.5,-1,1\n1,-1,1\n",
+    }
+
+    @pytest.mark.parametrize("command, items, files, item", [
+        ("simulate", None, {}, "problem file must hold a JSON object"),
+        ("simulate", {"control_set": [-1.0, 1.0]}, {},
+         "control_set must be an object with a 'kind'"),
+        ("simulate", {"control_set": None}, {}, "problem file needs 'control_set'"),
+        ("simulate", {"control_set": {"kind": "cube"}}, {}, "unknown control_set kind 'cube'"),
+        ("simulate", {"dynamics": None}, {}, "problem file needs 'dynamics'"),
+        ("simulate", {"dynamics": "scalar_integrator"}, {}, "dynamics must be an object"),
+        ("simulate", {"dynamics": {"ode": ["u0"]}}, {},
+         "dynamics needs 'builtin' or 'expressions'"),
+        ("simulate", {"dynamics": {"expressions": []}}, {},
+         "dynamics.expressions must be a nonempty list"),
+        ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0, 1.0]], "B": [[1.0]]}},
+         {}, "linear_system needs square A and matching B"),
+        ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0]],
+                                   "B": [[1.0], [1.0]]}},
+         {}, "linear_system needs square A and matching B"),
+        ("simulate", {"dynamics": {"builtin": "linear_system", "A": [["a"]], "B": [[1.0]]}},
+         {}, "A must be a numeric matrix"),
+        ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0]], "B": [1.0]}},
+         {}, "B must be two-dimensional"),
+        ("simulate", {"cost": "u0^2"}, {}, "cost must be an object with 'expression'"),
+        ("simulate", {"horizon": {"a": 1.0, "b": 1.0}}, {}, "horizon needs b > a"),
+        ("simulate", {"horizon": {"a": 2.0, "b": 1.0}}, {}, "horizon needs b > a"),
+        ("simulate", {"boundary": {"mode": "sometimes", "initial": {"point": [0.0]},
+                                   "final": {"point": [1.0]}}},
+         {}, "unknown boundary mode 'sometimes'"),
+        ("simulate", {"boundary": {"initial": [0.0], "final": {"point": [1.0]}}},
+         {}, "boundary.initial must be an object"),
+        ("simulate", {"boundary": {"initial": {"point": [0.0]}, "final": {"at": [1.0]}}},
+         {}, "boundary.final needs 'point' or 'anchor'"),
+        ("simulate", {"control": [[1.0]]}, {}, "control must be an object with 'values'"),
+        ("simulate", {"control": {"values": [[1.0, 0.0]]}}, {},
+         "control value has wrong dimension"),
+        ("check", {}, {"trajectory.csv": "time,x0\n0,0\n1,1\n"},
+         "trajectory.csv: expected header starting with 't,'"),
+        ("check", {}, {"trajectory.csv": "t,x0\n0,0\n1,one\n"},
+         "trajectory.csv: non-numeric row"),
+        ("check", {}, {"trajectory.csv": "t,x0\n0,0\n"},
+         "trajectory.csv: need at least two data rows"),
+        ("check", {}, {"adjoint.csv": "t,sigma\n0,-1\n1,-1\n"},
+         "adjoint.csv: expected header starting with 't,sigma0'"),
+        ("check", {}, {"trajectory.csv": "t,x0,x1,x2\n0,0,0,0\n1,1,1,1\n"},
+         "trajectory.csv column count does not match the problem"),
+        ("check", {}, {"adjoint.csv": "t,sigma0\n0,-1\n0.5,-1\n1,-1\n"},
+         "adjoint.csv column count does not match the problem"),
+        ("check", {}, {"adjoint.csv": "t,sigma0,sigma1\n0,-1,1\n1,-1,1\n"},
+         "adjoint.csv grid does not match trajectory.csv"),
+        ("check", {}, {"adjoint.csv": "t,sigma0,sigma1\n0,-1,1\n0.4,-1,1\n1,-1,1\n"},
+         "adjoint.csv grid does not match trajectory.csv"),
+        ("cones", {"control": None}, {}, "cones needs a 'control' entry in the problem file"),
+        ("cones", {"cones": None}, {}, "cones needs a 'cones' object with 'time'"),
+        ("cones", {"cones": {"times": [0.5]}}, {}, "cones needs a 'cones' object with 'time'"),
+    ])
+    def test_bad_item_exits_2_and_is_named(self, tmp_path, capsys, command, items, files, item):
+        data = [] if items is None else {key: value for key, value in {**self.SCALAR, **items}.items()
+                                         if value is not None}
+        path = write_problem(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        out.mkdir()
+        for name, text in {**self.SCALAR_FILES, **files}.items():
+            (out / name).write_text(text)
+        rc = cli.main([command, "--problem", path, "--out", str(out)])
+        assert (rc, item in capsys.readouterr().err) == (2, True)
+
+    def test_scalar_problem_and_files_are_good_input(self, tmp_path):
+        # each bad-item case above fails on its one item alone
+        path = write_problem(tmp_path / "p.json", self.SCALAR)
+        out = tmp_path / "o"
+        out.mkdir()
+        for name, text in self.SCALAR_FILES.items():
+            (out / name).write_text(text)
+        for command in ("simulate", "cones"):
+            assert cli.main([command, "--problem", path, "--out", str(tmp_path / command)]) == 0
+        assert cli.main(["check", "--problem", path, "--out", str(out)]) in (0, 1)
+
     def test_control_set_dimension_mismatch(self, tmp_path, capsys):
         data = bang_problem()
         data["control_set"] = {"kind": "box", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}

@@ -21,6 +21,7 @@ must get it, and the others must not.
 import ast
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -109,6 +110,38 @@ def test_non_finite_cases_match_tree_interpreter(srcs, x):
     f, _, _ = grammar.compile_dynamics(tuple(srcs), M, K)
     assert np.isnan(f(np.array(x), u)).any()
     check_against_oracle(srcs, np.array(x), u)
+
+
+def with_unary_plus(src):
+    """src with a unary plus before each name and each call."""
+    return re.sub(r"\b([xu]\d+|sin\(|cos\(|exp\()", r"+\1", src)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(trees(), min_size=M, max_size=M), points)
+def test_unary_plus_compiles_to_the_bits_of_the_plain_expression(ts, pt):
+    # the dynamics, its Jacobian and RK4 runner, and each gradient
+    plain = tuple(render(t) for t in ts)
+    plus = tuple(map(with_unary_plus, plain))
+    x, u = np.array(pt[:M]), np.array(pt[M:])
+    (f, df, degree), (g, dg, plus_degree) = (grammar.compile_dynamics(srcs, M, K)
+                                             for srcs in (plain, plus))
+    assert plus_degree == degree
+    assert bits(g(x, u)) == bits(f(x, u)), plus
+    assert (dg is None) == (df is None)
+    if df is not None:
+        assert bits(dg(x, u)) == bits(df(x, u)), plus
+    runs = [[], []]
+    nodes = [fn.runner()(pt[:M], pt[M:], [0.0, 0.1, 0.25], 0, 2, xs)
+             for fn, xs in zip((f, g), runs)]
+    assert nodes[1] == nodes[0]
+    assert [bits(v) for v in runs[1]] == [bits(v) for v in runs[0]], plus
+    for src in plain:
+        grad, grad_plus = (grammar.compile_gradient(s, M, K)[0]
+                           for s in (src, with_unary_plus(src)))
+        assert (grad_plus is None) == (grad is None)
+        if grad is not None:
+            assert bits(grad_plus(x, u)) == bits(grad(x, u)), src
 
 
 def test_constant_jacobian_entries_keep_their_sign():

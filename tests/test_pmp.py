@@ -520,6 +520,55 @@ class TestClassify:
             perturbations.classify_extremal(extend(sys), traj,
                                             pmp.BoundarySpec(mode="fixed_time"))
 
+    @staticmethod
+    def needle_controls(monkeypatch, sys, u):
+        """(result, needle controls per node) of `classify_extremal` on u
+        from the origin in fixed time, step 0.1."""
+        traj = simulate(sys, u, np.zeros(sys.m), IntegratorConfig(step=0.1))
+        generators, nodes = perturbations._generators, {}
+
+        def spy(xsys, ext_traj, prov, t, cfg):
+            for rec in prov:
+                if rec.kind == "needle":
+                    nodes.setdefault(rec.source_time, []).append(rec.needle.u1)
+            return generators(xsys, ext_traj, prov, t, cfg)
+
+        monkeypatch.setattr(perturbations, "_generators", spy)
+        res = perturbations.classify_extremal(sys, traj, pmp.BoundarySpec(mode="fixed_time"))
+        assert isinstance(res, perturbations.ClassificationResult)
+        assert sorted(nodes) == traj.grid.tolist()
+        return res, list(nodes.values())
+
+    @pytest.mark.parametrize("U", [ball([0.0, 0.0], 1.0), box([-np.inf, -1.0], [np.inf, 1.0])],
+                             ids=["disc", "box_with_an_infinite_side"])
+    def test_needles_go_to_the_probe_points_and_then_the_check_points(self, monkeypatch, U):
+        # x' = u with F = |u|^2 / 2 and u = (0.3, 0): two control components
+        # on a set with no vertices to test
+        sys = ControlSystem(m=2, k=2, f=lambda x, u: np.array(u, dtype=float), control_set=U,
+                            F=lambda x, u: 0.5 * float(u @ u),
+                            df_dx=lambda x, u: np.zeros((2, 2)), dF_dx=lambda x, u: np.zeros(2))
+        res, nodes = self.needle_controls(monkeypatch, sys, constant_signal(0.0, 1.0, (0.3, 0.0)))
+        probes = pmp._probes(U)
+        want = [*probes.points, *(v for v, _ in probes.checks)]
+        assert len(want) == 9
+        for controls in nodes:
+            assert [v.tobytes() for v in controls] == [v.tobytes() for v in want]
+        assert len(res.attempts) == 2
+
+    def test_finite_set_needles_go_to_its_points(self, monkeypatch):
+        # x' = u with F = u^2 on {-1, 0, 1} and u = 0: the needles to +-1
+        # span R^1, so no abnormal lift exists
+        U = finite([(-1.0,), (0.0,), (1.0,)])
+        sys = ControlSystem(m=1, k=1, f=lambda x, u: np.array([u[0]]), control_set=U,
+                            F=lambda x, u: float(u[0] ** 2),
+                            df_dx=lambda x, u: np.zeros((1, 1)), dF_dx=lambda x, u: np.zeros(1))
+        res, nodes = self.needle_controls(monkeypatch, sys, constant_signal(0.0, 1.0, (0.0,)))
+        for controls in nodes:
+            assert [v.tolist() for v in controls] == [[-1.0], [0.0], [1.0]]
+        assert res.classification == "strict_normal_certificate"
+        assert res.normal_terminal == pytest.approx([0.0])
+        assert res.abnormal_terminal is None
+
 
 def abnormal_stage(sys, switch):
     """(p_b as bytes, feasible, reason) of the p0 = 0 attempt of

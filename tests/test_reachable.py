@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pmpkit.control_system import ControlSignal, ControlSystem, box, simulate
+from pmpkit.control_system import ControlSignal, ControlSystem, ball, box, finite, simulate
 from pmpkit.flows import IntegratorConfig, SingularTransportError
 from pmpkit.perturbations import build_tangent_cone
 from pmpkit.cone_geometry import GeneratedCone
@@ -88,6 +88,34 @@ class TestSampleReachable:
                                  SamplePolicy(n_controls=60, seed=3,
                                               near=ref, spread=0.2))
         assert np.all(cloud.points[:, 0] > 0.7)
+
+    @pytest.mark.parametrize("control_set", [
+        finite([(-1.0, 0.0), (0.0, 1.0), (0.5, -0.5)]),
+        ball([0.5, -0.25], 1.5),
+    ], ids=["finite", "ball"])
+    @pytest.mark.parametrize("near", [False, True], ids=["uniform", "near"])
+    def test_finite_and_ball_draws_lie_in_the_set_and_replay(self, control_set, near):
+        # x' = u in R^2; near draws spread over the whole set around a
+        # reference that switches between two of its values, so many land
+        # outside and are projected back
+        sys = ControlSystem(m=2, k=2, f=lambda x, u: np.array(u, dtype=float),
+                            control_set=control_set, df_dx=lambda x, u: np.zeros((2, 2)))
+        inside = {"finite": ((-1.0, 0.0), (0.5, -0.5)), "ball": ((0.5, -0.25), (1.5, -0.25))}
+        ref = ControlSignal(0.0, 1.0, (0.5,), inside[control_set.kind]) if near else None
+        cloud = sample_reachable(sys, [0.1, -0.2], 1.0,
+                                 SamplePolicy(n_controls=30, seed=5, near=ref, spread=1.5))
+        assert len(cloud.points) == 30
+        values = [np.array(v) for rec in cloud.controls for v in rec["values"]]
+        assert all(control_set.contains(v) for v in values)
+        if control_set.kind == "finite":
+            # each value is one of the points, bit for bit
+            points = {np.array(p, dtype=float).tobytes() for p in control_set.points}
+            assert {v.tobytes() for v in values} == points
+        elif near:
+            # some draws left the disc and were projected onto its edge
+            assert any(abs(np.linalg.norm(v - control_set.center) - 1.5) < 1e-12 for v in values)
+        for i in range(len(cloud.points)):
+            assert np.array_equal(reproduce_point(sys, cloud, i), cloud.points[i])
 
     def test_csv_and_provenance_round_trip(self, tmp_path):
         sys = scalar_system()

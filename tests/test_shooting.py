@@ -251,6 +251,21 @@ class TestTrialFailures:
         with pytest.raises(ValueError):
             shooting.shoot(prob, opts=shooting.ShootingOptions(step=0.1))
 
+    @pytest.mark.parametrize("error", (NotImplementedError, RecursionError))
+    def test_runtime_error_subclass_in_dynamics_surfaces_mid_run(self, error):
+        # both subclass RuntimeError, as the package's own failures do; the
+        # dynamics raise after the first propagation has taken some steps
+        calls = []
+
+        def f(x, u):
+            calls.append(None)
+            if len(calls) > 50:
+                raise error("dynamics not available here")
+            return np.array([x[1], u[0]])
+
+        with pytest.raises(error, match="dynamics not available here"):
+            shooting.shoot(self.problem(f), opts=shooting.ShootingOptions(step=0.1))
+
     def test_unsupported_maximization_ends_only_its_trial(self):
         # x' = u in R^4 with cost u.Q.u / 2 and a coupled Q: H is a concave
         # quadratic whose maximizer Q^-1 p leaves the box [-1, 1]^4 for the
