@@ -531,7 +531,10 @@ def rk4_blow_up_time(f, jac, grid, x0, v0=None):
 # ---------------------------------------------------------------------------
 # The Hamiltonian maximizer on numpy arrays, verbatim as it stood before
 # `pmp.maximize_hamiltonian` bound H once per call and fitted its model on
-# per-axis scalars; both must return the same u_star and value bits and
+# per-axis scalars, except that its refusal of a coupled concave model with
+# mixed infinite bounds raises the package's UnsupportedMaximizationError
+# (was RuntimeError), which ends a trial of `propagate_arrays` as it ends
+# one of shooting; both must return the same u_star and value bits and
 # raise the same exception types.
 
 def _arrays_pick_best(cands, H):

@@ -519,15 +519,16 @@ class TestProblemFiles:
         ("cones", {"cones": {"times": [0.5]}}, {}, "cones needs a 'cones' object with 'time'"),
     ])
     def test_bad_item_exits_2_and_is_named(self, tmp_path, capsys, command, items, files, item):
-        data = [] if items is None else {key: value for key, value in {**self.SCALAR, **items}.items()
-                                         if value is not None}
-        path = write_problem(tmp_path / "p.json", data)
+        data = {key: value for key, value in {**self.SCALAR, **(items or {})}.items()
+                if value is not None}
+        path = write_problem(tmp_path / "p.json", [] if items is None else data)
         out = tmp_path / "o"
         out.mkdir()
         for name, text in {**self.SCALAR_FILES, **files}.items():
             (out / name).write_text(text)
         rc = cli.main([command, "--problem", path, "--out", str(out)])
-        assert (rc, item in capsys.readouterr().err) == (2, True)
+        assert rc == 2
+        assert item in capsys.readouterr().err
 
     def test_scalar_problem_and_files_are_good_input(self, tmp_path):
         # each bad-item case above fails on its one item alone

@@ -130,17 +130,13 @@ def refining_on(resolution, points):
 
 
 def expected(sys, p0, p, x, grid=()):
-    """The array maximizer's outcome, with its two deliberate changes."""
+    """The array maximizer's outcome, with its deliberate change."""
     want = outcome(maximize_hamiltonian_arrays, sys, p0, p, x, *grid)
     if want is TypeError:
         # the array grid refinement subtracted a step from u_star None when
         # no grid point had H above -inf; the rewrite returns that level's
         # result, as the finite set and the ball always did
         return None, bits(-INF)
-    if want is RuntimeError:
-        # a coupled concave model with mixed infinite bounds: the same
-        # refusal, now under its own RuntimeError subclass
-        return pmp.UnsupportedMaximizationError
     return want
 
 
@@ -312,7 +308,8 @@ def test_control_set_arrays_are_read_only_copies():
 
 def test_more_than_three_controls_refuse_grid_refinement_as_runtime_error():
     # k = 4 on a finite box with a coupled convex H has no exact branch;
-    # the refusal is a RuntimeError, which ends one shooting propagation only
+    # the refusal is an UnsupportedMaximizationError (a RuntimeError),
+    # which ends one shooting propagation only
     Q = np.eye(4) + 0.3 * np.ones((4, 4))
     sys = ControlSystem(m=1, k=4, f=lambda x, u: np.array([u @ Q @ u]),
                         control_set=box([-1.0] * 4, [1.0] * 4), u_degree=2)

@@ -254,7 +254,7 @@ class TestTrialFailures:
     @pytest.mark.parametrize("error", (NotImplementedError, RecursionError))
     def test_runtime_error_subclass_in_dynamics_surfaces_mid_run(self, error):
         # both subclass RuntimeError, as the package's own failures do; the
-        # dynamics raise after the first propagation has taken some steps
+        # dynamics raise on their 51st call, inside the first propagation
         calls = []
 
         def f(x, u):
