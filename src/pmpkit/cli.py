@@ -36,177 +36,195 @@ from .shooting import (ShootingFailure, ShootingOptions, ShootingProblem,
 
 # ---------------------------------------------------------------------------
 # problem files
+#
+# Every item of a problem file is fetched by `_get` and checked by a typed
+# read: a function of the item and its path in the file that returns the
+# item's value, or refuses it as "<path> must be <what>, got <value>".
 
-def _as_matrix(obj, name):
+_NEEDED = object()
+
+
+def _bad(path, what, value):
+    return ProblemError(f"{path} must be {what}, got {value!r}")
+
+
+def _get(obj, key, path, read, default=_NEEDED):
+    """The item `key` of the object at `path` ("" for the file's top level),
+    read by `read`.  A missing or null item is `default`, and bad input
+    without one."""
+    item = f"{path}.{key}" if path else key
+    value = obj.get(key)
+    if value is None:
+        if default is _NEEDED:
+            raise ProblemError(f"problem file needs '{item}'")
+        return default
+    return read(value, item)
+
+
+def _object(*keys):
+    """A read of an object whose keys are among `keys`."""
+    def read(value, path):
+        if not isinstance(value, dict):
+            raise _bad(path, "an object", value)
+        unknown = sorted(set(value) - set(keys))
+        if unknown:
+            raise ProblemError(f"{path} must be an object with keys from {sorted(keys)}, "
+                               f"got unknown {unknown}")
+        return value
+    return read
+
+
+def _list(entry, nonempty=False):
+    """A read of a list, as a tuple of its entries read by `entry` as path[i]."""
+    def read(value, path):
+        if not isinstance(value, list) or nonempty and not value:
+            raise _bad(path, "a nonempty list" if nonempty else "a list", value)
+        return tuple(entry(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return read
+
+
+def _string(*names):
+    """A read of a string, one of `names` where they are given."""
+    def read(value, path):
+        if not isinstance(value, str) or names and value not in names:
+            raise _bad(path, f"one of {list(names)}" if names else "a string", value)
+        return value
+    return read
+
+
+def _real(value):
+    """value as a float, or None if it is not a JSON number: a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
     try:
-        M = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{name} must be a numeric matrix")
-    if M.ndim != 2:
-        raise ProblemError(f"{name} must be two-dimensional")
-    return M
+        return float(value)
+    except OverflowError:   # an integer beyond the float range
+        return math.copysign(math.inf, value)
+
+
+def _number(what, ok=None):
+    """A read of a number that `ok` accepts."""
+    def read(value, path):
+        v = _real(value)
+        if v is None or ok and not ok(v):
+            raise _bad(path, what, value)
+        return v
+    return read
+
+
+_finite = _number("finite", math.isfinite)
+_positive = _number("positive and finite", lambda v: 0 < v < math.inf)
+
+
+def _integer(least):
+    """A read of an integer (an integral float counts) of at least `least`."""
+    def read(value, path):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise _bad(path, f"an integer >= {least}", value)
+        return value
+    return read
+
+
+def _array(ndim, size=None, finite=True, within=None):
+    """A read of a float vector (ndim 1; a number is one entry) or matrix
+    (ndim 2) of `size` entries or rows, finite or merely free of NaN, and a
+    point of the control set `within` where it is given."""
+    shape = ("a numeric " + ("vector" if ndim == 1 else "matrix") if size is None
+             else f"a numeric vector of length {size}" if ndim == 1
+             else f"a {size}-row numeric matrix")
+    ok = math.isfinite if finite else (lambda v: not math.isnan(v))
+
+    def read(value, path):
+        a = np.array(value, dtype=object)
+        reals = [_real(v) for v in a.flat]
+        if None in reals or a.ndim > ndim or ndim == 2 and a.ndim < 2:
+            raise _bad(path, shape, value)
+        x = np.array(reals, dtype=float).reshape(a.shape if ndim == 2 else -1)
+        if size is not None and len(x) != size:
+            raise _bad(path, shape, value)
+        if not all(map(ok, reals)):
+            raise _bad(path, "finite" if finite else "free of NaN", value)
+        if within is not None and not within.contains(x):
+            raise _bad(path, "in the control set", value)
+        return x
+    return read
+
+
+def _horizon(value, path):
+    """An object with 'a' and 'b', or the number b."""
+    return _object("a", "b")(value, path) if isinstance(value, dict) else {"b": value}
 
 
 def _parse_control_set(spec):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ProblemError("control_set must be an object with a 'kind'")
-    kind = spec["kind"]
+    kind = _get(spec, "kind", "control_set", _string("box", "finite", "ball"))
     if kind == "box":
-        return box(_bound(spec, "lo"), _bound(spec, "hi"))
+        lo = _get(spec, "lo", "control_set", _array(1, finite=False))
+        hi = _get(spec, "hi", "control_set", _array(1, lo.size, finite=False))
+        if not np.all(lo <= hi):
+            raise _bad("control_set.hi", ">= control_set.lo componentwise", spec["hi"])
+        return box(lo, hi)
     if kind == "finite":
-        return finite([tuple(np.atleast_1d(p)) for p in _item(spec, "points")])
-    if kind == "ball":
-        given = _item(spec, "radius")
-        try:
-            radius = float(given)
-        except (TypeError, ValueError):
-            radius = math.nan
-        if not radius >= 0:
-            raise ProblemError("control_set.radius must be a nonnegative number, "
-                               f"got {given!r}")
-        center = _bound(spec, "center")
-        if not np.isfinite(center).all():
-            raise ProblemError("control_set.center must be finite")
-        return ball(center, radius)
-    raise ProblemError(f"unknown control_set kind '{kind}'")
+        points = _get(spec, "points", "control_set", _list(_array(1), nonempty=True))
+        for i, p in enumerate(points):
+            if p.size != points[0].size:
+                raise _bad(f"control_set.points[{i}]",
+                           f"a numeric vector of length {points[0].size}", spec["points"][i])
+        return finite(points)
+    return ball(_get(spec, "center", "control_set", _array(1)),
+                _get(spec, "radius", "control_set", _number("a nonnegative number",
+                                                            lambda v: v >= 0)))
 
 
-def _item(spec, key):
-    try:
-        return spec[key]
-    except KeyError:
-        raise ProblemError(f"problem file needs 'control_set.{key}'")
-
-
-def _bound(spec, key):
-    """A numeric vector of the control set, infinite entries allowed, no NaN."""
-    name = f"control_set.{key}"
-    given = _item(spec, key)
-    try:
-        v = np.asarray(given, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemError(f"{name} must be a numeric vector")
-    if np.isnan(v).any():
-        raise ProblemError(f"{name} must not be NaN")
-    return v
-
-
-def _text(src):
-    """src, checked to be a string: the grammar keeps its compiles keyed on
-    the expression texts, so they must be hashable."""
-    if not isinstance(src, str):
-        raise ProblemError(f"parse error: expression must be a string, got {src!r}")
-    return src
+# the builtin integrators are expressions of the grammar, and so get its
+# generated RK4 steps
+_INTEGRATORS = {"double_integrator": ("x1", "u0"), "scalar_integrator": ("u0",)}
 
 
 def _build_dynamics(spec, cset):
     """Returns (m, k, f, df_dx, degree in u)."""
-    if not isinstance(spec, dict):
-        raise ProblemError("dynamics must be an object")
-    if "builtin" in spec:
-        name = spec["builtin"]
-        # the integrators are expressions of the grammar, and so get its
-        # generated RK4 steps
-        if name == "double_integrator":
-            return (2, 1, *compile_dynamics(("x1", "u0"), 2, 1))
-        if name == "scalar_integrator":
-            return (1, 1, *compile_dynamics(("u0",), 1, 1))
-        if name == "linear_system":
-            A = _as_matrix(spec.get("A"), "A")
-            B = _as_matrix(spec.get("B"), "B")
-            if A.shape[0] != A.shape[1] or B.shape[0] != A.shape[0]:
-                raise ProblemError("linear_system needs square A and matching B")
-            return (A.shape[0], B.shape[1],
-                    lambda x, u: A @ x + B @ np.atleast_1d(u),
-                    lambda x, u: A, 1)
-        raise ProblemError(f"unknown builtin '{name}'")
-    if "expressions" in spec:
-        exprs = spec["expressions"]
-        if not isinstance(exprs, list) or not exprs:
-            raise ProblemError("dynamics.expressions must be a nonempty list")
-        m, k = len(exprs), cset.dim
-        return (m, k, *compile_dynamics(tuple(map(_text, exprs)), m, k))
-    raise ProblemError("dynamics needs 'builtin' or 'expressions'")
+    name = _get(spec, "builtin", "dynamics", _string("linear_system", *_INTEGRATORS), None)
+    if name == "linear_system":
+        A = _get(spec, "A", "dynamics", _array(2))
+        if A.shape[0] != A.shape[1]:
+            raise _bad("dynamics.A", "a square matrix", spec["A"])
+        B = _get(spec, "B", "dynamics", _array(2, len(A)))
+        return (len(A), B.shape[1],
+                lambda x, u: A @ x + B @ np.atleast_1d(u),
+                lambda x, u: A, 1)
+    exprs = _INTEGRATORS.get(name) or _get(spec, "expressions", "dynamics",
+                                           _list(_string(), nonempty=True))
+    m, k = len(exprs), 1 if name else cset.dim
+    return (m, k, *compile_dynamics(exprs, m, k))
 
 
-def _finite(value, name, positive=False):
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        v = math.nan
-    if not (math.isfinite(v) and (v > 0 or not positive)):
-        what = "positive and finite" if positive else "finite"
-        raise ProblemError(f"{name} must be {what}, got {value!r}")
-    return v
+def _parse_boundary_end(bd, end, m):
+    """Returns (anchor, basis or None) of boundary.<end>."""
+    path = f"boundary.{end}"
+    spec = _get(bd, end, "boundary", _object("point", "anchor", "normals"))
+    vector = _array(1, m)
+    point = _get(spec, "point", path, vector, None)
+    if point is not None:
+        return point, None
+    anchor = _get(spec, "anchor", path, vector)
+    normals = _get(spec, "normals", path, _list(vector), ())
+    for i, w in enumerate(normals):
+        if not np.linalg.norm(w) > RANK_TOL:
+            raise _bad(f"{path}.normals[{i}]", f"nonzero (norm > {RANK_TOL:g})",
+                       spec["normals"][i])
+    # manifold tangent space = annihilator of the level-set normals
+    return anchor, tuple(null_space(normals, m).T)
 
 
-def _integer(value, name, least):
-    """An integer (an integral float counts) of at least `least`."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ProblemError(f"{name} must be an integer >= {least}, got {value!r}")
-    return value
+_SIGNAL = _object("switch_times", "values")
 
 
-def _options(data, name, allowed):
-    """The optional `name` block of a problem file; unknown keys are rejected."""
-    block = data.get(name)
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ProblemError(f"{name} must be an object")
-    bad = set(block) - allowed
-    if bad:
-        raise ProblemError(f"unknown {name} option(s): {sorted(bad)}")
-    return block
-
-
-def _list(items, name):
-    if not isinstance(items, list):
-        raise ProblemError(f"{name} must be a list, got {items!r}")
-    return items
-
-
-def _finite_vector(obj, m, name):
-    try:
-        x = np.asarray(obj, dtype=float).ravel()
-    except (TypeError, ValueError):
-        raise ProblemError(f"{name} must be a numeric vector")
-    if x.size != m:
-        raise ProblemError(f"{name} has wrong dimension")
-    if not np.all(np.isfinite(x)):
-        raise ProblemError(f"{name} must be finite")
-    return x
-
-
-def _parse_boundary_end(spec, m, name):
-    """Returns (anchor, basis or None)."""
-    if not isinstance(spec, dict):
-        raise ProblemError(f"boundary.{name} must be an object")
-    if "point" in spec:
-        return _finite_vector(spec["point"], m, f"boundary.{name}.point"), None
-    if "anchor" in spec:
-        x = _finite_vector(spec["anchor"], m, f"boundary.{name}.anchor")
-        normals = []
-        for i, w in enumerate(spec.get("normals", [])):
-            where = f"boundary.{name}.normals[{i}]"
-            w = _finite_vector(w, m, where)
-            if not np.linalg.norm(w) > RANK_TOL:
-                raise ProblemError(f"{where} must be nonzero (norm > {RANK_TOL:g})")
-            normals.append(w)
-        # manifold tangent space = annihilator of the level-set normals
-        return x, tuple(null_space(normals, m).T)
-    raise ProblemError(f"boundary.{name} needs 'point' or 'anchor'")
-
-
-def _parse_signal(spec, a, b, k):
-    if not isinstance(spec, dict) or "values" not in spec:
-        raise ProblemError("control must be an object with 'values'")
-    times = tuple(float(t) for t in spec.get("switch_times", []))
-    values = tuple(tuple(np.atleast_1d(np.asarray(v, dtype=float))) for v in spec["values"])
-    if any(len(v) != k for v in values):
-        raise ProblemError("control value has wrong dimension")
+def _parse_signal(spec, path, a, b, value):
+    """The control signal read from the object at `path`, each value by the
+    read `value`."""
+    times = _get(spec, "switch_times", path, _list(_number("a number")), ())
+    values = _get(spec, "values", path, _list(value))
     try:
         return ControlSignal(a, b, times, values)
     except ValueError as e:
@@ -218,78 +236,89 @@ def _emit_signal(sig):
             "values": [list(v) for v in sig.values]}
 
 
+_PROBLEM = _object("name", "dynamics", "control_set", "cost", "horizon", "p0", "boundary",
+                   "tol", "integrator", "control", "cones", "reach", "guess", "shooting")
+# n_starts >= 1: the seeded starts need at least one direction per scale
+_SHOOTING = {"max_iter": _integer(0), "n_starts": _integer(1), "max_switches": _integer(0),
+             "fd_h": _positive, "scales": _list(_positive)}
+
+
 class Problem:
     """Parsed problem file."""
 
     def __init__(self, data):
-        if not isinstance(data, dict):
-            raise ProblemError("problem file must hold a JSON object")
-        self.name = str(data.get("name", "problem"))
-        if "control_set" not in data:
-            raise ProblemError("problem file needs 'control_set'")
-        self.control_set = _parse_control_set(data["control_set"])
-        try:
-            dyn = data["dynamics"]
-        except KeyError:
-            raise ProblemError("problem file needs 'dynamics'")
-        m, k, f, df, degree = _build_dynamics(dyn, self.control_set)
+        data = _PROBLEM(data, "problem file")
+        self.name = _get(data, "name", "", _string(), "problem")
+        self.control_set = _parse_control_set(_get(
+            data, "control_set", "", _object("kind", "lo", "hi", "points", "center", "radius")))
+        m, k, f, df, degree = _build_dynamics(
+            _get(data, "dynamics", "", _object("builtin", "expressions", "A", "B")),
+            self.control_set)
         if k != self.control_set.dim:
             raise ProblemError("control_set dimension does not match the dynamics")
         F = dF = None
-        cost = data.get("cost")
+        cost = _get(data, "cost", "", _object("expression"), None)
         if cost is not None:
-            if not isinstance(cost, dict) or "expression" not in cost:
-                raise ProblemError("cost must be an object with 'expression'")
-            src = _text(cost["expression"])
+            src = _get(cost, "expression", "cost", _string())
             F = parse_expression(src, m, k, "cost.expression")
             dF, cost_degree = compile_gradient(src, m, k)
             degree = max_degree((degree, cost_degree))
         self.sys = ControlSystem(m=m, k=k, f=f, control_set=self.control_set,
                                  F=F, df_dx=df, dF_dx=dF, u_degree=degree)
-        hz = data.get("horizon", {"a": 0.0, "b": 1.0})
-        if isinstance(hz, (int, float)):
-            hz = {"a": 0.0, "b": hz}
-        if not isinstance(hz, dict) or "b" not in hz:
-            raise ProblemError("horizon must be a number or an object with 'b'")
-        self.a = _finite(hz.get("a", 0.0), "horizon.a")
-        self.b = _finite(hz["b"], "horizon.b")
+        hz = _get(data, "horizon", "", _horizon, {"b": 1.0})
+        self.a = _get(hz, "a", "horizon", _finite, 0.0)
+        self.b = _get(hz, "b", "horizon", _finite)
         if not self.b > self.a:
             raise ProblemError("horizon needs b > a")
-        bd = data.get("boundary")
-        if bd is None:
-            bd = {"mode": "fixed_time",
-                  "initial": {"point": [0.0] * m},
-                  "final": {"anchor": [0.0] * m, "normals": []}}
-        mode = bd.get("mode", "fixed_time")
-        if mode not in ("fixed_time", "free_time"):
-            raise ProblemError(f"unknown boundary mode '{mode}'")
-        self.x_a, ib = _parse_boundary_end(bd["initial"], m, "initial")
-        self.x_b, fb = _parse_boundary_end(bd["final"], m, "final")
+        bd = _get(data, "boundary", "", _object("mode", "initial", "final"),
+                  {"initial": {"point": [0.0] * m}, "final": {"anchor": [0.0] * m}})
+        mode = _get(bd, "mode", "boundary", _string("fixed_time", "free_time"), "fixed_time")
+        self.x_a, ib = _parse_boundary_end(bd, "initial", m)
+        self.x_b, fb = _parse_boundary_end(bd, "final", m)
         self.boundary = BoundarySpec(mode=mode, initial=ib, final=fb)
-        self.p0 = _finite(data.get("p0", -1.0), "p0")
-        self.tol = _finite(data.get("tol", 1e-6), "tol", positive=True)
-        integ = data.get("integrator", {})
-        self.step = (_finite(integ["step"], "integrator.step", positive=True)
-                     if "step" in integ else None)
-        self.control = None
-        if data.get("control") is not None:
-            self.control = _parse_signal(data["control"], self.a, self.b, k)
-        self.cones = _options(data, "cones", {"time", "times", "controls", "queries"})
-        self.reach = _options(data, "reach", {"n_controls", "max_switches", "seed", "T"})
-        self.guess = data.get("guess")
-        self.shooting = _options(data, "shooting",
-                                 {"max_iter", "n_starts", "scales", "fd_h", "max_switches"})
+        self.p0 = _get(data, "p0", "", _finite, -1.0)
+        self.tol = _get(data, "tol", "", _positive, 1e-6)
+        integ = _get(data, "integrator", "", _object("step"), {})
+        self.step = _get(integ, "step", "integrator", _positive, None)
+        control = _get(data, "control", "", _SIGNAL, None)
+        self.control = (None if control is None else _parse_signal(
+            control, "control", self.a, self.b, _array(1, k, within=self.control_set)))
+        spec = _get(data, "cones", "", _object("time", "times", "controls", "queries"), None)
+        self.cones = None
+        if spec is not None:
+            t = _get(spec, "time", "cones", _finite)
+            if not self.a < t <= self.b:
+                raise _bad("cones.time", f"in (a, b] = ({self.a!r}, {self.b!r}]", spec["time"])
+            self.cones = {"time": t,
+                          "times": _get(spec, "times", "cones", _list(_finite), ()),
+                          "controls": _get(spec, "controls", "cones", _list(_array(
+                              1, k, within=self.control_set)), ()),
+                          "queries": _get(spec, "queries", "cones", _list(_array(1, m)), ())}
+        spec = _get(data, "reach", "", _object("n_controls", "max_switches", "seed", "T"), {})
+        self.reach = {"n_controls": _get(spec, "n_controls", "reach", _integer(1), 64),
+                      "max_switches": _get(spec, "max_switches", "reach", _integer(0), 3),
+                      "seed": _get(spec, "seed", "reach", _integer(0), 0),
+                      # b - a, the default, may overflow
+                      "T": (_get(spec, "T", "reach", _positive, None)
+                            or _positive(self.b - self.a, "reach.T"))}
+        self.guess = _get(data, "guess", "", _array(1), None)
+        spec = _get(data, "shooting", "", _object(*_SHOOTING), {})
+        self.shooting = {key: _get(spec, key, "shooting", read)
+                         for key, read in _SHOOTING.items() if spec.get(key) is not None}
+
+
+def _read_json(path, missing):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (FileNotFoundError, NotADirectoryError):
+        raise ProblemError(f"{missing}: {path}")
+    except json.JSONDecodeError as e:
+        raise ProblemError(f"invalid JSON in {path}: line {e.lineno}: {e.msg}")
 
 
 def load_problem(path) -> Problem:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ProblemError(f"problem file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ProblemError(f"invalid JSON in {path}: line {e.lineno}: {e.msg}")
-    return Problem(data)
+    return Problem(_read_json(path, "problem file not found"))
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +403,10 @@ def _load_extremal(problem: Problem, out_dir):
     tdata = _load_csv(os.path.join(out_dir, "trajectory.csv"), "t,")
     header_cols = tdata.shape[1] - 1
     path = os.path.join(out_dir, "control.json")
-    try:
-        with open(path) as fh:
-            sig_spec = json.load(fh)
-    except (FileNotFoundError, NotADirectoryError):
-        raise ProblemError(f"missing file: {path}")
     grid = tdata[:, 0]
-    sig = _parse_signal(sig_spec, float(grid[0]), float(grid[-1]), problem.sys.k)
+    # the stored values are taken as written, in the control set or not
+    sig = _parse_signal(_SIGNAL(_read_json(path, "missing file"), path), path,
+                        float(grid[0]), float(grid[-1]), _array(1, problem.sys.k))
     if header_cols == m + 1:
         states = np.column_stack([tdata[:, -1], tdata[:, 1:m + 1]])
     elif header_cols == m:
@@ -399,7 +425,7 @@ def _load_extremal(problem: Problem, out_dir):
 
 def cmd_check(args) -> int:
     problem = load_problem(args.problem)
-    tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
+    tol = problem.tol if args.tol is None else _positive(args.tol, "--tol")
     ext = _load_extremal(problem, _out_dir(args.out, make=False))
     bounds = problem.boundary
     if args.mode is not None:
@@ -414,27 +440,16 @@ def cmd_check(args) -> int:
 
 def cmd_shoot(args) -> int:
     problem = load_problem(args.problem)
-    tol = problem.tol if args.tol is None else _finite(args.tol, "--tol", positive=True)
+    tol = problem.tol if args.tol is None else _positive(args.tol, "--tol")
     _out_dir(args.out)
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
                          a=problem.a, b=problem.b)
-    spec = problem.shooting or {}
-    # the seeded starts need at least one direction per scale
-    extra = {key: _integer(spec[key], f"shooting.{key}", least)
-             for key, least in (("max_iter", 0), ("n_starts", 1), ("max_switches", 0))
-             if key in spec}
-    if "fd_h" in spec:
-        extra["fd_h"] = _finite(spec["fd_h"], "shooting.fd_h", positive=True)
-    if "scales" in spec:
-        extra["scales"] = tuple(_finite(s, f"shooting.scales[{i}]", positive=True)
-                                for i, s in enumerate(_list(spec["scales"], "shooting.scales")))
     opts = ShootingOptions(tol=tol,
                            step=problem.step,
                            seed=args.seed if args.seed is not None else 0,
-                           **extra)
-    guess = None if problem.guess is None else np.asarray(problem.guess, dtype=float)
-    result = shoot(sp, guess=guess, opts=opts)
+                           **problem.shooting)
+    result = shoot(sp, guess=problem.guess, opts=opts)
     struct = switching_structure(result.extremal)
     payload = {
         "name": problem.name,
@@ -460,32 +475,16 @@ def cmd_cones(args) -> int:
     problem = load_problem(args.problem)
     if problem.control is None:
         raise ProblemError("cones needs a 'control' entry in the problem file")
-    spec = problem.cones
-    if spec is None or "time" not in spec:
+    spec, m = problem.cones, problem.sys.m
+    if spec is None:
         raise ProblemError("cones needs a 'cones' object with 'time'")
-    m, k = problem.sys.m, problem.sys.k
-    t = _finite(spec["time"], "cones.time")
-    if not problem.a < t <= problem.b:
-        raise ProblemError(f"cones.time must lie in (a, b] = ({problem.a!r}, {problem.b!r}], "
-                           f"got {spec['time']!r}")
-    times = [_finite(tau, f"cones.times[{i}]")
-             for i, tau in enumerate(_list(spec.get("times", []), "cones.times"))]
-    controls = []
-    for i, c in enumerate(_list(spec.get("controls", []), "cones.controls")):
-        u = _finite_vector(c, k, f"cones.controls[{i}]")
-        if not problem.control_set.contains(u):
-            raise ProblemError(f"cones.controls[{i}] must lie in the control set, got {c!r}")
-        controls.append(u)
-    queries = [_finite_vector(q, m, f"cones.queries[{i}]")
-               for i, q in enumerate(_list(spec.get("queries", []), "cones.queries"))]
     _out_dir(args.out)
     cfg = _cfg(problem)
     # with the sampled times and t on its grid the cone sweeps this path
     traj = simulate(problem.sys, problem.control, problem.x_a,
-                    IntegratorConfig(cfg.step, (*times, t)))
+                    IntegratorConfig(cfg.step, (*spec["times"], spec["time"])))
     try:
-        cone = build_tangent_cone(problem.sys, traj, t,
-                                  {"times": times, "controls": controls}, cfg)
+        cone = build_tangent_cone(problem.sys, traj, spec["time"], spec, cfg)
     except ValueError as e:
         raise ProblemError(f"cone sampling: {e}")
     cone.to_csv(os.path.join(args.out, "cone.csv"))
@@ -493,23 +492,19 @@ def cmd_cones(args) -> int:
                cone.cone.generators)
     results = [{"vector": [_g17(c) for c in v],
                 "status": conic_membership(cone.cone, v),
-                "margin": _g17(membership_margin(cone.cone, v))} for v in queries]
+                "margin": _g17(membership_margin(cone.cone, v))} for v in spec["queries"]]
     _write_json(os.path.join(args.out, "membership.json"), {"queries": results})
     return 0
 
 
 def cmd_reach(args) -> int:
     problem = load_problem(args.problem)
-    spec = problem.reach or {}
-    seed = (_integer(args.seed, "--seed", 0) if args.seed is not None
-            else _integer(spec.get("seed", 0), "reach.seed", 0))
-    policy = SamplePolicy(
-        n_controls=_integer(spec.get("n_controls", 64), "reach.n_controls", 1),
-        max_switches=_integer(spec.get("max_switches", 3), "reach.max_switches", 0),
-        seed=seed, step=problem.step)
-    T = _finite(spec.get("T", problem.b - problem.a), "reach.T", positive=True)
+    spec = problem.reach
+    seed = spec["seed"] if args.seed is None else _integer(0)(args.seed, "--seed")
+    policy = SamplePolicy(n_controls=spec["n_controls"], max_switches=spec["max_switches"],
+                          seed=seed, step=problem.step)
     _out_dir(args.out)
-    cloud = sample_reachable(problem.sys, problem.x_a, T, policy)
+    cloud = sample_reachable(problem.sys, problem.x_a, spec["T"], policy)
     cloud.to_csv(os.path.join(args.out, "cloud.csv"))
     cloud.save_provenance(os.path.join(args.out, "cloud_provenance.json"))
     return 0

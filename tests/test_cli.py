@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import json
 import math
@@ -10,6 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pmpkit
 from pmpkit import cli, shooting
@@ -241,7 +243,7 @@ class TestProblemFiles:
         (float("inf"), "horizon.b must be finite"),
         ({"a": 0.0, "b": float("nan")}, "horizon.b must be finite"),
         ({"a": "zero", "b": 1.0}, "horizon.a must be finite"),
-        ({"a": 0.0}, "horizon must be a number or an object with 'b'"),
+        ({"a": 0.0}, "problem file needs 'horizon.b'"),
     ])
     def test_bad_horizon_named(self, tmp_path, capsys, horizon, item):
         data = lqr_problem()
@@ -268,9 +270,12 @@ class TestProblemFiles:
     @pytest.mark.parametrize("reach, item", [
         # unknown keys, the README's old step/near/spread among them, used
         # to be ignored silently
-        ({"n_controls": 3, "bogus_key": 1}, "unknown reach option(s): ['bogus_key']"),
+        ({"n_controls": 3, "bogus_key": 1},
+         "reach must be an object with keys from ['T', 'max_switches', 'n_controls', "
+         "'seed'], got unknown ['bogus_key']"),
         ({"n_controls": 3, "step": 0.5, "near": [[0.0]], "spread": 9.0},
-         "unknown reach option(s): ['near', 'spread', 'step']"),
+         "reach must be an object with keys from ['T', 'max_switches', 'n_controls', "
+         "'seed'], got unknown ['near', 'spread', 'step']"),
         ([3], "reach must be an object"),
         ({"n_controls": 3, "T": float("inf")}, "reach.T must be positive and finite"),
         # -3 used to write a cloud.csv with only its header; the others
@@ -307,20 +312,22 @@ class TestProblemFiles:
         ({"time": float("inf")}, "cones.time must be finite, got inf"),
         ({"time": float("nan")}, "cones.time must be finite, got nan"),
         # past the horizon the cone used to be extrapolated, exit 0
-        ({"time": 5.0}, "cones.time must lie in (a, b] = (0.0, 2.0], got 5.0"),
-        ({"time": 0.0}, "cones.time must lie in (a, b] = (0.0, 2.0], got 0.0"),
+        ({"time": 5.0}, "cones.time must be in (a, b] = (0.0, 2.0], got 5.0"),
+        ({"time": 0.0}, "cones.time must be in (a, b] = (0.0, 2.0], got 0.0"),
         ({"times": [0.3, float("nan")]}, "cones.times[1] must be finite, got nan"),
         ({"times": [float("inf")]}, "cones.times[0] must be finite, got inf"),
         ({"times": 0.3}, "cones.times must be a list, got 0.3"),
         # controls outside the set or of the wrong dimension used to exit 0
         ({"controls": [[0.0], [7.0]]},
-         "cones.controls[1] must lie in the control set, got [7.0]"),
-        ({"controls": [[1.0, 2.0]]}, "cones.controls[0] has wrong dimension"),
+         "cones.controls[1] must be in the control set, got [7.0]"),
+        ({"controls": [[1.0, 2.0]]},
+         "cones.controls[0] must be a numeric vector of length 1, got [1.0, 2.0]"),
         ({"controls": [["up"]]}, "cones.controls[0] must be a numeric vector"),
         # a NaN query used to fail in argmin after cone.csv was written
         ({"queries": [[1.0, 0.0], [float("nan"), 1.0]]}, "cones.queries[1] must be finite"),
-        ({"queries": [[1.0]]}, "cones.queries[0] has wrong dimension"),
-        ({"bogus": 1}, "unknown cones option(s): ['bogus']"),
+        ({"queries": [[1.0]]}, "cones.queries[0] must be a numeric vector of length 2, got [1.0]"),
+        ({"bogus": 1}, "cones must be an object with keys from ['controls', 'queries', "
+         "'time', 'times'], got unknown ['bogus']"),
     ])
     def test_bad_cones_block_named(self, tmp_path, capsys, cones, item):
         with open(os.path.join(os.path.dirname(__file__), "golden",
@@ -338,8 +345,10 @@ class TestProblemFiles:
         # NaN fails no "lo > hi" or "radius < 0" test, so shoot used to run
         # its whole multistart on such a set and then exit 2 with "control
         # signal value outside the control set"
-        ({"kind": "box", "lo": [float("nan")], "hi": [1.0]}, "control_set.lo must not be NaN"),
-        ({"kind": "box", "lo": [-1.0], "hi": [float("nan")]}, "control_set.hi must not be NaN"),
+        ({"kind": "box", "lo": [float("nan")], "hi": [1.0]},
+         "control_set.lo must be free of NaN, got [nan]"),
+        ({"kind": "box", "lo": [-1.0], "hi": [float("nan")]},
+         "control_set.hi must be free of NaN, got [nan]"),
         ({"kind": "box", "lo": ["low"], "hi": [1.0]}, "control_set.lo must be a numeric vector"),
         ({"kind": "ball", "center": [0.0], "radius": float("nan")},
          "control_set.radius must be a nonnegative number, got nan"),
@@ -352,7 +361,7 @@ class TestProblemFiles:
         ({"kind": "finite"}, "problem file needs 'control_set.points'"),
         # a non-finite centre used to be accepted
         ({"kind": "ball", "center": [float("nan")], "radius": 1.0},
-         "control_set.center must not be NaN"),
+         "control_set.center must be finite, got [nan]"),
         ({"kind": "ball", "center": [float("inf")], "radius": 1.0},
          "control_set.center must be finite"),
     ])
@@ -390,7 +399,7 @@ class TestProblemFiles:
         ("initial", {"point": [float("nan"), 0.0]}, "boundary.initial.point must be finite"),
         ("final", {"point": [0.0, float("-inf")]}, "boundary.final.point must be finite"),
         ("final", {"anchor": [0.0, 0.0], "normals": [[1.0]]},
-         "boundary.final.normals[0] has wrong dimension"),
+         "boundary.final.normals[0] must be a numeric vector of length 2, got [1.0]"),
     ])
     def test_bad_boundary_end_named(self, tmp_path, capsys, end, spec, item):
         data = bang_problem()
@@ -465,39 +474,42 @@ class TestProblemFiles:
     }
 
     @pytest.mark.parametrize("command, items, files, item", [
-        ("simulate", None, {}, "problem file must hold a JSON object"),
+        ("simulate", None, {}, "problem file must be an object, got []"),
         ("simulate", {"control_set": [-1.0, 1.0]}, {},
-         "control_set must be an object with a 'kind'"),
+         "control_set must be an object, got [-1.0, 1.0]"),
         ("simulate", {"control_set": None}, {}, "problem file needs 'control_set'"),
-        ("simulate", {"control_set": {"kind": "cube"}}, {}, "unknown control_set kind 'cube'"),
+        ("simulate", {"control_set": {"kind": "cube"}}, {},
+         "control_set.kind must be one of ['box', 'finite', 'ball'], got 'cube'"),
         ("simulate", {"dynamics": None}, {}, "problem file needs 'dynamics'"),
         ("simulate", {"dynamics": "scalar_integrator"}, {}, "dynamics must be an object"),
         ("simulate", {"dynamics": {"ode": ["u0"]}}, {},
-         "dynamics needs 'builtin' or 'expressions'"),
+         "dynamics must be an object with keys from ['A', 'B', 'builtin', 'expressions'], "
+         "got unknown ['ode']"),
         ("simulate", {"dynamics": {"expressions": []}}, {},
          "dynamics.expressions must be a nonempty list"),
         ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0, 1.0]], "B": [[1.0]]}},
-         {}, "linear_system needs square A and matching B"),
+         {}, "dynamics.A must be a square matrix, got [[0.0, 1.0]]"),
         ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0]],
                                    "B": [[1.0], [1.0]]}},
-         {}, "linear_system needs square A and matching B"),
+         {}, "dynamics.B must be a 1-row numeric matrix, got [[1.0], [1.0]]"),
         ("simulate", {"dynamics": {"builtin": "linear_system", "A": [["a"]], "B": [[1.0]]}},
          {}, "A must be a numeric matrix"),
         ("simulate", {"dynamics": {"builtin": "linear_system", "A": [[0.0]], "B": [1.0]}},
-         {}, "B must be two-dimensional"),
-        ("simulate", {"cost": "u0^2"}, {}, "cost must be an object with 'expression'"),
+         {}, "dynamics.B must be a 1-row numeric matrix, got [1.0]"),
+        ("simulate", {"cost": "u0^2"}, {}, "cost must be an object, got 'u0^2'"),
         ("simulate", {"horizon": {"a": 1.0, "b": 1.0}}, {}, "horizon needs b > a"),
         ("simulate", {"horizon": {"a": 2.0, "b": 1.0}}, {}, "horizon needs b > a"),
         ("simulate", {"boundary": {"mode": "sometimes", "initial": {"point": [0.0]},
                                    "final": {"point": [1.0]}}},
-         {}, "unknown boundary mode 'sometimes'"),
+         {}, "boundary.mode must be one of ['fixed_time', 'free_time'], got 'sometimes'"),
         ("simulate", {"boundary": {"initial": [0.0], "final": {"point": [1.0]}}},
          {}, "boundary.initial must be an object"),
         ("simulate", {"boundary": {"initial": {"point": [0.0]}, "final": {"at": [1.0]}}},
-         {}, "boundary.final needs 'point' or 'anchor'"),
-        ("simulate", {"control": [[1.0]]}, {}, "control must be an object with 'values'"),
+         {}, "boundary.final must be an object with keys from ['anchor', 'normals', 'point'], "
+         "got unknown ['at']"),
+        ("simulate", {"control": [[1.0]]}, {}, "control must be an object, got [[1.0]]"),
         ("simulate", {"control": {"values": [[1.0, 0.0]]}}, {},
-         "control value has wrong dimension"),
+         "control.values[0] must be a numeric vector of length 1, got [1.0, 0.0]"),
         ("check", {}, {"trajectory.csv": "time,x0\n0,0\n1,1\n"},
          "trajectory.csv: expected header starting with 't,'"),
         ("check", {}, {"trajectory.csv": "t,x0\n0,0\n1,one\n"},
@@ -516,7 +528,59 @@ class TestProblemFiles:
          "adjoint.csv grid does not match trajectory.csv"),
         ("cones", {"control": None}, {}, "cones needs a 'control' entry in the problem file"),
         ("cones", {"cones": None}, {}, "cones needs a 'cones' object with 'time'"),
-        ("cones", {"cones": {"times": [0.5]}}, {}, "cones needs a 'cones' object with 'time'"),
+        ("cones", {"cones": {"times": [0.5]}}, {}, "problem file needs 'cones.time'"),
+        # items that no check read: each exited 1 with a traceback, or
+        # exited 2 with a message that named nothing, or was read as a
+        # number though a JSON boolean is none
+        ("simulate", {"integrator": 0.1}, {}, "integrator must be an object, got 0.1"),
+        ("simulate", {"boundary": ["fixed_time"]}, {},
+         "boundary must be an object, got ['fixed_time']"),
+        ("simulate", {"boundary": {"final": {"point": [1.0]}}}, {},
+         "problem file needs 'boundary.initial'"),
+        ("simulate", {"boundary": {"initial": {"point": [0.0]}}}, {},
+         "problem file needs 'boundary.final'"),
+        ("simulate", {"boundary": {"initial": {"point": [0.0]},
+                                   "final": {"anchor": [1.0], "normals": 3}}}, {},
+         "boundary.final.normals must be a list, got 3"),
+        ("simulate", {"control": {"values": 3}}, {}, "control.values must be a list, got 3"),
+        ("simulate", {"control_set": {"kind": "finite", "points": 3}}, {},
+         "control_set.points must be a nonempty list, got 3"),
+        ("simulate", {"control": {"switch_times": ["half"], "values": [[1.0], [0.0]]}}, {},
+         "control.switch_times[0] must be a number, got 'half'"),
+        ("simulate", {"control": {"values": [["a"]]}}, {},
+         "control.values[0] must be a numeric vector of length 1, got ['a']"),
+        ("shoot", {"guess": "abc"}, {}, "guess must be a numeric vector, got 'abc'"),
+        # check reads control.json as the problem file is read, by its path
+        ("check", {}, {"control.json": '{"values": '}, "control.json: line 1"),
+        ("check", {}, {"control.json": "[[1.0]]"}, "control.json must be an object, got [[1.0]]"),
+        ("check", {}, {"control.json": '{"values": 3}'},
+         "control.json.values must be a list, got 3"),
+        # refused by the library, naming no item
+        ("simulate", {"control_set": {"kind": "box", "lo": [-1.0], "hi": [-2.0]}}, {},
+         "control_set.hi must be >= control_set.lo componentwise, got [-2.0]"),
+        ("simulate", {"control_set": {"kind": "finite", "points": [[0.0], [1.0, 2.0]]}}, {},
+         "control_set.points[1] must be a numeric vector of length 1, got [1.0, 2.0]"),
+        ("simulate", {"control": {"switch_times": [0.5], "values": [[1.0], [7.0]]}}, {},
+         "control.values[1] must be in the control set, got [7.0]"),
+        # read as 1.0
+        ("simulate", {"tol": True}, {}, "tol must be positive and finite, got True"),
+        ("simulate", {"p0": True}, {}, "p0 must be finite, got True"),
+        ("simulate", {"horizon": True}, {}, "horizon.b must be finite, got True"),
+        ("simulate", {"integrator": {"step": True}}, {},
+         "integrator.step must be positive and finite, got True"),
+        ("simulate", {"control_set": {"kind": "ball", "center": [0.0], "radius": True}}, {},
+         "control_set.radius must be a nonnegative number, got True"),
+        ("simulate", {"cones": {"time": True}}, {}, "cones.time must be finite, got True"),
+        ("simulate", {"cones": {"time": 1.0, "times": [True]}}, {},
+         "cones.times[0] must be finite, got True"),
+        ("simulate", {"reach": {"T": True}}, {}, "reach.T must be positive and finite, got True"),
+        # the default T, b - a, overflows
+        ("reach", {"horizon": {"a": -1e308, "b": 1e308}}, {},
+         "reach.T must be positive and finite, got inf"),
+        ("simulate", {"shooting": {"fd_h": True}}, {},
+         "shooting.fd_h must be positive and finite, got True"),
+        ("simulate", {"shooting": {"scales": [True]}}, {},
+         "shooting.scales[0] must be positive and finite, got True"),
     ])
     def test_bad_item_exits_2_and_is_named(self, tmp_path, capsys, command, items, files, item):
         data = {key: value for key, value in {**self.SCALAR, **(items or {})}.items()
@@ -934,6 +998,45 @@ class TestEntryPoint:
         assert out.returncode == 0, out.stderr
         assert "RuntimeWarning" not in out.stderr
         assert "usage: pmpkit" in out.stdout
+
+
+def item_paths(value, path=()):
+    """The path of every item of a JSON value, at any depth."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield path + (key,)
+        yield from item_paths(item, path + (key,))
+
+
+def golden_problem(case):
+    with open(os.path.join(GOLDEN, case, "problem.json")) as fh:
+        return json.load(fh)
+
+
+GOLDEN_PROBLEMS = {case: golden_problem(case) for case in (
+    "linear_system_simulate", "lqr_expression_shoot", "min_time_double_integrator",
+    "pendulum_flow_sample")}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(case, path) for case, data in GOLDEN_PROBLEMS.items()
+                        for path in item_paths(data)]),
+       st.sampled_from([None, True, 7, "x", [], {}]))
+def test_any_one_bad_item_is_bad_input(tmp_path_factory, item, value):
+    # the problem is read, or refused as bad input: no TypeError, KeyError
+    # or AttributeError from an item that no check read
+    case, path = item
+    data = copy.deepcopy(GOLDEN_PROBLEMS[case])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = copy.deepcopy(value)
+    problem = write_problem(tmp_path_factory.getbasetemp() / "one_bad_item.json", data)
+    try:
+        assert isinstance(cli.load_problem(problem), cli.Problem)
+    except cli.ProblemError:
+        pass
 
 
 @pytest.mark.parametrize("key, value", [

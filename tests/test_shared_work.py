@@ -658,13 +658,13 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
     assert calls == first
 
 
-@pytest.mark.parametrize("expressions, cost", [
-    (["x0 +* u0"], None),
+@pytest.mark.parametrize("expressions, cost, message", [
+    (["x0 +* u0"], None, "parse error"),
     # texts that are no string, which the compiles cannot be keyed on
-    ([["x0"]], None),
-    (["u0"], {"expression": ["x0"]}),
+    ([["x0"]], None, "dynamics.expressions[0] must be a string, got ['x0']"),
+    (["u0"], {"expression": ["x0"]}, "cost.expression must be a string, got ['x0']"),
 ], ids=["parse_error", "list_expression", "list_cost"])
-def test_a_bad_problem_fails_at_every_load(tmp_path, capsys, expressions, cost):
+def test_a_bad_problem_fails_at_every_load(tmp_path, capsys, expressions, cost, message):
     # a failed compile is not kept: the second load raises as the first did
     data = {"dynamics": {"expressions": expressions},
             "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
@@ -677,4 +677,4 @@ def test_a_bad_problem_fails_at_every_load(tmp_path, capsys, expressions, cost):
     for _ in range(2):
         assert cli.main(["simulate", "--problem", str(path), "--out", str(tmp_path / "o")]) == 2
         errors.append(capsys.readouterr().err)
-    assert errors[0] == errors[1] and "parse error" in errors[0]
+    assert errors[0] == errors[1] and message in errors[0]
