@@ -504,3 +504,36 @@ def test_probe_fit_is_compiled_once_and_replaces_the_closure_fit(tmp_path):
         problem = os.path.join(GOLDEN, "lqr_expression_shoot", "problem.json")
         assert cli.main(["shoot", "--problem", problem, "--out", str(tmp_path / "lqr")]) == 0
         assert len(built) == 2
+
+
+def test_probe_fit_evaluates_an_entry_that_names_no_control_once(monkeypatch):
+    # one call of the generated probe fit on a k = 2 box evaluates an f
+    # entry that reads no control once for all probes, and each entry of f
+    # and of the cost that reads a control once per probe
+    calls = {}
+
+    def counted(name, fn):
+        def call(v, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(v, *args)
+        return call
+
+    for name in ("_sin", "_cos", "_exp", "_real_pow"):
+        monkeypatch.setitem(grammar._GLOBALS, name, counted(name, grammar._GLOBALS[name]))
+    caches = (grammar.compile_dynamics, grammar.parse_expression)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        f, _, _ = grammar.compile_dynamics(("sin(x1)", "cos(x0) * u0 + u1"), 2, 2)
+        F = grammar.parse_expression("exp(x0) + u0^2", 2, 2)
+        probes = pmp._probes(box([-1.0, 0.0], [1.0, 2.0]))
+        fit = f.probe_fit(F, probes.points, probes.axes, probes.pairs)
+        calls.clear()
+        fit([0.5, -0.25], [0.3, 0.7], -1.0)
+    finally:
+        # the compiled functions hold the counting helpers
+        for cache in caches:
+            cache.cache_clear()
+    n = len(probes.points)
+    assert n == 6
+    assert calls == {"_sin": 1, "_cos": n, "_exp": n, "_real_pow": n}
