@@ -16,13 +16,16 @@ their quadratic fit in one straight-line function.  Every pairing of a
 covector with a rate or a Jacobian column is summed in order from 0.0
 (`flows._dot`), in the generated code as in the package's own, so their
 bits depend on no BLAS.  The generated code is written by running the
-package's own arithmetic once on symbolic operands: `flows.rk4_step` for
-every step's stage and combination arithmetic, `flows._recorded_step` for
-the adjoint's retraced forward step, and `pmp._costate_rate` for
-(df/dx)^T p.  Each is built as an `ast` tree from the validated grammar
-tree, one assignment per grammar node in the order a tree walk evaluates
-them (left operand, right operand, operation; a subtree that a derivative
-shares is assigned once per entry), and passed to `compile`; no source
+package's own code once on symbolic operands: `flows.rk4_step` for every
+step's stage and combination arithmetic, `flows._recorded_step` for the
+adjoint's retraced forward step, `pmp._costate_rate` for (df/dx)^T p,
+`pmp._h_sum` for the probe values of H and `pmp._fit_quadratic` for their
+fit, with its comparison helpers called by name; an operation met again on
+the same operands is computed once.  Each is built as an `ast` tree from
+the validated grammar tree, one assignment per grammar node in the order a
+tree walk evaluates them (left operand, right operand, operation; a
+subtree that a derivative shares is assigned once per entry), and passed
+to `compile`; no source
 text is generated and the user's text is never evaluated.  Numbers are
 bound through a tuple, so nothing is folded (the package's own numbers are
 literals, each met with a variable).  A state or control reads as
@@ -43,14 +46,15 @@ import ast
 import functools
 import math
 import re
+import types
 import warnings
 from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
 
-from .flows import _dot, _recorded_step, rk4_step
-from .pmp import _costate_rate
+from .flows import _recorded_step, rk4_step
+from .pmp import _costate_rate, _fit_quadratic, _h_sum, _nan_max, _off_max
 
 
 class ProblemError(ValueError):
@@ -346,7 +350,8 @@ def _exact(body) -> bool:
 _GUARDED = (OverflowError, ZeroDivisionError, ValueError)
 _GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _real_pow,
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
-            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs}
+            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs,
+            "_nan_max": _nan_max, "_off_max": _off_max}
 
 
 _LOAD, _STORE = ast.Load(), ast.Store()
@@ -386,6 +391,7 @@ class _Code:
         self.values = []
         self.n_temps = 0
         self.inputs = {}
+        self.operations = {}
 
     def local(self, value):
         """Assign value to a new temporary in the body; return its name."""
@@ -393,6 +399,16 @@ class _Code:
         self.n_temps += 1
         self.body.append(_assign(name, value))
         return name
+
+    def operation(self, op, args):
+        """The operand of op, an `ast` operator or the name of a function of
+        the generated code, on args: one operand per op and args, operands
+        taken by identity and numbers by repr (which tells -0.0 from 0.0),
+        so an operation met again is computed once."""
+        key = (op, *(a if isinstance(a, _Operand) else repr(a) for a in args))
+        if key not in self.operations:
+            self.operations[key] = _Operand(self, None, op, args)
+        return self.operations[key]
 
     def _const(self, v):
         self.consts.append(float(v))
@@ -507,10 +523,12 @@ class _Code:
 
 
 class _Operand:
-    """A value in a generated RK4 step: a local of the step, or an
-    operation on operands and numbers.  Its `+`, `-`, `*` and `/` record
-    the operation instead of doing it, so `flows.rk4_step` run on operands
-    writes the step's stage and combination arithmetic in its own order."""
+    """A value in generated code: a local, or an operation on operands and
+    numbers.  Its `+`, `-`, `*`, `/` and `abs` record the operation instead
+    of doing it (`_Code.operation`), so the package's own code run on
+    operands writes its arithmetic in its own order: `flows.rk4_step` the
+    stage and combination arithmetic of an RK4 step, `pmp._fit_quadratic`
+    the probe fit."""
 
     def __init__(self, code, name=None, op=None, args=()):
         self.code, self.name, self.op, self.args = code, name, op, args
@@ -521,7 +539,7 @@ class _Operand:
 
     def _recorded(op, reflected=False):
         def method(self, other):
-            return _Operand(self.code, None, op, (other, self) if reflected else (self, other))
+            return self.code.operation(op, (other, self) if reflected else (self, other))
         return method
 
     __add__, __radd__ = _recorded(ast.Add), _recorded(ast.Add, True)
@@ -530,14 +548,18 @@ class _Operand:
     __truediv__, __rtruediv__ = _recorded(ast.Div), _recorded(ast.Div, True)
     del _recorded
 
+    def __abs__(self):
+        return self.code.operation("_abs", (self,))
+
     def expr(self):
         """The expression of the operand.  An operation read by more than
         one other is assigned to a temporary where it is first needed, so it
-        runs once, as in rk4_step."""
+        runs once, as in the code that was run on operands."""
         if self.name is None:
-            left, right = (a.expr() if isinstance(a, _Operand) else ast.Constant(a, **_POS)
-                           for a in self.args)
-            node = ast.BinOp(left, self.op(), right, **_POS)
+            args = [a.expr() if isinstance(a, _Operand) else ast.Constant(a, **_POS)
+                    for a in self.args]
+            node = (_apply(self.op, *args) if isinstance(self.op, str)
+                    else ast.BinOp(args[0], self.op(), args[1], **_POS))
             if self.reads < 2:
                 return node
             self.name = self.code.local(node)
@@ -548,6 +570,26 @@ class _Operand:
         if self.name is None:
             self.name = self.code.local(self.expr())
         return self.name
+
+
+def _recording(code, fn, *names):
+    """fn, with each function it calls by one of names recorded into code as
+    a call of the generated code, which binds it by name (`_GLOBALS`)."""
+    def recorder(name):
+        return lambda *args: code.operation(name, args)
+    return types.FunctionType(fn.__code__, {**fn.__globals__, **{n: recorder(n) for n in names}})
+
+
+def _returned(value):
+    """The expression of value, an operand, a number, or a list or tuple of
+    them.  An operand that an operation reads too is held in a local; it
+    runs once where value lists it before the operations that read it."""
+    if isinstance(value, (list, tuple)):
+        return (ast.List if isinstance(value, list) else ast.Tuple)(
+            [_returned(v) for v in value], _LOAD, **_POS)
+    if isinstance(value, _Operand):
+        return _name(value.local()) if value.reads else value.expr()
+    return ast.Constant(value, **_POS)
 
 
 def _read(code, vec, i):
@@ -752,10 +794,6 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
                              ast.List(_rk4_step_code(code, y, stage, k1), _LOAD, **_POS))
 
 
-def _op(a, op, b):
-    return ast.BinOp(a, op(), b, **_POS)
-
-
 def _probe_fit_code(bodies, cost, points, axes, pairs):
     """(code, definition) of probe_fit(p, x, p0f) -> fit: the values of H =
     p0f F + p . f at the probe points and their quadratic fit, bit for bit
@@ -764,110 +802,45 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     a cost; None if a tree names a control the points lack.
 
     points are the probes' controls as lists of floats, and axes and pairs
-    the fit's per-axis and per-pair tuples, laid out as `pmp._Probes` lays
-    them out; their divisors are bound as numbers.  x is read through float
-    once.  At each probe, each control the trees name is a local that holds
-    the probe's float, and each entry of F and of f runs in its own try, as
-    `_Code.entry` writes it.  Then, as H computes it: A = p0f F, or p0f 0.0
-    without a cost, so that the zero keeps its sign; s = p . f, `flows._dot`
-    run once on the values; and h = A + s.  Next, in
-    `_fit_quadratic`'s order: b_j and a_j per live axis, the mixed entry of
-    each pair, and bmax, cmax and off, the running maxima keeping the first
-    NaN they meet.  fit is `_fit_quadratic`'s (b, a, mixed, bmax, cmax,
-    off)."""
+    the fit's tuples, laid out as `pmp._Probes` lays them out.  x is read
+    through float once.  At each probe, each control the trees name reads
+    a number bound to the probe, and each entry of F and of f runs in its
+    own try, as `_Code.entry` writes it, once per binding of the inputs it
+    reads, so an entry that names no control runs once for all probes.
+    `pmp._h_sum` runs on the operands of F (0.0 without a cost, so that
+    p0f 0.0 keeps its sign of zero) and f, then `pmp._fit_quadratic`
+    (H=None) on the probes' values, its comparison helpers recorded as
+    calls."""
+    trees = bodies if cost is None else [cost, *bodies]
+    names = {id(tree): sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+             for tree in trees}
+    read = set().union(*names.values())
     m, k = len(bodies), len(points[0])
-
-    def names(node):
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-    read = set().union(*map(names, bodies if cost is None else [cost, *bodies]))
     if any(name[0] == "u" and int(name[1:]) >= k for name in read):
         return None
-    code = _Code()
+    code, entries = _Code(), {}
     for i in range(m):
         if f"x{i}" in read:
             code.inputs[f"x{i}"] = _read(code, "x", i).name
-    p = [code.local(_at("p", ast.Constant(i, **_POS))) for i in range(m)]
-    p0f, zero = _name("p0f"), ast.Constant(0.0, **_POS)
-    # what reads no control is computed at the first probe and read again
-    # at the others, keyed by its tree or its expression; varying holds the
-    # locals that read a control
-    once, varying = {}, set()
-
-    def kept(key, varies, make):
-        if key in once:
-            return _name(once[key])
-        name = make()
-        if varies:
-            varying.add(name)
-        else:
-            once[key] = name
-        return _name(name)
+    p = [_Operand(code, code.local(_at("p", ast.Constant(i, **_POS)))) for i in range(m)]
+    p0f = _Operand(code, "p0f")
 
     def value(tree):
-        def entry():
-            code.entry(tree)
-            return code.values[-1].id
-        return kept(id(tree), any(name[0] == "u" for name in names(tree)), entry)
-
-    def local(node):
-        return kept(ast.dump(node), bool(names(node) & varying), lambda: code.local(node))
-
-    class Kept:
-        # a value whose + and * assign a kept local: `flows._dot` run on
-        # such values writes H's ordered sum
-        def __init__(self, node):
-            self.node = node
-
-        def __add__(self, other):
-            return Kept(local(_op(self.node, ast.Add, other.node)))
-
-        def __radd__(self, zero):
-            return Kept(local(_op(ast.Constant(zero, **_POS), ast.Add, self.node)))
-
-        def __mul__(self, other):
-            return Kept(local(_op(self.node, ast.Mult, other.node)))
+        key = (id(tree), *map(code.inputs.get, names[id(tree)]))
+        if key not in entries:
+            entries[key] = _stage_values(code, [tree])[0]
+        return entries[key]
 
     values = []
     for u in points:
         for j in range(k):
             if f"u{j}" in read:
-                code.inputs[f"u{j}"] = code.local(code._const(u[j]))
-                varying.add(code.inputs[f"u{j}"])
-        A = local(_op(p0f, ast.Mult, zero if cost is None else value(cost)))
-        s = _dot([Kept(_name(pi)) for pi in p], [Kept(value(body)) for body in bodies])
-        values.append(local(_op(A, ast.Add, s.node)))
-
-    def running_max(top, entry):
-        # top = |entry| where it is larger, or where it is NaN
-        w = local(_apply("_abs", entry))
-        test = ast.BoolOp(ast.Or(), [ast.Compare(w, [ast.Gt()], [_name(top)], **_POS),
-                                     ast.Compare(w, [ast.NotEq()], [w], **_POS)], **_POS)
-        code.body.append(ast.If(test, [_assign(top, w)], [], **_POS))
-
-    code.body += [_assign(top, zero) for top in ("_bmax", "_amax", "_mmax")]
-    f0, b, a, mixed = values[0], [zero] * k, [zero] * k, []
-    for j, n, two_delta, delta_sq in axes:
-        fp, fm = values[n], values[n + 1]
-        b[j] = local(_op(_op(fp, ast.Sub, fm), ast.Div, code._const(two_delta)))
-        a[j] = local(_op(_op(_op(fp, ast.Sub, _op(ast.Constant(2.0, **_POS), ast.Mult, f0)),
-                             ast.Add, fm), ast.Div, code._const(delta_sq)))
-        running_max("_bmax", b[j])
-        running_max("_amax", a[j])
-    for i, j, n, n_i, n_j, delta_ij in pairs:
-        v = local(_op(_op(_op(_op(values[n], ast.Sub, values[n_i]), ast.Sub, values[n_j]),
-                          ast.Add, f0), ast.Div, code._const(delta_ij)))
-        mixed.append(ast.Tuple([ast.Constant(i, **_POS), ast.Constant(j, **_POS), v], _LOAD,
-                               **_POS))
-        running_max("_mmax", v)
-    amax, mmax = _name("_amax"), _name("_mmax")
-    cmax = ast.IfExp(ast.BoolOp(ast.Or(), [ast.Compare(amax, [ast.GtE()], [mmax], **_POS),
-                                           ast.Compare(amax, [ast.NotEq()], [amax], **_POS)],
-                                **_POS), amax, mmax, **_POS)
-    off = mmax if k == 1 else ast.IfExp(_apply("_isfinite", amax), mmax, _name("_nan"), **_POS)
-    fit = ast.Tuple([ast.List(b, _LOAD, **_POS), ast.List(a, _LOAD, **_POS),
-                     ast.List(mixed, _LOAD, **_POS), _name("_bmax"), cmax, off], _LOAD, **_POS)
-    return code, code.define("probe_fit", ("p", "x", "p0f"), fit)
+                code.inputs[f"u{j}"] = code._const(u[j]).id
+        values.append(_h_sum(p0f, 0.0 if cost is None else value(cost), p,
+                             [value(body) for body in bodies]))
+    probes = types.SimpleNamespace(k=k, axes=axes, pairs=pairs)
+    fit = _recording(code, _fit_quadratic, "_nan_max", "_off_max")(values, probes, None, None)
+    return code, code.define("probe_fit", ("p", "x", "p0f"), _returned(fit))
 
 
 # ---------------------------------------------------------------------------
@@ -924,10 +897,10 @@ def compile_dynamics(srcs, m: int, k: int):
     Both return None unless df_dx is f's own generated Jacobian and the
     system has no cost or dF_dx is a generated gradient.
     - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) -> fit,
-      the quadratic fit of the probe values of H = p0f F + p . f at the
-      probe points, bit for bit as `pmp._fit_quadratic` makes it from the
-      maximizer's H values, with axes and pairs the fit's tuples
-      (`pmp._Probes`; see `_probe_fit_code`).  It returns None unless F is
+      the box maximizer's quadratic fit: `pmp._fit_quadratic` of the values
+      of H = p0f F + p . f (`pmp._h_sum`) at the probe points, both run once
+      on operands (`_probe_fit_code`), with axes and pairs the fit's tuples
+      (`pmp._Probes`).  It returns None unless F is
       None or a grammar expression (`parse_expression` keeps its tree as
       `F.tree`) and f has one entry per state.  It is compiled once per
       cost tree, probe floats (each probe keyed by its bytes, so that -0.0

@@ -111,7 +111,13 @@ def hamiltonian(sys: ControlSystem, p0: float, p, x, u) -> float:
     u = np.asarray(u, dtype=float).ravel()
     if p.size != sys.m or x.size != sys.m:
         raise ValueError("dimension mismatch")
-    return float(p0) * sys.cost_rate(x, u) + _dot(p.tolist(), sys._rate(x, u))
+    return _h_sum(float(p0), sys.cost_rate(x, u), p.tolist(), sys._rate(x, u))
+
+
+def _h_sum(p0f, F, p, f):
+    """p0f F + p . f of the cost value F and the rate f: the one sum of H,
+    which the grammar runs on symbolic operands too."""
+    return p0f * F + _dot(p, f)
 
 
 # the maximizer's constants: the exact-fit test's relative tolerance, and
@@ -235,6 +241,18 @@ def _matrix(a, mixed):
     return A
 
 
+def _nan_max(top, v):
+    """v where it is larger than top or NaN, else top: one step of a running
+    maximum that keeps the first NaN it meets."""
+    return v if v > top or v != v else top
+
+
+def _off_max(amax, mmax):
+    """mmax, or NaN beside an infinite or NaN amax, as np.max(np.abs(.)) of
+    the off-diagonal part of a Hessian reads inf - inf there."""
+    return mmax if math.isfinite(amax) else math.nan
+
+
 def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
     """Exact-fit quadratic model of H from values, H at `probes.points` in
     order, or None if H is not quadratic.
@@ -248,9 +266,11 @@ def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
       and off that of its off-diagonal part (0.0 for k = 1).  Each is
       float(np.max(np.abs(.))) of the arrays: NaN wherever a NaN stands, and
       off is NaN beside an infinite diagonal entry, where inf - inf stands.
+      cmax, of two nonnegative maxima, is one more `_nan_max` step.
     With H given, the fit is tested at three more probes, where H is
     evaluated; without it the fit is trusted, for an H known to be at most
-    quadratic in u.
+    quadratic in u.  The grammar runs it on symbolic operands to write the
+    generated probe fit.
     """
     k = probes.k
     f0 = values[0]
@@ -261,21 +281,15 @@ def _fit_quadratic(values, probes: _Probes, fit_tol, H=None):
         fp, fm = values[n], values[n + 1]
         bj = b[j] = (fp - fm) / two_delta
         aj = a[j] = (fp - 2.0 * f0 + fm) / delta_sq
-        bj, aj = abs(bj), abs(aj)
-        # a running maximum that keeps the first NaN it meets
-        if bj > bmax or bj != bj:
-            bmax = bj
-        if aj > amax or aj != aj:
-            amax = aj
+        bmax = _nan_max(bmax, abs(bj))
+        amax = _nan_max(amax, abs(aj))
     mixed, mmax = [], 0.0
     for i, j, n, n_i, n_j, delta_ij in probes.pairs:
         v = (values[n] - values[n_i] - values[n_j] + f0) / delta_ij
         mixed.append((i, j, v))
-        v = abs(v)
-        if v > mmax or v != v:
-            mmax = v
-    cmax = amax if amax >= mmax or amax != amax else mmax
-    off = mmax if k == 1 or math.isfinite(amax) else math.nan
+        mmax = _nan_max(mmax, abs(v))
+    cmax = _nan_max(mmax, amax)
+    off = mmax if k == 1 else _off_max(amax, mmax)
     if H is None:
         return b, a, mixed, bmax, cmax, off
 
@@ -429,7 +443,7 @@ def _maximizer(sys: ControlSystem, p0: float):
         def H(u):
             # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian`
             # does
-            return p0f * cost(x, u) + _dot(p, rate(x, u))
+            return _h_sum(p0f, cost(x, u), p, rate(x, u))
 
         u_star, value = decide(probe_fit(p, x, p0f), H) if probe_fit else search(H)
         return u_star, H, value

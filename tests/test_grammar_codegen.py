@@ -478,18 +478,21 @@ def test_probe_fit_is_compiled_once_and_replaces_the_closure_fit(tmp_path):
     # a shoot and a check of the min-time golden load the problem twice and
     # compile its probe fit once, keyed on the cost's tree and the probes'
     # floats, and p0 = -1 and p0 = 0 share it; neither shoot of the two
-    # shooting goldens, nor the check, fits H's values on the closure path
+    # shooting goldens, nor the check, fits H's values on the closure path,
+    # where they are floats (compiling runs the fit on operands)
     grammar.compile_dynamics.cache_clear()
     grammar.parse_expression.cache_clear()
     built = []
-    emit = grammar._probe_fit_code
+    emit, fit = grammar._probe_fit_code, pmp._fit_quadratic
 
     def counted(*args):
         built.append(args)
         return emit(*args)
 
-    def closure_fit(*args):
-        raise AssertionError("the closure path's fit ran")
+    def closure_fit(values, *args):
+        if any(isinstance(v, float) for v in values):
+            raise AssertionError("the closure path's fit ran")
+        return fit(values, *args)
 
     with mock.patch.object(grammar, "_probe_fit_code", counted), \
             mock.patch.object(pmp, "_fit_quadratic", closure_fit):

@@ -272,7 +272,9 @@ def test_package_has_one_hamiltonian_maximizer():
     # the quadratic fit, the axis maximum, the grid refinement and the pick
     # of the best candidate run only in the bound maximizer (grid refinement
     # picks the best of each grid by `_pick_best`), and shooting and
-    # check_pmp bind it rather than calling the public wrapper per state
+    # check_pmp bind it rather than calling the public wrapper per state.
+    # The one other name of the fit is the grammar's tracer, which runs it
+    # on operands to write the generated probe fit
     helpers = {"_fit_quadratic", "_axis_max", "_grid_refine", "_pick_best"}
     helper_calls, public_calls = set(), set()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
@@ -281,13 +283,14 @@ def test_package_has_one_hamiltonian_maximizer():
         for top in tree.body:
             where = (os.path.basename(path), getattr(top, "name", None))
             for node in ast.walk(top):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in helpers:
-                    helper_calls.add(where + (name,))
-                elif name == "maximize_hamiltonian":
+                if isinstance(node, ast.Name) and node.id in helpers:
+                    helper_calls.add(where + (node.id,))
+                elif (isinstance(node, ast.Call) and getattr(
+                        node.func, "id", getattr(node.func, "attr", None)) == "maximize_hamiltonian"):
                     public_calls.add(where)
+    traced = ("grammar.py", "_probe_fit_code", "_fit_quadratic")
+    assert traced in helper_calls
+    helper_calls.remove(traced)
     assert {call[:2] for call in helper_calls} == {("pmp.py", "_maximizer"),
                                                    ("pmp.py", "_grid_refine")}
     assert {call[2] for call in helper_calls} == helpers
@@ -307,11 +310,12 @@ def _innermost(top):
 
 
 def test_maximizer_fits_values_once():
-    # the quadratic fit runs only in the bound maximizer, and it reads
-    # values: it evaluates H only at the three probes that verify it
-    calls = {(name, top.name) for name, top in _top_functions() for node in ast.walk(top)
-             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_fit_quadratic"}
-    assert calls == {("pmp.py", "_maximizer")}
+    # the quadratic fit runs on floats only in the bound maximizer, and it
+    # reads values: it evaluates H only at the three probes that verify it.
+    # Its one other user is the grammar's tracer, which runs it on operands
+    uses = {(name, top.name) for name, top in _top_functions() for node in ast.walk(top)
+            if isinstance(node, ast.Name) and node.id == "_fit_quadratic"}
+    assert uses == {("pmp.py", "_maximizer"), ("grammar.py", "_probe_fit_code")}
     fit = next(top for name, top in _top_functions()
                if name == "pmp.py" and getattr(top, "name", None) == "_fit_quadratic")
     evaluations = [ast.unparse(node) for node in ast.walk(fit)
