@@ -289,10 +289,14 @@ class Problem:
             t = _get(spec, "time", "cones", _finite)
             if not self.a < t <= self.b:
                 raise _bad("cones.time", f"in (a, b] = ({self.a!r}, {self.b!r}]", spec["time"])
-            self.cones = {"time": t,
-                          "times": _get(spec, "times", "cones", _list(_finite), ()),
+            times = _get(spec, "times", "cones", _list(_finite, nonempty=True))
+            for i, tau in enumerate(times):
+                if tau > t:
+                    raise _bad(f"cones.times[{i}]", f"at most cones.time = {t!r}",
+                               spec["times"][i])
+            self.cones = {"time": t, "times": times,
                           "controls": _get(spec, "controls", "cones", _list(_array(
-                              1, k, within=self.control_set)), ()),
+                              1, k, within=self.control_set), nonempty=True)),
                           "queries": _get(spec, "queries", "cones", _list(_array(1, m)), ())}
         spec = _get(data, "reach", "", _object("n_controls", "max_switches", "seed", "T"), {})
         self.reach = {"n_controls": _get(spec, "n_controls", "reach", _integer(1), 64),
@@ -445,6 +449,10 @@ def cmd_shoot(args) -> int:
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
                          a=problem.a, b=problem.b)
+    # simulate and check take no guess, so its length is read here
+    if problem.guess is not None and problem.guess.size != sp.n_unknowns:
+        raise _bad("guess", f"a numeric vector of length {sp.n_unknowns}",
+                   problem.guess.tolist())
     opts = ShootingOptions(tol=tol,
                            step=problem.step,
                            seed=args.seed if args.seed is not None else 0,

@@ -316,7 +316,7 @@ class TestProblemFiles:
         ({"time": 0.0}, "cones.time must be in (a, b] = (0.0, 2.0], got 0.0"),
         ({"times": [0.3, float("nan")]}, "cones.times[1] must be finite, got nan"),
         ({"times": [float("inf")]}, "cones.times[0] must be finite, got inf"),
-        ({"times": 0.3}, "cones.times must be a list, got 0.3"),
+        ({"times": 0.3}, "cones.times must be a nonempty list, got 0.3"),
         # controls outside the set or of the wrong dimension used to exit 0
         ({"controls": [[0.0], [7.0]]},
          "cones.controls[1] must be in the control set, got [7.0]"),
@@ -328,6 +328,13 @@ class TestProblemFiles:
         ({"queries": [[1.0]]}, "cones.queries[0] must be a numeric vector of length 2, got [1.0]"),
         ({"bogus": 1}, "cones must be an object with keys from ['controls', 'queries', "
          "'time', 'times'], got unknown ['bogus']"),
+        # a time past the cone time, or an empty or missing list of times or
+        # controls, used to exit 2 as "cone sampling: ...", naming no item
+        ({"time": 1.0, "times": [0.5, 1.5]},
+         "cones.times[1] must be at most cones.time = 1.0, got 1.5"),
+        ({"times": []}, "cones.times must be a nonempty list, got []"),
+        ({"controls": []}, "cones.controls must be a nonempty list, got []"),
+        ({"controls": None}, "problem file needs 'cones.controls'"),
     ])
     def test_bad_cones_block_named(self, tmp_path, capsys, cones, item):
         with open(os.path.join(os.path.dirname(__file__), "golden",
@@ -581,6 +588,14 @@ class TestProblemFiles:
          "shooting.fd_h must be positive and finite, got True"),
         ("simulate", {"shooting": {"scales": [True]}}, {},
          "shooting.scales[0] must be positive and finite, got True"),
+        # a guess of the wrong length used to say "guess dimension does not
+        # match the unknowns": m + d_a + 1 with the final time free
+        ("shoot", {"guess": [0.5, 0.5]}, {},
+         "guess must be a numeric vector of length 1, got [0.5, 0.5]"),
+        ("shoot", {"guess": [0.5], "boundary": {
+            "mode": "free_time", "initial": {"anchor": [0.0], "normals": []},
+            "final": {"point": [1.0]}}}, {},
+         "guess must be a numeric vector of length 3, got [0.5]"),
     ])
     def test_bad_item_exits_2_and_is_named(self, tmp_path, capsys, command, items, files, item):
         data = {key: value for key, value in {**self.SCALAR, **(items or {})}.items()
@@ -595,8 +610,9 @@ class TestProblemFiles:
         assert item in capsys.readouterr().err
 
     def test_scalar_problem_and_files_are_good_input(self, tmp_path):
-        # each bad-item case above fails on its one item alone
-        path = write_problem(tmp_path / "p.json", self.SCALAR)
+        # each bad-item case above fails on its one item alone; simulate,
+        # cones and check take no guess, and read none of its length
+        path = write_problem(tmp_path / "p.json", {**self.SCALAR, "guess": [0.5, 0.5]})
         out = tmp_path / "o"
         out.mkdir()
         for name, text in self.SCALAR_FILES.items():
