@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
-                             _write_csv, ball, box, cost, extend, finite, simulate)
+                             _write_csv, ball, box, cost, extend, finite, lebesgue_times,
+                             simulate)
 from ._simplex import SimplexError
 from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
                             membership_margin, null_space)
@@ -294,6 +295,10 @@ class Problem:
                 if tau > t:
                     raise _bad(f"cones.times[{i}]", f"at most cones.time = {t!r}",
                                spec["times"][i])
+                # a needle is placed where the control is constant nearby
+                if self.control is not None and not lebesgue_times(self.control, [tau]):
+                    raise _bad(f"cones.times[{i}]", "a Lebesgue time of control: in (a, b) = "
+                               f"({self.a!r}, {self.b!r}) and on no switch", spec["times"][i])
             self.cones = {"time": t, "times": times,
                           "controls": _get(spec, "controls", "cones", _list(_array(
                               1, k, within=self.control_set), nonempty=True)),

@@ -11,17 +11,21 @@ a run of grid nodes; for shooting, the stage and the RK4 step of the
 coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
 `pmp._costate` compute it; for `pmp.adjoint_flows`, one loop of its
 discrete-adjoint steps of an m x r block of covectors over a run of grid
-nodes; and for the box maximizer, its probe values of p0 F + p . f and
-their quadratic fit in one straight-line function.  Every pairing of a
-covector with a rate or a Jacobian column is summed in order from 0.0
+nodes; for the box maximizer, its probe values of p0 F + p . f and
+their quadratic fit in one straight-line function; and for shooting on a
+finite box, one loop over the whole steps of an arc and one trial step,
+which call the coupled step and the probe fit and make the maximizer's
+decision and the jump test.  Every pairing of a covector with a rate or a
+Jacobian column is summed in order from 0.0
 (`flows._dot`), in the generated code as in the package's own, so their
 bits depend on no BLAS.  The generated code is written by running the
 package's own code once on symbolic operands: `flows.rk4_step` for every
 step's stage and combination arithmetic, `flows._recorded_step` for the
 adjoint's retraced forward step, `pmp._costate_rate` for (df/dx)^T p,
-`pmp._h_sum` for the probe values of H and `pmp._fit_quadratic` for their
-fit, with its comparison helpers called by name; an operation met again on
-the same operands is computed once.  Each is built as an `ast` tree from
+`pmp._h_sum` for the probe values of H, `pmp._fit_quadratic` for their
+fit and `pmp._model_tol` and `pmp._axis_maxima` for the decision from it,
+with their comparison and axis helpers called by name; an operation met
+again on the same operands is computed once.  Each is built as an `ast` tree from
 the validated grammar tree, one assignment per grammar node in the order a
 tree walk evaluates them (left operand, right operand, operation; a
 subtree that a derivative shares is assigned once per entry), and passed
@@ -32,8 +36,10 @@ literals, each met with a variable).  A state or control reads as
 `float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
 list of floats, every generated function of (x, u), the scalar
 expressions of a cost included, is marked `on_lists` (it takes x as a list
-of floats), a power goes through `_real_pow`, and each vector component
-and Jacobian entry has its own `try` that turns overflow, division by zero
+of floats), a power goes through `_real_pow` unless its exponent is a
+number with an integral value (a float to such a power is real, and `**`
+is written inline), and each vector component and Jacobian entry has its
+own `try` that turns overflow, division by zero
 and math domain errors into NaN, so the integrators' blow-up checks own
 the diagnostic.  Straight-line code keeps `compile` shallow however deeply
 an expression nests.  The public entry points keep their recent results
@@ -46,6 +52,7 @@ import ast
 import functools
 import math
 import re
+import struct
 import types
 import warnings
 from contextlib import contextmanager
@@ -54,7 +61,9 @@ from typing import Optional
 import numpy as np
 
 from .flows import _recorded_step, rk4_step
-from .pmp import _costate_rate, _fit_quadratic, _h_sum, _nan_max, _off_max
+from .pmp import (_axis_max, _axis_maxima, _costate_rate, _fit_quadratic, _h_sum, _model_tol,
+                  _nan_max, _off_max)
+from .shooting import _jumped
 
 
 class ProblemError(ValueError):
@@ -71,6 +80,11 @@ def _real_pow(a, b):
     # the grammar is real-valued, so that is a non-finite result
     r = a ** b
     return r if r.__class__ is float else math.nan
+
+
+def _integral(node) -> bool:
+    """Whether node is a number with an integral value."""
+    return isinstance(node, ast.Constant) and float(node.value).is_integer()
 
 
 def _too_deep(where):
@@ -351,7 +365,8 @@ _GUARDED = (OverflowError, ZeroDivisionError, ValueError)
 _GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _real_pow,
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
             "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs,
-            "_nan_max": _nan_max, "_off_max": _off_max}
+            "_nan_max": _nan_max, "_off_max": _off_max, "_axis_max": _axis_max,
+            "_jumped": _jumped, "_pack": struct.pack}
 
 
 _LOAD, _STORE = ast.Load(), ast.Store()
@@ -459,7 +474,10 @@ class _Code:
                 value = _apply("_" + node.func.id, operands.pop())
             else:
                 b, a = operands.pop(), operands.pop()
+                # a float to a constant integral power is real: that power
+                # is the same a ** b inline
                 value = (_apply("_real_pow", a, b) if isinstance(node.op, ast.Pow)
+                         and not _integral(node.right)
                          else ast.BinOp(a, type(node.op)(), b, **_POS))
             name = f"_t{self.n_temps}"
             self.n_temps += 1
@@ -843,6 +861,133 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     return code, code.define("probe_fit", ("p", "x", "p0f"), _returned(fit))
 
 
+def _arc_code(m, sides, fit_tol, jump_tol, loop):
+    """(code, definition) of a generated function of `shooting._propagate`'s
+    loop, for states y = (x, p) of 2m floats held in lists, the box
+    maximizer's `sides` and tolerance fit_tol and the jump tolerance
+    jump_tol.  It calls the coupled field's stage(y, u, c) and step(y, u, h,
+    k1, c) (`coupled_step`) and the probe fit fit(p, x, p0f) that its caller
+    passes, so it is compiled once per box and tolerances.
+
+    A trial is the loop's step of dt from y with the control u held, whose
+    first stage is k1, the fit at the state it reaches, the control decided
+    there, and the jump test of that control against u
+    (`shooting._jumped`, not called where the two have the same bits).  The
+    decision is `pmp._model_tol` and `pmp._axis_maxima` run on the operands
+    of the fit's values, `pmp._axis_max` called by name, where the
+    off-diagonal part of the fit clears ztol.
+    - Without loop, trial(y, u, dt, k1, c, p0f, step, fit) -> (ym, fm, um,
+      jumped), the state, its fit, the control decided there as a list and
+      whether it jumps, or None where ym is not finite; um and jumped are
+      None where the fit is not separable.
+    - With loop, arc_run(y, u, t, b, eps, h, c, p0f, stage, step, fit, steps)
+      -> stop makes the loop's whole steps of h from the state y at t with
+      the control u, while b - t > eps and b - t is not below h.  A step is
+      the trial of h / 2 with u and k1 = stage(y, u, c), reaching yh with
+      its fit fh and control uh; then, unless uh jumps from u, the trial
+      of h with uh and k1h, k1 where uh has the bits of u (as the loop
+      keys its stages) and stage(y, uh, c) otherwise, reaching y1 with its
+      fit f1 and control u1.  Unless u1 jumps from uh, the step appends (t,
+      uh as an array) to steps and moves on to (t + h, y1, u1).  The
+      function returns None at the first state that is not finite, and (t,
+      y, u, k1, yh, fh, k1h, y1, f1) where the loop must go on in Python:
+      at yh, with k1h, y1 and f1 None, where fh is not separable or uh
+      jumps; at y1, where f1 is not separable or u1 jumps.  After the last
+      whole step all but t, y and u are None.
+    sides holds Python floats, which the decision binds as numbers."""
+    code = _Code()
+
+    def item(value, *index):
+        node = _name(value)
+        for i in index:
+            node = ast.Subscript(node, ast.Constant(i, **_POS), _LOAD, **_POS)
+        return node
+
+    def part(value, lower, upper):
+        bound = [None if v is None else ast.Constant(v, **_POS) for v in (lower, upper)]
+        return _at(value, ast.Slice(*bound, None, **_POS))
+
+    def stop(*names):
+        return ast.Tuple([_name(v) if isinstance(v, str) else ast.Constant(v, **_POS)
+                          for v in names], _LOAD, **_POS)
+
+    def returned(*names):
+        return ast.Return(stop(*names), **_POS)
+
+    def call(fn, *args):
+        return _apply(fn, *(_name(a) if isinstance(a, str) else a for a in args))
+
+    def unless(test, stmt):
+        code.body.append(ast.If(ast.UnaryOp(ast.Not(), test, **_POS), [stmt], [], **_POS))
+
+    def same(v, w):
+        # whether the lists v and w hold floats with the same bits: the
+        # same objects (an axis maximum at a bound returns the bound's),
+        # else the same packed bytes
+        objects = [ast.Compare(item(v, j), [ast.Is()], [item(w, j)], **_POS)
+                   for j in range(len(sides))]
+        bits = [ast.Call(_name("_pack"), [ast.Constant("%dd" % len(sides), **_POS),
+                                          ast.Starred(_name(u), _LOAD, **_POS)], [], **_POS)
+                for u in (v, w)]
+        return ast.BoolOp(ast.Or(), [
+            ast.BoolOp(ast.And(), objects, **_POS) if len(objects) > 1 else objects[0],
+            ast.Compare(bits[0], [ast.Eq()], bits[1:], **_POS)], **_POS)
+
+    def reached(v, fit, um, u, dt, k1, inseparable, jumped):
+        # the trial of dt with u: the state v, its fit and the control um;
+        # None returned where v is not finite, inseparable where the fit is
+        # not separable and jumped where um jumps from u, whose bits are
+        # compared first and kept in the local "same"
+        code.body.append(_assign(v, call("step", "y", u, dt, k1, "c")))
+        unless(ast.BoolOp(ast.And(), [_apply("_isfinite", item(v, i)) for i in range(2 * m)],
+                          **_POS), ast.Return(ast.Constant(None, **_POS), **_POS))
+        code.body.append(_assign(fit, call("fit", part(v, m, None), part(v, None, m), "p0f")))
+        b, a = ([_Operand(code, code.local(item(fit, i, j))) if side[3] > 0 else None
+                 for j, side in enumerate(sides)] for i in (0, 1))
+        bmax, cmax, off = (_Operand(code, code.local(item(fit, i))) for i in (3, 4, 5))
+        ztol = _model_tol(bmax, cmax, fit_tol)
+        unless(ast.Compare(_name(off.name), [ast.LtE()], [_name(ztol.local())], **_POS),
+               inseparable)
+        code.body.append(_assign(um, _returned(
+            _recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))))
+        code.body.append(_assign("same", same(um, u)))
+        test = call("_jumped", um, u, ast.Constant(jump_tol, **_POS))
+        code.body.append(ast.If(ast.BoolOp(ast.And(), [
+            ast.UnaryOp(ast.Not(), _name("same"), **_POS), test], **_POS), [jumped], [], **_POS))
+
+    if not loop:
+        reached("ym", "fm", "um", "u", "dt", "k1", returned("ym", "fm", None, None),
+                ast.Return(stop("ym", "fm", "um", True), **_POS))
+        return code, code.define("trial", ("y", "u", "dt", "k1", "c", "p0f", "step", "fit"),
+                                 stop("ym", "fm", "um", False))
+
+    def half():
+        return returned("t", "y", "u", "k1", "yh", "fh", None, None, None)
+
+    def full():
+        return returned("t", "y", "u", "k1", "yh", "fh", "k1h", "y1", "f1")
+
+    code.body.append(_assign("k1", call("stage", "y", "u", "c")))
+    reached("yh", "fh", "uh", "u", "hh", "k1", half(), half())
+    code.body.append(_assign("k1h", ast.IfExp(_name("same"), _name("k1"),
+                                              call("stage", "y", "uh", "c"), **_POS)))
+    reached("y1", "f1", "u1", "uh", "h", "k1h", full(), full())
+    code.body.append(ast.Expr(ast.Call(ast.Attribute(_name("steps"), "append", _LOAD, **_POS), [
+        ast.Tuple([_name("t"), call("_array", "uh")], _LOAD, **_POS)], [], **_POS), **_POS))
+    code.body += [_assign("t", ast.BinOp(_name("t"), ast.Add(), _name("h"), **_POS)),
+                  _assign("y", _name("y1")), _assign("u", _name("u1"))]
+    left = ast.BinOp(_name("b"), ast.Sub(), _name("t"), **_POS)
+    going = ast.BoolOp(ast.And(), [
+        ast.Compare(left, [ast.Gt()], [_name("eps")], **_POS),
+        ast.UnaryOp(ast.Not(), ast.Compare(left, [ast.Lt()], [_name("h")], **_POS), **_POS)],
+        **_POS)
+    code.body = [_assign("hh", ast.BinOp(ast.Constant(0.5, **_POS), ast.Mult(), _name("h"),
+                                         **_POS)),
+                 ast.While(going, code.body, [], **_POS)]
+    return code, code.define("arc_run", ("y", "u", "t", "b", "eps", "h", "c", "p0f", "stage",
+                                         "step", "fit", "steps"), stop("t", "y", "u", *[None] * 6))
+
+
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -869,9 +1014,9 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries four generated forms, each compiled on its first call, since
-    only some paths run it: three RK4 forms with u held, and the box
-    maximizer's probe fit.
+    carries five generated forms, each compiled on its first call, since
+    only some paths run it: three RK4 forms with u held, the box
+    maximizer's probe fit, and shooting's loop on a finite box.
     - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
       one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
@@ -906,6 +1051,17 @@ def compile_dynamics(srcs, m: int, k: int):
       cost tree, probe floats (each probe keyed by its bytes, so that -0.0
       and 0.0 differ) and divisors, and p0f is an argument, so p0 = -1 and
       p0 = 0 share it.
+    - `f.arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol)` returns (run,
+      trial), `shooting._propagate`'s generated loop over the whole steps
+      of an arc and its generated trial step (`_arc_code`), for the box
+      maximizer's `sides` (`pmp._Probes`) and tolerance fit_tol and the
+      jump tolerance jump_tol, or None unless the system qualifies as for
+      `coupled_step`.  Both call the coupled stage and step and the probe
+      fit that the caller passes, so they are compiled once per sides
+      (keyed by their bytes) and tolerances, whatever the cost.
+      `_propagate` takes them where the maximizer's probe fit is generated
+      too: a grammar system on a finite box with plain divisors and a
+      declared degree of at most 2.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
@@ -938,14 +1094,18 @@ def compile_dynamics(srcs, m: int, k: int):
     df = None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m))
     square = df is not None and n == m
 
+    def qualifies(df_dx, F, dF_dx):
+        # a system whose Jacobian is df and whose cost F is None or has a
+        # generated gradient dF_dx
+        return square and df_dx is df and (F is None or hasattr(dF_dx, "entries"))
+
     def qualifying(build):
-        """build(gradient trees, *args), built once each, for a system whose
-        Jacobian is df and whose cost F is None or has a generated gradient
-        dF_dx; None for any other."""
+        """build(gradient trees, *args), built once each, for a system that
+        qualifies; None for any other."""
         build = functools.cache(build)
 
         def built(df_dx, F, dF_dx, *args):
-            if square and df_dx is df and (F is None or hasattr(dF_dx, "entries")):
+            if qualifies(df_dx, F, dF_dx):
                 return build(None if F is None else tuple(dF_dx.entries), *args)
             return None
 
@@ -975,7 +1135,20 @@ def compile_dynamics(srcs, m: int, k: int):
         return fit(cost, tuple(np.asarray(u, dtype=float).tobytes() for u in points),
                    axes, pairs)
 
+    @functools.cache
+    def arc(sides, fit_tol, jump_tol):
+        sides = np.frombuffer(sides).reshape(-1, 4).tolist()
+        return tuple(code.compile(fn) for code, fn in (
+            _arc_code(m, sides, fit_tol, jump_tol, loop) for loop in (True, False)))
+
+    def arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol):
+        if not qualifies(df_dx, F, dF_dx):
+            return None
+        # the sides keyed by their bytes, which tell -0.0 from 0.0
+        return arc(np.asarray(sides, dtype=float).tobytes(), fit_tol, jump_tol)
+
     dynamics.runner = functools.cache(runner)
+    dynamics.arc_run = arc_run
     dynamics.coupled_step = coupled_step
     dynamics.adjoint_run = adjoint_run
     dynamics.probe_fit = probe_fit

@@ -339,6 +339,22 @@ def _axis_max(b, a, lo, hi, u0j, tol):
     return lo if b * tl + 0.5 * a * tl * tl >= b * th + 0.5 * a * th * th else hi
 
 
+def _model_tol(bmax, cmax, fit_tol):
+    """ztol of a fit: a gradient or Hessian entry of the model at most ztol
+    in size counts as zero.  The grammar runs it on symbolic operands."""
+    return fit_tol * (1.0 + bmax + cmax)
+
+
+def _axis_maxima(b, a, ztol, sides):
+    """The maximizer of the separable model of gradient b and Hessian
+    diagonal a on the box of `sides`, as a list: `_axis_max` per live axis,
+    lo on an axis of zero width.  The grammar runs it on symbolic operands,
+    with `_axis_max` recorded as a call, to write the generated arc loop's
+    decision."""
+    return [_axis_max(bj, aj, lo_j, hi_j, u0_j, ztol) if delta_j > 0 else lo_j
+            for bj, aj, (lo_j, hi_j, u0_j, delta_j) in zip(b, a, sides)]
+
+
 def _grid_refine(H, lo, hi):
     if lo.size > 3:
         raise UnsupportedMaximizationError(
@@ -371,12 +387,18 @@ def _maximizer(sys: ControlSystem, p0: float):
     system's F and f give that fit through one generated function,
     `f.probe_fit` (`grammar.compile_dynamics`), bit for bit.  Every other
     search evaluates H at each point it reads.
+
+    maximize(p, x, fit) decides from fit, that function's value at (p, x),
+    without evaluating it again.  maximize carries what a generated loop
+    needs to make the same decisions (`shooting._propagate`): `hamiltonian`,
+    where hamiltonian(p, x) is H bound to p and x, and `probe_fit` and the
+    box's `sides`, falsy where the fit is not generated.
     """
     p0f, rate, cost, fit_tol = float(p0), sys._rate, sys._cost, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2
     U = sys.control_set
     probes = None if U.kind == "finite" else _probes(U)
-    probe_fit = None
+    probe_fit = sides = None
 
     def fit_of(H):
         # the fit of H's values at the probes, verified unless declared
@@ -414,12 +436,9 @@ def _maximizer(sys: ControlSystem, p0: float):
                 error = UnboundedHamiltonianError("non-quadratic Hamiltonian on an unbounded box")
             else:
                 b, a, mixed, bmax, cmax, off_diag = fit
-                ztol = fit_tol * (1.0 + bmax + cmax)
+                ztol = _model_tol(bmax, cmax, fit_tol)
                 if off_diag <= ztol:
-                    return np.array([_axis_max(bj, aj, lo_j, hi_j, u0_j, ztol)
-                                     if delta_j > 0 else lo_j
-                                     for bj, aj, (lo_j, hi_j, u0_j, delta_j)
-                                     in zip(b, a, sides)]), None
+                    return np.array(_axis_maxima(b, a, ztol, sides)), None
                 A = _matrix(a, mixed)
                 # a model that is not finite makes ztol inf or nan, so it is
                 # no concave one, and eigvalsh may not converge on it
@@ -439,15 +458,19 @@ def _maximizer(sys: ControlSystem, p0: float):
         def search(H):
             return decide(fit_of(H), H)
 
-    def maximize(p, x):
+    def hamiltonian(p, x):
         def H(u):
             # with no cost, p0f * 0.0 still signs a zero H as `hamiltonian`
             # does
             return _h_sum(p0f, cost(x, u), p, rate(x, u))
+        return H
 
-        u_star, value = decide(probe_fit(p, x, p0f), H) if probe_fit else search(H)
+    def maximize(p, x, fit=None):
+        H = hamiltonian(p, x)
+        u_star, value = decide(fit or probe_fit(p, x, p0f), H) if probe_fit else search(H)
         return u_star, H, value
 
+    maximize.hamiltonian, maximize.probe_fit, maximize.sides = hamiltonian, probe_fit, sides
     return maximize
 
 

@@ -8,6 +8,16 @@ free-time mode, plus initial-manifold coordinates).  The control is held
 constant within a step, refreshed at the step midpoint; discontinuities of
 the maximizer are located by bisection and become exact switch times of the
 returned piecewise-constant control.
+
+For a grammar system on a finite box whose coupled step and probe fit are
+generated, the whole steps of each arc run in one generated loop, and the
+other trial steps in one generated trial (`grammar.compile_dynamics`,
+`f.arc_run`).  The loop hands back to Python in the middle of a step, with
+the stages, states and fits it made, at a jump, which Python bisects, and
+at a fit whose off-diagonal part does not clear ztol, which the maximizer
+decides from; it stops before the step that the final time cuts short, so
+the resume state and the short last step are Python's.  The results are
+the bits of the Python loop alone.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import numpy as np
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSystem, _derived, _signal_of_pieces, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
-from .pmp import (BoundarySpec, Extremal, UnboundedHamiltonianError,
+from .pmp import (FIT_TOL, BoundarySpec, Extremal, UnboundedHamiltonianError,
                   UnsupportedMaximizationError, _costate, _maximizer, adjoint_flow)
 
 
@@ -182,6 +192,15 @@ class _Propagation:
         self.resume = resume
 
 
+def _arc_run(sys, maximize, jump_tol):
+    """(run, trial) of `grammar.compile_dynamics`'s `f.arc_run`, the
+    generated loop over the whole steps of an arc and the generated trial
+    step, for a system whose coupled field and probe fit are generated;
+    None for any other."""
+    build = maximize.probe_fit and getattr(sys.f, "arc_run", None)
+    return build and build(sys.df_dx, sys.F, sys.dF_dx, maximize.sides, FIT_TOL, jump_tol)
+
+
 def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                step: float, base: Optional[_Propagation] = None
                ) -> Optional[_Propagation]:
@@ -192,6 +211,16 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     from z only by a smaller final time.  Up to its `resume` state every
     step was a full `step` long, which a later final time does not change,
     so the loop continues from there with the same result as a fresh run.
+
+    Where the grammar generates the coupled field and the probe fit
+    (`_arc_run`), the whole steps of each arc run in one generated loop
+    that makes this loop's calls and decisions, and this loop's own trial
+    steps are generated ones.  The generated loop hands back in the middle
+    of a step, with the stages, states and fits it made, at a jump (the
+    bisection is this loop's) and at a fit that is not separable (the
+    maximizer's other decisions are Python's).  It stops before a step
+    that b cuts short, so the resume state and the short last step are
+    this loop's.
     """
     sys = problem.sys
     m = sys.m
@@ -201,39 +230,62 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
     field_stage, field_step = _coupled_field(sys, problem.p0)
-    c = -problem.p0
+    c, p0f = -problem.p0, float(problem.p0)
+    run, trial = _arc_run(sys, maximize, jump_tol) or (None, None)
 
-    def argmax(yc):
-        # the maximizer at the stacked state yc = (x, p): u, H bound there
-        # and u's components as floats for the jump test; H that is NaN or
-        # -inf at every control ends the trial like a blow-up
-        u, H, _ = maximize(yc[m:], yc[:m])
+    def argmax(yc, fit=None):
+        # the maximizer at the stacked state yc = (x, p): u and its
+        # components as floats for the jump test; H that is NaN or -inf at
+        # every control ends the trial like a blow-up.  fit, where it is
+        # given, is the probe fit at yc, which the decision reads
+        u, _, _ = maximize(yc[m:], yc[:m], fit)
         if u is None:
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
-        return u, H, u.tolist()
+        return u, u.tolist()
 
-    def advance(best, dt):
+    def decided(u):
+        # the maximizer as argmax gives it, of the list u that a generated
+        # decision made
+        return np.array(u), u
+
+    def stage(best):
         # every trial step of one loop iteration starts from y: its first
         # RK4 stage is evaluated once per control value, keyed by its bytes,
         # which tell -0.0 from 0.0 where a tuple of floats would not
         key = best[0].tobytes()
         if key not in stages:
-            stages[key] = field_stage(y, best[2], c)
-        return field_step(y, best[2], dt, stages[key], c)
+            stages[key] = field_stage(y, best[1], c)
+        return stages[key]
+
+    def reach(best, dt, k1):
+        # the state dt along best's control from y, whose first stage is
+        # k1, the maximizer there, and whether that jumps from best's
+        # control; a state that is not finite ends the trial
+        if trial is not None:
+            tried = trial(y, best[1], dt, k1, c, p0f, field_step, maximize.probe_fit)
+            if tried is None:
+                raise FloatingPointError
+            ym, fit, u, jumped = tried
+            if u is not None:
+                return ym, decided(u), jumped
+            end = argmax(ym, fit)
+        else:
+            ym = field_step(y, best[1], dt, k1, c)
+            if not _all_finite(ym):
+                raise FloatingPointError
+            end = argmax(ym)
+        return ym, end, _jumped(end[1], best[1], jump_tol)
 
     def bisect(arc, lo, hi, y_hi, best_hi):
         # largest substep keeping the maximizer on the current arc, with
         # the state it reaches and the maximizer there; arc is the
         # maximizer the arc holds, as argmax gives it, and it holds at lo;
         # y_hi is the state at hi and best_hi the maximizer at y_hi
-        frozen = arc[2]
+        k1 = stage(arc)
         while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
-            ym = advance(arc, mid)
-            if not _all_finite(ym):
-                raise FloatingPointError
-            best = argmax(ym)
-            if _jumped(best[2], frozen, jump_tol):
+            ym, best, jumped = reach(arc, mid, k1)
+            if jumped:
                 hi, y_hi, best_hi = mid, ym, best
             else:
                 lo = mid
@@ -249,7 +301,8 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
     resume = None
     try:
         # numpy stays quiet on overflow and invalid values, from the first
-        # maximization to H at the end: the loop checks its states are finite
+        # maximization to H at the end: the loop checks its states are
+        # finite, and a state that is not ends the trial like a blow-up
         with np.errstate(over="ignore", invalid="ignore"):
             if base is None:
                 cur = argmax(y)
@@ -258,21 +311,34 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                 if resume is None and h != step:
                     resume = (t, y, cur, n_sw, len(steps))
                 stages = {}
-                yh = advance(cur, 0.5 * h)
-                if not _all_finite(yh):
-                    return None
-                end = argmax(yh)
-                if _jumped(end[2], cur[2], jump_tol):
+                y1 = None
+                if run and h == step:
+                    ran = run(y, cur[1], t, b, 1e-13 * (1.0 + abs(b)), h, c, p0f,
+                              field_stage, field_step, maximize.probe_fit, steps)
+                    if ran is None:
+                        return None
+                    t, y, u, k1, yh, fh, k1h, y1, f1 = ran
+                    cur = decided(u)
+                    if yh is None:
+                        continue
+                    stages[cur[0].tobytes()] = k1
+                    end = argmax(yh, fh)
+                    jumped = _jumped(end[1], cur[1], jump_tol)
+                else:
+                    yh, end, jumped = reach(cur, 0.5 * h, stage(cur))
+                if jumped:
                     arc = cur
                     dt, yn, end = bisect(arc, 0.0, 0.5 * h, yh, end)
                     n_sw += 1
                 else:
                     arc = end
-                    y1 = advance(arc, h)
-                    if not _all_finite(y1):
-                        return None
-                    end = argmax(y1)
-                    if _jumped(end[2], arc[2], jump_tol):
+                    if y1 is None:
+                        y1, end, jumped = reach(arc, h, stage(arc))
+                    else:
+                        stages.setdefault(arc[0].tobytes(), k1h)
+                        end = argmax(y1, f1)
+                        jumped = _jumped(end[1], arc[1], jump_tol)
+                    if jumped:
                         # on cur's control the arc holds at yh, the first midpoint
                         lo = 0.5 * h if arc[0].tobytes() == cur[0].tobytes() else 0.0
                         dt, yn, end = bisect(arc, lo, h, y1, end)
@@ -285,8 +351,10 @@ def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
                     return None
             if resume is None:
                 resume = (t, y, cur, n_sw, len(steps))
-            # sup_h, the one H(u_star) that a propagation reads
-            return _Propagation(y[:m], y[m:], steps, cur[1](cur[0]), resume)
+            # sup_h, the one H(u_star) that a propagation reads, at the
+            # state y where cur is the maximizer
+            sup_h = maximize.hamiltonian(y[m:], y[:m])(cur[0])
+            return _Propagation(y[:m], y[m:], steps, sup_h, resume)
     except _TRIAL_FAILURES:
         return None
 

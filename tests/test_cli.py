@@ -11,7 +11,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import pmpkit
 from pmpkit import cli, shooting
@@ -333,6 +332,14 @@ class TestProblemFiles:
         ({"time": 1.0, "times": [0.5, 1.5]},
          "cones.times[1] must be at most cones.time = 1.0, got 1.5"),
         ({"times": []}, "cones.times must be a nonempty list, got []"),
+        # a time at or before a, at b or on the control's switch at 0.9 used
+        # to exit 2 as "cone sampling: t=... is not an interior Lebesgue
+        # time", naming the value but not the item
+        ({"times": [0.3, -1.0]}, "cones.times[1] must be a Lebesgue time of control: "
+         "in (a, b) = (0.0, 2.0) and on no switch, got -1.0"),
+        ({"times": [0.0]}, "cones.times[0] must be a Lebesgue time of control"),
+        ({"times": [2.0]}, "cones.times[0] must be a Lebesgue time of control"),
+        ({"times": [0.3, 0.7, 0.9]}, "cones.times[2] must be a Lebesgue time of control"),
         ({"controls": []}, "cones.controls must be a nonempty list, got []"),
         ({"controls": None}, "problem file needs 'cones.controls'"),
     ])
@@ -1035,10 +1042,10 @@ GOLDEN_PROBLEMS = {case: golden_problem(case) for case in (
     "pendulum_flow_sample")}
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([(case, path) for case, data in GOLDEN_PROBLEMS.items()
-                        for path in item_paths(data)]),
-       st.sampled_from([None, True, 7, "x", [], {}]))
+@pytest.mark.parametrize("value", [None, True, 7, "x", [], {}], ids=repr)
+@pytest.mark.parametrize("item", [(case, path) for case, data in GOLDEN_PROBLEMS.items()
+                                  for path in item_paths(data)],
+                         ids=lambda item: item[0] + ":" + ".".join(map(str, item[1])))
 def test_any_one_bad_item_is_bad_input(tmp_path_factory, item, value):
     # the problem is read, or refused as bad input: no TypeError, KeyError
     # or AttributeError from an item that no check read

@@ -528,7 +528,8 @@ def test_probe_fit_evaluates_an_entry_that_names_no_control_once(monkeypatch):
         cache.cache_clear()
     try:
         f, _, _ = grammar.compile_dynamics(("sin(x1)", "cos(x0) * u0 + u1"), 2, 2)
-        F = grammar.parse_expression("exp(x0) + u0^2", 2, 2)
+        # a fractional power goes through _real_pow, which counts it
+        F = grammar.parse_expression("exp(x0) + u0^1.5", 2, 2)
         probes = pmp._probes(box([-1.0, 0.0], [1.0, 2.0]))
         fit = f.probe_fit(F, probes.points, probes.axes, probes.pairs)
         calls.clear()
@@ -540,3 +541,30 @@ def test_probe_fit_evaluates_an_entry_that_names_no_control_once(monkeypatch):
     n = len(probes.points)
     assert n == 6
     assert calls == {"_sin": 1, "_cos": n, "_exp": n, "_real_pow": n}
+
+
+def test_a_constant_integral_power_is_written_inline():
+    # x0^3 and u0^2 are `**` in the generated code, x0^0.5 and x0^-2 (a
+    # negated number) go through _real_pow; every value, a NaN where a
+    # power overflows or divides by zero included, has the bits _real_pow
+    # gives
+    code = grammar._Code()
+    for src in ("x0^3 + u0^2", "x0^0.5", "x0^-2"):
+        code.entry(grammar._tree(src, 1, 1, "expression"))
+    text = ast.unparse(code.define("powers", ("x", "u"), ast.Constant(None)))
+    assert text.count("_real_pow(") == 2 and text.count(" ** ") == 2
+    fn = code.function("powers", (3,))
+    pow_ = grammar._real_pow
+
+    def reference(x, u):
+        out = []
+        for value in (lambda: pow_(x, 3.0) + pow_(u, 2.0), lambda: pow_(x, 0.5),
+                      lambda: pow_(x, -2.0)):
+            try:
+                out.append(value())
+            except (OverflowError, ZeroDivisionError):
+                out.append(math.nan)
+        return out
+
+    for x, u in ((2.0, -3.0), (1e200, 0.5), (0.0, -0.0), (-4.0, 1e155), (-0.0, -1.5)):
+        assert np.array(fn([x], [u])).tobytes() == np.array(reference(x, u)).tobytes(), (x, u)

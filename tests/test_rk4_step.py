@@ -269,13 +269,16 @@ def test_package_interpolates_no_state():
 
 
 def test_package_has_one_hamiltonian_maximizer():
-    # the quadratic fit, the axis maximum, the grid refinement and the pick
-    # of the best candidate run only in the bound maximizer (grid refinement
-    # picks the best of each grid by `_pick_best`), and shooting and
-    # check_pmp bind it rather than calling the public wrapper per state.
-    # The one other name of the fit is the grammar's tracer, which runs it
-    # on operands to write the generated probe fit
-    helpers = {"_fit_quadratic", "_axis_max", "_grid_refine", "_pick_best"}
+    # the quadratic fit, the separable decision (the axis maximum per axis),
+    # the grid refinement and the pick of the best candidate run only in
+    # the bound maximizer (grid refinement picks the best of each grid by
+    # `_pick_best`, and `_axis_maxima` takes `_axis_max` per axis), and
+    # shooting and check_pmp bind it rather than calling the public
+    # wrapper per state.  The one other user of the fit and of the decision
+    # is the grammar's tracer, which runs them on operands to write the
+    # generated probe fit and the generated arc loop's decision, with
+    # `_axis_max` bound for the generated code to call
+    helpers = {"_fit_quadratic", "_axis_maxima", "_axis_max", "_grid_refine", "_pick_best"}
     helper_calls, public_calls = set(), set()
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
@@ -288,11 +291,13 @@ def test_package_has_one_hamiltonian_maximizer():
                 elif (isinstance(node, ast.Call) and getattr(
                         node.func, "id", getattr(node.func, "attr", None)) == "maximize_hamiltonian"):
                     public_calls.add(where)
-    traced = ("grammar.py", "_probe_fit_code", "_fit_quadratic")
-    assert traced in helper_calls
-    helper_calls.remove(traced)
+    traced = {("grammar.py", "_probe_fit_code", "_fit_quadratic"),
+              ("grammar.py", "_arc_code", "_axis_maxima"), ("grammar.py", None, "_axis_max")}
+    assert traced <= helper_calls
+    helper_calls -= traced
     assert {call[:2] for call in helper_calls} == {("pmp.py", "_maximizer"),
-                                                   ("pmp.py", "_grid_refine")}
+                                                   ("pmp.py", "_grid_refine"),
+                                                   ("pmp.py", "_axis_maxima")}
     assert {call[2] for call in helper_calls} == helpers
     assert not [where for where in public_calls
                 if where[0] == "shooting.py" or where == ("pmp.py", "check_pmp")]
@@ -310,12 +315,16 @@ def _innermost(top):
 
 
 def test_maximizer_fits_values_once():
-    # the quadratic fit runs on floats only in the bound maximizer, and it
-    # reads values: it evaluates H only at the three probes that verify it.
-    # Its one other user is the grammar's tracer, which runs it on operands
-    uses = {(name, top.name) for name, top in _top_functions() for node in ast.walk(top)
-            if isinstance(node, ast.Name) and node.id == "_fit_quadratic"}
-    assert uses == {("pmp.py", "_maximizer"), ("grammar.py", "_probe_fit_code")}
+    # the quadratic fit and the separable decision run on floats only in
+    # the bound maximizer, and the fit reads values: it evaluates H only at
+    # the three probes that verify it.  Their one other user is the
+    # grammar's tracer, which runs them on operands
+    def uses(helper):
+        return {(name, top.name) for name, top in _top_functions() for node in ast.walk(top)
+                if isinstance(node, ast.Name) and node.id == helper}
+
+    assert uses("_fit_quadratic") == {("pmp.py", "_maximizer"), ("grammar.py", "_probe_fit_code")}
+    assert uses("_axis_maxima") == {("pmp.py", "_maximizer"), ("grammar.py", "_arc_code")}
     fit = next(top for name, top in _top_functions()
                if name == "pmp.py" and getattr(top, "name", None) == "_fit_quadratic")
     evaluations = [ast.unparse(node) for node in ast.walk(fit)

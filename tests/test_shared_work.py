@@ -225,33 +225,49 @@ def test_shoot_work_within_committed_counts():
 def test_propagation_maximizes_each_state_once(monkeypatch):
     # a bisection returns its state with the maximizer there, and the first
     # midpoint of a bisection over a whole step on the step's starting
-    # control is the half-step state already maximized
+    # control is the half-step state already maximized.  Every maximization
+    # of the golden is one call of the generated probe fit, in the
+    # generated arc loop or in the Python loop's steps, and a fit that the
+    # loop hands back is decided from without a second call
     problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
                                             "problem.json"))
     sp = shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary, p0=problem.p0,
                                   x_a=problem.x_a, x_b=problem.x_b,
                                   a=problem.a, b=problem.b)
     opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
-    bind, seen = pmp._maximizer, collections.Counter()
+    bind, generate, seen = pmp._maximizer, problem.sys.f.probe_fit, collections.Counter()
 
-    def counted(sys, p0):
-        # the maximizer is bound once per propagation; count what it maximizes
+    def counted_bind(sys, p0):
+        # the maximizer is bound once per propagation
         seen["binds"] += 1
-        maximize = bind(sys, p0)
+        return bind(sys, p0)
 
-        def wrapper(p, x):
+    def counted_generate(*args):
+        fit = generate(*args)
+
+        def counted_fit(p, x, p0f):
             seen[np.array(x + p).tobytes()] += 1
-            return maximize(p, x)
+            return fit(p, x, p0f)
 
-        return wrapper
+        return counted_fit
 
-    monkeypatch.setattr(shooting, "_maximizer", counted)
+    runs, arc = collections.Counter(), shooting._arc_run
+
+    def counted_arc(*args):
+        built = arc(*args)
+        runs["arc"] += built is not None
+        return built
+
+    monkeypatch.setattr(shooting, "_maximizer", counted_bind)
+    monkeypatch.setattr(problem.sys.f, "probe_fit", counted_generate)
+    monkeypatch.setattr(shooting, "_arc_run", counted_arc)
     switching = 0
     for z in ([0.9, 1.0, 2.19], [-1.0, -0.5, 2.0], [0.2, 0.3, 3.0], [1.0, 0.0, 1.5]):
         seen.clear()
+        runs.clear()
         prop = shooting._propagate(sp, np.array(z), opts, problem.step)
         switching += len({u.tobytes() for _, u in prop.steps}) > 1
-        assert seen.pop("binds") == 1
+        assert seen.pop("binds") == 1 and runs["arc"] == 1
         assert len(seen) > 1 and max(seen.values()) == 1, z
     assert switching == 3
 
@@ -651,10 +667,11 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
         if run == 0:
             # the dynamics, its Jacobian, the cost, its gradient, the
             # dynamics step (simulate), and the maximizer's probe fit, the
-            # coupled stage and step and the adjoint sweep of the final
+            # coupled stage and step, the arc loop and the trial step of
+            # shooting on the box, and the adjoint sweep of the final
             # extremal (shoot)
             first = dict(calls)
-            assert first == {"step": 3, "compile": 9}
+            assert first == {"step": 3, "compile": 11}
     assert calls == first
 
 
