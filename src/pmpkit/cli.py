@@ -450,6 +450,7 @@ def cmd_check(args) -> int:
 def cmd_shoot(args) -> int:
     problem = load_problem(args.problem)
     tol = problem.tol if args.tol is None else _positive(args.tol, "--tol")
+    seed = 0 if args.seed is None else _integer(0)(args.seed, "--seed")
     _out_dir(args.out)
     sp = ShootingProblem(sys=problem.sys, bounds=problem.boundary,
                          p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
@@ -460,7 +461,7 @@ def cmd_shoot(args) -> int:
                    problem.guess.tolist())
     opts = ShootingOptions(tol=tol,
                            step=problem.step,
-                           seed=args.seed if args.seed is not None else 0,
+                           seed=seed,
                            **problem.shooting)
     result = shoot(sp, guess=problem.guess, opts=opts)
     struct = switching_structure(result.extremal)

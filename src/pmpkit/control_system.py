@@ -86,16 +86,6 @@ class ControlSet:
         return float(np.linalg.norm(u - self.center)) <= self.radius + tol
 
 
-def _derived(U: ControlSet, name: str, make):
-    """make(U), made on first use and kept on U under name: ControlSet is
-    frozen, and what is derived from it (the maximizer's fit probes,
-    shooting's jump tolerance) is kept data, not a field."""
-    kept = U.__dict__
-    if name not in kept:
-        kept[name] = make(U)
-    return kept[name]
-
-
 def box(lo, hi) -> ControlSet:
     return ControlSet(kind="box", lo=lo, hi=hi)
 

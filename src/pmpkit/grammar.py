@@ -366,7 +366,7 @@ _GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _re
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
             "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs,
             "_nan_max": _nan_max, "_off_max": _off_max, "_axis_max": _axis_max,
-            "_jumped": _jumped, "_pack": struct.pack}
+            "_jumped": _jumped, "_pack": struct.pack, "_FloatingPointError": FloatingPointError}
 
 
 _LOAD, _STORE = ast.Load(), ast.Store()
@@ -861,40 +861,38 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     return code, code.define("probe_fit", ("p", "x", "p0f"), _returned(fit))
 
 
-def _arc_code(m, sides, fit_tol, jump_tol, loop):
-    """(code, definition) of a generated function of `shooting._propagate`'s
-    loop, for states y = (x, p) of 2m floats held in lists, the box
-    maximizer's `sides` and tolerance fit_tol and the jump tolerance
-    jump_tol.  It calls the coupled field's stage(y, u, c) and step(y, u, h,
-    k1, c) (`coupled_step`) and the probe fit fit(p, x, p0f) that its caller
-    passes, so it is compiled once per box and tolerances.
+def _arc_code(m, sides, fit_tol, jump_tol):
+    """(code, definition) of arc(h, c, p0f, stage, step, fit, decide) ->
+    (run, trial), `shooting._propagator`'s generated loop and trial for
+    states y = (x, p) of 2m floats held in lists, the box maximizer's
+    `sides` and tolerance fit_tol and the jump tolerance jump_tol.  arc
+    binds what is fixed for a problem: the step h, c = -p0, p0f = p0, the
+    coupled field's stage(y, u, c) and step(y, u, h, k1, c)
+    (`coupled_step`), the probe fit fit(p, x, p0f) and decide(y, fit), the
+    maximizer's control at y from its fit.  So it is compiled once per box
+    and tolerances.
 
-    A trial is the loop's step of dt from y with the control u held, whose
-    first stage is k1, the fit at the state it reaches, the control decided
-    there, and the jump test of that control against u
-    (`shooting._jumped`, not called where the two have the same bits).  The
-    decision is `pmp._model_tol` and `pmp._axis_maxima` run on the operands
-    of the fit's values, `pmp._axis_max` called by name, where the
-    off-diagonal part of the fit clears ztol.
-    - Without loop, trial(y, u, dt, k1, c, p0f, step, fit) -> (ym, fm, um,
-      jumped), the state, its fit, the control decided there as a list and
-      whether it jumps, or None where ym is not finite; um and jumped are
-      None where the fit is not separable.
-    - With loop, arc_run(y, u, t, b, eps, h, c, p0f, stage, step, fit, steps)
-      -> stop makes the loop's whole steps of h from the state y at t with
-      the control u, while b - t > eps and b - t is not below h.  A step is
-      the trial of h / 2 with u and k1 = stage(y, u, c), reaching yh with
-      its fit fh and control uh; then, unless uh jumps from u, the trial
-      of h with uh and k1h, k1 where uh has the bits of u (as the loop
-      keys its stages) and stage(y, uh, c) otherwise, reaching y1 with its
-      fit f1 and control u1.  Unless u1 jumps from uh, the step appends (t,
-      uh as an array) to steps and moves on to (t + h, y1, u1).  The
-      function returns None at the first state that is not finite, and (t,
-      y, u, k1, yh, fh, k1h, y1, f1) where the loop must go on in Python:
-      at yh, with k1h, y1 and f1 None, where fh is not separable or uh
-      jumps; at y1, where f1 is not separable or u1 jumps.  After the last
-      whole step all but t, y and u are None.
-    sides holds Python floats, which the decision binds as numbers."""
+    trial(y, u, dt, k1) -> (ym, um, jumped) steps dt from y with the
+    control u held, whose first stage is k1, fits H at the state ym it
+    reaches and decides the control um there as a list: `pmp._model_tol`
+    and `pmp._axis_maxima` run on the operands of the fit's values, with
+    `pmp._axis_max` called by name, where the off-diagonal part of the fit
+    clears ztol, else decide.  jumped is `shooting._jumped` of um against
+    u, not called where the two have the same bits.  It raises
+    FloatingPointError where ym is not finite.
+
+    run(y, u, t, b, eps, steps) makes the whole steps of h from the state y
+    at t with the control u while b - t > eps and b - t is not below h.  A
+    step is the trial of h / 2 with u and k1 = stage(y, u, c), reaching yh
+    and uh, then the trial of h with uh and k1h, which is k1 where uh has
+    u's bits and stage(y, uh, c) otherwise, reaching y1 and u1; it appends
+    (t, uh as an array) to steps and moves on to (t + h, y1, u1).  At a
+    jump it returns (t, y, u, bracket), what the bisection reads: (u, k1,
+    0.0, h / 2, yh, uh) at the half step and (uh, k1h, lo, h, y1, u1) at
+    the full step, lo h / 2 where k1h is k1 and 0.0 otherwise.  After its
+    last whole step it returns (t, y, u, None), and None at the first
+    state that is not finite.  sides holds Python floats, which the
+    decision binds as numbers."""
     code = _Code()
 
     def item(value, *index):
@@ -907,18 +905,11 @@ def _arc_code(m, sides, fit_tol, jump_tol, loop):
         bound = [None if v is None else ast.Constant(v, **_POS) for v in (lower, upper)]
         return _at(value, ast.Slice(*bound, None, **_POS))
 
-    def stop(*names):
-        return ast.Tuple([_name(v) if isinstance(v, str) else ast.Constant(v, **_POS)
-                          for v in names], _LOAD, **_POS)
-
-    def returned(*names):
-        return ast.Return(stop(*names), **_POS)
+    def tup(*names):
+        return ast.Tuple([_name(v) if isinstance(v, str) else v for v in names], _LOAD, **_POS)
 
     def call(fn, *args):
         return _apply(fn, *(_name(a) if isinstance(a, str) else a for a in args))
-
-    def unless(test, stmt):
-        code.body.append(ast.If(ast.UnaryOp(ast.Not(), test, **_POS), [stmt], [], **_POS))
 
     def same(v, w):
         # whether the lists v and w hold floats with the same bits: the
@@ -933,47 +924,54 @@ def _arc_code(m, sides, fit_tol, jump_tol, loop):
             ast.BoolOp(ast.And(), objects, **_POS) if len(objects) > 1 else objects[0],
             ast.Compare(bits[0], [ast.Eq()], bits[1:], **_POS)], **_POS)
 
-    def reached(v, fit, um, u, dt, k1, inseparable, jumped):
+    def reached(v, fit, um, u, dt, k1, blown):
         # the trial of dt with u: the state v, its fit and the control um;
-        # None returned where v is not finite, inseparable where the fit is
-        # not separable and jumped where um jumps from u, whose bits are
-        # compared first and kept in the local "same"
+        # blown runs where v is not finite.  Whether um has u's bits is
+        # kept in the local "same"; returned is the test that um jumps
         code.body.append(_assign(v, call("step", "y", u, dt, k1, "c")))
-        unless(ast.BoolOp(ast.And(), [_apply("_isfinite", item(v, i)) for i in range(2 * m)],
-                          **_POS), ast.Return(ast.Constant(None, **_POS), **_POS))
+        code.body.append(ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), [
+            _apply("_isfinite", item(v, i)) for i in range(2 * m)], **_POS), **_POS),
+            [blown], [], **_POS))
         code.body.append(_assign(fit, call("fit", part(v, m, None), part(v, None, m), "p0f")))
         b, a = ([_Operand(code, code.local(item(fit, i, j))) if side[3] > 0 else None
                  for j, side in enumerate(sides)] for i in (0, 1))
         bmax, cmax, off = (_Operand(code, code.local(item(fit, i))) for i in (3, 4, 5))
         ztol = _model_tol(bmax, cmax, fit_tol)
-        unless(ast.Compare(_name(off.name), [ast.LtE()], [_name(ztol.local())], **_POS),
-               inseparable)
+        separable = ast.Compare(_name(off.name), [ast.LtE()], [_name(ztol.local())], **_POS)
+        # the decision's statements, temporaries included, run only where
+        # the fit is separable
+        mark = len(code.body)
         code.body.append(_assign(um, _returned(
             _recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))))
-        code.body.append(_assign("same", same(um, u)))
-        test = call("_jumped", um, u, ast.Constant(jump_tol, **_POS))
-        code.body.append(ast.If(ast.BoolOp(ast.And(), [
-            ast.UnaryOp(ast.Not(), _name("same"), **_POS), test], **_POS), [jumped], [], **_POS))
+        decided = code.body[mark:]
+        del code.body[mark:]
+        code.body += [ast.If(separable, decided, [_assign(um, call("decide", v, fit))], **_POS),
+                      _assign("same", same(um, u))]
+        return ast.BoolOp(ast.And(), [ast.UnaryOp(ast.Not(), _name("same"), **_POS),
+                                      call("_jumped", um, u, ast.Constant(jump_tol, **_POS))],
+                          **_POS)
 
-    if not loop:
-        reached("ym", "fm", "um", "u", "dt", "k1", returned("ym", "fm", None, None),
-                ast.Return(stop("ym", "fm", "um", True), **_POS))
-        return code, code.define("trial", ("y", "u", "dt", "k1", "c", "p0f", "step", "fit"),
-                                 stop("ym", "fm", "um", False))
+    jumped = reached("ym", "fm", "um", "u", "dt", "k1",
+                     ast.Raise(_name("_FloatingPointError"), None, **_POS))
+    trial = code.define("trial", ("y", "u", "dt", "k1"), tup("ym", "um", jumped))
+    code.body = []
 
-    def half():
-        return returned("t", "y", "u", "k1", "yh", "fh", None, None, None)
+    def handed(test, *bracket):
+        # at a jump, the start of the step and the bracket
+        code.body.append(ast.If(test, [ast.Return(tup("t", "y", "u", tup(*bracket)), **_POS)],
+                                [], **_POS))
 
-    def full():
-        return returned("t", "y", "u", "k1", "yh", "fh", "k1h", "y1", "f1")
-
+    none, zero = ast.Constant(None, **_POS), ast.Constant(0.0, **_POS)
+    blown = ast.Return(none, **_POS)
     code.body.append(_assign("k1", call("stage", "y", "u", "c")))
-    reached("yh", "fh", "uh", "u", "hh", "k1", half(), half())
-    code.body.append(_assign("k1h", ast.IfExp(_name("same"), _name("k1"),
-                                              call("stage", "y", "uh", "c"), **_POS)))
-    reached("y1", "f1", "u1", "uh", "h", "k1h", full(), full())
+    handed(reached("yh", "fh", "uh", "u", "hh", "k1", blown), "u", "k1", zero, "hh", "yh", "uh")
+    code.body.append(ast.If(_name("same"), [_assign("k1h", _name("k1")),
+                                            _assign("lo", _name("hh"))],
+                            [_assign("k1h", call("stage", "y", "uh", "c")), _assign("lo", zero)],
+                            **_POS))
+    handed(reached("y1", "f1", "u1", "uh", "h", "k1h", blown), "uh", "k1h", "lo", "h", "y1", "u1")
     code.body.append(ast.Expr(ast.Call(ast.Attribute(_name("steps"), "append", _LOAD, **_POS), [
-        ast.Tuple([_name("t"), call("_array", "uh")], _LOAD, **_POS)], [], **_POS), **_POS))
+        tup("t", call("_array", "uh"))], [], **_POS), **_POS))
     code.body += [_assign("t", ast.BinOp(_name("t"), ast.Add(), _name("h"), **_POS)),
                   _assign("y", _name("y1")), _assign("u", _name("u1"))]
     left = ast.BinOp(_name("b"), ast.Sub(), _name("t"), **_POS)
@@ -981,11 +979,12 @@ def _arc_code(m, sides, fit_tol, jump_tol, loop):
         ast.Compare(left, [ast.Gt()], [_name("eps")], **_POS),
         ast.UnaryOp(ast.Not(), ast.Compare(left, [ast.Lt()], [_name("h")], **_POS), **_POS)],
         **_POS)
+    code.body = [ast.While(going, code.body, [], **_POS)]
+    run = code.define("run", ("y", "u", "t", "b", "eps", "steps"), tup("t", "y", "u", none))
     code.body = [_assign("hh", ast.BinOp(ast.Constant(0.5, **_POS), ast.Mult(), _name("h"),
-                                         **_POS)),
-                 ast.While(going, code.body, [], **_POS)]
-    return code, code.define("arc_run", ("y", "u", "t", "b", "eps", "h", "c", "p0f", "stage",
-                                         "step", "fit", "steps"), stop("t", "y", "u", *[None] * 6))
+                                         **_POS)), trial, run]
+    return code, code.define("arc", ("h", "c", "p0f", "stage", "step", "fit", "decide"),
+                             tup("run", "trial"))
 
 
 # ---------------------------------------------------------------------------
@@ -1051,17 +1050,18 @@ def compile_dynamics(srcs, m: int, k: int):
       cost tree, probe floats (each probe keyed by its bytes, so that -0.0
       and 0.0 differ) and divisors, and p0f is an argument, so p0 = -1 and
       p0 = 0 share it.
-    - `f.arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol)` returns (run,
-      trial), `shooting._propagate`'s generated loop over the whole steps
-      of an arc and its generated trial step (`_arc_code`), for the box
-      maximizer's `sides` (`pmp._Probes`) and tolerance fit_tol and the
-      jump tolerance jump_tol, or None unless the system qualifies as for
-      `coupled_step`.  Both call the coupled stage and step and the probe
-      fit that the caller passes, so they are compiled once per sides
-      (keyed by their bytes) and tolerances, whatever the cost.
-      `_propagate` takes them where the maximizer's probe fit is generated
-      too: a grammar system on a finite box with plain divisors and a
-      declared degree of at most 2.
+    - `f.arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol)` returns
+      arc(h, c, p0f, stage, step, fit, decide) -> (run, trial), which binds
+      `shooting._propagator`'s generated loop over the whole steps of an
+      arc and its generated trial step (`_arc_code`) to a problem's coupled
+      stage and step, probe fit and decision, for the box maximizer's
+      `sides` (`pmp._Probes`), fit_tol and jump_tol, or None unless the
+      system qualifies as for `coupled_step`.  It is compiled once per
+      sides (keyed by their bytes) and tolerances, whatever the cost.  The
+      loop hands back only at a jump, after its last whole step, and with
+      None at a state that is not finite.  `_propagator` takes it where
+      the maximizer's probe fit is generated too: a grammar system on a
+      finite box with plain divisors and a declared degree of at most 2.
 
     srcs is a tuple: the last 128 successful compiles of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
@@ -1137,9 +1137,8 @@ def compile_dynamics(srcs, m: int, k: int):
 
     @functools.cache
     def arc(sides, fit_tol, jump_tol):
-        sides = np.frombuffer(sides).reshape(-1, 4).tolist()
-        return tuple(code.compile(fn) for code, fn in (
-            _arc_code(m, sides, fit_tol, jump_tol, loop) for loop in (True, False)))
+        code, fn = _arc_code(m, np.frombuffer(sides).reshape(-1, 4).tolist(), fit_tol, jump_tol)
+        return code.compile(fn)
 
     def arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol):
         if not qualifies(df_dx, F, dF_dx):

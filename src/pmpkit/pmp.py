@@ -21,7 +21,7 @@ import numpy as np
 
 from .cone_geometry import rank_split, unit_directions
 from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory, Trajectory,
-                             _derived, _switches_at)
+                             _switches_at)
 from .flows import FlowBlowUpError, _all_finite, _dot, _recorded_step, _runs, rk4_step
 
 
@@ -230,8 +230,12 @@ class _Probes:
 
 
 def _probes(U) -> _Probes:
-    """The fit's probes of the box or ball U, made on first use and kept on U."""
-    return _derived(U, "_probes", _Probes)
+    """The fit's probes of the box or ball U, made on first use and kept on
+    U: ControlSet is frozen, and the probes are kept data, not a field."""
+    kept = U.__dict__
+    if "_probes" not in kept:
+        kept["_probes"] = _Probes(U)
+    return kept["_probes"]
 
 
 def _matrix(a, mixed):
@@ -390,7 +394,7 @@ def _maximizer(sys: ControlSystem, p0: float):
 
     maximize(p, x, fit) decides from fit, that function's value at (p, x),
     without evaluating it again.  maximize carries what a generated loop
-    needs to make the same decisions (`shooting._propagate`): `hamiltonian`,
+    needs to make the same decisions (`shooting._propagator`): `hamiltonian`,
     where hamiltonian(p, x) is H bound to p and x, and `probe_fit` and the
     box's `sides`, falsy where the fit is not generated.
     """

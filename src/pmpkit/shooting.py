@@ -9,15 +9,16 @@ constant within a step, refreshed at the step midpoint; discontinuities of
 the maximizer are located by bisection and become exact switch times of the
 returned piecewise-constant control.
 
-For a grammar system on a finite box whose coupled step and probe fit are
-generated, the whole steps of each arc run in one generated loop, and the
-other trial steps in one generated trial (`grammar.compile_dynamics`,
-`f.arc_run`).  The loop hands back to Python in the middle of a step, with
-the stages, states and fits it made, at a jump, which Python bisects, and
-at a fit whose off-diagonal part does not clear ztol, which the maximizer
-decides from; it stops before the step that the final time cuts short, so
-the resume state and the short last step are Python's.  The results are
-the bits of the Python loop alone.
+Everything fixed for a problem (step, jump tolerance, maximizer, coupled
+field) is bound once per `shoot` by `_propagator`.  For a grammar system on
+a finite box whose coupled step and probe fit are generated, the whole
+steps of each arc run in one generated loop, and the other trial steps in
+one generated trial (`grammar.compile_dynamics`, `f.arc_run`).  The loop
+hands back to Python only at a jump, with the bracket that Python bisects,
+after its last whole step, and with None at a state that is not finite;
+a fit that is not separable is decided inside it, by a call into the
+maximizer.  The step that the final time cuts short is Python's.  The
+results are the bits of the Python step alone.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .cone_geometry import null_space, unit_directions
-from .control_system import ControlSystem, _derived, _signal_of_pieces, extend, simulate
+from .control_system import ControlSystem, _signal_of_pieces, extend, simulate
 from .flows import IntegratorConfig, _all_finite, rk4_step
 from .pmp import (FIT_TOL, BoundarySpec, Extremal, UnboundedHamiltonianError,
                   UnsupportedMaximizationError, _costate, _maximizer, adjoint_flow)
@@ -123,12 +124,7 @@ _TRIAL_FAILURES = (ArithmeticError, UnboundedHamiltonianError, UnsupportedMaximi
 
 def _auto_jump_tol(control_set) -> float:
     """The jump tolerance of control_set: a maximizer that moves by more
-    is a switch.  It is made on first use and kept on the set, as
-    `pmp._probes` keeps the fit's probes."""
-    return _derived(control_set, "_jump_tol", _make_jump_tol)
-
-
-def _make_jump_tol(control_set) -> float:
+    is a switch."""
     if control_set.kind == "finite":
         pts = [np.asarray(p, float) for p in control_set.points]
         return 1e-9 if len(pts) < 2 else 0.5 * min(
@@ -193,170 +189,138 @@ class _Propagation:
 
 
 def _arc_run(sys, maximize, jump_tol):
-    """(run, trial) of `grammar.compile_dynamics`'s `f.arc_run`, the
-    generated loop over the whole steps of an arc and the generated trial
-    step, for a system whose coupled field and probe fit are generated;
-    None for any other."""
+    """arc(h, c, p0f, stage, step, fit, decide) -> (run, trial) of
+    `grammar.compile_dynamics`'s `f.arc_run`, which binds the generated arc
+    loop and trial to a problem, for a system whose coupled field and probe
+    fit are generated; None for any other."""
     build = maximize.probe_fit and getattr(sys.f, "arc_run", None)
     return build and build(sys.df_dx, sys.F, sys.dF_dx, maximize.sides, FIT_TOL, jump_tol)
 
 
-def _propagate(problem: ShootingProblem, z, opts: ShootingOptions,
-               step: float, base: Optional[_Propagation] = None
-               ) -> Optional[_Propagation]:
-    """Integrate the coupled (x, p) field `_coupled_field` from the start
-    that z encodes (`ShootingProblem.decode`).
+def _propagator(problem: ShootingProblem, opts: ShootingOptions):
+    """propagate(z, base=None): the coupled (x, p) field `_coupled_field`
+    integrated from the start that z encodes (`ShootingProblem.decode`), as
+    a `_Propagation`, or None for a failed trial.  The step, the jump
+    tolerance, the maximizer, the coupled field and the generated arc loop
+    are fixed for the problem and bound once, here.
 
     `base` is an optional propagation of an unknown vector that differs
     from z only by a smaller final time.  Up to its `resume` state every
-    step was a full `step` long, which a later final time does not change,
+    step was a full step long, which a later final time does not change,
     so the loop continues from there with the same result as a fresh run.
 
-    Where the grammar generates the coupled field and the probe fit
-    (`_arc_run`), the whole steps of each arc run in one generated loop
-    that makes this loop's calls and decisions, and this loop's own trial
-    steps are generated ones.  The generated loop hands back in the middle
-    of a step, with the stages, states and fits it made, at a jump (the
-    bisection is this loop's) and at a fit that is not separable (the
-    maximizer's other decisions are Python's).  It stops before a step
-    that b cuts short, so the resume state and the short last step are
-    this loop's.
+    trial(y, u, dt, k1) -> (state, control, jumped) steps dt from y with
+    the control u, a list of floats, held and k1 its first stage.  A step
+    of h is the trial of h / 2 with the current control, then, unless the
+    control there jumps, the trial of h with the control there.  Where
+    `_arc_run` gives the generated trial and arc loop, the loop makes the
+    whole steps of each arc; the step that b cuts short, and every step of
+    any other system, is `stepped` here.  A step ends in a bracket: the
+    control it held, that control's first stage, the last time known on
+    the arc (None where the control does not jump) and the time of the
+    jump with the state and control there, which one bisection narrows.
     """
-    sys = problem.sys
-    m = sys.m
-    x, b = problem.decode(z)
-    if not b > problem.a + 1e-9 * (1.0 + abs(problem.a)):
-        return None
+    sys, a = problem.sys, problem.a
+    m, step, max_switches = sys.m, _step(problem, opts), opts.max_switches
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
     field_stage, field_step = _coupled_field(sys, problem.p0)
-    c, p0f = -problem.p0, float(problem.p0)
-    run, trial = _arc_run(sys, maximize, jump_tol) or (None, None)
+    c = -problem.p0
 
-    def argmax(yc, fit=None):
-        # the maximizer at the stacked state yc = (x, p): u and its
-        # components as floats for the jump test; H that is NaN or -inf at
-        # every control ends the trial like a blow-up.  fit, where it is
-        # given, is the probe fit at yc, which the decision reads
-        u, _, _ = maximize(yc[m:], yc[:m], fit)
+    def argmax(y, fit=None):
+        # the maximizer at the stacked state y = (x, p) as a list; fit,
+        # where it is given, is the probe fit at y, which the decision
+        # reads.  H that is NaN or -inf at every control ends the trial
+        # like a blow-up
+        u = maximize(y[m:], y[:m], fit)[0]
         if u is None:
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
-        return u, u.tolist()
+        return u.tolist()
 
-    def decided(u):
-        # the maximizer as argmax gives it, of the list u that a generated
-        # decision made
-        return np.array(u), u
+    def trial(y, u, dt, k1):
+        ym = field_step(y, u, dt, k1, c)
+        if not _all_finite(ym):
+            raise FloatingPointError
+        um = argmax(ym)
+        return ym, um, _jumped(um, u, jump_tol)
 
-    def stage(best):
-        # every trial step of one loop iteration starts from y: its first
-        # RK4 stage is evaluated once per control value, keyed by its bytes,
-        # which tell -0.0 from 0.0 where a tuple of floats would not
-        key = best[0].tobytes()
-        if key not in stages:
-            stages[key] = field_stage(y, best[1], c)
-        return stages[key]
+    arc = _arc_run(sys, maximize, jump_tol)
+    run = None
+    if arc:
+        run, trial = arc(step, c, float(problem.p0), field_stage, field_step,
+                         maximize.probe_fit, argmax)
 
-    def reach(best, dt, k1):
-        # the state dt along best's control from y, whose first stage is
-        # k1, the maximizer there, and whether that jumps from best's
-        # control; a state that is not finite ends the trial
-        if trial is not None:
-            tried = trial(y, best[1], dt, k1, c, p0f, field_step, maximize.probe_fit)
-            if tried is None:
-                raise FloatingPointError
-            ym, fit, u, jumped = tried
-            if u is not None:
-                return ym, decided(u), jumped
-            end = argmax(ym, fit)
+    def stepped(y, u, h):
+        # the bracket of one step of h from y with u
+        k1 = field_stage(y, u, c)
+        yh, uh, jumped = trial(y, u, 0.5 * h, k1)
+        if jumped:
+            return u, k1, 0.0, 0.5 * h, yh, uh
+        # on u's control, whose first stage is k1, the arc holds at yh
+        same = np.array(uh).tobytes() == np.array(u).tobytes()
+        k1h, lo = (k1, 0.5 * h) if same else (field_stage(y, uh, c), 0.0)
+        y1, u1, jumped = trial(y, uh, h, k1h)
+        return uh, k1h, lo if jumped else None, h, y1, u1
+
+    def propagate(z, base: Optional[_Propagation] = None) -> Optional[_Propagation]:
+        x, b = problem.decode(z)
+        if not b > a + 1e-9 * (1.0 + abs(a)):
+            return None
+        eps = 1e-13 * (1.0 + abs(b))
+        if base is None:
+            y = np.concatenate([x, np.asarray(z[:m], dtype=float)]).tolist()
+            t, steps, n_sw = a, [], 0
         else:
-            ym = field_step(y, best[1], dt, k1, c)
-            if not _all_finite(ym):
-                raise FloatingPointError
-            end = argmax(ym)
-        return ym, end, _jumped(end[1], best[1], jump_tol)
-
-    def bisect(arc, lo, hi, y_hi, best_hi):
-        # largest substep keeping the maximizer on the current arc, with
-        # the state it reaches and the maximizer there; arc is the
-        # maximizer the arc holds, as argmax gives it, and it holds at lo;
-        # y_hi is the state at hi and best_hi the maximizer at y_hi
-        k1 = stage(arc)
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            ym, best, jumped = reach(arc, mid, k1)
-            if jumped:
-                hi, y_hi, best_hi = mid, ym, best
-            else:
-                lo = mid
-        return hi, y_hi, best_hi
-
-    steps: List[Tuple[float, np.ndarray]]
-    if base is None:
-        y = np.concatenate([x, np.asarray(z[:m], dtype=float)]).tolist()
-        t, steps, n_sw = problem.a, [], 0
-    else:
-        t, y, cur, n_sw, n_steps = base.resume
-        steps = base.steps[:n_steps]
-    resume = None
-    try:
-        # numpy stays quiet on overflow and invalid values, from the first
-        # maximization to H at the end: the loop checks its states are
-        # finite, and a state that is not ends the trial like a blow-up
-        with np.errstate(over="ignore", invalid="ignore"):
-            if base is None:
-                cur = argmax(y)
-            while b - t > 1e-13 * (1.0 + abs(b)):
-                h = min(step, b - t)
-                if resume is None and h != step:
-                    resume = (t, y, cur, n_sw, len(steps))
-                stages = {}
-                y1 = None
-                if run and h == step:
-                    ran = run(y, cur[1], t, b, 1e-13 * (1.0 + abs(b)), h, c, p0f,
-                              field_stage, field_step, maximize.probe_fit, steps)
-                    if ran is None:
-                        return None
-                    t, y, u, k1, yh, fh, k1h, y1, f1 = ran
-                    cur = decided(u)
-                    if yh is None:
-                        continue
-                    stages[cur[0].tobytes()] = k1
-                    end = argmax(yh, fh)
-                    jumped = _jumped(end[1], cur[1], jump_tol)
-                else:
-                    yh, end, jumped = reach(cur, 0.5 * h, stage(cur))
-                if jumped:
-                    arc = cur
-                    dt, yn, end = bisect(arc, 0.0, 0.5 * h, yh, end)
-                    n_sw += 1
-                else:
-                    arc = end
-                    if y1 is None:
-                        y1, end, jumped = reach(arc, h, stage(arc))
+            t, y, cur, n_sw, n_steps = base.resume
+            steps = base.steps[:n_steps]
+        resume = None
+        try:
+            # numpy stays quiet on overflow and invalid values, from the
+            # first maximization to H at the end: the loop checks its states
+            # are finite, and a state that is not ends the trial like a
+            # blow-up
+            with np.errstate(over="ignore", invalid="ignore"):
+                if base is None:
+                    cur = argmax(y)
+                while b - t > eps:
+                    h = min(step, b - t)
+                    if resume is None and h != step:
+                        resume = (t, y, cur, n_sw, len(steps))
+                    if run and h == step:
+                        ran = run(y, cur, t, b, eps, steps)
+                        if ran is None:
+                            return None
+                        t, y, cur, bracket = ran
+                        if bracket is None:
+                            continue
                     else:
-                        stages.setdefault(arc[0].tobytes(), k1h)
-                        end = argmax(y1, f1)
-                        jumped = _jumped(end[1], arc[1], jump_tol)
-                    if jumped:
-                        # on cur's control the arc holds at yh, the first midpoint
-                        lo = 0.5 * h if arc[0].tobytes() == cur[0].tobytes() else 0.0
-                        dt, yn, end = bisect(arc, lo, h, y1, end)
+                        bracket = stepped(y, cur, h)
+                    held, k1, lo, dt, yn, end = bracket
+                    if lo is not None:
+                        # the largest substep keeping the maximizer on the
+                        # arc, and the state and the maximizer there
                         n_sw += 1
-                    else:
-                        dt, yn = h, y1
-                steps.append((t, np.asarray(arc[0], float)))
-                t, y, cur = t + dt, yn, end
-                if n_sw > opts.max_switches:
-                    return None
-            if resume is None:
-                resume = (t, y, cur, n_sw, len(steps))
-            # sup_h, the one H(u_star) that a propagation reads, at the
-            # state y where cur is the maximizer
-            sup_h = maximize.hamiltonian(y[m:], y[:m])(cur[0])
-            return _Propagation(y[:m], y[m:], steps, sup_h, resume)
-    except _TRIAL_FAILURES:
-        return None
+                        while dt - lo > 1e-10:
+                            mid = 0.5 * (lo + dt)
+                            ym, um, jumped = trial(y, held, mid, k1)
+                            if jumped:
+                                dt, yn, end = mid, ym, um
+                            else:
+                                lo = mid
+                    steps.append((t, np.array(held)))
+                    t, y, cur = t + dt, yn, end
+                    if n_sw > max_switches:
+                        return None
+                if resume is None:
+                    resume = (t, y, cur, n_sw, len(steps))
+                # sup_h, the one H(u_star) that a propagation reads, at the
+                # state y where cur is the maximizer
+                sup_h = maximize.hamiltonian(y[m:], y[:m])(np.array(cur))
+                return _Propagation(y[:m], y[m:], steps, sup_h, resume)
+        except _TRIAL_FAILURES:
+            return None
+
+    return propagate
 
 
 def _step(problem: ShootingProblem, opts: ShootingOptions) -> float:
@@ -372,7 +336,7 @@ def boundary_residual(problem: ShootingProblem, z,
     free-time mode.  None signals a blown-up or invalid trial.
     """
     opts = opts or ShootingOptions()
-    prop = _propagate(problem, z, opts, _step(problem, opts))
+    prop = _propagator(problem, opts)(z)
     return None if prop is None else _residual(problem, z, prop)
 
 
@@ -397,14 +361,13 @@ def _residual(problem: ShootingProblem, z, prop: _Propagation) -> np.ndarray:
     return np.concatenate([np.atleast_1d(p) for p in parts])
 
 
-def _fd_jacobian(problem, z, R0, prop, opts):
+def _fd_jacobian(problem, propagate, z, R0, prop, opts):
     """Forward differences of the residual at z, whose propagation is prop.
 
     A column that moves b up (the final-time column, in free-time mode)
     resumes prop instead of propagating again from the start.
     """
     h = opts.fd_h
-    step = _step(problem, opts)
     b = problem.decode(z)[1]
     n = len(z)
     J = np.zeros((len(R0), n))
@@ -412,7 +375,7 @@ def _fd_jacobian(problem, z, R0, prop, opts):
         zp = z.copy()
         zp[j] += h * (1.0 + abs(z[j]))
         base = prop if problem.decode(zp)[1] > b else None
-        prop_p = _propagate(problem, zp, opts, step, base)
+        prop_p = propagate(zp, base)
         if prop_p is None:
             continue
         Rp = _residual(problem, zp, prop_p)
@@ -420,11 +383,10 @@ def _fd_jacobian(problem, z, R0, prop, opts):
     return J
 
 
-def _newton(problem, z0, opts):
+def _newton(problem, propagate, z0, opts):
     """Damped Newton from z0: (z, |R|, iterations, converged, propagation of z)."""
-    step = _step(problem, opts)
     z = np.asarray(z0, dtype=float).copy()
-    prop = _propagate(problem, z, opts, step)
+    prop = propagate(z)
     if prop is None:
         return z, np.inf, 0, False, None
     R = _residual(problem, z, prop)
@@ -432,7 +394,7 @@ def _newton(problem, z0, opts):
     for it in range(1, opts.max_iter + 1):
         if rn <= opts.tol:
             return z, rn, it - 1, True, prop
-        J = _fd_jacobian(problem, z, R, prop, opts)
+        J = _fd_jacobian(problem, propagate, z, R, prop, opts)
         try:
             s = np.linalg.lstsq(J, -R, rcond=None)[0]
         except np.linalg.LinAlgError:
@@ -442,7 +404,7 @@ def _newton(problem, z0, opts):
         alpha, accepted = 1.0, False
         while alpha >= 1.0 / 64.0:
             z_try = z + alpha * s
-            prop_try = _propagate(problem, z_try, opts, step)
+            prop_try = propagate(z_try)
             if prop_try is not None:
                 R_try = _residual(problem, z_try, prop_try)
                 rn_try = float(np.linalg.norm(R_try))
@@ -494,9 +456,13 @@ def shoot(problem: ShootingProblem, guess=None,
         for d in unit_directions(m, opts.n_starts, seed=opts.seed):
             starts.append(pad(s * d))
 
+    # a start with the bits of an earlier one (m = 1 repeats its two unit
+    # directions) would end as that one did, and selection keeps the earlier
+    starts = {z0.tobytes(): z0 for z0 in starts}.values()
+    propagate = _propagator(problem, opts)
     best = None  # (residual_norm, index, z, iterations, converged, propagation)
     for idx, z0 in enumerate(starts):
-        z, rn, iters, conv, prop = _newton(problem, z0, opts)
+        z, rn, iters, conv, prop = _newton(problem, propagate, z0, opts)
         if conv:
             best = (rn, idx, z, iters, True, prop)
             break
@@ -507,7 +473,7 @@ def shoot(problem: ShootingProblem, guess=None,
     rn, _, z, iters, conv, prop = best
     extremal = _build_extremal(problem, z, prop, _step(problem, opts))
     R = _residual(problem, z, prop)
-    J = _fd_jacobian(problem, z, R, prop, opts)
+    J = _fd_jacobian(problem, propagate, z, R, prop, opts)
     jrank = int(np.linalg.matrix_rank(J, tol=1e-8 * max(1.0, float(np.max(np.abs(J))))))
     return ShootingResult(extremal=extremal, residual_norm=rn, iterations=iters,
                           converged=conv, jacobian_rank=jrank,

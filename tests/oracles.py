@@ -37,8 +37,8 @@ form of a package routine as its reference:
   one lookup per run of steps between switches (bit for bit);
 - `coupled_rhs_arrays` and `propagate_arrays`, shooting's coupled (x, p)
   step and propagation on numpy arrays, which the fallback field of
-  `shooting._coupled_field` and `shooting._propagate` replaced by lists of
-  Python floats (bit for bit);
+  `shooting._coupled_field` and the propagation of `shooting._propagator`
+  replaced by lists of Python floats (bit for bit);
 - `BUILTINS_ARRAYS`, the CLI's builtin dynamics and Jacobians as array
   functions, which the builtins on lists replaced (bit for bit).
 
@@ -831,7 +831,7 @@ def coupled_rhs_arrays(sys, p0, u):
 
 def propagate_arrays(problem, z, opts, step):
     """The coupled (x, p) system integrated from the start encoded in z:
-    (steps, x_b, p_b, sup_h) as `shooting._propagate` gives them, or None
+    (steps, x_b, p_b, sup_h) as `shooting._propagator` gives them, or None
     for a failed trial."""
     from pmpkit.shooting import _TRIAL_FAILURES, _auto_jump_tol
 

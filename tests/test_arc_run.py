@@ -1,12 +1,13 @@
-"""The generated arc loop of a shooting propagation against the Python loop.
+"""The generated arc loop of a shooting propagation against the Python step.
 
-`shooting._propagate` hands the whole steps of each arc of a grammar system
-on a finite box with a declared degree of at most 2 to one generated loop
-(`f.arc_run` of `grammar.compile_dynamics`), and its own trial steps to the
-generated trial.  With `shooting._arc_run` replaced by one that builds
-nothing, the same propagation runs in the Python loop alone.  The two give
-the same `_Propagation`, bit for bit, on random systems that blow up, jump
-at the half and at the full step, and have fits that are not separable.
+A propagation of `shooting._propagator` hands the whole steps of each arc
+of a grammar system on a finite box with a declared degree of at most 2 to
+one generated loop (`f.arc_run` of `grammar.compile_dynamics`), and its own
+trial steps to the generated trial.  With `shooting._arc_run` replaced by
+one that builds nothing, the same propagation runs in the Python step alone,
+with the maximizer and `shooting._jumped` in Python.  The two give the same
+`_Propagation`, bit for bit, on random systems that blow up, jump at the
+half and at the full step, and have fits that are not separable.
 """
 
 import collections
@@ -37,7 +38,7 @@ def summary(prop):
     t, y, cur, n_sw, n_steps = prop.resume
     return (bits(prop.x_b), bits(prop.p_b), bits(prop.sup_h),
             [(bits(t0), u.tobytes()) for t0, u in prop.steps],
-            (bits(t), bits(y), cur[0].tobytes(), bits(cur[1]), n_sw, n_steps))
+            (bits(t), bits(y), np.array(cur).tobytes(), n_sw, n_steps))
 
 
 # x-only parts of a rate and factors of a control; x0^2 and x0*x1 grow
@@ -106,33 +107,54 @@ def arc_cases(draw):
     return sp, np.array(p_a + [b]), b + draw(st.floats(0.01, 1.0)), h
 
 
-def stop_kind(ran):
+def trial_step(dt, h):
+    return f"the {'half' if dt == 0.5 * h else 'full'} step"
+
+
+def stop_kind(ran, h):
     """Where a run of the generated loop handed back."""
     if ran is None:
         return "blow-up"
-    t, y, u, k1, yh, fh, k1h, y1, f1 = ran
-    if yh is None:
-        return "end"
-    where, fit = ("half", fh) if y1 is None else ("full", f1)
-    separable = fit[5] <= pmp._model_tol(fit[3], fit[4], pmp.FIT_TOL)
-    return f"{'jump' if separable else 'inseparable'} at the {where} step"
+    bracket = ran[3]
+    return "end" if bracket is None else "jump at " + trial_step(bracket[3], h)
 
 
 def test_arc_loop_gives_the_python_loops_propagation(monkeypatch):
     seen, build = collections.Counter(), shooting._arc_run
 
     def recorded(*args):
-        built = build(*args)
-        if built is None:
+        bind = build(*args)
+        if bind is None:
             return None
-        run, trial = built
 
-        def recorded_run(*run_args):
-            ran = run(*run_args)
-            seen[stop_kind(ran)] += 1
-            return ran
+        def bound(h, c, p0f, stage, step, fit, decide):
+            # the run's stops, and its decisions from a fit that is not
+            # separable, by the trial step that made the fit
+            last = {"run": False}
 
-        return recorded_run, trial
+            def stepped(y, u, dt, k1, c):
+                last["dt"] = dt
+                return step(y, u, dt, k1, c)
+
+            def decided(y, fitted):
+                if last["run"]:
+                    seen["decided at " + trial_step(last["dt"], h)] += 1
+                return decide(y, fitted)
+
+            run, trial = bind(h, c, p0f, stage, stepped, fit, decided)
+
+            def recorded_run(*run_args):
+                last["run"] = True
+                try:
+                    ran = run(*run_args)
+                finally:
+                    last["run"] = False
+                seen[stop_kind(ran, h)] += 1
+                return ran
+
+            return recorded_run, trial
+
+        return bound
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(arc_cases())
@@ -144,15 +166,17 @@ def test_arc_loop_gives_the_python_loops_propagation(monkeypatch):
         props = []
         for arc in (recorded, lambda *args: None):
             monkeypatch.setattr(shooting, "_arc_run", arc)
-            prop = shooting._propagate(sp, z, opts, h)
+            propagate = shooting._propagator(sp, opts)
+            prop = propagate(z)
             # the final-time column resumes prop to a larger b
-            props.append((summary(prop), summary(shooting._propagate(sp, zp, opts, h, prop))))
+            props.append((summary(prop), summary(propagate(zp, prop))))
         assert props[0] == props[1]
 
     check()
-    # every way the generated loop ends was met
+    # every way the generated loop ends was met, and a decision from a fit
+    # that is not separable at each of its trial steps
     assert set(seen) == {"blow-up", "end", "jump at the half step", "jump at the full step",
-                         "inseparable at the half step", "inseparable at the full step"}, seen
+                         "decided at the half step", "decided at the full step"}, seen
 
 
 def di_user_callables():

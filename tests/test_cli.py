@@ -306,6 +306,24 @@ class TestProblemFiles:
         assert rc == 2
         assert "--seed must be an integer >= 0, got -5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_negative_shoot_seed_flag_named(self, tmp_path, capsys, m):
+        # three states draw their seeded starts from numpy's generator,
+        # whose own error named no item; two states draw none, and shoot
+        # ran as if the flag were good
+        data = {"dynamics": {"expressions": [f"x{i + 1}" for i in range(m - 1)] + ["u0"]},
+                "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+                "horizon": {"a": 0.0, "b": 1.0},
+                "boundary": {"mode": "fixed_time", "initial": {"point": [1.0] * m},
+                             "final": {"point": [0.0] * m}},
+                "integrator": {"step": 0.1}}
+        path = write_problem(tmp_path / "p.json", data)
+        out = tmp_path / "o"
+        rc = cli.main(["shoot", "--problem", path, "--out", str(out), "--seed", "-1"])
+        assert rc == 2
+        assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("cones, item", [
         # Infinity used to print an OverflowError traceback (exit 1)
         ({"time": float("inf")}, "cones.time must be finite, got inf"),

@@ -312,7 +312,7 @@ def test_propagation_on_lists_matches_array_loop(problem, step, starts):
     for z in starts:
         z = np.array(z)
         want = propagation_bits(propagate_arrays(problem, z, opts, step))
-        prop = shooting._propagate(problem, z, opts, step)
+        prop = shooting._propagator(problem, opts)(z)
         got = propagation_bits(prop and (prop.steps, prop.x_b, prop.p_b, prop.sup_h))
         assert got == want, z
         switched |= prop is not None and len({u for _, u in got[0]}) > 1
@@ -320,7 +320,7 @@ def test_propagation_on_lists_matches_array_loop(problem, step, starts):
             # a later final time resumed from this propagation
             zb = z.copy()
             zb[-1] += 0.3
-            later = shooting._propagate(problem, zb, opts, step, prop)
+            later = shooting._propagator(problem, opts)(zb, prop)
             assert propagation_bits((later.steps, later.x_b, later.p_b, later.sup_h)) == \
                 propagation_bits(propagate_arrays(problem, zb, opts, step))
     assert switched

@@ -190,7 +190,7 @@ def test_rk4_step_runs_only_in_the_three_path_loops():
     # the lifts) and steps each lifted vector on the stages it recorded;
     # pmp.adjoint_flows steps a block of covectors back on the stages of the
     # forward steps it retraces (pmp.adjoint_flow is its one-column case);
-    # shooting._propagate picks its controls step by step, and steps by the
+    # shooting._propagator picks its controls step by step, and steps by the
     # pair of shooting._coupled_field, whose fallback is rk4_step;
     # grammar._rk4_step_code runs it on no path but once, on symbolic
     # operands, to write the generated steps of expression dynamics

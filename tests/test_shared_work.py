@@ -172,19 +172,20 @@ def test_final_time_column_resumes_bit_for_bit(d, p, step, where, k, frac, bump,
         p0=-1.0, x_a=[d, 0.0], x_b=[0.0, 0.0], a=0.0, b=4.0)
     opts = shooting.ShootingOptions(step=step, fd_h=fd_h)
     z = np.array([p[0], p[1], b])
-    base = shooting._propagate(prob, z, opts, step)
+    propagate = shooting._propagator(prob, opts)
+    base = propagate(z)
     assert base is not None
 
     # any later final time continues the base run
     zp = z.copy()
     zp[2] += 1e-6 * (1.0 + abs(b)) if bump is None else bump
-    resumed = shooting._propagate(prob, zp, opts, step, base)
-    assert same_propagation(resumed, shooting._propagate(prob, zp, opts, step))
+    resumed = propagate(zp, base)
+    assert same_propagation(resumed, propagate(zp))
 
     # the whole Jacobian equals forward differences of fresh residuals,
     # also when a negative fd_h moves the final time down
     R0 = shooting.boundary_residual(prob, z, opts)
-    J = shooting._fd_jacobian(prob, z, R0, base, opts)
+    J = shooting._fd_jacobian(prob, propagate, z, R0, base, opts)
     want = np.zeros_like(J)
     for j in range(3):
         zj = z.copy()
@@ -227,8 +228,8 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
     # midpoint of a bisection over a whole step on the step's starting
     # control is the half-step state already maximized.  Every maximization
     # of the golden is one call of the generated probe fit, in the
-    # generated arc loop or in the Python loop's steps, and a fit that the
-    # loop hands back is decided from without a second call
+    # generated arc loop and trial or in the maximizer, and a fit that is
+    # not separable is decided from without a second call
     problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
                                             "problem.json"))
     sp = shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary, p0=problem.p0,
@@ -236,10 +237,10 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
                                   a=problem.a, b=problem.b)
     opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
     bind, generate, seen = pmp._maximizer, problem.sys.f.probe_fit, collections.Counter()
+    runs, arc = collections.Counter(), shooting._arc_run
 
     def counted_bind(sys, p0):
-        # the maximizer is bound once per propagation
-        seen["binds"] += 1
+        runs["binds"] += 1
         return bind(sys, p0)
 
     def counted_generate(*args):
@@ -251,25 +252,47 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
 
         return counted_fit
 
-    runs, arc = collections.Counter(), shooting._arc_run
-
     def counted_arc(*args):
-        built = arc(*args)
-        runs["arc"] += built is not None
-        return built
+        bound = arc(*args)
+
+        def counted_bound(*problem_args):
+            run, trial = bound(*problem_args)
+
+            def counted_run(*run_args):
+                runs["runs"] += 1
+                return run(*run_args)
+
+            return counted_run, trial
+
+        return counted_bound
 
     monkeypatch.setattr(shooting, "_maximizer", counted_bind)
     monkeypatch.setattr(problem.sys.f, "probe_fit", counted_generate)
     monkeypatch.setattr(shooting, "_arc_run", counted_arc)
+    # the maximizer is bound once per propagator
+    propagate = shooting._propagator(sp, opts)
     switching = 0
     for z in ([0.9, 1.0, 2.19], [-1.0, -0.5, 2.0], [0.2, 0.3, 3.0], [1.0, 0.0, 1.5]):
         seen.clear()
-        runs.clear()
-        prop = shooting._propagate(sp, np.array(z), opts, problem.step)
+        runs["runs"] = 0
+        prop = propagate(np.array(z))
         switching += len({u.tobytes() for _, u in prop.steps}) > 1
-        assert seen.pop("binds") == 1 and runs["arc"] == 1
+        assert runs["runs"] > 0
         assert len(seen) > 1 and max(seen.values()) == 1, z
-    assert switching == 3
+    assert switching == 3 and runs["binds"] == 1
+
+
+def test_one_shoot_binds_the_maximizer_once(monkeypatch):
+    # the multistart, every Newton iteration, its Jacobian columns and its
+    # line search share one propagator, which binds the maximizer, the
+    # coupled field and the generated arc loop once
+    problem = cli.load_problem(os.path.join(GOLDEN, "min_time_double_integrator",
+                                            "problem.json"))
+    binds, bind = collections.Counter(), pmp._maximizer
+    monkeypatch.setattr(shooting, "_maximizer", counted_calls(binds, "binds", bind))
+    res = shooting.shoot(shooting_problem(problem),
+                         opts=shooting.ShootingOptions(tol=problem.tol, step=problem.step))
+    assert res.converged and binds["binds"] == 1
 
 
 @pytest.mark.parametrize("kind", ("box", "ball", "box with cancelling rates"))
@@ -585,7 +608,7 @@ def same_propagations_as_array_loop(prob, costate_calls, monkeypatch):
     calls = counted_costate(monkeypatch)
     for z in ([0.9, 1.0], [-3.0, -2.5], [0.0, 0.0]):
         calls.clear()
-        prop = shooting._propagate(prob, np.array(z), opts, 0.1)
+        prop = shooting._propagator(prob, opts)(np.array(z))
         assert (calls["_costate"] > 0) == costate_calls, z
         steps, x_b, p_b, sup_h = propagate_arrays(prob, np.array(z), opts, 0.1)
         assert [(t, u.tobytes()) for t, u in prop.steps] == \
@@ -667,11 +690,11 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
         if run == 0:
             # the dynamics, its Jacobian, the cost, its gradient, the
             # dynamics step (simulate), and the maximizer's probe fit, the
-            # coupled stage and step, the arc loop and the trial step of
+            # coupled stage and step, the arc loop with its trial step of
             # shooting on the box, and the adjoint sweep of the final
             # extremal (shoot)
             first = dict(calls)
-            assert first == {"step": 3, "compile": 11}
+            assert first == {"step": 3, "compile": 10}
     assert calls == first
 
 

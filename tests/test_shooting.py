@@ -219,6 +219,32 @@ class TestDiagnostics:
         assert res.residual_norm > 1.0
         assert res.extremal is not None
 
+    def test_multistart_runs_each_distinct_start_once(self, monkeypatch):
+        # m = 1 has two unit directions, so the 24 seeded starts hold 6
+        # distinct ones: with the zero start, 7 Newton runs (25 before
+        # repeats were skipped), and the same unconverged result
+        problem = cli.Problem({
+            "dynamics": {"expressions": ["u0"]}, "cost": {"expression": "u0^2"},
+            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
+            "horizon": {"a": 0.0, "b": 1.0},
+            "boundary": {"mode": "fixed_time", "initial": {"point": [0.0]},
+                         "final": {"point": [5.0]}}})
+        prob = shooting.ShootingProblem(sys=problem.sys, bounds=problem.boundary,
+                                        p0=problem.p0, x_a=[0.0], x_b=[5.0], a=0.0, b=1.0)
+        runs, newton = [], shooting._newton
+
+        def counted(problem, propagate, z0, opts):
+            runs.append(z0.tobytes())
+            return newton(problem, propagate, z0, opts)
+
+        monkeypatch.setattr(shooting, "_newton", counted)
+        res = shooting.shoot(prob, opts=shooting.ShootingOptions(step=0.05))
+        assert len(runs) == len(set(runs)) == 7
+        assert (res.residual_norm, res.iterations, res.converged, res.jacobian_rank) == \
+            (4.0, 2, False, 0)
+        assert res.extremal.control.switch_times == ()
+        assert [v.tolist() for v in res.extremal.control.values] == [[1.0]]
+
     def test_deterministic_reruns(self, bang_result):
         prob, res = bang_result
         res2 = shooting.shoot(prob, opts=shooting.ShootingOptions(step=0.02))
@@ -281,7 +307,7 @@ class TestTrialFailures:
         guess = np.full(4, 10.0)
         with pytest.raises(pmp.UnsupportedMaximizationError):
             pmp.maximize_hamiltonian(sys, -1.0, guess, np.zeros(4))
-        assert shooting._propagate(prob, guess, opts, 0.25) is None
+        assert shooting._propagator(prob, opts)(guess) is None
         res = shooting.shoot(prob, guess=guess, opts=opts)
         assert res.converged
         np.testing.assert_allclose(res.extremal.control.value_at(0.5), x_b, atol=1e-6)
@@ -299,7 +325,7 @@ class TestTrialFailures:
                                         p0=problem.p0, x_a=problem.x_a, x_b=problem.x_b,
                                         a=problem.a, b=problem.b)
         opts = shooting.ShootingOptions(step=problem.step)
-        assert shooting._propagate(prob, np.array(z), opts, problem.step) is None
+        assert shooting._propagator(prob, opts)(np.array(z)) is None
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     @pytest.mark.parametrize("value", (np.nan, -np.inf))
@@ -312,7 +338,7 @@ class TestTrialFailures:
 
         prob = self.problem(f, x_a=(0.2, 0.0))
         opts = shooting.ShootingOptions(step=0.1)
-        assert shooting._propagate(prob, np.array([1.0, 1.0, 2.0]), opts, 0.1) is None
+        assert shooting._propagator(prob, opts)(np.array([1.0, 1.0, 2.0])) is None
         with pytest.raises(shooting.ShootingFailure):
             shooting.shoot(prob, opts=opts)
 
@@ -320,14 +346,13 @@ class TestTrialFailures:
 @pytest.mark.parametrize("U, tol", ((box([-1.0, 0.0], [1.0, np.inf]), 0.1),
                                     (ball([0.0, 1.0], 2.0), 0.2),
                                     (finite([[0.5]]), 1e-9)), ids=repr)
-def test_jump_tolerance_is_kept_with_the_control_set(U, tol):
+def test_jump_tolerance_of_each_control_set_kind(U, tol):
     assert shooting._auto_jump_tol(U) == tol
-    assert U.__dict__["_jump_tol"] == tol
 
 
 def test_finite_set_keeps_its_jump_tolerance_from_read_only_copies():
     # rows of a caller's array made the points: the set copies them, so the
-    # tolerance kept with it cannot go stale
+    # tolerance made from it cannot go stale
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0]])
     U = finite(pts)
     assert shooting._auto_jump_tol(U) == 0.5
