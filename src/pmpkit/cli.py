@@ -413,9 +413,11 @@ def _load_extremal(problem: Problem, out_dir):
     header_cols = tdata.shape[1] - 1
     path = os.path.join(out_dir, "control.json")
     grid = tdata[:, 0]
-    # the stored values are taken as written, in the control set or not
+    # a stored value outside the control set could pass the maximum
+    # condition, H there exceeding its sup over U, so it is bad input
     sig = _parse_signal(_SIGNAL(_read_json(path, "missing file"), path), path,
-                        float(grid[0]), float(grid[-1]), _array(1, problem.sys.k))
+                        float(grid[0]), float(grid[-1]),
+                        _array(1, problem.sys.k, within=problem.control_set))
     if header_cols == m + 1:
         states = np.column_stack([tdata[:, -1], tdata[:, 1:m + 1]])
     elif header_cols == m:

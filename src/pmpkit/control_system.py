@@ -50,6 +50,8 @@ class ControlSet:
                 raise ValueError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
+            # the bounds as Python floats, which `contains` compares
+            object.__setattr__(self, "_sides", tuple(zip(lo.tolist(), hi.tolist())))
         elif self.kind == "finite":
             if not self.points:
                 raise ValueError("finite control set needs at least one point")
@@ -77,10 +79,16 @@ class ControlSet:
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float).ravel()
+        if self.kind == "box":
+            # u >= lo - tol and u <= hi + tol as floats, which a NaN fails
+            if u.size != len(self._sides):
+                return False
+            for v, (lo, hi) in zip(u.tolist(), self._sides):
+                if not lo - tol <= v <= hi + tol:
+                    return False
+            return True
         if u.size != self.dim:
             return False
-        if self.kind == "box":
-            return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
         if self.kind == "finite":
             return any(np.max(np.abs(u - p)) <= tol for p in self.points)
         return float(np.linalg.norm(u - self.center)) <= self.radius + tol
@@ -219,14 +227,16 @@ def constant_signal(a: float, b: float, value) -> ControlSignal:
 
 def _signal_of_pieces(a: float, b: float, pieces) -> ControlSignal:
     """The signal on [a, b] of pieces, (start, value) pairs in time order
-    whose first starts at a: a piece whose value equals that of the piece
-    before it (np.array_equal, so 0.0 and -0.0 are equal and NaN is not)
-    continues that piece, and every other piece starts at a switch."""
+    whose first starts at a, each value a vector (a list of floats or an
+    array): a piece whose value equals that of the piece before it, entry
+    by entry (as np.array_equal, so 0.0 and -0.0 are equal and NaN is not),
+    continues that piece, and every other piece starts at a switch.  Only
+    the values kept become arrays, in the signal."""
     switches: List[float] = []
-    values: List[np.ndarray] = []
+    values: list = []
     for start, value in pieces:
-        value = np.asarray(value, dtype=float)
-        if values and np.array_equal(value, values[-1]):
+        if values and len(value) == len(values[-1]) and all(
+                v == w for v, w in zip(value, values[-1])):
             continue
         if values:
             switches.append(start)

@@ -43,7 +43,9 @@ own `try` that turns overflow, division by zero
 and math domain errors into NaN, so the integrators' blow-up checks own
 the diagnostic.  Straight-line code keeps `compile` shallow however deeply
 an expression nests.  The public entry points keep their recent results
-per process, keyed on their arguments.
+per process, keyed on their arguments, and each generated form is compiled
+once per shape of its trees (`_shaped`): trees that differ only in numbers
+other than a power's exponent share its code, with their own numbers bound.
 """
 
 from __future__ import annotations
@@ -398,6 +400,8 @@ class _Code:
     An entry is a validated grammar tree.  A number is bound as a constant;
     any other tree is evaluated in its own try, one assignment per node.  A
     state or control named in `inputs` reads that local instead of x or u.
+    `consts` holds (node, value) per bound constant: the tree's Constant
+    node, or None for a number of the caller's.
     """
 
     def __init__(self):
@@ -419,15 +423,26 @@ class _Code:
         """The operand of op, an `ast` operator or the name of a function of
         the generated code, on args: one operand per op and args, operands
         taken by identity and numbers by repr (which tells -0.0 from 0.0),
-        so an operation met again is computed once."""
+        so an operation met again is computed once.  A number here is the
+        package's own, written as a literal: a tree's numbers come only as
+        operands of their constant cells, which `_shaped` rebinds."""
         key = (op, *(a if isinstance(a, _Operand) else repr(a) for a in args))
         if key not in self.operations:
             self.operations[key] = _Operand(self, None, op, args)
         return self.operations[key]
 
-    def _const(self, v):
-        self.consts.append(float(v))
+    def _const(self, v, node=None):
+        """The name of a new constant cell bound to v, the value of the
+        tree's Constant node where it is given."""
+        self.consts.append((node, float(v)))
         return _name(f"_c{len(self.consts) - 1}")
+
+    def slots(self, index):
+        """What fills each constant cell, for `_shaped`: (i, None) for the
+        number i of `_shape`'s tree constants (index maps a Constant node's
+        id to it), (None, v) for a number v of the caller's."""
+        return tuple((None, v) if node is None else (index[id(node)], None)
+                     for node, v in self.consts)
 
     def _emit(self, root, out):
         """Append the statements computing root to out; return its operand.
@@ -446,7 +461,7 @@ class _Code:
         while stack:
             node, ready = stack.pop()
             if isinstance(node, ast.Constant):
-                operands.append(self._const(node.value))
+                operands.append(self._const(node.value, node))
                 continue
             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
                 stack.append((node.operand, False))
@@ -489,7 +504,7 @@ class _Code:
 
     def entry(self, item):
         if isinstance(item, ast.Constant):
-            self.values.append(self._const(item.value))
+            self.values.append(self._const(item.value, item))
             return
         name = f"_v{len(self.values)}"
         steps = []
@@ -503,9 +518,9 @@ class _Code:
         self.body.append(ast.Try(steps, [guard], [], [], **_POS))
         self.values.append(_name(name))
 
-    def function(self, name, shape=()):
-        """Compile the entries into name(x, u): a float for shape (), a list
-        for (n,), else an array of `shape` filled in row-major order."""
+    def returning(self, name, shape=()):
+        """The definition of name(x, u) -> the entries: a float for shape (),
+        a list for (n,), else an array of `shape` filled in row-major order."""
         if len(shape) == 1:
             result = ast.List(self.values, _LOAD, **_POS)
         elif shape:
@@ -514,9 +529,7 @@ class _Code:
                               [ast.Constant(n, **_POS) for n in shape], [], **_POS)
         else:
             (result,) = self.values
-        fn = self.compile(self.define(name, ("x", "u"), result))
-        fn.on_lists = True
-        return fn
+        return self.define(name, ("x", "u"), result)
 
     def define(self, name, params, result):
         """The definition of name(*params), which runs the body, then returns
@@ -525,7 +538,8 @@ class _Code:
                                self.body + [ast.Return(result, **_POS)], [], **_POS)
 
     def compile(self, fn):
-        """The function the definition fn defines, with the constants bound."""
+        """_bind(consts) -> the function the definition fn defines, with the
+        tuple consts bound to its constant cells in order."""
         name = fn.name
         # the constants are bound once, as cells of an enclosing function
         bind = []
@@ -537,7 +551,7 @@ class _Code:
                                 bind + [fn, ast.Return(_name(name), **_POS)], [], **_POS)
         namespace = dict(_GLOBALS)
         exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
-        return namespace["_bind"](tuple(self.consts))
+        return namespace["_bind"]
 
 
 class _Operand:
@@ -886,7 +900,7 @@ def _arc_code(m, sides, fit_tol, jump_tol):
     step is the trial of h / 2 with u and k1 = stage(y, u, c), reaching yh
     and uh, then the trial of h with uh and k1h, which is k1 where uh has
     u's bits and stage(y, uh, c) otherwise, reaching y1 and u1; it appends
-    (t, uh as an array) to steps and moves on to (t + h, y1, u1).  At a
+    (t, uh) to steps and moves on to (t + h, y1, u1).  At a
     jump it returns (t, y, u, bracket), what the bisection reads: (u, k1,
     0.0, h / 2, yh, uh) at the half step and (uh, k1h, lo, h, y1, u1) at
     the full step, lo h / 2 where k1h is k1 and 0.0 otherwise.  After its
@@ -971,7 +985,7 @@ def _arc_code(m, sides, fit_tol, jump_tol):
                             **_POS))
     handed(reached("y1", "f1", "u1", "uh", "h", "k1h", blown), "uh", "k1h", "lo", "h", "y1", "u1")
     code.body.append(ast.Expr(ast.Call(ast.Attribute(_name("steps"), "append", _LOAD, **_POS), [
-        tup("t", call("_array", "uh"))], [], **_POS), **_POS))
+        tup("t", "uh")], [], **_POS), **_POS))
     code.body += [_assign("t", ast.BinOp(_name("t"), ast.Add(), _name("h"), **_POS)),
                   _assign("y", _name("y1")), _assign("u", _name("u1"))]
     left = ast.BinOp(_name("b"), ast.Sub(), _name("t"), **_POS)
@@ -988,6 +1002,105 @@ def _arc_code(m, sides, fit_tol, jump_tol):
 
 
 # ---------------------------------------------------------------------------
+# compiles shared by shape
+#
+# Generated code reads a tree's numbers only through constant cells, bar a
+# power's exponent, which decides the power's form (`_integral`) and the
+# degree in u.  So trees that differ in their other numbers, and in nothing
+# else, generate the same code, and one compile serves them all.
+
+def _shape(groups):
+    """(shape, numbers, index) of the grammar trees in groups, a list of
+    lists of trees, after `_derivative`'s folding.
+
+    shape holds per group the preorder of its trees' nodes: a state or
+    control by name, a call by function, a sign or binary operator by type,
+    a power with its exponent where that is a number, and a number as
+    "c".  A node met again (derivatives share subtrees) is its number in
+    order of first visit.  numbers holds the value of each Constant node
+    in that order, and index maps a Constant node's id to its place there.
+    """
+    shape, numbers, index, seen = [], [], {}, {}
+    for trees in groups:
+        tokens = []
+        stack = list(reversed(trees))
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                tokens.append(seen[id(node)])
+                continue
+            seen[id(node)] = len(seen)
+            if isinstance(node, ast.Constant):
+                index[id(node)] = len(numbers)
+                numbers.append(float(node.value))
+                tokens.append("c")
+            elif isinstance(node, ast.Name):
+                tokens.append(node.id)
+            elif isinstance(node, ast.Call):
+                tokens.append(node.func.id)
+                stack.append(node.args[0])
+            elif isinstance(node, ast.UnaryOp):
+                tokens.append(type(node.op))
+                stack.append(node.operand)
+            else:
+                right = node.right
+                tokens.append((ast.Pow, right.value) if isinstance(node.op, ast.Pow)
+                              and isinstance(right, ast.Constant) else type(node.op))
+                stack += [right, node.left]
+        shape.append(tuple(tokens))
+    return tuple(shape), numbers, index
+
+
+_MISSING = object()
+# the most recently used compiles kept per process, one per form and shape
+_FORMS = {}
+_FORMS_KEPT = 512
+
+
+def _shaped(form, groups, build, *args):
+    """The function that build() -> (code, definition) defines, with its
+    constants bound, or None where build returns None.
+
+    It is compiled once per form, args and `_shape` of the trees in groups:
+    every tree whose numbers the code binds, build's own trees.  A compile
+    kept from other trees of the same shape is bound to these trees' own
+    numbers, in the cells where it bound those trees' (`_Code.slots`), so
+    it is the function that build would compile, bit for bit.  args must
+    hold every number the code binds that no tree holds, and every other
+    argument of build that is not a tree."""
+    shape, numbers, index = _shape(groups)
+    key = (form, args, shape)
+    kept = _FORMS.pop(key, _MISSING)
+    if kept is _MISSING:
+        built = build()
+        kept = built and (built[0].compile(built[1]), built[0].slots(index))
+    _FORMS[key] = kept
+    if len(_FORMS) > _FORMS_KEPT:
+        del _FORMS[next(iter(_FORMS))]
+    if kept is None:
+        return None
+    bind, slots = kept
+    return bind(tuple(v if i is None else numbers[i] for i, v in slots))
+
+
+def _entries_code(trees, name, shape):
+    """(code, definition) of name(x, u) -> the values of the trees, each an
+    entry (`_Code.entry`), as `_Code.returning` lays them out."""
+    code = _Code()
+    for tree in trees:
+        code.entry(tree)
+    return code, code.returning(name, shape)
+
+
+def _entries_function(trees, name, shape=()):
+    """The generated function name(x, u) of `_entries_code`, marked
+    `on_lists`."""
+    fn = _shaped(name, [trees], lambda: _entries_code(trees, name, shape), shape)
+    fn.on_lists = True
+    return fn
+
+
+# ---------------------------------------------------------------------------
 # public entry points
 
 @functools.lru_cache(maxsize=128)
@@ -1000,11 +1113,10 @@ def parse_expression(src: str, m: int, k: int, where="expression"):
     deeply to compile.
     """
     with _nesting(where):
-        code, tree = _Code(), _tree(src, m, k, where)
-        code.entry(tree)
-        fn = code.function("expression")
-        fn.tree = tree
-        return fn
+        tree = _tree(src, m, k, where)
+    fn = _entries_function([tree], "expression")
+    fn.tree = tree
+    return fn
 
 
 @functools.lru_cache(maxsize=128)
@@ -1035,7 +1147,7 @@ def compile_dynamics(srcs, m: int, k: int):
       node i1 to node i0 of the grid ts, node states xs and multipliers c =
       -p0 per column, appending each block to out as a list, bit for bit,
       and returns the first node whose block is not finite (that block
-      appended), or None.  It is compiled on first use per r and cost.
+      appended), or None.  It is built on first use per r and cost.
       Each column steps as its own vector, so a block column has the bits
       of its own sweep.
     Both return None unless df_dx is f's own generated Jacobian and the
@@ -1046,7 +1158,7 @@ def compile_dynamics(srcs, m: int, k: int):
       on operands (`_probe_fit_code`), with axes and pairs the fit's tuples
       (`pmp._Probes`).  It returns None unless F is
       None or a grammar expression (`parse_expression` keeps its tree as
-      `F.tree`) and f has one entry per state.  It is compiled once per
+      `F.tree`) and f has one entry per state.  It is built once per
       cost tree, probe floats (each probe keyed by its bytes, so that -0.0
       and 0.0 differ) and divisors, and p0f is an argument, so p0 = -1 and
       p0 = 0 share it.
@@ -1063,35 +1175,37 @@ def compile_dynamics(srcs, m: int, k: int):
       the maximizer's probe fit is generated too: a grammar system on a
       finite box with plain divisors and a declared degree of at most 2.
 
-    srcs is a tuple: the last 128 successful compiles of each entry point
+    srcs is a tuple: the last 128 successful results of each entry point
     are kept per process, keyed on its arguments, so a problem loaded
     again compiles nothing, while a bad expression raises at every call.
+    Behind that, every form is compiled once per shape of the trees it is
+    built from (`_shaped`): a problem whose expressions differ from an
+    earlier one's only in numbers that are not a power's exponent, such as
+    a cost weight, binds the earlier compiles to its own numbers, bit for
+    bit as its own compiles would be.
     """
     # _derivative and _u_degree recurse once per level of the tree, so they
     # are called here directly: a helper's frame would lower the depth that
     # compiles, here and in compile_gradient below
-    value, jacobian, degrees, bodies, entries = _Code(), _Code(), [], [], []
+    degrees, bodies, entries = [], [], []
     for i, src in enumerate(srcs):
         where = f"dynamics.expressions[{i}]"
         with _nesting(where):
             body = _tree(src, m, k, where)
             bodies.append(body)
-            value.entry(body)
             degrees.append(_u_degree(body))
             if not _exact(body):
-                jacobian = None
-            elif jacobian is not None:
+                entries = None
+            elif entries is not None:
                 for j in range(m):
                     entries.append(_derivative(body, j))
-                    jacobian.entry(entries[-1])
 
     def runner():
-        code, run = _dynamics_run_code(bodies, k)
-        return code.compile(run)
+        return _shaped("dynamics_run", [bodies], lambda: _dynamics_run_code(bodies, k), k)
 
     n = len(srcs)
-    dynamics = value.function("dynamics", (n,))
-    df = None if jacobian is None else jacobian.function("dynamics_jacobian", (n, m))
+    dynamics = _entries_function(bodies, "dynamics", (n,))
+    df = None if entries is None else _entries_function(entries, "dynamics_jacobian", (n, m))
     square = df is not None and n == m
 
     def qualifies(df_dx, F, dF_dx):
@@ -1100,9 +1214,9 @@ def compile_dynamics(srcs, m: int, k: int):
         return square and df_dx is df and (F is None or hasattr(dF_dx, "entries"))
 
     def qualifying(build):
-        """build(gradient trees, *args), built once each, for a system that
-        qualifies; None for any other."""
-        build = functools.cache(build)
+        """build(gradient trees, *args), the last 128 kept, for a system
+        that qualifies; None for any other."""
+        build = functools.lru_cache(maxsize=128)(build)
 
         def built(df_dx, F, dF_dx, *args):
             if qualifies(df_dx, F, dF_dx):
@@ -1111,21 +1225,26 @@ def compile_dynamics(srcs, m: int, k: int):
 
         return built
 
+    def shaped(form, gradient, build, *args):
+        # build's form, compiled once per shape of f, df/dx and the gradient
+        return _shaped(form, [bodies, entries, gradient or ()], build, gradient is None, k, *args)
+
     @qualifying
     def coupled_step(gradient):
-        return tuple(code.compile(fn) for code, fn in (
-            _coupled_step_code(bodies, entries, gradient, k, step) for step in (False, True)))
+        return tuple(shaped("coupled_step", gradient, lambda step=step: _coupled_step_code(
+            bodies, entries, gradient, k, step), step) for step in (False, True))
 
     @qualifying
     def adjoint_run(gradient, r):
-        code, run = _adjoint_run_code(bodies, entries, gradient, k, r)
-        return code.compile(run)
+        return shaped("adjoint_run", gradient,
+                      lambda: _adjoint_run_code(bodies, entries, gradient, k, r), r)
 
-    @functools.cache
+    @functools.lru_cache(maxsize=128)
     def fit(cost, points, axes, pairs):
-        built = _probe_fit_code(bodies, cost, [np.frombuffer(u).tolist() for u in points],
-                                axes, pairs)
-        return built and built[0].compile(built[1])
+        return _shaped("probe_fit", [bodies, [] if cost is None else [cost]],
+                       lambda: _probe_fit_code(bodies, cost, [np.frombuffer(u).tolist()
+                                                              for u in points], axes, pairs),
+                       points, axes, pairs)
 
     def probe_fit(F, points, axes, pairs):
         cost = getattr(F, "tree", None)
@@ -1138,7 +1257,7 @@ def compile_dynamics(srcs, m: int, k: int):
     @functools.cache
     def arc(sides, fit_tol, jump_tol):
         code, fn = _arc_code(m, np.frombuffer(sides).reshape(-1, 4).tolist(), fit_tol, jump_tol)
-        return code.compile(fn)
+        return code.compile(fn)(())
 
     def arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol):
         if not qualifies(df_dx, F, dF_dx):
@@ -1165,10 +1284,9 @@ def compile_gradient(src: str, m: int, k: int):
         degree = _u_degree(body)
         if not _exact(body):
             return None, degree
-        code, entries = _Code(), []
+        entries = []
         for j in range(m):
             entries.append(_derivative(body, j))
-            code.entry(entries[-1])
-        gradient = code.function("gradient", (m,))
-        gradient.entries = entries
-        return gradient, degree
+    gradient = _entries_function(entries, "gradient", (m,))
+    gradient.entries = entries
+    return gradient, degree

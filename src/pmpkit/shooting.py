@@ -181,7 +181,7 @@ class _Propagation:
     def __init__(self, x_b, p_b, steps, sup_h, resume):
         self.x_b = np.array(x_b)
         self.p_b = np.array(p_b)
-        self.steps = steps      # list of (t_start, u_value)
+        self.steps = steps      # list of (t_start, u_value as a list of floats)
         self.sup_h = sup_h      # max_u H at the endpoint
         # loop state (t, (x, p), maximizer, switches, steps taken) where the
         # final time first cut a step short, or at the end of the loop
@@ -307,7 +307,7 @@ def _propagator(problem: ShootingProblem, opts: ShootingOptions):
                                 dt, yn, end = mid, ym, um
                             else:
                                 lo = mid
-                    steps.append((t, np.array(held)))
+                    steps.append((t, held))
                     t, y, cur = t + dt, yn, end
                     if n_sw > max_switches:
                         return None

@@ -37,7 +37,7 @@ def summary(prop):
         return None
     t, y, cur, n_sw, n_steps = prop.resume
     return (bits(prop.x_b), bits(prop.p_b), bits(prop.sup_h),
-            [(bits(t0), u.tobytes()) for t0, u in prop.steps],
+            [(bits(t0), np.array(u).tobytes()) for t0, u in prop.steps],
             (bits(t), bits(y), np.array(cur).tobytes(), n_sw, n_steps))
 
 

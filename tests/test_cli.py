@@ -861,6 +861,25 @@ class TestShootAndCheck:
         assert cli.main(["check", "--problem", prob, "--out", str(work)]) == 2
         assert f"error: missing file: {work / name}\n" in capsys.readouterr().err
 
+    def test_check_refuses_a_stored_control_outside_the_control_set(self, tmp_path, capsys):
+        # the min-time golden's shot control doubled to [[-2.0], [2.0]] on
+        # U = [-1, 1] passed as normal with res_3a 0.0, since H at u(t)
+        # exceeds its sup over U
+        golden = os.path.join(GOLDEN, "min_time_double_integrator")
+        work = tmp_path / "doubled"
+        shutil.copytree(golden, work)
+        control = json.loads((work / "control.json").read_text())
+        control["values"] = [[2.0 * v for v in value] for value in control["values"]]
+        assert control["values"] == [[-2.0], [2.0]]
+        (work / "control.json").write_text(json.dumps(control))
+        assert cli.main(["check", "--problem", str(work / "problem.json"),
+                         "--out", str(work)]) == 2
+        assert capsys.readouterr().err == (f"error: {work / 'control.json'}.values[0] must be in "
+                                           "the control set, got [-2.0]\n")
+        # and writes no report
+        with open(os.path.join(golden, "report.json")) as fh:
+            assert (work / "report.json").read_text() == fh.read()
+
     def test_lqr_passes_fixed_fails_free(self, lqr_dir):
         prob = str(lqr_dir / "problem.json")
         out = str(lqr_dir / "out")

@@ -96,6 +96,37 @@ class TestControlSet:
         assert not U.contains([0.8, 0.8])
 
 
+EDGES = (0.0, -0.0, 1.0, -1.0, 1e308, -1e308, math.inf, -math.inf)
+box_bounds = st.lists(st.tuples(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGES)),
+                                st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGES))),
+                      min_size=1, max_size=3)
+
+
+def numpy_box_contains(U, u, tol):
+    """Box membership in two numpy reductions, as `ControlSet.contains`
+    once tested it."""
+    u = np.asarray(u, dtype=float).ravel()
+    if u.size != U.dim:
+        return False
+    with np.errstate(invalid="ignore"):
+        return bool(np.all(u >= U.lo - tol) and np.all(u <= U.hi + tol))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(box_bounds, st.data(), st.sampled_from((1e-9, 0.0, 0.5, math.inf)))
+def test_box_contains_gives_the_verdicts_of_numpy(sides, data, tol):
+    # NaN, infinite bounds and values, the tolerance at its edge and a
+    # wrong size all get the verdict of the array comparison
+    lo, hi = zip(*(sorted(side) for side in sides))
+    U = box(lo, hi)
+    near = [b + d for b in (*lo, *hi) for d in (-tol, tol, 0.0)]
+    value = st.one_of(st.floats(-4.0, 4.0), st.sampled_from((*EDGES, math.nan, *near)))
+    size = data.draw(st.sampled_from((len(sides), len(sides), len(sides) - 1, len(sides) + 1)))
+    u = data.draw(st.lists(value, min_size=size, max_size=size))
+    assert U.contains(u, tol) == numpy_box_contains(U, u, tol)
+    assert U.contains(np.array(u), tol) == numpy_box_contains(U, u, tol)
+
+
 class TestSignal:
     def test_value_lookup_right_continuous(self):
         u = ControlSignal(a=0.0, b=2.0, switch_times=(1.0,),

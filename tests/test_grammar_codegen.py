@@ -15,7 +15,9 @@ combination and no numpy call.  The generated adjoint sweep must carry the
 bits of `pmp.adjoint_flows` on the same system with f wrapped as a plain
 function, and raise `FlowBlowUpError` at the same time, on dense Jacobians
 too; the benchmark's systems and every system with generated derivatives
-must get it, and the others must not.
+must get it, and the others must not.  Every form compiled for trees of
+one shape and bound to other trees' numbers must carry the bits of a fresh
+compile of those trees.
 """
 
 import ast
@@ -39,6 +41,15 @@ from test_rk4_step import rk4_combinations
 SPECIAL = (0.0, -0.0, 800.0, -800.0, -2.0, math.inf, -math.inf, math.nan)
 coordinates = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SPECIAL))
 points = st.lists(coordinates, min_size=M + K, max_size=M + K)
+
+
+def forget_compiles():
+    """Drop every compile the grammar keeps in this process: the ones kept
+    per text and the ones kept per shape, which later trees of the same
+    shape would otherwise share."""
+    for cache in (grammar.compile_dynamics, grammar.parse_expression, grammar.compile_gradient):
+        cache.cache_clear()
+    grammar._FORMS.clear()
 
 
 def bits(v):
@@ -480,8 +491,7 @@ def test_probe_fit_is_compiled_once_and_replaces_the_closure_fit(tmp_path):
     # floats, and p0 = -1 and p0 = 0 share it; neither shoot of the two
     # shooting goldens, nor the check, fits H's values on the closure path,
     # where they are floats (compiling runs the fit on operands)
-    grammar.compile_dynamics.cache_clear()
-    grammar.parse_expression.cache_clear()
+    forget_compiles()
     built = []
     emit, fit = grammar._probe_fit_code, pmp._fit_quadratic
 
@@ -523,9 +533,7 @@ def test_probe_fit_evaluates_an_entry_that_names_no_control_once(monkeypatch):
 
     for name in ("_sin", "_cos", "_exp", "_real_pow"):
         monkeypatch.setitem(grammar._GLOBALS, name, counted(name, grammar._GLOBALS[name]))
-    caches = (grammar.compile_dynamics, grammar.parse_expression)
-    for cache in caches:
-        cache.cache_clear()
+    forget_compiles()
     try:
         f, _, _ = grammar.compile_dynamics(("sin(x1)", "cos(x0) * u0 + u1"), 2, 2)
         # a fractional power goes through _real_pow, which counts it
@@ -536,8 +544,7 @@ def test_probe_fit_evaluates_an_entry_that_names_no_control_once(monkeypatch):
         fit([0.5, -0.25], [0.3, 0.7], -1.0)
     finally:
         # the compiled functions hold the counting helpers
-        for cache in caches:
-            cache.cache_clear()
+        forget_compiles()
     n = len(probes.points)
     assert n == 6
     assert calls == {"_sin": 1, "_cos": n, "_exp": n, "_real_pow": n}
@@ -548,12 +555,10 @@ def test_a_constant_integral_power_is_written_inline():
     # negated number) go through _real_pow; every value, a NaN where a
     # power overflows or divides by zero included, has the bits _real_pow
     # gives
-    code = grammar._Code()
-    for src in ("x0^3 + u0^2", "x0^0.5", "x0^-2"):
-        code.entry(grammar._tree(src, 1, 1, "expression"))
-    text = ast.unparse(code.define("powers", ("x", "u"), ast.Constant(None)))
+    powers = [grammar._tree(src, 1, 1, "expression") for src in ("x0^3 + u0^2", "x0^0.5", "x0^-2")]
+    text = ast.unparse(grammar._entries_code(powers, "powers", (3,))[1])
     assert text.count("_real_pow(") == 2 and text.count(" ** ") == 2
-    fn = code.function("powers", (3,))
+    fn = grammar._entries_function(powers, "powers", (3,))
     pow_ = grammar._real_pow
 
     def reference(x, u):
@@ -568,3 +573,118 @@ def test_a_constant_integral_power_is_written_inline():
 
     for x, u in ((2.0, -3.0), (1e200, 0.5), (0.0, -0.0), (-4.0, 1e155), (-0.0, -1.5)):
         assert np.array(fn([x], [u])).tobytes() == np.array(reference(x, u)).tobytes(), (x, u)
+
+
+# Compiles shared by shape.  A problem whose trees differ from an earlier
+# one's only in their numbers (a power's exponent aside) gets the earlier
+# compile bound to its own numbers, which must be the function a fresh
+# compile of its own trees gives, bit for bit, in every generated form.
+
+# numbers other than 0 and 1, which `_derivative` folds away, so a tree
+# renumbered with them mostly keeps its shape; products of 1e300 overflow
+RENUMBERS = (0.5, 1.5, 2.0, 3.0, 0.1, 7.25, 1e-300, 1e300)
+
+
+def renumbered(t, numbers):
+    """The tree t of `trees` with each number, bar a power's exponent,
+    the next of the iterator numbers."""
+    if t[0] == "c":
+        return ("c", next(numbers))
+    if t[0] == "n":
+        return t
+    if t[0] == "^":
+        return ("^", renumbered(t[1], numbers), t[2])
+    return (t[0], *(renumbered(c, numbers) for c in t[1:]))
+
+
+def count_numbers(t):
+    """The numbers of the tree t that `renumbered` replaces."""
+    if t[0] in ("c", "n"):
+        return t[0] == "c"
+    return sum(count_numbers(c) for c in t[1:] if isinstance(c, tuple))
+
+
+@st.composite
+def shape_cases(draw):
+    """(m, k, (srcs, cost), (twin srcs, twin cost)): dynamics of m = 1..2
+    random trees in k = 1..2 controls and a random cost, and their twins
+    with every number but the exponents drawn anew."""
+    m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ts = draw(st.lists(trees(m, k), min_size=m + 1, max_size=m + 1))
+    n = sum(map(count_numbers, ts))
+    numbers = iter(draw(st.lists(st.sampled_from(RENUMBERS), min_size=n, max_size=n)))
+    twins = [renumbered(t, numbers) for t in ts]
+    return m, k, ([render(t) for t in ts[:m]], render(ts[m])), \
+        ([render(t) for t in twins[:m]], render(twins[m]))
+
+
+def generated_forms(srcs, cost, m, k):
+    """Every form the grammar generates from trees for the dynamics srcs
+    and the cost: name -> function of (x, u, p, h, c) that evaluates it."""
+    f, df, _ = grammar.compile_dynamics(tuple(srcs), m, k)
+    F = grammar.parse_expression(cost, m, k)
+    dF, _ = grammar.compile_gradient(cost, m, k)
+    ts = [0.0, 0.25, 0.5]
+    forms = {"dynamics": lambda x, u, p, h, c: f(x, u),
+             "cost": lambda x, u, p, h, c: F(x, u),
+             "runner": lambda x, u, p, h, c: (lambda xs: (f.runner()(x, u, ts, 0, 2, xs), xs))([])}
+    if df is not None:
+        forms["jacobian"] = lambda x, u, p, h, c: df(x, u)
+    if dF is not None:
+        forms["gradient"] = lambda x, u, p, h, c: dF(x, u)
+    if df is not None and dF is not None:
+        stage, step = f.coupled_step(df, F, dF)
+        run = f.adjoint_run(df, F, dF, 1)
+        forms["coupled"] = lambda x, u, p, h, c: (lambda k1: (k1, step(x + p, u, h, k1, c)))(
+            stage(x + p, u, c))
+        forms["adjoint"] = lambda x, u, p, h, c: (lambda out: (
+            run(p, u, [c], ts, [x] * len(ts), 0, 2, out), out))([])
+    probes = pmp._probes(box([-1.0] * k, [2.0] * k))
+    fit = f.probe_fit(F, probes.points, probes.axes, probes.pairs)
+    if fit is not None:
+        forms["probe_fit"] = lambda x, u, p, h, c: fit(p, x, -c)
+    return forms
+
+
+def flat(value):
+    """The floats of value, nested lists and tuples of floats, ints and None,
+    in order, with None as NaN."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [v for item in value for v in flat(item)]
+    return [math.nan if value is None else float(value)]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(shape_cases(), st.lists(coordinates, min_size=2, max_size=2),
+       st.lists(coordinates, min_size=2, max_size=2), st.lists(costates, min_size=2, max_size=2),
+       steps, st.sampled_from((1.0, 0.0)))
+def test_a_compile_shared_by_shape_is_a_fresh_compile_bit_for_bit(case, x, u, p, h, c):
+    m, k, (srcs, cost), (twin_srcs, twin_cost) = case
+    x, u, p = x[:m], u[:k], p[:m]
+    forget_compiles()
+    fresh = generated_forms(twin_srcs, twin_cost, m, k)
+    forget_compiles()
+    generated_forms(srcs, cost, m, k)
+    compiles = []
+    with mock.patch.object(grammar._Code, "compile",
+                           lambda self, fn, compile_=grammar._Code.compile:
+                           compiles.append(fn.name) or compile_(self, fn)):
+        shared = generated_forms(twin_srcs, twin_cost, m, k)
+    assert shared.keys() == fresh.keys()
+    with np.errstate(all="ignore"):
+        for name, form in fresh.items():
+            assert bits(flat(shared[name](x, u, p, h, c))) == bits(flat(form(x, u, p, h, c))), \
+                (name, srcs, cost, twin_srcs, twin_cost)
+
+    def shapes(dynamics, cost):
+        # the shapes of the trees and of their derivatives
+        bodies = [grammar._tree(src, m, k, "expression") for src in dynamics]
+        body = grammar._tree(cost, m, k, "cost")
+        return [grammar._shape([bodies, [body]])[0]] + [
+            grammar._shape([[grammar._derivative(tree, j) for j in range(m)]])[0]
+            for tree in [*bodies, body] if grammar._exact(tree)]
+
+    # where the twin's trees have the shapes of the first, nothing compiles
+    if shapes(srcs, cost) == shapes(twin_srcs, twin_cost):
+        assert compiles == [], (srcs, cost, twin_srcs, twin_cost)
+    forget_compiles()

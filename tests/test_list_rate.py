@@ -302,7 +302,7 @@ def propagation_bits(prop):
     if prop is None:
         return None
     steps, x_b, p_b, sup_h = prop
-    return ([(t, u.tobytes()) for t, u in steps], bits(x_b), bits(p_b), bits(sup_h))
+    return ([(t, np.array(u).tobytes()) for t, u in steps], bits(x_b), bits(p_b), bits(sup_h))
 
 
 @pytest.mark.parametrize("problem,step,starts", propagation_problems())

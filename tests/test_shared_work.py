@@ -36,6 +36,7 @@ from pmpkit.reachable import SamplePolicy, sample_reachable
 
 from oracles import (adjoint_flow_loop, needle_vector_on_grid, propagate_arrays,
                      tangent_lift_stacked)
+from test_grammar_codegen import forget_compiles
 from test_rk4_step import rk4_combinations
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -276,7 +277,7 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
         seen.clear()
         runs["runs"] = 0
         prop = propagate(np.array(z))
-        switching += len({u.tobytes() for _, u in prop.steps}) > 1
+        switching += len({np.array(u).tobytes() for _, u in prop.steps}) > 1
         assert runs["runs"] > 0
         assert len(seen) > 1 and max(seen.values()) == 1, z
     assert switching == 3 and runs["binds"] == 1
@@ -611,7 +612,7 @@ def same_propagations_as_array_loop(prob, costate_calls, monkeypatch):
         prop = shooting._propagator(prob, opts)(np.array(z))
         assert (calls["_costate"] > 0) == costate_calls, z
         steps, x_b, p_b, sup_h = propagate_arrays(prob, np.array(z), opts, 0.1)
-        assert [(t, u.tobytes()) for t, u in prop.steps] == \
+        assert [(t, np.array(u).tobytes()) for t, u in prop.steps] == \
             [(t, u.tobytes()) for t, u in steps]
         assert same_bits(prop.x_b, x_b) and same_bits(prop.p_b, p_b)
         assert same_bits(prop.sup_h, sup_h)
@@ -666,9 +667,21 @@ def test_generated_coupled_step_is_one_rk4_step_without_numpy(srcs, cost):
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
 
 
+def counted_compiles(monkeypatch):
+    """Counts of the generated RK4 steps traced and of the compiles made
+    from now on, with no compile kept from before."""
+    forget_compiles()
+    calls = collections.Counter()
+    monkeypatch.setattr(grammar, "_rk4_step_code",
+                        counted_calls(calls, "step", grammar._rk4_step_code))
+    monkeypatch.setattr(grammar._Code, "compile",
+                        counted_calls(calls, "compile", grammar._Code.compile))
+    return calls
+
+
 def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
-    # compiles are kept per process by expression texts, m and k; these
-    # texts are used by no other test, so the first loads compile them
+    # compiles are kept per process by expression texts, m and k, and by
+    # the shapes of the trees; with none kept, the first loads compile
     data = {"dynamics": {"expressions": ["x1", "-0.8125 * sin(x0) + u0"]},
             "cost": {"expression": "0.0625 * x0^2 + u0^2"},
             "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]},
@@ -678,11 +691,7 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
                          "final": {"anchor": [0.0, 0.0], "normals": []}}}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
-    calls = collections.Counter()
-    monkeypatch.setattr(grammar, "_rk4_step_code",
-                        counted_calls(calls, "step", grammar._rk4_step_code))
-    monkeypatch.setattr(grammar._Code, "compile",
-                        counted_calls(calls, "compile", grammar._Code.compile))
+    calls = counted_compiles(monkeypatch)
     for run in range(2):
         for command in ("simulate", "shoot", "reach"):
             assert cli.main([command, "--problem", str(path),
@@ -696,6 +705,53 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
             first = dict(calls)
             assert first == {"step": 3, "compile": 10}
     assert calls == first
+
+
+def lqr_problem(path, cost):
+    """The scalar LQR of the lqr_shoot benchmark, with the cost text cost,
+    written to path."""
+    path.write_text(json.dumps({
+        "dynamics": {"expressions": ["u0"]}, "cost": {"expression": cost},
+        "control_set": {"kind": "box", "lo": [-10.0], "hi": [10.0]},
+        "horizon": {"a": 0.0, "b": 1.0}, "integrator": {"step": 0.05}, "tol": 1e-2,
+        "boundary": {"mode": "fixed_time", "initial": {"point": [1.0]},
+                     "final": {"anchor": [0.0], "normals": []}}}))
+    return str(path)
+
+
+def shoot_and_check(path, out):
+    assert cli.main(["shoot", "--problem", path, "--out", out]) == 0
+    assert cli.main(["check", "--problem", path, "--out", out]) == 0
+
+
+def test_a_cost_of_the_same_shape_compiles_nothing(monkeypatch, tmp_path):
+    # lqr_shoot's problems differ only in q: a shoot and check with a new q
+    # bind the first q's compiles to its own numbers, and compile nothing
+    calls = counted_compiles(monkeypatch)
+    shoot_and_check(lqr_problem(tmp_path / "q1.json", "2.3456*x0^2 + u0^2"), str(tmp_path / "q1"))
+    # the dynamics, its Jacobian, the cost, its gradient, the probe fit,
+    # the coupled stage and step (its RK4 step traced), the arc loop and the
+    # adjoint sweep (with its step)
+    assert calls == {"step": 2, "compile": 9}
+    calls.clear()
+    shoot_and_check(lqr_problem(tmp_path / "q2.json", "0.3*x0^2 + u0^2"), str(tmp_path / "q2"))
+    assert calls == {}
+
+
+@pytest.mark.parametrize("first, second, compiles", [
+    # d/dx0 folds 1*x0^2 to 2*x0, and 2*x0^2 to 2*(2*x0): the gradient,
+    # the coupled stage and step and the adjoint sweep compile anew, and
+    # the cost and the probe fit, which read the trees themselves, do not
+    ("2*x0^2", "1*x0^2", 4),
+    # an exponent is part of the shape: every form of the cost compiles
+    ("x0^2", "x0^3", 6),
+], ids=["folded", "exponent"])
+def test_a_cost_of_another_shape_compiles_anew(monkeypatch, tmp_path, first, second, compiles):
+    calls = counted_compiles(monkeypatch)
+    shoot_and_check(lqr_problem(tmp_path / "a.json", first + " + u0^2"), str(tmp_path / "a"))
+    calls.clear()
+    shoot_and_check(lqr_problem(tmp_path / "b.json", second + " + u0^2"), str(tmp_path / "b"))
+    assert calls["compile"] == compiles
 
 
 @pytest.mark.parametrize("expressions, cost, message", [
