@@ -42,10 +42,12 @@ is written inline), and each vector component and Jacobian entry has its
 own `try` that turns overflow, division by zero
 and math domain errors into NaN, so the integrators' blow-up checks own
 the diagnostic.  Straight-line code keeps `compile` shallow however deeply
-an expression nests.  The public entry points keep their recent results
-per process, keyed on their arguments, and each generated form is compiled
-once per shape of its trees (`_shaped`): trees that differ only in numbers
-other than a power's exponent share its code, with their own numbers bound.
+an expression nests.  Generated code is kept per process in two memos:
+the public entry points' recent results, keyed on their texts, and behind
+them `_FORMS`, each generated form compiled once per shape of its trees
+(`_shaped`): trees that differ only in numbers other than a power's
+exponent share its code, with their own numbers bound, and the arc loop,
+which reads no tree, is kept once per m, box and tolerances.
 """
 
 from __future__ import annotations
@@ -1057,18 +1059,18 @@ _FORMS = {}
 _FORMS_KEPT = 512
 
 
-def _shaped(form, groups, build, *args):
+def _shaped(form, trees_shape, build, *args):
     """The function that build() -> (code, definition) defines, with its
     constants bound, or None where build returns None.
 
-    It is compiled once per form, args and `_shape` of the trees in groups:
+    It is compiled once per form, args and trees_shape, the `_shape` of
     every tree whose numbers the code binds, build's own trees.  A compile
     kept from other trees of the same shape is bound to these trees' own
     numbers, in the cells where it bound those trees' (`_Code.slots`), so
     it is the function that build would compile, bit for bit.  args must
     hold every number the code binds that no tree holds, and every other
     argument of build that is not a tree."""
-    shape, numbers, index = _shape(groups)
+    shape, numbers, index = trees_shape
     key = (form, args, shape)
     kept = _FORMS.pop(key, _MISSING)
     if kept is _MISSING:
@@ -1095,7 +1097,7 @@ def _entries_code(trees, name, shape):
 def _entries_function(trees, name, shape=()):
     """The generated function name(x, u) of `_entries_code`, marked
     `on_lists`."""
-    fn = _shaped(name, [trees], lambda: _entries_code(trees, name, shape), shape)
+    fn = _shaped(name, _shape([trees]), lambda: _entries_code(trees, name, shape), shape)
     fn.on_lists = True
     return fn
 
@@ -1125,9 +1127,10 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries five generated forms, each compiled on its first call, since
-    only some paths run it: three RK4 forms with u held, the box
-    maximizer's probe fit, and shooting's loop on a finite box.
+    carries five generated forms, each compiled where a call finds it in
+    no memo (below), since only some paths run it: three RK4 forms with u
+    held, the box maximizer's probe fit, and shooting's loop on a finite
+    box.
     - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
       one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
@@ -1147,9 +1150,8 @@ def compile_dynamics(srcs, m: int, k: int):
       node i1 to node i0 of the grid ts, node states xs and multipliers c =
       -p0 per column, appending each block to out as a list, bit for bit,
       and returns the first node whose block is not finite (that block
-      appended), or None.  It is built on first use per r and cost.
-      Each column steps as its own vector, so a block column has the bits
-      of its own sweep.
+      appended), or None.  Each column steps as its own vector, so a
+      block column has the bits of its own sweep.
     Both return None unless df_dx is f's own generated Jacobian and the
     system has no cost or dF_dx is a generated gradient.
     - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) -> fit,
@@ -1158,31 +1160,32 @@ def compile_dynamics(srcs, m: int, k: int):
       on operands (`_probe_fit_code`), with axes and pairs the fit's tuples
       (`pmp._Probes`).  It returns None unless F is
       None or a grammar expression (`parse_expression` keeps its tree as
-      `F.tree`) and f has one entry per state.  It is built once per
-      cost tree, probe floats (each probe keyed by its bytes, so that -0.0
-      and 0.0 differ) and divisors, and p0f is an argument, so p0 = -1 and
-      p0 = 0 share it.
+      `F.tree`) and f has one entry per state.  p0f is an argument, so
+      p0 = -1 and p0 = 0 share it.
     - `f.arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol)` returns
       arc(h, c, p0f, stage, step, fit, decide) -> (run, trial), which binds
       `shooting._propagator`'s generated loop over the whole steps of an
       arc and its generated trial step (`_arc_code`) to a problem's coupled
       stage and step, probe fit and decision, for the box maximizer's
       `sides` (`pmp._Probes`), fit_tol and jump_tol, or None unless the
-      system qualifies as for `coupled_step`.  It is compiled once per
-      sides (keyed by their bytes) and tolerances, whatever the cost.  The
-      loop hands back only at a jump, after its last whole step, and with
-      None at a state that is not finite.  `_propagator` takes it where
-      the maximizer's probe fit is generated too: a grammar system on a
-      finite box with plain divisors and a declared degree of at most 2.
+      system qualifies as for `coupled_step`.  The loop hands back only at
+      a jump, after its last whole step, and with None at a state that is
+      not finite.  `_propagator` takes it where the maximizer's probe fit
+      is generated too: a grammar system on a finite box with plain
+      divisors and a declared degree of at most 2.
 
-    srcs is a tuple: the last 128 successful results of each entry point
-    are kept per process, keyed on its arguments, so a problem loaded
-    again compiles nothing, while a bad expression raises at every call.
-    Behind that, every form is compiled once per shape of the trees it is
-    built from (`_shaped`): a problem whose expressions differ from an
-    earlier one's only in numbers that are not a power's exponent, such as
-    a cost weight, binds the earlier compiles to its own numbers, bit for
-    bit as its own compiles would be.
+    srcs is a tuple.  Generated code is kept per process in two memos.
+    Each entry point keeps its last 128 successful results, keyed on its
+    arguments, so a problem loaded again compiles nothing, while a bad
+    expression raises at every call; a load that missed them would take
+    0.1 to 0.4 ms with every form kept, and each CLI command loads.
+    Behind that, `_FORMS` keeps every form compiled once per shape of its
+    trees (`_shaped`), and each call of f's forms looks it up there: a
+    problem whose expressions differ from an earlier one's only in numbers
+    that are not a power's exponent, such as a cost weight, binds the
+    earlier compiles to its own numbers, bit for bit as its own compiles
+    would be.  The arc loop reads no tree and is kept once per m, sides
+    and tolerances, so every dynamics on one box shares it.
     """
     # _derivative and _u_degree recurse once per level of the tree, so they
     # are called here directly: a helper's frame would lower the depth that
@@ -1200,8 +1203,12 @@ def compile_dynamics(srcs, m: int, k: int):
                 for j in range(m):
                     entries.append(_derivative(body, j))
 
+    # `signal_field` asks for the runner once per simulated path, so the
+    # shape of f that keys it is taken once, here
+    body_shape = _shape([bodies])
+
     def runner():
-        return _shaped("dynamics_run", [bodies], lambda: _dynamics_run_code(bodies, k), k)
+        return _shaped("dynamics_run", body_shape, lambda: _dynamics_run_code(bodies, k), k)
 
     n = len(srcs)
     dynamics = _entries_function(bodies, "dynamics", (n,))
@@ -1213,59 +1220,47 @@ def compile_dynamics(srcs, m: int, k: int):
         # generated gradient dF_dx
         return square and df_dx is df and (F is None or hasattr(dF_dx, "entries"))
 
-    def qualifying(build):
-        """build(gradient trees, *args), the last 128 kept, for a system
-        that qualifies; None for any other."""
-        build = functools.lru_cache(maxsize=128)(build)
+    def shaped(form, F, dF_dx, build, *args):
+        # build(gradient trees)'s form, compiled once per shape of f, df/dx
+        # and the gradient, None without a cost
+        gradient = None if F is None else dF_dx.entries
+        return _shaped(form, _shape([bodies, entries, gradient or ()]), lambda: build(gradient),
+                       gradient is None, k, *args)
 
-        def built(df_dx, F, dF_dx, *args):
-            if qualifies(df_dx, F, dF_dx):
-                return build(None if F is None else tuple(dF_dx.entries), *args)
+    def coupled_step(df_dx, F, dF_dx):
+        if not qualifies(df_dx, F, dF_dx):
             return None
+        return tuple(shaped("coupled_step", F, dF_dx, lambda gradient, step=step:
+                            _coupled_step_code(bodies, entries, gradient, k, step), step)
+                     for step in (False, True))
 
-        return built
-
-    def shaped(form, gradient, build, *args):
-        # build's form, compiled once per shape of f, df/dx and the gradient
-        return _shaped(form, [bodies, entries, gradient or ()], build, gradient is None, k, *args)
-
-    @qualifying
-    def coupled_step(gradient):
-        return tuple(shaped("coupled_step", gradient, lambda step=step: _coupled_step_code(
-            bodies, entries, gradient, k, step), step) for step in (False, True))
-
-    @qualifying
-    def adjoint_run(gradient, r):
-        return shaped("adjoint_run", gradient,
-                      lambda: _adjoint_run_code(bodies, entries, gradient, k, r), r)
-
-    @functools.lru_cache(maxsize=128)
-    def fit(cost, points, axes, pairs):
-        return _shaped("probe_fit", [bodies, [] if cost is None else [cost]],
-                       lambda: _probe_fit_code(bodies, cost, [np.frombuffer(u).tolist()
-                                                              for u in points], axes, pairs),
-                       points, axes, pairs)
+    def adjoint_run(df_dx, F, dF_dx, r):
+        if not qualifies(df_dx, F, dF_dx):
+            return None
+        return shaped("adjoint_run", F, dF_dx,
+                      lambda gradient: _adjoint_run_code(bodies, entries, gradient, k, r), r)
 
     def probe_fit(F, points, axes, pairs):
         cost = getattr(F, "tree", None)
         if n != m or (F is not None and cost is None):
             return None
+        points = [np.asarray(u, dtype=float) for u in points]
         # each probe keyed by its bytes, which tell -0.0 from 0.0
-        return fit(cost, tuple(np.asarray(u, dtype=float).tobytes() for u in points),
-                   axes, pairs)
-
-    @functools.cache
-    def arc(sides, fit_tol, jump_tol):
-        code, fn = _arc_code(m, np.frombuffer(sides).reshape(-1, 4).tolist(), fit_tol, jump_tol)
-        return code.compile(fn)(())
+        return _shaped("probe_fit", _shape([bodies, [] if cost is None else [cost]]),
+                       lambda: _probe_fit_code(bodies, cost, [u.tolist() for u in points],
+                                               axes, pairs),
+                       tuple(u.tobytes() for u in points), axes, pairs)
 
     def arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol):
         if not qualifies(df_dx, F, dF_dx):
             return None
-        # the sides keyed by their bytes, which tell -0.0 from 0.0
-        return arc(np.asarray(sides, dtype=float).tobytes(), fit_tol, jump_tol)
+        sides = np.asarray(sides, dtype=float)
+        # the sides keyed by their bytes, which tell -0.0 from 0.0; the loop
+        # reads no tree, so every dynamics of m states shares it
+        return _shaped("arc", _shape([]), lambda: _arc_code(m, sides.tolist(), fit_tol, jump_tol),
+                       m, sides.tobytes(), fit_tol, jump_tol)
 
-    dynamics.runner = functools.cache(runner)
+    dynamics.runner = runner
     dynamics.arc_run = arc_run
     dynamics.coupled_step = coupled_step
     dynamics.adjoint_run = adjoint_run

@@ -668,15 +668,20 @@ def test_generated_coupled_step_is_one_rk4_step_without_numpy(srcs, cost):
 
 
 def counted_compiles(monkeypatch):
-    """Counts of the generated RK4 steps traced and of the compiles made
-    from now on, with no compile kept from before."""
+    """(traced, compiled): the count of generated RK4 steps traced and the
+    counts of compiles per generated function made from now on, with no
+    compile kept from before."""
     forget_compiles()
-    calls = collections.Counter()
+    traced, compiled, compile_ = collections.Counter(), collections.Counter(), grammar._Code.compile
+
+    def counted(code, fn):
+        compiled[fn.name] += 1
+        return compile_(code, fn)
+
     monkeypatch.setattr(grammar, "_rk4_step_code",
-                        counted_calls(calls, "step", grammar._rk4_step_code))
-    monkeypatch.setattr(grammar._Code, "compile",
-                        counted_calls(calls, "compile", grammar._Code.compile))
-    return calls
+                        counted_calls(traced, "step", grammar._rk4_step_code))
+    monkeypatch.setattr(grammar._Code, "compile", counted)
+    return traced, compiled
 
 
 def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
@@ -691,7 +696,7 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
                          "final": {"anchor": [0.0, 0.0], "normals": []}}}
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data))
-    calls = counted_compiles(monkeypatch)
+    traced, compiled = counted_compiles(monkeypatch)
     for run in range(2):
         for command in ("simulate", "shoot", "reach"):
             assert cli.main([command, "--problem", str(path),
@@ -702,9 +707,46 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
             # coupled stage and step, the arc loop with its trial step of
             # shooting on the box, and the adjoint sweep of the final
             # extremal (shoot)
-            first = dict(calls)
-            assert first == {"step": 3, "compile": 10}
-    assert calls == first
+            first = dict(traced), dict(compiled)
+            assert first == ({"step": 3}, {
+                "dynamics": 1, "dynamics_jacobian": 1, "expression": 1, "gradient": 1,
+                "dynamics_run": 1, "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1,
+                "arc": 1, "adjoint_run": 1})
+    assert (traced, compiled) == first
+
+
+def test_dynamics_on_one_box_share_one_arc_loop(monkeypatch):
+    # the arc loop reads no tree: it is compiled once per m, box and
+    # tolerances, whatever the dynamics and cost
+    _, compiled = counted_compiles(monkeypatch)
+    built = collections.Counter()
+    monkeypatch.setattr(grammar, "_arc_code", counted_calls(built, "arc", grammar._arc_code))
+    for dynamics in ({"builtin": "double_integrator"}, {"expressions": ["x1", "-sin(x0) + u0"]}):
+        sys = cli.Problem({"dynamics": dynamics, "cost": {"expression": "1"},
+                           "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}}).sys
+        assert shooting._arc_run(sys, pmp._maximizer(sys, -1.0),
+                                 shooting._auto_jump_tol(sys.control_set))
+    assert built["arc"] == compiled["arc"] == 1
+
+
+def test_the_table_of_shapes_is_the_only_memo_of_generated_code(monkeypatch):
+    # with the texts' compiles kept and the table of compiles per shape
+    # emptied, each generated form of a kept dynamics compiles again
+    _, compiled = counted_compiles(monkeypatch)
+    sys = cli.Problem({"dynamics": {"expressions": ["x1", "-sin(x0) + u0"]},
+                       "cost": {"expression": "0.5*x0^2 + u0^2"},
+                       "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}}).sys
+    f, probes = sys.f, pmp._probes(sys.control_set)
+    forms = [f.runner, lambda: f.coupled_step(sys.df_dx, sys.F, sys.dF_dx),
+             lambda: f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, 1),
+             lambda: f.probe_fit(sys.F, probes.points, probes.axes, probes.pairs),
+             lambda: f.arc_run(sys.df_dx, sys.F, sys.dF_dx, probes.sides, pmp.FIT_TOL, 1e-9)]
+    assert all(form() for form in forms)
+    compiled.clear()
+    grammar._FORMS.clear()
+    assert all(form() for form in forms)
+    assert compiled == {"dynamics_run": 1, "coupled_stage": 1, "coupled_step": 1,
+                        "adjoint_run": 1, "probe_fit": 1, "arc": 1}
 
 
 def lqr_problem(path, cost):
@@ -727,15 +769,19 @@ def shoot_and_check(path, out):
 def test_a_cost_of_the_same_shape_compiles_nothing(monkeypatch, tmp_path):
     # lqr_shoot's problems differ only in q: a shoot and check with a new q
     # bind the first q's compiles to its own numbers, and compile nothing
-    calls = counted_compiles(monkeypatch)
+    traced, compiled = counted_compiles(monkeypatch)
     shoot_and_check(lqr_problem(tmp_path / "q1.json", "2.3456*x0^2 + u0^2"), str(tmp_path / "q1"))
     # the dynamics, its Jacobian, the cost, its gradient, the probe fit,
     # the coupled stage and step (its RK4 step traced), the arc loop and the
     # adjoint sweep (with its step)
-    assert calls == {"step": 2, "compile": 9}
-    calls.clear()
+    assert traced == {"step": 2}
+    assert compiled == {"dynamics": 1, "dynamics_jacobian": 1, "expression": 1, "gradient": 1,
+                        "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1, "arc": 1,
+                        "adjoint_run": 1}
+    traced.clear()
+    compiled.clear()
     shoot_and_check(lqr_problem(tmp_path / "q2.json", "0.3*x0^2 + u0^2"), str(tmp_path / "q2"))
-    assert calls == {}
+    assert not traced and not compiled
 
 
 @pytest.mark.parametrize("first, second, compiles", [
@@ -747,11 +793,11 @@ def test_a_cost_of_the_same_shape_compiles_nothing(monkeypatch, tmp_path):
     ("x0^2", "x0^3", 6),
 ], ids=["folded", "exponent"])
 def test_a_cost_of_another_shape_compiles_anew(monkeypatch, tmp_path, first, second, compiles):
-    calls = counted_compiles(monkeypatch)
+    _, compiled = counted_compiles(monkeypatch)
     shoot_and_check(lqr_problem(tmp_path / "a.json", first + " + u0^2"), str(tmp_path / "a"))
-    calls.clear()
+    compiled.clear()
     shoot_and_check(lqr_problem(tmp_path / "b.json", second + " + u0^2"), str(tmp_path / "b"))
-    assert calls["compile"] == compiles
+    assert sum(compiled.values()) == compiles
 
 
 @pytest.mark.parametrize("expressions, cost, message", [
