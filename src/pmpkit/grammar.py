@@ -25,14 +25,17 @@ adjoint's retraced forward step, `pmp._costate_rate` for (df/dx)^T p,
 `pmp._h_sum` for the probe values of H, `pmp._fit_quadratic` for their
 fit and `pmp._model_tol` and `pmp._axis_maxima` for the decision from it,
 with their comparison and axis helpers called by name; an operation met
-again on the same operands is computed once.  Each is built as an `ast` tree from
-the validated grammar tree, one assignment per grammar node in the order a
+again on the same operands is computed once.  Each is emitted as Python
+source text into templates that read as the code they write, from the
+validated grammar tree, one assignment per grammar node in the order a
 tree walk evaluates them (left operand, right operand, operation; a
-subtree that a derivative shares is assigned once per entry), and passed
-to `compile`; no source
-text is generated and the user's text is never evaluated.  Numbers are
-bound through a tuple, so nothing is folded (the package's own numbers are
-literals, each met with a variable).  A state or control reads as
+subtree that a derivative shares is assigned once per entry); the user's
+text is never evaluated.  Numbers are bound through a tuple, so nothing
+is folded (the package's own numbers are literals, written back with
+their bits, each met with a variable).  Each compile has a file name of
+its own, `<pmpkit.grammar NAME N>`, which profilers show, and its text is
+held in `linecache` while the compile is kept, where tracebacks and
+`inspect.getsource` find it.  A state or control reads as
 `float(x[i])` or `float(u[i])`, from a list or an array, a vector is a
 list of floats, every generated function of (x, u), the scalar
 expressions of a cost included, is marked `on_lists` (it takes x as a list
@@ -54,13 +57,16 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
+import linecache
 import math
 import re
 import struct
 import types
 import warnings
+import weakref
 from contextlib import contextmanager
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,7 +81,7 @@ class ProblemError(ValueError):
 
 
 _FUNCS = ("sin", "cos", "exp")
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
 _NAME_RE = re.compile(r"^([xu])(\d+)$")
 
 
@@ -197,7 +203,7 @@ def _check(root, m: int, k: int, text: str):
             if int(mm.group(2)) >= bound:
                 raise ProblemError(
                     f"parse error: identifier '{node.id}' out of range (dim {bound})")
-        elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
             stack += [node.right, node.left]
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             stack.append(node.operand)
@@ -364,40 +370,90 @@ def _exact(body) -> bool:
 
 # ---------------------------------------------------------------------------
 # code generation
+#
+# Generated code is Python source text, written into templates that read as
+# the code they write (`_fill`).
 
 _GUARDED = (OverflowError, ZeroDivisionError, ValueError)
 _GLOBALS = {"__builtins__": {}, "float": float, "range": range, "_real_pow": _real_pow,
             "_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_isfinite": math.isfinite,
-            "_nan": math.nan, "_guarded": _GUARDED, "_array": np.array, "_abs": abs,
-            "_nan_max": _nan_max, "_off_max": _off_max, "_axis_max": _axis_max,
+            "_nan": math.nan, "_inf": math.inf, "_guarded": _GUARDED, "_array": np.array,
+            "_abs": abs, "_nan_max": _nan_max, "_off_max": _off_max, "_axis_max": _axis_max,
             "_jumped": _jumped, "_pack": struct.pack, "_FloatingPointError": FloatingPointError}
 
-
-_LOAD, _STORE = ast.Load(), ast.Store()
-# compile needs a position on every node that can carry one; setting it as
-# each node is made is far cheaper than ast.fix_missing_locations
-_POS = {"lineno": 1, "col_offset": 0}
-
-
-def _name(name, ctx=_LOAD):
-    return ast.Name(name, ctx, **_POS)
-
-
-def _assign(name, value):
-    return ast.Assign([_name(name, _STORE)], value, **_POS)
+# per operator of generated code ("-x" is a negation): how tightly it binds,
+# as in Python's grammar, and how tightly each operand must bind to go
+# without parentheses (+ - * / group to the left, ** to the right, and **
+# binds tighter than a negation on its left); a name, number or call, _ATOM
+_OPERATORS = {"+": (1, (1, 2)), "-": (1, (1, 2)), "*": (2, (2, 3)), "/": (2, (2, 3)),
+              "-x": (3, (3,)), "**": (4, (5, 3))}
+_ATOM = 5
+_COMPILES = itertools.count()
 
 
-def _apply(name, *args):
-    return ast.Call(_name(name), list(args), [], **_POS)
+def _number(v):
+    """(text, binding) of the number v: text that reads back v's bits, the
+    shortest repr of a float, or `_inf` or `_nan`, with a sign bit written
+    as a negation (which `compile` folds into a literal)."""
+    if isinstance(v, float):
+        text = "_nan" if v != v else "_inf" if abs(v) == math.inf else float.__repr__(abs(v))
+        text = "-" + text if math.copysign(1.0, v) < 0 else text
+    else:
+        text = repr(v)
+    return text, 3 if text[0] == "-" else _ATOM
 
 
-def _params(*names):
-    return ast.arguments(posonlyargs=[], args=[ast.arg(n, **_POS) for n in names],
-                         kwonlyargs=[], kw_defaults=[], defaults=[])
+def _term(value):
+    """(text, binding) of value, an operand or a number."""
+    if isinstance(value, _Operand):
+        text = value.expr()
+        return text, _OPERATORS.get(value.op, (_ATOM,))[0] if value.name is None else _ATOM
+    return _number(value)
+
+
+def _written(op, terms):
+    """The text of op on terms, (text, binding) pairs: a call of the
+    function named op, or the operator op of `_OPERATORS`.  A term is put
+    in parentheses only where Python would group it otherwise, so an
+    ordered sum of any length nests none (Python's tokenizer takes at most
+    200 nested parentheses)."""
+    if op not in _OPERATORS:
+        return f"{op}({', '.join(text for text, _ in terms)})"
+    texts = [text if binding >= needed else f"({text})"
+             for (text, binding), needed in zip(terms, _OPERATORS[op][1])]
+    return "-" + texts[0] if op == "-x" else f" {op} ".join(texts)
+
+
+def _fill(template, **fields):
+    """template, a `str.format` template of Python code, with its fields
+    filled in: a field alone on its line that is given a list of
+    statements, texts of one or more lines, writes them one under the
+    other at its column."""
+    for indent, field in re.findall(r"^( *)\{(\w+)\}$", template, re.M):
+        if isinstance(fields[field], list):
+            fields[field] = "\n".join(fields[field]).replace("\n", "\n" + indent)
+    return template.format(**fields)
+
+
+# the source text of a generated function's definition, and its name
+_Definition = NamedTuple("_Definition", [("name", str), ("source", str)])
+
+
+_DEFINITION = """\
+def {name}({params}):
+    {body}
+    return {result}"""
+
+_ENTRY = """\
+try:
+    {steps}
+except _guarded:
+    {name} = _nan"""
 
 
 class _Code:
-    """One generated function (x, u) -> value, built entry by entry.
+    """One generated function (x, u) -> value, built statement by statement
+    as text.
 
     An entry is a validated grammar tree.  A number is bound as a constant;
     any other tree is evaluated in its own try, one assignment per node.  A
@@ -409,25 +465,25 @@ class _Code:
     def __init__(self):
         self.consts = []
         self.body = []
-        self.values = []
         self.n_temps = 0
         self.inputs = {}
         self.operations = {}
 
-    def local(self, value):
-        """Assign value to a new temporary in the body; return its name."""
+    def local(self, text):
+        """Assign the expression text to a new temporary; return its name."""
         name = f"_t{self.n_temps}"
         self.n_temps += 1
-        self.body.append(_assign(name, value))
+        self.body.append(f"{name} = {text}")
         return name
 
     def operation(self, op, args):
-        """The operand of op, an `ast` operator or the name of a function of
-        the generated code, on args: one operand per op and args, operands
-        taken by identity and numbers by repr (which tells -0.0 from 0.0),
-        so an operation met again is computed once.  A number here is the
-        package's own, written as a literal: a tree's numbers come only as
-        operands of their constant cells, which `_shaped` rebinds."""
+        """The operand of op, an operator of `_OPERATORS` or the name of a
+        function of the generated code, on args: one operand per op and
+        args, operands taken by identity and numbers by repr (which tells
+        -0.0 from 0.0), so an operation met again is computed once.  A
+        number here is the package's own, written as a literal: a tree's
+        numbers come only as operands of their constant cells, which
+        `_shaped` rebinds."""
         key = (op, *(a if isinstance(a, _Operand) else repr(a) for a in args))
         if key not in self.operations:
             self.operations[key] = _Operand(self, None, op, args)
@@ -437,7 +493,7 @@ class _Code:
         """The name of a new constant cell bound to v, the value of the
         tree's Constant node where it is given."""
         self.consts.append((node, float(v)))
-        return _name(f"_c{len(self.consts) - 1}")
+        return f"_c{len(self.consts) - 1}"
 
     def slots(self, index):
         """What fills each constant cell, for `_shaped`: (i, None) for the
@@ -447,7 +503,8 @@ class _Code:
                      for node, v in self.consts)
 
     def _emit(self, root, out):
-        """Append the statements computing root to out; return its operand.
+        """Append (temporary, expression text) per node of root to out;
+        return the name of root's value.
 
         Nodes are visited in evaluation order (left operand, right operand,
         operation) with an explicit stack, so no depth limit applies here.
@@ -469,10 +526,10 @@ class _Code:
                 stack.append((node.operand, False))
                 continue
             if isinstance(node, ast.Name) and node.id in self.inputs:
-                operands.append(_name(self.inputs[node.id]))
+                operands.append(self.inputs[node.id])
                 continue
             if id(node) in done:
-                operands.append(_name(done[id(node)]))
+                operands.append(done[id(node)])
                 continue
             if not ready and not isinstance(node, ast.Name):
                 stack.append((node, True))
@@ -483,77 +540,81 @@ class _Code:
                 continue
             if isinstance(node, ast.Name):
                 kind, idx = _NAME_RE.match(node.id).groups()
-                value = _apply("float", ast.Subscript(_name(kind), ast.Constant(int(idx), **_POS),
-                                                      _LOAD, **_POS))
+                value = f"float({kind}[{int(idx)}])"
             elif isinstance(node, ast.UnaryOp):
-                value = ast.UnaryOp(ast.USub(), operands.pop(), **_POS)
+                value = _written("-x", [(operands.pop(), _ATOM)])
             elif isinstance(node, ast.Call):
-                value = _apply("_" + node.func.id, operands.pop())
+                value = _written("_" + node.func.id, [(operands.pop(), _ATOM)])
             else:
                 b, a = operands.pop(), operands.pop()
                 # a float to a constant integral power is real: that power
                 # is the same a ** b inline
-                value = (_apply("_real_pow", a, b) if isinstance(node.op, ast.Pow)
-                         and not _integral(node.right)
-                         else ast.BinOp(a, type(node.op)(), b, **_POS))
+                op = ("_real_pow" if isinstance(node.op, ast.Pow) and not _integral(node.right)
+                      else _BINOPS[type(node.op)])
+                value = _written(op, [(a, _ATOM), (b, _ATOM)])
             name = f"_t{self.n_temps}"
             self.n_temps += 1
-            out.append(_assign(name, value))
-            operands.append(_name(name))
+            out.append((name, value))
+            operands.append(name)
             done[id(node)] = name
         (operand,) = operands
         return operand
 
     def entry(self, item):
+        """The operand of the tree item: a constant cell for a number, else
+        a local that its own try computes, written into the body where the
+        operand is first read, so an entry that nothing reads is not
+        written."""
         if isinstance(item, ast.Constant):
-            self.values.append(self._const(item.value, item))
-            return
-        name = f"_v{len(self.values)}"
+            return _Operand(self, self._const(item.value, item))
+        name = f"_v{self.n_temps}"
+        self.n_temps += 1
         steps = []
         operand = self._emit(item, steps)
-        if steps and steps[-1].targets[0].id == operand.id:
-            steps[-1].targets[0].id = name
+        if steps and steps[-1][0] == operand:
+            steps[-1] = (name, steps[-1][1])
         else:
-            steps.append(_assign(name, operand))
-        guard = ast.ExceptHandler(_name("_guarded"), None, [_assign(name, _name("_nan"))],
-                                  **_POS)
-        self.body.append(ast.Try(steps, [guard], [], [], **_POS))
-        self.values.append(_name(name))
+            steps.append((name, operand))
+        entry = _Operand(self, name)
+        entry.pending = _fill(_ENTRY, steps=[f"{t} = {v}" for t, v in steps], name=name)
+        return entry
 
-    def returning(self, name, shape=()):
-        """The definition of name(x, u) -> the entries: a float for shape (),
-        a list for (n,), else an array of `shape` filled in row-major order."""
-        if len(shape) == 1:
-            result = ast.List(self.values, _LOAD, **_POS)
-        elif shape:
-            result = ast.Call(ast.Attribute(_apply("_array", ast.Tuple(self.values, _LOAD, **_POS)),
-                                            "reshape", _LOAD, **_POS),
-                              [ast.Constant(n, **_POS) for n in shape], [], **_POS)
-        else:
-            (result,) = self.values
-        return self.define(name, ("x", "u"), result)
+    def returning(self, name, values, shape=()):
+        """The definition of name(x, u) -> the operands values: a float for
+        shape (), a list for (n,), else an array of `shape` filled in
+        row-major order."""
+        texts = ", ".join(v.expr() for v in values)
+        return self.define(name, ("x", "u"), f"[{texts}]" if len(shape) == 1 else
+                           f"_array([{texts}]).reshape{shape}" if shape else texts)
 
     def define(self, name, params, result):
-        """The definition of name(*params), which runs the body, then returns
-        the expression result."""
-        return ast.FunctionDef(name, _params(*params),
-                               self.body + [ast.Return(result, **_POS)], [], **_POS)
+        """The definition of name(*params): the body, then return result."""
+        return _Definition(name, _fill(_DEFINITION, name=name, params=", ".join(params),
+                                       body=self.body, result=result))
 
     def compile(self, fn):
-        """_bind(consts) -> the function the definition fn defines, with the
-        tuple consts bound to its constant cells in order."""
-        name = fn.name
+        """_bind(consts) -> the function that the definition fn defines, with
+        the tuple consts bound to its constant cells in order.
+
+        The text is compiled under a file name of its own, `<pmpkit.grammar
+        NAME N>`, which tracebacks and profilers show, and `linecache` holds
+        it for them while _bind lives (`_shaped` keeps it); _bind carries it
+        as `source`.  The operations are dropped: their operands hold this
+        code, and the cycle would outlive the compile until a full
+        collection."""
         # the constants are bound once, as cells of an enclosing function
-        bind = []
-        if self.consts:
-            cells = [_name(f"_c{i}", _STORE) for i in range(len(self.consts))]
-            bind.append(ast.Assign([ast.Tuple(cells, _STORE, **_POS)], _name("_consts"),
-                                   **_POS))
-        outer = ast.FunctionDef("_bind", _params("_consts"),
-                                bind + [fn, ast.Return(_name(name), **_POS)], [], **_POS)
+        cells = [f"_c{i} = _consts[{i}]" for i in range(len(self.consts))]
+        source = _fill(_DEFINITION, name="_bind", params="_consts", body=cells + [fn.source],
+                       result=fn.name)
+        filename = f"<pmpkit.grammar {fn.name} {next(_COMPILES)}>"
         namespace = dict(_GLOBALS)
-        exec(compile(ast.Module([outer], []), f"<pmpkit.grammar {name}>", "exec"), namespace)
-        return namespace["_bind"]
+        exec(compile(source, filename, "exec"), namespace)
+        bind = namespace.pop("_bind")
+        bind.source = source
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        weakref.finalize(bind, linecache.cache.pop, filename, None)
+        self.operations = None
+        return bind
 
 
 class _Operand:
@@ -563,6 +624,8 @@ class _Operand:
     operands writes its arithmetic in its own order: `flows.rk4_step` the
     stage and combination arithmetic of an RK4 step, `pmp._fit_quadratic`
     the probe fit."""
+
+    pending = None
 
     def __init__(self, code, name=None, op=None, args=()):
         self.code, self.name, self.op, self.args = code, name, op, args
@@ -576,33 +639,34 @@ class _Operand:
             return self.code.operation(op, (other, self) if reflected else (self, other))
         return method
 
-    __add__, __radd__ = _recorded(ast.Add), _recorded(ast.Add, True)
-    __sub__ = _recorded(ast.Sub)
-    __mul__, __rmul__ = _recorded(ast.Mult), _recorded(ast.Mult, True)
-    __truediv__, __rtruediv__ = _recorded(ast.Div), _recorded(ast.Div, True)
+    __add__, __radd__ = _recorded("+"), _recorded("+", True)
+    __sub__ = _recorded("-")
+    __mul__, __rmul__ = _recorded("*"), _recorded("*", True)
+    __truediv__, __rtruediv__ = _recorded("/"), _recorded("/", True)
     del _recorded
 
     def __abs__(self):
         return self.code.operation("_abs", (self,))
 
     def expr(self):
-        """The expression of the operand.  An operation read by more than
-        one other is assigned to a temporary where it is first needed, so it
-        runs once, as in the code that was run on operands."""
+        """The expression text of the operand.  An operation read by more
+        than one other is assigned to a temporary where it is first needed,
+        so it runs once, as in the code that was run on operands."""
         if self.name is None:
-            args = [a.expr() if isinstance(a, _Operand) else ast.Constant(a, **_POS)
-                    for a in self.args]
-            node = (_apply(self.op, *args) if isinstance(self.op, str)
-                    else ast.BinOp(args[0], self.op(), args[1], **_POS))
+            text = _written(self.op, [_term(a) for a in self.args])
             if self.reads < 2:
-                return node
-            self.name = self.code.local(node)
-        return _name(self.name)
+                return text
+            self.name = self.code.local(text)
+        elif self.pending:
+            self.code.body.append(self.pending)
+            self.pending = None
+        return self.name
 
     def local(self):
         """The name of a local holding the operand."""
+        text = self.expr()
         if self.name is None:
-            self.name = self.code.local(self.expr())
+            self.name = self.code.local(text)
         return self.name
 
 
@@ -615,21 +679,21 @@ def _recording(code, fn, *names):
 
 
 def _returned(value):
-    """The expression of value, an operand, a number, or a list or tuple of
-    them.  An operand that an operation reads too is held in a local; it
-    runs once where value lists it before the operations that read it."""
+    """The expression text of value, an operand, a number, or a list or
+    tuple of them.  An operand that an operation reads too is held in a
+    local; it runs once where value lists it before the operations that
+    read it."""
     if isinstance(value, (list, tuple)):
-        return (ast.List if isinstance(value, list) else ast.Tuple)(
-            [_returned(v) for v in value], _LOAD, **_POS)
+        items = ", ".join(map(_returned, value))
+        return f"[{items}]" if isinstance(value, list) else f"({items},)"
     if isinstance(value, _Operand):
-        return _name(value.local()) if value.reads else value.expr()
-    return ast.Constant(value, **_POS)
+        return value.local() if value.reads else value.expr()
+    return _number(value)[0]
 
 
 def _read(code, vec, i):
     """An operand holding float(vec[i]), read once into a local."""
-    return _Operand(code, code.local(_apply("float", ast.Subscript(
-        _name(vec), ast.Constant(i, **_POS), _LOAD, **_POS))))
+    return _Operand(code, code.local(f"float({vec}[{i}])"))
 
 
 def _field_code(trees, k, n):
@@ -643,20 +707,12 @@ def _field_code(trees, k, n):
     return code, [_read(code, "y", i) for i in range(n)]
 
 
-def _stage_values(code, entries):
-    """Operands of the entries, each evaluated as `_Code.entry` does."""
-    start = len(code.values)
-    for entry in entries:
-        code.entry(entry)
-    return [_Operand(code, v.id) for v in code.values[start:]]
-
-
 def _dynamics_stage(code, bodies):
     """stage(x): the operands of f at the stage state x, for the m trees
     `bodies` of f, as `dynamics` evaluates them."""
     def stage(x):
         code.inputs.update((f"x{i}", xi.local()) for i, xi in enumerate(x))
-        return _stage_values(code, bodies)
+        return [code.entry(body) for body in bodies]
     return stage
 
 
@@ -664,10 +720,10 @@ def _linearization(code, jacobian, gradient):
     """(J, g) as `pmp._costate_rate` reads them: the operands of the m x m
     Jacobian trees `jacobian` (row-major) and of the gradient trees, the
     numbers 0.0 without a cost (so that c_j = -0.0 keeps the sign of zero),
-    at the state the code's inputs bind, each evaluated as `_Code.entry`
-    does."""
-    J = _stage_values(code, jacobian)
-    return J, [0.0] * math.isqrt(len(J)) if gradient is None else _stage_values(code, gradient)
+    at the state the code's inputs bind, each an entry (`_Code.entry`)."""
+    J = [code.entry(tree) for tree in jacobian]
+    return J, ([0.0] * math.isqrt(len(J)) if gradient is None
+               else [code.entry(tree) for tree in gradient])
 
 
 def _locals(code, operands):
@@ -704,83 +760,62 @@ def _rk4_step_code(code, y, stage, k1, h="h"):
     return [v.expr() for v in step]
 
 
+_RUN = """\
+def {name}({params}):
+    {reads}
+    for i in range({nodes}):
+        {step}
+        {out}.append([{new}])
+        if not ({finite}):
+            return {blown}
+        {carried}
+    return None"""
+
+
 def _run_function(code, name, params, reads, head, y, new, out, nodes, blown):
-    """The definition of name(*params) -> node: the statements reads, then
-    a loop over the range nodes whose body is head, code.body, out.append
-    of the list of the locals new, a return of the node blown unless every
-    one of them is finite, and the operands y set to them; None after the
-    loop."""
-    finite = [_apply("_isfinite", _name(n)) for n in new]
-    loop = (head + code.body
-            + [ast.Expr(ast.Call(ast.Attribute(_name(out), "append", _LOAD, **_POS),
-                                 [ast.List([_name(n) for n in new], _LOAD, **_POS)], [],
-                                 **_POS), **_POS),
-               ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), finite, **_POS)
-                                  if len(finite) > 1 else finite[0], **_POS),
-                      [ast.Return(blown, **_POS)], [], **_POS)]
-            + [_assign(yi.name, _name(n)) for yi, n in zip(y, new)])
-    code.body = reads + [ast.For(_name("i", _STORE), nodes, loop, [], **_POS)]
-    return code.define(name, params, ast.Constant(None, **_POS))
-
-
-def _at(vec, index):
-    return ast.Subscript(_name(vec), index, _LOAD, **_POS)
-
-
-def _next_node():
-    return ast.BinOp(_name("i"), ast.Add(), ast.Constant(1, **_POS), **_POS)
+    """The definition of name(*params) -> node that `_RUN` writes, whose
+    step, head and then code.body, makes the locals new, which the
+    operands y carry to the next node."""
+    return _Definition(name, _fill(
+        _RUN, name=name, params=", ".join(params), reads=reads, nodes=nodes,
+        step=head + code.body, out=out, new=", ".join(new), blown=blown,
+        finite=" and ".join(f"_isfinite({n})" for n in new),
+        carried=[f"{yi.name} = {n}" for yi, n in zip(y, new)]))
 
 
 def _dynamics_run_code(bodies, k):
     """(code, definition) of dynamics_run(y, u, ts, i0, i1, xs) -> node:
     the RK4 steps of x' = f(x, u) with u held from y at node i0 to node i1
-    of the grid ts, for the m trees `bodies` of f.  Step i has h = ts[i + 1]
-    - ts[i] and appends its state to xs as a list: the list `flows.rk4_step`
-    returns, whose stage and combination arithmetic `_rk4_step_code` writes
-    into the loop body; each of the four stages evaluates the entries as
-    `dynamics` does, each in its own try, on the stage's state held in
-    locals.  u and y are read through float once, before the loop.  The
-    function returns the first node whose state is not finite, that state
-    appended, or None."""
+    of the grid ts (`_RUN`), for the m trees `bodies` of f.  Step i has h =
+    ts[i + 1] - ts[i]: the list `flows.rk4_step` returns, whose stage and
+    combination arithmetic `_rk4_step_code` writes; each of the four stages
+    evaluates the entries as `dynamics` does, each in its own try, on the
+    stage's state held in locals."""
     code, y = _field_code(bodies, k, len(bodies))
     reads, code.body = code.body, []
     stage = _dynamics_stage(code, bodies)
     new = [code.local(v) for v in _rk4_step_code(code, y, stage, stage(y))]
-    head = [_assign("h", ast.BinOp(_at("ts", _next_node()), ast.Sub(), _at("ts", _name("i")),
-                                   **_POS))]
-    return code, _run_function(code, "dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"),
-                               reads, head, y, new, "xs",
-                               _apply("range", _name("i0"), _name("i1")), _next_node())
-
-
-def _drop_unread(body):
-    """body without the entries, each in its own try, whose value no
-    statement reads."""
-    read = {node.id for stmt in body for node in ast.walk(stmt)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return [stmt for stmt in body
-            if not (isinstance(stmt, ast.Try) and stmt.body[-1].targets[0].id not in read)]
+    return code, _run_function(code, "dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"), reads,
+                               ["h = ts[i + 1] - ts[i]"], y, new, "xs", "i0, i1", "i + 1")
 
 
 def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     """(code, definition) of adjoint_run(p, u, c, ts, xs, i0, i1, out) ->
-    node: the discrete adjoint of the RK4 steps of x' = f(x, u) with u
-    held, as `pmp.adjoint_flows` takes it, stepping the m x r block p
-    (column after column) back from node i1 to node i0 of the grid ts, for
-    the m trees `bodies` of f, the Jacobian trees `jacobian` (row-major)
-    and the gradient trees, None without a cost; c holds the r column
-    multipliers c = -p0.
+    node (`_RUN`): the discrete adjoint of the RK4 steps of x' = f(x, u)
+    with u held, as `pmp.adjoint_flows` takes it, stepping the m x r block
+    p (column after column) back from node i1 to node i0 of the grid ts,
+    for the m trees `bodies` of f, the Jacobian trees `jacobian`
+    (row-major) and the gradient trees, None without a cost; c holds the r
+    column multipliers c = -p0.
 
     Step i retraces the forward step from the node state xs[i] with h =
     ts[i + 1] - ts[i]: `flows._recorded_step` runs once on `_Operand`s and
     linearizes at its four stage states (J and g, as `_coupled_stage`
     evaluates them).  The block then steps back by the list `rk4_step`
-    returns with step hb = ts[i] - ts[i + 1] on `pmp._costate_rate` of
-    those linearizations in reverse stage order, and is appended to out as
-    a list.  The forward step's own new state, and so f at its fourth
-    stage, is never read, and is not evaluated.  u, c and p are read
-    through float once, before the loop.  The function returns the first
-    node i whose block is not finite, that block appended, or None."""
+    returns with step hb = ts[i] - ts[i + 1] on `pmp._costate_rate` of those
+    linearizations in reverse stage order.  The forward step's own new
+    state, and so f at its fourth stage, is never read, and is not
+    written."""
     m = len(bodies)
     code, _ = _field_code([*bodies, *(gradient or ())], k, 0)
     c = [_read(code, "c", j) for j in range(r)]
@@ -799,16 +834,9 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
         return _locals(code, _costate_rate(*next(stages), c, pp))
 
     new = [code.local(v) for v in _rk4_step_code(code, p, stage, stage(p), "hb")]
-    code.body = _drop_unread(code.body)
-    i, nxt = _name("i"), _next_node()
-    head = [_assign("x", _at("xs", i)),
-            _assign("h", ast.BinOp(_at("ts", nxt), ast.Sub(), _at("ts", i), **_POS)),
-            _assign("hb", ast.BinOp(_at("ts", i), ast.Sub(), _at("ts", nxt), **_POS))]
-    nodes = _apply("range", ast.BinOp(_name("i1"), ast.Sub(), ast.Constant(1, **_POS), **_POS),
-                   ast.BinOp(_name("i0"), ast.Sub(), ast.Constant(1, **_POS), **_POS),
-                   ast.Constant(-1, **_POS))
+    head = ["x = xs[i]", "h = ts[i + 1] - ts[i]", "hb = ts[i] - ts[i + 1]"]
     return code, _run_function(code, "adjoint_run", ("p", "u", "c", "ts", "xs", "i0", "i1", "out"),
-                               reads, head, p, new, "out", nodes, _name("i"))
+                               reads, head, p, new, "out", "i1 - 1, i0 - 1, -1", "i")
 
 
 def _coupled_step_code(bodies, jacobian, gradient, k, step):
@@ -819,13 +847,10 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
     code, y = _field_code([*bodies, *(gradient or ())], k, 2 * len(bodies))
     stage = _coupled_stage(code, bodies, jacobian, gradient)
     if not step:
-        return code, code.define("coupled_stage", ("y", "u", "c"),
-                                 ast.List([v.expr() for v in stage(y)], _LOAD, **_POS))
-    k1 = [_Operand(code, code.local(ast.Subscript(_name("k1"), ast.Constant(i, **_POS),
-                                                  _LOAD, **_POS)))
-          for i in range(len(y))]
+        return code, code.define("coupled_stage", ("y", "u", "c"), _returned(stage(y)))
+    k1 = [_Operand(code, code.local(f"k1[{i}]")) for i in range(len(y))]
     return code, code.define("coupled_step", ("y", "u", "h", "k1", "c"),
-                             ast.List(_rk4_step_code(code, y, stage, k1), _LOAD, **_POS))
+                             f"[{', '.join(_rk4_step_code(code, y, stage, k1))}]")
 
 
 def _probe_fit_code(bodies, cost, points, axes, pairs):
@@ -856,20 +881,20 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     for i in range(m):
         if f"x{i}" in read:
             code.inputs[f"x{i}"] = _read(code, "x", i).name
-    p = [_Operand(code, code.local(_at("p", ast.Constant(i, **_POS)))) for i in range(m)]
+    p = [_Operand(code, code.local(f"p[{i}]")) for i in range(m)]
     p0f = _Operand(code, "p0f")
 
     def value(tree):
         key = (id(tree), *map(code.inputs.get, names[id(tree)]))
         if key not in entries:
-            entries[key] = _stage_values(code, [tree])[0]
+            entries[key] = code.entry(tree)
         return entries[key]
 
     values = []
     for u in points:
         for j in range(k):
             if f"u{j}" in read:
-                code.inputs[f"u{j}"] = code._const(u[j]).id
+                code.inputs[f"u{j}"] = code._const(u[j])
         values.append(_h_sum(p0f, 0.0 if cost is None else value(cost), p,
                              [value(body) for body in bodies]))
     probes = types.SimpleNamespace(k=k, axes=axes, pairs=pairs)
@@ -877,130 +902,100 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     return code, code.define("probe_fit", ("p", "x", "p0f"), _returned(fit))
 
 
+_ARC = """\
+def arc(h, c, p0f, stage, step, fit, decide):
+    hh = 0.5 * h
+
+    def trial(y, u, dt, k1):
+        {trial}
+        return ym, um, not same and _jumped(um, u, {jump_tol})
+
+    def run(y, u, t, b, eps, steps):
+        while b - t > eps and not b - t < h:
+            k1 = stage(y, u, c)
+            {half}
+            if not same and _jumped(uh, u, {jump_tol}):
+                return t, y, u, (u, k1, 0.0, hh, yh, uh)
+            if same:
+                k1h = k1
+                lo = hh
+            else:
+                k1h = stage(y, uh, c)
+                lo = 0.0
+            {full}
+            if not same and _jumped(u1, uh, {jump_tol}):
+                return t, y, u, (uh, k1h, lo, h, y1, u1)
+            steps.append((t, uh))
+            t = t + h
+            y = y1
+            u = u1
+        return t, y, u, None
+
+    return run, trial"""
+
+# the trial of dt from y with the control u held and the first stage k1:
+# the state v, where blown runs unless v is finite, the fit there and the
+# control um decided from it, by the traced decision where the fit is
+# separable.  `same` tells whether um has u's bits: the same objects (an
+# axis maximum at a bound returns the bound's), else the same packed bytes
+_REACHED = """\
+{v} = step(y, {u}, {dt}, {k1}, c)
+if not ({finite}):
+    {blown}
+{fit} = fit({v}[{m}:], {v}[:{m}], p0f)
+{reads}
+if {off} <= {ztol}:
+    {decided}
+else:
+    {um} = decide({v}, {fit})
+same = {same} or _pack("{k}d", *{um}) == _pack("{k}d", *{u})"""
+
+
 def _arc_code(m, sides, fit_tol, jump_tol):
-    """(code, definition) of arc(h, c, p0f, stage, step, fit, decide) ->
-    (run, trial), `shooting._propagator`'s generated loop and trial for
-    states y = (x, p) of 2m floats held in lists, the box maximizer's
-    `sides` and tolerance fit_tol and the jump tolerance jump_tol.  arc
-    binds what is fixed for a problem: the step h, c = -p0, p0f = p0, the
-    coupled field's stage(y, u, c) and step(y, u, h, k1, c)
+    """(code, definition) of `_ARC`: arc(h, c, p0f, stage, step, fit,
+    decide) -> (run, trial), `shooting._propagator`'s generated loop and
+    trial for states y = (x, p) of 2m floats held in lists, the box
+    maximizer's `sides` and tolerance fit_tol and the jump tolerance
+    jump_tol.  arc binds what is fixed for a problem: the step h, c = -p0,
+    p0f = p0, the coupled field's stage(y, u, c) and step(y, u, h, k1, c)
     (`coupled_step`), the probe fit fit(p, x, p0f) and decide(y, fit), the
     maximizer's control at y from its fit.  So it is compiled once per box
     and tolerances.
 
-    trial(y, u, dt, k1) -> (ym, um, jumped) steps dt from y with the
-    control u held, whose first stage is k1, fits H at the state ym it
-    reaches and decides the control um there as a list: `pmp._model_tol`
-    and `pmp._axis_maxima` run on the operands of the fit's values, with
-    `pmp._axis_max` called by name, where the off-diagonal part of the fit
-    clears ztol, else decide.  jumped is `shooting._jumped` of um against
-    u, not called where the two have the same bits.  It raises
-    FloatingPointError where ym is not finite.
-
-    run(y, u, t, b, eps, steps) makes the whole steps of h from the state y
-    at t with the control u while b - t > eps and b - t is not below h.  A
-    step is the trial of h / 2 with u and k1 = stage(y, u, c), reaching yh
-    and uh, then the trial of h with uh and k1h, which is k1 where uh has
-    u's bits and stage(y, uh, c) otherwise, reaching y1 and u1; it appends
-    (t, uh) to steps and moves on to (t + h, y1, u1).  At a
-    jump it returns (t, y, u, bracket), what the bisection reads: (u, k1,
-    0.0, h / 2, yh, uh) at the half step and (uh, k1h, lo, h, y1, u1) at
-    the full step, lo h / 2 where k1h is k1 and 0.0 otherwise.  After its
-    last whole step it returns (t, y, u, None), and None at the first
-    state that is not finite.  sides holds Python floats, which the
-    decision binds as numbers."""
+    trial(y, u, dt, k1) -> (ym, um, jumped) is one trial step of dt, and
+    run(y, u, t, b, eps, steps) makes the whole steps of h, each the trial
+    of h / 2 and the trial of h (`_REACHED`); at a jump run returns the
+    bracket that the bisection reads.  The control decided at a state is
+    `pmp._model_tol` and `pmp._axis_maxima` run on the operands of the
+    fit's values, with `pmp._axis_max` called by name, where the
+    off-diagonal part of the fit clears ztol, else decide; jumped is
+    `shooting._jumped` of it against u, not called where the two have the
+    same bits.  sides holds Python floats, which the decision binds as
+    numbers."""
     code = _Code()
 
-    def item(value, *index):
-        node = _name(value)
-        for i in index:
-            node = ast.Subscript(node, ast.Constant(i, **_POS), _LOAD, **_POS)
-        return node
-
-    def part(value, lower, upper):
-        bound = [None if v is None else ast.Constant(v, **_POS) for v in (lower, upper)]
-        return _at(value, ast.Slice(*bound, None, **_POS))
-
-    def tup(*names):
-        return ast.Tuple([_name(v) if isinstance(v, str) else v for v in names], _LOAD, **_POS)
-
-    def call(fn, *args):
-        return _apply(fn, *(_name(a) if isinstance(a, str) else a for a in args))
-
-    def same(v, w):
-        # whether the lists v and w hold floats with the same bits: the
-        # same objects (an axis maximum at a bound returns the bound's),
-        # else the same packed bytes
-        objects = [ast.Compare(item(v, j), [ast.Is()], [item(w, j)], **_POS)
-                   for j in range(len(sides))]
-        bits = [ast.Call(_name("_pack"), [ast.Constant("%dd" % len(sides), **_POS),
-                                          ast.Starred(_name(u), _LOAD, **_POS)], [], **_POS)
-                for u in (v, w)]
-        return ast.BoolOp(ast.Or(), [
-            ast.BoolOp(ast.And(), objects, **_POS) if len(objects) > 1 else objects[0],
-            ast.Compare(bits[0], [ast.Eq()], bits[1:], **_POS)], **_POS)
-
     def reached(v, fit, um, u, dt, k1, blown):
-        # the trial of dt with u: the state v, its fit and the control um;
-        # blown runs where v is not finite.  Whether um has u's bits is
-        # kept in the local "same"; returned is the test that um jumps
-        code.body.append(_assign(v, call("step", "y", u, dt, k1, "c")))
-        code.body.append(ast.If(ast.UnaryOp(ast.Not(), ast.BoolOp(ast.And(), [
-            _apply("_isfinite", item(v, i)) for i in range(2 * m)], **_POS), **_POS),
-            [blown], [], **_POS))
-        code.body.append(_assign(fit, call("fit", part(v, m, None), part(v, None, m), "p0f")))
-        b, a = ([_Operand(code, code.local(item(fit, i, j))) if side[3] > 0 else None
-                 for j, side in enumerate(sides)] for i in (0, 1))
-        bmax, cmax, off = (_Operand(code, code.local(item(fit, i))) for i in (3, 4, 5))
-        ztol = _model_tol(bmax, cmax, fit_tol)
-        separable = ast.Compare(_name(off.name), [ast.LtE()], [_name(ztol.local())], **_POS)
         # the decision's statements, temporaries included, run only where
         # the fit is separable
-        mark = len(code.body)
-        code.body.append(_assign(um, _returned(
-            _recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))))
-        decided = code.body[mark:]
-        del code.body[mark:]
-        code.body += [ast.If(separable, decided, [_assign(um, call("decide", v, fit))], **_POS),
-                      _assign("same", same(um, u))]
-        return ast.BoolOp(ast.And(), [ast.UnaryOp(ast.Not(), _name("same"), **_POS),
-                                      call("_jumped", um, u, ast.Constant(jump_tol, **_POS))],
-                          **_POS)
+        code.body = []
+        b, a = ([_Operand(code, code.local(f"{fit}[{i}][{j}]")) if side[3] > 0 else None
+                 for j, side in enumerate(sides)] for i in (0, 1))
+        bmax, cmax, off = (_Operand(code, code.local(f"{fit}[{i}]")) for i in (3, 4, 5))
+        ztol = _model_tol(bmax, cmax, fit_tol)
+        ztol.local()
+        reads, code.body = code.body, []
+        decided = _returned(_recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))
+        return [_fill(_REACHED, v=v, u=u, dt=dt, k1=k1, blown=blown, fit=fit, m=m, um=um,
+                      finite=" and ".join(f"_isfinite({v}[{i}])" for i in range(2 * m)),
+                      reads=reads, off=off.name, ztol=ztol.name,
+                      decided=code.body + [f"{um} = {decided}"], k=len(sides),
+                      same=" and ".join(f"{um}[{j}] is {u}[{j}]" for j in range(len(sides))))]
 
-    jumped = reached("ym", "fm", "um", "u", "dt", "k1",
-                     ast.Raise(_name("_FloatingPointError"), None, **_POS))
-    trial = code.define("trial", ("y", "u", "dt", "k1"), tup("ym", "um", jumped))
-    code.body = []
-
-    def handed(test, *bracket):
-        # at a jump, the start of the step and the bracket
-        code.body.append(ast.If(test, [ast.Return(tup("t", "y", "u", tup(*bracket)), **_POS)],
-                                [], **_POS))
-
-    none, zero = ast.Constant(None, **_POS), ast.Constant(0.0, **_POS)
-    blown = ast.Return(none, **_POS)
-    code.body.append(_assign("k1", call("stage", "y", "u", "c")))
-    handed(reached("yh", "fh", "uh", "u", "hh", "k1", blown), "u", "k1", zero, "hh", "yh", "uh")
-    code.body.append(ast.If(_name("same"), [_assign("k1h", _name("k1")),
-                                            _assign("lo", _name("hh"))],
-                            [_assign("k1h", call("stage", "y", "uh", "c")), _assign("lo", zero)],
-                            **_POS))
-    handed(reached("y1", "f1", "u1", "uh", "h", "k1h", blown), "uh", "k1h", "lo", "h", "y1", "u1")
-    code.body.append(ast.Expr(ast.Call(ast.Attribute(_name("steps"), "append", _LOAD, **_POS), [
-        tup("t", "uh")], [], **_POS), **_POS))
-    code.body += [_assign("t", ast.BinOp(_name("t"), ast.Add(), _name("h"), **_POS)),
-                  _assign("y", _name("y1")), _assign("u", _name("u1"))]
-    left = ast.BinOp(_name("b"), ast.Sub(), _name("t"), **_POS)
-    going = ast.BoolOp(ast.And(), [
-        ast.Compare(left, [ast.Gt()], [_name("eps")], **_POS),
-        ast.UnaryOp(ast.Not(), ast.Compare(left, [ast.Lt()], [_name("h")], **_POS), **_POS)],
-        **_POS)
-    code.body = [ast.While(going, code.body, [], **_POS)]
-    run = code.define("run", ("y", "u", "t", "b", "eps", "steps"), tup("t", "y", "u", none))
-    code.body = [_assign("hh", ast.BinOp(ast.Constant(0.5, **_POS), ast.Mult(), _name("h"),
-                                         **_POS)), trial, run]
-    return code, code.define("arc", ("h", "c", "p0f", "stage", "step", "fit", "decide"),
-                             tup("run", "trial"))
+    return code, _Definition("arc", _fill(
+        _ARC, jump_tol=_number(jump_tol)[0],
+        trial=reached("ym", "fm", "um", "u", "dt", "k1", "raise _FloatingPointError"),
+        half=reached("yh", "fh", "uh", "u", "hh", "k1", "return None"),
+        full=reached("y1", "f1", "u1", "uh", "h", "k1h", "return None")))
 
 
 # ---------------------------------------------------------------------------
@@ -1089,9 +1084,7 @@ def _entries_code(trees, name, shape):
     """(code, definition) of name(x, u) -> the values of the trees, each an
     entry (`_Code.entry`), as `_Code.returning` lays them out."""
     code = _Code()
-    for tree in trees:
-        code.entry(tree)
-    return code, code.returning(name, shape)
+    return code, code.returning(name, [code.entry(tree) for tree in trees], shape)
 
 
 def _entries_function(trees, name, shape=()):
@@ -1173,6 +1166,10 @@ def compile_dynamics(srcs, m: int, k: int):
       not finite.  `_propagator` takes it where the maximizer's probe fit
       is generated too: a grammar system on a finite box with plain
       divisors and a declared degree of at most 2.
+
+    Every form is source text emitted from templates, compiled under a file
+    name of its own (`<pmpkit.grammar NAME N>`) that tracebacks, profilers
+    and `inspect.getsource` read.
 
     srcs is a tuple.  Generated code is kept per process in two memos.
     Each entry point keeps its last 128 successful results, keyed on its

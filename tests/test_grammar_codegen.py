@@ -17,13 +17,21 @@ function, and raise `FlowBlowUpError` at the same time, on dense Jacobians
 too; the benchmark's systems and every system with generated derivatives
 must get it, and the others must not.  Every form compiled for trees of
 one shape and bound to other trees' numbers must carry the bits of a fresh
-compile of those trees.
+compile of those trees.  Generated code is text: the package's numbers
+read back from it with their bits, an ordered sum of any length compiles,
+a traceback shows the generated line, and a compile leaves no cyclic
+garbage and holds its text in `linecache` only while it is kept.
 """
 
 import ast
+import gc
+import inspect
+import linecache
 import math
 import os
 import re
+import struct
+import traceback
 from unittest import mock
 
 import numpy as np
@@ -33,7 +41,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import grammar_tree_array, grammar_tree_function
 from pmpkit import cli, grammar, pmp
 from pmpkit.control_system import ControlSignal, ControlSystem, Trajectory, box, extend, simulate
-from pmpkit.flows import FlowBlowUpError, IntegratorConfig, _runs, rk4_step
+from pmpkit.flows import FlowBlowUpError, IntegratorConfig, _dot, _runs, rk4_step
 from test_grammar_properties import K, M, render, trees
 from test_list_rate import fallback_field, plain
 from test_rk4_step import rk4_combinations
@@ -165,8 +173,9 @@ def test_constant_jacobian_entries_keep_their_sign():
 def generated_statements(src):
     """The number of statements generated for d/dx0 of one expression."""
     code = grammar._Code()
-    code.entry(grammar._derivative(grammar._tree(src, M, K, "expression"), 0))
-    return sum(len(stmt.body) for stmt in code.body)
+    value = code.entry(grammar._derivative(grammar._tree(src, M, K, "expression"), 0))
+    (fn,) = ast.parse(code.define("d", ("x", "u"), value.expr()).source).body
+    return sum(len(stmt.body) for stmt in fn.body if isinstance(stmt, ast.Try))
 
 
 def test_shared_derivative_subtrees_are_emitted_once():
@@ -248,8 +257,8 @@ def test_generated_step_is_one_rk4_step_without_numpy(srcs):
     bodies = [grammar._tree(src, m, 1, "expression") for src in srcs]
     _, step = grammar._dynamics_run_code(bodies, 1)
     # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per state component
-    assert rk4_combinations(ast.unparse(step)) == ["dynamics_run"] * m
-    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
+    assert rk4_combinations(step.source) == ["dynamics_run"] * m
+    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(ast.parse(step.source))
             if isinstance(node, ast.Name)]
     assert not [obj for obj in used
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
@@ -556,7 +565,7 @@ def test_a_constant_integral_power_is_written_inline():
     # power overflows or divides by zero included, has the bits _real_pow
     # gives
     powers = [grammar._tree(src, 1, 1, "expression") for src in ("x0^3 + u0^2", "x0^0.5", "x0^-2")]
-    text = ast.unparse(grammar._entries_code(powers, "powers", (3,))[1])
+    text = ast.unparse(ast.parse(grammar._entries_code(powers, "powers", (3,))[1].source))
     assert text.count("_real_pow(") == 2 and text.count(" ** ") == 2
     fn = grammar._entries_function(powers, "powers", (3,))
     pow_ = grammar._real_pow
@@ -688,3 +697,117 @@ def test_a_compile_shared_by_shape_is_a_fresh_compile_bit_for_bit(case, x, u, p,
     if shapes(srcs, cost) == shapes(twin_srcs, twin_cost):
         assert compiles == [], (srcs, cost, twin_srcs, twin_cost)
     forget_compiles()
+
+
+# Generated code as text.
+
+def written(text):
+    """The generated function x -> the expression text, compiled as the
+    grammar compiles its forms."""
+    code = grammar._Code()
+    return code.compile(code.define("written", ("x",), text))(())
+
+
+def outcome(fn, x, raw=False):
+    """The bits of fn(x), a float or a complex, with NaN as the one
+    canonical NaN unless raw, or the type of the error it raises."""
+    try:
+        v = complex(fn(x))
+    except ArithmeticError as e:
+        return type(e)
+    if raw:
+        return struct.pack("dd", v.real, v.imag)
+    return bits([v.real, v.imag])
+
+
+LITERALS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e-310,
+            1e300, -1e300, -2.0, 0.5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(LITERALS), st.floats(allow_nan=False)),
+       st.one_of(st.sampled_from(LITERALS), st.floats(-4.0, 4.0)))
+def test_the_package_numbers_are_written_back_bit_for_bit(v, x):
+    # a number of the package's own code is a literal of the generated
+    # text: alone and negated it has its bits, and as either operand of
+    # each operator it groups as in the code run on operands.  -2.0 ** x is
+    # -(2.0 ** x), so a negative base is written in parentheses
+    operand = grammar._Operand(grammar._Code(), "x")
+    name, number = ("x", grammar._ATOM), grammar._number(v)
+    assert outcome(written(grammar._returned(v)), x, True) == outcome(lambda x: v, x, True)
+    assert outcome(written(grammar._written("-x", [number])), x, True) == \
+        outcome(lambda x: -v, x, True)
+    cases = [(lambda x: x + v, (operand + v).expr()), (lambda x: v + x, (v + operand).expr()),
+             (lambda x: x - v, (operand - v).expr()), (lambda x: x * v, (operand * v).expr()),
+             (lambda x: v * x, (v * operand).expr()), (lambda x: x / v, (operand / v).expr()),
+             (lambda x: v / x, (v / operand).expr()),
+             (lambda x: v ** x, grammar._written("**", [number, name])),
+             (lambda x: x ** v, grammar._written("**", [name, number]))]
+    for want, text in cases:
+        assert outcome(written(text), x) == outcome(want, x), (text, v, x)
+
+
+def test_an_ordered_sum_of_250_products_compiles_to_the_bits_of_dot():
+    # flows._dot run on operands writes ((0.0 + a0 b0) + a1 b1) + ... with
+    # no parentheses, which Python's tokenizer takes at most 200 deep
+    code = grammar._Code()
+    a, b = ([grammar._read(code, vec, i) for i in range(250)] for vec in "ab")
+    fn = code.compile(code.define("dot", ("a", "b"), grammar._returned(_dot(a, b))))(())
+    rng = np.random.default_rng(250)
+    for scale in (1.0, 1e-160, 1e150, 1e300):
+        x, y = (rng.standard_normal(250) * scale for _ in range(2))
+        x[::7] = -0.0
+        assert bits(fn(x, y)) == bits(_dot(x.tolist(), y.tolist())), scale
+
+
+def test_a_traceback_shows_the_generated_line():
+    # each compile has a file name of its own, whose text linecache holds
+    forget_compiles()
+    f, _, _ = grammar.compile_dynamics(("x1", "-sin(x0) + u0"), 2, 1)
+    with pytest.raises(IndexError) as raised:
+        f([1.0], [0.0])
+    frame = traceback.extract_tb(raised.value.__traceback__)[-1]
+    assert "x[1]" in frame.line and frame.line in inspect.getsource(f)
+    assert frame.filename.startswith("<pmpkit.grammar dynamics ") and frame.name == "dynamics"
+
+
+def test_the_arc_loop_runs_on_lines_of_its_own():
+    # a profiler names the line of the loop where time goes
+    f, df, _ = grammar.compile_dynamics(("x1", "-sin(x0) + u0"), 2, 1)
+    sides = pmp._probes(box([-1.0], [1.0])).sides
+    run, trial = f.arc_run(df, None, None, sides, 1e-9, 0.1)(0.1, 1.0, -1.0, *[None] * 4)
+    for fn in (run, trial):
+        assert len({line for _, _, line in fn.__code__.co_lines()}) > 10
+
+
+def test_a_fresh_compile_leaves_no_cyclic_garbage():
+    # the tracer's operands hold their code and its operations hold them:
+    # compiling lets the operations go, so a compile's garbage is freed at
+    # once, not at a full collection that a short run may never make
+    forget_compiles()
+    gc.collect()
+    gc.disable()
+    try:
+        generated_forms(["x1", "-sin(x0) + u0"], "x0^2 + u0^2", 2, 1)
+        f, df, _ = grammar.compile_dynamics(("x1", "-sin(x0) + u0"), 2, 1)
+        F, (dF, _) = grammar.parse_expression("x0^2 + u0^2", 2, 1), \
+            grammar.compile_gradient("x0^2 + u0^2", 2, 1)
+        assert f.arc_run(df, F, dF, pmp._probes(box([-1.0], [1.0])).sides, 1e-9, 0.1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_a_source_is_held_only_as_long_as_its_compile():
+    # _FORMS keeps 512 compiles; the text of each one it lets go, and of
+    # every one forget_compiles clears, leaves linecache with it
+    def held():
+        return sum(name.startswith("<pmpkit.grammar ") for name in linecache.cache)
+
+    forget_compiles()
+    assert held() == 0
+    for n in range(1, 530):
+        grammar.parse_expression(" * ".join(["x0"] * n), 1, 0)
+    assert held() == len(grammar._FORMS) == 512
+    forget_compiles()
+    assert held() == 0

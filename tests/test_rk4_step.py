@@ -12,7 +12,8 @@ the adjoint interpolates no state; that only the rank rule calls numpy's
 SVD; that the Hamiltonian maximizer has one implementation, which
 shooting and `check_pmp` bind once, and whose fit reads values; that no
 numpy product pairs a covector with a rate or a Jacobian; and that the
-ordered sum of those pairings is written once, in `flows._dot`.
+ordered sum of those pairings is written once, in `flows._dot`.  The scan
+reads the templates of generated code in the package too.
 """
 
 import ast
@@ -20,6 +21,7 @@ import glob
 import inspect
 import math
 import os
+import string
 
 import numpy as np
 import pytest
@@ -114,9 +116,25 @@ def _doubled(node):
                     for side in (node.left, node.right)))
 
 
+def _templates(tree):
+    """The parsed code of each string of tree that is a template of Python
+    code: a string that parses once each of its `str.format` fields reads
+    as a name."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+            continue
+        try:
+            yield ast.parse("".join(literal + ("" if field is None else f"_{field or 'f'}")
+                                    for literal, field, _, _ in
+                                    string.Formatter().parse(node.value)))
+        except (SyntaxError, ValueError):
+            continue
+
+
 def rk4_combinations(source):
     """Names of the functions holding an RK4 stage combination: a sum of
-    four terms, two of them doubled, as in k1 + 2 k2 + 2 k3 + k4."""
+    four terms, two of them doubled, as in k1 + 2 k2 + 2 k3 + k4, in source
+    or in a template in it (None outside a function)."""
     found = []
 
     def terms(node):
@@ -135,7 +153,9 @@ def rk4_combinations(source):
         for child in ast.iter_child_nodes(node):
             visit(child, func, is_sum)
 
-    visit(ast.parse(source), None, False)
+    tree = ast.parse(source)
+    for code in (tree, *_templates(tree)):
+        visit(code, None, False)
     return found
 
 
@@ -169,13 +189,26 @@ def test_rk4_step_makes_no_numpy_call():
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
 
 
+def _generated_tops():
+    """(file name, top-level node) of every top-level statement of the
+    templates of generated code in the package."""
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for template in _templates(tree):
+            for top in template.body:
+                yield os.path.basename(path), top
+
+
 def _top_functions():
-    """(file name, top-level node) of every top-level statement of the package."""
+    """(file name, top-level node) of every top-level statement of the
+    package and of its templates of generated code."""
     for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
         with open(path) as fh:
             tree = ast.parse(fh.read())
         for top in tree.body:
             yield os.path.basename(path), top
+    yield from _generated_tops()
 
 
 def _calls(node, name):
@@ -362,27 +395,27 @@ def test_no_numpy_product_pairs_a_covector_with_a_rate_or_a_jacobian():
     }
 
 
-def _sums_products(node):
+def _sums_products(node, generated=False):
     """Whether node adds up products: s += a * b into a name, or s += v for
     v over a map of a multiplication; a sum, fsum,
-    sumprod or reduce of products, or of a sequence of them; or the
-    grammar's emission of an addition of an emitted product, or of a local
-    holding one."""
+    sumprod or reduce of products, or of a sequence of them; the grammar's
+    writing of an addition whose terms hold a written product; or, in
+    generated code, an addition of a product."""
     def product(n):
         if isinstance(n, (ast.GeneratorExp, ast.ListComp)):
             n = n.elt
         return isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
 
-    def emitted_product(n):
-        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "local" and n.args:
-            n = n.args[0]
-        return (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_op"
-                and "ast.Mult" in map(ast.unparse, n.args))
+    def written(n, op):
+        return (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_written"
+                and bool(n.args) and isinstance(n.args[0], ast.Constant) and n.args[0].value == op)
 
     def accumulates(n):
         return (isinstance(n, ast.AugAssign) and isinstance(n.op, ast.Add)
                 and isinstance(n.target, ast.Name))
 
+    if generated and isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        return product(node.left) or product(node.right)
     if accumulates(node):
         return product(node.value)
     if isinstance(node, ast.For):
@@ -393,8 +426,7 @@ def _sums_products(node):
     name = getattr(node.func, "id", getattr(node.func, "attr", None))
     if name in ("sum", "fsum", "sumprod", "reduce"):
         return any(map(product, node.args)) or name == "sumprod"
-    return (name == "_op" and "ast.Add" in map(ast.unparse, node.args)
-            and any(map(emitted_product, node.args)))
+    return written(node, "+") and any(written(n, "*") for n in ast.walk(node))
 
 
 def test_ordered_sum_is_written_once():
@@ -405,6 +437,8 @@ def test_ordered_sum_is_written_once():
     # or sumprod (extended-precision)
     writers = {(name, where) for name, top in _top_functions()
                for node, where in _innermost(top) if _sums_products(node)}
+    writers |= {(name, where) for name, top in _generated_tops()
+                for node, where in _innermost(top) if _sums_products(node, generated=True)}
     assert writers == {("flows.py", "_dot")}
     dot = next(top for name, top in _top_functions()
                if name == "flows.py" and getattr(top, "name", None) == "_dot")
@@ -414,11 +448,18 @@ def test_ordered_sum_is_written_once():
 
 
 def test_guards_see_the_forms_they_forbid():
-    # the scans are not vacuous: they see a numpy pairing of p with a rate
-    # and the old Python and generated forms of the ordered sum
+    # the scans are not vacuous: they see a numpy pairing of p with a rate,
+    # the old Python forms of the ordered sum, its writing by the grammar
+    # and a template that writes it or an RK4 combination out
     top = ast.parse("def H(u):\n    return float(pa @ np.array(rate(x, u)))\n").body[0]
     assert list(_products(top)) == [("H", "pa @ np.array(rate(x, u))")]
     for source in ("s = 0.0\nfor v in map(operator.mul, p, r):\n    s += v",
                    "q = sum((J[k] * p[k] for k in range(m)), 0.0)",
-                   "s = local(_op(s, ast.Add, local(_op(_name(pi), ast.Mult, f))))"):
+                   "s = _written('+', [(s, 1), (_written('*', [pi, f]), 2)])"):
         assert any(map(_sums_products, ast.walk(ast.parse(source)))), source
+    template = ('_H = """\\\ndef H({p}, f):\n'
+                '    return {p0f} * F + {p}[0] * f[0] + {p}[1] * f[1]"""')
+    assert [any(_sums_products(node, generated=True) for node in ast.walk(code))
+            for code in _templates(ast.parse(template))] == [True]
+    assert rk4_combinations('_STEP = "{y} + {h} / 6.0 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"') \
+        == [None]

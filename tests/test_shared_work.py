@@ -660,8 +660,8 @@ def test_generated_coupled_step_is_one_rk4_step_without_numpy(srcs, cost):
                          for j in range(m)]
     _, step = grammar._coupled_step_code(bodies, jacobian, gradient, 1, True)
     # one RK4 combination k1 + 2 k2 + 2 k3 + k4 per component of y = (x, p)
-    assert rk4_combinations(ast.unparse(step)) == ["coupled_step"] * (2 * m)
-    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(step)
+    assert rk4_combinations(step.source) == ["coupled_step"] * (2 * m)
+    used = [grammar._GLOBALS.get(node.id) for node in ast.walk(ast.parse(step.source))
             if isinstance(node, ast.Name)]
     assert not [obj for obj in used
                 if obj is np or (getattr(obj, "__module__", None) or "").startswith("numpy")]
