@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -103,6 +105,11 @@ def _real(value):
         return math.copysign(math.inf, value)
 
 
+def _finite_floats(items):
+    """Whether the list items holds only finite floats of Python's own type."""
+    return set(map(type, items)) == {float} and all(map(math.isfinite, items))
+
+
 def _number(what, ok=None):
     """A read of a number that `ok` accepts."""
     def read(value, path):
@@ -151,6 +158,32 @@ def _array(ndim, size=None, finite=True, within=None):
             raise _bad(path, "in the control set", value)
         return x
     return read
+
+
+def _vectors(size, within):
+    """A read of a list of points of the control set `within`, each a finite
+    numeric vector of length `size`: `_list(_array(1, size, within=within))`,
+    whose errors it raises.  A list of lists of `size` floats, as `shoot`
+    writes, is read in one pass, with `contains` on each value."""
+    each = _list(_array(1, size, within=within))
+
+    def read(value, path):
+        if (isinstance(value, list) and set(map(type, value)) == {list}
+                and set(map(len, value)) == {size}
+                and _finite_floats(list(itertools.chain.from_iterable(value)))):
+            x = np.array(value)
+            if all(map(within.contains, x)):
+                return tuple(x)
+        return each(value, path)
+    return read
+
+
+def _times(value, path):
+    """A read of a list of numbers, `_list(_number("a number"))`; a list of
+    floats is read at once."""
+    if isinstance(value, list) and set(map(type, value)) <= {float}:
+        return tuple(value)
+    return _list(_number("a number"))(value, path)
 
 
 def _horizon(value, path):
@@ -221,11 +254,11 @@ def _parse_boundary_end(bd, end, m):
 _SIGNAL = _object("switch_times", "values")
 
 
-def _parse_signal(spec, path, a, b, value):
-    """The control signal read from the object at `path`, each value by the
-    read `value`."""
-    times = _get(spec, "switch_times", path, _list(_number("a number")), ())
-    values = _get(spec, "values", path, _list(value))
+def _parse_signal(spec, path, a, b, values):
+    """The control signal read from the object at `path`, its values by the
+    read `values`."""
+    times = _get(spec, "switch_times", path, _times, ())
+    values = _get(spec, "values", path, values)
     try:
         return ControlSignal(a, b, times, values)
     except ValueError as e:
@@ -234,7 +267,7 @@ def _parse_signal(spec, path, a, b, value):
 
 def _emit_signal(sig):
     return {"switch_times": list(sig.switch_times),
-            "values": [list(v) for v in sig.values]}
+            "values": [v.tolist() for v in sig.values]}
 
 
 _PROBLEM = _object("name", "dynamics", "control_set", "cost", "horizon", "p0", "boundary",
@@ -283,7 +316,7 @@ class Problem:
         self.step = _get(integ, "step", "integrator", _positive, None)
         control = _get(data, "control", "", _SIGNAL, None)
         self.control = (None if control is None else _parse_signal(
-            control, "control", self.a, self.b, _array(1, k, within=self.control_set)))
+            control, "control", self.a, self.b, _vectors(k, self.control_set)))
         spec = _get(data, "cones", "", _object("time", "times", "controls", "queries"), None)
         self.cones = None
         if spec is not None:
@@ -338,10 +371,65 @@ def _g17(v) -> float:
     return float("%.17g" % float(v))
 
 
+def _json_text(obj, indent="\n"):
+    """The text `json.dumps(obj, indent=2)` writes for obj, whose lines
+    start at indent (a newline and the spaces before them): objects whose
+    keys are strings, numbers, booleans or None, lists and tuples, strings
+    (json's own C escaping), None,
+    booleans, integers and floats, a float subclass such as numpy's
+    float64 included (`float.__repr__`, or NaN, Infinity or -Infinity).
+    Any other type raises TypeError, as json does without a default."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        # a signal's times, a list of finite floats, and its values, a list
+        # of lists of as many finite floats, are formatted in one operation
+        if _finite_floats(obj):
+            items = sep.join(map(float.__repr__, obj))
+        elif (set(map(type, obj)) == {list} and len(set(map(len, obj))) == 1
+                and _finite_floats(cells := list(itertools.chain.from_iterable(obj)))):
+            cell = inner + "  "
+            row = "[" + cell + ("," + cell).join(["%r"] * len(obj[0])) + inner + "]"
+            items = sep.join([row] * len(obj)) % tuple(cells)
+        else:
+            items = sep.join([_json_text(v, inner) for v in obj])
+        return "[" + inner + items + indent + "]"
+    if isinstance(obj, dict):
+        items = []
+        for key, v in obj.items():
+            if isinstance(key, (int, float)) or key is None:
+                # json writes such a key as the string of its value
+                key = _json_text(key)
+            elif not isinstance(key, str):
+                raise TypeError("keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(path, obj):
+    """Write to path, in one write, the bytes `json.dump(obj, fh, indent=2)`
+    and a newline would."""
+    text = _json_text(obj) + "\n"
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _adjoint_to_csv(adj: AdjointCurve, path):
@@ -351,19 +439,37 @@ def _adjoint_to_csv(adj: AdjointCurve, path):
 
 
 def _load_csv(path, expect_prefix):
+    """The rows under the header of the CSV file at path, blank lines
+    skipped, as a float array, every cell parsed in one pass by `float`.  A
+    header that does not start with expect_prefix, a cell that is no
+    number, rows of unequal length, fewer than two rows and a cell that is
+    not finite are bad input; the last is named by its row, counted from 0
+    under the header, and its column."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh) if ln]
     except (FileNotFoundError, NotADirectoryError):
         raise ProblemError(f"missing file: {path}")
     if not lines or not lines[0].startswith(expect_prefix):
         raise ProblemError(f"{path}: expected header starting with '{expect_prefix}'")
+    rows = lines[1:]
+    if not rows:
+        raise ProblemError(f"{path}: need at least two data rows")
     try:
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        cells = list(map(float, ",".join(rows).split(",")))
     except ValueError:
         raise ProblemError(f"{path}: non-numeric row")
-    if data.ndim != 2 or data.shape[0] < 2:
+    if len({row.count(",") for row in rows}) != 1:
+        raise ProblemError(f"{path}: non-numeric row")
+    if len(rows) < 2:
         raise ProblemError(f"{path}: need at least two data rows")
+    data = np.array(cells).reshape(len(rows), -1)
+    if not np.isfinite(data).all():
+        i, j = divmod(int(np.flatnonzero(~np.isfinite(data))[0]), data.shape[1])
+        names = lines[0].split(",")
+        column = names[j].strip() if j < len(names) else f"{j}"
+        raise ProblemError(f"{path}: row {i}, column {column} must be finite, "
+                           f"got {rows[i].split(',')[j].strip()!r}")
     return data
 
 
@@ -417,7 +523,7 @@ def _load_extremal(problem: Problem, out_dir):
     # condition, H there exceeding its sup over U, so it is bad input
     sig = _parse_signal(_SIGNAL(_read_json(path, "missing file"), path), path,
                         float(grid[0]), float(grid[-1]),
-                        _array(1, problem.sys.k, within=problem.control_set))
+                        _vectors(problem.sys.k, problem.control_set))
     if header_cols == m + 1:
         states = np.column_stack([tdata[:, -1], tdata[:, 1:m + 1]])
     elif header_cols == m:

@@ -170,22 +170,33 @@ def extend(sys: ControlSystem) -> ControlSystem:
 
     The Jacobian of the extended dynamics has a zero column for x0, so the
     adjoint coordinate paired with x0 is constant along any adjoint flow.
+
+    Where f is the grammar's generated dynamics with its generated Jacobian
+    and F is None or a grammar expression with a generated gradient, the
+    extension is itself a grammar dynamics of m + 1 states (`f.extension`,
+    `grammar.compile_dynamics`), with the generated runner, Jacobian and
+    adjoint sweep, bit for bit as `f_hat` and `df_hat` below, which every
+    other system keeps.
     """
     if sys.extended:
         raise ValueError("system is already extended")
+    extension = getattr(sys.f, "extension", None)
+    generated = extension and extension(sys.df_dx, sys.F, sys.dF_dx)
+    if generated:
+        f_hat, df_hat = generated
+    else:
+        def f_hat(xh, u):
+            x = xh[1:]
+            return [sys.cost_rate(x, u)] + sys._rate(x, u)
 
-    def f_hat(xh, u):
-        x = xh[1:]
-        return [sys.cost_rate(x, u)] + sys._rate(x, u)
+        def df_hat(xh, u):
+            x = xh[1:]
+            J = np.zeros((sys.m + 1, sys.m + 1))
+            J[0, 1:] = sys.cost_grad_x(x, u)
+            J[1:, 1:] = sys.jac_x(x, u)
+            return J
 
-    def df_hat(xh, u):
-        x = xh[1:]
-        J = np.zeros((sys.m + 1, sys.m + 1))
-        J[0, 1:] = sys.cost_grad_x(x, u)
-        J[1:, 1:] = sys.jac_x(x, u)
-        return J
-
-    f_hat.on_lists = True
+        f_hat.on_lists = True
     return ControlSystem(m=sys.m + 1, k=sys.k, f=f_hat, control_set=sys.control_set,
                          F=None, df_dx=df_hat, extended=True, u_degree=sys.u_degree)
 
@@ -293,10 +304,15 @@ class ExtendedTrajectory(Trajectory):
 
 def _write_csv(path, header: str, rows) -> None:
     """The one CSV writer: header and rows to path or a file object, numbers
-    as %.17g (they read back exactly), strings as they are."""
-    lines = [header] + [",".join(v if isinstance(v, str) else "%.17g" % v for v in row)
-                        for row in rows]
-    text = "\n".join(lines) + "\n"
+    as %.17g of Python numbers (they read back exactly), strings as they
+    are.  A 2-D array of rows is formatted in one operation."""
+    if isinstance(rows, np.ndarray):
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        text = header + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist())
+    else:
+        rows = [row.tolist() if isinstance(row, np.ndarray) else row for row in rows]
+        text = "\n".join([header] + [",".join(v if isinstance(v, str) else "%.17g" % v
+                                                for v in row) for row in rows]) + "\n"
     if hasattr(path, "write"):
         path.write(text)
     else:

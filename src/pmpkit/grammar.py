@@ -50,7 +50,10 @@ the public entry points' recent results, keyed on their texts, and behind
 them `_FORMS`, each generated form compiled once per shape of its trees
 (`_shaped`): trees that differ only in numbers other than a power's
 exponent share its code, with their own numbers bound, and the arc loop,
-which reads no tree, is kept once per m, box and tolerances.
+which reads no tree, is kept once per m, box and tolerances.  The
+extended system of a grammar system with a grammar cost is a grammar
+dynamics too, of the cost's and f's trees with their states renamed, and
+a dynamics keeps the extensions of its last few costs.
 """
 
 from __future__ import annotations
@@ -451,6 +454,12 @@ except _guarded:
     {name} = _nan"""
 
 
+def _children(node):
+    """The operands of an operation node of a validated tree, in order."""
+    return ([node.left, node.right] if isinstance(node, ast.BinOp)
+            else [node.operand] if isinstance(node, ast.UnaryOp) else node.args)
+
+
 class _Code:
     """One generated function (x, u) -> value, built statement by statement
     as text.
@@ -533,10 +542,7 @@ class _Code:
                 continue
             if not ready and not isinstance(node, ast.Name):
                 stack.append((node, True))
-                children = ([node.left, node.right] if isinstance(node, ast.BinOp)
-                            else [node.operand] if isinstance(node, ast.UnaryOp)
-                            else node.args)
-                stack += [(c, False) for c in reversed(children)]
+                stack += [(c, False) for c in reversed(_children(node))]
                 continue
             if isinstance(node, ast.Name):
                 kind, idx = _NAME_RE.match(node.id).groups()
@@ -1120,10 +1126,10 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries five generated forms, each compiled where a call finds it in
+    carries six generated forms, each compiled where a call finds it in
     no memo (below), since only some paths run it: three RK4 forms with u
-    held, the box maximizer's probe fit, and shooting's loop on a finite
-    box.
+    held, the box maximizer's probe fit, shooting's loop on a finite box,
+    and the extended system.
     - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
       one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
@@ -1166,6 +1172,18 @@ def compile_dynamics(srcs, m: int, k: int):
       not finite.  `_propagator` takes it where the maximizer's probe fit
       is generated too: a grammar system on a finite box with plain
       divisors and a declared degree of at most 2.
+    - `f.extension(df_dx, F, dF_dx)` returns (f_hat, df_hat), the dynamics
+      and Jacobian of the extended system (x0, x) with x0' = F, which
+      `control_system.extend` takes, or None unless the system qualifies
+      as for `coupled_step` and F is None or a grammar expression:
+      `_dynamics` of F's tree (the number 0.0 without a cost) and f's trees
+      with every state x_i renamed x_{i+1} (`_shifter`), on m + 1 states,
+      with Jacobian rows [0, dF/dx] and [0, df_i/dx] (`_extension`).
+      f_hat carries every form above, compiled once per shape of its
+      trees, so the extension of a new cost weight compiles nothing, and
+      its values, Jacobian, path and adjoint sweep have the bits of
+      `extend`'s `f_hat` and `df_hat`.  f keeps the extensions of its last
+      8 costs, keyed on the functions F and dF_dx.
 
     Every form is source text emitted from templates, compiled under a file
     name of its own (`<pmpkit.grammar NAME N>`) that tracebacks, profilers
@@ -1199,7 +1217,14 @@ def compile_dynamics(srcs, m: int, k: int):
             elif entries is not None:
                 for j in range(m):
                     entries.append(_derivative(body, j))
+    return (*_dynamics(bodies, entries, m, k), max_degree(degrees))
 
+
+def _dynamics(bodies, entries, m: int, k: int):
+    """(f, df/dx) of `compile_dynamics` for the validated trees `bodies` of
+    f on m states and k controls and the trees `entries` of df/dx laid out
+    row after row, None where some tree has a state in an exponent: f
+    carries its forms, and df/dx is None without entries."""
     # `signal_field` asks for the runner once per simulated path, so the
     # shape of f that keys it is taken once, here
     body_shape = _shape([bodies])
@@ -1207,7 +1232,7 @@ def compile_dynamics(srcs, m: int, k: int):
     def runner():
         return _shaped("dynamics_run", body_shape, lambda: _dynamics_run_code(bodies, k), k)
 
-    n = len(srcs)
+    n = len(bodies)
     dynamics = _entries_function(bodies, "dynamics", (n,))
     df = None if entries is None else _entries_function(entries, "dynamics_jacobian", (n, m))
     square = df is not None and n == m
@@ -1257,12 +1282,75 @@ def compile_dynamics(srcs, m: int, k: int):
         return _shaped("arc", _shape([]), lambda: _arc_code(m, sides.tolist(), fit_tol, jump_tol),
                        m, sides.tobytes(), fit_tol, jump_tol)
 
+    def extension(df_dx, F, dF_dx):
+        if not qualifies(df_dx, F, dF_dx) or F is not None and not hasattr(F, "tree"):
+            return None
+        return extended(F, dF_dx)
+
+    # `extend` asks for the extension of each system it extends, so the
+    # extensions of the last few costs, each a grammar expression and its
+    # generated gradient (or None), are kept
+    @functools.lru_cache(maxsize=8)
+    def extended(F, dF_dx):
+        return _extension(bodies, entries, None if F is None else F.tree,
+                          None if F is None else dF_dx.entries, m, k)
+
     dynamics.runner = runner
     dynamics.arc_run = arc_run
     dynamics.coupled_step = coupled_step
     dynamics.adjoint_run = adjoint_run
     dynamics.probe_fit = probe_fit
-    return dynamics, df, max_degree(degrees)
+    dynamics.extension = extension
+    return dynamics, df
+
+
+def _shifter():
+    """shift(tree) -> a copy of the validated tree with each state x_i named
+    x_{i+1}, made node by node with an explicit stack, so no depth limit
+    applies.  A number or a control keeps its node, and the copies share
+    what the trees share: a node met again, in this tree or an earlier
+    one, is copied once (`_derivative` shares subtrees between a tree and
+    its derivatives)."""
+    copies = {}
+
+    def shift(tree):
+        stack = [(tree, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in copies:
+                continue
+            if isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id[0] == "u":
+                copies[id(node)] = node
+            elif isinstance(node, ast.Name):
+                copies[id(node)] = ast.Name(f"x{int(node.id[1:]) + 1}", ast.Load())
+            elif not ready:
+                stack.append((node, True))
+                stack += [(c, False) for c in _children(node)]
+            elif isinstance(node, ast.BinOp):
+                copies[id(node)] = ast.BinOp(copies[id(node.left)], node.op,
+                                             copies[id(node.right)])
+            elif isinstance(node, ast.UnaryOp):
+                copies[id(node)] = ast.UnaryOp(node.op, copies[id(node.operand)])
+            else:
+                copies[id(node)] = _call(node.func.id, copies[id(node.args[0])])
+        return copies[id(tree)]
+
+    return shift
+
+
+def _extension(bodies, entries, cost, gradient, m: int, k: int):
+    """(f, df/dx) of `_dynamics` for the extended system of the dynamics
+    with trees `bodies` and Jacobian trees `entries`, cost tree `cost` and
+    gradient trees `gradient`, both None without a cost: one grammar
+    dynamics of m + 1 states (x0, x), the cost first, with every state of
+    the trees renamed one place on (`_shifter`).  Its Jacobian rows are
+    [0, dF/dx] (all zero without a cost) and [0, df_i/dx], the zeros the
+    number 0.0, as `control_system.extend`'s `df_hat` fills them."""
+    shift = _shifter()
+    rows = [gradient or [None] * m] + [entries[i * m:(i + 1) * m] for i in range(m)]
+    jacobian = [_num(0.0) if t is None else shift(t) for row in rows for t in (None, *row)]
+    return _dynamics([_num(0.0) if cost is None else shift(cost), *map(shift, bodies)],
+                     jacobian, m + 1, k)
 
 
 @functools.lru_cache(maxsize=128)

@@ -11,9 +11,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import pmpkit
 from pmpkit import cli, shooting
+from pmpkit.control_system import ControlSignal, ExtendedTrajectory, extend
+from pmpkit.pmp import AdjointCurve
 
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -880,6 +883,31 @@ class TestShootAndCheck:
         with open(os.path.join(golden, "report.json")) as fh:
             assert (work / "report.json").read_text() == fh.read()
 
+    @pytest.mark.parametrize("name, column, message", [
+        # the grid test |t - t_adjoint| > 1e-12 is False for NaN
+        ("adjoint.csv", 0, "row 100, column t must be finite, got 'nan'"),
+        # check_pmp skips a node whose state is not finite
+        ("trajectory.csv", 1, "row 100, column x0 must be finite, got 'nan'"),
+        ("trajectory.csv", 2, "row 100, column xcost must be finite, got '-inf'"),
+    ])
+    def test_check_refuses_a_stored_cell_that_is_not_finite(self, tmp_path, capsys, name,
+                                                            column, message):
+        # the LQR golden with one cell of row 100 made NaN passed as normal
+        golden = os.path.join(GOLDEN, "lqr_expression_shoot")
+        work = tmp_path / "nan"
+        shutil.copytree(golden, work)
+        lines = (work / name).read_text().split("\n")
+        cells = lines[101].split(",")
+        cells[column] = message.rsplit("'", 2)[1]
+        lines[101] = ",".join(cells)
+        (work / name).write_text("\n".join(lines))
+        assert cli.main(["check", "--problem", str(work / "problem.json"),
+                         "--out", str(work)]) == 2
+        assert capsys.readouterr().err == f"error: {work / name}: {message}\n"
+        # and writes no report
+        with open(os.path.join(golden, "report.json")) as fh:
+            assert (work / "report.json").read_text() == fh.read()
+
     def test_lqr_passes_fixed_fails_free(self, lqr_dir):
         prob = str(lqr_dir / "problem.json")
         out = str(lqr_dir / "out")
@@ -1124,3 +1152,108 @@ def test_shooting_options_at_their_defaults_give_the_golden_result(tmp_path):
     assert cli.main(["shoot", "--problem", path, "--out", str(out)]) == 0
     with open(os.path.join(GOLDEN, "min_time_double_integrator", "result.json")) as fh:
         assert (out / "result.json").read_text() == fh.read()
+
+
+# The files the CLI writes: JSON with the bytes of json's own indented
+# writer, and an extremal that `check` reads back bit for bit.
+
+JSON_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300, math.inf, -math.inf, math.nan)))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.text(), JSON_FLOATS,
+                         JSON_FLOATS.map(np.float64))
+# a signal's values: lists of as many floats
+JSON_ROWS = st.integers(0, 3).flatmap(
+    lambda n: st.lists(st.lists(st.one_of(JSON_FLOATS, st.integers()), min_size=n, max_size=n),
+                       max_size=5))
+# json writes a number, a boolean or None as a key as the string of its value
+JSON_KEYS = st.one_of(st.text(), st.integers(), JSON_FLOATS, st.booleans(), st.none())
+JSON_PAYLOADS = st.recursive(
+    st.one_of(JSON_SCALARS, JSON_ROWS, st.lists(JSON_FLOATS)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(JSON_KEYS, children, max_size=4)),
+    max_leaves=30)
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("written")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(JSON_PAYLOADS)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(scratch_dir, obj):
+    path = scratch_dir / "payload.json"
+    cli._write_json(path, obj)
+    assert path.read_bytes() == (json.dumps(obj, indent=2) + "\n").encode()
+
+
+def test_the_json_writer_refuses_what_json_refuses(scratch_dir):
+    for obj in ({(1,): 2.0}, {np.int64(1): 2.0}, [np.int64(3)], {"a": object()}):
+        with pytest.raises(TypeError) as ours:
+            cli._write_json(scratch_dir / "bad.json", obj)
+        with pytest.raises(TypeError) as theirs:
+            json.dumps(obj, indent=2)
+        assert str(ours.value) == str(theirs.value)
+
+
+STORED = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300)))
+
+
+@st.composite
+def stored_extremals(draw):
+    """(problem, ext_traj, adjoint, signal, with_cost): an extremal of m =
+    1..3 states and k = 1..2 controls on a grid of 2..8 nodes, with switches
+    at up to 3 inner nodes, its states, cost, covectors and control values
+    mixing signed zeros, subnormals and +-1e300 into finite numbers, and
+    the problem of a box with infinite sides; with_cost tells whether the
+    trajectory is stored with its cost column, as `shoot` writes it, or
+    without, as `simulate` does for a problem with no cost."""
+    m, k, n = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(2, 8))
+    grid = np.cumsum([draw(st.sampled_from((0.0, -3.5, 1.0)))]
+                     + draw(st.lists(st.floats(1e-3, 2.0), min_size=n - 1, max_size=n - 1)))
+    assume(np.all(np.diff(grid) > 0))
+    switches = sorted(draw(st.sets(st.sampled_from(grid[1:-1].tolist()), max_size=3))
+                      if n > 2 else [])
+    values = [draw(st.lists(STORED, min_size=k, max_size=k)) for _ in range(len(switches) + 1)]
+    signal = ControlSignal(float(grid[0]), float(grid[-1]), tuple(switches), tuple(values))
+    with_cost = draw(st.booleans())
+    cost = draw(st.lists(STORED, min_size=n, max_size=n)) if with_cost else [0.0] * n
+    states = np.column_stack([cost, draw(st.lists(st.lists(STORED, min_size=m, max_size=m),
+                                                  min_size=n, max_size=n))])
+    sigma = np.array(draw(st.lists(st.lists(STORED, min_size=m, max_size=m),
+                                   min_size=n, max_size=n)))
+    problem = cli.Problem({"dynamics": {"expressions": ["u0"] * m},
+                           "control_set": {"kind": "box", "lo": [-math.inf] * k,
+                                           "hi": [math.inf] * k}})
+    ext_traj = ExtendedTrajectory(grid, states, signal, extend(problem.sys))
+    adjoint = AdjointCurve(grid=grid, sigma0=draw(STORED), sigma=sigma)
+    return problem, ext_traj, adjoint, signal, with_cost
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stored_extremals())
+def test_a_stored_extremal_reads_back_bit_for_bit(scratch_dir, case):
+    problem, ext_traj, adjoint, signal, with_cost = case
+    out = str(scratch_dir)
+    path = os.path.join(out, "trajectory.csv")
+    if with_cost:
+        ext_traj.to_csv(path)
+    else:
+        ext_traj.project(problem.sys).to_csv(path)
+    cli._adjoint_to_csv(adjoint, os.path.join(out, "adjoint.csv"))
+    cli._write_json(os.path.join(out, "control.json"), cli._emit_signal(signal))
+    ext = cli._load_extremal(problem, out)
+    assert same_bits(ext.ext_traj.grid, ext_traj.grid)
+    assert same_bits(ext.ext_traj.states, ext_traj.states)
+    assert same_bits(ext.adjoint.grid, adjoint.grid)
+    assert same_bits(ext.adjoint.sigma0, adjoint.sigma0)
+    assert same_bits(ext.adjoint.sigma, adjoint.sigma)
+    assert same_bits(ext.control.switch_times, signal.switch_times)
+    assert same_bits(ext.control.values, signal.values)

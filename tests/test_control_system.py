@@ -11,6 +11,7 @@ from pmpkit.control_system import (
     ControlSystem,
     Trajectory,
     _switches_at,
+    _write_csv,
     ball,
     box,
     constant_signal,
@@ -493,3 +494,18 @@ class TestCsvExport:
         assert lines[0] == "t,x0,xcost"
         last = [float(v) for v in lines[-1].split(",")]
         assert last[2] == cost(traj)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda c: st.tuples(st.just(c), st.lists(st.lists(
+        st.one_of(st.floats(), st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300,
+                                                -1e300, math.inf, -math.inf, math.nan))),
+        min_size=c, max_size=c), max_size=6))))
+    def test_an_array_is_written_as_each_numpy_cell_by_17g(self, case):
+        # one format operation over the rows' Python floats gives the bytes
+        # of %.17g on each numpy scalar, the writer's earlier form
+        c, rows = case
+        a = np.array(rows, dtype=float).reshape(len(rows), c)
+        buf = io.StringIO()
+        _write_csv(buf, "h", a)
+        assert buf.getvalue() == "".join(
+            ["h\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in a])

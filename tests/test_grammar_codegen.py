@@ -424,6 +424,78 @@ def test_generated_adjoint_sweep_matches_the_array_sweep_bit_for_bit(case):
     assert sweep(sys, traj, P_b, p0) == sweep(plain(sys), traj, P_b, p0), case
 
 
+# the extension of a grammar system: one grammar dynamics of m + 1 states,
+# against `extend`'s f_hat and df_hat on the system with f wrapped
+
+SHOT = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300, -1e300)
+shot_numbers = st.one_of(st.floats(-2.0, 2.0), st.sampled_from(SHOT))
+
+
+@st.composite
+def extension_cases(draw):
+    """(sys, u, x0, step): a grammar system of m = 1..2 states and k = 1..2
+    controls with no cost or a grammar cost, on a box wide enough for every
+    value drawn; a shot-like control on [0, 1] of up to 12 pieces, whose
+    values, like the initial state, mix signed zeros, subnormals and
+    +-1e300 (so that states overflow) into finite numbers; and a step."""
+    m, k = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    f, df_dx, _ = grammar.compile_dynamics(tuple(render(draw(trees(m, k))) for _ in range(m)),
+                                           m, k)
+    F = dF = None
+    if draw(st.booleans()):
+        src = render(draw(trees(m, k)))
+        F, (dF, _) = grammar.parse_expression(src, m, k), grammar.compile_gradient(src, m, k)
+    sys = ControlSystem(m=m, k=k, f=f, control_set=box([-1e301] * k, [1e301] * k), F=F,
+                        df_dx=df_dx, dF_dx=dF)
+    switches = sorted(draw(st.sets(st.floats(0.01, 0.99), max_size=11)))
+    values = [draw(st.lists(shot_numbers, min_size=k, max_size=k)) for _ in range(len(switches) + 1)]
+    x0 = [0.0] + draw(st.lists(shot_numbers, min_size=m, max_size=m))
+    return (sys, ControlSignal(0.0, 1.0, tuple(switches), tuple(values)), x0,
+            draw(st.sampled_from((0.25, 0.1, 0.03))))
+
+
+def path(sys, u, x0, step):
+    """simulate's states as bytes, or the time of its FlowBlowUpError."""
+    try:
+        with np.errstate(all="ignore"):
+            return simulate(sys, u, x0, IntegratorConfig(step=step)).states.tobytes()
+    except FlowBlowUpError as e:
+        return ("blow-up", e.t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(extension_cases(), st.lists(st.one_of(shot_numbers, st.sampled_from(SPECIAL)),
+                                   min_size=3, max_size=3))
+def test_the_extension_of_a_grammar_system_is_generated_bit_for_bit(case, point):
+    # its dynamics, its Jacobian with the zero column of x0 and its path
+    # have the bits of f_hat, df_hat and rk4_step on f_hat, and its path
+    # takes the generated runner
+    sys, u, x0, step = case
+    ext, hat = extend(sys), extend(plain(sys))
+    assert ext.f.runner() is not None and not hasattr(hat.f, "runner")
+    x, v = point[:sys.m + 1], u.values[-1]
+    with np.errstate(all="ignore"):
+        assert ext.dynamics(x, v).tobytes() == hat.dynamics(x, v).tobytes()
+        assert ext.jac_x(x, v).tobytes() == hat.jac_x(x, v).tobytes()
+    assert path(ext, u, x0, step) == path(hat, u, x0, step)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(sweep_cases(), st.data())
+def test_the_extension_sweeps_as_the_array_sweep_bit_for_bit(case, data):
+    # the cost coordinate's states and covector entries are drawn as the
+    # others are, non-finite ones included
+    sys, traj, P_b, p0 = case
+    (m, r), n = P_b.shape, len(traj.grid)
+    cost = data.draw(st.lists(states, min_size=n, max_size=n))
+    row = data.draw(st.lists(shot_numbers, min_size=r, max_size=r))
+    ext = extend(sys)
+    assert ext.f.adjoint_run(ext.df_dx, ext.F, ext.dF_dx, r) is not None
+    ext_traj = Trajectory(traj.grid, np.column_stack([cost, traj.states]), traj.control, ext)
+    P = np.vstack([row, P_b])
+    assert sweep(ext, ext_traj, P, p0) == sweep(extend(plain(sys)), ext_traj, P, p0), case
+
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
@@ -486,12 +558,24 @@ def test_systems_with_generated_derivatives_sweep_through_generated_code(r):
         traj = simulate(sys, control, np.array([0.3, -0.7]), IntegratorConfig(step=0.05))
         for p0 in (0.0, -1.0):
             assert sweep(sys, traj, P_b, p0) == sweep(plain(sys), traj, P_b, p0)
-    # a wrapped user callable, finite differences for df/dx or for dF/dx,
-    # and the extended system keep the array loop
+    # a wrapped user callable and finite differences for df/dx or for dF/dx
+    # keep the array loop
     assert no_sweep(plain(pendulum), r)
     assert no_sweep(system(["x1", "2^x0 + u0"]), r)
     assert no_sweep(system(["x1", "-sin(x0) + u0"], "x1^x0 + u0^2"), r)
-    assert no_sweep(extend(system(["x1", "-sin(x0) + u0"], "x0^2 + u0^2")), r)
+    # the extension of a grammar system is a grammar system, and sweeps
+    # through generated code bit for bit as the array loop on the extension
+    # of the system with f wrapped; the extension of that one, or of a
+    # system whose cost gradient is finite differences, does not
+    P_b = np.arange(1.0, 3 * r + 1.0).reshape(3, r) / 3.0
+    for sys in (pendulum, dense, system(["x1", "-sin(x0) + u0"], "x0^2 + u0^2")):
+        assert not no_sweep(extend(sys), r)
+        traj = simulate(extend(sys), control, np.array([0.0, 0.3, -0.7]),
+                        IntegratorConfig(step=0.05))
+        for p0 in (0.0, -1.0):
+            assert sweep(extend(sys), traj, P_b, p0) == sweep(extend(plain(sys)), traj, P_b, p0)
+        assert no_sweep(extend(plain(sys)), r)
+    assert no_sweep(extend(system(["x1", "-sin(x0) + u0"], "x1^x0 + u0^2")), r)
 
 
 def test_probe_fit_is_compiled_once_and_replaces_the_closure_fit(tmp_path):

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, grammar, perturbations, pmp, shooting
+from pmpkit import cli, flows, grammar, perturbations, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, signal_field, simulate)
@@ -702,15 +702,16 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
             assert cli.main([command, "--problem", str(path),
                              "--out", str(tmp_path / command)]) == 0
         if run == 0:
-            # the dynamics, its Jacobian, the cost, its gradient, the
-            # dynamics step (simulate), and the maximizer's probe fit, the
-            # coupled stage and step, the arc loop with its trial step of
-            # shooting on the box, and the adjoint sweep of the final
-            # extremal (shoot)
+            # the dynamics and its Jacobian, for the system and for its
+            # extension with the cost, the cost, its gradient, the dynamics
+            # step of the extension (simulate with a cost) and of the system
+            # (reach), and the maximizer's probe fit, the coupled stage and
+            # step, the arc loop with its trial step of shooting on the box,
+            # and the adjoint sweep of the final extremal (shoot)
             first = dict(traced), dict(compiled)
-            assert first == ({"step": 3}, {
-                "dynamics": 1, "dynamics_jacobian": 1, "expression": 1, "gradient": 1,
-                "dynamics_run": 1, "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1,
+            assert first == ({"step": 4}, {
+                "dynamics": 2, "dynamics_jacobian": 2, "expression": 1, "gradient": 1,
+                "dynamics_run": 2, "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1,
                 "arc": 1, "adjoint_run": 1})
     assert (traced, compiled) == first
 
@@ -771,26 +772,58 @@ def test_a_cost_of_the_same_shape_compiles_nothing(monkeypatch, tmp_path):
     # bind the first q's compiles to its own numbers, and compile nothing
     traced, compiled = counted_compiles(monkeypatch)
     shoot_and_check(lqr_problem(tmp_path / "q1.json", "2.3456*x0^2 + u0^2"), str(tmp_path / "q1"))
-    # the dynamics, its Jacobian, the cost, its gradient, the probe fit,
-    # the coupled stage and step (its RK4 step traced), the arc loop and the
-    # adjoint sweep (with its step)
-    assert traced == {"step": 2}
-    assert compiled == {"dynamics": 1, "dynamics_jacobian": 1, "expression": 1, "gradient": 1,
+    # the dynamics and its Jacobian, for the system and for its extension
+    # with the cost, the cost, its gradient, the probe fit, the coupled stage
+    # and step (its RK4 step traced), the arc loop, the adjoint sweep (with
+    # its step) and the extension's dynamics step (with its step), which
+    # steps the final extremal
+    assert traced == {"step": 3}
+    assert compiled == {"dynamics": 2, "dynamics_jacobian": 2, "expression": 1, "gradient": 1,
                         "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1, "arc": 1,
-                        "adjoint_run": 1}
+                        "adjoint_run": 1, "dynamics_run": 1}
     traced.clear()
     compiled.clear()
     shoot_and_check(lqr_problem(tmp_path / "q2.json", "0.3*x0^2 + u0^2"), str(tmp_path / "q2"))
     assert not traced and not compiled
 
 
+def test_shoot_check_and_simulate_with_a_cost_step_the_generated_extension(monkeypatch,
+                                                                           tmp_path):
+    # the extension of a grammar system with a grammar cost is a grammar
+    # system: the shot extremal, checked after it, and simulate with a cost
+    # step it by its generated runner, one call per control piece, and no
+    # step goes through rk4_step; the extension of a user callable does.
+    # The first shoot compiles, which runs rk4_step on symbolic operands
+    shoot_and_check(lqr_problem(tmp_path / "q1.json", "0.3*x0^2 + u0^2"), str(tmp_path / "q1"))
+    steps = collections.Counter()
+    monkeypatch.setattr(flows, "rk4_step", counted_calls(steps, "rk4_step", flows.rk4_step))
+    path = lqr_problem(tmp_path / "q.json", "2.3456*x0^2 + u0^2")
+    shoot_and_check(path, str(tmp_path / "q"))
+    data = json.loads((tmp_path / "q.json").read_text())
+    data["control"] = {"switch_times": [0.5], "values": [[1.0], [-1.0]]}
+    (tmp_path / "s.json").write_text(json.dumps(data))
+    assert cli.main(["simulate", "--problem", str(tmp_path / "s.json"),
+                     "--out", str(tmp_path / "s")]) == 0
+    assert not steps
+    sys = cli.load_problem(path).sys
+    assert extend(sys).f.runner() is not None
+    f = sys.f
+    user = dataclasses.replace(sys, f=lambda x, u: f(x, u))
+    assert not hasattr(extend(user).f, "runner")
+    traj = simulate(extend(user), ControlSignal(0.0, 1.0, (), ((0.5,),)), [0.0, 1.0],
+                    IntegratorConfig(step=0.05))
+    assert steps["rk4_step"] == len(traj.grid) - 1
+
+
 @pytest.mark.parametrize("first, second, compiles", [
     # d/dx0 folds 1*x0^2 to 2*x0, and 2*x0^2 to 2*(2*x0): the gradient,
-    # the coupled stage and step and the adjoint sweep compile anew, and
-    # the cost and the probe fit, which read the trees themselves, do not
-    ("2*x0^2", "1*x0^2", 4),
-    # an exponent is part of the shape: every form of the cost compiles
-    ("x0^2", "x0^3", 6),
+    # the coupled stage and step, the adjoint sweep and the extension's
+    # Jacobian compile anew, and the cost, the probe fit and the extension's
+    # dynamics and its step, which read the trees themselves, do not
+    ("2*x0^2", "1*x0^2", 5),
+    # an exponent is part of the shape: every form of the cost compiles,
+    # the extension's three included
+    ("x0^2", "x0^3", 9),
 ], ids=["folded", "exponent"])
 def test_a_cost_of_another_shape_compiles_anew(monkeypatch, tmp_path, first, second, compiles):
     _, compiled = counted_compiles(monkeypatch)
