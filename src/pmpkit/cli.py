@@ -173,7 +173,7 @@ def _vectors(size, within):
                 and _finite_floats(list(itertools.chain.from_iterable(value)))):
             x = np.array(value)
             if all(map(within.contains, x)):
-                return tuple(x)
+                return x
         return each(value, path)
     return read
 
@@ -267,7 +267,7 @@ def _parse_signal(spec, path, a, b, values):
 
 def _emit_signal(sig):
     return {"switch_times": list(sig.switch_times),
-            "values": [v.tolist() for v in sig.values]}
+            "values": sig.values.tolist()}
 
 
 _PROBLEM = _object("name", "dynamics", "control_set", "cost", "horizon", "p0", "boundary",
@@ -365,11 +365,6 @@ def load_problem(path) -> Problem:
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-def _g17(v) -> float:
-    # round-trips exactly; JSON then prints the shortest exact form
-    return float("%.17g" % float(v))
-
 
 def _json_text(obj, indent="\n"):
     """The text `json.dumps(obj, indent=2)` writes for obj, whose lines
@@ -507,7 +502,7 @@ def cmd_simulate(args) -> int:
         total = 0.0
     traj.to_csv(os.path.join(args.out, "trajectory.csv"))
     _write_json(os.path.join(args.out, "cost.json"),
-                {"name": problem.name, "cost": _g17(total)})
+                {"name": problem.name, "cost": total})
     _write_json(os.path.join(args.out, "control.json"), _emit_signal(problem.control))
     return 0
 
@@ -576,13 +571,13 @@ def cmd_shoot(args) -> int:
     payload = {
         "name": problem.name,
         "converged": bool(result.converged),
-        "residual_norm": _g17(result.residual_norm),
+        "residual_norm": float(result.residual_norm),
         "iterations": int(result.iterations),
         "jacobian_rank": int(result.jacobian_rank),
         "n_unknowns": int(result.n_unknowns),
-        "final_time": _g17(result.extremal.ext_traj.b),
-        "cost": _g17(cost(result.extremal.ext_traj)),
-        "switch_times": [_g17(t) for t in struct.switch_times],
+        "final_time": result.extremal.ext_traj.b,
+        "cost": cost(result.extremal.ext_traj),
+        "switch_times": list(struct.switch_times),
         "arc_labels": list(struct.arc_labels),
     }
     _write_json(os.path.join(args.out, "result.json"), payload)
@@ -612,9 +607,9 @@ def cmd_cones(args) -> int:
     cone.to_csv(os.path.join(args.out, "cone.csv"))
     _write_csv(os.path.join(args.out, "generators.csv"), ",".join(f"g{j}" for j in range(m)),
                cone.cone.generators)
-    results = [{"vector": [_g17(c) for c in v],
+    results = [{"vector": [float(c) for c in v],
                 "status": conic_membership(cone.cone, v),
-                "margin": _g17(membership_margin(cone.cone, v))} for v in spec["queries"]]
+                "margin": float(membership_margin(cone.cone, v))} for v in spec["queries"]]
     _write_json(os.path.join(args.out, "membership.json"), {"queries": results})
     return 0
 

@@ -205,13 +205,16 @@ def extend(sys: ControlSystem) -> ControlSystem:
 class ControlSignal:
     """Piecewise-constant control: values[i] on [switch_times[i-1], switch_times[i]).
 
-    Right-continuous at switches; the final value extends to b.
+    Right-continuous at switches; the final value extends to b.  `values`
+    is one read-only float array with a row per piece, copied from the
+    values given, which must all have one length: iterating, indexing and
+    `value_at` give the rows.
     """
 
     a: float
     b: float
     switch_times: Tuple[float, ...]
-    values: Tuple[np.ndarray, ...]
+    values: np.ndarray
 
     def __post_init__(self):
         if not self.b > self.a:
@@ -222,9 +225,16 @@ class ControlSignal:
             raise ValueError("switch times must lie strictly inside (a, b)")
         if any(t2 <= t1 for t1, t2 in zip(st, st[1:])):
             raise ValueError("switch times must be strictly increasing")
-        vals = tuple(np.asarray(v, dtype=float).ravel() for v in self.values)
+        try:
+            vals = np.array(self.values, dtype=float)
+        except ValueError:
+            if len({np.size(v) for v in self.values}) > 1:
+                raise ValueError("control values must all have one length") from None
+            raise
         if len(vals) != len(st) + 1:
             raise ValueError("need exactly one value per piece")
+        vals = vals.reshape(len(vals), -1)
+        vals.flags.writeable = False
         object.__setattr__(self, "switch_times", st)
         object.__setattr__(self, "values", vals)
 
@@ -233,7 +243,7 @@ class ControlSignal:
 
 
 def constant_signal(a: float, b: float, value) -> ControlSignal:
-    return ControlSignal(a=a, b=b, switch_times=(), values=(np.asarray(value, dtype=float),))
+    return ControlSignal(a=a, b=b, switch_times=(), values=(value,))
 
 
 def _signal_of_pieces(a: float, b: float, pieces) -> ControlSignal:
@@ -241,18 +251,14 @@ def _signal_of_pieces(a: float, b: float, pieces) -> ControlSignal:
     whose first starts at a, each value a vector (a list of floats or an
     array): a piece whose value equals that of the piece before it, entry
     by entry (as np.array_equal, so 0.0 and -0.0 are equal and NaN is not),
-    continues that piece, and every other piece starts at a switch.  Only
-    the values kept become arrays, in the signal."""
-    switches: List[float] = []
-    values: list = []
-    for start, value in pieces:
-        if values and len(value) == len(values[-1]) and all(
-                v == w for v, w in zip(value, values[-1])):
-            continue
-        if values:
-            switches.append(start)
-        values.append(value)
-    return ControlSignal(a=a, b=b, switch_times=tuple(switches), values=tuple(values))
+    continues that piece, and every other piece starts at a switch.  The
+    values become one array, compared row to row in one pass; each piece
+    kept keeps its own bits."""
+    starts, values = zip(*pieces)
+    V = np.array(values, dtype=float).reshape(len(values), -1)
+    new = np.flatnonzero((V[1:] != V[:-1]).any(axis=1)) + 1
+    return ControlSignal(a=a, b=b, switch_times=tuple(starts[i] for i in new.tolist()),
+                         values=V[np.concatenate(([0], new))])
 
 
 @dataclass
@@ -323,19 +329,21 @@ def _write_csv(path, header: str, rows) -> None:
 def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
     """The field x' = f(x, u(t)), holding on each grid segment the value of
     u at its midpoint: the grid hits u's switches, so a step that ends on
-    one keeps its own arc's control at every stage.  When f is the
-    grammar's generated dynamics, each piece carries its generated runner
-    with the piece's control bound, as a list of floats."""
-    rate, pieces = sys._rate, {}
+    one keeps its own arc's control at every stage.  The pieces sit in a
+    list, looked up by the index of the midpoint among the switches.  When
+    f is the grammar's generated dynamics, each piece carries its generated
+    runner with the piece's control bound, as a list of floats."""
+    rate, pieces, st = sys._rate, [], u.switch_times
     runner = getattr(sys.f, "runner", None)
     run = runner and runner()
-    for v in u.values:
-        pieces[id(v)] = X = TimeVectorField(
+    for v, row in zip(u.values, u.values.tolist()):
+        X = TimeVectorField(
             sys.m, lambda _, x, v=v: rate(x, v), lambda _, x, v=v: sys.jac_x(x, v),
-            run and (lambda y, ts, i0, i1, xs, v=v.tolist(): run(y, v, ts, i0, i1, xs)))
+            run and (lambda y, ts, i0, i1, xs, v=row: run(y, v, ts, i0, i1, xs)))
         X.eval.on_lists = True
-    return PiecewiseField(sys.m, lambda t0, t1: pieces[id(u.value_at(0.5 * (t0 + t1)))],
-                          u.switch_times)
+        pieces.append(X)
+    return PiecewiseField(sys.m, lambda t0, t1: pieces[bisect.bisect_right(st, 0.5 * (t0 + t1))],
+                          st)
 
 
 def simulate(sys: ControlSystem, u: ControlSignal, x0,
@@ -345,9 +353,8 @@ def simulate(sys: ControlSystem, u: ControlSignal, x0,
     x0 = np.asarray(x0, dtype=float).ravel()
     if x0.size != sys.m or not np.all(np.isfinite(x0)):
         raise ValueError("initial state must be finite with the system dimension")
-    for v in u.values:
-        if not sys.control_set.contains(v):
-            raise ValueError("control signal value outside the control set")
+    if not all(map(sys.control_set.contains, u.values)):
+        raise ValueError("control signal value outside the control set")
     grid, states, _ = _lifted_path(signal_field(sys, u), None, u.a, u.b, x0, (), cfg)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=np.array(states), control=u, system=sys)

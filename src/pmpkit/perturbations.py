@@ -45,6 +45,7 @@ from .control_system import (
     ControlSystem,
     Trajectory,
     _event_path,
+    _frozen_array,
     _signal_of_pieces,
     _switches_at,
     _write_csv,
@@ -93,7 +94,7 @@ class NeedleData:
     def __post_init__(self):
         if self.l1 < 0:
             raise ValueError("needle length rate must be nonnegative")
-        object.__setattr__(self, "u1", np.asarray(self.u1, dtype=float).ravel())
+        object.__setattr__(self, "u1", _frozen_array(self.u1))
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class TimePerturbationData:
     def __post_init__(self):
         if self.l_tau < 0:
             raise ValueError("needle length rate must be nonnegative")
-        object.__setattr__(self, "u_tau", np.asarray(self.u_tau, dtype=float).ravel())
+        object.__setattr__(self, "u_tau", _frozen_array(self.u_tau))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ class PerturbationVector:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float).ravel()
+        v = _frozen_array(self.vector)
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite perturbation vector")
         object.__setattr__(self, "vector", v)
@@ -170,15 +171,6 @@ def _require_lebesgue(u: ControlSignal, t: float) -> None:
         raise ValueError(f"t={t!r} is not an interior Lebesgue time (switch or endpoint)")
 
 
-def _override(u: ControlSignal, lo: float, hi: float, val: np.ndarray) -> ControlSignal:
-    pts = sorted({u.a, u.b, lo, hi, *u.switch_times})
-    pieces = []
-    for p, q in zip(pts, pts[1:]):
-        mid = 0.5 * (p + q)
-        pieces.append((p, val if lo <= mid < hi else u.value_at(mid)))
-    return _signal_of_pieces(u.a, u.b, pieces)
-
-
 def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
                        s: float) -> ControlSignal:
     """Apply several needles at scale s.
@@ -186,7 +178,9 @@ def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
     Needles sharing a time are stacked leftward with the later-listed needle
     innermost: for lengths l', l'' at t1 the intervals are
     [t1-(l'+l'')s, t1-l''s] and [t1-l''s, t1].  Needle groups at distinct
-    times must produce disjoint intervals.
+    times must produce disjoint intervals.  One pass over u's switches and
+    the needle ends gives each piece the covering needle's value, else u's;
+    u itself is returned when no needle has length.
     """
     if s <= 0:
         raise ValueError("needle scale s must be positive")
@@ -216,10 +210,15 @@ def apply_needle_suite(u: ControlSignal, needles: Sequence[NeedleData],
         if lo2 < hi1:
             raise NeedleLayoutError(
                 f"needle intervals [{lo1!r},{hi1!r}] and [{lo2!r},{hi2!r}] overlap")
-    out = u
-    for lo, hi, val in pieces:
-        out = _override(out, lo, hi, val)
-    return out
+    if not pieces:
+        return u
+    pts = sorted({u.a, u.b, *u.switch_times, *(e for lo, hi, _ in pieces for e in (lo, hi))})
+    cut = []
+    for p, q in zip(pts, pts[1:]):
+        mid = 0.5 * (p + q)
+        val = next((v for lo, hi, v in pieces if lo <= mid < hi), None)
+        cut.append((p, u.value_at(mid) if val is None else val))
+    return _signal_of_pieces(u.a, u.b, cut)
 
 
 def _finite(v, what):
@@ -654,11 +653,8 @@ def _clip_signal(u: ControlSignal, b_new: float) -> ControlSignal:
     """Restrict (or extend, holding the last value) the signal to [a, b_new]."""
     if b_new == u.b:
         return u
-    if b_new > u.b:
-        return ControlSignal(a=u.a, b=b_new, switch_times=u.switch_times, values=u.values)
-    keep = [s for s in u.switch_times if s < b_new]
-    return ControlSignal(a=u.a, b=b_new, switch_times=tuple(keep),
-                         values=u.values[:len(keep) + 1])
+    keep = tuple(s for s in u.switch_times if s < b_new)
+    return ControlSignal(a=u.a, b=b_new, switch_times=keep, values=u.values[:len(keep) + 1])
 
 
 def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,

@@ -54,9 +54,7 @@ class ReachCloud:
 
     def signal(self, i: int) -> ControlSignal:
         rec = self.controls[i]
-        return ControlSignal(0.0, self.horizon,
-                             tuple(rec["switch_times"]),
-                             tuple(tuple(v) for v in rec["values"]))
+        return ControlSignal(0.0, self.horizon, tuple(rec["switch_times"]), rec["values"])
 
     def to_csv(self, path) -> None:
         header = ",".join(f"x{j}" for j in range(self.points.shape[1])) + ",provenance_id"

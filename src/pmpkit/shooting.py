@@ -63,6 +63,8 @@ class ShootingProblem:
             raise ValueError("anchor dimension mismatch")
         if not self.b > self.a:
             raise ValueError("need b > a")
+        # the complement of the final tangent space, which every residual reads
+        self._final_complement = null_space(self.bounds.final or (), self.sys.m)
 
     @property
     def n_unknowns(self) -> int:
@@ -348,7 +350,7 @@ def _residual(problem: ShootingProblem, z, prop: _Propagation) -> np.ndarray:
     if problem.bounds.final is None:
         parts.append(prop.x_b - problem.x_b)
     else:
-        comp = null_space(problem.bounds.final, m)
+        comp = problem._final_complement
         parts.append(comp.T @ (prop.x_b - problem.x_b))
         parts.append(np.array([float(prop.p_b @ np.asarray(w, float))
                                for w in problem.bounds.final]))
@@ -481,7 +483,7 @@ def shoot(problem: ShootingProblem, guess=None,
 
 
 def _format_value(u) -> str:
-    comps = ["%+g" % c for c in np.atleast_1d(u)]
+    comps = ["%+g" % c for c in u]
     return "u=" + (comps[0] if len(comps) == 1 else "(" + ", ".join(comps) + ")")
 
 
@@ -494,12 +496,12 @@ def switching_structure(extremal: Extremal) -> SwitchingStructure:
     the value at the start of each arc.
     """
     sig = extremal.control
-    vals = [np.asarray(v, dtype=float) for v in sig.values]
+    vals = sig.values.tolist()
     jump_tol = _auto_jump_tol(extremal.ext_traj.system.control_set)
     times: List[float] = []
     labels: List[str] = [_format_value(vals[0])]
     for i, sw in enumerate(sig.switch_times):
         if _jumped(vals[i + 1], vals[i], jump_tol):
-            times.append(float(sw))
+            times.append(sw)
             labels.append(_format_value(vals[i + 1]))
     return SwitchingStructure(tuple(times), tuple(labels))

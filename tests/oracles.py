@@ -40,7 +40,10 @@ form of a package routine as its reference:
   `shooting._coupled_field` and the propagation of `shooting._propagator`
   replaced by lists of Python floats (bit for bit);
 - `BUILTINS_ARRAYS`, the CLI's builtin dynamics and Jacobians as array
-  functions, which the builtins on lists replaced (bit for bit).
+  functions, which the builtins on lists replaced (bit for bit);
+- `signal_of_pieces_loop`, the per-piece merge loop that
+  `control_system._signal_of_pieces` replaced by one comparison of
+  consecutive rows (bit for bit).
 
 The oracles that pair a covector with a rate or a Jacobian take numpy's
 products elsewhere, but `ordered_dot`, a fold of the products into one sum
@@ -932,3 +935,18 @@ BUILTINS_ARRAYS = {
     "scalar_integrator": (lambda x, u: np.atleast_1d(u[0]),
                           lambda x, u: np.zeros((1, 1))),
 }
+
+
+def signal_of_pieces_loop(pieces):
+    """(switch times, values) of pieces, (start, value) pairs in time order:
+    a piece whose value equals the last value kept, entry by entry, is
+    merged into it, and every other piece starts at a switch."""
+    switches, values = [], []
+    for start, value in pieces:
+        if values and len(value) == len(values[-1]) and all(
+                v == w for v, w in zip(value, values[-1])):
+            continue
+        if values:
+            switches.append(start)
+        values.append(value)
+    return switches, values

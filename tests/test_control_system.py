@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import signal_of_pieces_loop
 from pmpkit.control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _signal_of_pieces,
     _switches_at,
     _write_csv,
     ball,
@@ -156,6 +158,55 @@ class TestSignal:
         with pytest.raises(ValueError, match=r"strictly inside \(a, b\)"):
             ControlSignal(a=0.0, b=1.0, switch_times=switch_times,
                           values=(np.zeros(1),) * (len(switch_times) + 1))
+
+    def test_values_are_a_copy_of_the_callers_arrays(self):
+        # the values were views of the caller's arrays, so a write to one
+        # changed the frozen signal
+        v = np.array([0.5])
+        u = ControlSignal(0.0, 1.0, (), (v,))
+        v[0] = 9.0
+        assert u.value_at(0.3).tolist() == [0.5]
+
+    def test_values_are_one_read_only_block(self):
+        u = ControlSignal(0.0, 1.0, (0.5,), ([1.0, 2.0], np.array([3.0, 4.0])))
+        assert u.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert [row.tolist() for row in u.values] == [[1.0, 2.0], [3.0, 4.0]]
+        for write in (lambda: u.values.__setitem__((0, 0), 9.0),
+                      lambda: u.value_at(0.7).__setitem__(0, 9.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+
+    def test_rejects_values_of_unequal_lengths(self):
+        with pytest.raises(ValueError, match="control values must all have one length"):
+            ControlSignal(0.0, 1.0, (0.5,), ([0.0], [0.0, 1.0]))
+
+
+@st.composite
+def piece_lists(draw):
+    """(starts, values, as arrays): up to 12 pieces of k = 1..3 entries, drawn
+    from at most three rows of signed zeros, NaN and a few numbers, so that
+    runs repeat and alternate."""
+    k = draw(st.integers(1, 3))
+    entry = st.sampled_from((0.0, -0.0, math.nan, 1.0, -1.0, 0.5))
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=1, max_size=3))
+    values = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=12))
+    return [0.25 * i for i in range(len(values))], values, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(piece_lists())
+@example(([0.0, 0.25, 0.5], [[0.0], [-0.0], [0.0]], False))
+@example(([0.0, 0.25, 0.5], [[-0.0, 1.0], [0.0, 1.0], [math.nan, 1.0]], True))
+@example(([0.0, 0.25], [[math.nan], [math.nan]], False))
+def test_signal_of_pieces_merges_as_the_per_piece_loop(case):
+    starts, values, arrays = case
+    if arrays:
+        values = [np.array(v) for v in values]
+    switches, kept = signal_of_pieces_loop(list(zip(starts, values)))
+    u = _signal_of_pieces(0.0, 3.0, zip(starts, values))
+    assert np.array(u.switch_times).tobytes() == np.array(switches, dtype=float).tobytes()
+    assert u.values.shape == (len(kept), len(values[0]))
+    assert u.values.tobytes() == np.array(kept, dtype=float).tobytes()
 
 
 @st.composite

@@ -27,6 +27,7 @@ from pmpkit.perturbations import (
     NeedleLayoutError,
     NeedleOverflowError,
     PerturbationCone,
+    PerturbationVector,
     Provenance,
     RealizationError,
     RealizationOptions,
@@ -122,6 +123,31 @@ def invalid_layouts(draw):
     return u, s, draw(st.permutations(needles))
 
 
+class TestFrozenRecords:
+    # each record kept a view of the caller's array, so a write to that
+    # array changed the frozen record
+    def test_needle_data_copies_its_value(self):
+        u = np.array([0.5])
+        n = NeedleData(0.3, 1.0, u)
+        u[0] = 9.0
+        assert n.u1.tolist() == [0.5]
+        assert not n.u1.flags.writeable
+
+    def test_time_perturbation_data_copies_its_value(self):
+        u = np.array([0.5])
+        d = TimePerturbationData(0.3, 1.0, 0.5, u)
+        u[0] = 9.0
+        assert d.u_tau.tolist() == [0.5]
+        assert not d.u_tau.flags.writeable
+
+    def test_perturbation_vector_copies_its_vector(self):
+        v = np.array([1.0, 2.0])
+        p = PerturbationVector(0.3, v)
+        v[0] = 9.0
+        assert p.vector.tolist() == [1.0, 2.0]
+        assert not p.vector.flags.writeable
+
+
 class TestApplyNeedle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(valid_layouts())
@@ -148,6 +174,16 @@ class TestApplyNeedle:
         u, s, needles = case
         with pytest.raises(NeedleLayoutError):
             apply_needle_suite(u, needles, s)
+
+    def test_a_needle_keeps_its_own_bits(self):
+        # applied one needle at a time, the -0.0 needle merged into the 0.0
+        # piece before it and took its bits, which stayed after the second
+        # needle covered that piece
+        u = ControlSignal(0.0, 2.0, (1.0, 1.0625), ([7.0], [0.0], [7.0]))
+        out = apply_needle_suite(u, [NeedleData(1.125, 0.0625, [-0.0]),
+                                     NeedleData(1.0625, 0.125, [3.0])], 1.0)
+        assert out.switch_times == (0.9375, 1.0625, 1.125)
+        assert out.values.tobytes() == np.array([[7.0], [3.0], [-0.0], [7.0]]).tobytes()
 
     def test_zero_length_noop(self):
         u = constant_signal(0.0, 2.0, [0.0])
