@@ -42,15 +42,17 @@ expressions of a cost included, is marked `on_lists` (it takes x as a list
 of floats), a power goes through `_real_pow` unless its exponent is a
 number with an integral value (a float to such a power is real, and `**`
 is written inline), and each vector component and Jacobian entry has its
-own `try` that turns overflow, division by zero
-and math domain errors into NaN, so the integrators' blow-up checks own
-the diagnostic.  Straight-line code keeps `compile` shallow however deeply
-an expression nests.  Generated code is kept per process in two memos:
-the public entry points' recent results, keyed on their texts, and behind
-them `_FORMS`, each generated form compiled once per shape of its trees
-(`_shaped`): trees that differ only in numbers other than a power's
-exponent share its code, with their own numbers bound, and the arc loop,
-which reads no tree, is kept once per m, box and tolerances.  The
+own `try` that turns overflow, division by zero and math domain errors
+into NaN, so the integrators' blow-up checks own the diagnostic.  No pass
+over a tree recurses (each is a loop over one walk, `_nodes`) and the
+generated code is straight-line, so a tree of up to `_DEPTH` levels
+compiles wherever Python's parser reads it.  Generated code is kept per
+process in two memos: the public entry points' recent results, keyed on
+their texts, and behind them `_FORMS`, each generated form compiled once
+per shape of its trees (`_shaped`): trees that differ only in numbers
+other than a power's exponent share its code, with their own numbers
+bound, and the arc loop, which reads no tree, is kept once per m, box and
+tolerances.  The
 extended system of a grammar system with a grammar cost is a grammar
 dynamics too, of the cost's and f's trees with their states renamed, and
 a dynamics keeps the extensions of its last few costs.
@@ -68,7 +70,6 @@ import struct
 import types
 import warnings
 import weakref
-from contextlib import contextmanager
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -86,6 +87,8 @@ class ProblemError(ValueError):
 _FUNCS = ("sin", "cos", "exp")
 _BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**"}
 _NAME_RE = re.compile(r"^([xu])(\d+)$")
+# the most levels a grammar tree may have (a sum of n terms has n)
+_DEPTH = 1000
 
 
 def _real_pow(a, b):
@@ -102,15 +105,6 @@ def _integral(node) -> bool:
 
 def _too_deep(where):
     return ProblemError(f"{where} nests too deeply")
-
-
-@contextmanager
-def _nesting(where):
-    """Report running out of recursion depth on a deep tree as bad input."""
-    try:
-        yield
-    except RecursionError:
-        raise _too_deep(where) from None
 
 
 def _describe(node) -> str:
@@ -173,18 +167,21 @@ def _parse(src, where):
             raise ProblemError(f"parse error in '{src}' at offset {pos}: unexpected end of line")
         token = (src[pos:pos + 8].split() or [src[pos:pos + 8]])[0]
         raise ProblemError(f"parse error in '{src}' at offset {pos}: bad token '{token}'")
-    except MemoryError:
-        # the parser's own stack overflow on deep nesting
+    except (MemoryError, RecursionError):
+        # the parser's own stack overflow, or Python's recursion limit as
+        # the parser builds the tree, on deep nesting
         raise _too_deep(where) from None
 
 
-def _check(root, m: int, k: int, text: str):
+def _check(root, m: int, k: int, text: str, where):
     """Raise ProblemError at the first node, in tree order (node, then left
-    to right), outside the grammar; text is the source the tree was parsed
-    from."""
-    stack = [root]
+    to right), outside the grammar, else where the tree has more than
+    _DEPTH levels; text is the source the tree was parsed from."""
+    deepest = 0
+    stack = [(root, 1)]
     while stack:
-        node = stack.pop()
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
         if isinstance(node, ast.Constant):
             if not isinstance(node.value, (int, float)) or isinstance(node.value, bool):
                 raise ProblemError(f"parse error: disallowed constant '{node.value!r}'")
@@ -207,23 +204,63 @@ def _check(root, m: int, k: int, text: str):
                 raise ProblemError(
                     f"parse error: identifier '{node.id}' out of range (dim {bound})")
         elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
-            stack += [node.right, node.left]
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
         elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            stack.append(node.operand)
+            stack.append((node.operand, depth + 1))
         elif isinstance(node, ast.Call):
             if (not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS
                     or node.keywords or len(node.args) != 1):
                 raise ProblemError(f"parse error: disallowed call '{_describe(node)}'")
-            stack.append(node.args[0])
+            stack.append((node.args[0], depth + 1))
         else:
             raise ProblemError(f"parse error: disallowed token '{_describe(node)}'")
+    if deepest > _DEPTH:
+        raise _too_deep(where)
 
 
 def _tree(src, m: int, k: int, where):
     """The validated grammar tree (the body of the parsed expression)."""
     text, body = _parse(src, where)
-    _check(body, m, k, text)
+    _check(body, m, k, text, where)
     return body
+
+
+def _children(node):
+    """The operands of a node of a validated tree, in order."""
+    return ([node.left, node.right] if isinstance(node, ast.BinOp)
+            else [node.operand] if isinstance(node, ast.UnaryOp)
+            else node.args if isinstance(node, ast.Call) else [])
+
+
+def _nodes(roots, seen=None):
+    """The nodes of the validated trees roots, each once by identity, every
+    node after its operands and operands left to right: the one walk of
+    the passes over a tree, with an explicit stack, so no depth limit
+    applies.  seen, a dict keyed by node id, skips the nodes of an earlier
+    walk and gains this walk's (each with the value None)."""
+    seen = {} if seen is None else seen
+    order = []
+    stack = [(root, False) for root in reversed(roots)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            order.append(node)
+        elif id(node) not in seen:
+            seen[id(node)] = None
+            stack.append((node, True))
+            stack += [(c, False) for c in reversed(_children(node))]
+    return order
+
+
+def _fold(root, rule, values=None):
+    """The value of root, where a node's value is rule(node, *the values of
+    its operands), computed node by node (`_nodes`).  values, a dict by
+    node id, holds an earlier fold's values, which this one reads and
+    extends."""
+    values = {} if values is None else values
+    for node in _nodes([root], values):
+        values[id(node)] = rule(node, *[values[id(c)] for c in _children(node)])
+    return values[id(root)]
 
 
 # Symbolic differentiation builds new grammar trees, folding constants so
@@ -295,69 +332,71 @@ def _call(name, a):
     return ast.Call(func=ast.Name(id=name, ctx=ast.Load()), args=[a], keywords=[])
 
 
-def _derivative(node, j):
-    """d node / d x_j for a validated tree with no state in an exponent."""
-    if isinstance(node, ast.Constant):
-        return _num(0.0)
-    if isinstance(node, ast.Name):
-        kind, idx = _NAME_RE.match(node.id).groups()
-        return _num(1.0 if kind == "x" and int(idx) == j else 0.0)
-    if isinstance(node, ast.UnaryOp):
-        da = _derivative(node.operand, j)
-        return _neg(da) if isinstance(node.op, ast.USub) else da
-    if isinstance(node, ast.Call):
-        a = node.args[0]
-        if node.func.id == "sin":
-            outer = _call("cos", a)
-        elif node.func.id == "cos":
-            outer = _neg(_call("sin", a))
-        else:
-            outer = node
-        return _mul(outer, _derivative(a, j))
-    a, b = node.left, node.right
-    da, db = _derivative(a, j), _derivative(b, j)
-    op = type(node.op)
-    if op is ast.Add:
-        return _add(da, db)
-    if op is ast.Sub:
-        return _sub(da, db)
-    if op is ast.Mult:
-        return _add(_mul(da, b), _mul(a, db))
-    if op is ast.Div:
-        return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _num(2.0))))
-    # power with an exponent free of states: b a^(b-1) a'
-    return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
+def _derivative(root, j):
+    """d root / d x_j for a validated tree with no state in an exponent."""
+    def rule(node, *d):
+        if isinstance(node, ast.Constant):
+            return _num(0.0)
+        if isinstance(node, ast.Name):
+            kind, idx = _NAME_RE.match(node.id).groups()
+            return _num(1.0 if kind == "x" and int(idx) == j else 0.0)
+        if isinstance(node, ast.UnaryOp):
+            return _neg(d[0]) if isinstance(node.op, ast.USub) else d[0]
+        if isinstance(node, ast.Call):
+            a = node.args[0]
+            if node.func.id == "sin":
+                outer = _call("cos", a)
+            elif node.func.id == "cos":
+                outer = _neg(_call("sin", a))
+            else:
+                outer = node
+            return _mul(outer, d[0])
+        a, b = node.left, node.right
+        da, db = d
+        op = type(node.op)
+        if op is ast.Add:
+            return _add(da, db)
+        if op is ast.Sub:
+            return _sub(da, db)
+        if op is ast.Mult:
+            return _add(_mul(da, b), _mul(a, db))
+        if op is ast.Div:
+            return _sub(_div(da, b), _div(_mul(a, db), _pow(b, _num(2.0))))
+        # power with an exponent free of states: b a^(b-1) a'
+        return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
+
+    return _fold(root, rule)
 
 
-def _has_state(node) -> bool:
-    return any(isinstance(n, ast.Name) and n.id.startswith("x") for n in ast.walk(node))
-
-
-def _u_degree(node) -> Optional[int]:
-    if isinstance(node, ast.Constant):
-        return 0
-    if isinstance(node, ast.Name):
-        return 1 if node.id.startswith("u") else 0
-    if isinstance(node, ast.UnaryOp):
-        return _u_degree(node.operand)
-    if isinstance(node, ast.Call):
-        return 0 if _u_degree(node.args[0]) == 0 else None
-    da, db = _u_degree(node.left), _u_degree(node.right)
-    if da is None or db is None:
+def _u_degree(root) -> Optional[int]:
+    """The degree in u of a validated tree, None where it is no polynomial
+    in u."""
+    def rule(node, *d):
+        if isinstance(node, ast.Constant):
+            return 0
+        if isinstance(node, ast.Name):
+            return 1 if node.id.startswith("u") else 0
+        if isinstance(node, ast.UnaryOp):
+            return d[0]
+        if isinstance(node, ast.Call):
+            return 0 if d[0] == 0 else None
+        da, db = d
+        if da is None or db is None:
+            return None
+        op = type(node.op)
+        if op in (ast.Add, ast.Sub):
+            return max(da, db)
+        if op is ast.Mult:
+            return da + db
+        if db:
+            return None
+        if op is ast.Div or da == 0:
+            return da
+        if _integral(node.right) and node.right.value >= 0:
+            return da * int(node.right.value)
         return None
-    op = type(node.op)
-    if op in (ast.Add, ast.Sub):
-        return max(da, db)
-    if op is ast.Mult:
-        return da + db
-    if db:
-        return None
-    if op is ast.Div or da == 0:
-        return da
-    c = node.right
-    if isinstance(c, ast.Constant) and c.value >= 0 and float(c.value).is_integer():
-        return da * int(c.value)
-    return None
+
+    return _fold(root, rule)
 
 
 def max_degree(degrees) -> Optional[int]:
@@ -367,8 +406,15 @@ def max_degree(degrees) -> Optional[int]:
 
 def _exact(body) -> bool:
     """Whether the derivative rules cover body: no state in an exponent."""
-    return not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
-                   and _has_state(n.right) for n in ast.walk(body))
+    # a node's value: whether it names a state, None once an exponent does
+    def rule(node, *states):
+        if None in states:
+            return None
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and states[1]:
+            return None
+        return isinstance(node, ast.Name) and node.id[0] == "x" or any(states)
+
+    return _fold(body, rule) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +500,6 @@ except _guarded:
     {name} = _nan"""
 
 
-def _children(node):
-    """The operands of an operation node of a validated tree, in order."""
-    return ([node.left, node.right] if isinstance(node, ast.BinOp)
-            else [node.operand] if isinstance(node, ast.UnaryOp) else node.args)
-
-
 class _Code:
     """One generated function (x, u) -> value, built statement by statement
     as text.
@@ -511,72 +551,46 @@ class _Code:
         return tuple((None, v) if node is None else (index[id(node)], None)
                      for node, v in self.consts)
 
-    def _emit(self, root, out):
-        """Append (temporary, expression text) per node of root to out;
-        return the name of root's value.
-
-        Nodes are visited in evaluation order (left operand, right operand,
-        operation) with an explicit stack, so no depth limit applies here.
-        `_derivative` shares subtrees (d(ab) = da b + a db): a node met again
-        reads the temporary of its first evaluation, so the code grows with
-        the number of distinct nodes, not with the size of the tree.  All of
-        root's statements run in one try, so the first evaluation has run
-        whenever a later read does.
-        """
-        operands = []
-        done = {}
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if isinstance(node, ast.Constant):
-                operands.append(self._const(node.value, node))
-                continue
-            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
-                stack.append((node.operand, False))
-                continue
-            if isinstance(node, ast.Name) and node.id in self.inputs:
-                operands.append(self.inputs[node.id])
-                continue
-            if id(node) in done:
-                operands.append(done[id(node)])
-                continue
-            if not ready and not isinstance(node, ast.Name):
-                stack.append((node, True))
-                stack += [(c, False) for c in reversed(_children(node))]
-                continue
-            if isinstance(node, ast.Name):
-                kind, idx = _NAME_RE.match(node.id).groups()
-                value = f"float({kind}[{int(idx)}])"
-            elif isinstance(node, ast.UnaryOp):
-                value = _written("-x", [(operands.pop(), _ATOM)])
-            elif isinstance(node, ast.Call):
-                value = _written("_" + node.func.id, [(operands.pop(), _ATOM)])
-            else:
-                b, a = operands.pop(), operands.pop()
-                # a float to a constant integral power is real: that power
-                # is the same a ** b inline
-                op = ("_real_pow" if isinstance(node.op, ast.Pow) and not _integral(node.right)
-                      else _BINOPS[type(node.op)])
-                value = _written(op, [(a, _ATOM), (b, _ATOM)])
-            name = f"_t{self.n_temps}"
-            self.n_temps += 1
-            out.append((name, value))
-            operands.append(name)
-            done[id(node)] = name
-        (operand,) = operands
-        return operand
-
     def entry(self, item):
         """The operand of the tree item: a constant cell for a number, else
-        a local that its own try computes, written into the body where the
-        operand is first read, so an entry that nothing reads is not
-        written."""
+        a local that its own try computes, a temporary per node in `_nodes`
+        order, written into the body where the operand is first read, so an
+        entry that nothing reads is not written.  A subtree that
+        `_derivative` shares (d(ab) = da b + a db) is computed once per
+        entry, so the code grows with the number of distinct nodes."""
         if isinstance(item, ast.Constant):
             return _Operand(self, self._const(item.value, item))
         name = f"_v{self.n_temps}"
         self.n_temps += 1
         steps = []
-        operand = self._emit(item, steps)
+
+        def emitted(node, *args):
+            # the operand of node: a constant cell, an input, or a temporary
+            if isinstance(node, ast.Constant):
+                return self._const(node.value, node)
+            if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+                return args[0]
+            if isinstance(node, ast.Name) and node.id in self.inputs:
+                return self.inputs[node.id]
+            if isinstance(node, ast.Name):
+                kind, idx = _NAME_RE.match(node.id).groups()
+                value = f"float({kind}[{int(idx)}])"
+            elif isinstance(node, ast.UnaryOp):
+                value = _written("-x", [(args[0], _ATOM)])
+            elif isinstance(node, ast.Call):
+                value = _written("_" + node.func.id, [(args[0], _ATOM)])
+            else:
+                # a float to a constant integral power is real: that power
+                # is the same a ** b inline
+                op = ("_real_pow" if isinstance(node.op, ast.Pow) and not _integral(node.right)
+                      else _BINOPS[type(node.op)])
+                value = _written(op, [(a, _ATOM) for a in args])
+            temp = f"_t{self.n_temps}"
+            self.n_temps += 1
+            steps.append((temp, value))
+            return temp
+
+        operand = _fold(item, emitted)
         if steps and steps[-1][0] == operand:
             steps[-1] = (name, steps[-1][1])
         else:
@@ -706,7 +720,7 @@ def _field_code(trees, k, n):
     """A code that reads once, through float, the controls the trees name
     and the n floats of the state y, with the operands of y."""
     code = _Code()
-    read = {node.id for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = {node.id for node in _nodes(trees) if isinstance(node, ast.Name)}
     for j in range(k):
         if f"u{j}" in read:
             code.inputs[f"u{j}"] = _read(code, "u", j).name
@@ -877,7 +891,7 @@ def _probe_fit_code(bodies, cost, points, axes, pairs):
     (H=None) on the probes' values, its comparison helpers recorded as
     calls."""
     trees = bodies if cost is None else [cost, *bodies]
-    names = {id(tree): sorted({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)})
+    names = {id(tree): sorted({n.id for n in _nodes([tree]) if isinstance(n, ast.Name)})
              for tree in trees}
     read = set().union(*names.values())
     m, k = len(bodies), len(points[0])
@@ -1023,6 +1037,9 @@ def _shape(groups):
     order of first visit.  numbers holds the value of each Constant node
     in that order, and index maps a Constant node's id to its place there.
     """
+    # a preorder loop of its own, not `_nodes`: it runs at every lookup of
+    # a compiled form (11 per shooting op of an LQR problem), where a key
+    # made over the generic walk took about twice as long
     shape, numbers, index, seen = [], [], {}, {}
     for trees in groups:
         tokens = []
@@ -1111,10 +1128,9 @@ def parse_expression(src: str, m: int, k: int, where="expression"):
     dynamics evaluates a cost from it).
 
     `where` names the expression in the error raised when it nests too
-    deeply to compile.
+    deeply: past _DEPTH levels, or deeper than Python's parser reads.
     """
-    with _nesting(where):
-        tree = _tree(src, m, k, where)
+    tree = _tree(src, m, k, where)
     fn = _entries_function([tree], "expression")
     fn.tree = tree
     return fn
@@ -1202,22 +1218,19 @@ def compile_dynamics(srcs, m: int, k: int):
     would be.  The arc loop reads no tree and is kept once per m, sides
     and tolerances, so every dynamics on one box shares it.
     """
-    # _derivative and _u_degree recurse once per level of the tree, so they
-    # are called here directly: a helper's frame would lower the depth that
-    # compiles, here and in compile_gradient below
-    degrees, bodies, entries = [], [], []
+    bodies, degrees, entries = [], [], []
     for i, src in enumerate(srcs):
-        where = f"dynamics.expressions[{i}]"
-        with _nesting(where):
-            body = _tree(src, m, k, where)
-            bodies.append(body)
-            degrees.append(_u_degree(body))
-            if not _exact(body):
-                entries = None
-            elif entries is not None:
-                for j in range(m):
-                    entries.append(_derivative(body, j))
+        bodies.append(_tree(src, m, k, f"dynamics.expressions[{i}]"))
+        degree, partials = _partials(bodies[-1], m)
+        degrees.append(degree)
+        entries = None if entries is None or partials is None else entries + partials
     return (*_dynamics(bodies, entries, m, k), max_degree(degrees))
+
+
+def _partials(body, m: int):
+    """(degree in u, [d body / d x_j for j < m]) of a validated tree, the
+    derivatives None where a state is in an exponent."""
+    return _u_degree(body), [_derivative(body, j) for j in range(m)] if _exact(body) else None
 
 
 def _dynamics(bodies, entries, m: int, k: int):
@@ -1306,36 +1319,24 @@ def _dynamics(bodies, entries, m: int, k: int):
 
 def _shifter():
     """shift(tree) -> a copy of the validated tree with each state x_i named
-    x_{i+1}, made node by node with an explicit stack, so no depth limit
-    applies.  A number or a control keeps its node, and the copies share
-    what the trees share: a node met again, in this tree or an earlier
-    one, is copied once (`_derivative` shares subtrees between a tree and
-    its derivatives)."""
+    x_{i+1}, made node by node (`_fold`).  A number or a control keeps its
+    node, and the copies share what the trees share: a node met again, in
+    this tree or an earlier one, is copied once (`_derivative` shares
+    subtrees between a tree and its derivatives)."""
     copies = {}
 
-    def shift(tree):
-        stack = [(tree, False)]
-        while stack:
-            node, ready = stack.pop()
-            if id(node) in copies:
-                continue
-            if isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id[0] == "u":
-                copies[id(node)] = node
-            elif isinstance(node, ast.Name):
-                copies[id(node)] = ast.Name(f"x{int(node.id[1:]) + 1}", ast.Load())
-            elif not ready:
-                stack.append((node, True))
-                stack += [(c, False) for c in _children(node)]
-            elif isinstance(node, ast.BinOp):
-                copies[id(node)] = ast.BinOp(copies[id(node.left)], node.op,
-                                             copies[id(node.right)])
-            elif isinstance(node, ast.UnaryOp):
-                copies[id(node)] = ast.UnaryOp(node.op, copies[id(node.operand)])
-            else:
-                copies[id(node)] = _call(node.func.id, copies[id(node.args[0])])
-        return copies[id(tree)]
+    def copy(node, *operands):
+        if isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id[0] == "u":
+            return node
+        if isinstance(node, ast.Name):
+            return ast.Name(f"x{int(node.id[1:]) + 1}", ast.Load())
+        if isinstance(node, ast.BinOp):
+            return ast.BinOp(operands[0], node.op, operands[1])
+        if isinstance(node, ast.UnaryOp):
+            return ast.UnaryOp(node.op, operands[0])
+        return _call(node.func.id, operands[0])
 
-    return shift
+    return lambda tree: _fold(tree, copy, copies)
 
 
 def _extension(bodies, entries, cost, gradient, m: int, k: int):
@@ -1358,15 +1359,11 @@ def compile_gradient(src: str, m: int, k: int):
     """Generated dF/dx(x, u) -> list of m floats of a problem's cost expression, or
     None when a state appears in an exponent, with its degree in u.  The
     gradient carries its m entry trees as `entries`, from which the
-    dynamics' coupled step evaluates it."""
-    with _nesting("cost.expression"):
-        body = _tree(src, m, k, "cost.expression")
-        degree = _u_degree(body)
-        if not _exact(body):
-            return None, degree
-        entries = []
-        for j in range(m):
-            entries.append(_derivative(body, j))
+    dynamics' coupled step evaluates it.  It differentiates the tree that
+    `parse_expression` keeps for the cost, so a cost text is parsed once."""
+    degree, entries = _partials(parse_expression(src, m, k, "cost.expression").tree, m)
+    if entries is None:
+        return None, degree
     gradient = _entries_function(entries, "gradient", (m,))
     gradient.entries = entries
     return gradient, degree

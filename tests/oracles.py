@@ -43,7 +43,11 @@ form of a package routine as its reference:
   functions, which the builtins on lists replaced (bit for bit);
 - `signal_of_pieces_loop`, the per-piece merge loop that
   `control_system._signal_of_pieces` replaced by one comparison of
-  consecutive rows (bit for bit).
+  consecutive rows (bit for bit);
+- `derivative_recursive`, `u_degree_recursive` and `exact_scan`, the
+  recursive forms of the grammar's derivative and degree in u and the scan
+  of every exponent for a state, which loops over one walk of the tree
+  (`grammar._nodes`) replaced (the same trees and answers).
 
 The oracles that pair a covector with a rate or a Jacobian take numpy's
 products elsewhere, but `ordered_dot`, a fold of the products into one sum
@@ -58,6 +62,7 @@ import math
 
 import numpy as np
 
+from pmpkit import grammar
 from pmpkit.cone_geometry import unit_directions
 from pmpkit.control_system import ControlSystem
 from pmpkit.pmp import (MaximizationResult, UnboundedHamiltonianError,
@@ -500,6 +505,77 @@ def grammar_tree_array(entries, shape):
         return out
 
     return evaluate
+
+
+def derivative_recursive(node, j):
+    """d node / d x_j for a validated tree with no state in an exponent, by
+    recursion on the operands."""
+    g = grammar
+    if isinstance(node, ast.Constant):
+        return g._num(0.0)
+    if isinstance(node, ast.Name):
+        return g._num(1.0 if node.id == f"x{j}" else 0.0)
+    if isinstance(node, ast.UnaryOp):
+        da = derivative_recursive(node.operand, j)
+        return g._neg(da) if isinstance(node.op, ast.USub) else da
+    if isinstance(node, ast.Call):
+        a = node.args[0]
+        if node.func.id == "sin":
+            outer = g._call("cos", a)
+        elif node.func.id == "cos":
+            outer = g._neg(g._call("sin", a))
+        else:
+            outer = node
+        return g._mul(outer, derivative_recursive(a, j))
+    a, b = node.left, node.right
+    da, db = derivative_recursive(a, j), derivative_recursive(b, j)
+    op = type(node.op)
+    if op is ast.Add:
+        return g._add(da, db)
+    if op is ast.Sub:
+        return g._sub(da, db)
+    if op is ast.Mult:
+        return g._add(g._mul(da, b), g._mul(a, db))
+    if op is ast.Div:
+        return g._sub(g._div(da, b), g._div(g._mul(a, db), g._pow(b, g._num(2.0))))
+    return g._mul(g._mul(b, g._pow(a, g._sub(b, g._num(1.0)))), da)
+
+
+def u_degree_recursive(node):
+    """The degree in u of a validated tree, None where it is no polynomial
+    in u, by recursion on the operands."""
+    if isinstance(node, ast.Constant):
+        return 0
+    if isinstance(node, ast.Name):
+        return 1 if node.id.startswith("u") else 0
+    if isinstance(node, ast.UnaryOp):
+        return u_degree_recursive(node.operand)
+    if isinstance(node, ast.Call):
+        return 0 if u_degree_recursive(node.args[0]) == 0 else None
+    da, db = u_degree_recursive(node.left), u_degree_recursive(node.right)
+    if da is None or db is None:
+        return None
+    op = type(node.op)
+    if op in (ast.Add, ast.Sub):
+        return max(da, db)
+    if op is ast.Mult:
+        return da + db
+    if db:
+        return None
+    if op is ast.Div or da == 0:
+        return da
+    c = node.right
+    if isinstance(c, ast.Constant) and c.value >= 0 and float(c.value).is_integer():
+        return da * int(c.value)
+    return None
+
+
+def exact_scan(body):
+    """Whether no exponent in body names a state, by `ast.walk`."""
+    return not any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+                   and any(isinstance(s, ast.Name) and s.id.startswith("x")
+                           for s in ast.walk(n.right))
+                   for n in ast.walk(body))
 
 
 def rk4_blow_up_time(f, jac, grid, x0, v0=None):

@@ -8,7 +8,6 @@ scoreboard in order regardless of verbosity flags.
 import time
 
 import numpy as np
-import pytest
 
 from pmpkit import pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone, conic_membership, difference_spans, separate

@@ -10,7 +10,6 @@ from oracles import signal_of_pieces_loop
 from pmpkit.control_system import (
     ControlSignal,
     ControlSystem,
-    Trajectory,
     _signal_of_pieces,
     _switches_at,
     _write_csv,

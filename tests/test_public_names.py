@@ -1,9 +1,14 @@
-"""Every public name in the package is used or documented.
+"""Every public name in the package is used or documented, every private
+one is used, and no module imports what it does not read.
 
 A public top-level function or class of `src/pmpkit/*.py` must be
 referenced somewhere in `src/`, as a name or an attribute (a docstring or
 an import alone does not count), or be named in an inline code span of
-README.md, whose line says why it stays.
+README.md, whose line says why it stays.  A private top-level name (a
+function, class or assignment whose name starts with one underscore) must
+be referenced in `src/` outside the statement that defines it: by name in
+its own module or in one that imports it, or as an attribute.  The
+modules of `src/` and of `tests/` import no name they never read.
 """
 
 import ast
@@ -12,6 +17,7 @@ import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "pmpkit")
+TESTS = os.path.join(ROOT, "tests")
 
 
 def public_names_and_references():
@@ -71,10 +77,61 @@ def test_unused_import_check_is_not_vacuous():
 
 
 def test_no_unused_imports():
-    # __init__.py re-exports the package's modules, so it is exempt
+    # the package's __init__.py re-exports its modules, so it is exempt
     loose = []
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py") and fname != "__init__.py":
-            with open(os.path.join(SRC, fname)) as fh:
-                loose += ["%s: %s" % (fname, name) for name in unused_imports(fh.read())]
+    for folder in (SRC, TESTS):
+        for fname in sorted(os.listdir(folder)):
+            if fname.endswith(".py") and not (folder == SRC and fname == "__init__.py"):
+                with open(os.path.join(folder, fname)) as fh:
+                    loose += ["%s: %s" % (fname, name) for name in unused_imports(fh.read())]
     assert not loose, "unused imports: " + ", ".join(loose)
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unused_private_names(sources):
+    """(module, name) of each private top-level name of the modules
+    sources, {module: source text}, that no statement but its own
+    definition reads; a module's `from .module import name` carries a read
+    of name to that module."""
+    defined, reads = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = {alias.asname or alias.name: (node.module, alias.name)
+                    for node in tree.body if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names}
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = {top.name}
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined.update({(module, name): top for name in own if _private(name)})
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id not in own:
+                    reads.add(imported.get(node.id, (module, node.id)))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((None, node.attr))
+    return sorted(key for key in defined if key not in reads and (None, key[1]) not in reads)
+
+
+def test_unused_private_name_check_is_not_vacuous():
+    sources = {"a": "_A = 1\n_B = _A\ndef _f():\n    return _f()\n"
+                    "def _g():\n    return b._h\nclass _C:\n    pass\n",
+               "b": "from .a import _g as g\n_h = 2\n_i = g\n"}
+    assert unused_private_names(sources) == [("a", "_B"), ("a", "_C"), ("a", "_f"),
+                                             ("b", "_i")]
+
+
+def test_every_private_name_is_used():
+    sources = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                sources[fname[:-3]] = fh.read()
+    loose = ["%s.%s" % key for key in unused_private_names(sources)]
+    assert not loose, "private names that nothing in src/ reads: " + ", ".join(loose)
