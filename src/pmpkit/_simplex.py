@@ -282,9 +282,23 @@ def solve_stack(c, A, b, tol=DEFAULT_TOL):
     sees what a loop over solve_standard sees; the LPs after the one where
     it stops are left unsolved.
     """
+    yield from _raising(_stack_outcomes(c, A, b, tol))
+
+
+def _raising(outcomes):
+    """The results among outcomes, each error raised in its turn."""
+    for res in outcomes:
+        if isinstance(res, Exception):
+            raise res
+        yield res
+
+
+def _stack_outcomes(c, A, b, tol=DEFAULT_TOL):
+    """solve_stack's LPs, each LP's error yielded in place of its result: a
+    caller that reads only some LPs' outcomes sees no other LP's error."""
     c, A, b = _floats(c, A, b)
     if c.ndim == 1 and A.ndim == 2 and b.ndim == 1:
-        yield solve_standard(c, A, b, tol)
+        yield _alone(solve_standard, c, A, b, tol)
         return
     lead = np.broadcast_shapes(c.shape[:-1], A.shape[:-2], b.shape[:-1])
     L, m, n = (lead[0] if lead else 1), A.shape[-2], c.shape[-1]
@@ -293,14 +307,22 @@ def solve_stack(c, A, b, tol=DEFAULT_TOL):
     b = np.broadcast_to(b, (L, m))
     if L < 3 or not (m and n):  # no lockstep round for one LP after the first
         for i in range(L):
-            yield solve_standard(c[i], A[i], b[i], tol)
+            yield _alone(solve_standard, c[i], A[i], b[i], tol)
         return
-    yield solve_standard(c[0], A[0], b[0], tol)
+    yield _alone(solve_standard, c[0], A[0], b[0], tol)
     yield from _lockstep(c[1:].copy(), A[1:].copy(), b[1:].copy(), tol)
 
 
+def _alone(solve, *args):
+    """solve(*args), or the LP's error it raised."""
+    try:
+        return solve(*args)
+    except (np.linalg.LinAlgError, SimplexError) as err:
+        return err
+
+
 def _lockstep(c, A, b, tol):
-    """solve_stack's LPs after the first: c (L, n), A (L, m, n), b (L, m)."""
+    """_stack_outcomes's LPs after the first: c (L, n), A (L, m, n), b (L, m)."""
     L, m, n = A.shape
     out = [None] * L  # per LP: its result, its error, or a call that solves it alone
     head = 0
@@ -310,11 +332,7 @@ def _lockstep(c, A, b, tol):
         while head < L and out[head] is not None:
             res = out[head]
             head += 1
-            if callable(res):
-                res = res()
-            if isinstance(res, Exception):
-                raise res
-            yield res
+            yield _alone(res) if callable(res) else res
 
     basis = _crash(A, b)
     short = (basis < 0).sum(axis=1)

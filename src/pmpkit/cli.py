@@ -24,8 +24,7 @@ from .control_system import (ControlSignal, ControlSystem, ExtendedTrajectory,
                              _write_csv, ball, box, cost, extend, finite, lebesgue_times,
                              simulate)
 from ._simplex import SimplexError
-from .cone_geometry import (RANK_TOL, ConeCertificateError, conic_membership,
-                            membership_margin, null_space)
+from .cone_geometry import RANK_TOL, ConeCertificateError, _queries, null_space
 from .flows import FlowBlowUpError, IntegratorConfig, SingularTransportError
 from .grammar import (ProblemError, compile_dynamics, compile_gradient, max_degree,
                       parse_expression)
@@ -172,7 +171,7 @@ def _vectors(size, within):
                 and set(map(len, value)) == {size}
                 and _finite_floats(list(itertools.chain.from_iterable(value)))):
             x = np.array(value)
-            if all(map(within.contains, x)):
+            if within.contains(x):
                 return x
         return each(value, path)
     return read
@@ -607,9 +606,11 @@ def cmd_cones(args) -> int:
     cone.to_csv(os.path.join(args.out, "cone.csv"))
     _write_csv(os.path.join(args.out, "generators.csv"), ",".join(f"g{j}" for j in range(m)),
                cone.cone.generators)
-    results = [{"vector": [float(c) for c in v],
-                "status": conic_membership(cone.cone, v),
-                "margin": float(membership_margin(cone.cone, v))} for v in spec["queries"]]
+    queries = spec["queries"]
+    # each LP kind for every query in one stack, the residual LP once a query
+    _, statuses, margins = _queries(cone.cone, np.reshape(queries, (len(queries), m)))
+    results = [{"vector": [float(c) for c in v], "status": status, "margin": float(margin)}
+               for v, status, margin in zip(queries, statuses, margins)]
     _write_json(os.path.join(args.out, "membership.json"), {"queries": results})
     return 0
 

@@ -12,11 +12,12 @@ Vectors and covectors are plain 1-D numpy arrays.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._simplex import DEFAULT_TOL, solve_stack, solve_standard
+from ._simplex import DEFAULT_TOL, LpResult, _raising, _stack_outcomes, solve_standard
 
 
 class ConeCertificateError(RuntimeError):
@@ -152,27 +153,51 @@ def _check_dim(cone, v):
     return v
 
 
+def _rows(cone, v):
+    """v as a 2-D array, one vector a row."""
+    V = np.atleast_2d(np.asarray(v, dtype=float))
+    if V.ndim != 2 or V.shape[1] != cone.n:
+        raise ValueError("dimension mismatch")
+    return V
+
+
+def _each(outcomes, v):
+    """outcomes, or for one vector v its only one, after raising the first
+    error among them."""
+    outcomes = list(_raising(outcomes))
+    return outcomes if np.ndim(v) == 2 else outcomes[0]
+
+
+def _decide(out, outcomes, per, decide):
+    """out with its n-th None replaced by decide(n, its `per` outcomes of the
+    stream), which reads them only as far as it needs: the rest are solved
+    only to reach a later None's."""
+    rows = [i for i, r in enumerate(out) if r is None]
+    for n, i in enumerate(rows):
+        chunk = itertools.islice(outcomes, per)
+        out[i] = decide(n, chunk)
+        if n + 1 < len(rows):
+            list(chunk)
+    return out
+
+
 def _residual_fan(W, V, tol):
     """Yield, for each row v of V in order, the optimum of
-    min sum(s+ + s-) subject to W lam + s+ - s- = v, all variables >= 0.
+    min sum(s+ + s-) subject to W lam + s+ - s- = v, all variables >= 0,
+    or the LP's error.
 
     The value is the L1 distance from v to cone(W).  The row duals alpha
     solve the Farkas dual, max v.alpha subject to alpha.g <= 0 for every
     generator and |alpha_i| <= 1.  The LPs differ only in v and are solved
-    in lockstep (solve_stack).
+    in lockstep (`_stack_outcomes`).
     """
     m, ng = W.shape
     A = np.hstack([W, np.eye(m), -np.eye(m)])
     c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
-    for res in solve_stack(c, A, V, tol=min(tol, 1e-10)):
-        if not res.ok:  # pragma: no cover - the slack formulation is always feasible
-            raise ConeCertificateError("membership LP returned " + res.status)
+    for res in _stack_outcomes(c, A, V, tol=min(tol, 1e-10)):
+        if isinstance(res, LpResult) and not res.ok:  # pragma: no cover - always feasible
+            res = ConeCertificateError("membership LP returned " + res.status)
         yield res
-
-
-def _residual_lp(W, v, tol):
-    """The residual LP of v against cone(W) alone (see _residual_fan)."""
-    return next(_residual_fan(W, v, tol))
 
 
 def _fan(k):
@@ -209,14 +234,20 @@ def _positive_lp(M, rhs, tol):
     return res.x[:k] + t, float(t)
 
 
+def _residuals(cone, V, tol):
+    """max(value, 0.0) of each row's residual LP, or its error."""
+    return [res if isinstance(res, Exception) else max(res.value, 0.0)
+            for res in _residual_fan(cone.matrix, V, tol)]
+
+
 def cone_residual(cone, v, tol=DEFAULT_TOL):
-    """L1 distance from v to the cone (0 when v is representable).
+    """L1 distance from v to the cone (0 when v is representable); for a
+    stack of vectors, one a row, the list of them.
 
     Phase-1 formulation: min sum(s+ + s-) with W lam + s+ - s- = v over
     nonnegative variables.
     """
-    v = _check_dim(cone, v)
-    return max(_residual_lp(cone.matrix, v, tol).value, 0.0)
+    return _each(_residuals(cone, _rows(cone, v), tol), v)
 
 
 def positive_combination(cone, v, tol=DEFAULT_TOL):
@@ -238,48 +269,57 @@ def positive_combination(cone, v, tol=DEFAULT_TOL):
     return _checked_combination(W, lam, v, tol, "positive combination misses W lam = v"), t
 
 
+def _statuses(cone, V, tol, residuals):
+    """conic_membership of each row of V, or its error, from its residual:
+    the +-fans of the rows within tol of the cone in one stack."""
+    if not cone.generators:
+        return ["interior" if np.all(np.abs(v) <= tol) else "outside" for v in V]
+    out = [r if isinstance(r, Exception) else "outside" if r > tol else None for r in residuals]
+    inside = [i for i, r in enumerate(out) if r is None]
+    if not inside:
+        return out
+    Q = cone.span_basis()
+    j, sgn = _fan(Q.shape[1])
+    D = sgn[:, None] * tol * Q.T[j]
+
+    def status(_, fan):
+        for res in fan:
+            if isinstance(res, Exception):
+                return res
+            if max(res.value, 0.0) > 0.5 * tol:
+                return "boundary"
+        return "interior"
+
+    fans = _residual_fan(cone.matrix, (V[inside][:, None, :] + D).reshape(-1, cone.n), tol)
+    return _decide(out, fans, len(D), status)
+
+
 def conic_membership(cone, v, tol=DEFAULT_TOL):
-    """Classify v against the cone: "outside", "boundary" or "interior".
+    """Classify v against the cone: "outside", "boundary" or "interior"; for
+    a stack of vectors, one a row, the list of their classes.
 
     Interior means relative interior: v is representable and stays
     representable under every perturbation of magnitude tol within
     span(cone) (checked on the +-span-basis cross-polytope, which covers
     the full ball by convexity).
     """
-    v = _check_dim(cone, v)
+    V = _rows(cone, v)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not cone.generators:
-        return "interior" if np.all(np.abs(v) <= tol) else "outside"
-    if cone_residual(cone, v, tol) > tol:
-        return "outside"
-    Q = cone.span_basis()
-    j, sgn = _fan(Q.shape[1])
-    for res in _residual_fan(cone.matrix, v + sgn[:, None] * tol * Q.T[j], tol):
-        if max(res.value, 0.0) > 0.5 * tol:
-            return "boundary"
-    return "interior"
+    return _each(_statuses(cone, V, tol, cone.generators and _residuals(cone, V, tol)), v)
 
 
-def membership_margin(cone, v, tol=DEFAULT_TOL):
-    """Largest r <= cap such that v +- r q stays in the cone for every span-basis q.
-
-    cap = max(1, |v|) keeps each LP bounded.  One LP per direction d = +-q:
-    max r subject to W lam - r d = v, r <= cap and lam >= 0, with the rows
-    taken in span coordinates (v is projected onto span(C); it lies within
-    tol of the cone).  The minimum over directions is a lower bound on the
-    distance from v to the relative boundary (cross-polytope inradius).
-    Returns 0.0 when v is not in the cone.  Raises ConeCertificateError
-    when a direction's lam fails ||W lam - r d - v||_1 <= tol.
-    """
-    v = _check_dim(cone, v)
-    if cone_residual(cone, v, tol) > tol:
-        return 0.0
+def _margins(cone, V, tol, residuals):
+    """membership_margin of each row of V, or its error, from its residual:
+    the margin LPs of the rows within tol of the cone in one stack."""
+    out = [r if isinstance(r, Exception) else 0.0 if r > tol else None for r in residuals]
+    inside = [i for i, r in enumerate(out) if r is None]
+    if not inside:
+        return out
     Q = cone.span_basis()
     k = Q.shape[1]
     if k == 0:
-        return np.inf
-    cap = max(1.0, float(np.linalg.norm(v)))
+        return [np.inf if r is None else r for r in out]
     W = cone.matrix
     ng = W.shape[1]
     # variables (lam, r, s): Q^T W lam - r Q^T d = Q^T v and r + s = cap
@@ -289,20 +329,57 @@ def membership_margin(cone, v, tol=DEFAULT_TOL):
     A[:, :k, :ng] = Q.T @ W
     A[np.arange(2 * k), j, ng] = -sgn
     A[:, k, ng:] = 1.0
-    b = np.append(Q.T @ v, cap)
+    B = [np.append(Q.T @ V[i], max(1.0, float(np.linalg.norm(V[i])))) for i in inside]
     c = np.zeros(ng + 2)
     c[ng] = -1.0
-    out = np.inf
-    for i, res in enumerate(solve_stack(c, A, b, tol=min(tol, 1e-10))):
-        if not res.ok:
-            return 0.0  # v lies on the relative boundary within tol
-        lam, r = res.x[:ng], res.x[ng]
-        miss = np.abs(W @ lam - r * sgn[i] * Q[:, j[i]] - Q @ b[:k]).sum()
-        if not miss <= tol:
-            raise ConeCertificateError(
-                "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
-        out = min(out, r)
-    return out
+
+    def margin(row, lps):
+        b, best = B[row], np.inf
+        for i, res in enumerate(lps):
+            if isinstance(res, Exception):
+                return res
+            if not res.ok:
+                return 0.0  # v lies on the relative boundary within tol
+            lam, r = res.x[:ng], res.x[ng]
+            miss = np.abs(W @ lam - r * sgn[i] * Q[:, j[i]] - Q @ b[:k]).sum()
+            if not miss <= tol:
+                return ConeCertificateError(
+                    "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
+            best = min(best, r)
+        return best
+
+    lps = _stack_outcomes(c, np.tile(A, (len(inside), 1, 1)), np.repeat(B, 2 * k, axis=0),
+                          tol=min(tol, 1e-10))
+    return _decide(out, lps, 2 * k, margin)
+
+
+def membership_margin(cone, v, tol=DEFAULT_TOL):
+    """Largest r <= cap such that v +- r q stays in the cone for every span-basis q;
+    for a stack of vectors, one a row, the list of them.
+
+    cap = max(1, |v|) keeps each LP bounded.  One LP per direction d = +-q:
+    max r subject to W lam - r d = v, r <= cap and lam >= 0, with the rows
+    taken in span coordinates (v is projected onto span(C); it lies within
+    tol of the cone).  The minimum over directions is a lower bound on the
+    distance from v to the relative boundary (cross-polytope inradius).
+    Returns 0.0 when v is not in the cone.  Raises ConeCertificateError
+    when a direction's lam fails ||W lam - r d - v||_1 <= tol.
+    """
+    V = _rows(cone, v)
+    return _each(_margins(cone, V, tol, _residuals(cone, V, tol)), v)
+
+
+def _queries(cone, v, tol=DEFAULT_TOL, margins=True):
+    """[residuals, statuses, margins] (no margins unless asked) of the rows
+    of v, each row's residual LP solved once; the first error is raised,
+    row by row, in that order within a row."""
+    V = _rows(cone, v)
+    residuals = _residuals(cone, V, tol)
+    table = [residuals, _statuses(cone, V, tol, residuals)]
+    if margins:
+        table.append(_margins(cone, V, tol, residuals))
+    _each([out for row in zip(*table) for out in row], V)
+    return table
 
 
 def _checked_combination(M, coef, rhs, tol, what):
@@ -348,7 +425,7 @@ def supporting_hyperplane(cone, tol=DEFAULT_TOL):
     if rank < cone.n:
         return _checked_hyperplane(W, U[:, rank], tol)
     unit = W / np.linalg.norm(W, axis=0)
-    for res in _residual_fan(unit, _pm_axes(cone.n), tol):
+    for res in _raising(_residual_fan(unit, _pm_axes(cone.n), tol)):
         if res.value > max(tol, 1e-8):
             return _checked_hyperplane(W, res.y, tol)
     return None
@@ -395,7 +472,8 @@ def difference_spans(c1, c2, tol=DEFAULT_TOL):
         raise ValueError("dimension mismatch")
     n = c1.n
     diff = GeneratedCone(np.vstack((c1.matrix.T, -c2.matrix.T)), n)
-    spans = all(max(res.value, 0.0) <= tol for res in _residual_fan(diff.matrix, _pm_axes(n), tol))
+    spans = all(max(res.value, 0.0) <= tol
+                for res in _raising(_residual_fan(diff.matrix, _pm_axes(n), tol)))
     sep = separate(c1, c2, tol).separated
     if spans == sep:
         raise RuntimeError("difference_spans cross-check failed: spans=%s separated=%s"

@@ -50,8 +50,6 @@ class ControlSet:
                 raise ValueError("box bounds need lo <= hi componentwise")
             object.__setattr__(self, "lo", lo)
             object.__setattr__(self, "hi", hi)
-            # the bounds as Python floats, which `contains` compares
-            object.__setattr__(self, "_sides", tuple(zip(lo.tolist(), hi.tolist())))
         elif self.kind == "finite":
             if not self.points:
                 raise ValueError("finite control set needs at least one point")
@@ -78,20 +76,19 @@ class ControlSet:
         return self.center.size
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
-        u = np.asarray(u, dtype=float).ravel()
-        if self.kind == "box":
-            # u >= lo - tol and u <= hi + tol as floats, which a NaN fails
-            if u.size != len(self._sides):
-                return False
-            for v, (lo, hi) in zip(u.tolist(), self._sides):
-                if not lo - tol <= v <= hi + tol:
-                    return False
-            return True
-        if u.size != self.dim:
+        """Whether the value u, or every row of a 2-D block u, lies in the set
+        within tol (a NaN entry does not); a box compares a block at once."""
+        u = np.asarray(u, dtype=float)
+        U = u if u.ndim == 2 else u.reshape(1, -1)
+        if U.shape[1] != self.dim:
             return False
+        if self.kind == "box":
+            with np.errstate(invalid="ignore"):  # an infinite bound and tol
+                return bool(((self.lo - tol <= U) & (U <= self.hi + tol)).all())
         if self.kind == "finite":
-            return any(np.max(np.abs(u - p)) <= tol for p in self.points)
-        return float(np.linalg.norm(u - self.center)) <= self.radius + tol
+            gaps = np.max(np.abs(U[:, None, :] - np.array(self.points)), axis=2)
+            return bool(np.all(np.any(gaps <= tol, axis=1)))
+        return all(float(np.linalg.norm(row - self.center)) <= self.radius + tol for row in U)
 
 
 def box(lo, hi) -> ControlSet:
@@ -329,35 +326,51 @@ def _write_csv(path, header: str, rows) -> None:
 def signal_field(sys: ControlSystem, u: ControlSignal) -> PiecewiseField:
     """The field x' = f(x, u(t)), holding on each grid segment the value of
     u at its midpoint: the grid hits u's switches, so a step that ends on
-    one keeps its own arc's control at every stage.  The pieces sit in a
-    list, looked up by the index of the midpoint among the switches.  When
-    f is the grammar's generated dynamics, each piece carries its generated
-    runner with the piece's control bound, as a list of floats."""
-    rate, pieces, st = sys._rate, [], u.switch_times
-    runner = getattr(sys.f, "runner", None)
-    run = runner and runner()
-    for v, row in zip(u.values, u.values.tolist()):
-        X = TimeVectorField(
-            sys.m, lambda _, x, v=v: rate(x, v), lambda _, x, v=v: sys.jac_x(x, v),
-            run and (lambda y, ts, i0, i1, xs, v=row: run(y, v, ts, i0, i1, xs)))
+    one keeps its own arc's control at every stage.  A segment's field is
+    made where it is asked for, from the row of u's values that the index
+    of the midpoint among the switches picks.  When f is the grammar's
+    generated dynamics, the field carries its generated runner, which steps
+    every run of a path in one call on u's values as one list of rows."""
+    rate, jac, st, U = sys._rate, sys.jac_x, u.switch_times, u.values
+
+    def segment(t0, t1):
+        v = U[bisect.bisect_right(st, 0.5 * (t0 + t1))]
+        X = TimeVectorField(sys.m, lambda _, x: rate(x, v), lambda _, x: jac(x, v))
         X.eval.on_lists = True
-        pieces.append(X)
-    return PiecewiseField(sys.m, lambda t0, t1: pieces[bisect.bisect_right(st, 0.5 * (t0 + t1))],
-                          st)
+        return X
+
+    X = PiecewiseField(sys.m, segment, st)
+    runner = getattr(sys.f, "runner", None)
+    if runner is not None:
+        rows = U.tolist()
+        X.run = lambda y, ts, runs, xs, end: runner(end)(y, rows, runs, ts, xs)
+    return X
+
+
+def _signal_path(sys: ControlSystem, u: ControlSignal, x0, cfg, end=False):
+    """The grid and the states of `simulate` as a list, with end only x0 and
+    x(b): `_lifted_path` of `signal_field(sys, u)`, after checking x0 and u."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    if x0.size != sys.m or not np.all(np.isfinite(x0)):
+        raise ValueError("initial state must be finite with the system dimension")
+    if not sys.control_set.contains(u.values):
+        raise ValueError("control signal value outside the control set")
+    return _lifted_path(signal_field(sys, u), None, u.a, u.b, x0, (), cfg, end)[:2]
 
 
 def simulate(sys: ControlSystem, u: ControlSignal, x0,
              cfg: Optional[IntegratorConfig] = None) -> Trajectory:
     """Integrate x' = f(x, u(t)), the field `signal_field(sys, u)`, on [a, b]
     by fixed-step RK4 on a grid hitting every switch."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size != sys.m or not np.all(np.isfinite(x0)):
-        raise ValueError("initial state must be finite with the system dimension")
-    if not all(map(sys.control_set.contains, u.values)):
-        raise ValueError("control signal value outside the control set")
-    grid, states, _ = _lifted_path(signal_field(sys, u), None, u.a, u.b, x0, (), cfg)
+    grid, states = _signal_path(sys, u, x0, cfg)
     cls = ExtendedTrajectory if sys.extended else Trajectory
     return cls(grid=grid, states=np.array(states), control=u, system=sys)
+
+
+def _endpoint(sys: ControlSystem, u: ControlSignal, x0,
+              cfg: Optional[IntegratorConfig] = None) -> np.ndarray:
+    """`simulate(sys, u, x0, cfg).endpoint`, bit for bit, keeping no path."""
+    return np.array(_signal_path(sys, u, x0, cfg, True)[1][-1])
 
 
 def _event_path(sys: ControlSystem, traj: Trajectory, times: Sequence[float],

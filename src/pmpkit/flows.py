@@ -56,11 +56,12 @@ class TimeVectorField:
     `on_lists` runs on lists of floats.  When `jacobian` is None, central
     finite differences with step 1e-6 (1 + |x|) are used.  The grid hits the
     `switch_times` where a field may jump, and `on` gives the smooth field
-    of one grid segment.  An autonomous field may carry `run(y, ts, i0, i1,
-    xs)`, which steps y from node i0 to node i1 of the grid ts and appends
-    each state to xs: the list `rk4_step(eval, t, x, h, eval(t, x))` returns
-    for h = ts[i + 1] - ts[i], bit for bit.  It returns the first node whose
-    state is not finite (that state appended too), or None.
+    of one grid segment.  A field may carry `run(y, ts, runs, xs, end)`,
+    which steps y over the runs (i0, i1, j) of the grid ts (`_runs`), in
+    order, and appends each state to xs, or with end only the last: the
+    list `rk4_step(F.eval, t, x, h, F.eval(t, x))` returns for h = ts[i + 1]
+    - ts[i] and F = on(ts[i0], ts[i0 + 1]), bit for bit.  It returns the
+    first node whose state is not finite (that state appended too), or None.
     """
 
     dim: int
@@ -116,7 +117,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.step is not None and not (self.step > 0 and math.isfinite(self.step)):
             raise ValueError("step must be positive and finite")
-        self.event_times = tuple(float(t) for t in self.event_times)
+        self.event_times = tuple(map(float, self.event_times))
 
 
 def integration_grid(s, t, cfg=None):
@@ -139,11 +140,13 @@ def integration_grid(s, t, cfg=None):
     step = cfg.step if cfg.step is not None else 1e-3 * span
     n = max(1, math.ceil(span / step - 1e-12))
     grid = np.linspace(lo, hi, n + 1)
-    events = list(dict.fromkeys(e for e in cfg.event_times if lo < e < hi))
+    # each event once, as first given (0.0 and -0.0 being equal), in order
+    events = sorted(dict.fromkeys(e for e in cfg.event_times if lo < e < hi))
     if events:
+        events = np.array(events)
         inner = grid[1:-1]
         # ev[j - 1] < node <= ev[j], the infinities standing for no event
-        ev = np.array([-math.inf, *sorted(events), math.inf])
+        ev = np.concatenate(([-math.inf], events, [math.inf]))
         j = np.searchsorted(ev, inner)
         near = np.minimum(inner - ev[j - 1], ev[j] - inner)
         keep = near > 1e-9 * span
@@ -210,45 +213,46 @@ def _all_finite(v):
 
 def flow(X, t, s, x0, cfg=None):
     """Endpoint of the evolution operator from (s, x0) to time t."""
-    return np.array(_lifted_path(X, None, s, t, x0, (), cfg)[1][-1])
+    return np.array(_lifted_path(X, None, s, t, x0, (), cfg, True)[1][-1])
 
 
 def _runs(grid, switch_times):
-    """The steps of grid in runs, as pairs (i0, i1) of node indices in grid
-    order: a run is the steps from node i0 to node i1 whose midpoints
-    0.5 (t0 + t1) all have one index `bisect_right(sorted(switch_times),
+    """The steps of grid in runs, as triples (i0, i1, j) in grid order: a
+    run is the steps from node i0 to node i1 whose midpoints 0.5 (t0 + t1)
+    all have the one index j = `bisect_right(sorted(switch_times),
     midpoint)`.  A field that jumps only at switch_times and holds on each
-    step its value at the step's midpoint is one smooth field on a run.
-    The grid hits every switch, so a run is the steps between two switch
-    nodes, except that the midpoint of a step one ulp long may round onto
-    its end: such a step keeps the field its midpoint selects."""
+    step its value at the step's midpoint is one smooth field on a run, its
+    piece j.  The grid hits every switch, so a run is the steps between two
+    switch nodes, except that the midpoint of a step one ulp long may round
+    onto its end: such a step keeps the field its midpoint selects."""
     n = len(grid) - 1
     if n < 1:
         return []
-    cuts = [0]
-    if switch_times and n > 1:
-        piece = np.searchsorted(np.sort(switch_times), 0.5 * (grid[:-1] + grid[1:]),
-                                side="right")
-        cuts += (np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist()
-    return list(zip(cuts, cuts[1:] + [n]))
+    if not len(switch_times):
+        return [(0, n, 0)]
+    piece = np.searchsorted(np.sort(switch_times), 0.5 * (grid[:-1] + grid[1:]), side="right")
+    starts = np.flatnonzero(np.concatenate(([True], piece[1:] != piece[:-1])))
+    i0 = starts.tolist()
+    return list(zip(i0, i0[1:] + [n], piece[starts].tolist()))
 
 
-def _lifted_path(X, lift, s, t, x0, ws, cfg):
+def _lifted_path(X, lift, s, t, x0, ws, cfg, end=False):
     """RK4 paths from s to t of x' = X and, along that one base path, of each
     w' = lift(dX/dx, w) with w(s) in ws: the package's one forward path loop.
     Returns the grid, then as lists the x path and the w paths.
 
-    The grid hits cfg's event times, then X's switch times.  The loop walks
-    the grid's `_runs` between switches, and each run's steps run on
-    F = X.on(t0, t1) of its first step, whose eval gets each stage as an
-    array unless it is marked `on_lists`; lift gets dX/dx as a list of rows
-    and w as a list of floats, and returns a list.  When no w is nonzero
-    and F carries `run`, F.run steps x over the whole run.
-    Else x advances once a step by rk4_step, recording dX/dx at its four
-    stages if some w is nonzero, and each nonzero w then advances by
-    rk4_step on the recorded Jacobians.  Each step has h = t1 - t0.  RK4 is
-    elementwise outside its right-hand side, so every w path has the bits of
-    the RK4 path of the stacked (x, w).  A zero w stays zero.
+    The grid hits cfg's event times, then X's switch times.  When no w is
+    nonzero and X carries `run`, X.run steps x over all the grid's `_runs`
+    in one call, and with end keeps only x's last state after x(s).  Else
+    the loop walks the runs, and each run's steps run on F = X.on(t0, t1)
+    of its first step, whose eval gets each stage as an array unless it is
+    marked `on_lists`; lift gets dX/dx as a list of rows and w as a list of
+    floats, and returns a list.  x advances once a step by rk4_step,
+    recording dX/dx at its four stages if some w is nonzero, and each
+    nonzero w then advances by rk4_step on the recorded Jacobians.  Each
+    step has h = t1 - t0.  RK4 is elementwise outside its right-hand side,
+    so every w path has the bits of the RK4 path of the stacked (x, w).  A
+    zero w stays zero.
     """
     cfg = cfg or IntegratorConfig()
     grid = integration_grid(s, t, IntegratorConfig(cfg.step, cfg.event_times + X.switch_times))
@@ -258,18 +262,18 @@ def _lifted_path(X, lift, s, t, x0, ws, cfg):
     live = [j for j, w in enumerate(ws) if any(w)]
     xs = [x]
     rows = [[w] if j in live else [w] * len(ts) for j, w in enumerate(ws)]
+    runs = _runs(grid, X.switch_times)
+    if not live and X.run is not None:
+        node = X.run(x, ts, runs, xs, end)
+        if node is not None:
+            raise FlowBlowUpError(ts[node])
+        return grid, xs, rows
 
     def array_rate(tt, xx):
         return np.asarray(F.eval(tt, np.array(xx))).tolist()
 
-    for i0, i1 in _runs(grid, X.switch_times):
+    for i0, i1, _ in runs:
         F = X.on(ts[i0], ts[i0 + 1])
-        if not live and F.run is not None:
-            node = F.run(x, ts, i0, i1, xs)
-            if node is not None:
-                raise FlowBlowUpError(ts[node])
-            x = xs[-1]
-            continue
         rate = F.eval if getattr(F.eval, "on_lists", False) else array_rate
         for t0, t1 in zip(ts[i0:i1], ts[i0 + 1:i1 + 1]):
             h = t1 - t0

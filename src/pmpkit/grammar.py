@@ -7,11 +7,11 @@ symbolically in x, and read for its degree in u.
 
 Evaluation goes through generated Python functions: one per dynamics
 vector, cost, or exact Jacobian; one loop of RK4 steps of the dynamics over
-a run of grid nodes; for shooting, the stage and the RK4 step of the
-coupled (x, p) field x' = f, p' = c dF/dx - (df/dx)^T p, as f and
-`pmp._costate` compute it; for `pmp.adjoint_flows`, one loop of its
-discrete-adjoint steps of an m x r block of covectors over a run of grid
-nodes; for the box maximizer, its probe values of p0 F + p . f and
+the control runs of a path, and its endpoint form; for shooting, the
+stage and the RK4 step of the coupled (x, p) field x' = f, p' = c dF/dx -
+(df/dx)^T p, as f and `pmp._costate` compute it; for `pmp.adjoint_flows`,
+one loop of its discrete-adjoint steps of an m x r block of covectors over
+the control runs of a path; for the box maximizer, its probe values of p0 F + p . f and
 their quadratic fit in one straight-line function; and for shooting on a
 finite box, one loop over the whole steps of an arc and one trial step,
 which call the coupled step and the probe fit and make the maximizer's
@@ -717,14 +717,17 @@ def _read(code, vec, i):
 
 
 def _field_code(trees, k, n):
-    """A code that reads once, through float, the controls the trees name
-    and the n floats of the state y, with the operands of y."""
+    """(code, controls, y): a code that reads once, through float, the
+    controls the trees name, those reads apart from its body (a run makes
+    them once a control run), and the operands of the n floats of the state
+    y, which the body reads."""
     code = _Code()
     read = {node.id for node in _nodes(trees) if isinstance(node, ast.Name)}
     for j in range(k):
         if f"u{j}" in read:
             code.inputs[f"u{j}"] = _read(code, "u", j).name
-    return code, [_read(code, "y", i) for i in range(n)]
+    controls, code.body = code.body, []
+    return code, controls, [_read(code, "y", i) for i in range(n)]
 
 
 def _dynamics_stage(code, bodies):
@@ -783,50 +786,62 @@ def _rk4_step_code(code, y, stage, k1, h="h"):
 _RUN = """\
 def {name}({params}):
     {reads}
-    for i in range({nodes}):
-        {step}
-        {out}.append([{new}])
-        if not ({finite}):
-            return {blown}
-        {carried}
+    for i0, i1, j in runs:
+        u = U[j]
+        {controls}
+        for i in range({nodes}):
+            {step}
+            {kept}
+            if not ({finite}):
+                {blown_kept}
+                return {blown}
+            {carried}
+    {last}
     return None"""
 
 
-def _run_function(code, name, params, reads, head, y, new, out, nodes, blown):
+def _run_function(code, name, params, reads, controls, head, y, new, out, nodes, blown,
+                  end=False):
     """The definition of name(*params) -> node that `_RUN` writes, whose
     step, head and then code.body, makes the locals new, which the
-    operands y carry to the next node."""
+    operands y carry to the next node; with end, out gets only the state
+    the loops stop at."""
+    state = [f"{out}.append([{', '.join(new)}])"]
     return _Definition(name, _fill(
-        _RUN, name=name, params=", ".join(params), reads=reads, nodes=nodes,
-        step=head + code.body, out=out, new=", ".join(new), blown=blown,
+        _RUN, name=name, params=", ".join(params), reads=reads, controls=controls, nodes=nodes,
+        step=head + code.body, kept=[] if end else state, blown_kept=state if end else [],
+        last=[f"{out}.append([{', '.join(yi.name for yi in y)}])"] if end else [], blown=blown,
         finite=" and ".join(f"_isfinite({n})" for n in new),
         carried=[f"{yi.name} = {n}" for yi, n in zip(y, new)]))
 
 
-def _dynamics_run_code(bodies, k):
-    """(code, definition) of dynamics_run(y, u, ts, i0, i1, xs) -> node:
-    the RK4 steps of x' = f(x, u) with u held from y at node i0 to node i1
-    of the grid ts (`_RUN`), for the m trees `bodies` of f.  Step i has h =
-    ts[i + 1] - ts[i]: the list `flows.rk4_step` returns, whose stage and
-    combination arithmetic `_rk4_step_code` writes; each of the four stages
-    evaluates the entries as `dynamics` does, each in its own try, on the
-    stage's state held in locals."""
-    code, y = _field_code(bodies, k, len(bodies))
+def _dynamics_run_code(bodies, k, end=False):
+    """(code, definition) of dynamics_run(y, U, runs, ts, xs) -> node, or
+    with end of dynamics_end, which keeps only the last state: the RK4
+    steps of x' = f(x, u) from y over the runs (i0, i1, j) of the grid ts
+    (`flows._runs`), u = U[j] held from node i0 to node i1 (`_RUN`), for
+    the m trees `bodies` of f.  Step i has h = ts[i + 1] - ts[i]: the list
+    `flows.rk4_step` returns, whose stage and combination arithmetic
+    `_rk4_step_code` writes; each of the four stages evaluates the entries
+    as `dynamics` does, each in its own try, on the stage's state held in
+    locals."""
+    code, controls, y = _field_code(bodies, k, len(bodies))
     reads, code.body = code.body, []
     stage = _dynamics_stage(code, bodies)
     new = [code.local(v) for v in _rk4_step_code(code, y, stage, stage(y))]
-    return code, _run_function(code, "dynamics_run", ("y", "u", "ts", "i0", "i1", "xs"), reads,
-                               ["h = ts[i + 1] - ts[i]"], y, new, "xs", "i0, i1", "i + 1")
+    return code, _run_function(code, "dynamics_end" if end else "dynamics_run",
+                               ("y", "U", "runs", "ts", "xs"), reads, controls,
+                               ["h = ts[i + 1] - ts[i]"], y, new, "xs", "i0, i1", "i + 1", end)
 
 
 def _adjoint_run_code(bodies, jacobian, gradient, k, r):
-    """(code, definition) of adjoint_run(p, u, c, ts, xs, i0, i1, out) ->
-    node (`_RUN`): the discrete adjoint of the RK4 steps of x' = f(x, u)
-    with u held, as `pmp.adjoint_flows` takes it, stepping the m x r block
-    p (column after column) back from node i1 to node i0 of the grid ts,
-    for the m trees `bodies` of f, the Jacobian trees `jacobian`
-    (row-major) and the gradient trees, None without a cost; c holds the r
-    column multipliers c = -p0.
+    """(code, definition) of adjoint_run(p, U, runs, c, ts, xs, out) ->
+    node (`_RUN`): the discrete adjoint of the RK4 steps of x' = f(x, u),
+    as `pmp.adjoint_flows` takes it, stepping the m x r block p (column
+    after column) back over the runs (i0, i1, j), from node i1 to node i0
+    of each with u = U[j] held, for the m trees `bodies` of f, the Jacobian
+    trees `jacobian` (row-major) and the gradient trees, None without a
+    cost; c holds the r column multipliers c = -p0.
 
     Step i retraces the forward step from the node state xs[i] with h =
     ts[i + 1] - ts[i]: `flows._recorded_step` runs once on `_Operand`s and
@@ -837,7 +852,7 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
     state, and so f at its fourth stage, is never read, and is not
     written."""
     m = len(bodies)
-    code, _ = _field_code([*bodies, *(gradient or ())], k, 0)
+    code, controls, _ = _field_code([*bodies, *(gradient or ())], k, 0)
     c = [_read(code, "c", j) for j in range(r)]
     p = [_read(code, "p", i) for i in range(m * r)]
     reads, code.body = code.body, []
@@ -855,8 +870,8 @@ def _adjoint_run_code(bodies, jacobian, gradient, k, r):
 
     new = [code.local(v) for v in _rk4_step_code(code, p, stage, stage(p), "hb")]
     head = ["x = xs[i]", "h = ts[i + 1] - ts[i]", "hb = ts[i] - ts[i + 1]"]
-    return code, _run_function(code, "adjoint_run", ("p", "u", "c", "ts", "xs", "i0", "i1", "out"),
-                               reads, head, p, new, "out", "i1 - 1, i0 - 1, -1", "i")
+    return code, _run_function(code, "adjoint_run", ("p", "U", "runs", "c", "ts", "xs", "out"),
+                               reads, controls, head, p, new, "out", "i1 - 1, i0 - 1, -1", "i")
 
 
 def _coupled_step_code(bodies, jacobian, gradient, k, step):
@@ -864,7 +879,8 @@ def _coupled_step_code(bodies, jacobian, gradient, k, step):
     at u held: coupled_stage(y, u, c) -> list, the field at y, or, with
     step, coupled_step(y, u, h, k1, c) -> list, one RK4 step from y with
     step h whose first stage k1 is coupled_stage(y, u, c)."""
-    code, y = _field_code([*bodies, *(gradient or ())], k, 2 * len(bodies))
+    code, controls, y = _field_code([*bodies, *(gradient or ())], k, 2 * len(bodies))
+    code.body[:0] = controls
     stage = _coupled_stage(code, bodies, jacobian, gradient)
     if not step:
         return code, code.define("coupled_stage", ("y", "u", "c"), _returned(stage(y)))
@@ -1143,15 +1159,17 @@ def compile_dynamics(srcs, m: int, k: int):
 
     df/dx is None when some expression has a state in an exponent.  f
     carries six generated forms, each compiled where a call finds it in
-    no memo (below), since only some paths run it: three RK4 forms with u
-    held, the box maximizer's probe fit, shooting's loop on a finite box,
-    and the extended system.
-    - `f.runner()` returns run(y, u, ts, i0, i1, xs), the RK4 steps of
-      x' = f(x, u) (n = m) from y at node i0 to node i1 of the grid ts in
-      one loop: step i appends to xs the list `flows.rk4_step(lambda t, x:
-      f(x, u), t, x, h, f(x, u))` returns for h = ts[i + 1] - ts[i], bit
-      for bit.  It returns the first node whose state is not finite (that
-      state appended), or None.
+    no memo (below), since only some paths run it: three RK4 forms, the box
+    maximizer's probe fit, shooting's loop on a finite box, and the
+    extended system.
+    - `f.runner()` returns run(y, U, runs, ts, xs), the RK4 steps of
+      x' = f(x, u) (n = m) from y over the runs (i0, i1, j) of the grid ts
+      (`flows._runs`), u = U[j] held from node i0 to node i1: step i
+      appends to xs the list `flows.rk4_step(lambda t, x: f(x, u), t, x,
+      h, f(x, u))` returns for h = ts[i + 1] - ts[i], bit for bit.  It
+      returns the first node whose state is not finite (that state
+      appended), or None.  `f.runner(True)`, its endpoint form, takes the
+      same steps and appends only the state it stops at.
     - `f.coupled_step(df_dx, F, dF_dx)` returns (stage, step) for shooting's
       coupled field x' = f(x, u), p' = c dF/dx - (df/dx)^T p with c = -p0,
       for a system with Jacobian df_dx, cost F (None without a cost) and
@@ -1159,14 +1177,14 @@ def compile_dynamics(srcs, m: int, k: int):
       step(y, u, h, k1, c) one RK4 step from y whose first stage k1 is
       stage(y, u, c), with the bits of `flows.rk4_step` on f and
       `pmp._costate`.
-    - `f.adjoint_run(df_dx, F, dF_dx, r)` returns run(p, u, c, ts, xs, i0,
-      i1, out), the sweep of `pmp.adjoint_flows` over one control run for
-      an m x r block: it steps the block p (column after column) back from
-      node i1 to node i0 of the grid ts, node states xs and multipliers c =
-      -p0 per column, appending each block to out as a list, bit for bit,
-      and returns the first node whose block is not finite (that block
-      appended), or None.  Each column steps as its own vector, so a
-      block column has the bits of its own sweep.
+    - `f.adjoint_run(df_dx, F, dF_dx, r)` returns run(p, U, runs, c, ts,
+      xs, out), the sweep of `pmp.adjoint_flows` for an m x r block: it
+      steps the block p (column after column) back over the runs (i0, i1,
+      j), from node i1 to node i0 of each with u = U[j], node states xs
+      and multipliers c = -p0 per column, appending each block to out as a
+      list, bit for bit, and returns the first node whose block is not
+      finite (that block appended), or None.  Each column steps as its own
+      vector, so a block column has the bits of its own sweep.
     Both return None unless df_dx is f's own generated Jacobian and the
     system has no cost or dF_dx is a generated gradient.
     - `f.probe_fit(F, points, axes, pairs)` returns fn(p, x, p0f) -> fit,
@@ -1238,12 +1256,13 @@ def _dynamics(bodies, entries, m: int, k: int):
     f on m states and k controls and the trees `entries` of df/dx laid out
     row after row, None where some tree has a state in an exponent: f
     carries its forms, and df/dx is None without entries."""
-    # `signal_field` asks for the runner once per simulated path, so the
+    # `signal_field` asks for a runner once per simulated path, so the
     # shape of f that keys it is taken once, here
     body_shape = _shape([bodies])
 
-    def runner():
-        return _shaped("dynamics_run", body_shape, lambda: _dynamics_run_code(bodies, k), k)
+    def runner(end=False):
+        return _shaped("dynamics_end" if end else "dynamics_run", body_shape,
+                       lambda: _dynamics_run_code(bodies, k, end), k)
 
     n = len(bodies)
     dynamics = _entries_function(bodies, "dynamics", (n,))

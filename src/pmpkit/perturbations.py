@@ -24,15 +24,15 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._simplex import DEFAULT_TOL, solve_stack, solve_standard
+from ._simplex import DEFAULT_TOL, _raising, solve_stack, solve_standard
 from .cone_geometry import (
     BoundaryConditionError,
     ConeCertificateError,
     GeneratedCone,
     RootSearchError,
     _checked_hyperplane,
-    _residual_lp,
-    cone_residual,
+    _queries,
+    _residual_fan,
     conic_membership,
     covered_point_root,
     membership_margin,
@@ -44,6 +44,7 @@ from .control_system import (
     ControlSignal,
     ControlSystem,
     Trajectory,
+    _endpoint,
     _event_path,
     _frozen_array,
     _signal_of_pieces,
@@ -414,7 +415,7 @@ def _normal_separation(W, tol):
     if res.ok:
         return _checked_hyperplane(W, np.concatenate(([-1.0], res.y[:m] - res.y[m:])), tol), None
     down = -np.eye(m + 1)[0]
-    lam = _residual_lp(W, down, tol).x[:k]
+    lam = next(_raising(_residual_fan(W, down, tol))).x[:k]
     miss = float(np.abs(W @ lam - down).sum())
     if not miss <= tol * (1.0 + float(np.abs(W).sum(axis=0) @ lam)):
         raise ConeCertificateError("Farkas ray misses W lam = -e_0 by %.3e" % miss)
@@ -613,11 +614,10 @@ def cone_transport_check(sys: ControlSystem, traj: Trajectory, t1: float, t2: fl
     drift2 = sys.dynamics(path.states[node[t2]], u.value_at(t2))
     _, (*moved, moved_drift) = tangent_lift_flows(
         signal_field(sys, u), t2, t1, x1, list(cone_t1.cone.generators) + [drift1], cfg)
-    worst = 0.0
-    verdicts = []
-    for g in moved:
-        worst = max(worst, cone_residual(cone2.cone, g))
-        verdicts.append(conic_membership(cone2.cone, g))
+    # every moved generator in one stack of each LP kind
+    residuals, verdicts = _queries(cone2.cone, np.reshape(moved, (len(moved), sys.m)),
+                                   margins=False)
+    worst = max([0.0, *residuals])
 
     axis_defect = float(np.linalg.norm(moved_drift - drift2))
     return TransportReport(max_violation=worst, axis_defect=axis_defect,
@@ -715,7 +715,7 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
 
     x0 = traj.states[0]
     cfg = opts.cfg or IntegratorConfig()
-    ref_end = simulate(sys, _clip_signal(traj.control, float(t)), x0, cfg).endpoint
+    ref_end = _endpoint(sys, _clip_signal(traj.control, float(t)), x0, cfg)
     vv = float(v @ v)
     nq = Q.shape[1]
 
@@ -733,7 +733,7 @@ def realize_direction(sys: ControlSystem, traj: Trajectory, t: float, v,
 
     def endpoint(lam, s):
         sig, eval_time = build(lam, s)
-        return simulate(sys, sig, x0, cfg).endpoint, sig, eval_time
+        return _endpoint(sys, sig, x0, cfg), sig, eval_time
 
     best_res = np.inf
     s = 1e-2

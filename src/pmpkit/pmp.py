@@ -558,8 +558,9 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     A block column has the bits of its own sweep: the block is carried
     column after column, and each column's (df/dx)^T p is summed in order
     from 0.0 (`_costate_rate`).  Where the grammar's generated dynamics give
-    the system an `adjoint_run` (`grammar.compile_dynamics`), each control
-    run steps back through that one generated loop instead, bit for bit.
+    the system an `adjoint_run` (`grammar.compile_dynamics`), the block
+    steps back over every control run in that one generated call instead,
+    on the control's values as one list of rows, bit for bit.
     """
     P = np.array(P_b, dtype=float)
     if P.ndim != 2 or P.shape[0] != sys.m:
@@ -572,27 +573,26 @@ def adjoint_flows(sys: ControlSystem, traj: Trajectory, P_b, p0=0.0) -> np.ndarr
     states = traj.states.tolist()
     p = P.T.ravel().tolist()
     sigma = [p]
-
-    # the forward path's runs, last first: each holds one control value
-    for i0, i1 in reversed(_runs(traj.grid, traj.control.switch_times)):
-        uval = traj.control.value_at(0.5 * (ts[i0] + ts[i0 + 1]))
-        if run is not None:
-            node = run(p, uval.tolist(), c, ts, states, i0, i1, sigma)
-            if node is not None:
-                raise FlowBlowUpError(ts[node])
-            p = sigma[-1]
-            continue
-        linearize = costate(uval)
-        for i in range(i1 - 1, i0 - 1, -1):
-            t0, t1 = ts[i], ts[i + 1]
-            _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0, states[i],
-                                      t1 - t0)
-            # stage 4 gives k1, then stages 3, 2 and 1
-            stages = iter(rates[::-1])
-            p = rk4_step(lambda _, pp: next(stages)(pp), t1, p, t0 - t1, next(stages)(p))
-            if not _all_finite(p):
-                raise FlowBlowUpError(t0)
-            sigma.append(p)
+    # the forward path's runs, last first: run j holds the control's value j
+    runs = _runs(traj.grid, traj.control.switch_times)[::-1]
+    if run is not None:
+        node = run(p, traj.control.values.tolist(), runs, c, ts, states, sigma)
+        if node is not None:
+            raise FlowBlowUpError(ts[node])
+    else:
+        for i0, i1, j in runs:
+            uval = traj.control.values[j]
+            linearize = costate(uval)
+            for i in range(i1 - 1, i0 - 1, -1):
+                t0, t1 = ts[i], ts[i + 1]
+                _, rates = _recorded_step(lambda _, x: rate(x, uval), linearize, t0,
+                                          states[i], t1 - t0)
+                # stage 4 gives k1, then stages 3, 2 and 1
+                stages = iter(rates[::-1])
+                p = rk4_step(lambda _, pp: next(stages)(pp), t1, p, t0 - t1, next(stages)(p))
+                if not _all_finite(p):
+                    raise FlowBlowUpError(t0)
+                sigma.append(p)
     sigma.reverse()
     return np.array(sigma).reshape(len(ts), r, m).transpose(0, 2, 1).copy()
 

@@ -11,14 +11,15 @@ shrinks.  No sharper error bound is asserted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .cone_geometry import cone_residual
-from .control_system import (ControlSignal, ControlSystem, Trajectory, _event_path,
-                             _write_csv, signal_field, simulate)
+from .control_system import (ControlSignal, ControlSystem, Trajectory, _endpoint, _event_path,
+                             _write_csv, signal_field)
 from .flows import (FlowBlowUpError, IntegratorConfig, combined_field,
                     flow_decomposition_residual)
 
@@ -79,15 +80,37 @@ class ReachCloud:
             fh.write(self.provenance_json() + "\n")
 
 
-def _draw_value(rng, control_set):
+def _box_window(control_set):
+    """(lo, width) of each axis of the box's draws: an infinite side stands
+    at -1 or 1, or, if that is past the finite side, 2 beyond it."""
+    lo, width = [], []
+    for a, b in zip(control_set.lo.tolist(), control_set.hi.tolist()):
+        a2, b2 = (a if math.isfinite(a) else -1.0), (b if math.isfinite(b) else 1.0)
+        if a2 > b2:
+            a2, b2 = (a, a + 2.0) if math.isfinite(a) else (b - 2.0, b)
+        lo.append(a2)
+        width.append(b2 - a2)
+    return lo, width
+
+
+def _draw_times(rng, T, n):
+    """n distinct sorted times T r in (0, T), r from one `Generator.random`
+    (the bits and stream of `Generator.uniform(0.0, T, n)`), or drawn anew."""
+    while True:
+        times = sorted(T * r for r in rng.random(n).tolist())
+        if len(set(times)) == n and all(0.0 < t < T for t in times):
+            return times
+
+
+def _draw_value(rng, control_set, window):
+    """A value of the set; on a box, lo + width r in its `_box_window`, the
+    bits and stream of `Generator.uniform(lo, lo + width)`."""
     k = control_set.dim
+    if window:
+        return tuple(a + w * r for a, w, r in zip(*window, rng.random(k).tolist()))
     if control_set.kind == "finite":
         return tuple(np.atleast_1d(
             control_set.points[int(rng.integers(len(control_set.points)))]))
-    if control_set.kind == "box":
-        lo = np.where(np.isfinite(control_set.lo), control_set.lo, -1.0)
-        hi = np.where(np.isfinite(control_set.hi), control_set.hi, 1.0)
-        return tuple(rng.uniform(lo, hi))
     d = rng.normal(size=k)
     n = np.linalg.norm(d)
     d = d / n if n > 0 else np.zeros(k)
@@ -109,12 +132,10 @@ def _project_value(control_set, v):
     return tuple(control_set.center + off)
 
 
-def _draw_near(rng, control_set, base, spread):
+def _draw_near(rng, control_set, base, spread, window):
     k = control_set.dim
     if control_set.kind == "box":
-        lo = np.where(np.isfinite(control_set.lo), control_set.lo, -1.0)
-        hi = np.where(np.isfinite(control_set.hi), control_set.hi, 1.0)
-        half = 0.5 * (hi - lo)
+        half = 0.5 * np.array(window[1])
     elif control_set.kind == "ball":
         half = np.full(k, control_set.radius)
     else:
@@ -138,32 +159,30 @@ def sample_reachable(sys: ControlSystem, x0, T: float,
     x0 = np.asarray(x0, dtype=float).ravel()
     step = policy.step or 1e-2 * T
     cfg = IntegratorConfig(step=step)
+    cs = sys.control_set
+    window = _box_window(cs) if cs.kind == "box" else None
     rng = np.random.default_rng(policy.seed)
     pts, recs, skipped = [], [], []
     for i in range(policy.n_controls):
         n_sw = int(rng.integers(0, policy.max_switches + 1))
-        while True:
-            times = np.sort(rng.uniform(0.0, T, size=n_sw))
-            if len(np.unique(times)) == n_sw and np.all(times > 0) and np.all(times < T):
-                break
+        times = _draw_times(rng, T, n_sw)
         if policy.near is not None:
-            edges = np.concatenate(([0.0], times, [T]))
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            values = tuple(_draw_near(rng, sys.control_set,
-                                      policy.near.value_at(tm), policy.spread)
-                           for tm in mids)
+            edges = [0.0, *times, T]
+            values = tuple(_draw_near(rng, cs, policy.near.value_at(0.5 * (t0 + t1)),
+                                      policy.spread, window)
+                           for t0, t1 in zip(edges, edges[1:]))
         else:
-            values = tuple(_draw_value(rng, sys.control_set) for _ in range(n_sw + 1))
-        sig = ControlSignal(0.0, T, tuple(float(t) for t in times), values)
+            values = tuple(_draw_value(rng, cs, window) for _ in range(n_sw + 1))
+        sig = ControlSignal(0.0, T, tuple(times), values)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                traj = simulate(sys, sig, x0, cfg)
+                end = _endpoint(sys, sig, x0, cfg)
         except FlowBlowUpError as e:
             skipped.append({"draw": i, "reason": f"blow-up at t={e.t}"})
             continue
-        pts.append(traj.endpoint)
-        recs.append({"switch_times": tuple(sig.switch_times),
-                     "values": tuple(tuple(v) for v in sig.values)})
+        pts.append(end)
+        recs.append({"switch_times": sig.switch_times,
+                     "values": tuple(map(tuple, sig.values.tolist()))})
     points = np.array(pts) if pts else np.empty((0, sys.m))
     return ReachCloud(x0=x0, horizon=T, step=step, points=points,
                       controls=tuple(recs), skipped=tuple(skipped))
@@ -171,8 +190,7 @@ def sample_reachable(sys: ControlSystem, x0, T: float,
 
 def reproduce_point(sys: ControlSystem, cloud: ReachCloud, i: int) -> np.ndarray:
     """Re-simulate provenance record i; must reproduce points[i] bit-exactly."""
-    cfg = IntegratorConfig(step=cloud.step)
-    return simulate(sys, cloud.signal(i), cloud.x0, cfg).endpoint
+    return _endpoint(sys, cloud.signal(i), cloud.x0, IntegratorConfig(step=cloud.step))
 
 
 @dataclass
@@ -208,7 +226,7 @@ def cone_approximation_check(sys: ControlSystem, traj: Trajectory, t: float,
     if idx.size == 0:
         raise ValueError("empty slice: no cloud point within s_scale of the reference")
     tolerance = float(s_scale) ** 1.5
-    dists = np.array([cone_residual(geom, offsets[i]) for i in idx])
+    dists = np.array(cone_residual(geom, offsets[idx]))
     inside = int(np.sum(dists <= tolerance))
     return ConeApproxStats(s_scale=float(s_scale), tolerance=tolerance,
                            n_slice=int(idx.size), n_inside=inside,

@@ -47,7 +47,17 @@ form of a package routine as its reference:
 - `derivative_recursive`, `u_degree_recursive` and `exact_scan`, the
   recursive forms of the grammar's derivative and degree in u and the scan
   of every exponent for a state, which loops over one walk of the tree
-  (`grammar._nodes`) replaced (the same trees and answers).
+  (`grammar._nodes`) replaced (the same trees and answers);
+- `draw_value_uniform` and `draw_times_uniform`, the reach sampler's draws
+  by `Generator.uniform`, which `Generator.random` and the same arithmetic
+  replaced (the same bits and generator state);
+- `signal_path_lists`, the path of a signal stepped by `flows.rk4_step`
+  on Python floats with each step's control looked up at its midpoint, the
+  steps that the generated runner took one control piece a call before it
+  took every piece of a signal in one call (bit for bit);
+- `cone_residual_one`, `conic_membership_one` and `membership_margin_one`,
+  the cone queries one vector a call, which stacks of vectors replaced
+  (the same answers, bits and errors), each taking the LP stack solver.
 
 The oracles that pair a covector with a rate or a Jacobian take numpy's
 products elsewhere, but `ordered_dot`, a fold of the products into one sum
@@ -1026,3 +1036,145 @@ def signal_of_pieces_loop(pieces):
             switches.append(start)
         values.append(value)
     return switches, values
+
+
+# ---------------------------------------------------------------------------
+# The reach sampler's draws, a signal's path and the cone queries as they
+# stood before a sample's draws came from `Generator.random`, a signal ran
+# in one generated call and a stack of vectors shared each LP kind's stack.
+
+def draw_value_uniform(rng, control_set):
+    """A control value as `reachable._draw_value` drew it: one
+    `Generator.uniform` a box value, with -1 or 1 in place of an infinite
+    side (numpy raises where that leaves lo > hi)."""
+    k = control_set.dim
+    if control_set.kind == "finite":
+        return tuple(np.atleast_1d(
+            control_set.points[int(rng.integers(len(control_set.points)))]))
+    if control_set.kind == "box":
+        lo = np.where(np.isfinite(control_set.lo), control_set.lo, -1.0)
+        hi = np.where(np.isfinite(control_set.hi), control_set.hi, 1.0)
+        return tuple(rng.uniform(lo, hi))
+    d = rng.normal(size=k)
+    n = np.linalg.norm(d)
+    d = d / n if n > 0 else np.zeros(k)
+    r = control_set.radius * rng.uniform() ** (1.0 / max(k, 1))
+    return tuple(control_set.center + r * d)
+
+
+def draw_times_uniform(rng, T, n):
+    """A sample's n switch times as `reachable.sample_reachable` drew them."""
+    while True:
+        times = np.sort(rng.uniform(0.0, T, size=n))
+        if len(np.unique(times)) == n and np.all(times > 0) and np.all(times < T):
+            return times
+
+
+def signal_path_lists(f, u, x0, ts):
+    """(states, node): the RK4 path on the grid ts of x' = f(x, u(t)), f a
+    function of lists of floats, as the generated runner took it one piece
+    a call: each step one `flows.rk4_step` on f with the control looked up
+    at the step's midpoint, as a list of floats.  The path stops at the
+    first node whose state is not finite, that state kept, and node is its
+    index, or None."""
+    import bisect
+
+    from pmpkit.flows import rk4_step
+
+    x = [float(v) for v in x0]
+    states = [x]
+    for i in range(len(ts) - 1):
+        v = u.values[bisect.bisect_right(u.switch_times, 0.5 * (ts[i] + ts[i + 1]))].tolist()
+        x = rk4_step(lambda _, y: f(y, v), ts[i], x, ts[i + 1] - ts[i], f(x, v))
+        states.append(x)
+        if not all(map(math.isfinite, x)):
+            return states, i + 1
+    return states, None
+
+
+def _residual_fan_one(W, V, tol, stack):
+    from pmpkit.cone_geometry import ConeCertificateError
+
+    m, ng = W.shape
+    A = np.hstack([W, np.eye(m), -np.eye(m)])
+    c = np.concatenate([np.zeros(ng), np.ones(2 * m)])
+    for res in stack(c, A, V, tol=min(tol, 1e-10)):
+        if not res.ok:
+            raise ConeCertificateError("membership LP returned " + res.status)
+        yield res
+
+
+def _vector(cone, v):
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if v.shape != (cone.n,):
+        raise ValueError("dimension mismatch")
+    return v
+
+
+def cone_residual_one(cone, v, tol=1e-9, stack=None):
+    """`cone_geometry.cone_residual` of one vector, its LP solved by stack
+    (`_simplex.solve_stack` by default)."""
+    from pmpkit._simplex import solve_stack
+
+    v = _vector(cone, v)
+    return max(next(_residual_fan_one(cone.matrix, v, tol, stack or solve_stack)).value, 0.0)
+
+
+def conic_membership_one(cone, v, tol=1e-9, stack=None):
+    """`cone_geometry.conic_membership` of one vector, its LPs solved by
+    stack: the residual LP, then the +-fan up to the LP that decides."""
+    from pmpkit._simplex import solve_stack
+    from pmpkit.cone_geometry import _fan
+
+    stack = stack or solve_stack
+    v = _vector(cone, v)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if not cone.generators:
+        return "interior" if np.all(np.abs(v) <= tol) else "outside"
+    if cone_residual_one(cone, v, tol, stack) > tol:
+        return "outside"
+    Q = cone.span_basis()
+    j, sgn = _fan(Q.shape[1])
+    for res in _residual_fan_one(cone.matrix, v + sgn[:, None] * tol * Q.T[j], tol, stack):
+        if max(res.value, 0.0) > 0.5 * tol:
+            return "boundary"
+    return "interior"
+
+
+def membership_margin_one(cone, v, tol=1e-9, stack=None):
+    """`cone_geometry.membership_margin` of one vector, its LPs solved by
+    stack: the residual LP, then the margin LPs up to one that decides."""
+    from pmpkit._simplex import solve_stack
+    from pmpkit.cone_geometry import ConeCertificateError, _fan
+
+    stack = stack or solve_stack
+    v = _vector(cone, v)
+    if cone_residual_one(cone, v, tol, stack) > tol:
+        return 0.0
+    Q = cone.span_basis()
+    k = Q.shape[1]
+    if k == 0:
+        return np.inf
+    cap = max(1.0, float(np.linalg.norm(v)))
+    W = cone.matrix
+    ng = W.shape[1]
+    j, sgn = _fan(k)
+    A = np.zeros((2 * k, k + 1, ng + 2))
+    A[:, :k, :ng] = Q.T @ W
+    A[np.arange(2 * k), j, ng] = -sgn
+    A[:, k, ng:] = 1.0
+    b = np.append(Q.T @ v, cap)
+    c = np.zeros(ng + 2)
+    c[ng] = -1.0
+    out = np.inf
+    for i, res in enumerate(stack(c, A, b, tol=min(tol, 1e-10))):
+        if not res.ok:
+            return 0.0
+        lam, r = res.x[:ng], res.x[ng]
+        miss = np.abs(W @ lam - r * sgn[i] * Q[:, j[i]] - Q @ b[:k]).sum()
+        if not miss <= tol:
+            raise ConeCertificateError(
+                "margin certificate misses v + r d by %.3e (r = %.6g)" % (miss, r))
+        out = min(out, r)
+    return out

@@ -971,17 +971,17 @@ class TestConesAndReach:
     def test_failed_cone_certificate_exits_3(self, tmp_path, capsys, monkeypatch):
         from pmpkit import cone_geometry
 
-        solve, stack = cone_geometry.solve_standard, cone_geometry.solve_stack
+        solve, stack = cone_geometry.solve_standard, cone_geometry._stack_outcomes
 
         def damaged(res):
-            if res.ok:
+            if getattr(res, "ok", False):
                 res.x = res.x + 1e-3
             return res
 
-        # the margin LPs come from solve_stack, one fan per query
+        # the margin LPs come from _stack_outcomes, one stack for every query
         monkeypatch.setattr(cone_geometry, "solve_standard",
                             lambda *a, **k: damaged(solve(*a, **k)))
-        monkeypatch.setattr(cone_geometry, "solve_stack",
+        monkeypatch.setattr(cone_geometry, "_stack_outcomes",
                             lambda *a, **k: map(damaged, stack(*a, **k)))
         path = os.path.join(os.path.dirname(__file__), "golden", "pendulum_flow_sample",
                             "problem.json")
@@ -1054,6 +1054,26 @@ class TestConesAndReach:
         y = simulate(sys_, sig, side["x0"], IntegratorConfig(step=side["step"])).endpoint
         stored = [float(v) for v in lines[1].split(",")[:2]]
         assert y[0] == stored[0] and y[1] == stored[1]
+
+    @pytest.mark.parametrize("lo, hi, window", [([5.0], [math.inf], (5.0, 7.0)),
+                                                ([-math.inf], [-5.0], (-7.0, -5.0))])
+    def test_reach_draws_beside_the_finite_side_of_a_half_infinite_box(self, tmp_path, lo, hi,
+                                                                       window):
+        # -1 or 1 in place of the infinite side left lo > hi, and numpy
+        # refused the draw ("error: high - low < 0", exit 2)
+        data = {"dynamics": {"expressions": ["u0"]},
+                "control_set": {"kind": "box", "lo": lo, "hi": hi},
+                "horizon": {"a": 0.0, "b": 1.0},
+                "boundary": {"mode": "fixed_time", "initial": {"point": [0.0]},
+                             "final": {"anchor": [0.0], "normals": []}},
+                "reach": {"n_controls": 6, "max_switches": 2}}
+        out = tmp_path / "out"
+        assert cli.main(["reach", "--problem", write_problem(tmp_path / "p.json", data),
+                         "--out", str(out)]) == 0
+        side = json.loads((out / "cloud_provenance.json").read_text())
+        values = [v for rec in side["controls"] for (v,) in rec["values"]]
+        assert len(side["controls"]) == 6 and len(set(values)) == len(values)
+        assert all(window[0] <= v <= window[1] for v in values)
 
 
 class TestEntryPoint:

@@ -19,7 +19,8 @@ from pmpkit.cone_geometry import (
     unit_directions,
 )
 
-from oracles import generated_cone_loop, membership_2d, separated_2d, separated_3d
+from oracles import (cone_residual_one, conic_membership_one, generated_cone_loop,
+                     membership_2d, membership_margin_one, separated_2d, separated_3d)
 
 
 def cone(*gens, n=None):
@@ -361,3 +362,107 @@ def test_unit_directions_deterministic():
     assert np.allclose(np.linalg.norm(a, axis=1), 1.0)
     assert np.allclose(np.linalg.norm(unit_directions(2, 8), axis=1), 1.0)
     assert set(unit_directions(1, 4).ravel()) == {1.0, -1.0}
+
+
+# ---------------------------------------------------------------------------
+# a stack of vectors asks each LP kind in one stack, and answers as one
+# vector a call did
+
+ENTRIES = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0)
+
+
+@st.composite
+def query_stacks(draw):
+    """(cone, V): a cone of 0..5 generators in R^n, n = 1..4, often rank
+    deficient, and 1..5 queries: generators, sums of them, their negatives,
+    zero and other vectors."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+    gens = draw(st.lists(vec, max_size=5))
+    G = np.array(gens, dtype=float).reshape(len(gens), n)
+    picks = [st.just([0.0] * n), vec]
+    if gens:
+        picks += [st.sampled_from(gens), st.sampled_from(gens).map(lambda g: [-v for v in g]),
+                  st.lists(st.sampled_from(range(len(gens))), min_size=1).map(
+                      lambda idx: G[idx].sum(axis=0).tolist())]
+    V = draw(st.lists(st.one_of(*picks), min_size=1, max_size=5))
+    return GeneratedCone(G, n), np.array(V, dtype=float)
+
+
+def poisoned(salt, every):
+    """Whether an LP with right-hand side b fails: every `every`-th of them
+    by a hash of b's bytes (none for every = 0)."""
+    import zlib
+
+    def hit(b):
+        return every and zlib.crc32(salt.to_bytes(4, "little") + b.tobytes()) % every == 0
+    return hit
+
+
+def lp_rows(A, b):
+    """The right-hand side of each LP of a stack, as a 2-D array."""
+    A, b = np.asarray(A), np.asarray(b)
+    L = A.shape[0] if A.ndim == 3 else b.shape[0] if b.ndim == 2 else 1
+    return np.broadcast_to(b, (L, b.shape[-1]))
+
+
+def bits(value):
+    """value, a string, a float or a list of them, with each float as hex."""
+    if isinstance(value, (list, tuple)):
+        return [bits(v) for v in value]
+    return value if isinstance(value, str) else float(value).hex()
+
+
+def outcome(fn):
+    """('ok', the bits of fn()) or (the type, the message) of its error."""
+    try:
+        value = fn()
+    except Exception as err:
+        return type(err).__name__, str(err)
+    return "ok", bits(value)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(query_stacks(), st.integers(0, 2 ** 32 - 1), st.sampled_from((0, 0, 2, 3, 7)))
+def test_stacked_queries_answer_as_one_query_a_call(case, salt, every):
+    # an LP fails by its right-hand side, in the stack as alone: each query
+    # keeps its status, margin bits and error, and a failure past the LP
+    # that decides a query, which a call on that query alone never reached,
+    # does not surface
+    from pmpkit import _simplex, cone_geometry
+    from pmpkit.cone_geometry import _queries
+
+    cone_, V = case
+    hit = poisoned(salt, every)
+
+    def failing(b):
+        return _simplex.SimplexError("failed LP " + repr(b.tolist()))
+
+    def stack(c, A, b, tol):
+        for b_i, res in zip(lp_rows(A, b), _simplex.solve_stack(c, A, b, tol)):
+            if hit(b_i):
+                raise failing(b_i)
+            yield res
+
+    outcomes = _simplex._stack_outcomes
+
+    def stacked(c, A, b, tol):
+        for b_i, res in zip(lp_rows(A, b), outcomes(c, A, b, tol)):
+            yield failing(b_i) if hit(b_i) else res
+
+    def one_at_a_time(fn):
+        return outcome(lambda: [fn(cone_, v, stack=stack) for v in V])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cone_geometry, "_stack_outcomes", stacked)
+        for fn, one in ((cone_residual, cone_residual_one),
+                        (conic_membership, conic_membership_one),
+                        (membership_margin, membership_margin_one)):
+            assert outcome(lambda: fn(cone_, V)) == one_at_a_time(one), fn.__name__
+            for v in V:
+                assert outcome(lambda: fn(cone_, v)) == outcome(lambda: one(cone_, v, stack=stack))
+        want = outcome(lambda: [list(q) for v in V for q in (
+            (cone_residual_one(cone_, v, stack=stack), conic_membership_one(cone_, v, stack=stack),
+             membership_margin_one(cone_, v, stack=stack)),)])
+        got = outcome(lambda: [list(q) for q in zip(*_queries(cone_, V))])
+        assert got == want

@@ -117,16 +117,17 @@ def test_margin_is_exact_on_the_quadrant():
 
 def damage(patch, field, delta):
     """Add `delta` to the x or y of every optimum that cone_geometry gets
-    from solve_standard, for a single LP, or from solve_stack, for a fan."""
-    solve, stack = cone_geometry.solve_standard, cone_geometry.solve_stack
+    from solve_standard, for a single LP, or from _stack_outcomes, for a
+    stack."""
+    solve, stack = cone_geometry.solve_standard, cone_geometry._stack_outcomes
 
     def hurt(res):
-        if res.ok:
+        if getattr(res, "ok", False):
             setattr(res, field, getattr(res, field) + delta)
         return res
 
     patch.setattr(cone_geometry, "solve_standard", lambda *a, **k: hurt(solve(*a, **k)))
-    patch.setattr(cone_geometry, "solve_stack", lambda *a, **k: map(hurt, stack(*a, **k)))
+    patch.setattr(cone_geometry, "_stack_outcomes", lambda *a, **k: map(hurt, stack(*a, **k)))
 
 
 QUAD = GeneratedCone([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)

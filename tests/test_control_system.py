@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import signal_of_pieces_loop
+from oracles import signal_of_pieces_loop, signal_path_lists
+from pmpkit import grammar
 from pmpkit.control_system import (
     ControlSignal,
     ControlSystem,
+    _endpoint,
     _signal_of_pieces,
     _switches_at,
     _write_csv,
@@ -23,7 +25,8 @@ from pmpkit.control_system import (
     signal_field,
     simulate,
 )
-from pmpkit.flows import FlowBlowUpError, IntegratorConfig, TimeVectorField
+from pmpkit.flows import (FlowBlowUpError, IntegratorConfig, TimeVectorField, _runs,
+                          integration_grid)
 from pmpkit.perturbations import _clip_signal
 from pmpkit.pmp import adjoint_flow
 
@@ -559,3 +562,74 @@ class TestCsvExport:
         _write_csv(buf, "h", a)
         assert buf.getvalue() == "".join(
             ["h\n"] + [",".join("%.17g" % v for v in row) + "\n" for row in a])
+
+
+# ---------------------------------------------------------------------------
+# a signal runs in one generated call
+
+PIECE_VALUES = (0.0, -0.0, 0.5, -0.3, 1.0, -1.0, 2.0)
+STARTS = ([0.3, -0.2], [-0.0, 0.0], [3.0, 1.0], [1e154, 0.0], [math.nan, 0.0],
+          [math.inf, 0.0])
+
+
+@st.composite
+def signal_runs(draw):
+    """(srcs, u, x0, step): the pendulum or a Riccati equation that blows up
+    from some starts, a signal of 1..300 pieces whose values include both
+    signed zeros, a start with signed zeros, huge or non-finite entries,
+    and a step."""
+    srcs = draw(st.sampled_from((("x1", "-sin(x0) + u0"), ("x0 * x0 + u0", "x1 * u0"))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    switches = np.unique(rng.uniform(0.0, 1.0, draw(st.integers(1, 300)) - 1))
+    switches = switches[switches > 0.0]
+    values = np.array(PIECE_VALUES)[rng.integers(len(PIECE_VALUES), size=switches.size + 1)]
+    u = ControlSignal(0.0, 1.0, tuple(switches.tolist()), values[:, None])
+    return srcs, u, draw(st.sampled_from(STARTS)), draw(st.sampled_from((0.01, 0.003, 0.05)))
+
+
+def path_bits(states):
+    return np.array(states, dtype=float).tobytes()
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(signal_runs())
+@example((("x0 * x0 + u0", "x1 * u0"), ControlSignal(0.0, 1.0, (0.1,), ((0.0,), (1.0,))),
+          [3.0, 1.0], 0.01))
+def test_one_call_run_and_its_endpoint_form_take_the_per_piece_steps(case):
+    # the runner steps every piece of the signal in one call, and its
+    # endpoint form the same steps, keeping only the state it stops at
+    srcs, u, x0, step = case
+    f, df, _ = grammar.compile_dynamics(srcs, 2, 1)
+    cfg = IntegratorConfig(step)
+    grid = integration_grid(u.a, u.b, IntegratorConfig(step, u.switch_times))
+    ts, runs, rows = grid.tolist(), _runs(grid, u.switch_times), u.values.tolist()
+    want, node = signal_path_lists(f, u, x0, ts)
+    assert len(runs) == len(u.values)
+    xs, ends = [want[0]], [want[0]]
+    assert f.runner()(want[0], rows, runs, ts, xs) == node
+    assert path_bits(xs) == path_bits(want)
+    assert f.runner(True)(want[0], rows, runs, ts, ends) == node
+    assert len(ends) == 2 and path_bits(ends[1]) == path_bits(want[-1])
+    if not all(map(math.isfinite, x0)):
+        return
+    sys = ControlSystem(m=2, k=1, f=f, df_dx=df, control_set=box([-math.inf], [math.inf]))
+    if node is None:
+        traj = simulate(sys, u, x0, cfg)
+        assert path_bits(traj.states) == path_bits(want)
+        assert path_bits(_endpoint(sys, u, x0, cfg)) == path_bits(want[-1])
+        return
+    for path in (simulate, _endpoint):
+        with pytest.raises(FlowBlowUpError) as err:
+            path(sys, u, x0, cfg)
+        assert err.value.t == ts[node]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([box([-1.0, 0.0], [1.0, math.inf]), finite([[0.0, 1.0], [-0.0, 2.0]]),
+                        ball([0.5, 0.0], 1.0)]),
+       st.lists(st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.0, -1.0, 0.5, 1.5, math.nan,
+                                          math.inf)), min_size=2, max_size=2), max_size=4))
+def test_contains_of_a_block_asks_every_row(U, rows):
+    block = np.array(rows, dtype=float).reshape(len(rows), 2)
+    assert U.contains(block) == all(U.contains(row) for row in rows)
+    assert not U.contains(np.zeros((len(rows), 3))) or not rows

@@ -323,13 +323,13 @@ def _walk_case(srcs, generated, switches, values, s, t, x0, step, events=()):
 @example(_walk_case(RICCATI, False, (0.1,), (0.0, 1.0), 0.0, 1.0, [3.0, 1.0], 0.01))
 def test_piece_walk_matches_per_step_lookup_bit_for_bit(case):
     # the path loop looks the control up once per run of steps between
-    # switches, and generated dynamics step a whole run in one call; the
+    # switches, and generated dynamics step every run in one call; the
     # oracle looks it up at every step's midpoint and steps by array RK4
     srcs, generated, u, s, t, x0, cfg = case
     sys = _walk_system(srcs, generated)
     want_grid, want, blow_up = signal_path_per_step(sys, u, s, t, x0, cfg)
     X = signal_field(sys, u)
-    assert (X.on(0.0, 0.0).run is not None) == generated
+    assert (X.run is not None) == generated
     try:
         grid, xs, _ = _lifted_path(X, None, s, t, x0, (), cfg)
     except FlowBlowUpError as e:

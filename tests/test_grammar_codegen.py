@@ -151,7 +151,7 @@ def test_unary_plus_compiles_to_the_bits_of_the_plain_expression(ts, pt):
     if df is not None:
         assert bits(dg(x, u)) == bits(df(x, u)), plus
     runs = [[], []]
-    nodes = [fn.runner()(pt[:M], pt[M:], [0.0, 0.1, 0.25], 0, 2, xs)
+    nodes = [fn.runner()(pt[:M], [pt[M:]], [(0, 2, 0)], [0.0, 0.1, 0.25], xs)
              for fn, xs in zip((f, g), runs)]
     assert nodes[1] == nodes[0]
     assert [bits(v) for v in runs[1]] == [bits(v) for v in runs[0]], plus
@@ -243,11 +243,14 @@ def test_generated_step_matches_rk4_step_bit_for_bit(case):
         if not all(map(math.isfinite, y)):
             want_node = i + 1
             break
-    xs = []
-    node = f.runner()(x, u, ts, i0, i1, xs)
+    xs, ends = [], []
+    node = f.runner()(x, [u], [(i0, i1, 0)], ts, xs)
     assert all(type(v) is list and all(type(c) is float for c in v) for v in xs)
     assert len(xs) == len(want) and all(bits(g) == bits(w) for g, w in zip(xs, want)), case
     assert node == want_node, case
+    # the endpoint form takes the same steps and keeps only the last state
+    assert f.runner(True)(x, [u], [(i0, i1, 0)], ts, ends) == node
+    assert len(ends) == 1 and bits(ends[0]) == bits(xs[-1]), case
 
 
 @pytest.mark.parametrize("srcs", [["-x0 + u0"], ["x1", "-sin(x0) + u0"],
@@ -509,9 +512,9 @@ def benchmarked_systems():
 
 @pytest.mark.parametrize("name, problem", list(benchmarked_systems()))
 def test_benchmarked_systems_sweep_through_generated_code(name, problem, monkeypatch):
-    # every cone, classifier and shoot sweep of these systems steps each
-    # control run of an m x r block back through one generated call, for r =
-    # 1 (adjoint_flow) and r = m (the cones)
+    # every cone, classifier and shoot sweep of these systems steps an m x r
+    # block back over every control run in one generated call, for r = 1
+    # (adjoint_flow) and r = m (the cones)
     sys = problem.sys
     control = problem.control or ControlSignal(0.0, 1.0, (0.5,), ((1.0,) * sys.k,
                                                                  (-1.0,) * sys.k))
@@ -523,12 +526,12 @@ def test_benchmarked_systems_sweep_through_generated_code(name, problem, monkeyp
         def spy(*args):
             run = generated(*args)
             assert run is not None, (name, r)
-            return lambda *a: calls.append(a[5:7]) or run(*a)
+            return lambda *a: calls.append(a[2]) or run(*a)
 
         monkeypatch.setattr(sys.f, "adjoint_run", spy)
         pmp.adjoint_flows(sys, traj, np.ones((sys.m, r)), -1.0)
-        # each run of the control, last first
-        assert calls == _runs(traj.grid, control.switch_times)[::-1], (name, r)
+        # one call over each run of the control, last first
+        assert calls == [_runs(traj.grid, control.switch_times)[::-1]], (name, r)
 
 
 def no_sweep(sys, r):
@@ -720,7 +723,10 @@ def generated_forms(srcs, cost, m, k):
     ts = [0.0, 0.25, 0.5]
     forms = {"dynamics": lambda x, u, p, h, c: f(x, u),
              "cost": lambda x, u, p, h, c: F(x, u),
-             "runner": lambda x, u, p, h, c: (lambda xs: (f.runner()(x, u, ts, 0, 2, xs), xs))([])}
+             "runner": lambda x, u, p, h, c: (lambda xs: (
+                 f.runner()(x, [u], [(0, 2, 0)], ts, xs), xs))([]),
+             "endpoint": lambda x, u, p, h, c: (lambda xs: (
+                 f.runner(True)(x, [u], [(0, 2, 0)], ts, xs), xs))([])}
     if df is not None:
         forms["jacobian"] = lambda x, u, p, h, c: df(x, u)
     if dF is not None:
@@ -731,7 +737,7 @@ def generated_forms(srcs, cost, m, k):
         forms["coupled"] = lambda x, u, p, h, c: (lambda k1: (k1, step(x + p, u, h, k1, c)))(
             stage(x + p, u, c))
         forms["adjoint"] = lambda x, u, p, h, c: (lambda out: (
-            run(p, u, [c], ts, [x] * len(ts), 0, 2, out), out))([])
+            run(p, [u], [(0, 2, 0)], [c], ts, [x] * len(ts), out), out))([])
     probes = pmp._probes(box([-1.0] * k, [2.0] * k))
     fit = f.probe_fit(F, probes.points, probes.axes, probes.pairs)
     if fit is not None:

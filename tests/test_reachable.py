@@ -1,21 +1,29 @@
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pmpkit import cli
 from pmpkit.control_system import ControlSignal, ControlSystem, ball, box, finite, simulate
 from pmpkit.flows import IntegratorConfig, SingularTransportError
 from pmpkit.perturbations import build_tangent_cone
 from pmpkit.cone_geometry import GeneratedCone
 from pmpkit.reachable import (
+    ReachCloud,
     SamplePolicy,
+    _box_window,
+    _draw_times,
+    _draw_value,
     cone_approximation_check,
     decomposition_reach_check,
     reproduce_point,
     sample_reachable,
 )
 
-from oracles import variation_of_constants
+from oracles import draw_times_uniform, draw_value_uniform, variation_of_constants
 
 
 def scalar_system():
@@ -294,3 +302,75 @@ class TestDecomposition:
         u0 = ControlSignal(0.0, 1.0, (), ((0.0,),))
         with pytest.raises(ValueError):
             decomposition_reach_check(sys, u0, u0, 2.0, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# the draws of one sample, against Generator.uniform as the sampler used it
+
+side = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0, 1.0, -1.0, 5.0, -5.0)))
+
+
+@st.composite
+def boxes(draw):
+    """A box of k = 1..4 axes, each finite or with one infinite side."""
+    lo, hi = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        a, b = sorted((draw(side), draw(side)))
+        kind = draw(st.sampled_from(("finite", "upper", "lower")))
+        lo.append(-math.inf if kind == "lower" else a)
+        hi.append(math.inf if kind == "upper" else b)
+    return box(lo, hi)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(boxes(), st.integers(0, 2 ** 32 - 1), st.integers(1, 4))
+def test_box_draws_keep_the_bits_and_stream_of_generator_uniform(U, seed, count):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = [_draw_value(new, U, _box_window(U)) for _ in range(count)]
+    try:
+        want = [draw_value_uniform(old, U) for _ in range(count)]
+    except ValueError:
+        # numpy refused a window whose width has its sign bit set: a finite
+        # side past -1 or 1 with the other infinite, or lo = 0.0, hi = -0.0;
+        # the first stands its infinite side 2 beyond the finite one
+        old.random(count * U.dim)
+        sides = zip(U.lo.tolist(), U.hi.tolist(), *_box_window(U))
+        stood = [(a, b, a if math.isfinite(a) else -1.0, b if math.isfinite(b) else 1.0, lo_j)
+                 for a, b, lo_j, _ in sides]
+        assert any(math.copysign(1.0, b1 - a1) < 0 for _, _, a1, b1, _ in stood)
+        for a, b, a1, b1, lo_j in stood:
+            assert lo_j == (a1 if a1 <= b1 else a if math.isfinite(a) else b - 2.0)
+        assert U.contains(np.array(got))
+    else:
+        assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 4),
+       st.sampled_from((1.0, 2.0, 0.37, 1e-300, 3e10)))
+def test_switch_time_draws_keep_the_bits_and_stream_of_generator_uniform(seed, n, T):
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _draw_times(new, T, n)
+    assert np.array(got, dtype=float).tobytes() == draw_times_uniform(old, T, n).tobytes()
+    assert new.bit_generator.state == old.bit_generator.state
+
+
+def test_the_golden_cloud_replays_bit_for_bit():
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                          "pendulum_flow_sample")
+    sys = cli.load_problem(os.path.join(golden, "problem.json")).sys
+    with open(os.path.join(golden, "cloud_provenance.json")) as fh:
+        prov = json.load(fh)
+    with open(os.path.join(golden, "cloud.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().split("\n")[1:] if line]
+    cloud = ReachCloud(x0=np.array(prov["x0"]), horizon=prov["horizon"], step=prov["step"],
+                       points=np.zeros((0, sys.m)),
+                       controls=tuple({"switch_times": tuple(c["switch_times"]),
+                                       "values": tuple(map(tuple, c["values"]))}
+                                      for c in prov["controls"]))
+    assert len(rows) == len(prov["controls"]) > 0
+    for i, row in enumerate(rows):
+        assert int(row[-1]) == i
+        want = np.array([float(c) for c in row[:-1]])
+        assert reproduce_point(sys, cloud, i).tobytes() == want.tobytes()

@@ -26,9 +26,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pmpkit import cli, flows, grammar, perturbations, pmp, shooting
+from pmpkit import cli, cone_geometry, flows, grammar, perturbations, pmp, shooting
 from pmpkit.cone_geometry import GeneratedCone
-from pmpkit.control_system import (ControlSignal, ControlSystem, ball, box, extend,
+from pmpkit.control_system import (ControlSet, ControlSignal, ControlSystem, ball, box, extend,
                                    lebesgue_times, signal_field, simulate)
 from pmpkit.flows import IntegratorConfig, tangent_lift_flows
 from pmpkit.perturbations import NeedleData, build_tangent_cone, multi_needle_vector
@@ -481,39 +481,72 @@ def test_simulate_makes_four_dynamics_calls_per_step(extended):
     assert calls["f"] == 4 * (len(traj.grid) - 1)
 
 
-def test_paths_of_expression_dynamics_make_one_runner_call_per_control_piece():
-    # the grammar's dynamics carries its generated runner, so simulate and
-    # reach call it once for each piece of the control, which steps the
-    # piece's whole run of grid steps, and the dynamics themselves not at all
+def test_paths_of_expression_dynamics_make_one_runner_call_per_signal(monkeypatch):
+    # the grammar's dynamics carries its generated runner, so simulate steps
+    # every piece of a signal in one call and reach one endpoint call a
+    # sample, after one `contains` of the signal's values block; the
+    # dynamics themselves are never called
     problem = cli.load_problem(os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json"))
-    f, run, calls, runs = problem.sys.f, problem.sys.f.runner(), collections.Counter(), []
+    f, calls, runs = problem.sys.f, collections.Counter(), []
 
     def counted_f(x, u):
         calls["dynamics"] += 1
         return f(x, u)
 
-    def counted_run(y, u, ts, i0, i1, xs):
-        runs.append(i1 - i0)
-        return run(y, u, ts, i0, i1, xs)
+    def counted_runner(end=False):
+        run = f.runner(end)
 
+        def counted_run(y, U, pieces, ts, xs):
+            runs.append((end, len(U), pieces))
+            return run(y, U, pieces, ts, xs)
+        return counted_run
+
+    contains = ControlSet.contains
+    monkeypatch.setattr(ControlSet, "contains",
+                        lambda *a, **k: calls.update(["contains"]) or contains(*a, **k))
     counted_f.on_lists = True
-    counted_f.runner = lambda: counted_run
+    counted_f.runner = counted_runner
     sys = dataclasses.replace(problem.sys, f=counted_f)
     cfg = IntegratorConfig(step=problem.step)
     traj = simulate(sys, problem.control, problem.x_a, cfg)
     assert len(problem.control.values) == 2
-    assert not calls and len(runs) == 2 and sum(runs) == len(traj.grid) - 1
+    assert calls == {"contains": 1}
+    assert runs == [(False, 2, flows._runs(traj.grid, problem.control.switch_times))]
+    assert sum(i1 - i0 for i0, i1, _ in runs[0][2]) == len(traj.grid) - 1
     assert same_bits(traj.states, simulate(problem.sys, problem.control, problem.x_a, cfg).states)
     runs.clear()
+    calls.clear()
     spec = problem.reach
     policy = SamplePolicy(n_controls=spec["n_controls"], max_switches=spec["max_switches"],
                           seed=spec["seed"], step=problem.step)
     cloud = sample_reachable(sys, problem.x_a, problem.b - problem.a, policy)
-    assert len(cloud.controls) == spec["n_controls"]
-    signals = [cloud.signal(i) for i in range(len(cloud.controls))]
-    grids = [simulate(problem.sys, sig, problem.x_a, cfg).grid for sig in signals]
-    assert not calls and len(runs) == sum(len(sig.values) for sig in signals)
-    assert sum(runs) == sum(len(grid) - 1 for grid in grids)
+    n = spec["n_controls"]
+    assert len(cloud.controls) == n and calls == {"contains": n}
+    signals = [cloud.signal(i) for i in range(n)]
+    assert [(end, size) for end, size, _ in runs] == [(True, len(sig.values)) for sig in signals]
+    assert sum(len(sig.values) for sig in signals) > n
+    for sig, point in zip(signals, cloud.points):
+        assert same_bits(point, simulate(problem.sys, sig, problem.x_a, cfg).endpoint)
+
+
+def test_cones_solve_one_stack_per_lp_kind(monkeypatch, tmp_path):
+    # `cones` asks every query's residual, +-fan and margin LPs of one
+    # stack each, and no LP of its own: 3 stacks whatever the query count
+    stacks = collections.Counter()
+    for name, key in (("_stack_outcomes", "stack"), ("solve_standard", "alone")):
+        fn = getattr(cone_geometry, name)
+        monkeypatch.setattr(cone_geometry, name, lambda *a, fn=fn, key=key, **k: (
+            stacks.update([key]), fn(*a, **k))[1])
+    path = os.path.join(GOLDEN, "pendulum_flow_sample", "problem.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    for queries in (data["cones"]["queries"], data["cones"]["queries"] * 4):
+        stacks.clear()
+        data["cones"]["queries"] = queries
+        (tmp_path / "p.json").write_text(json.dumps(data))
+        assert cli.main(["cones", "--problem", str(tmp_path / "p.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert stacks == {"stack": 3}, len(queries)
 
 
 def counted_costate(monkeypatch):
@@ -704,14 +737,15 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
         if run == 0:
             # the dynamics and its Jacobian, for the system and for its
             # extension with the cost, the cost, its gradient, the dynamics
-            # step of the extension (simulate with a cost) and of the system
-            # (reach), and the maximizer's probe fit, the coupled stage and
+            # step of the extension (simulate with a cost) and the endpoint
+            # step of the system (reach), and the maximizer's probe fit, the coupled stage and
             # step, the arc loop with its trial step of shooting on the box,
             # and the adjoint sweep of the final extremal (shoot)
             first = dict(traced), dict(compiled)
             assert first == ({"step": 4}, {
                 "dynamics": 2, "dynamics_jacobian": 2, "expression": 1, "gradient": 1,
-                "dynamics_run": 2, "probe_fit": 1, "coupled_stage": 1, "coupled_step": 1,
+                "dynamics_run": 1, "dynamics_end": 1, "probe_fit": 1, "coupled_stage": 1,
+                "coupled_step": 1,
                 "arc": 1, "adjoint_run": 1})
     assert (traced, compiled) == first
 
@@ -738,7 +772,7 @@ def test_the_table_of_shapes_is_the_only_memo_of_generated_code(monkeypatch):
                        "cost": {"expression": "0.5*x0^2 + u0^2"},
                        "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}}).sys
     f, probes = sys.f, pmp._probes(sys.control_set)
-    forms = [f.runner, lambda: f.coupled_step(sys.df_dx, sys.F, sys.dF_dx),
+    forms = [f.runner, lambda: f.runner(True), lambda: f.coupled_step(sys.df_dx, sys.F, sys.dF_dx),
              lambda: f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, 1),
              lambda: f.probe_fit(sys.F, probes.points, probes.axes, probes.pairs),
              lambda: f.arc_run(sys.df_dx, sys.F, sys.dF_dx, probes.sides, pmp.FIT_TOL, 1e-9)]
@@ -746,7 +780,7 @@ def test_the_table_of_shapes_is_the_only_memo_of_generated_code(monkeypatch):
     compiled.clear()
     grammar._FORMS.clear()
     assert all(form() for form in forms)
-    assert compiled == {"dynamics_run": 1, "coupled_stage": 1, "coupled_step": 1,
+    assert compiled == {"dynamics_run": 1, "dynamics_end": 1, "coupled_stage": 1, "coupled_step": 1,
                         "adjoint_run": 1, "probe_fit": 1, "arc": 1}
 
 
@@ -791,7 +825,7 @@ def test_shoot_check_and_simulate_with_a_cost_step_the_generated_extension(monke
                                                                            tmp_path):
     # the extension of a grammar system with a grammar cost is a grammar
     # system: the shot extremal, checked after it, and simulate with a cost
-    # step it by its generated runner, one call per control piece, and no
+    # step it by its generated runner, one call per path, and no
     # step goes through rk4_step; the extension of a user callable does.
     # The first shoot compiles, which runs rk4_step on symbolic operands
     shoot_and_check(lqr_problem(tmp_path / "q1.json", "0.3*x0^2 + u0^2"), str(tmp_path / "q1"))
