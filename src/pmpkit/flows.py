@@ -211,6 +211,22 @@ def _all_finite(v):
     return all(map(math.isfinite, v))
 
 
+def _jumped(u1, u2, tol) -> bool:
+    """float(np.abs(u1 - u2).max()) > tol, on the components of two controls
+    as Python floats (whose overflow and inf - inf warn of nothing): a NaN
+    difference gives False, as it makes numpy's max NaN.  Shooting's arc
+    loop tests its steps' controls with it, and `switching_structure` an
+    extremal's pieces."""
+    jump = False
+    for v, w in zip(u1, u2):
+        d = abs(float(v) - float(w))
+        if d != d:
+            return False
+        if d > tol:
+            jump = True
+    return jump
+
+
 def flow(X, t, s, x0, cfg=None):
     """Endpoint of the evolution operator from (s, x0) to time t."""
     return np.array(_lifted_path(X, None, s, t, x0, (), cfg, True)[1][-1])

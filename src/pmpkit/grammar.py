@@ -12,10 +12,11 @@ stage and the RK4 step of the coupled (x, p) field x' = f, p' = c dF/dx -
 (df/dx)^T p, as f and `pmp._costate` compute it; for `pmp.adjoint_flows`,
 one loop of its discrete-adjoint steps of an m x r block of covectors over
 the control runs of a path; for the box maximizer, its probe values of p0 F + p . f and
-their quadratic fit in one straight-line function; and for shooting on a
-finite box, one loop over the whole steps of an arc and one trial step,
-which call the coupled step and the probe fit and make the maximizer's
-decision and the jump test.  Every pairing of a covector with a rate or a
+their quadratic fit in one straight-line function; and for shooting, one
+loop over the steps of an arc and one trial step (`arc_loop`), which call
+the coupled step, make the maximizer's decision (from the probe fit on a
+box where that is generated, else by calling the maximizer) and make the
+jump test.  Every pairing of a covector with a rate or a
 Jacobian column is summed in order from 0.0
 (`flows._dot`), in the generated code as in the package's own, so their
 bits depend on no BLAS.  The generated code is written by running the
@@ -51,8 +52,8 @@ process in two memos: the public entry points' recent results, keyed on
 their texts, and behind them `_FORMS`, each generated form compiled once
 per shape of its trees (`_shaped`): trees that differ only in numbers
 other than a power's exponent share its code, with their own numbers
-bound, and the arc loop, which reads no tree, is kept once per m, box and
-tolerances.  The
+bound, and the arc loop, which reads no tree, is kept once per m, k, box
+and tolerances.  The
 extended system of a grammar system with a grammar cost is a grammar
 dynamics too, of the cost's and f's trees with their states renamed, and
 a dynamics keeps the extensions of its last few costs.
@@ -74,10 +75,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .flows import _recorded_step, rk4_step
+from .flows import _jumped, _recorded_step, rk4_step
 from .pmp import (_axis_max, _axis_maxima, _costate_rate, _fit_quadratic, _h_sum, _model_tol,
                   _nan_max, _off_max)
-from .shooting import _jumped
 
 
 class ProblemError(ValueError):
@@ -970,68 +970,96 @@ def arc(h, c, p0f, stage, step, fit, decide):
     return run, trial"""
 
 # the trial of dt from y with the control u held and the first stage k1:
-# the state v, where blown runs unless v is finite, the fit there and the
-# control um decided from it, by the traced decision where the fit is
-# separable.  `same` tells whether um has u's bits: the same objects (an
-# axis maximum at a bound returns the bound's), else the same packed bytes
+# the state v, where blown runs unless v is finite, and the control um
+# decided there (`_DECIDED`, or a call of decide).  `same` tells whether um
+# has u's bits: the same objects (an axis maximum at a bound returns the
+# bound's), else the same packed bytes
 _REACHED = """\
 {v} = step(y, {u}, {dt}, {k1}, c)
 if not ({finite}):
     {blown}
+{decision}
+same = {same} or _pack("{k}d", *{um}) == _pack("{k}d", *{u})"""
+
+# the decision from the fit at v, by the traced decision where the fit is
+# separable
+_DECIDED = """\
 {fit} = fit({v}[{m}:], {v}[:{m}], p0f)
 {reads}
 if {off} <= {ztol}:
     {decided}
 else:
-    {um} = decide({v}, {fit})
-same = {same} or _pack("{k}d", *{um}) == _pack("{k}d", *{u})"""
+    {um} = decide({v}, {fit})"""
 
 
-def _arc_code(m, sides, fit_tol, jump_tol):
+def _arc_code(m, k, sides, fit_tol, jump_tol):
     """(code, definition) of `_ARC`: arc(h, c, p0f, stage, step, fit,
-    decide) -> (run, trial), `shooting._propagator`'s generated loop and
-    trial for states y = (x, p) of 2m floats held in lists, the box
-    maximizer's `sides` and tolerance fit_tol and the jump tolerance
-    jump_tol.  arc binds what is fixed for a problem: the step h, c = -p0,
-    p0f = p0, the coupled field's stage(y, u, c) and step(y, u, h, k1, c)
-    (`coupled_step`), the probe fit fit(p, x, p0f) and decide(y, fit), the
-    maximizer's control at y from its fit.  So it is compiled once per box
-    and tolerances.
+    decide) -> (run, trial), `shooting._propagator`'s loop and trial for
+    states y = (x, p) of 2m floats held in lists, k controls and the jump
+    tolerance jump_tol.  arc binds what is fixed for a problem: the step h,
+    c = -p0, p0f = p0, the coupled field's stage(y, u, c) and step(y, u, h,
+    k1, c) (`shooting._coupled_field`), the probe fit fit(p, x, p0f) and
+    decide(y, fit), the maximizer's control at y, from fit where it is not
+    None.  So it is compiled once per m, k, box and tolerances.
 
     trial(y, u, dt, k1) -> (ym, um, jumped) is one trial step of dt, and
     run(y, u, t, b, eps, steps) makes the whole steps of h, each the trial
     of h / 2 and the trial of h (`_REACHED`); at a jump run returns the
-    bracket that the bisection reads.  The control decided at a state is
-    `pmp._model_tol` and `pmp._axis_maxima` run on the operands of the
-    fit's values, with `pmp._axis_max` called by name, where the
-    off-diagonal part of the fit clears ztol, else decide; jumped is
-    `shooting._jumped` of it against u, not called where the two have the
-    same bits.  sides holds Python floats, which the decision binds as
-    numbers."""
+    bracket that the bisection reads.  jumped is `flows._jumped` of um
+    against u, not called where the two have the same bits.
+
+    The control decided at a state has two forms.  With sides, the box
+    maximizer's (lo, hi, u0, delta) per axis (`pmp._Probes`), it is
+    decided from the generated probe fit: `pmp._model_tol` and
+    `pmp._axis_maxima` run on the operands of the fit's values, with
+    `pmp._axis_max` called by name, where the off-diagonal part of the fit
+    clears ztol, else decide(y, fit); fit_tol is the decision's tolerance,
+    and sides holds Python floats, which the decision binds as numbers.
+    With sides None, it is decide(y, None), and fit is not called."""
     code = _Code()
 
     def reached(v, fit, um, u, dt, k1, blown):
-        # the decision's statements, temporaries included, run only where
-        # the fit is separable
-        code.body = []
-        b, a = ([_Operand(code, code.local(f"{fit}[{i}][{j}]")) if side[3] > 0 else None
-                 for j, side in enumerate(sides)] for i in (0, 1))
-        bmax, cmax, off = (_Operand(code, code.local(f"{fit}[{i}]")) for i in (3, 4, 5))
-        ztol = _model_tol(bmax, cmax, fit_tol)
-        ztol.local()
-        reads, code.body = code.body, []
-        decided = _returned(_recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))
-        return [_fill(_REACHED, v=v, u=u, dt=dt, k1=k1, blown=blown, fit=fit, m=m, um=um,
+        decision = [f"{um} = decide({v}, None)"]
+        if sides is not None:
+            # the decision's statements, temporaries included, run only
+            # where the fit is separable
+            code.body = []
+            b, a = ([_Operand(code, code.local(f"{fit}[{i}][{j}]")) if side[3] > 0 else None
+                     for j, side in enumerate(sides)] for i in (0, 1))
+            bmax, cmax, off = (_Operand(code, code.local(f"{fit}[{i}]")) for i in (3, 4, 5))
+            ztol = _model_tol(bmax, cmax, fit_tol)
+            ztol.local()
+            reads, code.body = code.body, []
+            decided = _returned(_recording(code, _axis_maxima, "_axis_max")(b, a, ztol, sides))
+            decision = [_fill(_DECIDED, v=v, fit=fit, m=m, reads=reads, off=off.name,
+                              ztol=ztol.name, decided=code.body + [f"{um} = {decided}"], um=um)]
+        return [_fill(_REACHED, v=v, u=u, dt=dt, k1=k1, blown=blown, um=um, k=k,
                       finite=" and ".join(f"_isfinite({v}[{i}])" for i in range(2 * m)),
-                      reads=reads, off=off.name, ztol=ztol.name,
-                      decided=code.body + [f"{um} = {decided}"], k=len(sides),
-                      same=" and ".join(f"{um}[{j}] is {u}[{j}]" for j in range(len(sides))))]
+                      decision=decision,
+                      same=" and ".join(f"{um}[{j}] is {u}[{j}]" for j in range(k)))]
 
     return code, _Definition("arc", _fill(
         _ARC, jump_tol=_number(jump_tol)[0],
         trial=reached("ym", "fm", "um", "u", "dt", "k1", "raise _FloatingPointError"),
         half=reached("yh", "fh", "uh", "u", "hh", "k1", "return None"),
         full=reached("y1", "f1", "u1", "uh", "h", "k1h", "return None")))
+
+
+def arc_loop(m: int, k: int, sides, fit_tol: float, jump_tol: float):
+    """arc(h, c, p0f, stage, step, fit, decide) -> (run, trial), shooting's
+    one loop over the steps of an arc (`_arc_code`) for states of m
+    entries, k controls and the jump tolerance jump_tol: its form that
+    decides from the generated probe fit with the box maximizer's sides
+    and fit_tol, or with sides None, its form that calls decide.  The loop
+    reads no tree, so it is compiled once per m, k, sides and tolerances,
+    whatever the dynamics (the decide form once per m, k and jump_tol)."""
+    key = None
+    if sides is not None:
+        # the sides keyed by their bytes, which tell -0.0 from 0.0
+        sides = np.asarray(sides, dtype=float)
+        key, sides = (sides.tobytes(), fit_tol), sides.tolist()
+    return _shaped("arc", _shape([]), lambda: _arc_code(m, k, sides, fit_tol, jump_tol),
+                   m, k, key, jump_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -1158,10 +1186,10 @@ def compile_dynamics(srcs, m: int, k: int):
     the expressions srcs of a problem's dynamics, with their degree in u.
 
     df/dx is None when some expression has a state in an exponent.  f
-    carries six generated forms, each compiled where a call finds it in
+    carries five generated forms, each compiled where a call finds it in
     no memo (below), since only some paths run it: three RK4 forms, the box
-    maximizer's probe fit, shooting's loop on a finite box, and the
-    extended system.
+    maximizer's probe fit and the extended system.  Shooting's arc loop,
+    which reads no tree, is `arc_loop`, not a form of f.
     - `f.runner()` returns run(y, U, runs, ts, xs), the RK4 steps of
       x' = f(x, u) (n = m) from y over the runs (i0, i1, j) of the grid ts
       (`flows._runs`), u = U[j] held from node i0 to node i1: step i
@@ -1195,17 +1223,6 @@ def compile_dynamics(srcs, m: int, k: int):
       None or a grammar expression (`parse_expression` keeps its tree as
       `F.tree`) and f has one entry per state.  p0f is an argument, so
       p0 = -1 and p0 = 0 share it.
-    - `f.arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol)` returns
-      arc(h, c, p0f, stage, step, fit, decide) -> (run, trial), which binds
-      `shooting._propagator`'s generated loop over the whole steps of an
-      arc and its generated trial step (`_arc_code`) to a problem's coupled
-      stage and step, probe fit and decision, for the box maximizer's
-      `sides` (`pmp._Probes`), fit_tol and jump_tol, or None unless the
-      system qualifies as for `coupled_step`.  The loop hands back only at
-      a jump, after its last whole step, and with None at a state that is
-      not finite.  `_propagator` takes it where the maximizer's probe fit
-      is generated too: a grammar system on a finite box with plain
-      divisors and a declared degree of at most 2.
     - `f.extension(df_dx, F, dF_dx)` returns (f_hat, df_hat), the dynamics
       and Jacobian of the extended system (x0, x) with x0' = F, which
       `control_system.extend` takes, or None unless the system qualifies
@@ -1233,8 +1250,7 @@ def compile_dynamics(srcs, m: int, k: int):
     problem whose expressions differ from an earlier one's only in numbers
     that are not a power's exponent, such as a cost weight, binds the
     earlier compiles to its own numbers, bit for bit as its own compiles
-    would be.  The arc loop reads no tree and is kept once per m, sides
-    and tolerances, so every dynamics on one box shares it.
+    would be.
     """
     bodies, degrees, entries = [], [], []
     for i, src in enumerate(srcs):
@@ -1305,15 +1321,6 @@ def _dynamics(bodies, entries, m: int, k: int):
                                                axes, pairs),
                        tuple(u.tobytes() for u in points), axes, pairs)
 
-    def arc_run(df_dx, F, dF_dx, sides, fit_tol, jump_tol):
-        if not qualifies(df_dx, F, dF_dx):
-            return None
-        sides = np.asarray(sides, dtype=float)
-        # the sides keyed by their bytes, which tell -0.0 from 0.0; the loop
-        # reads no tree, so every dynamics of m states shares it
-        return _shaped("arc", _shape([]), lambda: _arc_code(m, sides.tolist(), fit_tol, jump_tol),
-                       m, sides.tobytes(), fit_tol, jump_tol)
-
     def extension(df_dx, F, dF_dx):
         if not qualifies(df_dx, F, dF_dx) or F is not None and not hasattr(F, "tree"):
             return None
@@ -1328,7 +1335,6 @@ def _dynamics(bodies, entries, m: int, k: int):
                           None if F is None else dF_dx.entries, m, k)
 
     dynamics.runner = runner
-    dynamics.arc_run = arc_run
     dynamics.coupled_step = coupled_step
     dynamics.adjoint_run = adjoint_run
     dynamics.probe_fit = probe_fit

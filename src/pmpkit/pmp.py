@@ -395,8 +395,8 @@ def _maximizer(sys: ControlSystem, p0: float):
     maximize(p, x, fit) decides from fit, that function's value at (p, x),
     without evaluating it again.  maximize carries what a generated loop
     needs to make the same decisions (`shooting._propagator`): `hamiltonian`,
-    where hamiltonian(p, x) is H bound to p and x, and `probe_fit` and the
-    box's `sides`, falsy where the fit is not generated.
+    where hamiltonian(p, x) is H bound to p and x, `probe_fit`, falsy where
+    the fit is not generated, and a box's `sides`.
     """
     p0f, rate, cost, fit_tol = float(p0), sys._rate, sys._cost, FIT_TOL
     verify = sys.u_degree is None or sys.u_degree > 2

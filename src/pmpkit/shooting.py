@@ -10,15 +10,16 @@ the maximizer are located by bisection and become exact switch times of the
 returned piecewise-constant control.
 
 Everything fixed for a problem (step, jump tolerance, maximizer, coupled
-field) is bound once per `shoot` by `_propagator`.  For a grammar system on
-a finite box whose coupled step and probe fit are generated, the whole
-steps of each arc run in one generated loop, and the other trial steps in
-one generated trial (`grammar.compile_dynamics`, `f.arc_run`).  The loop
-hands back to Python only at a jump, with the bracket that Python bisects,
-after its last whole step, and with None at a state that is not finite;
-a fit that is not separable is decided inside it, by a call into the
-maximizer.  The step that the final time cuts short is Python's.  The
-results are the bits of the Python step alone.
+field) is bound once per `shoot` by `_propagator`.  Every step of every
+system runs in the one arc loop, `grammar.arc_loop`: a generated loop over
+the whole steps of each arc and a generated trial step, which call the
+coupled field's stage and step (`_coupled_field`) and decide the control
+from the generated probe fit, on a grammar system on a finite box with a
+declared degree of at most 2, or by calling the maximizer on any other
+system.  The loop hands back to Python only at a jump, with the bracket
+that Python bisects, after its last whole step, and with None at a state
+that is not finite; the step that the final time cuts short is the same
+loop bound to that step.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 from .cone_geometry import null_space, unit_directions
 from .control_system import ControlSystem, _signal_of_pieces, extend, simulate
-from .flows import IntegratorConfig, _all_finite, rk4_step
+from .flows import IntegratorConfig, _jumped, rk4_step
+from .grammar import arc_loop
 from .pmp import (FIT_TOL, BoundarySpec, Extremal, UnboundedHamiltonianError,
                   UnsupportedMaximizationError, _costate, _maximizer, adjoint_flow)
 
@@ -165,20 +167,6 @@ def _coupled_field(sys, p0):
     return (lambda y, u, c: field(u)(0.0, y)), step
 
 
-def _jumped(u1, u2, tol) -> bool:
-    """float(np.abs(u1 - u2).max()) > tol, on the components of two controls
-    as Python floats (whose overflow and inf - inf warn of nothing): a NaN
-    difference gives False, as it makes numpy's max NaN."""
-    jump = False
-    for v, w in zip(u1, u2):
-        d = abs(float(v) - float(w))
-        if d != d:
-            return False
-        if d > tol:
-            jump = True
-    return jump
-
-
 class _Propagation:
     def __init__(self, x_b, p_b, steps, sup_h, resume):
         self.x_b = np.array(x_b)
@@ -190,44 +178,35 @@ class _Propagation:
         self.resume = resume
 
 
-def _arc_run(sys, maximize, jump_tol):
-    """arc(h, c, p0f, stage, step, fit, decide) -> (run, trial) of
-    `grammar.compile_dynamics`'s `f.arc_run`, which binds the generated arc
-    loop and trial to a problem, for a system whose coupled field and probe
-    fit are generated; None for any other."""
-    build = maximize.probe_fit and getattr(sys.f, "arc_run", None)
-    return build and build(sys.df_dx, sys.F, sys.dF_dx, maximize.sides, FIT_TOL, jump_tol)
-
-
 def _propagator(problem: ShootingProblem, opts: ShootingOptions):
     """propagate(z, base=None): the coupled (x, p) field `_coupled_field`
     integrated from the start that z encodes (`ShootingProblem.decode`), as
     a `_Propagation`, or None for a failed trial.  The step, the jump
-    tolerance, the maximizer, the coupled field and the generated arc loop
-    are fixed for the problem and bound once, here.
+    tolerance, the maximizer, the coupled field and the arc loop are fixed
+    for the problem and bound once, here.
 
     `base` is an optional propagation of an unknown vector that differs
     from z only by a smaller final time.  Up to its `resume` state every
     step was a full step long, which a later final time does not change,
     so the loop continues from there with the same result as a fresh run.
 
-    trial(y, u, dt, k1) -> (state, control, jumped) steps dt from y with
-    the control u, a list of floats, held and k1 its first stage.  A step
-    of h is the trial of h / 2 with the current control, then, unless the
-    control there jumps, the trial of h with the control there.  Where
-    `_arc_run` gives the generated trial and arc loop, the loop makes the
-    whole steps of each arc; the step that b cuts short, and every step of
-    any other system, is `stepped` here.  A step ends in a bracket: the
+    Every step is made by the one arc loop, `grammar.arc_loop`: in its form
+    that decides from the generated probe fit where the maximizer has one,
+    else in its form that calls the maximizer.  It is bound once for the
+    whole steps of h, and once more for each step that the final time b
+    cuts short.  A step of h is the trial of h / 2 with the current
+    control, then, unless the control there jumps, the trial of h with the
+    control there.  The loop hands back at a jump with a bracket: the
     control it held, that control's first stage, the last time known on
-    the arc (None where the control does not jump) and the time of the
-    jump with the state and control there, which one bisection narrows.
+    the arc and the time of the jump with the state and control there,
+    which one bisection of trial steps narrows here.
     """
     sys, a = problem.sys, problem.a
     m, step, max_switches = sys.m, _step(problem, opts), opts.max_switches
     jump_tol = _auto_jump_tol(sys.control_set)
     maximize = _maximizer(sys, problem.p0)
+    arc = arc_loop(m, sys.k, maximize.sides if maximize.probe_fit else None, FIT_TOL, jump_tol)
     field_stage, field_step = _coupled_field(sys, problem.p0)
-    c = -problem.p0
 
     def argmax(y, fit=None):
         # the maximizer at the stacked state y = (x, p) as a list; fit,
@@ -239,30 +218,11 @@ def _propagator(problem: ShootingProblem, opts: ShootingOptions):
             raise FloatingPointError("no control gives a Hamiltonian above -inf")
         return u.tolist()
 
-    def trial(y, u, dt, k1):
-        ym = field_step(y, u, dt, k1, c)
-        if not _all_finite(ym):
-            raise FloatingPointError
-        um = argmax(ym)
-        return ym, um, _jumped(um, u, jump_tol)
+    def bound(h):
+        return arc(h, -problem.p0, float(problem.p0), field_stage, field_step,
+                   maximize.probe_fit, argmax)
 
-    arc = _arc_run(sys, maximize, jump_tol)
-    run = None
-    if arc:
-        run, trial = arc(step, c, float(problem.p0), field_stage, field_step,
-                         maximize.probe_fit, argmax)
-
-    def stepped(y, u, h):
-        # the bracket of one step of h from y with u
-        k1 = field_stage(y, u, c)
-        yh, uh, jumped = trial(y, u, 0.5 * h, k1)
-        if jumped:
-            return u, k1, 0.0, 0.5 * h, yh, uh
-        # on u's control, whose first stage is k1, the arc holds at yh
-        same = np.array(uh).tobytes() == np.array(u).tobytes()
-        k1h, lo = (k1, 0.5 * h) if same else (field_stage(y, uh, c), 0.0)
-        y1, u1, jumped = trial(y, uh, h, k1h)
-        return uh, k1h, lo if jumped else None, h, y1, u1
+    run, trial = bound(step)
 
     def propagate(z, base: Optional[_Propagation] = None) -> Optional[_Propagation]:
         x, b = problem.decode(z)
@@ -285,30 +245,28 @@ def _propagator(problem: ShootingProblem, opts: ShootingOptions):
                 if base is None:
                     cur = argmax(y)
                 while b - t > eps:
-                    h = min(step, b - t)
-                    if resume is None and h != step:
-                        resume = (t, y, cur, n_sw, len(steps))
-                    if run and h == step:
-                        ran = run(y, cur, t, b, eps, steps)
-                        if ran is None:
-                            return None
-                        t, y, cur, bracket = ran
-                        if bracket is None:
-                            continue
+                    if b - t < step:
+                        if resume is None:
+                            resume = (t, y, cur, n_sw, len(steps))
+                        ran = bound(b - t)[0](y, cur, t, b, eps, steps)
                     else:
-                        bracket = stepped(y, cur, h)
+                        ran = run(y, cur, t, b, eps, steps)
+                    if ran is None:
+                        return None
+                    t, y, cur, bracket = ran
+                    if bracket is None:
+                        continue
+                    # the largest substep keeping the maximizer on the arc,
+                    # and the state and the maximizer there
                     held, k1, lo, dt, yn, end = bracket
-                    if lo is not None:
-                        # the largest substep keeping the maximizer on the
-                        # arc, and the state and the maximizer there
-                        n_sw += 1
-                        while dt - lo > 1e-10:
-                            mid = 0.5 * (lo + dt)
-                            ym, um, jumped = trial(y, held, mid, k1)
-                            if jumped:
-                                dt, yn, end = mid, ym, um
-                            else:
-                                lo = mid
+                    n_sw += 1
+                    while dt - lo > 1e-10:
+                        mid = 0.5 * (lo + dt)
+                        ym, um, jumped = trial(y, held, mid, k1)
+                        if jumped:
+                            dt, yn, end = mid, ym, um
+                        else:
+                            lo = mid
                     steps.append((t, held))
                     t, y, cur = t + dt, yn, end
                     if n_sw > max_switches:

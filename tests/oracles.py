@@ -720,7 +720,10 @@ def _arrays_grid_refine(H, lo, hi, resolution, grid_points):
                 best_u, best_v = u, v
         best = MaximizationResult(best_u, best_v)
         cell = (cur_hi - cur_lo) / (g - 1)
-        if np.max(cell) <= resolution:
+        # changed since the rewrite, as in the maximizer: with no H above
+        # -inf on the grid there is nothing to refine around, and u_star is
+        # None
+        if np.max(cell) <= resolution or best_u is None:
             return best
         cur_lo = np.maximum(lo, best_u - cell)
         cur_hi = np.minimum(hi, best_u + cell)

@@ -1174,6 +1174,17 @@ def test_shooting_options_at_their_defaults_give_the_golden_result(tmp_path):
         assert (out / "result.json").read_text() == fh.read()
 
 
+@pytest.mark.parametrize("case, code", [("min_time_double_integrator", 3),
+                                        ("lqr_expression_shoot", 0)])
+def test_a_propagation_past_max_switches_fails(tmp_path, case, code):
+    # with max_switches 0 every propagation that switches fails: the
+    # minimum-time golden, whose extremal switches once, finds none and
+    # exits 3, and the LQR golden, whose shot control never jumps, converges
+    data = dict(GOLDEN_PROBLEMS[case], shooting={"max_switches": 0})
+    path = write_problem(tmp_path / "p.json", data)
+    assert cli.main(["shoot", "--problem", path, "--out", str(tmp_path / "out")]) == code
+
+
 # The files the CLI writes: JSON with the bytes of json's own indented
 # writer, and an extremal that `check` reads back bit for bit.
 

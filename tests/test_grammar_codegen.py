@@ -862,12 +862,13 @@ def test_a_traceback_shows_the_generated_line():
 
 
 def test_the_arc_loop_runs_on_lines_of_its_own():
-    # a profiler names the line of the loop where time goes
-    f, df, _ = grammar.compile_dynamics(("x1", "-sin(x0) + u0"), 2, 1)
+    # a profiler names the line of the loop where time goes, in both forms
+    # (the trial that calls the maximizer has 8 lines)
     sides = pmp._probes(box([-1.0], [1.0])).sides
-    run, trial = f.arc_run(df, None, None, sides, 1e-9, 0.1)(0.1, 1.0, -1.0, *[None] * 4)
-    for fn in (run, trial):
-        assert len({line for _, _, line in fn.__code__.co_lines()}) > 10
+    for form, trial_lines in ((sides, 10), (None, 5)):
+        run, trial = grammar.arc_loop(2, 1, form, 1e-9, 0.1)(0.1, 1.0, -1.0, *[None] * 4)
+        for fn, lines in ((run, 10), (trial, trial_lines)):
+            assert len({line for _, _, line in fn.__code__.co_lines()}) > lines
 
 
 def test_a_fresh_compile_leaves_no_cyclic_garbage():
@@ -879,10 +880,8 @@ def test_a_fresh_compile_leaves_no_cyclic_garbage():
     gc.disable()
     try:
         generated_forms(["x1", "-sin(x0) + u0"], "x0^2 + u0^2", 2, 1)
-        f, df, _ = grammar.compile_dynamics(("x1", "-sin(x0) + u0"), 2, 1)
-        F, (dF, _) = grammar.parse_expression("x0^2 + u0^2", 2, 1), \
-            grammar.compile_gradient("x0^2 + u0^2", 2, 1)
-        assert f.arc_run(df, F, dF, pmp._probes(box([-1.0], [1.0])).sides, 1e-9, 0.1)
+        assert grammar.arc_loop(2, 1, pmp._probes(box([-1.0], [1.0])).sides, 1e-9, 0.1)
+        assert grammar.arc_loop(2, 1, None, 1e-9, 0.1)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import BOUND_CAP, dot_bound, maximize_hamiltonian_arrays, ordered_dot
-from pmpkit import grammar, pmp, shooting
+from pmpkit import flows, grammar, pmp
 from pmpkit.control_system import ControlSystem, ball, box, finite
 
 INF, NAN = math.inf, math.nan
@@ -249,7 +249,7 @@ def test_jump_test_on_floats_matches_numpy(pair, tol):
     u1, u2 = (np.array(v) for v in pair)
     with np.errstate(all="ignore"):
         want = float(np.abs(u1 - u2).max()) > tol
-    assert shooting._jumped(u1, u2, tol) is want
+    assert flows._jumped(u1, u2, tol) is want
 
 
 def _concave_plus_signs(x, u):

@@ -8,7 +8,9 @@ README.md, whose line says why it stays.  A private top-level name (a
 function, class or assignment whose name starts with one underscore) must
 be referenced in `src/` outside the statement that defines it: by name in
 its own module or in one that imports it, or as an attribute.  The
-modules of `src/` and of `tests/` import no name they never read.
+modules of `src/` and of `tests/` import no name they never read.  The
+modules of `src/` import each other in layers: no cycle, and the code
+generator `grammar` imports none of the modules that consume it.
 """
 
 import ast
@@ -127,11 +129,65 @@ def test_unused_private_name_check_is_not_vacuous():
                                              ("b", "_i")]
 
 
-def test_every_private_name_is_used():
+def src_sources():
+    """{module: source text} of the modules of `src/`."""
     sources = {}
     for fname in sorted(os.listdir(SRC)):
         if fname.endswith(".py"):
             with open(os.path.join(SRC, fname)) as fh:
                 sources[fname[:-3]] = fh.read()
-    loose = ["%s.%s" % key for key in unused_private_names(sources)]
+    return sources
+
+
+def test_every_private_name_is_used():
+    loose = ["%s.%s" % key for key in unused_private_names(src_sources())]
     assert not loose, "private names that nothing in src/ reads: " + ", ".join(loose)
+
+
+# the modules that consume the code generator's forms, which it must not
+# import
+GRAMMAR_CONSUMERS = {"shooting", "perturbations", "reachable", "cli"}
+
+
+def import_layer_faults(sources):
+    """The faults of the imports among the modules sources, {module: source
+    text}: each module of GRAMMAR_CONSUMERS that grammar imports, and each
+    cycle, as the modules that close it.  An import is `from .module import
+    ...` or `from . import module`, at the top of a module or in a
+    function."""
+    graph = {}
+    for module, source in sources.items():
+        graph[module] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                graph[module] |= {node.module} if node.module else {a.name for a in node.names}
+    faults = ["grammar imports " + name
+              for name in sorted(graph.get("grammar", set()) & GRAMMAR_CONSUMERS)]
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            faults.append("cycle " + " -> ".join(path[path.index(module):] + [module]))
+        elif module not in done:
+            path.append(module)
+            for name in sorted(graph.get(module, ())):
+                visit(name)
+            done.add(path.pop())
+
+    for module in sorted(graph):
+        visit(module)
+    return faults
+
+
+def test_import_layer_check_is_not_vacuous():
+    sources = {"grammar": "from .shooting import _jumped\n",
+               "shooting": "def f():\n    from .pmp import g\n",
+               "pmp": "from . import grammar, flows\n", "flows": ""}
+    assert import_layer_faults(sources) == ["grammar imports shooting",
+                                            "cycle grammar -> shooting -> pmp -> grammar"]
+
+
+def test_modules_import_each_other_in_layers():
+    faults = import_layer_faults(src_sources())
+    assert not faults, "imports out of layer: " + ", ".join(faults)
+

@@ -238,7 +238,7 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
                                   a=problem.a, b=problem.b)
     opts = shooting.ShootingOptions(tol=problem.tol, step=problem.step)
     bind, generate, seen = pmp._maximizer, problem.sys.f.probe_fit, collections.Counter()
-    runs, arc = collections.Counter(), shooting._arc_run
+    runs, arc = collections.Counter(), shooting.arc_loop
 
     def counted_bind(sys, p0):
         runs["binds"] += 1
@@ -269,7 +269,7 @@ def test_propagation_maximizes_each_state_once(monkeypatch):
 
     monkeypatch.setattr(shooting, "_maximizer", counted_bind)
     monkeypatch.setattr(problem.sys.f, "probe_fit", counted_generate)
-    monkeypatch.setattr(shooting, "_arc_run", counted_arc)
+    monkeypatch.setattr(shooting, "arc_loop", counted_arc)
     # the maximizer is bound once per propagator
     propagate = shooting._propagator(sp, opts)
     switching = 0
@@ -751,7 +751,7 @@ def test_a_problem_loaded_again_compiles_nothing(monkeypatch, tmp_path):
 
 
 def test_dynamics_on_one_box_share_one_arc_loop(monkeypatch):
-    # the arc loop reads no tree: it is compiled once per m, box and
+    # the arc loop reads no tree: it is compiled once per m, k, box and
     # tolerances, whatever the dynamics and cost
     _, compiled = counted_compiles(monkeypatch)
     built = collections.Counter()
@@ -759,8 +759,9 @@ def test_dynamics_on_one_box_share_one_arc_loop(monkeypatch):
     for dynamics in ({"builtin": "double_integrator"}, {"expressions": ["x1", "-sin(x0) + u0"]}):
         sys = cli.Problem({"dynamics": dynamics, "cost": {"expression": "1"},
                            "control_set": {"kind": "box", "lo": [-1.0], "hi": [1.0]}}).sys
-        assert shooting._arc_run(sys, pmp._maximizer(sys, -1.0),
-                                 shooting._auto_jump_tol(sys.control_set))
+        sp = shooting.ShootingProblem(sys=sys, bounds=pmp.BoundarySpec("fixed_time"), p0=-1.0,
+                                      x_a=[1.0, 0.0], x_b=[0.0, 0.0])
+        assert shooting._propagator(sp, shooting.ShootingOptions())(np.array([1.0, 0.5]))
     assert built["arc"] == compiled["arc"] == 1
 
 
@@ -775,13 +776,14 @@ def test_the_table_of_shapes_is_the_only_memo_of_generated_code(monkeypatch):
     forms = [f.runner, lambda: f.runner(True), lambda: f.coupled_step(sys.df_dx, sys.F, sys.dF_dx),
              lambda: f.adjoint_run(sys.df_dx, sys.F, sys.dF_dx, 1),
              lambda: f.probe_fit(sys.F, probes.points, probes.axes, probes.pairs),
-             lambda: f.arc_run(sys.df_dx, sys.F, sys.dF_dx, probes.sides, pmp.FIT_TOL, 1e-9)]
+             lambda: grammar.arc_loop(2, 1, probes.sides, pmp.FIT_TOL, 1e-9),
+             lambda: grammar.arc_loop(2, 1, None, pmp.FIT_TOL, 1e-9)]
     assert all(form() for form in forms)
     compiled.clear()
     grammar._FORMS.clear()
     assert all(form() for form in forms)
     assert compiled == {"dynamics_run": 1, "dynamics_end": 1, "coupled_stage": 1, "coupled_step": 1,
-                        "adjoint_run": 1, "probe_fit": 1, "arc": 1}
+                        "adjoint_run": 1, "probe_fit": 1, "arc": 2}
 
 
 def lqr_problem(path, cost):
